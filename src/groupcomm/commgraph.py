@@ -82,6 +82,19 @@ def prune(m: np.ndarray, delta: float, renormalize: bool = False) -> np.ndarray:
     return out
 
 
+def top1_rows(m: np.ndarray) -> np.ndarray:
+    """Hard rows selecting each agent's highest-weight peer, diagonal masked.
+
+    Ties go to the lowest index; a lone agent selects itself.
+    """
+    m = np.asarray(m, dtype=np.float64)
+    n = m.shape[0]
+    masked = np.where(np.eye(n, dtype=bool), -np.inf, m)
+    rows = np.zeros((n, n))
+    rows[np.arange(n), np.argmax(masked, axis=1)] = 1.0
+    return rows
+
+
 def fuse(weights: np.ndarray, features: list) -> np.ndarray:
     """Weighted sum of agent features by one matching-row.
 

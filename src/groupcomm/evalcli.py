@@ -31,11 +31,13 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from .commgraph import top1_rows
 from .densemath import Rng
 from .neuralnet import (
     PipelineConfig,
     PipelineParams,
     TrainConfig,
+    fixed_policy_rows,
     load_checkpoint,
     save_checkpoint,
     train,
@@ -147,22 +149,6 @@ class PolicyEpisodeResult:
     trace: list[simnet.Message]
 
 
-def _fixed_rows(policy: str, n: int, rng: Rng) -> np.ndarray:
-    if policy == "nocom":
-        return np.eye(n)
-    if policy == "catall":
-        return np.full((n, n), 1.0 / n)
-    if policy == "randcom":
-        rows = np.zeros((n, n))
-        for i in range(n):
-            j = rng.randint(n - 1)
-            if j >= i:
-                j += 1
-            rows[i, j] = 1.0
-        return rows
-    raise ValueError(f"unknown fixed-row policy {policy!r}")
-
-
 def run_policy_episode(
     policy: str,
     theta: PipelineParams,
@@ -181,21 +167,9 @@ def run_policy_episode(
 
     if policy in ("forced_top1", "fully_connected"):
         soft_rows, trace = simnet.run_handshake(agents, theta)
-        if policy == "forced_top1":
-            rows = np.zeros((n, n))
-            for i in range(n):
-                masked = soft_rows[i].copy()
-                masked[i] = -np.inf
-                rows[i, int(np.argmax(masked))] = 1.0
-            if n == 1:
-                rows = np.eye(1)
-        else:
-            rows = soft_rows
+        rows = top1_rows(soft_rows) if policy == "forced_top1" else soft_rows
     elif policy in ("nocom", "randcom", "catall"):
-        if policy == "randcom" and n == 1:
-            rows = np.eye(1)
-        else:
-            rows = _fixed_rows(policy, n, rng)
+        rows = fixed_policy_rows(policy, n, rng)
         trace = []
     else:
         raise ValueError(f"unknown policy {policy!r}")
@@ -372,13 +346,13 @@ def train_run(
         policy = "when2com"  # same full model; selection differs only at eval time
     if policy not in TRAIN_POLICIES:
         raise ValueError(f"cannot train policy {policy!r}")
-    world = world_for_run(case, n_agents, seed)
-    dataset = generate_dataset(world, n_episodes, seed)
     config = TrainConfig(
         pipeline=PipelineConfig(q_dim=q_dim, k_dim=k_dim),
         steps=steps,
         policy=policy,
     )
+    world = world_for_run(case, n_agents, seed)
+    dataset = generate_dataset(world, n_episodes, seed)
     theta, log = train(config, dataset, Rng(seed))
     return TrainRun(theta=theta, config=config, dataset=dataset, log=log)
 

@@ -10,10 +10,15 @@ Training fuses with the full soft matching rows so every agent sees every
 feature (gradients flow through the softmax and the bilinear scores);
 inference fuses with delta-pruned rows and is never differentiated.
 
-Gradients are derived by hand and validated against central finite
-differences; see tests.  All per-agent computations run through the same
-single-vector primitives as the decentralized simulator, so centralized and
-distributed execution agree bit-for-bit.
+Training runs a whole minibatch at once: the episodes are stacked as
+(B, N, .) arrays, every head is one matrix product over all B*N agents, and
+the matching matrix and fusion are batched products.  Its gradients are
+derived by hand in the same matrix form and validated against central finite
+differences; see tests.  Inference runs agent by agent through the same
+single-vector primitives as the decentralized simulator, so centralized
+inference and distributed execution agree bit for bit.  Batched products are
+not bit-identical to per-vector ones, so training agrees with inference at
+delta = 0 to rounding (1e-12), not bit for bit.
 """
 
 from __future__ import annotations
@@ -24,11 +29,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .commgraph import build_matching_matrix, fuse, prune
-from .densemath import Rng, relu, relu_grad, softmax_row
+from .commgraph import build_matching_matrix, fuse, prune, top1_rows
+from .densemath import Rng, relu, relu_grad
 
 CHECKPOINT_MAGIC = b"GRPCOMM1"
 CHECKPOINT_VERSION = 1
+CHECKPOINT_HEADER = "<8sI6I"
 
 ATTENTION_POLICIES = ("when2com", "forced_top1", "fully_connected")
 FIXED_ROW_POLICIES = ("nocom", "randcom", "catall")
@@ -57,6 +63,11 @@ class PipelineConfig:
     f_dim: int = 32
     n_classes: int = 10
     hidden: int = 64
+
+    def __post_init__(self):
+        for name in ("d_obs", "q_dim", "k_dim", "f_dim", "n_classes", "hidden"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"PipelineConfig.{name} must be positive, got {getattr(self, name)}")
 
 
 @dataclass
@@ -132,16 +143,20 @@ class MlpCache:
 
 
 def mlp_forward(p: MlpParams, x: np.ndarray) -> tuple[np.ndarray, MlpCache]:
-    """Affine-rectifier chain on a single vector; cache retains pre-activations."""
+    """Affine-rectifier chain on one vector or a stack of rows; cache retains pre-activations.
+
+    A single vector runs as ``w @ h + b``, the form the simulator's agents
+    use; a (R, d) stack runs as one ``h @ w.T + b`` product.
+    """
     x = np.asarray(x, dtype=np.float64)
-    if x.ndim != 1 or x.shape[0] != p.in_dim:
+    if x.ndim not in (1, 2) or x.shape[-1] != p.in_dim:
         raise ValueError(f"input shape {x.shape} does not match first layer ({p.in_dim})")
     inputs, pre = [], []
     h = x
     last = len(p.layers) - 1
     for idx, (w, b) in enumerate(p.layers):
         inputs.append(h)
-        z = w @ h + b
+        z = w @ h + b if h.ndim == 1 else h @ w.T + b
         pre.append(z)
         h = z if idx == last else relu(z)
     return h, MlpCache(inputs, pre)
@@ -150,38 +165,48 @@ def mlp_forward(p: MlpParams, x: np.ndarray) -> tuple[np.ndarray, MlpCache]:
 def mlp_backward(
     p: MlpParams, cache: MlpCache, dout: np.ndarray
 ) -> tuple[list[tuple[np.ndarray, np.ndarray]], np.ndarray]:
-    """Gradients of all layers plus the derivative w.r.t. the input vector."""
+    """Gradients of all layers plus the derivative w.r.t. the input.
+
+    ``dout`` has the forward output's shape; for a stack of rows the layer
+    gradients sum over the rows.
+    """
     grads: list[tuple[np.ndarray, np.ndarray]] = [None] * len(p.layers)  # type: ignore[list-item]
-    dz = np.asarray(dout, dtype=np.float64)
+    dz = np.atleast_2d(np.asarray(dout, dtype=np.float64))
     for idx in range(len(p.layers) - 1, -1, -1):
         w, _ = p.layers[idx]
         if idx < len(p.layers) - 1:
             dz = dz * relu_grad(cache.pre[idx])
-        grads[idx] = (np.outer(dz, cache.inputs[idx]), dz.copy())
-        dz = w.T @ dz
-    return grads, dz
+        grads[idx] = (dz.T @ np.atleast_2d(cache.inputs[idx]), dz.sum(axis=0))
+        dz = dz @ w
+    return grads, dz.reshape(np.shape(dout)[:-1] + (p.in_dim,))
 
 
 @dataclass
 class ForwardCache:
+    """Intermediates of a forward pass.
+
+    Training holds (B, N, .) arrays plus each head's row cache, which
+    :func:`pipeline_backward` reads; ``queries``/``keys`` are None on the
+    fixed-row path.  Inference holds per-agent lists and is never
+    differentiated.
+    """
+
     mode: str
-    observations: list[np.ndarray]
-    queries: list[np.ndarray] | None
-    keys: list[np.ndarray] | None
-    features: list[np.ndarray]
-    fused: list[np.ndarray]
+    features: np.ndarray | list[np.ndarray]
+    fused: np.ndarray | list[np.ndarray]
     m: np.ndarray
-    q_caches: list[MlpCache] | None
-    k_caches: list[MlpCache] | None
-    e_caches: list[MlpCache]
-    d_caches: list[MlpCache]
-    logits: list[np.ndarray]
-    attention_path: bool
+    logits: np.ndarray | None = None
+    queries: np.ndarray | None = None
+    keys: np.ndarray | None = None
+    q_cache: MlpCache | None = None
+    k_cache: MlpCache | None = None
+    e_cache: MlpCache | None = None
+    d_cache: MlpCache | None = None
 
 
 @dataclass
 class ForwardResult:
-    logits: list[np.ndarray]
+    logits: np.ndarray | list[np.ndarray]
     cache: ForwardCache
     m: np.ndarray
     m_bar: np.ndarray | None
@@ -193,177 +218,144 @@ def decode_agent(theta: PipelineParams, feature: np.ndarray, fused: np.ndarray):
     return mlp_forward(theta.theta_d, u)
 
 
+def _softmax(z: np.ndarray) -> np.ndarray:
+    """Softmax over the last axis."""
+    e = np.exp(z - np.max(z, axis=-1, keepdims=True))
+    return e / np.sum(e, axis=-1, keepdims=True)
+
+
 def pipeline_forward(
     theta: PipelineParams,
-    observations: list[np.ndarray],
+    observations,
     mode: str = "training",
     delta: float = 0.0,
     fixed_rows: np.ndarray | None = None,
 ) -> ForwardResult:
-    """Full per-episode forward pass.
+    """Full forward pass.
 
-    ``training`` fuses with the soft matching rows; ``inference`` prunes the
-    rows at ``delta`` first.  With delta = 0 the two modes agree bit-exactly
-    (pruning keeps every positive entry).  ``fixed_rows`` substitutes a
-    constant matching matrix (baseline policies); the attention heads are then
-    neither evaluated nor differentiated.
+    ``training`` takes one episode, (N, d_obs), or a minibatch of episodes
+    with equal N, (B, N, d_obs), and fuses with the soft matching rows;
+    ``logits`` and ``m`` keep the input's leading shape.  ``inference`` takes
+    one episode, runs it agent by agent exactly as the simulator does, and
+    prunes the rows at ``delta`` first.  ``fixed_rows`` substitutes a constant
+    matching matrix (baseline policies; (B, N, N) for a batch); the attention
+    heads are then neither evaluated nor differentiated.
     """
-    if mode not in ("training", "inference"):
+    if mode == "training":
+        return _training_forward(theta, observations, fixed_rows)
+    if mode != "inference":
         raise ValueError(f"unknown mode {mode!r}")
     n = len(observations)
     if n < 1:
         raise ValueError("need at least one agent")
     obs = [np.asarray(x, dtype=np.float64) for x in observations]
 
-    features, e_caches = [], []
-    for x in obs:
-        f, cache = mlp_forward(theta.theta_e, x)
-        features.append(f)
-        e_caches.append(cache)
-
+    features = [mlp_forward(theta.theta_e, x)[0] for x in obs]
     if fixed_rows is None:
-        queries, q_caches, keys, k_caches = [], [], [], []
-        for x in obs:
-            mu, qc = mlp_forward(theta.theta_q, x)
-            queries.append(mu)
-            q_caches.append(qc)
-            kappa, kc = mlp_forward(theta.theta_k, x)
-            keys.append(kappa)
-            k_caches.append(kc)
+        queries = [mlp_forward(theta.theta_q, x)[0] for x in obs]
+        keys = [mlp_forward(theta.theta_k, x)[0] for x in obs]
         m = build_matching_matrix(queries, keys, theta.w_g)
-        attention_path = True
     else:
-        fixed_rows = np.asarray(fixed_rows, dtype=np.float64)
-        if fixed_rows.shape != (n, n):
-            raise ValueError(f"fixed_rows shape {fixed_rows.shape} != ({n}, {n})")
-        queries = keys = q_caches = k_caches = None
-        m = fixed_rows
-        attention_path = False
+        m = np.asarray(fixed_rows, dtype=np.float64)
+        if m.shape != (n, n):
+            raise ValueError(f"fixed_rows shape {m.shape} != ({n}, {n})")
 
-    m_bar = prune(m, delta) if mode == "inference" else None
-    rows = m_bar if m_bar is not None else m
-
-    fused, logits, d_caches = [], [], []
-    for i in range(n):
-        g = fuse(rows[i], features)
-        fused.append(g)
-        z, dc = decode_agent(theta, features[i], g)
-        logits.append(z)
-        d_caches.append(dc)
-
-    cache = ForwardCache(
-        mode=mode,
-        observations=obs,
-        queries=queries,
-        keys=keys,
-        features=features,
-        fused=fused,
-        m=m,
-        q_caches=q_caches,
-        k_caches=k_caches,
-        e_caches=e_caches,
-        d_caches=d_caches,
-        logits=logits,
-        attention_path=attention_path,
-    )
-    return ForwardResult(logits=logits, cache=cache, m=m, m_bar=m_bar)
+    m_bar = prune(m, delta)
+    fused = [fuse(m_bar[i], features) for i in range(n)]
+    logits = [decode_agent(theta, features[i], fused[i])[0] for i in range(n)]
+    return ForwardResult(logits, ForwardCache("inference", features, fused, m), m, m_bar)
 
 
-def _log_softmax(z: np.ndarray) -> np.ndarray:
-    shifted = z - np.max(z)
-    return shifted - math.log(np.sum(np.exp(shifted)))
+def _training_forward(theta: PipelineParams, observations, fixed_rows) -> ForwardResult:
+    obs = np.asarray(observations, dtype=np.float64)
+    if obs.ndim not in (2, 3) or obs.shape[-2] < 1:
+        raise ValueError(f"need (N, d_obs) or (B, N, d_obs) observations of N >= 1 agents, got {obs.shape}")
+    lead = obs.shape[:-1]  # (N,) or (B, N)
+    n, d = obs.shape[-2:]
+    b = obs.size // (n * d)
+    x = obs.reshape(b * n, d)
+
+    e, e_cache = mlp_forward(theta.theta_e, x)
+    features = e.reshape(b, n, -1)
+    queries = keys = q_cache = k_cache = None
+    if fixed_rows is None:
+        mu, q_cache = mlp_forward(theta.theta_q, x)
+        kappa, k_cache = mlp_forward(theta.theta_k, x)
+        queries, keys = mu.reshape(b, n, -1), kappa.reshape(b, n, -1)
+        scores = (mu @ theta.w_g).reshape(b, n, -1) @ keys.transpose(0, 2, 1)
+        m = _softmax(scores / math.sqrt(theta.w_g.shape[1]))
+    else:
+        m = np.asarray(fixed_rows, dtype=np.float64)
+        if m.shape != lead + (n,):
+            raise ValueError(f"fixed_rows shape {m.shape} != {lead + (n,)}")
+        m = m.reshape(b, n, n)
+
+    fused = m @ features
+    z, d_cache = mlp_forward(theta.theta_d, np.concatenate([features, fused], axis=-1).reshape(b * n, -1))
+    logits = z.reshape(b, n, -1)
+    cache = ForwardCache("training", features, fused, m, logits, queries, keys, q_cache, k_cache, e_cache, d_cache)
+    return ForwardResult(logits.reshape(lead + (-1,)), cache, m.reshape(lead + (n,)), None)
 
 
-def cross_entropy_loss(logits: list[np.ndarray], labels: list[int]) -> float:
-    """Mean over agents of -log softmax(logits)[label]."""
-    if len(logits) != len(labels):
-        raise ValueError(f"{len(logits)} logit vectors vs {len(labels)} labels")
-    total = 0.0
-    for z, y in zip(logits, labels):
-        z = np.asarray(z, dtype=np.float64)
-        if not 0 <= y < z.shape[0]:
-            raise ValueError(f"label {y} out of range [0, {z.shape[0]})")
-        total += -_log_softmax(z)[y]
-    return total / len(logits)
+def cross_entropy_loss(logits, labels) -> float:
+    """Mean over agents (of every episode) of -log softmax(logits)[label].
+
+    ``logits`` is (N, C) or (B, N, C); ``labels`` has its leading shape.
+    """
+    z = np.asarray(logits, dtype=np.float64)
+    y = np.asarray(labels)
+    if z.shape[:-1] != y.shape:
+        raise ValueError(f"logits of shape {z.shape} vs labels of shape {y.shape}")
+    bad = (y < 0) | (y >= z.shape[-1])
+    if np.any(bad):
+        raise ValueError(f"label {y[bad][0]} out of range [0, {z.shape[-1]})")
+    shifted = z - np.max(z, axis=-1, keepdims=True)
+    log_p = shifted - np.log(np.sum(np.exp(shifted), axis=-1, keepdims=True))
+    return float(-np.mean(np.take_along_axis(log_p, y[..., None], axis=-1)))
 
 
 def pipeline_backward(
-    cache: ForwardCache, theta: PipelineParams, labels: list[int]
+    cache: ForwardCache, theta: PipelineParams, labels
 ) -> Gradients:
     """Exact gradients of the mean cross-entropy w.r.t. every parameter.
 
-    Only valid for a training-mode forward: inference-time pruning is a hard
-    gate and is never differentiated.
+    ``labels`` has the forward logits' leading shape, (N,) or (B, N).  Only
+    valid for a training-mode forward: inference-time pruning is a hard gate
+    and is never differentiated.
     """
     if cache.mode != "training":
         raise ValueError("backward requires a training-mode forward cache")
-    n = len(cache.observations)
-    if len(labels) != n:
-        raise ValueError(f"cache holds {n} agents but got {len(labels)} labels")
+    b, n, f_dim = cache.features.shape
+    y = np.asarray(labels)
+    if y.size != b * n:
+        raise ValueError(f"cache holds {b} x {n} agents but got labels of shape {y.shape}")
 
     grads = zeros_like_params(theta)
-    f_dim = cache.features[0].shape[0]
-    sqrt_k = math.sqrt(theta.w_g.shape[1])
+    dlogits = _softmax(cache.logits.reshape(b * n, -1))
+    dlogits[np.arange(b * n), y.reshape(-1)] -= 1.0
+    dlogits /= b * n
+    d_layers, du = mlp_backward(theta.theta_d, cache.d_cache, dlogits)
+    grads.theta_d = MlpParams(d_layers)
+    du = du.reshape(b, n, 2 * f_dim)
 
-    d_fused = []
-    df_total = [np.zeros(f_dim) for _ in range(n)]
-    for i in range(n):
-        z = cache.logits[i]
-        p = softmax_row(z)
-        dlogits = p.copy()
-        dlogits[labels[i]] -= 1.0
-        dlogits /= n
-        head_grads, du = mlp_backward(theta.theta_d, cache.d_caches[i], dlogits)
-        for l, (dw, db) in enumerate(head_grads):
-            grads.theta_d.layers[l][0][:] += dw
-            grads.theta_d.layers[l][1][:] += db
-        df_total[i] += du[:f_dim]
-        d_fused.append(du[f_dim:])
+    # Fusion: fused = M @ E.
+    d_fused = du[..., f_dim:]
+    d_features = du[..., :f_dim] + cache.m.transpose(0, 2, 1) @ d_fused
 
-    # Fusion: fused_i = sum_j m[i, j] f_j.
-    dm = np.empty((n, n))
-    for i in range(n):
-        for j in range(n):
-            dm[i, j] = float(np.dot(d_fused[i], cache.features[j]))
-    for j in range(n):
-        for i in range(n):
-            df_total[j] += cache.m[i, j] * d_fused[i]
+    if cache.queries is not None:
+        # Row-softmax jacobian: dS = M * (dM - rowsum(dM * M)), then the
+        # 1/sqrt(K) scale of the scores S = (Q W_g) K^T.
+        dm = d_fused @ cache.features.transpose(0, 2, 1)
+        ds = cache.m * (dm - np.sum(dm * cache.m, axis=-1, keepdims=True))
+        ds /= math.sqrt(theta.w_g.shape[1])
+        ds_keys = (ds @ cache.keys).reshape(b * n, -1)
+        grads.w_g = cache.queries.reshape(b * n, -1).T @ ds_keys
+        d_mu = ds_keys @ theta.w_g.T
+        d_kappa = (ds.transpose(0, 2, 1) @ cache.queries).reshape(b * n, -1) @ theta.w_g
+        grads.theta_q = MlpParams(mlp_backward(theta.theta_q, cache.q_cache, d_mu)[0])
+        grads.theta_k = MlpParams(mlp_backward(theta.theta_k, cache.k_cache, d_kappa)[0])
 
-    if cache.attention_path:
-        # Row-softmax jacobian: ds = m * (dm - (dm . m)) per row.
-        ds = np.empty((n, n))
-        for i in range(n):
-            row = cache.m[i]
-            dot = float(np.dot(dm[i], row))
-            ds[i] = row * (dm[i] - dot)
-
-        d_mu = [np.zeros_like(cache.queries[0]) for _ in range(n)]
-        d_kappa = [np.zeros_like(cache.keys[0]) for _ in range(n)]
-        for i in range(n):
-            for j in range(n):
-                coeff = ds[i, j] / sqrt_k
-                if coeff == 0.0:
-                    continue
-                grads.w_g += coeff * np.outer(cache.queries[i], cache.keys[j])
-                d_mu[i] += coeff * (theta.w_g @ cache.keys[j])
-                d_kappa[j] += coeff * (theta.w_g.T @ cache.queries[i])
-
-        for i in range(n):
-            head_grads, _ = mlp_backward(theta.theta_q, cache.q_caches[i], d_mu[i])
-            for l, (dw, db) in enumerate(head_grads):
-                grads.theta_q.layers[l][0][:] += dw
-                grads.theta_q.layers[l][1][:] += db
-            head_grads, _ = mlp_backward(theta.theta_k, cache.k_caches[i], d_kappa[i])
-            for l, (dw, db) in enumerate(head_grads):
-                grads.theta_k.layers[l][0][:] += dw
-                grads.theta_k.layers[l][1][:] += db
-
-    for i in range(n):
-        head_grads, _ = mlp_backward(theta.theta_e, cache.e_caches[i], df_total[i])
-        for l, (dw, db) in enumerate(head_grads):
-            grads.theta_e.layers[l][0][:] += dw
-            grads.theta_e.layers[l][1][:] += db
-
+    grads.theta_e = MlpParams(mlp_backward(theta.theta_e, cache.e_cache, d_features.reshape(b * n, f_dim))[0])
     return grads
 
 
@@ -416,10 +408,20 @@ class TrainConfig:
     log_every: int = 1
     eval_every: int = 500
 
+    def __post_init__(self):
+        if self.steps < 0:
+            raise ValueError(f"TrainConfig.steps must be >= 0, got {self.steps}")
+        if self.batch_size < 1:
+            raise ValueError(f"TrainConfig.batch_size must be positive, got {self.batch_size}")
 
-def _fixed_policy_rows(policy: str, n: int, rng: Rng) -> np.ndarray:
-    """Constant fusion rows for the non-attention baseline policies."""
-    if policy == "nocom":
+
+def fixed_policy_rows(policy: str, n: int, rng: Rng) -> np.ndarray:
+    """Constant fusion rows for the non-attention baseline policies.
+
+    ``randcom`` draws one peer per agent from ``rng``, in agent order; a lone
+    agent has no peer, keeps its own feature and draws nothing.
+    """
+    if policy == "nocom" or (policy == "randcom" and n == 1):
         return np.eye(n)
     if policy == "catall":
         return np.full((n, n), 1.0 / n)
@@ -435,25 +437,24 @@ def _fixed_policy_rows(policy: str, n: int, rng: Rng) -> np.ndarray:
 
 
 def episode_loss_and_grads(
-    theta: PipelineParams, episode, policy: str, rng: Rng
+    theta: PipelineParams, episodes, policy: str, rng: Rng
 ) -> tuple[float, Gradients]:
-    """Training-mode loss and exact gradients for one episode."""
-    observations = list(episode.observations)
+    """Training-mode mean loss and exact gradients over a minibatch of episodes.
+
+    The episodes (equal N) run as one (B, N, .) batch.  Fixed-row policies
+    draw their rows from ``rng`` episode by episode, in batch order.
+    """
+    observations = np.stack([ep.observations for ep in episodes])
+    labels = np.array([ep.labels for ep in episodes])
     if policy in ATTENTION_POLICIES:
-        result = pipeline_forward(theta, observations, mode="training")
+        rows = None
     elif policy in FIXED_ROW_POLICIES:
-        rows = _fixed_policy_rows(policy, len(observations), rng)
-        result = pipeline_forward(theta, observations, mode="training", fixed_rows=rows)
+        rows = np.stack([fixed_policy_rows(policy, observations.shape[1], rng) for _ in episodes])
     else:
         raise ValueError(f"unknown policy {policy!r}")
-    loss = cross_entropy_loss(result.logits, list(episode.labels))
-    grads = pipeline_backward(result.cache, theta, list(episode.labels))
-    return loss, grads
-
-
-def _accumulate(total: Gradients, part: Gradients, scale: float) -> None:
-    for t, p in zip(param_arrays(total), param_arrays(part)):
-        t += scale * p
+    result = pipeline_forward(theta, observations, mode="training", fixed_rows=rows)
+    loss = cross_entropy_loss(result.logits, labels)
+    return loss, pipeline_backward(result.cache, theta, labels)
 
 
 def evaluate_task_accuracy(
@@ -464,21 +465,16 @@ def evaluate_task_accuracy(
     total = 0
     for ep in episodes:
         observations = list(ep.observations)
-        if policy in ATTENTION_POLICIES and policy != "forced_top1":
+        if policy == "forced_top1":
+            soft = pipeline_forward(theta, observations, mode="inference", delta=0.0)
+            rows = top1_rows(soft.m)
+            result = pipeline_forward(theta, observations, mode="inference", delta=0.0, fixed_rows=rows)
+        elif policy in ATTENTION_POLICIES:
             eff_delta = 0.0 if policy == "fully_connected" else delta
             result = pipeline_forward(theta, observations, mode="inference", delta=eff_delta)
-        elif policy == "forced_top1":
-            soft = pipeline_forward(theta, observations, mode="training")
-            n = len(observations)
-            rows = np.zeros((n, n))
-            for i in range(n):
-                masked = soft.m[i].copy()
-                masked[i] = -np.inf
-                rows[i, int(np.argmax(masked))] = 1.0
-            result = pipeline_forward(theta, observations, mode="inference", delta=0.0, fixed_rows=rows)
         else:
             local_rng = rng if rng is not None else Rng(0)
-            rows = _fixed_policy_rows(policy, len(observations), local_rng)
+            rows = fixed_policy_rows(policy, len(observations), local_rng)
             result = pipeline_forward(theta, observations, mode="inference", delta=0.0, fixed_rows=rows)
         for z, y in zip(result.logits, ep.labels):
             correct += int(np.argmax(z) == y)
@@ -489,8 +485,10 @@ def evaluate_task_accuracy(
 def train(config: TrainConfig, dataset, rng: Rng) -> tuple[PipelineParams, list[dict]]:
     """Minibatch Adam loop over training episodes.
 
-    The log records the batch loss at every ``log_every`` steps and validation
-    task accuracy every ``eval_every`` steps.  The run is single-threaded and
+    Each step draws its batch indices from ``rng``, then runs one batched
+    forward and backward over the whole batch and one Adam update.  The log
+    records the batch loss at every ``log_every`` steps and validation task
+    accuracy every ``eval_every`` steps.  The run is single-threaded and
     bit-reproducible for a fixed seed.
     """
     train_eps = list(dataset.train_episodes)
@@ -505,17 +503,12 @@ def train(config: TrainConfig, dataset, rng: Rng) -> tuple[PipelineParams, list[
 
     for step in range(1, config.steps + 1):
         batch = [train_eps[rng.randint(n_train)] for _ in range(config.batch_size)]
-        total = zeros_like_params(theta)
-        loss_sum = 0.0
-        for ep in batch:
-            loss, grads = episode_loss_and_grads(theta, ep, config.policy, rng)
-            loss_sum += loss
-            _accumulate(total, grads, 1.0 / config.batch_size)
+        loss, grads = episode_loss_and_grads(theta, batch, config.policy, rng)
         theta, state = adam_step(
-            theta, total, state, config.lr, config.beta1, config.beta2, config.eps
+            theta, grads, state, config.lr, config.beta1, config.beta2, config.eps
         )
         if config.log_every and step % config.log_every == 0:
-            log.append({"step": step, "loss": loss_sum / config.batch_size})
+            log.append({"step": step, "loss": loss})
         if config.eval_every and val_eps and step % config.eval_every == 0:
             n_agents = len(val_eps[0].labels)
             acc = evaluate_task_accuracy(
@@ -532,7 +525,7 @@ def save_checkpoint(path: str, theta: PipelineParams, config: PipelineConfig) ->
     dimension tuple (all heads are two-layer).
     """
     header = struct.pack(
-        "<8sI6I",
+        CHECKPOINT_HEADER,
         CHECKPOINT_MAGIC,
         CHECKPOINT_VERSION,
         config.d_obs,
@@ -551,8 +544,10 @@ def save_checkpoint(path: str, theta: PipelineParams, config: PipelineConfig) ->
 def load_checkpoint(path: str) -> tuple[PipelineParams, PipelineConfig]:
     with open(path, "rb") as fh:
         blob = fh.read()
-    head_size = struct.calcsize("<8sI6I")
-    magic, version, d_obs, q, k, f, c, hidden = struct.unpack("<8sI6I", blob[:head_size])
+    head_size = struct.calcsize(CHECKPOINT_HEADER)
+    if len(blob) < head_size:
+        raise ValueError(f"checkpoint {path} is truncated: {len(blob)} bytes, header needs {head_size}")
+    magic, version, d_obs, q, k, f, c, hidden = struct.unpack(CHECKPOINT_HEADER, blob[:head_size])
     if magic != CHECKPOINT_MAGIC:
         raise ValueError(f"bad checkpoint magic {magic!r}")
     if version != CHECKPOINT_VERSION:
@@ -564,15 +559,18 @@ def load_checkpoint(path: str) -> tuple[PipelineParams, PipelineConfig]:
             shapes.append((fan_out, fan_in))
             shapes.append((fan_out,))
     shapes.append((q, k))
+    expected = head_size + 8 * sum(math.prod(shape) for shape in shapes)
+    if len(blob) != expected:
+        raise ValueError(
+            f"checkpoint {path} holds {len(blob)} bytes but its dimension header implies {expected}"
+        )
     offset = head_size
     arrays = []
     for shape in shapes:
-        count = int(np.prod(shape))
+        count = math.prod(shape)
         arr = np.frombuffer(blob, dtype="<f8", count=count, offset=offset).reshape(shape)
         arrays.append(np.array(arr, dtype=np.float64))
         offset += count * 8
-    if offset != len(blob):
-        raise ValueError("checkpoint size does not match its dimension header")
     it = iter(arrays)
     heads = []
     for _ in range(4):

@@ -5,6 +5,7 @@ import json
 import numpy as np
 import pytest
 
+from groupcomm.commgraph import top1_rows
 from groupcomm.densemath import Rng
 from groupcomm.evalcli import (
     CSV_COLUMNS,
@@ -17,7 +18,12 @@ from groupcomm.evalcli import (
     when2com_accuracy,
     world_for_run,
 )
-from groupcomm.neuralnet import PipelineConfig, init_pipeline
+from groupcomm.neuralnet import (
+    PipelineConfig,
+    evaluate_task_accuracy,
+    init_pipeline,
+    pipeline_forward,
+)
 from groupcomm.scenarios import Episode, generate_dataset, generate_episode, load_dataset, make_world
 
 
@@ -137,6 +143,18 @@ class TestPolicies:
         # so its accuracy equals the fraction of agents that truly need help.
         needy = np.mean([ep.needs_comm for ep in episodes])
         assert rep.when2com_acc == pytest.approx(needy)
+
+    def test_validation_forced_top1_selects_eval_peers(self, world_and_episodes):
+        # Training-time validation must pick the same peers as the evaluated
+        # policy, bit for bit, so both take them from the per-vector rows.
+        world, episodes = world_and_episodes
+        theta = tiny_theta(4)
+        for ep in episodes:
+            soft = pipeline_forward(theta, list(ep.observations), mode="inference", delta=0.0)
+            res = run_policy_episode("forced_top1", theta, list(ep.observations), 0.2, Rng(0))
+            np.testing.assert_array_equal(top1_rows(soft.m), res.rows)
+        rep = evaluate("forced_top1", theta, episodes, 0.2, seed=0)
+        assert evaluate_task_accuracy(theta, episodes, 0.2, policy="forced_top1") == rep.acc_all
 
     def test_when2com_links_bounded(self, world_and_episodes):
         world, episodes = world_and_episodes
@@ -273,6 +291,16 @@ class TestCli:
         doc = json.load(open(report))
         assert doc["policy"] == "nocom"
         assert doc["n_episodes"] == 4  # test split of 40
+
+    @pytest.mark.parametrize(
+        "flag, value, field", [("--steps", "-1", "steps"), ("--q-dim", "0", "q_dim"), ("--k-dim", "-2", "k_dim")]
+    )
+    def test_train_rejects_bad_config_before_running(self, tmp_path, capsys, flag, value, field):
+        ckpt = tmp_path / "m.ckpt"
+        code = cli_main(["train", "--episodes", "40", flag, value, "--out", str(ckpt)])
+        assert code == 1
+        assert field in capsys.readouterr().err
+        assert not ckpt.exists()
 
     def test_missing_checkpoint_file_is_diagnostic_error(self, tmp_path, capsys):
         code = cli_main(["eval", "--checkpoint", str(tmp_path / "absent.ckpt")])

@@ -1,10 +1,13 @@
 """Pipeline forward/backward, loss, Adam, training loop, and checkpoint IO."""
 
 import math
+import re
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+from groupcomm.commgraph import prune
 from groupcomm.densemath import Rng, relu
 from groupcomm.neuralnet import (
     AdamState,
@@ -14,6 +17,7 @@ from groupcomm.neuralnet import (
     adam_step,
     clone_params,
     cross_entropy_loss,
+    episode_loss_and_grads,
     init_mlp,
     init_pipeline,
     load_checkpoint,
@@ -92,12 +96,15 @@ class TestPipelineForward:
         np.testing.assert_array_equal(res.cache.fused[0], res.cache.features[0])
 
     def test_inference_delta_zero_matches_training_bitwise(self):
+        # Batched training products round differently from the per-vector
+        # inference path, so the two agree to 1e-12; pruning at delta = 0
+        # keeps every entry of the inference rows bit for bit.
         rng = Rng(16)
         cfg, theta, obs, labels = random_pipeline(rng, n_agents=4)
         a = pipeline_forward(theta, obs, mode="training")
         b = pipeline_forward(theta, obs, mode="inference", delta=0.0)
-        for za, zb in zip(a.logits, b.logits):
-            np.testing.assert_array_equal(za, zb)
+        np.testing.assert_allclose(a.logits, np.stack(b.logits), rtol=0.0, atol=1e-12)
+        np.testing.assert_array_equal(prune(b.m, 0.0), b.m)
 
     def test_matches_monolithic_oracle(self):
         rng = Rng(17)
@@ -207,6 +214,79 @@ class TestPipelineBackward:
         assert any(float(np.max(np.abs(w))) > 0.0 for w, b in grads.theta_e.layers)
 
 
+def random_episodes(rng, cfg, n_agents, count):
+    return [
+        SimpleNamespace(
+            observations=np.stack([rng.normal(cfg.d_obs) for _ in range(n_agents)]),
+            labels=[rng.randint(cfg.n_classes) for _ in range(n_agents)],
+        )
+        for _ in range(count)
+    ]
+
+
+class TestBatchedTraining:
+    CFG = PipelineConfig(d_obs=6, q_dim=2, k_dim=3, f_dim=4, n_classes=3, hidden=7)
+
+    def test_finite_difference_agreement_on_stacked_batch(self):
+        rng = Rng(41)
+        theta = init_pipeline(self.CFG, rng)
+        episodes = random_episodes(rng, self.CFG, 3, 3)
+        obs = np.stack([ep.observations for ep in episodes])
+        labels = np.array([ep.labels for ep in episodes])
+        assert obs.shape == (3, 3, self.CFG.d_obs)
+        assert fd_gradcheck(theta, obs, labels) < 1e-4
+
+    @pytest.mark.parametrize("policy", ["when2com", "nocom", "randcom", "catall"])
+    @pytest.mark.parametrize("n_agents", [1, 5, 9])
+    def test_batch_gradients_are_mean_of_episode_gradients(self, policy, n_agents):
+        rng = Rng(42 + n_agents)
+        theta = init_pipeline(self.CFG, rng)
+        episodes = random_episodes(rng, self.CFG, n_agents, 4)
+        batch_rng, single_rng = Rng(7), Rng(7)
+        loss, grads = episode_loss_and_grads(theta, episodes, policy, batch_rng)
+        parts = [episode_loss_and_grads(theta, [ep], policy, single_rng) for ep in episodes]
+        assert loss == pytest.approx(np.mean([l for l, _ in parts]), rel=0.0, abs=1e-12)
+        for total, *singles in zip(param_arrays(grads), *(param_arrays(g) for _, g in parts)):
+            np.testing.assert_allclose(total, np.mean(singles, axis=0), rtol=0.0, atol=1e-12)
+        assert batch_rng.u64(1) == single_rng.u64(1)
+
+    @pytest.mark.parametrize("n_agents", [1, 5, 9])
+    def test_training_matches_per_vector_inference(self, n_agents):
+        rng = Rng(43)
+        theta = init_pipeline(self.CFG, rng)
+        episodes = random_episodes(rng, self.CFG, n_agents, 3)
+        batch = pipeline_forward(theta, np.stack([ep.observations for ep in episodes]), mode="training")
+        for b, ep in enumerate(episodes):
+            ref = pipeline_forward(theta, list(ep.observations), mode="inference", delta=0.0)
+            np.testing.assert_allclose(batch.logits[b], np.stack(ref.logits), rtol=0.0, atol=1e-12)
+            np.testing.assert_allclose(batch.m[b], ref.m, rtol=0.0, atol=1e-12)
+
+    def test_randcom_step_draw_order(self):
+        # One step draws the batch indices first, then N peers per episode in
+        # batch order, as the per-episode loop did.
+        class RecordingRng(Rng):
+            def __init__(self, seed):
+                super().__init__(seed)
+                self.bounds = []
+
+            def randint(self, bound):
+                self.bounds.append(bound)
+                return super().randint(bound)
+
+        world = make_world("srms", rng=Rng(37))
+        dataset = generate_dataset(world, 40, seed=37)
+        n_train, n = len(dataset.train_episodes), world.n_agents
+        config = TrainConfig(steps=1, eval_every=0, policy="randcom")
+        rng = RecordingRng(3)
+        train(config, dataset, rng)
+        assert rng.bounds == [n_train] * 8 + [n - 1] * (8 * n)
+        reference = Rng(3)
+        init_pipeline(config.pipeline, reference)
+        for bound in rng.bounds:
+            reference.randint(bound)
+        assert rng.u64(1) == reference.u64(1)
+
+
 class TestAdam:
     def test_zero_gradient_fixed_point(self):
         rng = Rng(25)
@@ -247,6 +327,19 @@ class TestAdam:
 
 
 class TestTrain:
+    @pytest.mark.parametrize(
+        "make, field",
+        [
+            (lambda: TrainConfig(steps=-1), "steps"),
+            (lambda: TrainConfig(batch_size=0), "batch_size"),
+            (lambda: PipelineConfig(q_dim=0), "q_dim"),
+            (lambda: PipelineConfig(hidden=-3), "hidden"),
+        ],
+    )
+    def test_bad_config_names_field(self, make, field):
+        with pytest.raises(ValueError, match=field):
+            make()
+
     def test_zero_steps_returns_initial_params(self):
         world = make_world("srms", rng=Rng(31))
         dataset = generate_dataset(world, 20, seed=31)
@@ -307,6 +400,19 @@ class TestCheckpoint:
         save_checkpoint(p1, theta, cfg)
         save_checkpoint(p2, theta, cfg)
         assert open(p1, "rb").read() == open(p2, "rb").read()
+
+    @pytest.mark.parametrize("keep", [20, -8])
+    def test_truncated_checkpoint_names_path_and_sizes(self, tmp_path, keep):
+        rng = Rng(38)
+        cfg, theta, obs, labels = random_pipeline(rng)
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(str(path), theta, cfg)
+        full = path.read_bytes()
+        cut = full[:keep]
+        path.write_bytes(cut)
+        expected = 36 if keep > 0 else len(full)
+        with pytest.raises(ValueError, match=rf"{re.escape(str(path))}.*{len(cut)} bytes.*{expected}"):
+            load_checkpoint(str(path))
 
     def test_bad_magic_rejected(self, tmp_path):
         path = tmp_path / "junk.ckpt"

@@ -71,7 +71,7 @@ class TestHandshake:
             cfg, theta, obs = small_setup(seed)
             agents = make_agents(obs, theta)
             rows, _ = run_handshake(agents, theta)
-            central = pipeline_forward(theta, obs, mode="training")
+            central = pipeline_forward(theta, obs, mode="inference", delta=0.0)
             np.testing.assert_array_equal(rows, central.m)
 
 
