@@ -271,8 +271,8 @@ def _training_forward(theta: PipelineParams, observations, fixed_rows) -> Forwar
     if obs.ndim not in (2, 3) or obs.shape[-2] < 1:
         raise ValueError(f"need (N, d_obs) or (B, N, d_obs) observations of N >= 1 agents, got {obs.shape}")
     lead = obs.shape[:-1]  # (N,) or (B, N)
+    b = obs.shape[0] if obs.ndim == 3 else 1
     n, d = obs.shape[-2:]
-    b = obs.size // (n * d)
     x = obs.reshape(b * n, d)
 
     e, e_cache = mlp_forward(theta.theta_e, x)
