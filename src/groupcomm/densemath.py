@@ -17,6 +17,13 @@ default, so a given seed produces the same stream on every platform:
 Uniform doubles take the top 53 bits of each output word; standard normals
 come from Box-Muller pairs over consecutive uniforms (cos term first, then
 sin), so the normal stream is also fully determined by the seed.
+
+The state is a Python int.  Scalar draws (``uniform_scalar``, and so
+``randint`` and ``permutation``) run the recurrence above in int arithmetic,
+masking to 64 bits after each step; vector draws (``u64``, ``uniform``,
+``normal``) run it on uint64 arrays, which wrap mod 2**64 by themselves.  Both
+forms consume the same words in the same order and ``(z >> 11) * 2**-53`` is
+exact in either, so interleaving them reproduces the vector-only stream.
 """
 
 from __future__ import annotations
@@ -25,10 +32,18 @@ import math
 
 import numpy as np
 
-_SM64_GAMMA = np.uint64(0x9E3779B97F4A7C15)
-_SM64_MUL1 = np.uint64(0xBF58476D1CE4E5B9)
-_SM64_MUL2 = np.uint64(0x94D049BB133111EB)
+_MASK64 = 0xFFFFFFFFFFFFFFFF
+_GAMMA = 0x9E3779B97F4A7C15
+_MUL1 = 0xBF58476D1CE4E5B9
+_MUL2 = 0x94D049BB133111EB
+_SM64_MUL1 = np.uint64(_MUL1)
+_SM64_MUL2 = np.uint64(_MUL2)
 _U53_SCALE = 2.0 ** -53
+
+# (1..n) * GAMMA mod 2**64: the state offsets of the next n draws, shared
+# (read-only) by every u64 call of up to this many words.
+_GAMMA_STEPS = np.arange(1, 1025, dtype=np.uint64) * np.uint64(_GAMMA)
+_GAMMA_STEPS.setflags(write=False)
 
 
 def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -81,21 +96,21 @@ class Rng:
     """
 
     def __init__(self, seed: int):
-        self.seed = int(seed) & 0xFFFFFFFFFFFFFFFF
-        self._state = np.uint64(self.seed)
-        self._normal_spare: float | None = None
+        self.seed = int(seed) & _MASK64
+        self._state = self.seed
 
     def u64(self, n: int) -> np.ndarray:
         """Next ``n`` raw 64-bit words as a uint64 array."""
         if n < 0:
             raise ValueError("draw count must be >= 0")
+        if n <= _GAMMA_STEPS.size:
+            steps = _GAMMA_STEPS[:n]
+        else:
+            steps = np.arange(1, n + 1, dtype=np.uint64) * np.uint64(_GAMMA)
         # Array arithmetic throughout: numpy wraps unsigned arrays silently,
         # whereas scalar uint64 ops emit overflow warnings.
-        steps = np.arange(1, n + 1, dtype=np.uint64)
-        states = self._state + steps * _SM64_GAMMA
-        if n > 0:
-            self._state = states[-1]
-        z = states
+        z = np.uint64(self._state) + steps
+        self._state = (self._state + n * _GAMMA) & _MASK64
         z = (z ^ (z >> np.uint64(30))) * _SM64_MUL1
         z = (z ^ (z >> np.uint64(27))) * _SM64_MUL2
         return z ^ (z >> np.uint64(31))
@@ -127,7 +142,11 @@ class Rng:
         return out[:n]
 
     def uniform_scalar(self) -> float:
-        return float(self.uniform(1)[0])
+        """One double uniform on [0, 1): ``uniform(1)[0]`` in int arithmetic."""
+        self._state = z = (self._state + _GAMMA) & _MASK64
+        z = ((z ^ (z >> 30)) * _MUL1) & _MASK64
+        z = ((z ^ (z >> 27)) * _MUL2) & _MASK64
+        return ((z ^ (z >> 31)) >> 11) * _U53_SCALE
 
     def normal_scalar(self) -> float:
         return float(self.normal(1)[0])
@@ -145,9 +164,3 @@ class Rng:
             j = self.randint(i + 1)
             perm[i], perm[j] = perm[j], perm[i]
         return perm
-
-    def shuffle(self, items: list) -> None:
-        """In-place Fisher-Yates shuffle."""
-        for i in range(len(items) - 1, 0, -1):
-            j = self.randint(i + 1)
-            items[i], items[j] = items[j], items[i]

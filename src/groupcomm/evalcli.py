@@ -540,6 +540,11 @@ def cli_main(argv: list[str]) -> int:
         elif args.command == "eval":
             theta, config = load_checkpoint(args.checkpoint)
             dataset = _dataset_for_eval(args)
+            if dataset.world.obs_dim != config.d_obs:
+                raise ValueError(
+                    f"{args.checkpoint}: checkpoint expects d_obs={config.d_obs}, "
+                    f"but the dataset has obs_dim={dataset.world.obs_dim}"
+                )
             n = dataset.world.n_agents
             delta = args.delta if args.delta is not None else 1.0 / n
             report = evaluate(

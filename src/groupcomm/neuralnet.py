@@ -460,7 +460,12 @@ def episode_loss_and_grads(
 def evaluate_task_accuracy(
     theta: PipelineParams, episodes, delta: float, policy: str = "when2com", rng: Rng | None = None
 ) -> float:
-    """Fraction of (episode, agent) predictions matching labels at inference."""
+    """Fraction of (episode, agent) predictions matching labels at inference.
+
+    ``randcom`` rows are drawn from ``rng``, or from one ``Rng(0)`` for the
+    whole call when it is omitted.
+    """
+    rng = rng if rng is not None else Rng(0)
     correct = 0
     total = 0
     for ep in episodes:
@@ -473,8 +478,7 @@ def evaluate_task_accuracy(
             eff_delta = 0.0 if policy == "fully_connected" else delta
             result = pipeline_forward(theta, observations, mode="inference", delta=eff_delta)
         else:
-            local_rng = rng if rng is not None else Rng(0)
-            rows = fixed_policy_rows(policy, len(observations), local_rng)
+            rows = fixed_policy_rows(policy, len(observations), rng)
             result = pipeline_forward(theta, observations, mode="inference", delta=0.0, fixed_rows=rows)
         for z, y in zip(result.logits, ep.labels):
             correct += int(np.argmax(z) == y)

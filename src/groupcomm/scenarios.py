@@ -377,40 +377,52 @@ def generate_dataset(world: World, n_episodes: int, seed: int) -> Dataset:
 
 
 def save_dataset(path: str, dataset: Dataset) -> None:
-    """Structured-text export: world parameters plus per-episode arrays."""
+    """Structured-text export: world parameters plus per-episode arrays.
+
+    The file holds the bytes of ``json.dump(doc, sort_keys=True)`` plus a
+    newline, where ``doc`` has the keys ``episodes``, ``splits`` and
+    ``world``.  It is streamed one episode at a time, and each piece goes
+    through ``json.dumps``, which (unlike ``json.dump``) uses the C encoder.
+    """
     w = dataset.world
-    doc = {
-        "world": {
-            "case": w.case,
-            "n_agents": w.n_agents,
-            "obs_dim": w.obs_dim,
-            "scene_dim": w.scene_dim,
-            "n_classes": w.n_classes,
-            "degrade_prob": w.degrade_prob,
-            "noise_sigma": w.noise_sigma,
-            "overlap_frac": w.overlap_frac,
-            "prototypes": w.prototypes.tolist(),
-            "scene_codes": w.scene_codes.tolist(),
-        },
-        "episodes": [
-            {
+    world = {
+        "case": w.case,
+        "n_agents": w.n_agents,
+        "obs_dim": w.obs_dim,
+        "scene_dim": w.scene_dim,
+        "n_classes": w.n_classes,
+        "degrade_prob": w.degrade_prob,
+        "noise_sigma": w.noise_sigma,
+        "overlap_frac": w.overlap_frac,
+        "prototypes": w.prototypes.tolist(),
+        "scene_codes": w.scene_codes.tolist(),
+    }
+    splits = {"train": dataset.train_idx, "val": dataset.val_idx, "test": dataset.test_idx}
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write('{"episodes": [')
+        for i, ep in enumerate(dataset.episodes):
+            record = {
                 "observations": ep.observations.tolist(),
                 "labels": list(ep.labels),
                 "degraded": list(ep.degraded),
                 "needs_comm": list(ep.needs_comm),
                 "gt_support": [sorted(s) for s in ep.gt_support],
             }
-            for ep in dataset.episodes
-        ],
-        "splits": {
-            "train": dataset.train_idx,
-            "val": dataset.val_idx,
-            "test": dataset.test_idx,
-        },
-    }
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, sort_keys=True)
-        fh.write("\n")
+            fh.write((", " if i else "") + json.dumps(record, sort_keys=True))
+        fh.write('], "splits": ' + json.dumps(splits, sort_keys=True))
+        fh.write(', "world": ' + json.dumps(world, sort_keys=True) + "}\n")
+
+
+def _observations(path: str, index: int, rows, shape: tuple[int, int]) -> np.ndarray:
+    """One episode's observation matrix, rejected unless it is ``shape``."""
+    try:
+        obs = np.asarray(rows, dtype=np.float64)
+    except (TypeError, ValueError):  # ragged or non-numeric rows
+        obs = None
+    if obs is None or obs.shape != shape:
+        got = "ragged" if obs is None else obs.shape
+        raise ValueError(f"{path}: episode {index} observations have shape {got}, expected {shape}")
+    return obs
 
 
 def load_dataset(path: str) -> Dataset:
@@ -429,15 +441,16 @@ def load_dataset(path: str) -> Dataset:
         scene_dim=w["scene_dim"],
         scene_codes=np.asarray(w["scene_codes"], dtype=np.float64),
     )
+    shape = (world.n_agents, world.obs_dim)
     episodes = [
         Episode(
-            observations=np.asarray(e["observations"], dtype=np.float64),
+            observations=_observations(path, i, e["observations"], shape),
             labels=list(e["labels"]),
             degraded=list(e["degraded"]),
             needs_comm=list(e["needs_comm"]),
             gt_support=[set(s) for s in e["gt_support"]],
         )
-        for e in doc["episodes"]
+        for i, e in enumerate(doc["episodes"])
     ]
     return Dataset(
         world,

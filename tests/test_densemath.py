@@ -1,10 +1,12 @@
 """Foundation math: matmul, softmax, relu, and the seeded RNG stream."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
 
+from groupcomm import densemath
 from groupcomm.densemath import Rng, matmul, relu, relu_grad, softmax_row
 
 # First five raw words of the seed-42 stream, frozen as the cross-platform
@@ -160,3 +162,65 @@ class TestRng:
         r = Rng(8)
         perm = r.permutation(20)
         assert sorted(perm) == list(range(20))
+
+    @pytest.mark.parametrize("seed", [0, 42, -1, 2**64 - 1])
+    def test_scalar_draws_reproduce_vector_stream(self, seed):
+        # Scalar draws (int arithmetic) interleaved with array draws inside and
+        # beyond the cached step table must give, word for word, the values
+        # derived from one array draw of the whole stream.
+        table = densemath._GAMMA_STEPS.size
+        sizes = [1, 2, 16, table - 1, table, table + 1, 2 * table + 3]
+        rng = Rng(seed)
+        draws = []  # (kind, first word index, argument, result)
+        pos = 0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for k in range(400):
+                n = sizes[k % len(sizes)]
+                kind = ("uniform_scalar", "randint", "permutation", "u64", "normal")[k % 5]
+                if kind == "uniform_scalar":
+                    draws.append((kind, pos, None, rng.uniform_scalar()))
+                    pos += 1
+                elif kind == "randint":
+                    bound = 1 + k % 97
+                    draws.append((kind, pos, bound, rng.randint(bound)))
+                    pos += 1
+                elif kind == "permutation":
+                    m = k % 11
+                    draws.append((kind, pos, m, rng.permutation(m)))
+                    pos += max(m - 1, 0)
+                elif kind == "u64":
+                    draws.append((kind, pos, n, rng.u64(n)))
+                    pos += n
+                else:
+                    draws.append((kind, pos, n, rng.normal(n)))
+                    pos += n + n % 2
+            assert pos >= 10_000
+            whole = Rng(seed).u64(pos + 3)
+            np.testing.assert_array_equal(rng.u64(3), whole[pos:])
+        unit = np.array([(int(w) >> 11) * 2.0**-53 for w in whole])
+        for kind, p, arg, got in draws:
+            if kind == "uniform_scalar":
+                assert got == unit[p]
+            elif kind == "randint":
+                assert got == int(unit[p] * arg)
+            elif kind == "permutation":
+                expected = list(range(arg))
+                for t, i in enumerate(range(arg - 1, 0, -1)):
+                    j = int(unit[p + t] * (i + 1))
+                    expected[i], expected[j] = expected[j], expected[i]
+                assert got == expected
+            elif kind == "u64":
+                np.testing.assert_array_equal(got, whole[p : p + arg])
+            else:
+                u = unit[p : p + arg + arg % 2]
+                r = np.sqrt(-2.0 * np.log(1.0 - u[0::2]))
+                theta = 2.0 * math.pi * u[1::2]
+                expected = np.empty(u.size)
+                expected[0::2] = r * np.cos(theta)
+                expected[1::2] = r * np.sin(theta)
+                np.testing.assert_array_equal(got, expected[:arg])
+
+    def test_uniform_scalar_matches_top_53_bits(self):
+        word = int(Rng(42).u64(1)[0])
+        assert Rng(42).uniform_scalar() == (word >> 11) * 2.0**-53

@@ -18,13 +18,22 @@ from groupcomm.evalcli import (
     when2com_accuracy,
     world_for_run,
 )
+from groupcomm import neuralnet
 from groupcomm.neuralnet import (
     PipelineConfig,
     evaluate_task_accuracy,
     init_pipeline,
     pipeline_forward,
+    save_checkpoint,
 )
-from groupcomm.scenarios import Episode, generate_dataset, generate_episode, load_dataset, make_world
+from groupcomm.scenarios import (
+    Episode,
+    generate_dataset,
+    generate_episode,
+    load_dataset,
+    make_world,
+    save_dataset,
+)
 
 
 def tiny_theta(seed=0):
@@ -155,6 +164,28 @@ class TestPolicies:
             np.testing.assert_array_equal(top1_rows(soft.m), res.rows)
         rep = evaluate("forced_top1", theta, episodes, 0.2, seed=0)
         assert evaluate_task_accuracy(theta, episodes, 0.2, policy="forced_top1") == rep.acc_all
+
+    def test_validation_randcom_draws_new_peers_per_episode(self, world_and_episodes, monkeypatch):
+        # Without an rng, one Rng(0) serves the whole call: rows differ across
+        # episodes and equal those drawn when Rng(0) is passed once.
+        world, episodes = world_and_episodes
+        theta = tiny_theta()
+        drawn = []
+
+        def record(policy, n, rng, real=neuralnet.fixed_policy_rows):
+            rows = real(policy, n, rng)
+            drawn.append(rows)
+            return rows
+
+        monkeypatch.setattr(neuralnet, "fixed_policy_rows", record)
+        acc_default = evaluate_task_accuracy(theta, episodes, 0.2, policy="randcom")
+        default_rows, drawn[:] = list(drawn), []
+        acc_passed = evaluate_task_accuracy(theta, episodes, 0.2, policy="randcom", rng=Rng(0))
+        assert len(default_rows) == len(drawn) == len(episodes)
+        assert len({rows.tobytes() for rows in default_rows}) > 1
+        for a, b in zip(default_rows, drawn):
+            np.testing.assert_array_equal(a, b)
+        assert acc_default == acc_passed
 
     def test_when2com_links_bounded(self, world_and_episodes):
         world, episodes = world_and_episodes
@@ -301,6 +332,18 @@ class TestCli:
         assert code == 1
         assert field in capsys.readouterr().err
         assert not ckpt.exists()
+
+    def test_eval_rejects_dataset_of_other_obs_dim(self, tmp_path, capsys):
+        data = str(tmp_path / "d16.json")
+        save_dataset(data, generate_dataset(make_world("srms", obs_dim=16, rng=Rng(1)), 10, seed=1))
+        ckpt = str(tmp_path / "m.ckpt")
+        save_checkpoint(ckpt, tiny_theta(), PipelineConfig())
+        report = tmp_path / "ev.json"
+        code = cli_main(["eval", "--checkpoint", ckpt, "--data", data, "--report", str(report)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert ckpt in err and "d_obs=32" in err and "obs_dim=16" in err
+        assert not report.exists()
 
     def test_missing_checkpoint_file_is_diagnostic_error(self, tmp_path, capsys):
         code = cli_main(["eval", "--checkpoint", str(tmp_path / "absent.ckpt")])

@@ -1,10 +1,14 @@
 """Scenario generators: constructions, ground-truth invariants, statistics."""
 
+import hashlib
+import json
+
 import numpy as np
 import pytest
 
 from groupcomm.densemath import Rng
 from groupcomm.scenarios import (
+    CASES,
     Episode,
     generate_dataset,
     generate_episode,
@@ -237,3 +241,69 @@ class TestDatasetExport:
             assert ea.degraded == eb.degraded
             assert ea.needs_comm == eb.needs_comm
             assert ea.gt_support == eb.gt_support
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_bytes_match_one_shot_json_dump(self, tmp_path, case):
+        ds = generate_dataset(make_world(case, rng=Rng(3)), 20, seed=5)
+        path = tmp_path / "data.json"
+        save_dataset(str(path), ds)
+        w = ds.world
+        doc = {
+            "world": {
+                "case": w.case,
+                "n_agents": w.n_agents,
+                "obs_dim": w.obs_dim,
+                "scene_dim": w.scene_dim,
+                "n_classes": w.n_classes,
+                "degrade_prob": w.degrade_prob,
+                "noise_sigma": w.noise_sigma,
+                "overlap_frac": w.overlap_frac,
+                "prototypes": w.prototypes.tolist(),
+                "scene_codes": w.scene_codes.tolist(),
+            },
+            "episodes": [
+                {
+                    "observations": ep.observations.tolist(),
+                    "labels": list(ep.labels),
+                    "degraded": list(ep.degraded),
+                    "needs_comm": list(ep.needs_comm),
+                    "gt_support": [sorted(s) for s in ep.gt_support],
+                }
+                for ep in ds.episodes
+            ],
+            "splits": {"train": ds.train_idx, "val": ds.val_idx, "test": ds.test_idx},
+        }
+        reference = tmp_path / "reference.json"
+        with open(reference, "w", encoding="utf-8") as fh:
+            json.dump(doc, fh, sort_keys=True)
+            fh.write("\n")
+        assert path.read_bytes() == reference.read_bytes()
+
+    # SHA-256 of the saved 20-episode dataset of each case, frozen so that
+    # neither the generators nor the file format drift silently.
+    PINNED_SHA256 = {
+        "srms": "ff83f1a0fb8252aef9434d9bb09e66100715511b86701a73e777a8a577b063ac",
+        "mrms": "d2f402bf4ab647a5c64183f52b8b8eb7d339913a0cbd88542932dac126d15363",
+        "mrmps": "bcca3f142b211b1693309172f8fe489441684b176d1f747173a0870ba14b4fa1",
+        "triplet": "d05a47425089fc326cba99b369d20a448b3b4f2ba6bc52e21c73276e94203162",
+    }
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_saved_bytes_pinned(self, tmp_path, case):
+        path = tmp_path / "data.json"
+        save_dataset(str(path), generate_dataset(make_world(case, rng=Rng(3)), 20, seed=5))
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == self.PINNED_SHA256[case]
+
+    @pytest.mark.parametrize("bad_row", [[0.0] * 31, [0.0] * 33])
+    def test_load_rejects_misshapen_observations(self, tmp_path, bad_row):
+        path = tmp_path / "data.json"
+        save_dataset(str(path), generate_dataset(make_world("srms", rng=Rng(3)), 10, seed=5))
+        doc = json.loads(path.read_text())
+        doc["episodes"][7]["observations"][2] = bad_row
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ValueError, match=r"data\.json: episode 7 observations have shape ragged, expected \(5, 32\)"):
+            load_dataset(str(path))
+        doc["episodes"][7]["observations"] = [bad_row] * 5
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ValueError, match=rf"episode 7 observations have shape \(5, {len(bad_row)}\)"):
+            load_dataset(str(path))
