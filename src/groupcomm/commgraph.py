@@ -4,7 +4,7 @@ Pure functions over numpy arrays; no networking or learning concerns.  The
 matching matrix M is row-stochastic: row i holds how requester i weights every
 agent j (including itself on the diagonal).  Pruning zeroes entries below a
 threshold delta to form the adjacency matrix of the directed communication
-graph; surviving weights are used as-is (no renormalization by default).
+graph; surviving weights are used as-is (no renormalization).
 
 All functions here are reentrant and safe to call concurrently on shared
 read-only inputs.
@@ -64,22 +64,17 @@ def build_matching_matrix(
     return m
 
 
-def prune(m: np.ndarray, delta: float, renormalize: bool = False) -> np.ndarray:
+def prune(m: np.ndarray, delta: float) -> np.ndarray:
     """Zero out entries smaller than ``delta``; entries exactly equal are kept.
 
-    Kept entries are not rescaled by default; ``renormalize=True`` is an
-    experimental toggle that rescales each surviving row to sum to 1.
-    For a stochastic row and delta = 1/N the row maximum is always >= 1/N,
-    so pruning can never empty a row at that threshold.
+    Kept entries are not rescaled.  For a stochastic row and delta = 1/N the
+    row maximum is always >= 1/N, so pruning can never empty a row at that
+    threshold.
     """
     if not 0.0 <= delta <= 1.0:
         raise ValueError(f"delta must lie in [0, 1], got {delta}")
     m = np.asarray(m, dtype=np.float64)
-    out = np.where(m >= delta, m, 0.0)
-    if renormalize:
-        sums = out.sum(axis=-1, keepdims=True)
-        out = np.divide(out, sums, out=np.zeros_like(out), where=sums != 0.0)
-    return out
+    return np.where(m >= delta, m, 0.0)
 
 
 def top1_rows(m: np.ndarray) -> np.ndarray:
@@ -135,20 +130,3 @@ def fuse(weights: np.ndarray, features: list) -> np.ndarray:
             continue
         acc += w * np.asarray(features[j], dtype=np.float64)
     return acc
-
-
-def comm_links(m_bar: np.ndarray) -> list[tuple[int, int]]:
-    """Directed inter-agent links (supporter -> requester) of a pruned matrix.
-
-    A nonzero off-diagonal entry (i, j) means requester i pulls supporter j's
-    feature, i.e. a transmission j -> i.  Diagonal entries are intra-agent and
-    consume no bandwidth, so they are excluded.
-    """
-    m_bar = np.asarray(m_bar, dtype=np.float64)
-    links = []
-    n = m_bar.shape[0]
-    for i in range(n):
-        for j in range(m_bar.shape[1]):
-            if i != j and m_bar[i, j] != 0.0:
-                links.append((j, i))
-    return links

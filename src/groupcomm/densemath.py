@@ -1,4 +1,4 @@
-"""Minimal dense linear algebra, activations, stable softmax, and a seeded RNG.
+"""Activations, stable softmax, and a seeded RNG.
 
 Everything downstream builds on this module.  All values are 64-bit floats;
 matrices are 2-D C-ordered ``numpy.ndarray`` (rows x cols, row-major).  All
@@ -44,20 +44,6 @@ _U53_SCALE = 2.0 ** -53
 # (read-only) by every u64 call of up to this many words.
 _GAMMA_STEPS = np.arange(1, 1025, dtype=np.uint64) * np.uint64(_GAMMA)
 _GAMMA_STEPS.setflags(write=False)
-
-
-def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Matrix product with 64-bit accumulation.
-
-    Raises ValueError naming both shapes when the inner dimensions differ.
-    """
-    a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
-    if a.ndim != 2 or b.ndim != 2:
-        raise ValueError(f"matmul expects 2-D operands, got {a.shape} and {b.shape}")
-    if a.shape[1] != b.shape[0]:
-        raise ValueError(f"matmul shape mismatch: {a.shape} x {b.shape}")
-    return a @ b
 
 
 def softmax_row(v: np.ndarray) -> np.ndarray:

@@ -1,18 +1,10 @@
-"""Selection metrics, baseline communication policies, sweeps, and the CLI.
+"""Selection metrics, policy evaluation through the simulator, sweeps, and the CLI.
 
-Policies
---------
-``when2com``        full learned handshake with delta-pruned fusion;
-``nocom``           no communication, every agent decodes its own feature;
-``randcom``         each agent pulls one uniformly random other agent;
-``catall``          each agent pulls everyone and fuses the plain mean;
-``forced_top1``     handshake runs, the diagonal is masked, and the best
-                    off-diagonal supporter is always selected (hard weight 1);
-``fully_connected`` handshake runs and the unpruned softmax row is fused, so
-                    every feature is transferred regardless of weight.
-
-All policies execute through the simulator's message machinery, so every
-reported bandwidth number is recomputable from the dumped message trace.
+The policies (``neuralnet.POLICIES``, re-exported here) and the rule that
+turns each into fusion rows (``neuralnet.policy_rows``) live in
+:mod:`groupcomm.neuralnet`.  All policies execute through the simulator's
+message machinery, so every reported bandwidth number is recomputable from
+the dumped message trace.
 
 "Communicates" is operationalized as having at least one surviving
 off-diagonal link after pruning.  Selection metrics: when-to-communicate
@@ -31,14 +23,15 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .commgraph import top1_rows
 from .densemath import Rng
 from .neuralnet import (
+    HANDSHAKE_POLICIES,
+    POLICIES,
     PipelineConfig,
     PipelineParams,
     TrainConfig,
-    fixed_policy_rows,
     load_checkpoint,
+    policy_rows,
     save_checkpoint,
     train,
 )
@@ -54,9 +47,6 @@ from .scenarios import (
     save_dataset,
 )
 from . import simnet
-
-POLICIES = ("when2com", "nocom", "randcom", "catall", "forced_top1", "fully_connected")
-TRAIN_POLICIES = ("when2com", "nocom", "randcom", "catall")
 
 # Train and eval derive the world from the run seed with this fixed offset so
 # that a checkpoint can be re-evaluated from the same flags alone.
@@ -80,6 +70,7 @@ CSV_COLUMNS = (
     "links_per_agent",
     "n_episodes",
 )
+SWEEP_COLUMNS = ("param", "size", "Q", "K", "seed", "grouping_acc", "task_acc", "when2com_acc", "links_per_agent")
 
 
 @dataclass
@@ -123,22 +114,29 @@ class MetricsReport:
             "n_episodes": self.n_episodes,
         }
 
-    def csv_row(self) -> str:
-        d = self.to_dict()
-        cells = []
-        for col in CSV_COLUMNS:
-            value = d[col]
-            cells.append("" if value is None else repr(value) if isinstance(value, float) else str(value))
-        return ",".join(cells)
+
+def _save_table(json_path: str, csv_path: str, doc, columns, records: list[dict]) -> None:
+    """``doc`` as indented JSON, and ``records`` as CSV rows under a ``columns`` header.
+
+    CSV cells are empty for None and ``repr`` for floats, so they round-trip.
+    """
+    with open(json_path, "w", encoding="utf-8") as fh:
+        json.dump(doc, fh, sort_keys=True, indent=2)
+        fh.write("\n")
+    with open(csv_path, "w", encoding="utf-8") as fh:
+        for values in [columns] + [[rec[c] for c in columns] for rec in records]:
+            cells = ("" if v is None else repr(v) if isinstance(v, float) else str(v) for v in values)
+            fh.write(",".join(cells) + "\n")
 
 
 def save_report(report: MetricsReport, json_path: str, csv_path: str) -> None:
-    with open(json_path, "w", encoding="utf-8") as fh:
-        json.dump(report.to_dict(), fh, sort_keys=True, indent=2)
-        fh.write("\n")
-    with open(csv_path, "w", encoding="utf-8") as fh:
-        fh.write(",".join(CSV_COLUMNS) + "\n")
-        fh.write(report.csv_row() + "\n")
+    doc = report.to_dict()
+    _save_table(json_path, csv_path, doc, CSV_COLUMNS, [doc])
+
+
+def _sibling_path(path: str, suffix: str, other: str) -> str:
+    """``path`` with a trailing ``suffix`` replaced by ``other`` (appended if absent)."""
+    return (path[: -len(suffix)] if path.endswith(suffix) else path) + other
 
 
 @dataclass
@@ -156,29 +154,18 @@ def run_policy_episode(
     delta: float,
     rng: Rng,
 ) -> PolicyEpisodeResult:
-    """Execute one episode under a policy, entirely via simulator messages."""
-    n = len(observations)
+    """Execute one episode under a policy, entirely via simulator messages.
+
+    The handshake runs only for ``HANDSHAKE_POLICIES``; ``policy_rows`` then
+    sets the rows and the threshold that transmission prunes them at.
+    """
     agents = simnet.make_agents(observations, theta)
-    if policy == "when2com":
-        result = simnet.run_episode(agents, theta, delta)
-        return PolicyEpisodeResult(
-            result.predictions, result.pruned_rows, result.ledger, result.trace
-        )
-
-    if policy in ("forced_top1", "fully_connected"):
-        soft_rows, trace = simnet.run_handshake(agents, theta)
-        rows = top1_rows(soft_rows) if policy == "forced_top1" else soft_rows
-    elif policy in ("nocom", "randcom", "catall"):
-        rows = fixed_policy_rows(policy, n, rng)
-        trace = []
-    else:
-        raise ValueError(f"unknown policy {policy!r}")
-
-    fused, trace2 = simnet.run_transmission(agents, rows, delta=0.0)
+    soft_rows, trace = simnet.run_handshake(agents, theta) if policy in HANDSHAKE_POLICIES else (None, [])
+    rows, threshold = policy_rows(policy, soft_rows, len(agents), delta, rng)
+    _, transfers = simnet.run_transmission(agents, rows, threshold)
     predictions = [agent.decode(theta) for agent in agents]
-    trace = trace + trace2
-    ledger = simnet.ledger_from_trace(trace, frames=0)
-    ledger.add_frame()
+    trace = trace + transfers
+    ledger = simnet.ledger_from_trace(trace, frames=1)
     return PolicyEpisodeResult(predictions, np.stack([a.pruned_row for a in agents]), ledger, trace)
 
 
@@ -254,6 +241,8 @@ def evaluate(
         raise ValueError(f"unknown policy {policy!r}; expected one of {POLICIES}")
     if not episodes:
         raise ValueError("cannot evaluate on an empty dataset")
+    if not 0.0 <= delta <= 1.0:
+        raise ValueError(f"delta must lie in [0, 1], got {delta}")
     rng = Rng(seed)
     n_agents = len(episodes[0].labels)
 
@@ -344,8 +333,6 @@ def train_run(
     """End-to-end training orchestration shared by the CLI, sweeps, and tests."""
     if policy in ("forced_top1", "fully_connected"):
         policy = "when2com"  # same full model; selection differs only at eval time
-    if policy not in TRAIN_POLICIES:
-        raise ValueError(f"cannot train policy {policy!r}")
     config = TrainConfig(
         pipeline=PipelineConfig(q_dim=q_dim, k_dim=k_dim),
         steps=steps,
@@ -404,37 +391,6 @@ def sweep_message_size(
     return rows
 
 
-def sweep_query_size(sizes: list[int], seed: int = 0, **kwargs) -> list[dict]:
-    """Query-size ablation at fixed key size (16 unless overridden)."""
-    return sweep_message_size("query", sizes, seed=seed, **kwargs)
-
-
-def sweep_key_size(sizes: list[int], seed: int = 0, **kwargs) -> list[dict]:
-    """Key-size ablation at fixed query size (4 unless overridden)."""
-    return sweep_message_size("key", sizes, seed=seed, **kwargs)
-
-
-def _save_sweep(rows: list[dict], csv_path: str, json_path: str) -> None:
-    cols = ["param", "size", "Q", "K", "seed", "grouping_acc", "task_acc", "when2com_acc", "links_per_agent"]
-    with open(csv_path, "w", encoding="utf-8") as fh:
-        fh.write(",".join(cols) + "\n")
-        for row in rows:
-            fh.write(
-                ",".join(
-                    ""
-                    if row[c] is None
-                    else repr(row[c])
-                    if isinstance(row[c], float)
-                    else str(row[c])
-                    for c in cols
-                )
-                + "\n"
-            )
-    with open(json_path, "w", encoding="utf-8") as fh:
-        json.dump(rows, fh, sort_keys=True, indent=2)
-        fh.write("\n")
-
-
 def _dataset_for_eval(args) -> Dataset:
     if args.data:
         return load_dataset(args.data)
@@ -449,9 +405,8 @@ def _write_train_outputs(args, run: TrainRun) -> None:
         for rec in run.log:
             fh.write(json.dumps(rec, sort_keys=True) + "\n")
     n = run.dataset.world.n_agents
-    eval_policy = args.policy if args.policy in POLICIES else "when2com"
     report = evaluate(
-        eval_policy,
+        args.policy,
         run.theta,
         run.dataset.test_episodes,
         1.0 / n,
@@ -459,8 +414,7 @@ def _write_train_outputs(args, run: TrainRun) -> None:
         case=args.case,
     )
     base = args.report if args.report else args.out + ".report.json"
-    csv_path = base[:-5] + ".csv" if base.endswith(".json") else base + ".csv"
-    save_report(report, base, csv_path)
+    save_report(report, base, _sibling_path(base, ".json", ".csv"))
     print(f"checkpoint: {args.out}")
     print(f"report: {base}")
     print(f"acc_all={report.acc_all:.4f} when2com_acc={report.when2com_acc:.4f}")
@@ -556,10 +510,7 @@ def cli_main(argv: list[str]) -> int:
                 case=dataset.world.case,
                 trace_path=args.trace,
             )
-            csv_path = (
-                args.report[:-5] + ".csv" if args.report.endswith(".json") else args.report + ".csv"
-            )
-            save_report(report, args.report, csv_path)
+            save_report(report, args.report, _sibling_path(args.report, ".json", ".csv"))
             print(f"report: {args.report}")
             print(
                 f"acc_all={report.acc_all:.4f} mbpf={report.mbpf:.6g} "
@@ -576,10 +527,7 @@ def cli_main(argv: list[str]) -> int:
                 steps=args.steps,
                 seed=args.seed,
             )
-            json_path = (
-                args.out[:-4] + ".json" if args.out.endswith(".csv") else args.out + ".json"
-            )
-            _save_sweep(rows, args.out, json_path)
+            _save_table(_sibling_path(args.out, ".csv", ".json"), args.out, rows, SWEEP_COLUMNS, rows)
             print(f"sweep table: {args.out}")
         elif args.command == "gen-data":
             world = world_for_run(args.case, args.agents, args.seed)

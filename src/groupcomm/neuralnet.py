@@ -10,6 +10,10 @@ Training fuses with the full soft matching rows so every agent sees every
 feature (gradients flow through the softmax and the bilinear scores);
 inference fuses with delta-pruned rows and is never differentiated.
 
+The communication policies live here as well: :data:`POLICIES` and the one
+rule :func:`policy_rows` that turns a policy into an episode's fusion rows,
+which training, validation and the simulator-driven evaluation all call.
+
 Training runs a whole minibatch at once: the episodes are stacked as
 (B, N, .) arrays, every head is one matrix product over all B*N agents, and
 the matching matrix and fusion are batched products.  Its gradients are
@@ -36,8 +40,9 @@ CHECKPOINT_MAGIC = b"GRPCOMM1"
 CHECKPOINT_VERSION = 1
 CHECKPOINT_HEADER = "<8sI6I"
 
-ATTENTION_POLICIES = ("when2com", "forced_top1", "fully_connected")
-FIXED_ROW_POLICIES = ("nocom", "randcom", "catall")
+POLICIES = ("when2com", "nocom", "randcom", "catall", "forced_top1", "fully_connected")
+# Policies whose rows start from the soft matching matrix, so the handshake runs.
+HANDSHAKE_POLICIES = ("when2com", "forced_top1", "fully_connected")
 
 
 @dataclass
@@ -94,15 +99,22 @@ def init_mlp(sizes: list[int], rng: Rng) -> MlpParams:
     return MlpParams(layers)
 
 
+def head_sizes(c: PipelineConfig) -> list[list[int]]:
+    """Layer widths of the query, key, encoder and decoder heads, in that order."""
+    return [
+        [c.d_obs, c.hidden, c.q_dim],
+        [c.d_obs, c.hidden, c.k_dim],
+        [c.d_obs, c.hidden, c.f_dim],
+        [2 * c.f_dim, c.hidden, c.n_classes],
+    ]
+
+
 def init_pipeline(config: PipelineConfig, rng: Rng) -> PipelineParams:
     c = config
-    theta_q = init_mlp([c.d_obs, c.hidden, c.q_dim], rng)
-    theta_k = init_mlp([c.d_obs, c.hidden, c.k_dim], rng)
-    theta_e = init_mlp([c.d_obs, c.hidden, c.f_dim], rng)
-    theta_d = init_mlp([2 * c.f_dim, c.hidden, c.n_classes], rng)
+    heads = [init_mlp(sizes, rng) for sizes in head_sizes(c)]
     # Bilinear form scaled to variance 1/sqrt(Q*K).
     w_g = rng.normal(c.q_dim * c.k_dim).reshape(c.q_dim, c.k_dim) * (c.q_dim * c.k_dim) ** -0.25
-    return PipelineParams(theta_q, theta_k, theta_e, theta_d, w_g)
+    return PipelineParams(*heads, w_g)
 
 
 def param_arrays(theta: PipelineParams) -> list[np.ndarray]:
@@ -116,24 +128,18 @@ def param_arrays(theta: PipelineParams) -> list[np.ndarray]:
     return out
 
 
+def _map_params(fn, theta: PipelineParams) -> PipelineParams:
+    """A tree of the same structure holding ``fn`` of every parameter array."""
+    heads = (theta.theta_q, theta.theta_k, theta.theta_e, theta.theta_d)
+    return PipelineParams(*(MlpParams([(fn(w), fn(b)) for w, b in h.layers]) for h in heads), fn(theta.w_g))
+
+
 def clone_params(theta: PipelineParams) -> PipelineParams:
-    return PipelineParams(
-        theta_q=MlpParams([(w.copy(), b.copy()) for w, b in theta.theta_q.layers]),
-        theta_k=MlpParams([(w.copy(), b.copy()) for w, b in theta.theta_k.layers]),
-        theta_e=MlpParams([(w.copy(), b.copy()) for w, b in theta.theta_e.layers]),
-        theta_d=MlpParams([(w.copy(), b.copy()) for w, b in theta.theta_d.layers]),
-        w_g=theta.w_g.copy(),
-    )
+    return _map_params(np.copy, theta)
 
 
 def zeros_like_params(theta: PipelineParams) -> Gradients:
-    return PipelineParams(
-        theta_q=MlpParams([(np.zeros_like(w), np.zeros_like(b)) for w, b in theta.theta_q.layers]),
-        theta_k=MlpParams([(np.zeros_like(w), np.zeros_like(b)) for w, b in theta.theta_k.layers]),
-        theta_e=MlpParams([(np.zeros_like(w), np.zeros_like(b)) for w, b in theta.theta_e.layers]),
-        theta_d=MlpParams([(np.zeros_like(w), np.zeros_like(b)) for w, b in theta.theta_d.layers]),
-        w_g=np.zeros_like(theta.w_g),
-    )
+    return _map_params(np.zeros_like, theta)
 
 
 @dataclass
@@ -224,25 +230,73 @@ def _softmax(z: np.ndarray) -> np.ndarray:
     return e / np.sum(e, axis=-1, keepdims=True)
 
 
+def fixed_policy_rows(policy: str, n: int, rng: Rng) -> np.ndarray:
+    """Constant fusion rows for the policies that run no handshake.
+
+    ``randcom`` draws one peer per agent from ``rng``, in agent order; a lone
+    agent has no peer, keeps its own feature and draws nothing.
+    """
+    if policy == "nocom" or (policy == "randcom" and n == 1):
+        return np.eye(n)
+    if policy == "catall":
+        return np.full((n, n), 1.0 / n)
+    if policy == "randcom":
+        rows = np.zeros((n, n))
+        for i in range(n):
+            j = rng.randint(n - 1)
+            if j >= i:
+                j += 1
+            rows[i, j] = 1.0
+        return rows
+    raise ValueError(f"unknown policy {policy!r}; expected one of {POLICIES}")
+
+
+def policy_rows(
+    policy: str, soft_rows: np.ndarray | None, n: int, delta: float, rng: Rng | None
+) -> tuple[np.ndarray, float]:
+    """One episode's fusion rows under ``policy`` and the threshold that prunes them.
+
+    ``when2com``        the soft matching rows, pruned at ``delta``;
+    ``fully_connected`` the soft rows unpruned, so every feature is fused;
+    ``forced_top1``     each agent's best off-diagonal peer at hard weight 1;
+    ``nocom``           each agent decodes its own feature only;
+    ``randcom``         each agent pulls one uniformly random other agent;
+    ``catall``          each agent fuses the plain mean of every feature.
+
+    ``soft_rows`` is the (N, N) matching matrix for the
+    :data:`HANDSHAKE_POLICIES` and unused by the others.  Only ``when2com``
+    prunes at ``delta``; every other policy's threshold is 0.
+    """
+    if policy == "when2com":
+        return soft_rows, delta
+    if policy == "fully_connected":
+        return soft_rows, 0.0
+    if policy == "forced_top1":
+        return top1_rows(soft_rows), 0.0
+    return fixed_policy_rows(policy, n, rng), 0.0
+
+
 def pipeline_forward(
     theta: PipelineParams,
     observations,
     mode: str = "training",
     delta: float = 0.0,
-    fixed_rows: np.ndarray | None = None,
+    policy: str = "when2com",
+    rng: Rng | None = None,
 ) -> ForwardResult:
-    """Full forward pass.
+    """Full forward pass under a communication policy (see :func:`policy_rows`).
 
     ``training`` takes one episode, (N, d_obs), or a minibatch of episodes
-    with equal N, (B, N, d_obs), and fuses with the soft matching rows;
-    ``logits`` and ``m`` keep the input's leading shape.  ``inference`` takes
-    one episode, runs it agent by agent exactly as the simulator does, and
-    prunes the rows at ``delta`` first.  ``fixed_rows`` substitutes a constant
-    matching matrix (baseline policies; (B, N, N) for a batch); the attention
-    heads are then neither evaluated nor differentiated.
+    with equal N, (B, N, d_obs); ``logits`` and ``m`` keep the input's
+    leading shape.  The handshake policies fuse with the soft matching rows;
+    the others fuse with rows drawn from ``rng`` episode by episode, in batch
+    order, and their attention heads are neither evaluated nor
+    differentiated.  ``inference`` takes one episode and runs it agent by
+    agent exactly as the simulator does: it builds the matching matrix only
+    for a handshake policy and prunes the policy's rows at its threshold.
     """
     if mode == "training":
-        return _training_forward(theta, observations, fixed_rows)
+        return _training_forward(theta, observations, policy, rng)
     if mode != "inference":
         raise ValueError(f"unknown mode {mode!r}")
     n = len(observations)
@@ -251,22 +305,19 @@ def pipeline_forward(
     obs = [np.asarray(x, dtype=np.float64) for x in observations]
 
     features = [mlp_forward(theta.theta_e, x)[0] for x in obs]
-    if fixed_rows is None:
+    soft = None
+    if policy in HANDSHAKE_POLICIES:
         queries = [mlp_forward(theta.theta_q, x)[0] for x in obs]
         keys = [mlp_forward(theta.theta_k, x)[0] for x in obs]
-        m = build_matching_matrix(queries, keys, theta.w_g)
-    else:
-        m = np.asarray(fixed_rows, dtype=np.float64)
-        if m.shape != (n, n):
-            raise ValueError(f"fixed_rows shape {m.shape} != ({n}, {n})")
-
-    m_bar = prune(m, delta)
+        soft = build_matching_matrix(queries, keys, theta.w_g)
+    m, threshold = policy_rows(policy, soft, n, delta, rng)
+    m_bar = prune(m, threshold)
     fused = [fuse(m_bar[i], features) for i in range(n)]
     logits = [decode_agent(theta, features[i], fused[i])[0] for i in range(n)]
     return ForwardResult(logits, ForwardCache("inference", features, fused, m), m, m_bar)
 
 
-def _training_forward(theta: PipelineParams, observations, fixed_rows) -> ForwardResult:
+def _training_forward(theta: PipelineParams, observations, policy: str, rng: Rng | None) -> ForwardResult:
     obs = np.asarray(observations, dtype=np.float64)
     if obs.ndim not in (2, 3) or obs.shape[-2] < 1:
         raise ValueError(f"need (N, d_obs) or (B, N, d_obs) observations of N >= 1 agents, got {obs.shape}")
@@ -278,17 +329,14 @@ def _training_forward(theta: PipelineParams, observations, fixed_rows) -> Forwar
     e, e_cache = mlp_forward(theta.theta_e, x)
     features = e.reshape(b, n, -1)
     queries = keys = q_cache = k_cache = None
-    if fixed_rows is None:
+    if policy in HANDSHAKE_POLICIES:
         mu, q_cache = mlp_forward(theta.theta_q, x)
         kappa, k_cache = mlp_forward(theta.theta_k, x)
         queries, keys = mu.reshape(b, n, -1), kappa.reshape(b, n, -1)
         scores = (mu @ theta.w_g).reshape(b, n, -1) @ keys.transpose(0, 2, 1)
         m = _softmax(scores / math.sqrt(theta.w_g.shape[1]))
     else:
-        m = np.asarray(fixed_rows, dtype=np.float64)
-        if m.shape != lead + (n,):
-            raise ValueError(f"fixed_rows shape {m.shape} != {lead + (n,)}")
-        m = m.reshape(b, n, n)
+        m = np.stack([policy_rows(policy, None, n, 0.0, rng)[0] for _ in range(b)])
 
     fused = m @ features
     z, d_cache = mlp_forward(theta.theta_d, np.concatenate([features, fused], axis=-1).reshape(b * n, -1))
@@ -413,27 +461,8 @@ class TrainConfig:
             raise ValueError(f"TrainConfig.steps must be >= 0, got {self.steps}")
         if self.batch_size < 1:
             raise ValueError(f"TrainConfig.batch_size must be positive, got {self.batch_size}")
-
-
-def fixed_policy_rows(policy: str, n: int, rng: Rng) -> np.ndarray:
-    """Constant fusion rows for the non-attention baseline policies.
-
-    ``randcom`` draws one peer per agent from ``rng``, in agent order; a lone
-    agent has no peer, keeps its own feature and draws nothing.
-    """
-    if policy == "nocom" or (policy == "randcom" and n == 1):
-        return np.eye(n)
-    if policy == "catall":
-        return np.full((n, n), 1.0 / n)
-    if policy == "randcom":
-        rows = np.zeros((n, n))
-        for i in range(n):
-            j = rng.randint(n - 1)
-            if j >= i:
-                j += 1
-            rows[i, j] = 1.0
-        return rows
-    raise ValueError(f"unknown fixed-row policy {policy!r}")
+        if self.policy not in POLICIES:
+            raise ValueError(f"TrainConfig.policy must be one of {POLICIES}, got {self.policy!r}")
 
 
 def episode_loss_and_grads(
@@ -441,18 +470,11 @@ def episode_loss_and_grads(
 ) -> tuple[float, Gradients]:
     """Training-mode mean loss and exact gradients over a minibatch of episodes.
 
-    The episodes (equal N) run as one (B, N, .) batch.  Fixed-row policies
-    draw their rows from ``rng`` episode by episode, in batch order.
+    The episodes (equal N) run as one (B, N, .) batch.
     """
     observations = np.stack([ep.observations for ep in episodes])
     labels = np.array([ep.labels for ep in episodes])
-    if policy in ATTENTION_POLICIES:
-        rows = None
-    elif policy in FIXED_ROW_POLICIES:
-        rows = np.stack([fixed_policy_rows(policy, observations.shape[1], rng) for _ in episodes])
-    else:
-        raise ValueError(f"unknown policy {policy!r}")
-    result = pipeline_forward(theta, observations, mode="training", fixed_rows=rows)
+    result = pipeline_forward(theta, observations, mode="training", policy=policy, rng=rng)
     loss = cross_entropy_loss(result.logits, labels)
     return loss, pipeline_backward(result.cache, theta, labels)
 
@@ -469,17 +491,8 @@ def evaluate_task_accuracy(
     correct = 0
     total = 0
     for ep in episodes:
-        observations = list(ep.observations)
-        if policy == "forced_top1":
-            soft = pipeline_forward(theta, observations, mode="inference", delta=0.0)
-            rows = top1_rows(soft.m)
-            result = pipeline_forward(theta, observations, mode="inference", delta=0.0, fixed_rows=rows)
-        elif policy in ATTENTION_POLICIES:
-            eff_delta = 0.0 if policy == "fully_connected" else delta
-            result = pipeline_forward(theta, observations, mode="inference", delta=eff_delta)
-        else:
-            rows = fixed_policy_rows(policy, len(observations), rng)
-            result = pipeline_forward(theta, observations, mode="inference", delta=0.0, fixed_rows=rows)
+        obs = list(ep.observations)
+        result = pipeline_forward(theta, obs, mode="inference", delta=delta, policy=policy, rng=rng)
         for z, y in zip(result.logits, ep.labels):
             correct += int(np.argmax(z) == y)
             total += 1
@@ -526,7 +539,7 @@ def save_checkpoint(path: str, theta: PipelineParams, config: PipelineConfig) ->
     """Flat binary layout: magic, version, dims, then tensors in declaration order.
 
     Tensors are little-endian float64, row-major; shapes are implied by the
-    dimension tuple (all heads are two-layer).
+    dimension tuple through :func:`head_sizes`.
     """
     header = struct.pack(
         CHECKPOINT_HEADER,
@@ -557,27 +570,18 @@ def load_checkpoint(path: str) -> tuple[PipelineParams, PipelineConfig]:
     if version != CHECKPOINT_VERSION:
         raise ValueError(f"unsupported checkpoint version {version}")
     config = PipelineConfig(d_obs=d_obs, q_dim=q, k_dim=k, f_dim=f, n_classes=c, hidden=hidden)
-    shapes = []
-    for sizes in ([d_obs, hidden, q], [d_obs, hidden, k], [d_obs, hidden, f], [2 * f, hidden, c]):
-        for fan_in, fan_out in zip(sizes[:-1], sizes[1:]):
-            shapes.append((fan_out, fan_in))
-            shapes.append((fan_out,))
-    shapes.append((q, k))
-    expected = head_size + 8 * sum(math.prod(shape) for shape in shapes)
+    heads = [
+        MlpParams([(np.empty((o, i)), np.empty(o)) for i, o in zip(s[:-1], s[1:])]) for s in head_sizes(config)
+    ]
+    theta = PipelineParams(*heads, np.empty((q, k)))
+    arrays = param_arrays(theta)
+    expected = head_size + 8 * sum(a.size for a in arrays)
     if len(blob) != expected:
         raise ValueError(
             f"checkpoint {path} holds {len(blob)} bytes but its dimension header implies {expected}"
         )
     offset = head_size
-    arrays = []
-    for shape in shapes:
-        count = math.prod(shape)
-        arr = np.frombuffer(blob, dtype="<f8", count=count, offset=offset).reshape(shape)
-        arrays.append(np.array(arr, dtype=np.float64))
-        offset += count * 8
-    it = iter(arrays)
-    heads = []
-    for _ in range(4):
-        heads.append(MlpParams([(next(it), next(it)), (next(it), next(it))]))
-    w_g = next(it)
-    return PipelineParams(heads[0], heads[1], heads[2], heads[3], w_g), config
+    for a in arrays:
+        a[...] = np.frombuffer(blob, dtype="<f8", count=a.size, offset=offset).reshape(a.shape)
+        offset += 8 * a.size
+    return theta, config

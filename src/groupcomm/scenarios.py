@@ -414,7 +414,7 @@ def save_dataset(path: str, dataset: Dataset) -> None:
 
 
 def _observations(path: str, index: int, rows, shape: tuple[int, int]) -> np.ndarray:
-    """One episode's observation matrix, rejected unless it is ``shape``."""
+    """One episode's observation matrix, rejected unless it is finite and of ``shape``."""
     try:
         obs = np.asarray(rows, dtype=np.float64)
     except (TypeError, ValueError):  # ragged or non-numeric rows
@@ -422,6 +422,8 @@ def _observations(path: str, index: int, rows, shape: tuple[int, int]) -> np.nda
     if obs is None or obs.shape != shape:
         got = "ragged" if obs is None else obs.shape
         raise ValueError(f"{path}: episode {index} observations have shape {got}, expected {shape}")
+    if not np.all(np.isfinite(obs)):
+        raise ValueError(f"{path}: episode {index} observations contain non-finite values")
     return obs
 
 

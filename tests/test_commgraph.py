@@ -1,4 +1,4 @@
-"""Matching-matrix math: scores, row softmax, pruning, fusion, link extraction."""
+"""Matching-matrix math: scores, row softmax, pruning, fusion."""
 
 import math
 
@@ -8,7 +8,6 @@ import pytest
 from groupcomm.commgraph import (
     attention_score,
     build_matching_matrix,
-    comm_links,
     fuse,
     prune,
 )
@@ -159,11 +158,6 @@ class TestPrune:
             survivors = kept[kept != 0.0]
             assert np.all(survivors >= 1.0 / n)
 
-    def test_renormalize_toggle(self):
-        row = np.array([[0.5, 0.3, 0.2]])
-        out = prune(row, 0.25, renormalize=True)
-        np.testing.assert_allclose(out, [[0.625, 0.375, 0.0]])
-
     def test_invalid_delta(self):
         with pytest.raises(ValueError):
             prune(np.eye(2), 1.5)
@@ -215,21 +209,3 @@ class TestFuse:
     def test_feature_length_mismatch(self):
         with pytest.raises(ValueError):
             fuse(np.array([0.5, 0.5]), [np.zeros(3), np.zeros(4)])
-
-
-class TestCommLinks:
-    def test_diagonal_only(self):
-        assert comm_links(np.eye(4)) == []
-
-    def test_dense_matrix(self):
-        n = 4
-        dense = np.full((n, n), 0.25)
-        assert len(comm_links(dense)) == n * (n - 1)
-
-    def test_hand_counted_links(self):
-        # Nonzero off-diagonals at (0, 1) and (2, 0) plus the diagonal:
-        # links are supporter -> requester, so {1 -> 0, 0 -> 2}.
-        m = np.eye(3)
-        m[0, 1] = 0.4
-        m[2, 0] = 0.3
-        assert set(comm_links(m)) == {(1, 0), (0, 2)}

@@ -1,4 +1,4 @@
-"""Foundation math: matmul, softmax, relu, and the seeded RNG stream."""
+"""Foundation math: softmax, relu, and the seeded RNG stream."""
 
 import math
 import warnings
@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from groupcomm import densemath
-from groupcomm.densemath import Rng, matmul, relu, relu_grad, softmax_row
+from groupcomm.densemath import Rng, relu, relu_grad, softmax_row
 
 # First five raw words of the seed-42 stream, frozen as the cross-platform
 # contract for the documented splitmix64 algorithm.
@@ -24,51 +24,6 @@ GOLDEN_NORMAL_SEED42 = [
     -0.4508498757188601,
     0.6707164409024291,
 ]
-
-
-def matmul_oracle(a, b):
-    """Independent triple-loop product."""
-    n, k = a.shape
-    k2, m = b.shape
-    assert k == k2
-    out = np.zeros((n, m))
-    for i in range(n):
-        for j in range(m):
-            acc = 0.0
-            for t in range(k):
-                acc += a[i, t] * b[t, j]
-            out[i, j] = acc
-    return out
-
-
-class TestMatmul:
-    def test_identity(self):
-        rng = Rng(1)
-        a = rng.normal(9).reshape(3, 3)
-        np.testing.assert_array_equal(matmul(np.eye(3), a), a)
-
-    def test_one_by_one(self):
-        np.testing.assert_array_equal(matmul(np.array([[2.0]]), np.array([[3.0]])), [[6.0]])
-
-    def test_against_triple_loop_oracle(self):
-        rng = Rng(7)
-        a = rng.normal(20).reshape(4, 5)
-        b = rng.normal(15).reshape(5, 3)
-        np.testing.assert_allclose(matmul(a, b), matmul_oracle(a, b), atol=1e-12)
-
-    def test_shape_mismatch_names_both_shapes(self):
-        with pytest.raises(ValueError, match=r"\(2, 3\).*\(2, 2\)"):
-            matmul(np.zeros((2, 3)), np.zeros((2, 2)))
-
-    def test_associativity_property(self):
-        rng = Rng(11)
-        for _ in range(50):
-            a = rng.normal(12).reshape(3, 4)
-            b = rng.normal(8).reshape(4, 2)
-            c = rng.normal(10).reshape(2, 5)
-            left = matmul(matmul(a, b), c)
-            right = matmul(a, matmul(b, c))
-            np.testing.assert_allclose(left, right, rtol=1e-9, atol=1e-9)
 
 
 class TestSoftmaxRow:

@@ -5,10 +5,12 @@ import json
 import numpy as np
 import pytest
 
-from groupcomm.commgraph import top1_rows
+from hypothesis import given, settings, strategies as st
+
 from groupcomm.densemath import Rng
 from groupcomm.evalcli import (
     CSV_COLUMNS,
+    POLICIES,
     cli_main,
     decisions_from_rows,
     evaluate,
@@ -18,8 +20,9 @@ from groupcomm.evalcli import (
     when2com_accuracy,
     world_for_run,
 )
-from groupcomm import neuralnet
+from groupcomm import evalcli, neuralnet
 from groupcomm.neuralnet import (
+    HANDSHAKE_POLICIES,
     PipelineConfig,
     evaluate_task_accuracy,
     init_pipeline,
@@ -153,17 +156,21 @@ class TestPolicies:
         needy = np.mean([ep.needs_comm for ep in episodes])
         assert rep.when2com_acc == pytest.approx(needy)
 
-    def test_validation_forced_top1_selects_eval_peers(self, world_and_episodes):
-        # Training-time validation must pick the same peers as the evaluated
-        # policy, bit for bit, so both take them from the per-vector rows.
+    @pytest.mark.parametrize("policy", POLICIES)
+    def test_centralized_and_validation_match_evaluation(self, world_and_episodes, policy):
+        # Centralized inference, training-time validation and the simulator
+        # share one row rule, so they pick the same rows, bit for bit.
         world, episodes = world_and_episodes
         theta = tiny_theta(4)
-        for ep in episodes:
-            soft = pipeline_forward(theta, list(ep.observations), mode="inference", delta=0.0)
-            res = run_policy_episode("forced_top1", theta, list(ep.observations), 0.2, Rng(0))
-            np.testing.assert_array_equal(top1_rows(soft.m), res.rows)
-        rep = evaluate("forced_top1", theta, episodes, 0.2, seed=0)
-        assert evaluate_task_accuracy(theta, episodes, 0.2, policy="forced_top1") == rep.acc_all
+        delta = 1.0 / world.n_agents
+        for s, ep in enumerate(episodes):
+            obs = list(ep.observations)
+            central = pipeline_forward(theta, obs, mode="inference", delta=delta, policy=policy, rng=Rng(s))
+            res = run_policy_episode(policy, theta, obs, delta, Rng(s))
+            np.testing.assert_array_equal(central.m_bar, res.rows)
+            assert res.predictions == [int(np.argmax(z)) for z in central.logits]
+        rep = evaluate(policy, theta, episodes, delta, seed=3)
+        assert evaluate_task_accuracy(theta, episodes, delta, policy, Rng(3)) == rep.acc_all
 
     def test_validation_randcom_draws_new_peers_per_episode(self, world_and_episodes, monkeypatch):
         # Without an rng, one Rng(0) serves the whole call: rows differ across
@@ -186,6 +193,27 @@ class TestPolicies:
         for a, b in zip(default_rows, drawn):
             np.testing.assert_array_equal(a, b)
         assert acc_default == acc_passed
+
+    @settings(derandomize=True, database=None, max_examples=40, deadline=None)
+    @given(
+        policy=st.sampled_from(POLICIES),
+        n=st.integers(1, 6),
+        delta=st.floats(0.0, 1.0),
+        seed=st.integers(0, 2**64 - 1),
+    )
+    def test_ledger_closed_form(self, policy, n, delta, seed):
+        # Counted bytes: N(N-1) Q-real queries when the handshake runs, plus
+        # one F-real transfer per off-diagonal link left in the rows.
+        cfg = PipelineConfig(d_obs=6, q_dim=3, k_dim=4, f_dim=5, n_classes=3, hidden=7)
+        rng = Rng(seed)
+        theta = init_pipeline(cfg, rng)
+        obs = rng.normal(n * cfg.d_obs).reshape(n, cfg.d_obs)
+        res = run_policy_episode(policy, theta, list(obs), delta, rng)
+        links = np.count_nonzero(res.rows) - np.count_nonzero(np.diag(res.rows))
+        queries = n * (n - 1) if policy in HANDSHAKE_POLICIES else 0
+        assert res.ledger.counted_bytes == queries * cfg.q_dim * 4 + links * cfg.f_dim * 4
+        assert res.ledger.inter_agent_links == links
+        assert res.ledger.frames == 1
 
     def test_when2com_links_bounded(self, world_and_episodes):
         world, episodes = world_and_episodes
@@ -343,6 +371,19 @@ class TestCli:
         assert code == 1
         err = capsys.readouterr().err
         assert ckpt in err and "d_obs=32" in err and "obs_dim=16" in err
+        assert not report.exists()
+
+    @pytest.mark.parametrize("policy, delta", [("nocom", "-0.1"), ("when2com", "1.5")])
+    def test_eval_rejects_delta_outside_unit_interval(self, tmp_path, capsys, monkeypatch, policy, delta):
+        ckpt = str(tmp_path / "m.ckpt")
+        save_checkpoint(ckpt, tiny_theta(), PipelineConfig())
+        episodes_run = []
+        monkeypatch.setattr(evalcli, "run_policy_episode", lambda *args: episodes_run.append(args))
+        report = tmp_path / "ev.json"
+        argv = ["eval", "--checkpoint", ckpt, "--episodes", "20", "--policy", policy, "--delta", delta]
+        assert cli_main(argv + ["--report", str(report)]) == 1
+        assert f"delta must lie in [0, 1], got {float(delta)}" in capsys.readouterr().err
+        assert episodes_run == []
         assert not report.exists()
 
     def test_missing_checkpoint_file_is_diagnostic_error(self, tmp_path, capsys):

@@ -307,3 +307,13 @@ class TestDatasetExport:
         path.write_text(json.dumps(doc))
         with pytest.raises(ValueError, match=rf"episode 7 observations have shape \(5, {len(bad_row)}\)"):
             load_dataset(str(path))
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+    def test_load_rejects_non_finite_observations(self, tmp_path, bad):
+        path = tmp_path / "data.json"
+        save_dataset(str(path), generate_dataset(make_world("srms", rng=Rng(3)), 10, seed=5))
+        doc = json.loads(path.read_text())
+        doc["episodes"][4]["observations"][1][9] = bad
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ValueError, match=r"data\.json: episode 4 observations contain non-finite values"):
+            load_dataset(str(path))
