@@ -8,7 +8,9 @@ bandwidth accounting), and ``evalcli`` (policy episodes through the simulator,
 metrics, sweeps, command-line entry point).
 """
 
-from . import commgraph, densemath, evalcli, neuralnet, scenarios, simnet
+# Not ``evalcli``: ``python -m groupcomm.evalcli`` would find it imported
+# already and run the module a second time.
+from . import commgraph, densemath, neuralnet, scenarios, simnet
 
 __all__ = ["commgraph", "densemath", "evalcli", "neuralnet", "scenarios", "simnet"]
 __version__ = "0.1.0"

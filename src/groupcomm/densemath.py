@@ -134,9 +134,6 @@ class Rng:
         z = ((z ^ (z >> 27)) * _MUL2) & _MASK64
         return ((z ^ (z >> 31)) >> 11) * _U53_SCALE
 
-    def normal_scalar(self) -> float:
-        return float(self.normal(1)[0])
-
     def randint(self, bound: int) -> int:
         """Uniform integer in [0, bound)."""
         if bound <= 0:

@@ -19,6 +19,13 @@ signature still identifies which peers hold relevant views.  That asymmetry
 is what makes learned grouping possible at all: a requester's query can only
 advertise *where it is looking*, never the label it cannot see.
 
+Every observation, in every case, is built by one rule (``_observe``) from
+one ``Rng.normal`` draw per agent that covers both halves.  Each half of
+that draw is padded to an even length, so no Box-Muller pair straddles the
+two halves: for an odd ``scene_dim`` the spare sin term is dropped, and the
+draw consumes the same words and yields the same values as one ``normal``
+call per half, which keeps saved datasets stable for every even ``obs_dim``.
+
 Cases
 -----
 ``srms``   five agents, one designated agent degraded with probability
@@ -208,27 +215,38 @@ def _episode_signatures(world: World, rng: Rng, n_scenes: int) -> np.ndarray:
     return world.scene_codes[picks].copy()
 
 
-def _clean_obs(world: World, signature: np.ndarray, label: int, rng: Rng) -> np.ndarray:
-    scene = signature + PERTURBATION_SIGMA * rng.normal(world.scene_dim)
-    content = (
-        world.prototypes[label, world.scene_dim :]
-        + PERTURBATION_SIGMA * rng.normal(world.content_dim)
-    )
-    return np.concatenate([scene, content])
-
-
-def _degraded_obs(world: World, signature: np.ndarray, rng: Rng) -> np.ndarray:
-    scene = signature + PERTURBATION_SIGMA * rng.normal(world.scene_dim)
-    content = world.noise_sigma * rng.normal(world.content_dim)
-    return np.concatenate([scene, content])
-
-
-def _mixed_obs(
-    world: World, signature: np.ndarray, label_mix: np.ndarray, rng: Rng
+def _observe(
+    world: World, signature: np.ndarray, content: np.ndarray | None, sigma: float, rng: Rng
 ) -> np.ndarray:
-    scene = signature + PERTURBATION_SIGMA * rng.normal(world.scene_dim)
-    content = label_mix + PERTURBATION_SIGMA * rng.normal(world.content_dim)
-    return np.concatenate([scene, content])
+    """Signature and ``content`` (None: a degraded view), each plus noise, from one draw.
+
+    Both halves of the draw are padded to an even length (see the module
+    docstring), so the content noise starts on a fresh Box-Muller pair.
+    """
+    half = world.scene_dim + world.scene_dim % 2
+    z = rng.normal(2 * half)
+    scene = signature + PERTURBATION_SIGMA * z[: world.scene_dim]
+    noise = sigma * z[half : half + world.content_dim]
+    return np.concatenate([scene, noise if content is None else content + noise])
+
+
+def _render(
+    world: World,
+    signatures: np.ndarray,
+    labels: list[int],
+    degraded: list[bool],
+    gt_support: list[set[int]],
+    rng: Rng,
+) -> Episode:
+    """Observe every agent in order: a clean view of its label, or a degraded one."""
+    content = world.prototypes[:, world.scene_dim :]
+    obs = np.empty((world.n_agents, world.obs_dim), dtype=np.float64)
+    for i in range(world.n_agents):
+        if degraded[i]:
+            obs[i] = _observe(world, signatures[i], None, world.noise_sigma, rng)
+        else:
+            obs[i] = _observe(world, signatures[i], content[labels[i]], PERTURBATION_SIGMA, rng)
+    return Episode(obs, labels, degraded, list(degraded), gt_support)
 
 
 def _generate_srms(world: World, rng: Rng) -> Episode:
@@ -238,7 +256,6 @@ def _generate_srms(world: World, rng: Rng) -> Episode:
     designated = rng.randint(n)
     degraded = [False] * n
     gt_support: list[set[int]] = [set() for _ in range(n)]
-    supporter = None
     if rng.uniform_scalar() < world.degrade_prob:
         degraded[designated] = True
         off = rng.randint(n - 1)
@@ -246,13 +263,7 @@ def _generate_srms(world: World, rng: Rng) -> Episode:
         labels[supporter] = labels[designated]
         signatures[supporter] = signatures[designated]
         gt_support[designated] = {supporter}
-    obs = np.empty((n, world.obs_dim), dtype=np.float64)
-    for i in range(n):
-        if degraded[i]:
-            obs[i] = _degraded_obs(world, signatures[i], rng)
-        else:
-            obs[i] = _clean_obs(world, signatures[i], labels[i], rng)
-    return Episode(obs, labels, degraded, list(degraded), gt_support)
+    return _render(world, signatures, labels, degraded, gt_support, rng)
 
 
 def _generate_mrms(world: World, rng: Rng) -> Episode:
@@ -274,16 +285,11 @@ def _generate_mrms(world: World, rng: Rng) -> Episode:
         labels[s] = labels[r]
         signatures[s] = signatures[r]
         gt_support[r] = {s}
-    obs = np.empty((n, world.obs_dim), dtype=np.float64)
-    for i in range(n):
-        if degraded[i]:
-            obs[i] = _degraded_obs(world, signatures[i], rng)
-        else:
-            obs[i] = _clean_obs(world, signatures[i], labels[i], rng)
-    return Episode(obs, labels, degraded, list(degraded), gt_support)
+    return _render(world, signatures, labels, degraded, gt_support, rng)
 
 
 def _generate_mrmps(world: World, rng: Rng) -> Episode:
+    # Not _render: a supporter's scalar draws fall between agents' observations.
     n = world.n_agents
     labels = [rng.randint(world.n_classes) for _ in range(n)]
     signatures = _episode_signatures(world, rng, n)
@@ -294,7 +300,7 @@ def _generate_mrmps(world: World, rng: Rng) -> Episode:
     obs = np.empty((n, world.obs_dim), dtype=np.float64)
     for i in range(n):
         if degraded[i]:
-            obs[i] = _degraded_obs(world, signatures[i], rng)
+            obs[i] = _observe(world, signatures[i], None, world.noise_sigma, rng)
         elif deg_list:
             r = deg_list[rng.randint(len(deg_list))]
             overlap = rng.uniform_scalar()
@@ -308,9 +314,9 @@ def _generate_mrmps(world: World, rng: Rng) -> Episode:
                 labels[i] = labels[r]
             if overlap > world.overlap_frac:
                 gt_support[r].add(i)
-            obs[i] = _mixed_obs(world, mixed_sig, mix, rng)
+            obs[i] = _observe(world, mixed_sig, mix, PERTURBATION_SIGMA, rng)
         else:
-            obs[i] = _clean_obs(world, signatures[i], labels[i], rng)
+            obs[i] = _observe(world, signatures[i], content[labels[i]], PERTURBATION_SIGMA, rng)
     return Episode(obs, labels, degraded, list(degraded), gt_support)
 
 
@@ -335,14 +341,7 @@ def _generate_triplet(world: World, rng: Rng) -> Episode:
             victim = members[t][rng.randint(3)]
             degraded[victim] = True
             gt_support[victim] = set(members[t]) - {victim}
-    obs = np.empty((n, world.obs_dim), dtype=np.float64)
-    for i in range(n):
-        sig = signatures[triplet_of[i]]
-        if degraded[i]:
-            obs[i] = _degraded_obs(world, sig, rng)
-        else:
-            obs[i] = _clean_obs(world, sig, labels[i], rng)
-    return Episode(obs, labels, degraded, list(degraded), gt_support)
+    return _render(world, signatures[triplet_of], labels, degraded, gt_support, rng)
 
 
 _GENERATORS = {
@@ -381,22 +380,12 @@ def save_dataset(path: str, dataset: Dataset) -> None:
 
     The file holds the bytes of ``json.dump(doc, sort_keys=True)`` plus a
     newline, where ``doc`` has the keys ``episodes``, ``splits`` and
-    ``world``.  It is streamed one episode at a time, and each piece goes
-    through ``json.dumps``, which (unlike ``json.dump``) uses the C encoder.
+    ``world`` (every ``World`` field, its arrays as nested lists).  It is
+    streamed one episode at a time, and each piece goes through
+    ``json.dumps``, which (unlike ``json.dump``) uses the C encoder.
     """
     w = dataset.world
-    world = {
-        "case": w.case,
-        "n_agents": w.n_agents,
-        "obs_dim": w.obs_dim,
-        "scene_dim": w.scene_dim,
-        "n_classes": w.n_classes,
-        "degrade_prob": w.degrade_prob,
-        "noise_sigma": w.noise_sigma,
-        "overlap_frac": w.overlap_frac,
-        "prototypes": w.prototypes.tolist(),
-        "scene_codes": w.scene_codes.tolist(),
-    }
+    world = dict(vars(w), prototypes=w.prototypes.tolist(), scene_codes=w.scene_codes.tolist())
     splits = {"train": dataset.train_idx, "val": dataset.val_idx, "test": dataset.test_idx}
     with open(path, "w", encoding="utf-8") as fh:
         fh.write('{"episodes": [')
@@ -413,47 +402,45 @@ def save_dataset(path: str, dataset: Dataset) -> None:
         fh.write(', "world": ' + json.dumps(world, sort_keys=True) + "}\n")
 
 
-def _observations(path: str, index: int, rows, shape: tuple[int, int]) -> np.ndarray:
-    """One episode's observation matrix, rejected unless it is finite and of ``shape``."""
+def _load_episode(path: str, index: int, record: dict, world: World) -> Episode:
+    """One saved episode, rejected (naming ``path`` and ``index``) unless it fits ``world``."""
+    where = f"{path}: episode {index}"
+    n = world.n_agents
+    shape = (n, world.obs_dim)
     try:
-        obs = np.asarray(rows, dtype=np.float64)
+        obs = np.asarray(record["observations"], dtype=np.float64)
     except (TypeError, ValueError):  # ragged or non-numeric rows
         obs = None
     if obs is None or obs.shape != shape:
         got = "ragged" if obs is None else obs.shape
-        raise ValueError(f"{path}: episode {index} observations have shape {got}, expected {shape}")
+        raise ValueError(f"{where} observations have shape {got}, expected {shape}")
     if not np.all(np.isfinite(obs)):
-        raise ValueError(f"{path}: episode {index} observations contain non-finite values")
-    return obs
+        raise ValueError(f"{where} observations contain non-finite values")
+    for key in ("labels", "degraded", "needs_comm", "gt_support"):
+        if len(record[key]) != n:
+            raise ValueError(f"{where} {key} has {len(record[key])} entries, expected {n}")
+    for c in record["labels"]:
+        if type(c) is not int or not 0 <= c < world.n_classes:
+            raise ValueError(f"{where} label {c!r} is not an integer in [0, {world.n_classes})")
+    for j in (j for support in record["gt_support"] for j in support):
+        if type(j) is not int or not 0 <= j < n:
+            raise ValueError(f"{where} gt_support index {j!r} is not an integer in [0, {n})")
+    return Episode(
+        observations=obs,
+        labels=list(record["labels"]),
+        degraded=list(record["degraded"]),
+        needs_comm=list(record["needs_comm"]),
+        gt_support=[set(s) for s in record["gt_support"]],
+    )
 
 
 def load_dataset(path: str) -> Dataset:
     with open(path, "r", encoding="utf-8") as fh:
         doc = json.load(fh)
     w = doc["world"]
-    world = World(
-        n_agents=w["n_agents"],
-        obs_dim=w["obs_dim"],
-        n_classes=w["n_classes"],
-        case=w["case"],
-        degrade_prob=w["degrade_prob"],
-        noise_sigma=w["noise_sigma"],
-        overlap_frac=w["overlap_frac"],
-        prototypes=np.asarray(w["prototypes"], dtype=np.float64),
-        scene_dim=w["scene_dim"],
-        scene_codes=np.asarray(w["scene_codes"], dtype=np.float64),
-    )
-    shape = (world.n_agents, world.obs_dim)
-    episodes = [
-        Episode(
-            observations=_observations(path, i, e["observations"], shape),
-            labels=list(e["labels"]),
-            degraded=list(e["degraded"]),
-            needs_comm=list(e["needs_comm"]),
-            gt_support=[set(s) for s in e["gt_support"]],
-        )
-        for i, e in enumerate(doc["episodes"])
-    ]
+    prototypes, scene_codes = (np.asarray(w[k], dtype=np.float64) for k in ("prototypes", "scene_codes"))
+    world = World(**dict(w, prototypes=prototypes, scene_codes=scene_codes))
+    episodes = [_load_episode(path, i, e, world) for i, e in enumerate(doc["episodes"])]
     return Dataset(
         world,
         episodes,

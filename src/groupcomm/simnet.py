@@ -84,9 +84,6 @@ class BandwidthLedger:
         if msg.kind == KIND_TRANSFER:
             self.inter_agent_links += 1
 
-    def add_frame(self) -> None:
-        self.frames += 1
-
     def merge(self, other: "BandwidthLedger") -> None:
         self.counted_bytes += other.counted_bytes
         self.control_bytes += other.control_bytes
@@ -281,8 +278,7 @@ def run_episode(
     fused, trace2 = run_transmission(agents, rows, delta)
     predictions = [agent.decode(theta) for agent in agents]
     trace = trace1 + trace2
-    ledger = ledger_from_trace(trace, frames=0)
-    ledger.add_frame()
+    ledger = ledger_from_trace(trace, frames=1)
     return EpisodeResult(
         predictions=predictions,
         logits=[agent.logits for agent in agents],

@@ -9,6 +9,7 @@ Run with ``pytest tests/test_acceptance.py -v -s`` to see the summary lines.
 
 import concurrent.futures
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -250,7 +251,7 @@ def test_criterion_7_cli_determinism(tmp_path):
         assert code == 0
         artifacts.append(
             tuple(
-                open(p, "rb").read()
+                Path(p).read_bytes()
                 for p in (
                     ckpt,
                     ckpt + ".log.jsonl",

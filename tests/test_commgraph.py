@@ -61,7 +61,7 @@ class TestAttentionScore:
             w = rng.normal(12).reshape(3, 4)
             mu = rng.normal(3)
             kappa = rng.normal(4)
-            a = rng.normal_scalar()
+            a = float(rng.normal(1)[0])
             scaled = attention_score(a * mu, kappa, w)
             base = attention_score(mu, kappa, w)
             assert scaled == pytest.approx(a * base, rel=1e-12, abs=1e-12)

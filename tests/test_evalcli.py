@@ -1,6 +1,10 @@
 """Selection metrics, policy execution, reports, and the command-line interface."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -264,7 +268,7 @@ class TestReports:
         json_path = str(tmp_path / "r.json")
         csv_path = str(tmp_path / "r.csv")
         save_report(rep, json_path, csv_path)
-        lines = open(csv_path).read().strip().split("\n")
+        lines = Path(csv_path).read_text().strip().split("\n")
         assert lines[0] == ",".join(CSV_COLUMNS)
         assert lines[0].split(",") == [
             "policy", "case", "n_agents", "seed", "delta", "Q", "K", "F",
@@ -272,7 +276,7 @@ class TestReports:
             "grouping_acc", "mbpf", "links_per_agent", "n_episodes",
         ]
         assert len(lines) == 2
-        doc = json.load(open(json_path))
+        doc = json.loads(Path(json_path).read_text())
         assert doc["policy"] == "nocom"
         assert doc["n_episodes"] == 12
 
@@ -287,8 +291,8 @@ class TestReports:
             cp = str(tmp_path / f"{tag}.csv")
             save_report(rep, jp, cp)
             paths.append((jp, cp))
-        assert open(paths[0][0], "rb").read() == open(paths[1][0], "rb").read()
-        assert open(paths[0][1], "rb").read() == open(paths[1][1], "rb").read()
+        assert Path(paths[0][0]).read_bytes() == Path(paths[1][0]).read_bytes()
+        assert Path(paths[0][1]).read_bytes() == Path(paths[1][1]).read_bytes()
 
 
 class TestCli:
@@ -324,10 +328,10 @@ class TestCli:
             assert cli_main(list(args)) == 0
             outputs.append(
                 (
-                    open(ckpt, "rb").read(),
-                    open(ckpt + ".log.jsonl", "rb").read(),
-                    open(report, "rb").read(),
-                    open(report[:-5] + ".csv", "rb").read(),
+                    Path(ckpt).read_bytes(),
+                    Path(ckpt + ".log.jsonl").read_bytes(),
+                    Path(report).read_bytes(),
+                    Path(report[:-5] + ".csv").read_bytes(),
                 )
             )
         assert outputs[0] == outputs[1]
@@ -347,7 +351,7 @@ class TestCli:
             ["eval", "--checkpoint", ckpt, "--data", data, "--policy", "nocom", "--report", report]
         )
         assert code == 0
-        doc = json.load(open(report))
+        doc = json.loads(Path(report).read_text())
         assert doc["policy"] == "nocom"
         assert doc["n_episodes"] == 4  # test split of 40
 
@@ -385,6 +389,32 @@ class TestCli:
         assert f"delta must lie in [0, 1], got {float(delta)}" in capsys.readouterr().err
         assert episodes_run == []
         assert not report.exists()
+
+    @pytest.mark.parametrize(
+        "labels, message",
+        [([0, 0, 0], "episode 2 labels has 3 entries, expected 5"), ([99] * 5, "episode 2 label 99 is not")],
+    )
+    def test_eval_rejects_dataset_with_bad_labels(self, tmp_path, capsys, labels, message):
+        data = tmp_path / "d.json"
+        assert cli_main(["gen-data", "--episodes", "40", "--seed", "3", "--out", str(data)]) == 0
+        doc = json.loads(data.read_text())
+        doc["episodes"][2]["labels"] = labels
+        data.write_text(json.dumps(doc))
+        ckpt = str(tmp_path / "m.ckpt")
+        save_checkpoint(ckpt, tiny_theta(), PipelineConfig())
+        report = tmp_path / "ev.json"
+        code = cli_main(["eval", "--checkpoint", ckpt, "--data", str(data), "--report", str(report)])
+        assert code == 1
+        assert f"{data}: {message}" in capsys.readouterr().err
+        assert not report.exists()
+
+    def test_module_entry_point_runs_without_warnings(self):
+        env = dict(os.environ, PYTHONPATH=str(Path(evalcli.__file__).parents[1]))
+        proc = subprocess.run(
+            [sys.executable, "-m", "groupcomm.evalcli", "--help"], capture_output=True, text=True, env=env
+        )
+        assert proc.returncode == 0
+        assert proc.stderr == ""
 
     def test_missing_checkpoint_file_is_diagnostic_error(self, tmp_path, capsys):
         code = cli_main(["eval", "--checkpoint", str(tmp_path / "absent.ckpt")])
@@ -440,6 +470,6 @@ class TestSweep:
             ]
         )
         assert code == 0
-        lines = open(out).read().strip().split("\n")
+        lines = Path(out).read_text().strip().split("\n")
         assert len(lines) == 3  # header + one row per size
         assert lines[0].startswith("param,size,Q,K,seed")

@@ -4,6 +4,7 @@ import math
 import os
 import re
 import tempfile
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -421,7 +422,7 @@ class TestCheckpoint:
         p1, p2 = str(tmp_path / "a.ckpt"), str(tmp_path / "b.ckpt")
         save_checkpoint(p1, theta, cfg)
         save_checkpoint(p2, theta, cfg)
-        assert open(p1, "rb").read() == open(p2, "rb").read()
+        assert Path(p1).read_bytes() == Path(p2).read_bytes()
 
     @pytest.mark.parametrize("keep", [20, -8])
     def test_truncated_checkpoint_names_path_and_sizes(self, tmp_path, keep):

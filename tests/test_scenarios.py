@@ -288,11 +288,27 @@ class TestDatasetExport:
         "triplet": "d05a47425089fc326cba99b369d20a448b3b4f2ba6bc52e21c73276e94203162",
     }
 
+    # The same at obs_dim 10 with three agents: an odd scene half (5), so
+    # the padding between the two halves of one observation's draw is pinned.
+    PINNED_SHA256_OBS10 = {
+        "srms": "a92350b0a4c3fa1961cbfc2ac4251c38a3e93677c1772ade39b233658c6520f1",
+        "mrms": "47d4ef9ae14cd308776d6d210d7acac9e9b73ff920e9979ebaf0573e2e1b9846",
+        "mrmps": "63fa8f4f7d8f0bfa828bd56e8658c4ff1ed756ef5a3719ffbd9fe44b6b9dce84",
+        "triplet": "71432a00e7a6ffe89c123edec2de636bffbe6f2d495e8a7b5114e8b6f132f046",
+    }
+
     @pytest.mark.parametrize("case", CASES)
     def test_saved_bytes_pinned(self, tmp_path, case):
         path = tmp_path / "data.json"
         save_dataset(str(path), generate_dataset(make_world(case, rng=Rng(3)), 20, seed=5))
         assert hashlib.sha256(path.read_bytes()).hexdigest() == self.PINNED_SHA256[case]
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_saved_bytes_pinned_odd_scene_dim(self, tmp_path, case):
+        path = tmp_path / "data.json"
+        world = make_world(case, n_agents=3, obs_dim=10, rng=Rng(3))
+        save_dataset(str(path), generate_dataset(world, 20, seed=5))
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == self.PINNED_SHA256_OBS10[case]
 
     @pytest.mark.parametrize("bad_row", [[0.0] * 31, [0.0] * 33])
     def test_load_rejects_misshapen_observations(self, tmp_path, bad_row):
@@ -316,4 +332,27 @@ class TestDatasetExport:
         doc["episodes"][4]["observations"][1][9] = bad
         path.write_text(json.dumps(doc))
         with pytest.raises(ValueError, match=r"data\.json: episode 4 observations contain non-finite values"):
+            load_dataset(str(path))
+
+    @pytest.mark.parametrize(
+        "key, value, message",
+        [
+            ("labels", [1, 2, 3], r"labels has 3 entries, expected 5"),
+            ("degraded", [False] * 6, r"degraded has 6 entries, expected 5"),
+            ("needs_comm", [], r"needs_comm has 0 entries, expected 5"),
+            ("gt_support", [[]] * 4, r"gt_support has 4 entries, expected 5"),
+            ("labels", [0, 99, 0, 0, 0], r"label 99 is not an integer in \[0, 10\)"),
+            ("labels", [0, 0, -1, 0, 0], r"label -1 is not an integer in \[0, 10\)"),
+            ("labels", [0, 0, 0, 2.5, 0], r"label 2\.5 is not an integer in \[0, 10\)"),
+            ("gt_support", [[], [5], [], [], []], r"gt_support index 5 is not an integer in \[0, 5\)"),
+            ("gt_support", [[-1], [], [], [], []], r"gt_support index -1 is not an integer in \[0, 5\)"),
+        ],
+    )
+    def test_load_rejects_episode_lists_that_do_not_fit_the_world(self, tmp_path, key, value, message):
+        path = tmp_path / "data.json"
+        save_dataset(str(path), generate_dataset(make_world("srms", rng=Rng(3)), 10, seed=5))
+        doc = json.loads(path.read_text())
+        doc["episodes"][6][key] = value
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ValueError, match=r"data\.json: episode 6 " + message):
             load_dataset(str(path))
