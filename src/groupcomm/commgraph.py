@@ -16,7 +16,7 @@ import math
 
 import numpy as np
 
-from .densemath import softmax_row
+from .densemath import row_matmul, softmax
 
 
 def attention_score(mu: np.ndarray, kappa: np.ndarray, w_g: np.ndarray) -> float:
@@ -39,29 +39,34 @@ def attention_score(mu: np.ndarray, kappa: np.ndarray, w_g: np.ndarray) -> float
     return float(np.dot(mu, w_g @ kappa) / math.sqrt(k_dim))
 
 
-def build_matching_matrix(
-    queries: list[np.ndarray], keys: list[np.ndarray], w_g: np.ndarray
-) -> np.ndarray:
-    """Row-softmaxed N x N matrix of attention scores.
+def build_matching_matrix(queries, keys, w_g: np.ndarray) -> np.ndarray:
+    """Row-softmaxed N x N matrix of attention scores, for one episode or a stack.
 
-    Entry (i, j) is softmax over j of score(query_i, key_j); the diagonal
-    scores an agent's query against its own key.  Bit-identical to assembling
-    each row from per-pair :func:`attention_score` calls and softmaxing.
+    ``queries`` is (..., N, Q) and ``keys`` is (..., N, K), with the same
+    leading shape; lists of per-agent vectors are accepted.  Entry (i, j) is
+    the softmax over j of score(query_i, key_j); the diagonal scores an
+    agent's query against its own key.  Each score is the stacked
+    ``(1, Q) @ (Q, 1)`` product of ``query_i`` with ``w_g @ key_j`` (from
+    :func:`row_matmul`), so every entry is bit-identical to
+    :func:`attention_score` of that pair, whatever the stack around it.
     """
-    if len(queries) != len(keys):
-        raise ValueError(f"got {len(queries)} queries but {len(keys)} keys")
-    n = len(queries)
-    if n == 0:
-        raise ValueError("need at least one agent")
     w_g = np.asarray(w_g, dtype=np.float64)
-    raw = np.empty((n, n), dtype=np.float64)
-    for j in range(n):
-        for i in range(n):
-            raw[i, j] = attention_score(queries[i], keys[j], w_g)
-    m = np.empty_like(raw)
-    for i in range(n):
-        m[i] = softmax_row(raw[i])
-    return m
+    q = np.asarray(queries, dtype=np.float64)
+    k = np.asarray(keys, dtype=np.float64)
+    if w_g.ndim != 2:
+        raise ValueError(f"w_g must be 2-D, got shape {w_g.shape}")
+    if q.ndim < 2 or k.ndim < 2 or q.shape[:-1] != k.shape[:-1]:
+        raise ValueError(f"queries of shape {q.shape} do not pair with keys of shape {k.shape}")
+    if q.shape[-2] == 0:
+        raise ValueError("need at least one agent")
+    if (q.shape[-1], k.shape[-1]) != w_g.shape:
+        raise ValueError(f"queries {q.shape} and keys {k.shape} do not match w_g shape {w_g.shape}")
+    projected = row_matmul(k, w_g)  # w_g @ key_j
+    raw = np.matmul(q[..., :, None, None, :], projected[..., None, :, :, None])[..., 0, 0]
+    raw /= math.sqrt(w_g.shape[1])
+    if not np.all(np.isfinite(raw)):
+        raise ValueError("attention scores contain non-finite entries")
+    return softmax(raw)
 
 
 def prune(m: np.ndarray, delta: float) -> np.ndarray:
@@ -129,4 +134,18 @@ def fuse(weights: np.ndarray, features: list) -> np.ndarray:
         if w == 0.0:
             continue
         acc += w * np.asarray(features[j], dtype=np.float64)
+    return acc
+
+
+def fuse_rows(weights: np.ndarray, features: np.ndarray) -> np.ndarray:
+    """:func:`fuse` of every row at once: (..., N, N) weights over (..., N, F) features.
+
+    Accumulates in ascending agent order and skips exactly-zero weights, as
+    :func:`fuse` does, so every fused row is bit-identical to :func:`fuse` of
+    that row alone.
+    """
+    acc = np.zeros(features.shape, dtype=np.float64)
+    for j in range(features.shape[-2]):
+        w = weights[..., j, None]
+        acc = np.where(w != 0.0, acc + w * features[..., None, j, :], acc)
     return acc

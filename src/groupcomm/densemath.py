@@ -1,9 +1,18 @@
-"""Activations, stable softmax, and a seeded RNG.
+"""Activations, stable softmax, the row-invariant product, and a seeded RNG.
 
 Everything downstream builds on this module.  All values are 64-bit floats;
 matrices are 2-D C-ordered ``numpy.ndarray`` (rows x cols, row-major).  All
 operations are pure; the only stateful object is :class:`Rng`, which must not
 be shared across threads of execution.
+
+:func:`row_matmul` is the product every inference runs on.  One
+``(R, d) @ (d, o)`` gemm rounds a row differently depending on how many rows
+share the call, so it could not reproduce a lone agent's ``W @ x``.
+``row_matmul`` runs each row as its own stacked ``(1, d) @ (d, o)`` product
+instead: on this numpy/OpenBLAS build every row then rounds exactly as it does
+alone and as ``W @ x`` does.  That is an observed property of the build, not a
+documented numpy guarantee, so a test pins it (see "Defeating Nondeterminism
+in LLM Inference", Thinking Machines, 2025, on batch-invariant kernels).
 
 The RNG is a fixed, documented algorithm (splitmix64) rather than a platform
 default, so a given seed produces the same stream on every platform:
@@ -46,21 +55,35 @@ _GAMMA_STEPS = np.arange(1, 1025, dtype=np.uint64) * np.uint64(_GAMMA)
 _GAMMA_STEPS.setflags(write=False)
 
 
-def softmax_row(v: np.ndarray) -> np.ndarray:
-    """Numerically stable softmax of a single row vector.
+def softmax(z: np.ndarray) -> np.ndarray:
+    """Numerically stable softmax over the last axis.
 
-    Subtracts the row maximum before exponentiating, so entries of magnitude
-    up to ~1e3 (and far beyond) cannot overflow.  Output entries are positive
-    and sum to 1 within 1e-9.
+    Subtracts each row's maximum before exponentiating, so entries of
+    magnitude up to ~1e3 (and far beyond) cannot overflow.  Every row of a
+    stack comes out bit-identical to :func:`softmax_row` of that row alone.
     """
+    e = np.exp(z - np.max(z, axis=-1, keepdims=True))
+    return e / np.sum(e, axis=-1, keepdims=True)
+
+
+def softmax_row(v: np.ndarray) -> np.ndarray:
+    """Softmax of a single finite row vector; entries are positive and sum to 1 within 1e-9."""
     v = np.asarray(v, dtype=np.float64)
     if v.ndim != 1 or v.size == 0:
         raise ValueError(f"softmax_row expects a non-empty 1-D vector, got shape {v.shape}")
     if not np.all(np.isfinite(v)):
         raise ValueError("softmax_row input contains non-finite entries")
-    shifted = v - np.max(v)
-    e = np.exp(shifted)
-    return e / np.sum(e)
+    return softmax(v)
+
+
+def row_matmul(x: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """``w @ x`` for every row ``x`` of a stack of any leading shape, each row as if alone.
+
+    ``x`` is (..., d) and ``w`` is (o, d); the result is (..., o).  Each row
+    is its own ``(1, d) @ (d, o)`` product, so its bits depend neither on the
+    other rows nor on their number (see the module docstring).
+    """
+    return np.matmul(np.ascontiguousarray(x, dtype=np.float64)[..., None, :], w.T)[..., 0, :]
 
 
 def relu(v: np.ndarray) -> np.ndarray:

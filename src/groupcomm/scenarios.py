@@ -425,6 +425,15 @@ def _load_episode(path: str, index: int, record: dict, world: World) -> Episode:
     for j in (j for support in record["gt_support"] for j in support):
         if type(j) is not int or not 0 <= j < n:
             raise ValueError(f"{where} gt_support index {j!r} is not an integer in [0, {n})")
+    # Every generator marks exactly the degraded agents as needing help, and
+    # only they have supporters.
+    needs, degraded = record["needs_comm"], record["degraded"]
+    if needs != degraded:
+        i = next(i for i, (a, b) in enumerate(zip(needs, degraded)) if a != b)
+        raise ValueError(f"{where} needs_comm[{i}] is {needs[i]!r} but degraded[{i}] is {degraded[i]!r}")
+    for i, (need, support) in enumerate(zip(needs, record["gt_support"])):
+        if support and not need:
+            raise ValueError(f"{where} gt_support[{i}] is {support!r} but agent {i} does not need communication")
     return Episode(
         observations=obs,
         labels=list(record["labels"]),
@@ -434,17 +443,45 @@ def _load_episode(path: str, index: int, record: dict, world: World) -> Episode:
     )
 
 
+def _load_world(path: str, w: dict) -> World:
+    """The saved world, rejected (naming ``path``) unless ``make_world`` could have built it."""
+    if w["case"] not in CASES:
+        raise ValueError(f"{path}: world case {w['case']!r} is not one of {CASES}")
+    arrays = {}
+    for key, rows, cols in (("prototypes", "n_classes", "obs_dim"), ("scene_codes", "scene_dim", "scene_dim")):
+        shape = (w[rows], w[cols])
+        try:
+            arrays[key] = np.asarray(w[key], dtype=np.float64)
+        except (TypeError, ValueError):  # ragged or non-numeric rows
+            arrays[key] = None
+        if arrays[key] is None or arrays[key].shape != shape:
+            got = "ragged" if arrays[key] is None else arrays[key].shape
+            raise ValueError(f"{path}: world {key} have shape {got}, expected ({rows}, {cols}) = {shape}")
+    return World(**dict(w, **arrays))
+
+
+def _load_splits(path: str, splits: dict, n_episodes: int) -> list[list[int]]:
+    """The train, val and test index lists: in range, duplicate-free and disjoint."""
+    names = ("train", "val", "test")
+    members: dict[str, set[int]] = {}
+    for name in names:
+        members[name] = set()
+        for i in splits[name]:
+            if type(i) is not int or not 0 <= i < n_episodes:
+                raise ValueError(f"{path}: splits.{name} index {i!r} is not an integer in [0, {n_episodes})")
+            if i in members[name]:
+                raise ValueError(f"{path}: episode {i} is listed twice in splits.{name}")
+            members[name].add(i)
+    for a, b in (("train", "val"), ("train", "test"), ("val", "test")):
+        if members[a] & members[b]:
+            i = min(members[a] & members[b])
+            raise ValueError(f"{path}: episode {i} is listed in both splits.{a} and splits.{b}")
+    return [list(splits[name]) for name in names]
+
+
 def load_dataset(path: str) -> Dataset:
     with open(path, "r", encoding="utf-8") as fh:
         doc = json.load(fh)
-    w = doc["world"]
-    prototypes, scene_codes = (np.asarray(w[k], dtype=np.float64) for k in ("prototypes", "scene_codes"))
-    world = World(**dict(w, prototypes=prototypes, scene_codes=scene_codes))
+    world = _load_world(path, doc["world"])
     episodes = [_load_episode(path, i, e, world) for i, e in enumerate(doc["episodes"])]
-    return Dataset(
-        world,
-        episodes,
-        list(doc["splits"]["train"]),
-        list(doc["splits"]["val"]),
-        list(doc["splits"]["test"]),
-    )
+    return Dataset(world, episodes, *_load_splits(path, doc["splits"], len(episodes)))

@@ -31,7 +31,7 @@ import numpy as np
 
 from .commgraph import attention_score, fuse, prune
 from .densemath import softmax_row
-from .neuralnet import PipelineParams, decode_agent, mlp_forward
+from .neuralnet import PipelineParams, decode, mlp_infer
 
 HEADER_BYTES = 9  # kind: 1, from: 2, to: 2, payload length: 4
 BYTES_PER_REAL = 4  # transmitted payloads are modeled as 32-bit reals
@@ -134,9 +134,7 @@ class AgentState:
         self.prediction: int | None = None
 
     def compute_local(self, theta: PipelineParams) -> None:
-        self.mu, _ = mlp_forward(theta.theta_q, self.observation)
-        self.kappa, _ = mlp_forward(theta.theta_k, self.observation)
-        self.feature, _ = mlp_forward(theta.theta_e, self.observation)
+        self.mu, self.kappa, self.feature = local_heads(theta, self.observation)
 
     def query_broadcast(self, peers: list[int]) -> list[Message]:
         return [Message(KIND_QUERY, self.agent_id, j, self.mu) for j in peers]
@@ -197,7 +195,7 @@ class AgentState:
         return self.fused
 
     def decode(self, theta: PipelineParams) -> int:
-        self.logits, _ = decode_agent(theta, self.feature, self.fused)
+        self.logits = decode(theta, self.feature, self.fused)
         self.prediction = int(np.argmax(self.logits))
         return self.prediction
 
@@ -213,10 +211,23 @@ class EpisodeResult:
     trace: list[Message] = field(default_factory=list)
 
 
+def local_heads(theta: PipelineParams, observations) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Query, key and feature of one observation, or of every row of a stack."""
+    return tuple(mlp_infer(head, observations) for head in (theta.theta_q, theta.theta_k, theta.theta_e))
+
+
 def make_agents(observations, theta: PipelineParams) -> list[AgentState]:
+    """One agent per observation, holding its query, key and feature.
+
+    The heads run once over all observations.  Their kernel rounds every row
+    as it does alone, so each agent holds exactly what
+    :meth:`AgentState.compute_local` would give it.
+    """
     agents = [AgentState(i, obs) for i, obs in enumerate(observations)]
-    for agent in agents:
-        agent.compute_local(theta)
+    if agents:
+        heads = local_heads(theta, np.stack([agent.observation for agent in agents]))
+        for agent, mu, kappa, feature in zip(agents, *heads):
+            agent.mu, agent.kappa, agent.feature = mu, kappa, feature
     return agents
 
 

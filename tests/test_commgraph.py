@@ -9,9 +9,10 @@ from groupcomm.commgraph import (
     attention_score,
     build_matching_matrix,
     fuse,
+    fuse_rows,
     prune,
 )
-from groupcomm.densemath import Rng
+from groupcomm.densemath import Rng, softmax_row
 
 
 def bilinear_oracle(mu, kappa, w):
@@ -131,6 +132,32 @@ class TestBuildMatchingMatrix:
                 assert int(np.argmax(m[i])) == int(np.argmax(raw[i]))
 
 
+    @pytest.mark.parametrize("n", [1, 2, 5, 9])
+    def test_stack_matches_per_pair_scores_bitwise(self, n):
+        # Leading batch dimensions: every episode of the stack equals its own
+        # call and the row softmax of per-pair attention_score calls.
+        rng = Rng(40 + n)
+        q, k = 1 + rng.randint(5), 1 + rng.randint(17)
+        w = rng.normal(q * k).reshape(q, k)
+        queries = rng.normal(3 * n * q).reshape(3, n, q) * 2.0
+        keys = rng.normal(3 * n * k).reshape(3, n, k) * 2.0
+        m = build_matching_matrix(queries, keys, w)
+        assert m.shape == (3, n, n)
+        for e in range(3):
+            np.testing.assert_array_equal(m[e], build_matching_matrix(list(queries[e]), list(keys[e]), w))
+            raw = [[attention_score(queries[e, i], keys[e, j], w) for j in range(n)] for i in range(n)]
+            np.testing.assert_array_equal(m[e], [softmax_row(np.array(r)) for r in raw])
+
+    def test_mismatched_shapes_rejected(self):
+        w = np.zeros((2, 3))
+        with pytest.raises(ValueError, match="do not pair"):
+            build_matching_matrix(np.zeros((2, 4, 2)), np.zeros((3, 4, 3)), w)
+        with pytest.raises(ValueError, match="do not match w_g"):
+            build_matching_matrix(np.zeros((4, 3)), np.zeros((4, 3)), w)
+        with pytest.raises(ValueError, match="at least one agent"):
+            build_matching_matrix(np.zeros((0, 2)), np.zeros((0, 3)), w)
+
+
 class TestPrune:
     def test_definition(self):
         row = np.array([[0.5, 0.3, 0.1, 0.06, 0.04]])
@@ -209,3 +236,14 @@ class TestFuse:
     def test_feature_length_mismatch(self):
         with pytest.raises(ValueError):
             fuse(np.array([0.5, 0.5]), [np.zeros(3), np.zeros(4)])
+
+    def test_rows_match_fuse_of_each_row_bitwise(self):
+        rng = Rng(13)
+        for n in (1, 2, 5, 9):
+            feats = rng.normal(4 * n * 6).reshape(4, n, 6)
+            rows = rng.normal(4 * n * n).reshape(4, n, n)
+            rows[np.abs(rows) < 0.7] = 0.0  # pruned entries
+            fused = fuse_rows(rows, feats)
+            for e in range(4):
+                for i in range(n):
+                    np.testing.assert_array_equal(fused[e, i], fuse(rows[e, i], list(feats[e])))

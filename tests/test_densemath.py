@@ -7,7 +7,8 @@ import numpy as np
 import pytest
 
 from groupcomm import densemath
-from groupcomm.densemath import Rng, relu, relu_grad, softmax_row
+from groupcomm.densemath import Rng, relu, relu_grad, row_matmul, softmax, softmax_row
+from groupcomm.neuralnet import PipelineConfig, head_sizes
 
 # First five raw words of the seed-42 stream, frozen as the cross-platform
 # contract for the documented splitmix64 algorithm.
@@ -59,6 +60,40 @@ class TestSoftmaxRow:
             if scale <= 10.0:
                 # Entries only underflow to exactly 0 at extreme score gaps.
                 assert np.all(out > 0.0)
+
+
+    @pytest.mark.parametrize("n", [1, 2, 5, 8, 9, 17])
+    def test_stacked_rows_match_single_rows_bitwise(self, n):
+        # Matching matrices are softmaxed as (E, N, N) stacks; the simulator
+        # softmaxes one row at a time.
+        z = Rng(4 + n).normal(70 * n * n).reshape(70, n, n) * 3.0
+        np.testing.assert_array_equal(softmax(z), [[softmax_row(row) for row in rows] for rows in z])
+
+
+def _kernel_shapes():
+    """(out, in) of every layer of the default pipeline and of its w_g, plus one odd shape."""
+    c = PipelineConfig()
+    layers = {(o, i) for sizes in head_sizes(c) for i, o in zip(sizes[:-1], sizes[1:])}
+    return sorted(layers | {(c.q_dim, c.k_dim), (7, 13)})
+
+
+class TestRowMatmul:
+    # Row invariance is observed on this numpy/BLAS build, not guaranteed by
+    # numpy.  Inference (centralized, validation, the simulator's agents)
+    # relies on it to agree bit for bit, so an upgrade that breaks it must
+    # fail here rather than drift.
+    @pytest.mark.parametrize("rows", [1, 2, 5, 63, 64, 65, 2500])
+    @pytest.mark.parametrize("shape", _kernel_shapes())
+    def test_each_row_as_alone_and_as_per_vector_product(self, shape, rows):
+        out_dim, in_dim = shape
+        rng = Rng(1000 * out_dim + in_dim + rows)
+        w = rng.normal(out_dim * in_dim).reshape(out_dim, in_dim)
+        x = rng.normal(rows * in_dim).reshape(rows, in_dim)
+        stacked = row_matmul(x, w)
+        assert stacked.shape == (rows, out_dim)
+        np.testing.assert_array_equal(stacked, [row_matmul(v, w) for v in x])
+        np.testing.assert_array_equal(stacked, [w @ v for v in x])
+        np.testing.assert_array_equal(row_matmul(x[None], w)[0], stacked)
 
 
 class TestRelu:

@@ -173,6 +173,19 @@ class TestPolicies:
             res = run_policy_episode(policy, theta, obs, delta, Rng(s))
             np.testing.assert_array_equal(central.m_bar, res.rows)
             assert res.predictions == [int(np.argmax(z)) for z in central.logits]
+        # A stack of episodes draws its rows from one rng in episode order and
+        # matches single-episode calls and the simulator's agents bit for bit.
+        stack = np.stack([ep.observations for ep in episodes])
+        stacked = pipeline_forward(theta, stack, mode="inference", delta=delta, policy=policy, rng=Rng(3))
+        single_rng, sim_rng = Rng(3), Rng(3)
+        for e, ep in enumerate(episodes):
+            single = pipeline_forward(theta, stack[e], mode="inference", delta=delta, policy=policy, rng=single_rng)
+            for field in ("logits", "m", "m_bar"):
+                np.testing.assert_array_equal(getattr(stacked, field)[e], getattr(single, field))
+            np.testing.assert_array_equal(stacked.cache.fused[e], single.cache.fused)
+            res = run_policy_episode(policy, theta, list(ep.observations), delta, sim_rng)
+            np.testing.assert_array_equal(stacked.m_bar[e], res.rows)
+            assert res.predictions == [int(np.argmax(z)) for z in stacked.logits[e]]
         rep = evaluate(policy, theta, episodes, delta, seed=3)
         assert evaluate_task_accuracy(theta, episodes, delta, policy, Rng(3)) == rep.acc_all
 
@@ -399,6 +412,31 @@ class TestCli:
         assert cli_main(["gen-data", "--episodes", "40", "--seed", "3", "--out", str(data)]) == 0
         doc = json.loads(data.read_text())
         doc["episodes"][2]["labels"] = labels
+        data.write_text(json.dumps(doc))
+        ckpt = str(tmp_path / "m.ckpt")
+        save_checkpoint(ckpt, tiny_theta(), PipelineConfig())
+        report = tmp_path / "ev.json"
+        code = cli_main(["eval", "--checkpoint", ckpt, "--data", str(data), "--report", str(report)])
+        assert code == 1
+        assert f"{data}: {message}" in capsys.readouterr().err
+        assert not report.exists()
+
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            (lambda doc: doc["splits"].update(test=[999]), "splits.test index 999 is not an integer in [0, 40)"),
+            (lambda doc: doc["splits"].update(test=[0, 0, 0, 0]), "episode 0 is listed twice in splits.test"),
+            (lambda doc: doc["world"].update(case="zzz"), "world case 'zzz' is not one of"),
+            (lambda doc: doc["episodes"][37].update(needs_comm=[True] * 5), "episode 37 needs_comm["),
+        ],
+    )
+    def test_eval_rejects_dataset_with_bad_split_world_or_ground_truth(self, tmp_path, capsys, edit, message):
+        # Each edit used to run to a report: an index error naming nothing, one
+        # episode scored four times, an unknown case, or a moved when2com_acc.
+        data = tmp_path / "d.json"
+        assert cli_main(["gen-data", "--episodes", "40", "--seed", "3", "--out", str(data)]) == 0
+        doc = json.loads(data.read_text())
+        edit(doc)
         data.write_text(json.dumps(doc))
         ckpt = str(tmp_path / "m.ckpt")
         save_checkpoint(ckpt, tiny_theta(), PipelineConfig())

@@ -14,6 +14,8 @@ from hypothesis import given, settings, strategies as st
 from groupcomm.commgraph import prune
 from groupcomm.densemath import Rng, relu
 from groupcomm.neuralnet import (
+    EVAL_BLOCK,
+    POLICIES,
     AdamState,
     MlpParams,
     PipelineConfig,
@@ -22,11 +24,13 @@ from groupcomm.neuralnet import (
     clone_params,
     cross_entropy_loss,
     episode_loss_and_grads,
+    evaluate_task_accuracy,
     init_mlp,
     init_pipeline,
     load_checkpoint,
     mlp_backward,
     mlp_forward,
+    mlp_infer,
     param_arrays,
     pipeline_backward,
     pipeline_forward,
@@ -52,29 +56,35 @@ class TestMlp:
     def test_zero_weights_return_bias(self):
         b = np.array([1.0, -2.0, 3.0])
         p = MlpParams([(np.zeros((3, 4)), b)])
-        out, _ = mlp_forward(p, np.array([5.0, -1.0, 2.0, 0.5]))
-        np.testing.assert_array_equal(out, b)
+        x = np.array([5.0, -1.0, 2.0, 0.5])
+        np.testing.assert_array_equal(mlp_infer(p, x), b)
+        np.testing.assert_array_equal(mlp_forward(p, x[None])[0], [b])
 
     def test_identity_layer(self):
         p = MlpParams([(np.eye(4), np.zeros(4))])
         x = np.array([0.5, 1.0, 0.0, 2.0])
-        out, _ = mlp_forward(p, x)
-        np.testing.assert_array_equal(out, x)
+        np.testing.assert_array_equal(mlp_infer(p, x), x)
+        np.testing.assert_array_equal(mlp_forward(p, x[None])[0], [x])
 
     def test_two_layer_composition_oracle(self):
         rng = Rng(13)
         p = init_mlp([5, 7, 3], rng)
         x = rng.normal(5)
-        out, _ = mlp_forward(p, x)
         w1, b1 = p.layers[0]
         w2, b2 = p.layers[1]
         expected = w2 @ relu(w1 @ x + b1) + b2
-        np.testing.assert_allclose(out, expected, atol=1e-12)
+        # Inference equals the per-vector chain bit for bit; training's gemm to rounding.
+        np.testing.assert_array_equal(mlp_infer(p, x), expected)
+        np.testing.assert_allclose(mlp_forward(p, x[None])[0][0], expected, atol=1e-12)
 
     def test_shape_mismatch(self):
         p = init_mlp([5, 7, 3], Rng(0))
         with pytest.raises(ValueError):
-            mlp_forward(p, np.zeros(6))
+            mlp_forward(p, np.zeros((2, 6)))
+        with pytest.raises(ValueError):
+            mlp_forward(p, np.zeros(5))  # training takes a stack of rows
+        with pytest.raises(ValueError):
+            mlp_infer(p, np.zeros(6))
 
     def test_backward_outer_product_structure(self):
         # dW of any layer is outer(db, layer_input); a one-hot input isolates
@@ -83,8 +93,8 @@ class TestMlp:
         p = init_mlp([6, 4, 2], rng)
         x = np.zeros(6)
         x[2] = 1.0
-        _, cache = mlp_forward(p, x)
-        grads, _ = mlp_backward(p, cache, np.array([1.0, -0.5]))
+        _, cache = mlp_forward(p, x[None])
+        grads, _ = mlp_backward(p, cache, np.array([[1.0, -0.5]]))
         dw1, db1 = grads[0]
         np.testing.assert_allclose(dw1, np.outer(db1, x), atol=1e-15)
         nonzero_cols = np.nonzero(np.abs(dw1).sum(axis=0))[0]
@@ -289,6 +299,30 @@ class TestBatchedTraining:
         for bound in rng.bounds:
             reference.randint(bound)
         assert rng.u64(1) == reference.u64(1)
+
+
+class TestValidation:
+    CFG = TestBatchedTraining.CFG
+
+    @pytest.mark.parametrize("policy", POLICIES)
+    def test_blocks_match_single_episode_inference(self, policy):
+        # Three blocks, the last one short; randcom draws in episode order.
+        rng = Rng(51)
+        theta = init_pipeline(self.CFG, rng)
+        episodes = random_episodes(rng, self.CFG, 4, 2 * EVAL_BLOCK + 3)
+        single_rng = Rng(8)
+        hits = 0
+        for ep in episodes:
+            res = pipeline_forward(theta, ep.observations, mode="inference", delta=0.25, policy=policy, rng=single_rng)
+            hits += sum(int(np.argmax(z) == y) for z, y in zip(res.logits, ep.labels))
+        assert evaluate_task_accuracy(theta, episodes, 0.25, policy, Rng(8)) == hits / (4 * len(episodes))
+
+    def test_rejects_mixed_agent_counts(self):
+        rng = Rng(52)
+        theta = init_pipeline(self.CFG, rng)
+        episodes = random_episodes(rng, self.CFG, 3, 5) + random_episodes(rng, self.CFG, 4, 1)
+        with pytest.raises(ValueError, match="episode 5 has 4 agents, but episode 0 has 3"):
+            evaluate_task_accuracy(theta, episodes, 0.25)
 
 
 class TestAdam:

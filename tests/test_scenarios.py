@@ -356,3 +356,60 @@ class TestDatasetExport:
         path.write_text(json.dumps(doc))
         with pytest.raises(ValueError, match=r"data\.json: episode 6 " + message):
             load_dataset(str(path))
+
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            (lambda w: w.update(case="zzz"), r"world case 'zzz' is not one of"),
+            (lambda w: w.update(prototypes=w["prototypes"][:9]), r"world prototypes have shape \(9, 32\), expected"),
+            (lambda w: w.update(n_classes=11), r"world prototypes have shape \(10, 32\), expected"),
+            (lambda w: w["prototypes"][3].pop(), r"world prototypes have shape ragged"),
+            (
+                lambda w: w.update(scene_codes=[r[:15] for r in w["scene_codes"]]),
+                r"world scene_codes have shape \(16, 15\)",
+            ),
+        ],
+    )
+    def test_load_rejects_world_that_make_world_cannot_build(self, tmp_path, edit, message):
+        path = tmp_path / "data.json"
+        save_dataset(str(path), generate_dataset(make_world("srms", rng=Rng(3)), 10, seed=5))
+        doc = json.loads(path.read_text())
+        edit(doc["world"])
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ValueError, match=r"data\.json: " + message):
+            load_dataset(str(path))
+
+    @pytest.mark.parametrize(
+        "key, value, message",
+        [
+            ("needs_comm", [True] * 5, r"needs_comm\[\d\] is True but degraded\[\d\] is False"),
+            ("gt_support", [[1], [], [], [], []], r"gt_support\[0\] is \[1\] but agent 0 does not need communication"),
+        ],
+    )
+    def test_load_rejects_inconsistent_ground_truth(self, tmp_path, key, value, message):
+        path = tmp_path / "data.json"
+        save_dataset(str(path), generate_dataset(make_world("srms", degrade_prob=0.0, rng=Rng(3)), 10, seed=5))
+        doc = json.loads(path.read_text())
+        doc["episodes"][6][key] = value
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ValueError, match=r"data\.json: episode 6 " + message):
+            load_dataset(str(path))
+
+    @pytest.mark.parametrize(
+        "split, value, message",
+        [
+            ("test", [999], r"splits\.test index 999 is not an integer in \[0, 10\)"),
+            ("test", [-1], r"splits\.test index -1 is not an integer"),
+            ("val", [8.0], r"splits\.val index 8\.0 is not an integer"),
+            ("test", [9, 9], r"episode 9 is listed twice in splits\.test"),
+            ("test", [9, 0], r"episode 0 is listed in both splits\.train and splits\.test"),
+        ],
+    )
+    def test_load_rejects_bad_splits(self, tmp_path, split, value, message):
+        path = tmp_path / "data.json"
+        save_dataset(str(path), generate_dataset(make_world("srms", rng=Rng(3)), 10, seed=5))
+        doc = json.loads(path.read_text())
+        doc["splits"][split] = value
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ValueError, match=r"data\.json: " + message):
+            load_dataset(str(path))
