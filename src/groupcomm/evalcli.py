@@ -2,9 +2,9 @@
 
 The policies (``neuralnet.POLICIES``, re-exported here) and the rule that
 turns each into fusion rows (``neuralnet.policy_rows``) live in
-:mod:`groupcomm.neuralnet`.  All policies execute through the simulator's
-message machinery, so every reported bandwidth number is recomputable from
-the dumped message trace.
+:mod:`groupcomm.neuralnet`.  Every policy runs through the simulator's one
+episode runner, ``simnet.run_episode``, so every reported bandwidth number is
+recomputable from the dumped message trace.
 
 "Communicates" is operationalized as having at least one surviving
 off-diagonal link after pruning.  Selection metrics: when-to-communicate
@@ -19,19 +19,17 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
 from .densemath import Rng
 from .neuralnet import (
-    HANDSHAKE_POLICIES,
     POLICIES,
     PipelineConfig,
     PipelineParams,
     TrainConfig,
     load_checkpoint,
-    policy_rows,
     save_checkpoint,
     train,
 )
@@ -80,9 +78,9 @@ class MetricsReport:
     n_agents: int
     seed: int
     delta: float
-    q_dim: int
-    k_dim: int
-    f_dim: int
+    Q: int
+    K: int
+    F: int
     acc_all: float
     acc_degraded: float | None
     acc_clean: float | None
@@ -94,25 +92,7 @@ class MetricsReport:
     n_episodes: int
 
     def to_dict(self) -> dict:
-        return {
-            "policy": self.policy,
-            "case": self.case,
-            "n_agents": self.n_agents,
-            "seed": self.seed,
-            "delta": self.delta,
-            "Q": self.q_dim,
-            "K": self.k_dim,
-            "F": self.f_dim,
-            "acc_all": self.acc_all,
-            "acc_degraded": self.acc_degraded,
-            "acc_clean": self.acc_clean,
-            "when2com_acc": self.when2com_acc,
-            "grouping_acc": self.grouping_acc,
-            "grouping_set_acc": self.grouping_set_acc,
-            "mbpf": self.mbpf,
-            "links_per_agent": self.links_per_agent,
-            "n_episodes": self.n_episodes,
-        }
+        return asdict(self)
 
 
 def _save_table(json_path: str, csv_path: str, doc, columns, records: list[dict]) -> None:
@@ -139,34 +119,15 @@ def _sibling_path(path: str, suffix: str, other: str) -> str:
     return (path[: -len(suffix)] if path.endswith(suffix) else path) + other
 
 
-@dataclass
-class PolicyEpisodeResult:
-    predictions: list[int]
-    rows: np.ndarray  # effective pruned/selection weights, one row per agent
-    ledger: simnet.BandwidthLedger
-    trace: list[simnet.Message]
-
-
 def run_policy_episode(
     policy: str,
     theta: PipelineParams,
     observations,
     delta: float,
-    rng: Rng,
-) -> PolicyEpisodeResult:
-    """Execute one episode under a policy, entirely via simulator messages.
-
-    The handshake runs only for ``HANDSHAKE_POLICIES``; ``policy_rows`` then
-    sets the rows and the threshold that transmission prunes them at.
-    """
-    agents = simnet.make_agents(observations, theta)
-    soft_rows, trace = simnet.run_handshake(agents, theta) if policy in HANDSHAKE_POLICIES else (None, [])
-    rows, threshold = policy_rows(policy, soft_rows, len(agents), delta, rng)
-    _, transfers = simnet.run_transmission(agents, rows, threshold)
-    predictions = [agent.decode(theta) for agent in agents]
-    trace = trace + transfers
-    ledger = simnet.ledger_from_trace(trace, frames=1)
-    return PolicyEpisodeResult(predictions, np.stack([a.pruned_row for a in agents]), ledger, trace)
+    rng: Rng | None,
+) -> simnet.EpisodeResult:
+    """Evaluation's per-episode step: fresh agents for ``observations``, then ``simnet.run_episode``."""
+    return simnet.run_episode(simnet.make_agents(observations, theta), theta, delta, policy, rng)
 
 
 def decisions_from_rows(rows: np.ndarray) -> list[bool]:
@@ -255,8 +216,8 @@ def evaluate(
     for ep in episodes:
         res = run_policy_episode(policy, theta, list(ep.observations), delta, rng)
         ledger.merge(res.ledger)
-        decisions.append(decisions_from_rows(res.rows))
-        rows_all.append(res.rows)
+        decisions.append(decisions_from_rows(res.pruned_rows))
+        rows_all.append(res.pruned_rows)
         if trace_path is not None:
             all_messages.extend(res.trace)
         for i, (pred, label) in enumerate(zip(res.predictions, ep.labels)):
@@ -277,9 +238,9 @@ def evaluate(
         n_agents=n_agents,
         seed=seed,
         delta=delta,
-        q_dim=theta.w_g.shape[0],
-        k_dim=theta.w_g.shape[1],
-        f_dim=theta.theta_e.out_dim,
+        Q=theta.w_g.shape[0],
+        K=theta.w_g.shape[1],
+        F=theta.theta_e.out_dim,
         acc_all=correct["all"] / totals["all"],
         acc_degraded=(correct["deg"] / totals["deg"]) if totals["deg"] else None,
         acc_clean=(correct["clean"] / totals["clean"]) if totals["clean"] else None,

@@ -248,7 +248,7 @@ def decode(theta: PipelineParams, features: np.ndarray, fused: np.ndarray) -> np
     return mlp_infer(theta.theta_d, np.concatenate([features, fused], axis=-1))
 
 
-def fixed_policy_rows(policy: str, n: int, rng: Rng) -> np.ndarray:
+def fixed_policy_rows(policy: str, n: int, rng: Rng | None) -> np.ndarray:
     """Constant fusion rows for the policies that run no handshake.
 
     ``randcom`` draws one peer per agent from ``rng``, in agent order; a lone
@@ -259,6 +259,8 @@ def fixed_policy_rows(policy: str, n: int, rng: Rng) -> np.ndarray:
     if policy == "catall":
         return np.full((n, n), 1.0 / n)
     if policy == "randcom":
+        if rng is None:
+            raise ValueError("policy 'randcom' draws its peers from rng, but rng is None")
         rows = np.zeros((n, n))
         for i in range(n):
             j = rng.randint(n - 1)

@@ -11,6 +11,10 @@ round-based queue:
                 pruning at delta, a requester asks each surviving off-diagonal
                 supporter for its F-real feature and fuses what arrives.
 
+:func:`run_episode` runs one episode of every policy (``neuralnet.POLICIES``):
+the handshake only where the policy needs the matching matrix, then
+``neuralnet.policy_rows``, then the same transmission, decode and ledger.
+
 The ledger counts query broadcasts and feature transfers as payload at
 4 bytes per real; score replies, feature requests, and all 9-byte headers
 (kind 1, from 2, to 2, payload length 4) are control traffic.  Values travel
@@ -30,8 +34,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .commgraph import attention_score, fuse, prune
-from .densemath import softmax_row
-from .neuralnet import PipelineParams, decode, mlp_infer
+from .densemath import Rng, softmax_row
+from .neuralnet import HANDSHAKE_POLICIES, PipelineParams, decode, mlp_infer, policy_rows
 
 HEADER_BYTES = 9  # kind: 1, from: 2, to: 2, payload length: 4
 BYTES_PER_REAL = 4  # transmitted payloads are modeled as 32-bit reals
@@ -133,9 +137,6 @@ class AgentState:
         self.logits: np.ndarray | None = None
         self.prediction: int | None = None
 
-    def compute_local(self, theta: PipelineParams) -> None:
-        self.mu, self.kappa, self.feature = local_heads(theta, self.observation)
-
     def query_broadcast(self, peers: list[int]) -> list[Message]:
         return [Message(KIND_QUERY, self.agent_id, j, self.mu) for j in peers]
 
@@ -204,28 +205,24 @@ class AgentState:
 class EpisodeResult:
     predictions: list[int]
     logits: list[np.ndarray]
-    rows: np.ndarray
-    pruned_rows: np.ndarray
+    rows: np.ndarray  # the policy's rows before pruning (centralized ``m``)
+    pruned_rows: np.ndarray  # the rows fused, after pruning (centralized ``m_bar``)
     fused: list[np.ndarray]
     ledger: BandwidthLedger
     trace: list[Message] = field(default_factory=list)
 
 
-def local_heads(theta: PipelineParams, observations) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Query, key and feature of one observation, or of every row of a stack."""
-    return tuple(mlp_infer(head, observations) for head in (theta.theta_q, theta.theta_k, theta.theta_e))
-
-
 def make_agents(observations, theta: PipelineParams) -> list[AgentState]:
     """One agent per observation, holding its query, key and feature.
 
-    The heads run once over all observations.  Their kernel rounds every row
-    as it does alone, so each agent holds exactly what
-    :meth:`AgentState.compute_local` would give it.
+    Each head runs once over all observations.  Its kernel rounds every row
+    as it does alone, so each agent holds exactly what its own observation
+    gives it, whatever the other agents observe.
     """
     agents = [AgentState(i, obs) for i, obs in enumerate(observations)]
     if agents:
-        heads = local_heads(theta, np.stack([agent.observation for agent in agents]))
+        stack = np.stack([agent.observation for agent in agents])
+        heads = [mlp_infer(head, stack) for head in (theta.theta_q, theta.theta_k, theta.theta_e)]
         for agent, mu, kappa, feature in zip(agents, *heads):
             agent.mu, agent.kappa, agent.feature = mu, kappa, feature
     return agents
@@ -237,9 +234,6 @@ def run_handshake(
     """Three-phase handshake; the resulting rows match centralized softmax rows bit-for-bit."""
     n = len(agents)
     trace: list[Message] = []
-    for agent in agents:
-        if agent.mu is None:
-            agent.compute_local(theta)
     # Phase 1: query broadcasts, N*(N-1) directed messages.
     for agent in agents:
         peers = [j for j in range(n) if j != agent.agent_id]
@@ -282,21 +276,30 @@ def run_transmission(
 
 
 def run_episode(
-    agents: list[AgentState], theta: PipelineParams, delta: float
+    agents: list[AgentState],
+    theta: PipelineParams,
+    delta: float,
+    policy: str = "when2com",
+    rng: Rng | None = None,
 ) -> EpisodeResult:
-    """Handshake + transmission + local decode, with a populated ledger."""
-    rows, trace1 = run_handshake(agents, theta)
-    fused, trace2 = run_transmission(agents, rows, delta)
+    """One episode of ``policy`` through messages: rows, transmission, local decode, ledger.
+
+    The handshake runs only for ``HANDSHAKE_POLICIES``; ``policy_rows`` then
+    sets the rows (``randcom`` draws them from ``rng``) and the threshold
+    that transmission prunes them at.
+    """
+    soft_rows, trace = run_handshake(agents, theta) if policy in HANDSHAKE_POLICIES else (None, [])
+    rows, threshold = policy_rows(policy, soft_rows, len(agents), delta, rng)
+    fused, transfers = run_transmission(agents, rows, threshold)
     predictions = [agent.decode(theta) for agent in agents]
-    trace = trace1 + trace2
-    ledger = ledger_from_trace(trace, frames=1)
+    trace = trace + transfers
     return EpisodeResult(
         predictions=predictions,
         logits=[agent.logits for agent in agents],
         rows=rows,
         pruned_rows=np.stack([agent.pruned_row for agent in agents]),
         fused=fused,
-        ledger=ledger,
+        ledger=ledger_from_trace(trace, frames=1),
         trace=trace,
     )
 

@@ -163,7 +163,8 @@ class TestPolicies:
     @pytest.mark.parametrize("policy", POLICIES)
     def test_centralized_and_validation_match_evaluation(self, world_and_episodes, policy):
         # Centralized inference, training-time validation and the simulator
-        # share one row rule, so they pick the same rows, bit for bit.
+        # share one row rule, so they pick the same rows and give the same
+        # fused features and logits, bit for bit.
         world, episodes = world_and_episodes
         theta = tiny_theta(4)
         delta = 1.0 / world.n_agents
@@ -171,7 +172,10 @@ class TestPolicies:
             obs = list(ep.observations)
             central = pipeline_forward(theta, obs, mode="inference", delta=delta, policy=policy, rng=Rng(s))
             res = run_policy_episode(policy, theta, obs, delta, Rng(s))
-            np.testing.assert_array_equal(central.m_bar, res.rows)
+            np.testing.assert_array_equal(res.rows, central.m)
+            np.testing.assert_array_equal(res.pruned_rows, central.m_bar)
+            np.testing.assert_array_equal(np.stack(res.fused), central.cache.fused)
+            np.testing.assert_array_equal(np.stack(res.logits), central.logits)
             assert res.predictions == [int(np.argmax(z)) for z in central.logits]
         # A stack of episodes draws its rows from one rng in episode order and
         # matches single-episode calls and the simulator's agents bit for bit.
@@ -184,7 +188,7 @@ class TestPolicies:
                 np.testing.assert_array_equal(getattr(stacked, field)[e], getattr(single, field))
             np.testing.assert_array_equal(stacked.cache.fused[e], single.cache.fused)
             res = run_policy_episode(policy, theta, list(ep.observations), delta, sim_rng)
-            np.testing.assert_array_equal(stacked.m_bar[e], res.rows)
+            np.testing.assert_array_equal(stacked.m_bar[e], res.pruned_rows)
             assert res.predictions == [int(np.argmax(z)) for z in stacked.logits[e]]
         rep = evaluate(policy, theta, episodes, delta, seed=3)
         assert evaluate_task_accuracy(theta, episodes, delta, policy, Rng(3)) == rep.acc_all
@@ -226,7 +230,7 @@ class TestPolicies:
         theta = init_pipeline(cfg, rng)
         obs = rng.normal(n * cfg.d_obs).reshape(n, cfg.d_obs)
         res = run_policy_episode(policy, theta, list(obs), delta, rng)
-        links = np.count_nonzero(res.rows) - np.count_nonzero(np.diag(res.rows))
+        links = np.count_nonzero(res.pruned_rows) - np.count_nonzero(np.diag(res.pruned_rows))
         queries = n * (n - 1) if policy in HANDSHAKE_POLICIES else 0
         assert res.ledger.counted_bytes == queries * cfg.q_dim * 4 + links * cfg.f_dim * 4
         assert res.ledger.inter_agent_links == links

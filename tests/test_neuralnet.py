@@ -155,6 +155,15 @@ class TestPipelineForward:
         with pytest.raises(ValueError):
             pipeline_forward(theta, obs, mode="test")
 
+    @pytest.mark.parametrize("mode", ["training", "inference"])
+    def test_randcom_without_rng_names_it(self, mode):
+        # randcom draws its peers from rng; a lone agent has no peer to draw.
+        cfg, theta, obs, labels = random_pipeline(Rng(21))
+        with pytest.raises(ValueError, match="rng is None"):
+            pipeline_forward(theta, obs, mode=mode, policy="randcom")
+        lone = pipeline_forward(theta, obs[:1], mode=mode, policy="randcom")
+        np.testing.assert_array_equal(lone.m, [[1.0]])
+
 
 class TestCrossEntropy:
     def test_uniform_logits(self):

@@ -2,13 +2,13 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from groupcomm.densemath import Rng
 from groupcomm.neuralnet import PipelineConfig, init_pipeline, pipeline_forward
 from groupcomm.simnet import (
     BYTES_PER_REAL,
     HEADER_BYTES,
-    AgentState,
     BandwidthLedger,
     Message,
     dump_trace,
@@ -145,6 +145,37 @@ class TestRunEpisode:
             result = run_episode(agents, theta, delta=0.05)
             assert links_per_agent(result.ledger, 5) <= 4.0
 
+    def test_randcom_without_rng_names_it(self):
+        # randcom draws its peers from rng; a lone agent has no peer to draw.
+        cfg, theta, obs = small_setup(17, n_agents=3)
+        with pytest.raises(ValueError, match="rng is None"):
+            run_episode(make_agents(obs, theta), theta, 0.2, "randcom")
+        lone = run_episode(make_agents(obs[:1], theta), theta, 0.2, "randcom")
+        assert lone.trace == []
+        np.testing.assert_array_equal(lone.rows, [[1.0]])
+
+    # Left out: randcom draws its peers in agent-index order, so relabelled
+    # agents draw other peers; forced_top1 breaks ties between equal top
+    # weights toward the lowest index, so relabelling can pick another peer.
+    @settings(derandomize=True, database=None, max_examples=200, deadline=None)
+    @given(
+        policy=st.sampled_from(["when2com", "nocom", "catall", "fully_connected"]),
+        perm=st.integers(1, 6).flatmap(lambda n: st.permutations(range(n))),
+        delta=st.floats(0.0, 1.0),
+        seed=st.integers(0, 2**64 - 1),
+    )
+    def test_relabelling_agents_permutes_outputs(self, policy, perm, delta, seed):
+        cfg, theta, obs = small_setup(seed, n_agents=len(perm))
+        res = run_episode(make_agents(obs, theta), theta, delta, policy)
+        res_p = run_episode(make_agents([obs[p] for p in perm], theta), theta, delta, policy)
+        assert res_p.predictions == [res.predictions[p] for p in perm]
+        assert res_p.ledger == res.ledger
+        # Softmax sums and fusion accumulate in agent order, so the rest
+        # agrees to rounding, not bit for bit.
+        for name in ("rows", "pruned_rows"):
+            np.testing.assert_allclose(getattr(res_p, name), getattr(res, name)[np.ix_(perm, perm)], rtol=0, atol=1e-12)
+        np.testing.assert_allclose(np.stack(res_p.logits), np.stack(res.logits)[perm], rtol=0, atol=1e-12)
+
 
 class TestInformationFlow:
     def test_agent_output_depends_only_on_messages(self):
@@ -155,8 +186,7 @@ class TestInformationFlow:
         result = run_episode(agents, theta, delta=1.0 / 5.0)
         inbox = [m for m in result.trace if m.dst == 0]
 
-        fresh = AgentState(0, obs[0])
-        fresh.compute_local(theta)
+        fresh = make_agents(obs[:1], theta)[0]
         for msg in inbox:
             if msg.kind == "query":
                 fresh.receive_query(msg)
