@@ -20,6 +20,10 @@ the matching matrix and fusion are batched products.  Its gradients are
 derived by hand in the same matrix form and validated against central finite
 differences; see tests.
 
+Every parameter lives in one float64 vector, ``PipelineParams.flat``, whose
+views are the heads and the bilinear form, so an Adam step, a gradient tree
+and a checkpoint body (the bytes of ``flat``) are each one array.
+
 Inference is batched too, over (N, .) or (E, N, .) stacks, but on the
 row-invariant kernel :func:`~groupcomm.densemath.row_matmul` (see
 :func:`mlp_infer`): every agent's row rounds exactly as it does alone, which
@@ -33,7 +37,7 @@ from __future__ import annotations
 
 import math
 import struct
-from dataclasses import dataclass, field
+from dataclasses import astuple, dataclass, field
 
 import numpy as np
 
@@ -72,6 +76,7 @@ class MlpParams:
 
 @dataclass
 class PipelineConfig:
+    # Field order is the checkpoint header's dimension order.
     d_obs: int = 32
     q_dim: int = 4
     k_dim: int = 16
@@ -85,15 +90,47 @@ class PipelineConfig:
                 raise ValueError(f"PipelineConfig.{name} must be positive, got {getattr(self, name)}")
 
 
+def head_sizes(c: PipelineConfig) -> list[list[int]]:
+    """Layer widths of the query, key, encoder and decoder heads, in that order."""
+    return [
+        [c.d_obs, c.hidden, c.q_dim],
+        [c.d_obs, c.hidden, c.k_dim],
+        [c.d_obs, c.hidden, c.f_dim],
+        [2 * c.f_dim, c.hidden, c.n_classes],
+    ]
+
+
+def param_shapes(c: PipelineConfig) -> list[tuple[int, ...]]:
+    """Every parameter array's shape in checkpoint order: each head's (weight, bias) pairs, then ``w_g``."""
+    return [s for h in head_sizes(c) for i, o in zip(h, h[1:]) for s in ((o, i), (o,))] + [(c.q_dim, c.k_dim)]
+
+
 @dataclass
 class PipelineParams:
-    """All learnable parameters: four MLP heads plus the bilinear matching form."""
+    """All learnable parameters, held in one float64 vector ``flat`` (zeros by default).
 
-    theta_q: MlpParams
-    theta_k: MlpParams
-    theta_e: MlpParams
-    theta_d: MlpParams
-    w_g: np.ndarray
+    The four MLP heads ``theta_q``, ``theta_k``, ``theta_e``, ``theta_d`` and
+    the bilinear matching form ``w_g`` are views of ``flat``, laid out in
+    checkpoint order (:func:`param_shapes`).  Writing a view writes ``flat``,
+    so one vector operation on ``flat`` updates every parameter.
+    """
+
+    config: PipelineConfig
+    flat: np.ndarray | None = None
+
+    def __post_init__(self):
+        shapes = param_shapes(self.config)
+        sizes = [math.prod(s) for s in shapes]
+        if self.flat is None:
+            self.flat = np.zeros(sum(sizes))
+        if self.flat.dtype != np.float64 or self.flat.shape != (sum(sizes),):
+            got = f"{self.flat.dtype} of shape {self.flat.shape}"
+            raise ValueError(f"PipelineParams.flat must be a float64 vector of {sum(sizes)} values, got {got}")
+        views = (a.reshape(s) for a, s in zip(np.split(self.flat, np.cumsum(sizes)[:-1]), shapes))
+        self.theta_q, self.theta_k, self.theta_e, self.theta_d = (
+            MlpParams([(next(views), next(views)) for _ in h[1:]]) for h in head_sizes(self.config)
+        )
+        self.w_g = next(views)
 
 
 # Gradient trees are shape-congruent with the parameters they differentiate.
@@ -109,47 +146,23 @@ def init_mlp(sizes: list[int], rng: Rng) -> MlpParams:
     return MlpParams(layers)
 
 
-def head_sizes(c: PipelineConfig) -> list[list[int]]:
-    """Layer widths of the query, key, encoder and decoder heads, in that order."""
-    return [
-        [c.d_obs, c.hidden, c.q_dim],
-        [c.d_obs, c.hidden, c.k_dim],
-        [c.d_obs, c.hidden, c.f_dim],
-        [2 * c.f_dim, c.hidden, c.n_classes],
-    ]
-
-
 def init_pipeline(config: PipelineConfig, rng: Rng) -> PipelineParams:
+    """The heads from :func:`init_mlp` in head order, then the bilinear form, drawn in that order."""
     c = config
-    heads = [init_mlp(sizes, rng) for sizes in head_sizes(c)]
+    arrays = [a for sizes in head_sizes(c) for layer in init_mlp(sizes, rng).layers for a in layer]
     # Bilinear form scaled to variance 1/sqrt(Q*K).
-    w_g = rng.normal(c.q_dim * c.k_dim).reshape(c.q_dim, c.k_dim) * (c.q_dim * c.k_dim) ** -0.25
-    return PipelineParams(*heads, w_g)
+    arrays.append(rng.normal(c.q_dim * c.k_dim) * (c.q_dim * c.k_dim) ** -0.25)
+    return PipelineParams(c, np.concatenate([a.ravel() for a in arrays]))
 
 
 def param_arrays(theta: PipelineParams) -> list[np.ndarray]:
-    """Live references to every parameter array, in fixed declaration order."""
-    out = []
-    for head in (theta.theta_q, theta.theta_k, theta.theta_e, theta.theta_d):
-        for w, b in head.layers:
-            out.append(w)
-            out.append(b)
-    out.append(theta.w_g)
-    return out
-
-
-def _map_params(fn, theta: PipelineParams) -> PipelineParams:
-    """A tree of the same structure holding ``fn`` of every parameter array."""
+    """Every parameter array (views of ``theta.flat``), in checkpoint order."""
     heads = (theta.theta_q, theta.theta_k, theta.theta_e, theta.theta_d)
-    return PipelineParams(*(MlpParams([(fn(w), fn(b)) for w, b in h.layers]) for h in heads), fn(theta.w_g))
-
-
-def clone_params(theta: PipelineParams) -> PipelineParams:
-    return _map_params(np.copy, theta)
+    return [a for head in heads for layer in head.layers for a in layer] + [theta.w_g]
 
 
 def zeros_like_params(theta: PipelineParams) -> Gradients:
-    return _map_params(np.zeros_like, theta)
+    return PipelineParams(theta.config)
 
 
 @dataclass
@@ -405,7 +418,7 @@ def pipeline_backward(
     dlogits[np.arange(b * n), y.reshape(-1)] -= 1.0
     dlogits /= b * n
     d_layers, du = mlp_backward(theta.theta_d, cache.d_cache, dlogits)
-    grads.theta_d = MlpParams(d_layers)
+    _assign(grads.theta_d, d_layers)
     du = du.reshape(b, n, 2 * f_dim)
 
     # Fusion: fused = M @ E.
@@ -419,26 +432,33 @@ def pipeline_backward(
         ds = cache.m * (dm - np.sum(dm * cache.m, axis=-1, keepdims=True))
         ds /= math.sqrt(theta.w_g.shape[1])
         ds_keys = (ds @ cache.keys).reshape(b * n, -1)
-        grads.w_g = cache.queries.reshape(b * n, -1).T @ ds_keys
+        grads.w_g[...] = cache.queries.reshape(b * n, -1).T @ ds_keys
         d_mu = ds_keys @ theta.w_g.T
         d_kappa = (ds.transpose(0, 2, 1) @ cache.queries).reshape(b * n, -1) @ theta.w_g
-        grads.theta_q = MlpParams(mlp_backward(theta.theta_q, cache.q_cache, d_mu)[0])
-        grads.theta_k = MlpParams(mlp_backward(theta.theta_k, cache.k_cache, d_kappa)[0])
+        _assign(grads.theta_q, mlp_backward(theta.theta_q, cache.q_cache, d_mu)[0])
+        _assign(grads.theta_k, mlp_backward(theta.theta_k, cache.k_cache, d_kappa)[0])
 
-    grads.theta_e = MlpParams(mlp_backward(theta.theta_e, cache.e_cache, d_features.reshape(b * n, f_dim))[0])
+    _assign(grads.theta_e, mlp_backward(theta.theta_e, cache.e_cache, d_features.reshape(b * n, f_dim))[0])
     return grads
+
+
+def _assign(head: MlpParams, layer_grads: list[tuple[np.ndarray, np.ndarray]]) -> None:
+    """Write one head's (dW, db) pairs into a gradient tree's views."""
+    for (w, b), (dw, db) in zip(head.layers, layer_grads):
+        w[...], b[...] = dw, db
 
 
 @dataclass
 class AdamState:
-    m: list[np.ndarray]
-    v: list[np.ndarray]
+    """First and second moment vectors, laid out as ``PipelineParams.flat``."""
+
+    m: np.ndarray
+    v: np.ndarray
     t: int = 0
 
     @classmethod
     def for_params(cls, theta: PipelineParams) -> "AdamState":
-        arrays = param_arrays(theta)
-        return cls(m=[np.zeros_like(a) for a in arrays], v=[np.zeros_like(a) for a in arrays], t=0)
+        return cls(m=np.zeros_like(theta.flat), v=np.zeros_like(theta.flat), t=0)
 
 
 def adam_step(
@@ -450,19 +470,13 @@ def adam_step(
     beta2: float = 0.999,
     eps: float = 1e-8,
 ) -> tuple[PipelineParams, AdamState]:
-    """One bias-corrected Adam update; returns fresh parameters and state."""
+    """One bias-corrected Adam update over the flat vectors; returns fresh parameters and state."""
     t = state.t + 1
-    new_theta = clone_params(theta)
-    new_m, new_v = [], []
-    bc1 = 1.0 - beta1**t
-    bc2 = 1.0 - beta2**t
-    for a, g, m, v in zip(param_arrays(new_theta), param_arrays(grads), state.m, state.v):
-        m_next = beta1 * m + (1.0 - beta1) * g
-        v_next = beta2 * v + (1.0 - beta2) * g * g
-        a -= lr * (m_next / bc1) / (np.sqrt(v_next / bc2) + eps)
-        new_m.append(m_next)
-        new_v.append(v_next)
-    return new_theta, AdamState(m=new_m, v=new_v, t=t)
+    g = grads.flat
+    m = beta1 * state.m + (1.0 - beta1) * g
+    v = beta2 * state.v + (1.0 - beta2) * g * g
+    flat = theta.flat - lr * (m / (1.0 - beta1**t)) / (np.sqrt(v / (1.0 - beta2**t)) + eps)
+    return PipelineParams(theta.config, flat), AdamState(m=m, v=v, t=t)
 
 
 @dataclass
@@ -470,12 +484,7 @@ class TrainConfig:
     pipeline: PipelineConfig = field(default_factory=PipelineConfig)
     steps: int = 5000
     batch_size: int = 8
-    lr: float = 1e-3
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
     policy: str = "when2com"
-    log_every: int = 1
     eval_every: int = 500
 
     def __post_init__(self):
@@ -531,10 +540,10 @@ def train(config: TrainConfig, dataset, rng: Rng) -> tuple[PipelineParams, list[
     """Minibatch Adam loop over training episodes.
 
     Each step draws its batch indices from ``rng``, then runs one batched
-    forward and backward over the whole batch and one Adam update.  The log
-    records the batch loss at every ``log_every`` steps and validation task
-    accuracy every ``eval_every`` steps.  The run is single-threaded and
-    bit-reproducible for a fixed seed.
+    forward and backward over the whole batch and one Adam update at
+    :func:`adam_step`'s default rates.  The log records the batch loss at
+    every step and validation task accuracy every ``eval_every`` steps.  The
+    run is single-threaded and bit-reproducible for a fixed seed.
     """
     train_eps = list(dataset.train_episodes)
     if not train_eps:
@@ -549,11 +558,8 @@ def train(config: TrainConfig, dataset, rng: Rng) -> tuple[PipelineParams, list[
     for step in range(1, config.steps + 1):
         batch = [train_eps[rng.randint(n_train)] for _ in range(config.batch_size)]
         loss, grads = episode_loss_and_grads(theta, batch, config.policy, rng)
-        theta, state = adam_step(
-            theta, grads, state, config.lr, config.beta1, config.beta2, config.eps
-        )
-        if config.log_every and step % config.log_every == 0:
-            log.append({"step": step, "loss": loss})
+        theta, state = adam_step(theta, grads, state)
+        log.append({"step": step, "loss": loss})
         if config.eval_every and val_eps and step % config.eval_every == 0:
             n_agents = len(val_eps[0].labels)
             acc = evaluate_task_accuracy(
@@ -564,26 +570,17 @@ def train(config: TrainConfig, dataset, rng: Rng) -> tuple[PipelineParams, list[
 
 
 def save_checkpoint(path: str, theta: PipelineParams, config: PipelineConfig) -> None:
-    """Flat binary layout: magic, version, dims, then tensors in declaration order.
+    """Binary layout: magic, version and dims, then the bytes of ``theta.flat``.
 
-    Tensors are little-endian float64, row-major; shapes are implied by the
-    dimension tuple through :func:`head_sizes`.
+    The body is ``flat`` as little-endian float64, which holds every tensor
+    row-major in checkpoint order; the shapes follow from the dimension tuple
+    (see :class:`PipelineParams`).
     """
-    header = struct.pack(
-        CHECKPOINT_HEADER,
-        CHECKPOINT_MAGIC,
-        CHECKPOINT_VERSION,
-        config.d_obs,
-        config.q_dim,
-        config.k_dim,
-        config.f_dim,
-        config.n_classes,
-        config.hidden,
-    )
+    if config != theta.config:
+        raise ValueError(f"checkpoint config {config} does not describe the parameters' {theta.config}")
     with open(path, "wb") as fh:
-        fh.write(header)
-        for arr in param_arrays(theta):
-            fh.write(np.ascontiguousarray(arr, dtype="<f8").tobytes())
+        fh.write(struct.pack(CHECKPOINT_HEADER, CHECKPOINT_MAGIC, CHECKPOINT_VERSION, *astuple(config)))
+        fh.write(theta.flat.astype("<f8", copy=False).tobytes())
 
 
 def load_checkpoint(path: str) -> tuple[PipelineParams, PipelineConfig]:
@@ -592,24 +589,17 @@ def load_checkpoint(path: str) -> tuple[PipelineParams, PipelineConfig]:
     head_size = struct.calcsize(CHECKPOINT_HEADER)
     if len(blob) < head_size:
         raise ValueError(f"checkpoint {path} is truncated: {len(blob)} bytes, header needs {head_size}")
-    magic, version, d_obs, q, k, f, c, hidden = struct.unpack(CHECKPOINT_HEADER, blob[:head_size])
+    magic, version, *dims = struct.unpack(CHECKPOINT_HEADER, blob[:head_size])
     if magic != CHECKPOINT_MAGIC:
         raise ValueError(f"bad checkpoint magic {magic!r}")
     if version != CHECKPOINT_VERSION:
         raise ValueError(f"unsupported checkpoint version {version}")
-    config = PipelineConfig(d_obs=d_obs, q_dim=q, k_dim=k, f_dim=f, n_classes=c, hidden=hidden)
-    heads = [
-        MlpParams([(np.empty((o, i)), np.empty(o)) for i, o in zip(s[:-1], s[1:])]) for s in head_sizes(config)
-    ]
-    theta = PipelineParams(*heads, np.empty((q, k)))
-    arrays = param_arrays(theta)
-    expected = head_size + 8 * sum(a.size for a in arrays)
+    config = PipelineConfig(*dims)
+    expected = head_size + 8 * sum(math.prod(s) for s in param_shapes(config))
     if len(blob) != expected:
         raise ValueError(
             f"checkpoint {path} holds {len(blob)} bytes but its dimension header implies {expected}"
         )
-    offset = head_size
-    for a in arrays:
-        a[...] = np.frombuffer(blob, dtype="<f8", count=a.size, offset=offset).reshape(a.shape)
-        offset += 8 * a.size
+    theta = PipelineParams(config)
+    theta.flat[:] = np.frombuffer(blob, dtype="<f8", offset=head_size)
     return theta, config

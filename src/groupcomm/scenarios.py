@@ -48,6 +48,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -141,6 +142,37 @@ def _orthonormal_rows(rng: Rng, n: int, dim: int) -> np.ndarray:
     return rows
 
 
+def _check_world(
+    where: str, case, n_agents, obs_dim, n_classes, degrade_prob, noise_sigma, overlap_frac, scene_dim
+) -> None:
+    """Reject world parameters ``make_world`` cannot build; each message starts with ``where``."""
+    if case not in CASES:
+        raise ValueError(f"{where}world case {case!r} is not one of {CASES}")
+    for name, value in (("n_agents", n_agents), ("obs_dim", obs_dim), ("n_classes", n_classes)):
+        if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < 1:
+            raise ValueError(f"{where}world {name} must be a positive integer, got {value!r}")
+    if case == "triplet" and n_agents % 3 != 0:
+        raise ValueError(f"{where}world n_agents must be a multiple of 3 for case 'triplet', got {n_agents}")
+    if obs_dim < 4 or obs_dim % 2 != 0:
+        raise ValueError(f"{where}world obs_dim must be an even integer >= 4, got {obs_dim}")
+    if scene_dim != obs_dim // 2:
+        raise ValueError(f"{where}world scene_dim must be obs_dim // 2 = {obs_dim // 2}, got {scene_dim!r}")
+    if n_agents > scene_dim:
+        raise ValueError(
+            f"{where}world n_agents {n_agents} need {n_agents} orthogonal scene signatures "
+            f"but only {scene_dim} scene dimensions are available"
+        )
+    reals = (("degrade_prob", degrade_prob), ("overlap_frac", overlap_frac), ("noise_sigma", noise_sigma))
+    for name, value in reals:
+        if isinstance(value, bool) or not isinstance(value, numbers.Real):
+            raise ValueError(f"{where}world {name} must be a real number, got {value!r}")
+    for name, value in reals[:2]:
+        if not 0.0 <= value <= 1.0:
+            raise ValueError(f"{where}world {name} must lie in [0, 1], got {value!r}")
+    if not 0.0 < noise_sigma < math.inf:
+        raise ValueError(f"{where}world noise_sigma must be positive and finite, got {noise_sigma!r}")
+
+
 def make_world(
     case: str,
     n_agents: int | None = None,
@@ -152,28 +184,10 @@ def make_world(
     rng: Rng | None = None,
 ) -> World:
     """Build a world: validated parameters plus rejection-sampled prototypes."""
-    if case not in CASES:
-        raise ValueError(f"unknown case {case!r}; expected one of {CASES}")
-    if n_agents is None:
+    if n_agents is None and case in CASES:
         n_agents = DEFAULT_AGENTS[case]
-    if case == "triplet" and n_agents % 3 != 0:
-        raise ValueError(f"triplet case needs a multiple of 3 agents, got {n_agents}")
-    if n_agents < 1:
-        raise ValueError("need at least one agent")
-    if obs_dim < 4 or obs_dim % 2 != 0:
-        raise ValueError(f"obs_dim must be an even integer >= 4, got {obs_dim}")
-    if not 0.0 <= degrade_prob <= 1.0:
-        raise ValueError(f"degrade_prob must lie in [0, 1], got {degrade_prob}")
-    if not 0.0 <= overlap_frac <= 1.0:
-        raise ValueError(f"overlap_frac must lie in [0, 1], got {overlap_frac}")
-    if noise_sigma <= 0.0:
-        raise ValueError(f"noise_sigma must be positive, got {noise_sigma}")
     scene_dim = obs_dim // 2
-    if n_agents > scene_dim:
-        raise ValueError(
-            f"{n_agents} agents need {n_agents} orthogonal scene signatures "
-            f"but only {scene_dim} scene dimensions are available"
-        )
+    _check_world("", case, n_agents, obs_dim, n_classes, degrade_prob, noise_sigma, overlap_frac, scene_dim)
     if rng is None:
         rng = Rng(0)
     content_dim = obs_dim - scene_dim
@@ -445,8 +459,8 @@ def _load_episode(path: str, index: int, record: dict, world: World) -> Episode:
 
 def _load_world(path: str, w: dict) -> World:
     """The saved world, rejected (naming ``path``) unless ``make_world`` could have built it."""
-    if w["case"] not in CASES:
-        raise ValueError(f"{path}: world case {w['case']!r} is not one of {CASES}")
+    fields = ("case", "n_agents", "obs_dim", "n_classes", "degrade_prob", "noise_sigma", "overlap_frac", "scene_dim")
+    _check_world(f"{path}: ", *(w[f] for f in fields))
     arrays = {}
     for key, rows, cols in (("prototypes", "n_classes", "obs_dim"), ("scene_codes", "scene_dim", "scene_dim")):
         shape = (w[rows], w[cols])

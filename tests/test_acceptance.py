@@ -5,6 +5,7 @@ on a two-worker process pool; per-run wall times are recorded inside the
 workers so the stated runtime budgets are checked against honest solo costs.
 
 Run with ``pytest tests/test_acceptance.py -v -s`` to see the summary lines.
+Every test here is marked ``slow``, so ``pytest -m "not slow"`` skips them.
 """
 
 import concurrent.futures
@@ -27,6 +28,8 @@ from groupcomm.scenarios import generate_dataset
 from groupcomm.simnet import ledger_from_trace, make_agents, run_episode
 
 from helpers import fd_gradcheck, random_small_pipeline, training_job
+
+pytestmark = pytest.mark.slow
 
 DELTA_N5 = 1.0 / 5.0
 

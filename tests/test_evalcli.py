@@ -450,6 +450,31 @@ class TestCli:
         assert f"{data}: {message}" in capsys.readouterr().err
         assert not report.exists()
 
+    @pytest.mark.parametrize(
+        "field, value, message",
+        [
+            ("case", "triplet", "world n_agents must be a multiple of 3 for case 'triplet', got 5"),
+            ("degrade_prob", 7, "world degrade_prob must lie in [0, 1], got 7"),
+            ("noise_sigma", -1, "world noise_sigma must be positive and finite, got -1"),
+            ("overlap_frac", 3, "world overlap_frac must lie in [0, 1], got 3"),
+            ("scene_dim", 15, "world scene_dim must be obs_dim // 2 = 16, got 15"),
+        ],
+    )
+    def test_eval_rejects_dataset_with_bad_world_scalars(self, tmp_path, capsys, field, value, message):
+        # Each edit used to load silently; a triplet case even ran to a report.
+        data = tmp_path / "d.json"
+        assert cli_main(["gen-data", "--episodes", "40", "--seed", "3", "--out", str(data)]) == 0
+        doc = json.loads(data.read_text())
+        doc["world"][field] = value
+        data.write_text(json.dumps(doc))
+        ckpt = str(tmp_path / "m.ckpt")
+        save_checkpoint(ckpt, tiny_theta(), PipelineConfig())
+        report = tmp_path / "ev.json"
+        code = cli_main(["eval", "--checkpoint", ckpt, "--data", str(data), "--report", str(report)])
+        assert code == 1
+        assert f"{data}: {message}" in capsys.readouterr().err
+        assert not report.exists()
+
     def test_module_entry_point_runs_without_warnings(self):
         env = dict(os.environ, PYTHONPATH=str(Path(evalcli.__file__).parents[1]))
         proc = subprocess.run(

@@ -1,9 +1,13 @@
 """Pipeline forward/backward, loss, Adam, training loop, and checkpoint IO."""
 
+import hashlib
+import json
 import math
 import os
 import re
+import struct
 import tempfile
+from dataclasses import astuple
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -19,9 +23,9 @@ from groupcomm.neuralnet import (
     AdamState,
     MlpParams,
     PipelineConfig,
+    PipelineParams,
     TrainConfig,
     adam_step,
-    clone_params,
     cross_entropy_loss,
     episode_loss_and_grads,
     evaluate_task_accuracy,
@@ -32,12 +36,14 @@ from groupcomm.neuralnet import (
     mlp_forward,
     mlp_infer,
     param_arrays,
+    param_shapes,
     pipeline_backward,
     pipeline_forward,
     save_checkpoint,
     train,
     zeros_like_params,
 )
+from groupcomm.evalcli import world_for_run
 from groupcomm.scenarios import generate_dataset, make_world
 
 
@@ -334,6 +340,49 @@ class TestValidation:
             evaluate_task_accuracy(theta, episodes, 0.25)
 
 
+class TestFlatLayout:
+    CFG = TestBatchedTraining.CFG
+
+    @staticmethod
+    def assert_views_of_flat(theta):
+        arrays = param_arrays(theta)
+        assert all(np.shares_memory(a, theta.flat) for a in arrays)
+        assert sum(a.size for a in arrays) == theta.flat.size
+        np.testing.assert_array_equal(np.concatenate([a.ravel() for a in arrays]), theta.flat)
+
+    @pytest.mark.parametrize("size", [0, 1, 500])
+    def test_rejects_flat_of_wrong_length(self, size):
+        total = PipelineParams(self.CFG).flat.size
+        with pytest.raises(ValueError, match=rf"vector of {total} values, got float64 of shape \({size},\)"):
+            PipelineParams(self.CFG, np.zeros(size))
+
+    def test_rejects_flat_of_wrong_dtype_or_rank(self):
+        total = PipelineParams(self.CFG).flat.size
+        with pytest.raises(ValueError, match="got float32"):
+            PipelineParams(self.CFG, np.zeros(total, dtype=np.float32))
+        with pytest.raises(ValueError, match=rf"shape \(1, {total}\)"):
+            PipelineParams(self.CFG, np.zeros((1, total)))
+
+    def test_every_array_is_a_view_of_flat(self, tmp_path):
+        rng = Rng(28)
+        theta = init_pipeline(self.CFG, rng)
+        self.assert_views_of_flat(theta)
+        grads = zeros_like_params(theta)
+        self.assert_views_of_flat(grads)
+        assert not np.any(grads.flat)
+        res = pipeline_forward(theta, rng.normal(3 * self.CFG.d_obs).reshape(3, -1), mode="training")
+        grads = pipeline_backward(res.cache, theta, [0, 1, 2])
+        self.assert_views_of_flat(grads)
+        stepped, state = adam_step(theta, grads, AdamState.for_params(theta))
+        self.assert_views_of_flat(stepped)
+        assert state.m.shape == state.v.shape == theta.flat.shape
+        save_checkpoint(str(tmp_path / "m.ckpt"), stepped, self.CFG)
+        loaded, _ = load_checkpoint(str(tmp_path / "m.ckpt"))
+        self.assert_views_of_flat(loaded)
+        loaded.w_g[0, 0] += 1.0  # writing a view writes the vector
+        assert loaded.flat[-self.CFG.q_dim * self.CFG.k_dim] == stepped.w_g[0, 0] + 1.0
+
+
 class TestAdam:
     def test_zero_gradient_fixed_point(self):
         rng = Rng(25)
@@ -410,7 +459,7 @@ class TestTrain:
         # must reach 99% training accuracy within 2000 steps.
         world = make_world("srms", n_agents=1, degrade_prob=0.0, rng=Rng(33))
         dataset = generate_dataset(world, 600, seed=33)
-        config = TrainConfig(steps=1200, eval_every=0, log_every=0)
+        config = TrainConfig(steps=1200, eval_every=0)
         theta, _ = train(config, dataset, Rng(6))
         correct = 0
         total = 0
@@ -428,6 +477,37 @@ class TestTrain:
         _, log_a = train(config, dataset, Rng(9))
         _, log_b = train(config, dataset, Rng(9))
         assert log_a == log_b
+
+
+class TestTrainingBytes:
+    # SHA-256 of the checkpoint and of the JSONL log of a 60-step run with two
+    # validation records, pinned from the per-array layout that preceded the
+    # flat parameter vector.  Any change to the training arithmetic, the Rng
+    # draw order or the checkpoint format moves them.
+    @pytest.mark.parametrize(
+        "policy, ckpt_sha, log_sha",
+        [
+            (
+                "when2com",
+                "6917321f3e916d2ff2f9e37b55f8f8a94c15584576a02166c9e664917b105121",
+                "7553e4c78883adebbb656410e0f349f55d9ddfe487bbf6b540d3d55d2dba3228",
+            ),
+            (
+                "randcom",
+                "2b1e6e4fbf3efcb952ce8ecc2248cb7cefa225ac3f9d475ab10b0bd6ff86b10a",
+                "2fb020cce9ffb7b393743c221a967dfb8bdb40396ea89c33a76c23398084055b",
+            ),
+        ],
+    )
+    def test_pinned_checkpoint_and_log(self, tmp_path, policy, ckpt_sha, log_sha):
+        config = TrainConfig(steps=60, eval_every=20, policy=policy)
+        dataset = generate_dataset(world_for_run("srms", None, 3), 400, 3)
+        theta, log = train(config, dataset, Rng(3))
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(str(path), theta, config.pipeline)
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == ckpt_sha
+        body = "".join(json.dumps(rec, sort_keys=True) + "\n" for rec in log).encode()
+        assert hashlib.sha256(body).hexdigest() == log_sha
 
 
 class TestCheckpoint:
@@ -454,10 +534,12 @@ class TestCheckpoint:
             path = os.path.join(tmp, "model.ckpt")
             save_checkpoint(path, theta, cfg)
             loaded, loaded_cfg = load_checkpoint(path)
+            body = Path(path).read_bytes()[36:]
         assert loaded_cfg == cfg
         for a, b in zip(param_arrays(theta), param_arrays(loaded), strict=True):
             assert a.shape == b.shape
             np.testing.assert_array_equal(a, b)
+        assert body == theta.flat.astype("<f8").tobytes()
 
     def test_save_is_byte_deterministic(self, tmp_path):
         rng = Rng(36)
@@ -479,6 +561,26 @@ class TestCheckpoint:
         expected = 36 if keep > 0 else len(full)
         with pytest.raises(ValueError, match=rf"{re.escape(str(path))}.*{len(cut)} bytes.*{expected}"):
             load_checkpoint(str(path))
+
+    def test_oversized_header_rejected_before_allocating(self, tmp_path):
+        # A header claiming 2**30 hidden units implies about 1.4e11 parameters;
+        # the size check must fire before any array of that size is built.
+        cfg = PipelineConfig(hidden=2**30)
+        path = tmp_path / "big.ckpt"
+        save_checkpoint(str(path), init_pipeline(PipelineConfig(), Rng(39)), PipelineConfig())
+        path.write_bytes(struct.pack("<8sI6I", b"GRPCOMM1", 1, *astuple(cfg)) + path.read_bytes()[36:])
+        expected = 36 + 8 * sum(math.prod(s) for s in param_shapes(cfg))
+        with pytest.raises(ValueError, match=rf"holds {path.stat().st_size} bytes but .* implies {expected}"):
+            load_checkpoint(str(path))
+
+    def test_save_rejects_config_that_does_not_describe_params(self, tmp_path):
+        # Swapping Q and K keeps the parameter count, so the file would load
+        # with every tensor split at the wrong place.
+        theta = init_pipeline(PipelineConfig(), Rng(40))
+        path = tmp_path / "swap.ckpt"
+        with pytest.raises(ValueError, match=r"q_dim=16, k_dim=4.*does not describe.*q_dim=4, k_dim=16"):
+            save_checkpoint(str(path), theta, PipelineConfig(q_dim=16, k_dim=4))
+        assert not path.exists()
 
     def test_bad_magic_rejected(self, tmp_path):
         path = tmp_path / "junk.ckpt"

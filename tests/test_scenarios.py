@@ -46,6 +46,22 @@ class TestMakeWorld:
         gram = world.scene_codes @ world.scene_codes.T
         np.testing.assert_allclose(gram, np.eye(world.n_scenes), atol=1e-9)
 
+    @pytest.mark.parametrize(
+        "kwargs, message",
+        [
+            (dict(case="nosuch"), r"world case 'nosuch' is not one of"),
+            (dict(case="triplet", n_agents=7), r"world n_agents must be a multiple of 3 for case 'triplet', got 7"),
+            (dict(case="srms", n_agents=0), r"world n_agents must be a positive integer, got 0"),
+            (dict(case="srms", obs_dim=9), r"world obs_dim must be an even integer >= 4, got 9"),
+            (dict(case="srms", degrade_prob=1.5), r"world degrade_prob must lie in \[0, 1\], got 1\.5"),
+            (dict(case="srms", overlap_frac=-0.1), r"world overlap_frac must lie in \[0, 1\], got -0\.1"),
+            (dict(case="srms", noise_sigma=0.0), r"world noise_sigma must be positive and finite, got 0\.0"),
+        ],
+    )
+    def test_invalid_parameter_names_field(self, kwargs, message):
+        with pytest.raises(ValueError, match=message):
+            make_world(**kwargs)
+
     def test_invalid_parameters(self):
         with pytest.raises(ValueError):
             make_world("nosuch")
@@ -368,6 +384,15 @@ class TestDatasetExport:
                 lambda w: w.update(scene_codes=[r[:15] for r in w["scene_codes"]]),
                 r"world scene_codes have shape \(16, 15\)",
             ),
+            (lambda w: w.update(n_agents=2.0), r"world n_agents must be a positive integer, got 2\.0"),
+            (lambda w: w.update(n_classes=0), r"world n_classes must be a positive integer, got 0"),
+            (lambda w: w.update(obs_dim=31), r"world obs_dim must be an even integer >= 4, got 31"),
+            (lambda w: w.update(scene_dim=8), r"world scene_dim must be obs_dim // 2 = 16, got 8"),
+            (lambda w: w.update(n_agents=17), r"world n_agents 17 need 17 orthogonal scene signatures"),
+            (lambda w: w.update(degrade_prob=float("nan")), r"world degrade_prob must lie in \[0, 1\], got nan"),
+            (lambda w: w.update(overlap_frac="half"), r"world overlap_frac must be a real number, got 'half'"),
+            (lambda w: w.update(noise_sigma=True), r"world noise_sigma must be a real number, got True"),
+            (lambda w: w.update(noise_sigma=float("inf")), r"world noise_sigma must be positive and finite"),
         ],
     )
     def test_load_rejects_world_that_make_world_cannot_build(self, tmp_path, edit, message):
