@@ -33,6 +33,14 @@ masking to 64 bits after each step; vector draws (``u64``, ``uniform``,
 ``normal``) run it on uint64 arrays, which wrap mod 2**64 by themselves.  Both
 forms consume the same words in the same order and ``(z >> 11) * 2**-53`` is
 exact in either, so interleaving them reproduces the vector-only stream.
+
+splitmix64 is counter-based: word k after state s is ``mix(s + k*GAMMA)``.
+So ``Rng.skip(n)`` jumps over n words in O(1) and returns the state they
+start from, and :func:`normal_blocks` later draws the normals of many such
+skipped blocks in one vector op, each bit-equal to the ``normal`` call it
+stands in for (Steele, Lea and Flood, OOPSLA 2014; Salmon et al., SC 2011).
+``u64`` and ``normal`` are the one-block case of the same splitmix and
+Box-Muller code.
 """
 
 from __future__ import annotations
@@ -49,8 +57,8 @@ _SM64_MUL1 = np.uint64(_MUL1)
 _SM64_MUL2 = np.uint64(_MUL2)
 _U53_SCALE = 2.0 ** -53
 
-# (1..n) * GAMMA mod 2**64: the state offsets of the next n draws, shared
-# (read-only) by every u64 call of up to this many words.
+# (1..n) * GAMMA mod 2**64: the state offsets of the next n words, shared
+# (read-only) by every vector draw of up to this many words per block.
 _GAMMA_STEPS = np.arange(1, 1025, dtype=np.uint64) * np.uint64(_GAMMA)
 _GAMMA_STEPS.setflags(write=False)
 
@@ -96,6 +104,47 @@ def relu_grad(v: np.ndarray) -> np.ndarray:
     return (np.asarray(v, dtype=np.float64) > 0.0).astype(np.float64)
 
 
+def _words(starts: np.ndarray, n: int) -> np.ndarray:
+    """The ``n`` splitmix64 words after each state of the uint64 vector ``starts``, as (len(starts), n)."""
+    if n <= _GAMMA_STEPS.size:
+        steps = _GAMMA_STEPS[:n]
+    else:
+        steps = np.arange(1, n + 1, dtype=np.uint64) * np.uint64(_GAMMA)
+    # Array arithmetic throughout: numpy wraps unsigned arrays silently,
+    # whereas scalar uint64 ops emit overflow warnings.
+    z = starts[:, None] + steps
+    z = (z ^ (z >> np.uint64(30))) * _SM64_MUL1
+    z = (z ^ (z >> np.uint64(27))) * _SM64_MUL2
+    return z ^ (z >> np.uint64(31))
+
+
+def _unit_doubles(words: np.ndarray) -> np.ndarray:
+    """Each word's top 53 bits as a double on [0, 1)."""
+    return (words >> np.uint64(11)).astype(np.float64) * _U53_SCALE
+
+
+def _box_muller(u: np.ndarray) -> np.ndarray:
+    """Standard normals from the uniform pairs along the last (even) axis: pair i gives (r*cos, r*sin)."""
+    u1 = 1.0 - u[..., 0::2]  # (0, 1]: keeps log() finite
+    r = np.sqrt(-2.0 * np.log(u1))
+    theta = 2.0 * math.pi * u[..., 1::2]
+    out = np.empty(u.shape, dtype=np.float64)
+    out[..., 0::2] = r * np.cos(theta)
+    out[..., 1::2] = r * np.sin(theta)
+    return out
+
+
+def normal_blocks(starts: list[int], width: int) -> np.ndarray:
+    """One (len(starts), width) draw: row i is ``normal(width)`` from state ``starts[i]``.
+
+    ``starts`` are states returned by :meth:`Rng.skip`; ``width`` must be
+    even, so each block is whole Box-Muller pairs.
+    """
+    if width < 0 or width % 2:
+        raise ValueError(f"block width must be even and >= 0, got {width}")
+    return _box_muller(_unit_doubles(_words(np.array(starts, dtype=np.uint64), width)))
+
+
 class Rng:
     """Deterministic splitmix64 stream with uniform/normal derivations.
 
@@ -108,25 +157,25 @@ class Rng:
         self.seed = int(seed) & _MASK64
         self._state = self.seed
 
-    def u64(self, n: int) -> np.ndarray:
-        """Next ``n`` raw 64-bit words as a uint64 array."""
+    def skip(self, n: int) -> int:
+        """Jump over the next ``n`` words in O(1); return the state they start from.
+
+        ``normal_blocks([start], n)[0]`` then equals what ``normal(n)`` would
+        have returned here, for even ``n``.
+        """
         if n < 0:
             raise ValueError("draw count must be >= 0")
-        if n <= _GAMMA_STEPS.size:
-            steps = _GAMMA_STEPS[:n]
-        else:
-            steps = np.arange(1, n + 1, dtype=np.uint64) * np.uint64(_GAMMA)
-        # Array arithmetic throughout: numpy wraps unsigned arrays silently,
-        # whereas scalar uint64 ops emit overflow warnings.
-        z = np.uint64(self._state) + steps
-        self._state = (self._state + n * _GAMMA) & _MASK64
-        z = (z ^ (z >> np.uint64(30))) * _SM64_MUL1
-        z = (z ^ (z >> np.uint64(27))) * _SM64_MUL2
-        return z ^ (z >> np.uint64(31))
+        start = self._state
+        self._state = (start + n * _GAMMA) & _MASK64
+        return start
+
+    def u64(self, n: int) -> np.ndarray:
+        """Next ``n`` raw 64-bit words as a uint64 array."""
+        return _words(np.array([self.skip(n)], dtype=np.uint64), n)[0]
 
     def uniform(self, n: int) -> np.ndarray:
         """``n`` doubles uniform on [0, 1)."""
-        return (self.u64(n) >> np.uint64(11)).astype(np.float64) * _U53_SCALE
+        return _unit_doubles(self.u64(n))
 
     def normal(self, n: int) -> np.ndarray:
         """``n`` i.i.d. standard-normal draws via Box-Muller.
@@ -137,18 +186,7 @@ class Rng:
         """
         if n < 0:
             raise ValueError("draw count must be >= 0")
-        if n == 0:
-            return np.zeros(0, dtype=np.float64)
-        m = (n + 1) // 2
-        u = self.uniform(2 * m)
-        u1 = 1.0 - u[0::2]  # (0, 1]: keeps log() finite
-        u2 = u[1::2]
-        r = np.sqrt(-2.0 * np.log(u1))
-        theta = 2.0 * math.pi * u2
-        out = np.empty(2 * m, dtype=np.float64)
-        out[0::2] = r * np.cos(theta)
-        out[1::2] = r * np.sin(theta)
-        return out[:n]
+        return _box_muller(self.uniform(n + n % 2))[:n]
 
     def uniform_scalar(self) -> float:
         """One double uniform on [0, 1): ``uniform(1)[0]`` in int arithmetic."""

@@ -31,6 +31,7 @@ from .neuralnet import (
     TrainConfig,
     load_checkpoint,
     save_checkpoint,
+    shared_agent_count,
     train,
 )
 from .scenarios import (
@@ -204,8 +205,8 @@ def evaluate(
         raise ValueError("cannot evaluate on an empty dataset")
     if not 0.0 <= delta <= 1.0:
         raise ValueError(f"delta must lie in [0, 1], got {delta}")
+    n_agents = shared_agent_count(episodes)
     rng = Rng(seed)
-    n_agents = len(episodes[0].labels)
 
     ledger = simnet.BandwidthLedger()
     decisions: list[list[bool]] = []
@@ -381,6 +382,14 @@ def _write_train_outputs(args, run: TrainRun) -> None:
     print(f"acc_all={report.acc_all:.4f} when2com_acc={report.when2com_acc:.4f}")
 
 
+def _int_list(text: str) -> list[int]:
+    """``--values``: comma-separated integers (empty items are skipped)."""
+    try:
+        return [int(s) for s in text.split(",") if s]
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected comma-separated integers, got {text!r}") from None
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="groupcomm",
@@ -414,7 +423,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_sweep = sub.add_parser("sweep", help="train across query/key sizes and tabulate")
     p_sweep.add_argument("--param", choices=("query", "key"), required=True)
-    p_sweep.add_argument("--values", required=True, help="comma-separated sizes, e.g. 1,4,16")
+    p_sweep.add_argument("--values", type=_int_list, required=True, help="comma-separated sizes, e.g. 1,4,16")
     p_sweep.add_argument("--case", choices=CASES, default="srms")
     p_sweep.add_argument("--agents", type=int, default=None)
     p_sweep.add_argument("--episodes", type=int, default=40000)
@@ -478,10 +487,9 @@ def cli_main(argv: list[str]) -> int:
                 f"links_per_agent={report.links_per_agent:.4f}"
             )
         elif args.command == "sweep":
-            sizes = [int(s) for s in args.values.split(",") if s]
             rows = sweep_message_size(
                 args.param,
-                sizes,
+                args.values,
                 case=args.case,
                 n_agents=args.agents,
                 n_episodes=args.episodes,

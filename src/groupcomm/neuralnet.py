@@ -510,6 +510,15 @@ def episode_loss_and_grads(
     return loss, pipeline_backward(result.cache, theta, labels)
 
 
+def shared_agent_count(episodes) -> int:
+    """The agent count of a non-empty episode list; raises naming the first episode that differs."""
+    n = len(episodes[0].labels)
+    for idx, ep in enumerate(episodes):
+        if len(ep.labels) != n:
+            raise ValueError(f"episode {idx} has {len(ep.labels)} agents, but episode 0 has {n}")
+    return n
+
+
 def evaluate_task_accuracy(
     theta: PipelineParams, episodes, delta: float, policy: str = "when2com", rng: Rng | None = None
 ) -> float:
@@ -523,10 +532,7 @@ def evaluate_task_accuracy(
     episodes = list(episodes)
     if not episodes:
         return 0.0
-    n = len(episodes[0].labels)
-    for idx, ep in enumerate(episodes):
-        if len(ep.labels) != n:
-            raise ValueError(f"episode {idx} has {len(ep.labels)} agents, but episode 0 has {n}")
+    n = shared_agent_count(episodes)
     correct = 0
     for start in range(0, len(episodes), EVAL_BLOCK):
         block = episodes[start : start + EVAL_BLOCK]

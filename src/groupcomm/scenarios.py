@@ -19,12 +19,20 @@ signature still identifies which peers hold relevant views.  That asymmetry
 is what makes learned grouping possible at all: a requester's query can only
 advertise *where it is looking*, never the label it cannot see.
 
-Every observation, in every case, is built by one rule (``_observe``) from
-one ``Rng.normal`` draw per agent that covers both halves.  Each half of
-that draw is padded to an even length, so no Box-Muller pair straddles the
-two halves: for an odd ``scene_dim`` the spare sin term is dropped, and the
-draw consumes the same words and yields the same values as one ``normal``
-call per half, which keeps saved datasets stable for every even ``obs_dim``.
+Every observation, in every case, is built by one rule (``_render``) from
+one block of normals per agent that covers both halves.  Each half of a
+block is padded to an even length, so no Box-Muller pair straddles the two
+halves: for an odd ``scene_dim`` the spare sin term is dropped, and the
+block consumes the same words and yields the same values as one
+``Rng.normal`` call per half, which keeps saved datasets stable for every
+even ``obs_dim``.
+
+An episode is made in two steps.  First every scalar draw runs in stream
+order (labels, scene picks, degradation, and mrmps's supporter picks and
+overlaps); where an agent's noise block falls, ``Rng.skip`` jumps over it
+and records the state it starts from.  Then ``densemath.normal_blocks``
+draws all N blocks from those states at once, and the observations are
+(N, obs_dim) array arithmetic, bit-equal to drawing each block in place.
 
 Cases
 -----
@@ -53,7 +61,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .densemath import Rng
+from .densemath import Rng, normal_blocks
 
 CASES = ("srms", "mrms", "mrmps", "triplet")
 
@@ -171,6 +179,11 @@ def _check_world(
             raise ValueError(f"{where}world {name} must lie in [0, 1], got {value!r}")
     if not 0.0 < noise_sigma < math.inf:
         raise ValueError(f"{where}world noise_sigma must be positive and finite, got {noise_sigma!r}")
+    if case == "srms" and n_agents < 2 and degrade_prob > 0.0:
+        raise ValueError(
+            f"{where}world n_agents must be >= 2 for case 'srms' when degrade_prob > 0 (a degraded "
+            f"agent needs a peer holding its view), got n_agents={n_agents}, degrade_prob={degrade_prob!r}"
+        )
 
 
 def make_world(
@@ -229,19 +242,10 @@ def _episode_signatures(world: World, rng: Rng, n_scenes: int) -> np.ndarray:
     return world.scene_codes[picks].copy()
 
 
-def _observe(
-    world: World, signature: np.ndarray, content: np.ndarray | None, sigma: float, rng: Rng
-) -> np.ndarray:
-    """Signature and ``content`` (None: a degraded view), each plus noise, from one draw.
-
-    Both halves of the draw are padded to an even length (see the module
-    docstring), so the content noise starts on a fresh Box-Muller pair.
-    """
-    half = world.scene_dim + world.scene_dim % 2
-    z = rng.normal(2 * half)
-    scene = signature + PERTURBATION_SIGMA * z[: world.scene_dim]
-    noise = sigma * z[half : half + world.content_dim]
-    return np.concatenate([scene, noise if content is None else content + noise])
+def _skip_noise(world: World, rng: Rng, n: int) -> list[int]:
+    """Jump over ``n`` agents' noise blocks in turn; return the state each block starts from."""
+    width = 2 * (world.scene_dim + world.scene_dim % 2)
+    return [rng.skip(width) for _ in range(n)]
 
 
 def _render(
@@ -250,16 +254,23 @@ def _render(
     labels: list[int],
     degraded: list[bool],
     gt_support: list[set[int]],
-    rng: Rng,
+    starts: list[int],
+    content: np.ndarray | None = None,
 ) -> Episode:
-    """Observe every agent in order: a clean view of its label, or a degraded one."""
-    content = world.prototypes[:, world.scene_dim :]
+    """Every agent's view, clean or degraded, from its noise block starting at ``starts[i]``.
+
+    Row i of ``content`` (by default the prototype of ``labels[i]``) is agent
+    i's clean content; a degraded agent sees noise alone, taken unchanged.
+    """
+    half = world.scene_dim + world.scene_dim % 2
+    z = normal_blocks(starts, 2 * half)
+    if content is None:
+        content = world.prototypes[labels, world.scene_dim :]
+    deg = np.array(degraded)[:, None]
+    noise = np.where(deg, world.noise_sigma, PERTURBATION_SIGMA) * z[:, half : half + world.content_dim]
     obs = np.empty((world.n_agents, world.obs_dim), dtype=np.float64)
-    for i in range(world.n_agents):
-        if degraded[i]:
-            obs[i] = _observe(world, signatures[i], None, world.noise_sigma, rng)
-        else:
-            obs[i] = _observe(world, signatures[i], content[labels[i]], PERTURBATION_SIGMA, rng)
+    obs[:, : world.scene_dim] = signatures + PERTURBATION_SIGMA * z[:, : world.scene_dim]
+    obs[:, world.scene_dim :] = np.where(deg, noise, content + noise)
     return Episode(obs, labels, degraded, list(degraded), gt_support)
 
 
@@ -277,7 +288,7 @@ def _generate_srms(world: World, rng: Rng) -> Episode:
         labels[supporter] = labels[designated]
         signatures[supporter] = signatures[designated]
         gt_support[designated] = {supporter}
-    return _render(world, signatures, labels, degraded, gt_support, rng)
+    return _render(world, signatures, labels, degraded, gt_support, _skip_noise(world, rng, n))
 
 
 def _generate_mrms(world: World, rng: Rng) -> Episode:
@@ -299,39 +310,34 @@ def _generate_mrms(world: World, rng: Rng) -> Episode:
         labels[s] = labels[r]
         signatures[s] = signatures[r]
         gt_support[r] = {s}
-    return _render(world, signatures, labels, degraded, gt_support, rng)
+    return _render(world, signatures, labels, degraded, gt_support, _skip_noise(world, rng, n))
 
 
 def _generate_mrmps(world: World, rng: Rng) -> Episode:
-    # Not _render: a supporter's scalar draws fall between agents' observations.
     n = world.n_agents
     labels = [rng.randint(world.n_classes) for _ in range(n)]
     signatures = _episode_signatures(world, rng, n)
     degraded = [rng.uniform_scalar() < world.degrade_prob for _ in range(n)]
     deg_list = [i for i, d in enumerate(degraded) if d]
     gt_support: list[set[int]] = [set() for _ in range(n)]
-    content = world.prototypes[:, world.scene_dim :]
-    obs = np.empty((n, world.obs_dim), dtype=np.float64)
+    content = world.prototypes[labels, world.scene_dim :]
+    starts: list[int] = []
     for i in range(n):
-        if degraded[i]:
-            obs[i] = _observe(world, signatures[i], None, world.noise_sigma, rng)
-        elif deg_list:
+        # A clean agent's supporter draws precede its noise block.  Only
+        # clean rows change, and they read only their own and degraded rows.
+        if not degraded[i] and deg_list:
             r = deg_list[rng.randint(len(deg_list))]
             overlap = rng.uniform_scalar()
             # Overlap is an energy fraction: the supporter's signature leans
             # toward the requester's scene by sqrt(overlap).
-            mixed_sig = _unit(
-                math.sqrt(overlap) * signatures[r] + math.sqrt(1.0 - overlap) * signatures[i]
-            )
-            mix = overlap * content[labels[r]] + (1.0 - overlap) * content[labels[i]]
+            signatures[i] = _unit(math.sqrt(overlap) * signatures[r] + math.sqrt(1.0 - overlap) * signatures[i])
+            content[i] = overlap * content[r] + (1.0 - overlap) * content[i]
             if overlap > 0.5:
                 labels[i] = labels[r]
             if overlap > world.overlap_frac:
                 gt_support[r].add(i)
-            obs[i] = _observe(world, mixed_sig, mix, PERTURBATION_SIGMA, rng)
-        else:
-            obs[i] = _observe(world, signatures[i], content[labels[i]], PERTURBATION_SIGMA, rng)
-    return Episode(obs, labels, degraded, list(degraded), gt_support)
+        starts += _skip_noise(world, rng, 1)
+    return _render(world, signatures, labels, degraded, gt_support, starts, content)
 
 
 def _generate_triplet(world: World, rng: Rng) -> Episode:
@@ -355,7 +361,7 @@ def _generate_triplet(world: World, rng: Rng) -> Episode:
             victim = members[t][rng.randint(3)]
             degraded[victim] = True
             gt_support[victim] = set(members[t]) - {victim}
-    return _render(world, signatures[triplet_of], labels, degraded, gt_support, rng)
+    return _render(world, signatures[triplet_of], labels, degraded, gt_support, _skip_noise(world, rng, n))
 
 
 _GENERATORS = {

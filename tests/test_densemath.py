@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from groupcomm import densemath
-from groupcomm.densemath import Rng, relu, relu_grad, row_matmul, softmax, softmax_row
+from groupcomm.densemath import Rng, normal_blocks, relu, relu_grad, row_matmul, softmax, softmax_row
 from groupcomm.neuralnet import PipelineConfig, head_sizes
 
 # First five raw words of the seed-42 stream, frozen as the cross-platform
@@ -214,3 +214,51 @@ class TestRng:
     def test_uniform_scalar_matches_top_53_bits(self):
         word = int(Rng(42).u64(1)[0])
         assert Rng(42).uniform_scalar() == (word >> 11) * 2.0**-53
+
+
+class TestSkipAndBlocks:
+    # Episode generation skips over each agent's noise block and draws all
+    # of them later in one normal_blocks call; these pin that the stream is
+    # unchanged by it, on both sides of the cached step table.
+    SEEDS = [0, 42, -1, 2**64 - 1]
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    @pytest.mark.parametrize("blocks", [1, 5, 9])
+    @pytest.mark.parametrize("width", [2, 32, 1024, 1026])
+    @pytest.mark.parametrize("interleaved", [False, True])
+    def test_blocks_from_skipped_starts_match_normal_calls(self, seed, blocks, width, interleaved):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            skipping, drawing = Rng(seed), Rng(seed)
+            starts, expected = [], []
+            for b in range(blocks):
+                if interleaved and b % 2:  # scalar draws between blocks, as mrmps makes
+                    assert skipping.randint(7 + b) == drawing.randint(7 + b)
+                starts.append(skipping.skip(width))
+                expected.append(drawing.normal(width))
+            got = normal_blocks(starts, width)
+            assert got.shape == (blocks, width)
+            np.testing.assert_array_equal(got, expected)
+            np.testing.assert_array_equal(skipping.u64(3), drawing.u64(3))
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    @pytest.mark.parametrize("n", [0, 1, 7, 1024, 1025, 5000])
+    def test_skip_leaves_the_stream_where_u64_would(self, seed, n):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            skipping, drawing = Rng(seed), Rng(seed)
+            assert skipping.skip(n) == seed % 2**64
+            drawing.u64(n)
+            np.testing.assert_array_equal(skipping.u64(5), drawing.u64(5))
+            assert skipping.uniform_scalar() == drawing.uniform_scalar()
+
+    def test_negative_skip_raises_and_keeps_the_stream(self):
+        rng = Rng(42)
+        with pytest.raises(ValueError, match="draw count must be >= 0"):
+            rng.skip(-1)
+        assert [int(x) for x in rng.u64(5)] == GOLDEN_U64_SEED42
+
+    @pytest.mark.parametrize("width", [-2, 3])
+    def test_odd_or_negative_block_width_rejected(self, width):
+        with pytest.raises(ValueError, match=f"block width must be even and >= 0, got {width}"):
+            normal_blocks([0], width)

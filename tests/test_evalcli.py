@@ -275,6 +275,18 @@ class TestPolicies:
         with pytest.raises(ValueError):
             evaluate("nocom", tiny_theta(), [], 0.2, seed=0)
 
+    def test_mixed_agent_counts_rejected_before_any_episode_runs(self, monkeypatch):
+        # 10 srms (N=5) then 10 mrms (N=3) episodes under catall used to
+        # report links_per_agent 2.6 (260 links over 20 frames of 5 agents)
+        # where 260 links over the 80 agent-frames is 3.25.
+        five = generate_dataset(make_world("srms", rng=Rng(1)), 10, seed=1).episodes
+        three = generate_dataset(make_world("mrms", n_agents=3, rng=Rng(2)), 10, seed=2).episodes
+        episodes_run = []
+        monkeypatch.setattr(evalcli, "run_policy_episode", lambda *args: episodes_run.append(args))
+        with pytest.raises(ValueError, match="episode 10 has 3 agents, but episode 0 has 5"):
+            evaluate("catall", tiny_theta(), five + three, 0.2, seed=0)
+        assert episodes_run == []
+
 
 class TestReports:
     def test_csv_schema(self, tmp_path):
@@ -475,6 +487,22 @@ class TestCli:
         assert f"{data}: {message}" in capsys.readouterr().err
         assert not report.exists()
 
+    @pytest.mark.parametrize("command", ["gen-data", "train", "eval"])
+    def test_single_agent_srms_with_degradation_rejected(self, tmp_path, capsys, command):
+        # Used to exit 1 with "bound must be positive" from deep inside the srms generator.
+        out = tmp_path / "out"
+        argv = {
+            "gen-data": ["gen-data", "--out", str(out)],
+            "train": ["train", "--steps", "1", "--out", str(out)],
+            "eval": ["eval", "--checkpoint", str(tmp_path / "m.ckpt"), "--report", str(out)],
+        }[command]
+        save_checkpoint(str(tmp_path / "m.ckpt"), tiny_theta(), PipelineConfig())
+        assert cli_main(argv + ["--case", "srms", "--agents", "1", "--episodes", "20"]) == 1
+        err = capsys.readouterr().err
+        assert "world n_agents must be >= 2 for case 'srms' when degrade_prob > 0" in err
+        assert "n_agents=1, degrade_prob=0.5" in err
+        assert not out.exists()
+
     def test_module_entry_point_runs_without_warnings(self):
         env = dict(os.environ, PYTHONPATH=str(Path(evalcli.__file__).parents[1]))
         proc = subprocess.run(
@@ -540,3 +568,9 @@ class TestSweep:
         lines = Path(out).read_text().strip().split("\n")
         assert len(lines) == 3  # header + one row per size
         assert lines[0].startswith("param,size,Q,K,seed")
+
+    def test_cli_sweep_names_malformed_values(self, tmp_path, capsys):
+        out = tmp_path / "sweep.csv"
+        assert cli_main(["sweep", "--param", "query", "--values", "1,a", "--out", str(out)]) == 2
+        assert "argument --values: expected comma-separated integers, got '1,a'" in capsys.readouterr().err
+        assert not out.exists()

@@ -56,11 +56,23 @@ class TestMakeWorld:
             (dict(case="srms", degrade_prob=1.5), r"world degrade_prob must lie in \[0, 1\], got 1\.5"),
             (dict(case="srms", overlap_frac=-0.1), r"world overlap_frac must lie in \[0, 1\], got -0\.1"),
             (dict(case="srms", noise_sigma=0.0), r"world noise_sigma must be positive and finite, got 0\.0"),
+            (
+                dict(case="srms", n_agents=1),
+                r"world n_agents must be >= 2 for case 'srms' when degrade_prob > 0 .*n_agents=1, degrade_prob=0\.5",
+            ),
         ],
     )
     def test_invalid_parameter_names_field(self, kwargs, message):
         with pytest.raises(ValueError, match=message):
             make_world(**kwargs)
+
+    @pytest.mark.parametrize("case", ["mrms", "mrmps"])
+    def test_single_agent_worlds_generate(self, case):
+        # A lone agent may be degraded only where it needs no peer: srms
+        # without degradation, and mrms/mrmps, which then cannot pair it.
+        for world in (make_world("srms", n_agents=1, degrade_prob=0.0, rng=Rng(1)), make_world(case, n_agents=1)):
+            ds = generate_dataset(world, 20, seed=2)
+            assert all(ep.observations.shape == (1, world.obs_dim) for ep in ds.episodes)
 
     def test_invalid_parameters(self):
         with pytest.raises(ValueError):
@@ -313,6 +325,16 @@ class TestDatasetExport:
         "triplet": "71432a00e7a6ffe89c123edec2de636bffbe6f2d495e8a7b5114e8b6f132f046",
     }
 
+    # The same for 200 episodes at degrade_prob 0.9: mrmps then draws a
+    # supporter's pick and overlap between agents' noise blocks in most
+    # episodes, so the recorded block starts are pinned past those draws.
+    PINNED_SHA256_DEGRADE09 = {
+        "srms": "78042441597a2c25f59da253468af81d3434d1397a3b2266ddfc867f63228086",
+        "mrms": "527b6226160d01866a326dfc05cb08604711d6df733f0f280af407ad2f3c4bb6",
+        "mrmps": "1ee3a8b8058a18809e038603d5ebc343fa32e77bbb6f4c4e77f4f41b58366059",
+        "triplet": "1d3da270585b0b93bfa55a233d3eb72c17d4f863c2e9d100bdd26260aa9d6be6",
+    }
+
     @pytest.mark.parametrize("case", CASES)
     def test_saved_bytes_pinned(self, tmp_path, case):
         path = tmp_path / "data.json"
@@ -325,6 +347,12 @@ class TestDatasetExport:
         world = make_world(case, n_agents=3, obs_dim=10, rng=Rng(3))
         save_dataset(str(path), generate_dataset(world, 20, seed=5))
         assert hashlib.sha256(path.read_bytes()).hexdigest() == self.PINNED_SHA256_OBS10[case]
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_saved_bytes_pinned_mostly_degraded(self, tmp_path, case):
+        path = tmp_path / "data.json"
+        save_dataset(str(path), generate_dataset(make_world(case, degrade_prob=0.9, rng=Rng(3)), 200, seed=5))
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == self.PINNED_SHA256_DEGRADE09[case]
 
     @pytest.mark.parametrize("bad_row", [[0.0] * 31, [0.0] * 33])
     def test_load_rejects_misshapen_observations(self, tmp_path, bad_row):
@@ -389,6 +417,7 @@ class TestDatasetExport:
             (lambda w: w.update(obs_dim=31), r"world obs_dim must be an even integer >= 4, got 31"),
             (lambda w: w.update(scene_dim=8), r"world scene_dim must be obs_dim // 2 = 16, got 8"),
             (lambda w: w.update(n_agents=17), r"world n_agents 17 need 17 orthogonal scene signatures"),
+            (lambda w: w.update(n_agents=1), r"world n_agents must be >= 2 for case 'srms' when degrade_prob > 0"),
             (lambda w: w.update(degrade_prob=float("nan")), r"world degrade_prob must lie in \[0, 1\], got nan"),
             (lambda w: w.update(overlap_frac="half"), r"world overlap_frac must be a real number, got 'half'"),
             (lambda w: w.update(noise_sigma=True), r"world noise_sigma must be a real number, got True"),
