@@ -19,24 +19,48 @@ import numpy as np
 from .densemath import row_matmul, softmax
 
 
+def attention_scores(queries: np.ndarray, kappa: np.ndarray, w_g: np.ndarray) -> np.ndarray:
+    """Scaled general-attention scores  mu^T W_g kappa / sqrt(K)  of many queries against one key.
+
+    ``queries`` is (..., Q); the scores keep its leading shape.  This is how
+    an agent scores every query in its inbox against its own retained key in
+    one call.  Each score is the :func:`_scores` product of its query alone,
+    so it does not depend on the other queries of the stack.
+    """
+    w_g = np.asarray(w_g, dtype=np.float64)
+    q = np.asarray(queries, dtype=np.float64)
+    kappa = np.asarray(kappa, dtype=np.float64)
+    if w_g.ndim != 2:
+        raise ValueError(f"w_g must be 2-D, got shape {w_g.shape}")
+    q_dim, k_dim = w_g.shape
+    if q.ndim == 0 or q.shape[-1] != q_dim:
+        raise ValueError(f"query shape {q.shape} does not match w_g shape {w_g.shape}")
+    if kappa.shape != (k_dim,):
+        raise ValueError(f"key shape {kappa.shape} does not match w_g shape {w_g.shape}")
+    return _scores(q, row_matmul(kappa, w_g), k_dim)
+
+
 def attention_score(mu: np.ndarray, kappa: np.ndarray, w_g: np.ndarray) -> float:
-    """Scaled general-attention score  mu^T W_g kappa / sqrt(K).
+    """:func:`attention_scores` of one query.
 
     The same form scores cross pairs (requester query vs. supporter key) and
     the self pair (own query vs. own key), which carries the decision of
     whether communication is needed at all.
     """
-    mu = np.asarray(mu, dtype=np.float64)
-    kappa = np.asarray(kappa, dtype=np.float64)
-    w_g = np.asarray(w_g, dtype=np.float64)
-    if w_g.ndim != 2:
-        raise ValueError(f"w_g must be 2-D, got shape {w_g.shape}")
-    q_dim, k_dim = w_g.shape
-    if mu.shape != (q_dim,):
-        raise ValueError(f"query shape {mu.shape} does not match w_g shape {w_g.shape}")
-    if kappa.shape != (k_dim,):
-        raise ValueError(f"key shape {kappa.shape} does not match w_g shape {w_g.shape}")
-    return float(np.dot(mu, w_g @ kappa) / math.sqrt(k_dim))
+    if np.ndim(mu) != 1:
+        raise ValueError(f"attention_score takes one query vector, got shape {np.shape(mu)}")
+    return float(attention_scores(mu, kappa, w_g))
+
+
+def _scores(queries: np.ndarray, projected: np.ndarray, k_dim: int) -> np.ndarray:
+    """The one score formula: each query row dotted with its projected key ``w_g @ key``, over sqrt(K).
+
+    ``queries`` and ``projected`` are (..., Q) and broadcast against each
+    other.  Every pair is its own stacked ``(1, Q) @ (Q, 1)`` product, so a
+    score rounds the same whatever the stack around it.
+    """
+    raw = np.matmul(queries[..., None, :], projected[..., :, None])[..., 0, 0]
+    return raw / math.sqrt(k_dim)
 
 
 def build_matching_matrix(queries, keys, w_g: np.ndarray) -> np.ndarray:
@@ -45,10 +69,10 @@ def build_matching_matrix(queries, keys, w_g: np.ndarray) -> np.ndarray:
     ``queries`` is (..., N, Q) and ``keys`` is (..., N, K), with the same
     leading shape; lists of per-agent vectors are accepted.  Entry (i, j) is
     the softmax over j of score(query_i, key_j); the diagonal scores an
-    agent's query against its own key.  Each score is the stacked
-    ``(1, Q) @ (Q, 1)`` product of ``query_i`` with ``w_g @ key_j`` (from
-    :func:`row_matmul`), so every entry is bit-identical to
-    :func:`attention_score` of that pair, whatever the stack around it.
+    agent's query against its own key.  The scores come from the kernel of
+    :func:`attention_scores`, with each key projected once, so every entry
+    is bit-identical to :func:`attention_score` of that pair, whatever the
+    stack around it.
     """
     w_g = np.asarray(w_g, dtype=np.float64)
     q = np.asarray(queries, dtype=np.float64)
@@ -61,9 +85,7 @@ def build_matching_matrix(queries, keys, w_g: np.ndarray) -> np.ndarray:
         raise ValueError("need at least one agent")
     if (q.shape[-1], k.shape[-1]) != w_g.shape:
         raise ValueError(f"queries {q.shape} and keys {k.shape} do not match w_g shape {w_g.shape}")
-    projected = row_matmul(k, w_g)  # w_g @ key_j
-    raw = np.matmul(q[..., :, None, None, :], projected[..., None, :, :, None])[..., 0, 0]
-    raw /= math.sqrt(w_g.shape[1])
+    raw = _scores(q[..., :, None, :], row_matmul(k, w_g)[..., None, :, :], w_g.shape[1])
     if not np.all(np.isfinite(raw)):
         raise ValueError("attention scores contain non-finite entries")
     return softmax(raw)
@@ -108,32 +130,26 @@ def fuse(weights: np.ndarray, features: list) -> np.ndarray:
         raise ValueError(
             f"weights shape {weights.shape} does not match {len(features)} features"
         )
-    f_dim: int | None = None
-    for j, w in enumerate(weights):
+    terms = []
+    for j, w in enumerate(weights.tolist()):
         if w == 0.0:
             continue
         f = features[j]
         if f is None:
             raise ValueError(f"feature {j} has nonzero weight but no payload")
         f = np.asarray(f, dtype=np.float64)
-        if f_dim is None:
-            f_dim = f.shape[0]
-        elif f.shape[0] != f_dim:
-            raise ValueError(f"feature length mismatch: {f.shape[0]} vs {f_dim}")
-    if f_dim is None:
+        if terms and f.shape[0] != terms[0][1].shape[0]:
+            raise ValueError(f"feature length mismatch: {f.shape[0]} vs {terms[0][1].shape[0]}")
+        terms.append((w, f))
+    if not terms:
         # All weights zero: infer length from any concrete feature.
         for f in features:
             if f is not None:
-                f_dim = np.asarray(f).shape[0]
-                break
-        if f_dim is None:
-            raise ValueError("cannot infer feature length: all features absent")
-        return np.zeros(f_dim, dtype=np.float64)
-    acc = np.zeros(f_dim, dtype=np.float64)
-    for j, w in enumerate(weights):
-        if w == 0.0:
-            continue
-        acc += w * np.asarray(features[j], dtype=np.float64)
+                return np.zeros(np.asarray(f).shape[0], dtype=np.float64)
+        raise ValueError("cannot infer feature length: all features absent")
+    acc = np.zeros(terms[0][1].shape[0], dtype=np.float64)
+    for w, f in terms:
+        acc += w * f
     return acc
 
 

@@ -70,8 +70,8 @@ def softmax(z: np.ndarray) -> np.ndarray:
     magnitude up to ~1e3 (and far beyond) cannot overflow.  Every row of a
     stack comes out bit-identical to :func:`softmax_row` of that row alone.
     """
-    e = np.exp(z - np.max(z, axis=-1, keepdims=True))
-    return e / np.sum(e, axis=-1, keepdims=True)
+    e = np.exp(z - z.max(axis=-1, keepdims=True))
+    return e / e.sum(axis=-1, keepdims=True)
 
 
 def softmax_row(v: np.ndarray) -> np.ndarray:
@@ -79,7 +79,7 @@ def softmax_row(v: np.ndarray) -> np.ndarray:
     v = np.asarray(v, dtype=np.float64)
     if v.ndim != 1 or v.size == 0:
         raise ValueError(f"softmax_row expects a non-empty 1-D vector, got shape {v.shape}")
-    if not np.all(np.isfinite(v)):
+    if not np.isfinite(v).all():
         raise ValueError("softmax_row input contains non-finite entries")
     return softmax(v)
 

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from dataclasses import asdict, dataclass, replace
 
@@ -133,12 +134,9 @@ def run_policy_episode(
 
 def decisions_from_rows(rows: np.ndarray) -> list[bool]:
     """Per agent: true when at least one off-diagonal weight survived."""
-    n = rows.shape[0]
-    out = []
-    for i in range(n):
-        off = [rows[i, j] for j in range(n) if j != i]
-        out.append(any(w != 0.0 for w in off))
-    return out
+    linked = np.asarray(rows) != 0.0
+    np.fill_diagonal(linked, False)
+    return linked.any(axis=1).tolist()
 
 
 def when2com_accuracy(episodes: list[Episode], decisions: list[list[bool]]) -> float:
@@ -360,6 +358,10 @@ def _dataset_for_eval(args) -> Dataset:
     return generate_dataset(world, args.episodes, args.seed)
 
 
+def _train_report_path(args) -> str:
+    return args.report if args.report else args.out + ".report.json"
+
+
 def _write_train_outputs(args, run: TrainRun) -> None:
     save_checkpoint(args.out, run.theta, run.config.pipeline)
     log_path = args.out + ".log.jsonl"
@@ -375,11 +377,41 @@ def _write_train_outputs(args, run: TrainRun) -> None:
         args.seed,
         case=args.case,
     )
-    base = args.report if args.report else args.out + ".report.json"
+    base = _train_report_path(args)
     save_report(report, base, _sibling_path(base, ".json", ".csv"))
     print(f"checkpoint: {args.out}")
     print(f"report: {base}")
     print(f"acc_all={report.acc_all:.4f} when2com_acc={report.when2com_acc:.4f}")
+
+
+def _output_paths(args) -> list[tuple[str, str]]:
+    """Every (flag, path) the command will write, derived files included."""
+    if args.command == "train":
+        report = _train_report_path(args)
+        return [
+            ("--out", args.out),
+            ("--out", args.out + ".log.jsonl"),
+            ("--report", report),
+            ("--report", _sibling_path(report, ".json", ".csv")),
+        ]
+    if args.command == "eval":
+        paths = [("--report", args.report), ("--report", _sibling_path(args.report, ".json", ".csv"))]
+        return paths + ([("--trace", args.trace)] if args.trace is not None else [])
+    if args.command == "sweep":
+        return [("--out", args.out), ("--out", _sibling_path(args.out, ".csv", ".json"))]
+    return [("--out", args.out)]
+
+
+def check_output_paths(args) -> None:
+    """Fail before any work when an output could not be written: no directory, or a directory in its place."""
+    for flag, path in _output_paths(args):
+        parent = os.path.dirname(os.path.abspath(path))
+        if os.path.isdir(path):
+            raise ValueError(f"{flag} {path}: is a directory")
+        if not os.path.isdir(parent):
+            raise ValueError(f"{flag} {path}: directory {parent} does not exist")
+        if not os.access(parent, os.W_OK):
+            raise ValueError(f"{flag} {path}: directory {parent} is not writable")
 
 
 def _int_list(text: str) -> list[int]:
@@ -449,6 +481,7 @@ def cli_main(argv: list[str]) -> int:
         return int(exc.code) if exc.code is not None else 0
 
     try:
+        check_output_paths(args)
         if args.command == "train":
             run = train_run(
                 case=args.case,

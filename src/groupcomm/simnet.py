@@ -4,9 +4,10 @@ Agents are state machines that exchange four message kinds over a synchronous
 round-based queue:
 
 1. ``query``    each agent broadcasts its Q-real query to every peer;
-2. ``score``    each recipient scores the incoming query against its own
-                retained key and replies with a single real (keys never leave
-                their owner, preserving the small-query/large-key asymmetry);
+2. ``score``    each recipient scores every query in its inbox against its
+                own retained key in one call and replies to each requester
+                with a single real (keys never leave their owner, preserving
+                the small-query/large-key asymmetry);
 3. ``request``/``transfer``  after row-softmaxing its assembled scores and
                 pruning at delta, a requester asks each surviving off-diagonal
                 supporter for its F-real feature and fuses what arrives.
@@ -14,6 +15,9 @@ round-based queue:
 :func:`run_episode` runs one episode of every policy (``neuralnet.POLICIES``):
 the handshake only where the policy needs the matching matrix, then
 ``neuralnet.policy_rows``, then the same transmission, decode and ledger.
+Each agent's decode input (its own feature and what it fused) is local; the
+decoder runs once over all agents' inputs, on the row-invariant kernel, so
+every agent's logits are bit for bit those of its own lone decode.
 
 The ledger counts query broadcasts and feature transfers as payload at
 4 bytes per real; score replies, feature requests, and all 9-byte headers
@@ -33,7 +37,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .commgraph import attention_score, fuse, prune
+from .commgraph import attention_score, attention_scores, fuse, prune
 from .densemath import Rng, softmax_row
 from .neuralnet import HANDSHAKE_POLICIES, PipelineParams, decode, mlp_infer, policy_rows
 
@@ -46,28 +50,27 @@ KIND_REQUEST = "request"
 KIND_TRANSFER = "transfer"
 COUNTED_KINDS = (KIND_QUERY, KIND_TRANSFER)
 ALL_KINDS = (KIND_QUERY, KIND_SCORE, KIND_REQUEST, KIND_TRANSFER)
+TRACE_FIELDS = ("kind", "from", "to", "payload_reals", "payload_bytes", "header_bytes", "counted")
 
 
-@dataclass
+@dataclass(slots=True)
 class Message:
+    """One directed message; its payload size is fixed when it is built."""
+
     kind: str
     src: int
     dst: int
     payload: np.ndarray | None = None
+    payload_reals: int = field(init=False)
+    payload_bytes: int = field(init=False)
 
     def __post_init__(self):
         if self.kind not in ALL_KINDS:
             raise ValueError(f"unknown message kind {self.kind!r}")
         if self.src == self.dst:
             raise ValueError(f"inter-agent message to self: agent {self.src}")
-
-    @property
-    def payload_reals(self) -> int:
-        return 0 if self.payload is None else int(np.asarray(self.payload).size)
-
-    @property
-    def payload_bytes(self) -> int:
-        return BYTES_PER_REAL * self.payload_reals
+        self.payload_reals = 0 if self.payload is None else int(np.asarray(self.payload).size)
+        self.payload_bytes = BYTES_PER_REAL * self.payload_reals
 
 
 @dataclass
@@ -134,8 +137,6 @@ class AgentState:
         self.row: np.ndarray | None = None
         self.pruned_row: np.ndarray | None = None
         self.fused: np.ndarray | None = None
-        self.logits: np.ndarray | None = None
-        self.prediction: int | None = None
 
     def query_broadcast(self, peers: list[int]) -> list[Message]:
         return [Message(KIND_QUERY, self.agent_id, j, self.mu) for j in peers]
@@ -143,11 +144,17 @@ class AgentState:
     def receive_query(self, msg: Message) -> None:
         self.received_queries[msg.src] = np.asarray(msg.payload, dtype=np.float64)
 
-    def score_reply(self, requester: int, theta: PipelineParams) -> Message:
-        """Score the requester's query against this agent's own key."""
-        query = self.received_queries[requester]
-        score = attention_score(query, self.kappa, theta.w_g)
-        return Message(KIND_SCORE, self.agent_id, requester, np.array([score]))
+    def score_replies(self, theta: PipelineParams) -> dict[int, Message]:
+        """Score every query in the inbox against this agent's own key, in one call.
+
+        Returns one single-real reply per requester.
+        """
+        if not self.received_queries:
+            return {}
+        requesters = list(self.received_queries)
+        queries = np.array([self.received_queries[r] for r in requesters])
+        scores = attention_scores(queries, self.kappa, theta.w_g)
+        return {r: Message(KIND_SCORE, self.agent_id, r, scores[k : k + 1]) for k, r in enumerate(requesters)}
 
     def receive_score(self, msg: Message) -> None:
         self.received_scores[msg.src] = float(np.asarray(msg.payload)[0])
@@ -167,7 +174,7 @@ class AgentState:
         """Prune the row and request features from surviving off-diagonal peers."""
         self.pruned_row = prune(self.row, delta)
         requests = []
-        for j, w in enumerate(self.pruned_row):
+        for j, w in enumerate(self.pruned_row.tolist()):
             if j == self.agent_id or w == 0.0:
                 continue
             requests.append(Message(KIND_REQUEST, self.agent_id, j))
@@ -195,19 +202,14 @@ class AgentState:
         self.fused = fuse(self.pruned_row, features)
         return self.fused
 
-    def decode(self, theta: PipelineParams) -> int:
-        self.logits = decode(theta, self.feature, self.fused)
-        self.prediction = int(np.argmax(self.logits))
-        return self.prediction
-
 
 @dataclass
 class EpisodeResult:
     predictions: list[int]
-    logits: list[np.ndarray]
+    logits: np.ndarray  # (N, C), row i agent i's
     rows: np.ndarray  # the policy's rows before pruning (centralized ``m``)
     pruned_rows: np.ndarray  # the rows fused, after pruning (centralized ``m_bar``)
-    fused: list[np.ndarray]
+    fused: np.ndarray  # (N, F), row i what agent i fused
     ledger: BandwidthLedger
     trace: list[Message] = field(default_factory=list)
 
@@ -221,7 +223,7 @@ def make_agents(observations, theta: PipelineParams) -> list[AgentState]:
     """
     agents = [AgentState(i, obs) for i, obs in enumerate(observations)]
     if agents:
-        stack = np.stack([agent.observation for agent in agents])
+        stack = np.array([agent.observation for agent in agents])
         heads = [mlp_infer(head, stack) for head in (theta.theta_q, theta.theta_k, theta.theta_e)]
         for agent, mu, kappa, feature in zip(agents, *heads):
             agent.mu, agent.kappa, agent.feature = mu, kappa, feature
@@ -240,28 +242,33 @@ def run_handshake(
         for msg in agent.query_broadcast(peers):
             trace.append(msg)
             agents[msg.dst].receive_query(msg)
-    # Phase 2: each recipient scores locally and replies with one real.
+    # Phase 2: each recipient scores its whole inbox locally and replies to
+    # every requester with one real; replies go out requester by requester.
+    replies = [agent.score_replies(theta) for agent in agents]
     for i in range(n):
         for j in range(n):
             if j == i:
                 continue
-            msg = agents[j].score_reply(i, theta)
+            msg = replies[j][i]
             trace.append(msg)
-            agents[msg.dst].receive_score(msg)
+            agents[i].receive_score(msg)
     # Phase 3: local row softmax.
     for i in range(n):
         if n > 1 and len(agents[i].received_scores) != n - 1:
             missing = [j for j in range(n) if j != i and j not in agents[i].received_scores]
             raise RuntimeError(f"agent {i} missing score replies from {missing}")
         agents[i].assemble_row(n, theta)
-    rows = np.stack([agent.row for agent in agents])
+    rows = np.array([agent.row for agent in agents])
     return rows, trace
 
 
 def run_transmission(
     agents: list[AgentState], rows: np.ndarray, delta: float
-) -> tuple[list[np.ndarray], list[Message]]:
-    """Prune, request, transfer, fuse.  Diagonal weights use the local feature."""
+) -> tuple[np.ndarray, list[Message]]:
+    """Prune, request, transfer, fuse.  Diagonal weights use the local feature.
+
+    Returns the fused features, row i agent i's, and the messages sent.
+    """
     n = len(agents)
     trace: list[Message] = []
     for i in range(n):
@@ -271,7 +278,7 @@ def run_transmission(
             transfer = agents[req.dst].feature_transfer(req.src)
             trace.append(transfer)
             agents[i].receive_feature(transfer)
-    fused = [agents[i].fuse_features(n) for i in range(n)]
+    fused = np.array([agent.fuse_features(n) for agent in agents])
     return fused, trace
 
 
@@ -282,55 +289,99 @@ def run_episode(
     policy: str = "when2com",
     rng: Rng | None = None,
 ) -> EpisodeResult:
-    """One episode of ``policy`` through messages: rows, transmission, local decode, ledger.
+    """One episode of ``policy`` through messages: rows, transmission, decode, ledger.
 
     The handshake runs only for ``HANDSHAKE_POLICIES``; ``policy_rows`` then
     sets the rows (``randcom`` draws them from ``rng``) and the threshold
-    that transmission prunes them at.
+    that transmission prunes them at.  One ``decode`` call then runs every
+    agent's own feature and fused feature; its kernel rounds each agent's row
+    as that agent's lone decode would.
     """
     soft_rows, trace = run_handshake(agents, theta) if policy in HANDSHAKE_POLICIES else (None, [])
     rows, threshold = policy_rows(policy, soft_rows, len(agents), delta, rng)
     fused, transfers = run_transmission(agents, rows, threshold)
-    predictions = [agent.decode(theta) for agent in agents]
+    logits = decode(theta, np.array([agent.feature for agent in agents]), fused)
     trace = trace + transfers
     return EpisodeResult(
-        predictions=predictions,
-        logits=[agent.logits for agent in agents],
+        predictions=np.argmax(logits, axis=1).tolist(),
+        logits=logits,
         rows=rows,
-        pruned_rows=np.stack([agent.pruned_row for agent in agents]),
+        pruned_rows=np.array([agent.pruned_row for agent in agents]),
         fused=fused,
         ledger=ledger_from_trace(trace, frames=1),
         trace=trace,
     )
 
 
+def _trace_record(msg: Message) -> dict:
+    """The dumped fields of one message: its endpoints and sizes under the byte model."""
+    return {
+        "kind": msg.kind,
+        "from": msg.src,
+        "to": msg.dst,
+        "payload_reals": msg.payload_reals,
+        "payload_bytes": msg.payload_bytes,
+        "header_bytes": HEADER_BYTES,
+        "counted": msg.kind in COUNTED_KINDS,
+    }
+
+
 def dump_trace(path: str, messages: list[Message]) -> None:
-    """Line-delimited trace for external ledger auditing: one message per line."""
+    """Line-delimited trace for external ledger auditing: one message per line.
+
+    Each line is the ``json.dumps(..., sort_keys=True)`` of the message's
+    record.  A record depends only on (kind, from, to, payload_reals), so
+    each distinct one is encoded once and its line reused; lines are
+    streamed to the file, never joined into one string.
+    """
+    lines: dict[tuple, str] = {}
+
+    def line(msg: Message) -> str:
+        key = (msg.kind, msg.src, msg.dst, msg.payload_reals)
+        text = lines.get(key)
+        if text is None:
+            text = lines[key] = json.dumps(_trace_record(msg), sort_keys=True) + "\n"
+        return text
+
     with open(path, "w", encoding="utf-8") as fh:
-        for msg in messages:
-            fh.write(
-                json.dumps(
-                    {
-                        "kind": msg.kind,
-                        "from": msg.src,
-                        "to": msg.dst,
-                        "payload_reals": msg.payload_reals,
-                        "payload_bytes": msg.payload_bytes,
-                        "header_bytes": HEADER_BYTES,
-                        "counted": msg.kind in COUNTED_KINDS,
-                    },
-                    sort_keys=True,
-                )
-                + "\n"
-            )
+        fh.writelines(map(line, messages))
 
 
 def load_trace(path: str) -> list[Message]:
-    """Rebuild byte-accounting stubs from a dumped trace (payload sizes only)."""
+    """Rebuild byte-accounting stubs from a dumped trace (payload sizes only).
+
+    Every record is checked: it must be a JSON object with every field
+    :func:`dump_trace` writes, a known kind, non-negative integer ids and
+    payload size, two distinct ids, and payload bytes, header bytes and
+    ``counted`` as the byte model gives them.  An error names the path and
+    the 1-based line.
+    """
     messages = []
     with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
-            rec = json.loads(line)
-            payload = np.zeros(rec["payload_reals"]) if rec["payload_reals"] else None
-            messages.append(Message(rec["kind"], rec["from"], rec["to"], payload))
+        for lineno, line in enumerate(fh, 1):
+            try:
+                messages.append(_message_from_record(json.loads(line.rstrip("\n"))))
+            except json.JSONDecodeError as exc:
+                raise ValueError(f"trace {path}, line {lineno}: bad JSON: {exc.msg} at column {exc.colno}") from None
+            except ValueError as exc:
+                raise ValueError(f"trace {path}, line {lineno}: {exc}") from None
     return messages
+
+
+def _message_from_record(rec) -> Message:
+    if not isinstance(rec, dict):
+        raise ValueError(f"expected a JSON object, got {type(rec).__name__}")
+    missing = [name for name in TRACE_FIELDS if name not in rec]
+    if missing:
+        raise ValueError(f"record lacks field(s) {missing}")
+    for name in ("from", "to", "payload_reals"):
+        value = rec[name]
+        if type(value) is not int or value < 0:
+            raise ValueError(f"{name} must be a non-negative integer, got {value!r}")
+    reals = rec["payload_reals"]
+    # A zero-stride view: the stub's size without allocating its reals.
+    msg = Message(rec["kind"], rec["from"], rec["to"], np.broadcast_to(0.0, (reals,)) if reals else None)
+    for name, expected in _trace_record(msg).items():
+        if type(rec[name]) is not type(expected) or rec[name] != expected:
+            raise ValueError(f"{name} is {rec[name]!r}, but the byte model gives {expected!r}")
+    return msg

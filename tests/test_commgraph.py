@@ -7,6 +7,7 @@ import pytest
 
 from groupcomm.commgraph import (
     attention_score,
+    attention_scores,
     build_matching_matrix,
     fuse,
     fuse_rows,
@@ -72,6 +73,44 @@ class TestAttentionScore:
             attention_score(np.zeros(3), np.zeros(4), np.zeros((2, 4)))
         with pytest.raises(ValueError):
             attention_score(np.zeros(2), np.zeros(5), np.zeros((2, 4)))
+
+
+class TestAttentionScores:
+    @pytest.mark.parametrize("r", [1, 2, 4, 9])
+    def test_each_score_equals_its_lone_score_bitwise(self, r):
+        rng = Rng(30 + r)
+        for _ in range(50):
+            q, k = 1 + rng.randint(6), 1 + rng.randint(17)
+            w = rng.normal(q * k).reshape(q, k)
+            queries = rng.normal(r * q).reshape(r, q) * 3.0
+            kappa = rng.normal(k)
+            scores = attention_scores(queries, kappa, w)
+            assert scores.shape == (r,)
+            assert scores.tolist() == [attention_score(mu, kappa, w) for mu in queries]
+            assert scores.tolist() == [float(attention_scores(mu, kappa, w)) for mu in queries]
+            # The bilinear form itself, to rounding.
+            for mu, s in zip(queries, scores):
+                assert s == pytest.approx(bilinear_oracle(mu, kappa, w), abs=1e-12)
+
+    def test_leading_shape_kept(self):
+        rng = Rng(50)
+        w = rng.normal(12).reshape(3, 4)
+        queries = rng.normal(2 * 5 * 3).reshape(2, 5, 3)
+        kappa = rng.normal(4)
+        scores = attention_scores(queries, kappa, w)
+        assert scores.shape == (2, 5)
+        np.testing.assert_array_equal(scores[1], attention_scores(queries[1], kappa, w))
+
+    def test_shapes_rejected(self):
+        w = np.zeros((2, 4))
+        with pytest.raises(ValueError, match="query shape"):
+            attention_scores(np.zeros((3, 3)), np.zeros(4), w)
+        with pytest.raises(ValueError, match="key shape"):
+            attention_scores(np.zeros((3, 2)), np.zeros((2, 4)), w)
+        with pytest.raises(ValueError, match="w_g must be 2-D"):
+            attention_scores(np.zeros((3, 2)), np.zeros(4), np.zeros(8))
+        with pytest.raises(ValueError, match="one query vector"):
+            attention_score(np.zeros((3, 2)), np.zeros(4), w)
 
 
 class TestBuildMatchingMatrix:

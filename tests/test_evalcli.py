@@ -1,5 +1,6 @@
 """Selection metrics, policy execution, reports, and the command-line interface."""
 
+import hashlib
 import json
 import os
 import subprocess
@@ -15,6 +16,8 @@ from groupcomm.densemath import Rng
 from groupcomm.evalcli import (
     CSV_COLUMNS,
     POLICIES,
+    build_parser,
+    check_output_paths,
     cli_main,
     decisions_from_rows,
     evaluate,
@@ -511,6 +514,60 @@ class TestCli:
         assert proc.returncode == 0
         assert proc.stderr == ""
 
+    @pytest.mark.parametrize(
+        "argv, flag",
+        [
+            (["train", "--episodes", "40", "--steps", "5", "--out", "{missing}/x.ckpt"], "--out"),
+            (["train", "--episodes", "40", "--steps", "5", "--out", "{tmp}/x.ckpt", "--report", "{missing}/r.json"], "--report"),
+            (["train", "--episodes", "40", "--steps", "5", "--out", "{tmp}/x.ckpt", "--report", "{tmp}"], "--report"),
+        ],
+    )
+    def test_train_checks_output_paths_before_training(self, tmp_path, capsys, monkeypatch, argv, flag):
+        steps = []
+        monkeypatch.setattr(neuralnet, "adam_step", lambda *args, **kwargs: steps.append(args))
+        monkeypatch.setattr(evalcli, "generate_dataset", lambda *args: steps.append(args))
+        argv = [a.format(missing=tmp_path / "absent", tmp=tmp_path) for a in argv]
+        assert cli_main(argv) == 1
+        err = capsys.readouterr().err
+        bad = argv[argv.index(flag) + 1]
+        assert f"error: {flag} {bad}: " in err
+        assert ("does not exist" if "absent" in bad else "is a directory") in err
+        assert steps == []
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("flag", ["--trace", "--report"])
+    def test_eval_checks_output_paths_before_any_episode(self, tmp_path, capsys, monkeypatch, flag):
+        ckpt = tmp_path / "m.ckpt"
+        save_checkpoint(str(ckpt), tiny_theta(), PipelineConfig())
+        episodes_run = []
+        monkeypatch.setattr(evalcli, "run_policy_episode", lambda *args: episodes_run.append(args))
+        bad = str(tmp_path / "absent" / "out.jsonl")
+        outputs = {"--report": str(tmp_path / "ev.json"), "--trace": str(tmp_path / "t.jsonl"), flag: bad}
+        argv = ["eval", "--checkpoint", str(ckpt), "--episodes", "20"]
+        assert cli_main(argv + [a for kv in outputs.items() for a in kv]) == 1
+        assert f"error: {flag} {bad}: directory {tmp_path / 'absent'} does not exist" in capsys.readouterr().err
+        assert episodes_run == []
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["m.ckpt"]
+
+    @pytest.mark.parametrize("command", ["gen-data", "sweep"])
+    def test_gen_data_and_sweep_check_out_before_any_work(self, tmp_path, capsys, monkeypatch, command):
+        work = []
+        monkeypatch.setattr(evalcli, "generate_dataset", lambda *args: work.append(args))
+        monkeypatch.setattr(evalcli, "train_run", lambda *args, **kwargs: work.append(args))
+        bad = str(tmp_path / "absent" / "out.csv")
+        extra = ["--param", "query", "--values", "1"] if command == "sweep" else []
+        assert cli_main([command, "--episodes", "40", *extra, "--out", bad]) == 1
+        assert f"error: --out {bad}: directory {tmp_path / 'absent'} does not exist" in capsys.readouterr().err
+        assert work == []
+        assert list(tmp_path.iterdir()) == []
+
+    def test_output_paths_cover_derived_files(self, tmp_path):
+        # A directory where the CSV sibling of the report would go is caught too.
+        (tmp_path / "r.csv").mkdir()
+        args = build_parser().parse_args(["eval", "--checkpoint", "m.ckpt", "--report", str(tmp_path / "r.json")])
+        with pytest.raises(ValueError, match=f"--report {tmp_path / 'r.csv'}: is a directory"):
+            check_output_paths(args)
+
     def test_missing_checkpoint_file_is_diagnostic_error(self, tmp_path, capsys):
         code = cli_main(["eval", "--checkpoint", str(tmp_path / "absent.ckpt")])
         assert code == 1
@@ -521,6 +578,117 @@ class TestDecisions:
     def test_decisions_from_rows(self):
         rows = np.array([[1.0, 0.0], [0.4, 0.6]])
         assert decisions_from_rows(rows) == [False, True]
+
+    def test_decisions_ignore_the_diagonal_only(self):
+        rows = np.array([[0.5, 0.0, 0.0], [0.0, 0.0, 0.0], [0.0, -0.1, 0.9]])
+        decisions = decisions_from_rows(rows)
+        assert decisions == [False, False, True]
+        assert all(type(d) is bool for d in decisions)
+        assert decisions_from_rows(np.eye(1)) == [False]
+        # The input rows are left as they are.
+        assert rows[0, 0] == 0.5
+
+
+BENCH_DIR = Path(__file__).resolve().parents[1] / "bench"
+
+# SHA-256 of (report JSON, report CSV, trace) from evalcli.evaluate on the
+# benchmark's fixed checkpoint, over 30 episodes of its training world, at
+# delta 1/N.  A change to the simulator's arithmetic, message order or trace
+# encoding changes them.  An empty trace (nocom) hashes to e3b0c442...
+PINNED_EVAL_DIGESTS = {
+    3: {
+        "when2com": (
+            "b0a41f14d97cf06516b9aa3c14c7a292090b884c354233fb4d7ee9765f61188d",
+            "3bcdf2d1f724588dab3c3eade227662c9db62e940eb0d1e5831c740fa8a22de5",
+            "3c6e41061c1d787f1d86deeb74e88353d802c574b7032a45c5a0b18db9e6f9c0",
+        ),
+        "nocom": (
+            "31a4b7874a30519c78aaec4cef7f23128fa0851b83945023faf3aa641671f3e1",
+            "6ee7c2c6d51d82c64c678c71cd8f3870f79d9aa783ab5c29be24a22adb764aed",
+            "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        ),
+        "randcom": (
+            "0277cce660124182a6584d47ae7a9207f0a4b78daecf11d47eaf6a9e18314ee8",
+            "5033e90cb60da647a5f449b9e7d34ca09f4394b192158bb090131d18ff6514fb",
+            "1dbfbf3193ff8d5244751f9e1d8603ba3d10edc5a13db6fa7e63145e20241d1b",
+        ),
+        "catall": (
+            "249d97d1ff5090bf54a684cc855da53699c0857c746b0e9feebe4a9cc016e72e",
+            "d09211fbe5eab2e0c86c1639a888c5c17baf9a70ca0db84ea504e6dba622cc3b",
+            "2d9b1ee9dd7c8afb818a8ade561d93d08eadf8bff385c641278aad9ec2b78938",
+        ),
+        "forced_top1": (
+            "68f55364febf8d0e2a131db3f7a24bd1a7df82940fac85ef957a28fa27f297e0",
+            "d2a44fbb8d69195ed2ede82ece1a6a503356c9dd7dbf34d81916edcc4109531e",
+            "87bf9b77403a58aa5e3a7d9f902d181ea1519257cd97550cb1a53b6bffdbea66",
+        ),
+        "fully_connected": (
+            "df3899f7f6d0c703ee84272820c9189b8f0a526b9d18376bd6f15cc2695e37cf",
+            "cd9fc4d51d32518cdc1e7d253e0d58a2c4468fe0d4d3b66b5c26c9deb03f70f7",
+            "7b50420058554e40e9630bb5076aaec8cf81553f4beb995fedad2d8c31827363",
+        ),
+    },
+    11: {
+        "when2com": (
+            "5236403750efa5276b0c15fb1b9cb50d0247cb69b9a2aa757dd01c02e2490684",
+            "4704d047ea91855f64cc8c083b440f78bb5cfcffcfb0bcbec6f81cb55fdff912",
+            "6ad2c05142ad24f790b13b02f911990d433add7a2c0396e7033cd48a5dcb6c7e",
+        ),
+        "nocom": (
+            "e6f32095a2d6a3cd1ebac03b8607323c4706529256de131aee97e73f4196ad57",
+            "4b84c56debd275423d65c7b05d1db250195c64858c4c47474d9c7c0a98be6a22",
+            "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        ),
+        "randcom": (
+            "8d80da78388d6ab1aeb99185e2cecd253da513fc0c895074cbce4612abcfa8d9",
+            "96108185d224e123365d81216df11c27932e6c3dc531502ba99196d2e3a07998",
+            "b9b3859b99613ab3d4aa360c7770dc29bcbb5470ee1576d6d47eba54dc176c27",
+        ),
+        "catall": (
+            "7d0032a75718e367326bfd0451df9d88b6e132914dc76264f22802f2530a7c65",
+            "45ec82e371374e25cd0bccfedd8928268d424d3ef932e83acb30882c8c412c5d",
+            "2d9b1ee9dd7c8afb818a8ade561d93d08eadf8bff385c641278aad9ec2b78938",
+        ),
+        "forced_top1": (
+            "b74bbe4c6fef8fcca0cf518963623a75f920c324ff748367e81268802b5d960f",
+            "078bb3000e6c50c527c72194f2073cbddda7ad74b26f1ba17fc907a2fd1d9691",
+            "ca4aa07d0f2050751eec969d67e9a7e14c6e764c7df9eff79f06fe4eab82502c",
+        ),
+        "fully_connected": (
+            "d4a091f5df72b8c7f56819b719637cf286eb892b180f553321d41c22d0f69ada",
+            "c79decb65eecdb786a2f98c4294a9896964cd59f50cdfdcd07ad2ad9b569a100",
+            "7b50420058554e40e9630bb5076aaec8cf81553f4beb995fedad2d8c31827363",
+        ),
+    },
+}
+
+
+@pytest.fixture(scope="module")
+def eval_model():
+    recipe = json.loads((BENCH_DIR / "eval_model.json").read_text())
+    theta, _ = neuralnet.load_checkpoint(str(BENCH_DIR / recipe["checkpoint"]))
+    return theta, world_for_run("srms", None, recipe["run_seed"])
+
+
+class TestPinnedEvalOutputs:
+    @pytest.mark.parametrize("seed", sorted(PINNED_EVAL_DIGESTS))
+    def test_report_csv_and_trace_bytes(self, eval_model, tmp_path, seed):
+        theta, world = eval_model
+        episodes = generate_dataset(world, 30, seed).episodes
+        got = {}
+        for policy in POLICIES:
+            paths = [tmp_path / f"{policy}.{ext}" for ext in ("json", "csv", "jsonl")]
+            report = evaluate(policy, theta, episodes, 1.0 / world.n_agents, seed, "srms", str(paths[2]))
+            save_report(report, str(paths[0]), str(paths[1]))
+            got[policy] = tuple(hashlib.sha256(p.read_bytes()).hexdigest() for p in paths)
+        assert got == PINNED_EVAL_DIGESTS[seed]
+
+    def test_trace_does_not_change_the_report(self, eval_model, tmp_path):
+        theta, world = eval_model
+        episodes = generate_dataset(world, 10, 3).episodes
+        for policy in POLICIES:
+            traced = evaluate(policy, theta, episodes, 0.2, 3, "srms", str(tmp_path / "t.jsonl"))
+            assert evaluate(policy, theta, episodes, 0.2, 3, "srms") == traced
 
 
 class TestSweep:

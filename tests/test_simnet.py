@@ -1,13 +1,17 @@
 """Decentralized protocol: message flows, equivalence with centralized math, ledger."""
 
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from groupcomm.densemath import Rng
-from groupcomm.neuralnet import PipelineConfig, init_pipeline, pipeline_forward
+from groupcomm.neuralnet import PipelineConfig, decode, init_pipeline, pipeline_forward
 from groupcomm.simnet import (
+    ALL_KINDS,
     BYTES_PER_REAL,
+    COUNTED_KINDS,
     HEADER_BYTES,
     BandwidthLedger,
     Message,
@@ -44,6 +48,16 @@ class TestMessages:
         msg = Message("transfer", 0, 1, np.zeros(32))
         assert msg.payload_reals == 32
         assert msg.payload_bytes == 32 * BYTES_PER_REAL
+
+    def test_payload_size_fixed_at_construction(self):
+        # The size is computed once; the ledger reads the stored value.
+        msg = Message("query", 0, 1, np.zeros((2, 3)))
+        assert (msg.payload_reals, msg.payload_bytes) == (6, 6 * BYTES_PER_REAL)
+        assert (Message("request", 0, 1).payload_reals, Message("request", 0, 1).payload_bytes) == (0, 0)
+        msg.payload_bytes = 1000
+        ledger = BandwidthLedger()
+        ledger.record(msg)
+        assert ledger.counted_bytes == 1000
 
 
 class TestHandshake:
@@ -197,12 +211,26 @@ class TestInformationFlow:
         fresh.assemble_row(5, theta)
         fresh.feature_requests(1.0 / 5.0)
         fresh.fuse_features(5)
-        fresh.decode(theta)
+        logits = decode(theta, fresh.feature, fresh.fused)
 
         np.testing.assert_array_equal(fresh.row, agents[0].row)
         np.testing.assert_array_equal(fresh.fused, agents[0].fused)
-        np.testing.assert_array_equal(fresh.logits, agents[0].logits)
-        assert fresh.prediction == result.predictions[0]
+        # The episode decodes every agent in one call; agent 0's lone decode
+        # of its own inputs gives the same bits.
+        np.testing.assert_array_equal(logits, result.logits[0])
+        assert int(np.argmax(logits)) == result.predictions[0]
+
+    def test_inbox_scores_match_per_query_scores_bitwise(self):
+        from groupcomm.commgraph import attention_score
+
+        cfg, theta, obs = small_setup(18, n_agents=6)
+        agents = make_agents(obs, theta)
+        _, trace = run_handshake(agents, theta)
+        scores = [m for m in trace if m.kind == "score"]
+        assert [(m.dst, m.src) for m in scores] == [(i, j) for i in range(6) for j in range(6) if j != i]
+        for m in scores:
+            assert m.payload.shape == (1,)
+            assert m.payload[0] == attention_score(agents[m.dst].mu, agents[m.src].kappa, theta.w_g)
 
     def test_self_transfer_short_circuited(self):
         cfg, theta, obs = small_setup(15, n_agents=2)
@@ -243,7 +271,85 @@ class TestBandwidthMetrics:
         assert abs(per_link_mb - 0.5) < 0.05
 
 
+def _old_trace_line(msg):
+    """The per-message encoding the trace format was defined by."""
+    record = {
+        "kind": msg.kind,
+        "from": msg.src,
+        "to": msg.dst,
+        "payload_reals": msg.payload_reals,
+        "payload_bytes": msg.payload_bytes,
+        "header_bytes": HEADER_BYTES,
+        "counted": msg.kind in COUNTED_KINDS,
+    }
+    return json.dumps(record, sort_keys=True) + "\n"
+
+
+def _good_record(**changes):
+    rec = {"kind": "query", "from": 0, "to": 1, "payload_reals": 4, "payload_bytes": 16,
+           "header_bytes": HEADER_BYTES, "counted": True}
+    rec.update(changes)
+    return json.dumps(rec, sort_keys=True)
+
+
 class TestTraceDump:
+    def test_lines_equal_per_message_encoding(self, tmp_path):
+        # Every kind, with and without a payload, between one- and two-digit
+        # agent ids, each record repeated so the reused lines are exercised.
+        messages = []
+        for kind in ALL_KINDS:
+            for src, dst in ((0, 1), (3, 12), (11, 10), (12, 3)):
+                for payload in (None, np.zeros(1), np.zeros(32)):
+                    messages.append(Message(kind, src, dst, payload))
+        messages += messages[::-1]
+        path = tmp_path / "trace.jsonl"
+        dump_trace(str(path), messages)
+        assert path.read_text(encoding="utf-8") == "".join(_old_trace_line(m) for m in messages)
+        reloaded = load_trace(str(path))
+        assert [(m.kind, m.src, m.dst, m.payload_reals) for m in reloaded] == [
+            (m.kind, m.src, m.dst, m.payload_reals) for m in messages
+        ]
+
+    def test_large_payload_counts_load_without_allocating(self, tmp_path):
+        path = tmp_path / "trace.jsonl"
+        reals = 10**12
+        path.write_text(_good_record(kind="transfer", payload_reals=reals, payload_bytes=4 * reals) + "\n")
+        (msg,) = load_trace(str(path))
+        assert msg.payload_reals == reals
+        assert ledger_from_trace([msg], frames=1).counted_bytes == 4 * reals
+
+    def test_empty_trace_is_an_empty_file(self, tmp_path):
+        path = tmp_path / "trace.jsonl"
+        dump_trace(str(path), [])
+        assert path.read_bytes() == b""
+        assert load_trace(str(path)) == []
+
+    @pytest.mark.parametrize(
+        "line, message",
+        [
+            ('{"kind": "query", "from": 0, "to": 1}', "lacks field(s) ['payload_reals', 'payload_bytes'"),
+            (_good_record(kind="gossip"), "unknown message kind 'gossip'"),
+            (_good_record(payload_reals=-3), "payload_reals must be a non-negative integer, got -3"),
+            (_good_record(payload_reals=2.5), "payload_reals must be a non-negative integer, got 2.5"),
+            (_good_record(to=-1), "to must be a non-negative integer, got -1"),
+            (_good_record(to=0), "inter-agent message to self: agent 0"),
+            ('{"kind": "query", "from": 0,', "bad JSON: Expecting property name enclosed in double quotes at column 29"),
+            ("[1, 2]", "expected a JSON object, got list"),
+            (_good_record(payload_bytes=999, counted=False), "payload_bytes is 999, but the byte model gives 16"),
+            (_good_record(header_bytes=8), "header_bytes is 8, but the byte model gives 9"),
+            (_good_record(counted=False), "counted is False, but the byte model gives True"),
+            (_good_record(counted=1), "counted is 1, but the byte model gives True"),
+            (_good_record(kind="score", payload_reals=1, payload_bytes=4), "counted is True, but the byte model gives False"),
+        ],
+    )
+    def test_bad_record_names_path_and_line(self, tmp_path, line, message):
+        path = tmp_path / "trace.jsonl"
+        path.write_text(_good_record() + "\n" + _good_record() + "\n" + line + "\n", encoding="utf-8")
+        with pytest.raises(ValueError) as err:
+            load_trace(str(path))
+        assert str(err.value).startswith(f"trace {path}, line 3: ")
+        assert message in str(err.value)
+
     def test_dump_and_reload_preserves_ledger(self, tmp_path):
         cfg, theta, obs = small_setup(16)
         agents = make_agents(obs, theta)
