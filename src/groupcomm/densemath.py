@@ -99,11 +99,6 @@ def relu(v: np.ndarray) -> np.ndarray:
     return np.maximum(np.asarray(v, dtype=np.float64), 0.0)
 
 
-def relu_grad(v: np.ndarray) -> np.ndarray:
-    """Subgradient mask of relu: 1 where x > 0 else 0 (0 at x == 0)."""
-    return (np.asarray(v, dtype=np.float64) > 0.0).astype(np.float64)
-
-
 def _words(starts: np.ndarray, n: int) -> np.ndarray:
     """The ``n`` splitmix64 words after each state of the uint64 vector ``starts``, as (len(starts), n)."""
     if n <= _GAMMA_STEPS.size:

@@ -422,6 +422,17 @@ def _int_list(text: str) -> list[int]:
         raise argparse.ArgumentTypeError(f"expected comma-separated integers, got {text!r}") from None
 
 
+def _unit_interval(text: str) -> float:
+    """``--delta``: a number in [0, 1] (NaN is not)."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected a number in [0, 1], got {text!r}") from None
+    if not 0.0 <= value <= 1.0:
+        raise argparse.ArgumentTypeError(f"must lie in [0, 1], got {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="groupcomm",
@@ -444,7 +455,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_eval = sub.add_parser("eval", help="evaluate a checkpoint under a policy")
     p_eval.add_argument("--checkpoint", required=True)
     p_eval.add_argument("--policy", choices=POLICIES, default="when2com")
-    p_eval.add_argument("--delta", type=float, default=None, help="pruning threshold (default 1/N)")
+    p_eval.add_argument("--delta", type=_unit_interval, default=None, help="pruning threshold in [0, 1] (default 1/N)")
     p_eval.add_argument("--seed", type=int, default=0)
     p_eval.add_argument("--data", default=None, help="dataset file from gen-data")
     p_eval.add_argument("--case", choices=CASES, default="srms")

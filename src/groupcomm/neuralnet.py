@@ -22,7 +22,11 @@ differences; see tests.
 
 Every parameter lives in one float64 vector, ``PipelineParams.flat``, whose
 views are the heads and the bilinear form, so an Adam step, a gradient tree
-and a checkpoint body (the bytes of ``flat``) are each one array.
+and a checkpoint body (the bytes of ``flat``) are each one array.  The
+backward writes every layer's weight and bias gradient straight into the
+gradient tree's views (``out=`` products and sums), and an Adam step writes
+its arithmetic into its three fresh result vectors (moments and parameters)
+and one scratch vector, so neither allocates a temporary per operation.
 
 Inference is batched too, over (N, .) or (E, N, .) stacks, but on the
 row-invariant kernel :func:`~groupcomm.densemath.row_matmul` (see
@@ -35,6 +39,7 @@ inference at delta = 0 to rounding (1e-12), not bit for bit.
 
 from __future__ import annotations
 
+import itertools
 import math
 import struct
 from dataclasses import astuple, dataclass, field
@@ -42,7 +47,7 @@ from dataclasses import astuple, dataclass, field
 import numpy as np
 
 from .commgraph import build_matching_matrix, fuse_rows, prune, top1_rows
-from .densemath import Rng, relu, relu_grad, row_matmul, softmax
+from .densemath import Rng, relu, row_matmul, softmax
 
 CHECKPOINT_MAGIC = b"GRPCOMM1"
 CHECKPOINT_VERSION = 1
@@ -126,7 +131,8 @@ class PipelineParams:
         if self.flat.dtype != np.float64 or self.flat.shape != (sum(sizes),):
             got = f"{self.flat.dtype} of shape {self.flat.shape}"
             raise ValueError(f"PipelineParams.flat must be a float64 vector of {sum(sizes)} values, got {got}")
-        views = (a.reshape(s) for a, s in zip(np.split(self.flat, np.cumsum(sizes)[:-1]), shapes))
+        ends = itertools.accumulate(sizes)
+        views = (self.flat[end - size : end].reshape(s) for s, size, end in zip(shapes, sizes, ends))
         self.theta_q, self.theta_k, self.theta_e, self.theta_d = (
             MlpParams([(next(views), next(views)) for _ in h[1:]]) for h in head_sizes(self.config)
         )
@@ -183,7 +189,8 @@ def mlp_forward(p: MlpParams, x: np.ndarray) -> tuple[np.ndarray, MlpCache]:
     last = len(p.layers) - 1
     for idx, (w, b) in enumerate(p.layers):
         inputs.append(h)
-        z = h @ w.T + b
+        z = h @ w.T
+        z += b
         pre.append(z)
         h = z if idx == last else relu(z)
     return h, MlpCache(inputs, pre)
@@ -201,28 +208,30 @@ def mlp_infer(p: MlpParams, x: np.ndarray) -> np.ndarray:
         raise ValueError(f"input shape {h.shape} does not match first layer ({p.in_dim})")
     last = len(p.layers) - 1
     for idx, (w, b) in enumerate(p.layers):
-        z = row_matmul(h, w) + b
-        h = z if idx == last else relu(z)
+        h = row_matmul(h, w)  # a fresh array, so the bias and rectifier go in place
+        h += b
+        if idx < last:
+            np.maximum(h, 0.0, out=h)
     return h
 
 
-def mlp_backward(
-    p: MlpParams, cache: MlpCache, dout: np.ndarray
-) -> tuple[list[tuple[np.ndarray, np.ndarray]], np.ndarray]:
-    """Gradients of all layers plus the derivative w.r.t. the input.
+def mlp_backward(p: MlpParams, cache: MlpCache, dout: np.ndarray, grads: MlpParams) -> np.ndarray:
+    """Write every layer's (dW, db) into ``grads``' arrays; return the derivative w.r.t. the input.
 
     ``dout`` has the forward output's shape; for a stack of rows the layer
-    gradients sum over the rows.
+    gradients sum over the rows.  ``grads`` is the head's part of a gradient
+    tree, so the products land in its views of the flat gradient vector.
     """
-    grads: list[tuple[np.ndarray, np.ndarray]] = [None] * len(p.layers)  # type: ignore[list-item]
     dz = np.asarray(dout, dtype=np.float64)
-    for idx in range(len(p.layers) - 1, -1, -1):
-        w, _ = p.layers[idx]
-        if idx < len(p.layers) - 1:
-            dz = dz * relu_grad(cache.pre[idx])
-        grads[idx] = (dz.T @ cache.inputs[idx], dz.sum(axis=0))
-        dz = dz @ w
-    return grads, dz
+    last = len(p.layers) - 1
+    for idx in range(last, -1, -1):
+        if idx < last:
+            dz = dz * (cache.pre[idx] > 0.0)  # relu's subgradient, 0 at 0
+        dw, db = grads.layers[idx]
+        np.matmul(dz.T, cache.inputs[idx], out=dw)
+        np.sum(dz, axis=0, out=db)
+        dz = dz @ p.layers[idx][0]
+    return dz
 
 
 @dataclass
@@ -417,9 +426,7 @@ def pipeline_backward(
     dlogits = softmax(cache.logits.reshape(b * n, -1))
     dlogits[np.arange(b * n), y.reshape(-1)] -= 1.0
     dlogits /= b * n
-    d_layers, du = mlp_backward(theta.theta_d, cache.d_cache, dlogits)
-    _assign(grads.theta_d, d_layers)
-    du = du.reshape(b, n, 2 * f_dim)
+    du = mlp_backward(theta.theta_d, cache.d_cache, dlogits, grads.theta_d).reshape(b, n, 2 * f_dim)
 
     # Fusion: fused = M @ E.
     d_fused = du[..., f_dim:]
@@ -432,20 +439,14 @@ def pipeline_backward(
         ds = cache.m * (dm - np.sum(dm * cache.m, axis=-1, keepdims=True))
         ds /= math.sqrt(theta.w_g.shape[1])
         ds_keys = (ds @ cache.keys).reshape(b * n, -1)
-        grads.w_g[...] = cache.queries.reshape(b * n, -1).T @ ds_keys
+        np.matmul(cache.queries.reshape(b * n, -1).T, ds_keys, out=grads.w_g)
         d_mu = ds_keys @ theta.w_g.T
         d_kappa = (ds.transpose(0, 2, 1) @ cache.queries).reshape(b * n, -1) @ theta.w_g
-        _assign(grads.theta_q, mlp_backward(theta.theta_q, cache.q_cache, d_mu)[0])
-        _assign(grads.theta_k, mlp_backward(theta.theta_k, cache.k_cache, d_kappa)[0])
+        mlp_backward(theta.theta_q, cache.q_cache, d_mu, grads.theta_q)
+        mlp_backward(theta.theta_k, cache.k_cache, d_kappa, grads.theta_k)
 
-    _assign(grads.theta_e, mlp_backward(theta.theta_e, cache.e_cache, d_features.reshape(b * n, f_dim))[0])
+    mlp_backward(theta.theta_e, cache.e_cache, d_features.reshape(b * n, f_dim), grads.theta_e)
     return grads
-
-
-def _assign(head: MlpParams, layer_grads: list[tuple[np.ndarray, np.ndarray]]) -> None:
-    """Write one head's (dW, db) pairs into a gradient tree's views."""
-    for (w, b), (dw, db) in zip(head.layers, layer_grads):
-        w[...], b[...] = dw, db
 
 
 @dataclass
@@ -470,12 +471,30 @@ def adam_step(
     beta2: float = 0.999,
     eps: float = 1e-8,
 ) -> tuple[PipelineParams, AdamState]:
-    """One bias-corrected Adam update over the flat vectors; returns fresh parameters and state."""
+    """One bias-corrected Adam update over the flat vectors; returns fresh parameters and state.
+
+    The arithmetic is, operation for operation,
+    ``m = beta1 * m + (1 - beta1) * g``, ``v = beta2 * v + (1 - beta2) * g * g``
+    and ``flat - lr * (m / (1 - beta1**t)) / (sqrt(v / (1 - beta2**t)) + eps)``,
+    written into the three fresh result vectors and one scratch vector.  No
+    input is modified.
+    """
     t = state.t + 1
     g = grads.flat
-    m = beta1 * state.m + (1.0 - beta1) * g
-    v = beta2 * state.v + (1.0 - beta2) * g * g
-    flat = theta.flat - lr * (m / (1.0 - beta1**t)) / (np.sqrt(v / (1.0 - beta2**t)) + eps)
+    scratch = np.multiply(g, 1.0 - beta1)
+    m = np.multiply(state.m, beta1)
+    m += scratch
+    np.multiply(g, 1.0 - beta2, out=scratch)
+    scratch *= g
+    v = np.multiply(state.v, beta2)
+    v += scratch
+    flat = np.divide(m, 1.0 - beta1**t)
+    flat *= lr
+    np.divide(v, 1.0 - beta2**t, out=scratch)
+    np.sqrt(scratch, out=scratch)
+    scratch += eps
+    flat /= scratch
+    np.subtract(theta.flat, flat, out=flat)
     return PipelineParams(theta.config, flat), AdamState(m=m, v=v, t=t)
 
 
@@ -492,6 +511,8 @@ class TrainConfig:
             raise ValueError(f"TrainConfig.steps must be >= 0, got {self.steps}")
         if self.batch_size < 1:
             raise ValueError(f"TrainConfig.batch_size must be positive, got {self.batch_size}")
+        if self.eval_every < 0:
+            raise ValueError(f"TrainConfig.eval_every must be >= 0 (0 never validates), got {self.eval_every}")
         if self.policy not in POLICIES:
             raise ValueError(f"TrainConfig.policy must be one of {POLICIES}, got {self.policy!r}")
 

@@ -50,6 +50,16 @@ def test_datagen_workload_runs_clean(tmp_path):
     assert workload.failed == 0
 
 
+def test_train_workload_runs_clean(tmp_path):
+    workload = _load("workloads").Train(3, tmp_path, mini=True)
+    workload.setup()
+    workload.unit(0)
+    workload.unit(1)
+    workload.check()
+    assert workload.attempted > 0
+    assert workload.failed == 0
+
+
 LAYERS = ("densemath", "scenarios", "commgraph", "neuralnet", "simnet", "evalcli")
 
 
@@ -101,3 +111,25 @@ def test_eval_unit_traces_every_simulator_span(tmp_path):
     per_policy = Counter(tracer._tags[tag] for name, tag in zip(tracer.name, tracer.tag) if name == span)
     assert per_policy == {policy: workload.n_episodes for policy in POLICIES}
     assert tracer.units == policy_episodes
+
+
+def test_train_unit_traces_each_training_span_once_per_step(tmp_path):
+    # A traced train unit counts steps at adam_step and derives
+    # mlp_forward.per_step from the spans below episode_loss_and_grads, so each
+    # step must reach every training span through the module bindings, and
+    # the run must validate once.
+    tracing = _load("tracing")
+    workload = _load("workloads").Train(3, tmp_path, mini=True)
+    workload.setup()
+    tracer = _traced_unit(tracing, workload)
+    calls = Counter(tracer._names[name] for name in tracer.name)
+    steps = workload.unit_config.steps
+    assert steps == workload.unit_config.eval_every
+    assert calls["neuralnet.train"] == 1
+    assert calls["neuralnet.adam_step"] == steps
+    assert calls["neuralnet.episode_loss_and_grads"] == steps
+    assert calls["neuralnet.pipeline_backward"] == steps
+    assert calls["neuralnet.mlp_forward"] == 4 * steps
+    assert calls["neuralnet.mlp_backward"] == 4 * steps
+    assert calls["neuralnet.evaluate_task_accuracy"] == 1
+    assert tracer.units == steps

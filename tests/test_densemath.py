@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from groupcomm import densemath
-from groupcomm.densemath import Rng, normal_blocks, relu, relu_grad, row_matmul, softmax, softmax_row
+from groupcomm.densemath import Rng, normal_blocks, relu, row_matmul, softmax, softmax_row
 from groupcomm.neuralnet import PipelineConfig, head_sizes
 
 # First five raw words of the seed-42 stream, frozen as the cross-platform
@@ -99,10 +99,6 @@ class TestRowMatmul:
 class TestRelu:
     def test_definition(self):
         np.testing.assert_array_equal(relu(np.array([-1.0, 0.0, 2.0])), [0.0, 0.0, 2.0])
-
-    def test_grad_definition(self):
-        # The subgradient at exactly 0 is defined as 0.
-        np.testing.assert_array_equal(relu_grad(np.array([-1.0, 0.0, 2.0])), [0.0, 0.0, 1.0])
 
     def test_idempotent(self):
         rng = Rng(5)

@@ -3,6 +3,7 @@
 import hashlib
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -278,6 +279,12 @@ class TestPolicies:
         with pytest.raises(ValueError):
             evaluate("nocom", tiny_theta(), [], 0.2, seed=0)
 
+    @pytest.mark.parametrize("delta", [-0.1, 1.5, float("nan")])
+    def test_delta_outside_unit_interval_rejected(self, world_and_episodes, delta):
+        _, episodes = world_and_episodes
+        with pytest.raises(ValueError, match=re.escape(f"delta must lie in [0, 1], got {delta}")):
+            evaluate("when2com", tiny_theta(), episodes, delta, seed=0)
+
     def test_mixed_agent_counts_rejected_before_any_episode_runs(self, monkeypatch):
         # 10 srms (N=5) then 10 mrms (N=3) episodes under catall used to
         # report links_per_agent 2.6 (260 links over 20 frames of 5 agents)
@@ -409,18 +416,34 @@ class TestCli:
         assert ckpt in err and "d_obs=32" in err and "obs_dim=16" in err
         assert not report.exists()
 
-    @pytest.mark.parametrize("policy, delta", [("nocom", "-0.1"), ("when2com", "1.5")])
-    def test_eval_rejects_delta_outside_unit_interval(self, tmp_path, capsys, monkeypatch, policy, delta):
+    @pytest.mark.parametrize(
+        "policy, delta, message",
+        [
+            ("nocom", "-0.1", "must lie in [0, 1], got -0.1"),
+            ("when2com", "1.5", "must lie in [0, 1], got 1.5"),
+            ("when2com", "nan", "must lie in [0, 1], got nan"),
+            ("when2com", "half", "expected a number in [0, 1], got 'half'"),
+        ],
+    )
+    def test_eval_rejects_bad_delta_before_generating_data(self, tmp_path, capsys, monkeypatch, policy, delta, message):
+        # The default dataset is 40000 episodes; a bad --delta must not wait for it.
         ckpt = str(tmp_path / "m.ckpt")
         save_checkpoint(ckpt, tiny_theta(), PipelineConfig())
-        episodes_run = []
-        monkeypatch.setattr(evalcli, "run_policy_episode", lambda *args: episodes_run.append(args))
+
+        def no_generation(*args):
+            raise AssertionError("generate_dataset called")
+
+        monkeypatch.setattr(evalcli, "generate_dataset", no_generation)
         report = tmp_path / "ev.json"
-        argv = ["eval", "--checkpoint", ckpt, "--episodes", "20", "--policy", policy, "--delta", delta]
-        assert cli_main(argv + ["--report", str(report)]) == 1
-        assert f"delta must lie in [0, 1], got {float(delta)}" in capsys.readouterr().err
-        assert episodes_run == []
-        assert not report.exists()
+        argv = ["eval", "--checkpoint", ckpt, "--policy", policy, "--delta", delta]
+        assert cli_main(argv + ["--report", str(report)]) == 2
+        assert f"argument --delta: {message}" in capsys.readouterr().err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["m.ckpt"]
+
+    def test_eval_accepts_delta_at_both_ends(self):
+        for text in ("0", "1", "1e-3"):
+            args = build_parser().parse_args(["eval", "--checkpoint", "m.ckpt", "--delta", text])
+            assert args.delta == float(text)
 
     @pytest.mark.parametrize(
         "labels, message",

@@ -7,7 +7,7 @@ import os
 import re
 import struct
 import tempfile
-from dataclasses import astuple
+from dataclasses import astuple, replace
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -48,6 +48,10 @@ from groupcomm.scenarios import generate_dataset, make_world
 
 
 from helpers import fd_gradcheck, monolithic_forward
+
+
+def zeros_like_mlp(p):
+    return MlpParams([(np.zeros_like(w), np.zeros_like(b)) for w, b in p.layers])
 
 
 def random_pipeline(rng, n_agents=3, d_obs=8, q=2, k=4, f=8, c=3, hidden=10):
@@ -100,11 +104,35 @@ class TestMlp:
         x = np.zeros(6)
         x[2] = 1.0
         _, cache = mlp_forward(p, x[None])
-        grads, _ = mlp_backward(p, cache, np.array([[1.0, -0.5]]))
-        dw1, db1 = grads[0]
+        grads = zeros_like_mlp(p)
+        mlp_backward(p, cache, np.array([[1.0, -0.5]]), grads)
+        dw1, db1 = grads.layers[0]
         np.testing.assert_allclose(dw1, np.outer(db1, x), atol=1e-15)
         nonzero_cols = np.nonzero(np.abs(dw1).sum(axis=0))[0]
         np.testing.assert_array_equal(nonzero_cols, [2])
+
+    def test_backward_relu_subgradient_is_zero_at_zero(self):
+        # The middle unit's pre-activation is exactly 0, so no gradient passes it.
+        p = MlpParams([(np.array([[1.0, 0.0], [0.0, 1.0], [1.0, -1.0]]), np.zeros(3)), (np.ones((1, 3)), np.zeros(1))])
+        x = np.array([[1.0, 1.0]])
+        _, cache = mlp_forward(p, x)
+        np.testing.assert_array_equal(cache.pre[0], [[1.0, 1.0, 0.0]])
+        grads = zeros_like_mlp(p)
+        dx = mlp_backward(p, cache, np.array([[1.0]]), grads)
+        np.testing.assert_array_equal(grads.layers[0][1], [1.0, 1.0, 0.0])
+        np.testing.assert_array_equal(grads.layers[0][0], [[1.0, 1.0], [1.0, 1.0], [0.0, 0.0]])
+        np.testing.assert_array_equal(dx, [[1.0, 1.0]])
+
+    @pytest.mark.parametrize("sizes", [[5, 5], [5, 7, 3]])
+    def test_infer_leaves_input_alone_and_returns_fresh_memory(self, sizes):
+        rng = Rng(15)
+        p = init_mlp(sizes, rng)
+        for x in (rng.normal(5), rng.normal(4 * 6 * 5).reshape(4, 6, 5)):
+            before = x.copy()
+            out = mlp_infer(p, x)
+            np.testing.assert_array_equal(x, before)
+            assert not np.shares_memory(out, x)
+            assert not any(np.shares_memory(out, a) for layer in p.layers for a in layer)
 
 
 class TestPipelineForward:
@@ -421,6 +449,20 @@ class TestAdam:
             np.testing.assert_allclose(old - new, np.full_like(old, expected_delta), atol=1e-15)
         assert expected_delta == pytest.approx(0.1, abs=1e-8)
 
+    def test_inputs_are_not_modified(self):
+        rng = Rng(29)
+        cfg, theta, obs, labels = random_pipeline(rng)
+        state = AdamState(m=rng.normal(theta.flat.size), v=np.abs(rng.normal(theta.flat.size)), t=3)
+        grads = pipeline_backward(pipeline_forward(theta, obs, mode="training").cache, theta, labels)
+        inputs = (theta.flat, grads.flat, state.m, state.v)
+        before = [a.copy() for a in inputs]
+        new_theta, new_state = adam_step(theta, grads, state)
+        for a, b in zip(inputs, before):
+            np.testing.assert_array_equal(a, b)
+        assert state.t == 3 and new_state.t == 4
+        outputs = (new_theta.flat, new_state.m, new_state.v)
+        assert not any(np.shares_memory(a, b) for a in outputs for b in inputs + outputs if a is not b)
+
 
 class TestTrain:
     @pytest.mark.parametrize(
@@ -428,6 +470,7 @@ class TestTrain:
         [
             (lambda: TrainConfig(steps=-1), "steps"),
             (lambda: TrainConfig(batch_size=0), "batch_size"),
+            (lambda: TrainConfig(eval_every=-1), "eval_every"),
             (lambda: TrainConfig(policy="telepathy"), "policy"),
             (lambda: PipelineConfig(q_dim=0), "q_dim"),
             (lambda: PipelineConfig(hidden=-3), "hidden"),
@@ -470,6 +513,13 @@ class TestTrain:
         assert config.steps <= 2000
         assert correct / total >= 0.99
 
+    @pytest.mark.parametrize("eval_every, validated", [(0, []), (3, [3, 6]), (6, [6]), (7, [])])
+    def test_eval_every_sets_validation_steps(self, eval_every, validated):
+        dataset = generate_dataset(make_world("srms", rng=Rng(35)), 40, seed=35)
+        _, log = train(TrainConfig(steps=6, eval_every=eval_every), dataset, Rng(10))
+        assert [rec["step"] for rec in log if "val_task_acc" in rec] == validated
+        assert [rec["step"] for rec in log if "loss" in rec] == [1, 2, 3, 4, 5, 6]
+
     def test_fixed_seed_loss_log_bit_reproducible(self):
         world = make_world("srms", rng=Rng(34))
         dataset = generate_dataset(world, 40, seed=34)
@@ -503,6 +553,36 @@ class TestTrainingBytes:
         config = TrainConfig(steps=60, eval_every=20, policy=policy)
         dataset = generate_dataset(world_for_run("srms", None, 3), 400, 3)
         theta, log = train(config, dataset, Rng(3))
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(str(path), theta, config.pipeline)
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == ckpt_sha
+        body = "".join(json.dumps(rec, sort_keys=True) + "\n" for rec in log).encode()
+        assert hashlib.sha256(body).hexdigest() == log_sha
+
+    # The same for a 40-step run whose 200 validation episodes span four
+    # EVAL_BLOCK stacks (the last one short), so the digests also cover the
+    # block-by-block inference and randcom's draws across blocks.
+    @pytest.mark.parametrize(
+        "policy, ckpt_sha, log_sha",
+        [
+            (
+                "when2com",
+                "8a9ea6aed8ba65bf9eff808aa7757115483372e3a534fc4b0f9d51fa097ac2cc",
+                "19d7ab3eb731d372b35734fdf0aa61aafaf3e290f5695622de9ffde66ad5c332",
+            ),
+            (
+                "randcom",
+                "7f8eccfe8f4a7a2738a36397b6296b661f3e399772e2d3cc6bd2f5045049fb19",
+                "beba1300f7081f6daf3c92457d25df7772c89a48db59968091786cfe06c37711",
+            ),
+        ],
+    )
+    def test_pinned_run_with_multi_block_validation(self, tmp_path, policy, ckpt_sha, log_sha):
+        config = TrainConfig(steps=40, eval_every=20, policy=policy)
+        data = generate_dataset(world_for_run("srms", None, 4), 300, 4)
+        data = replace(data, train_idx=list(range(100)), val_idx=list(range(100, 300)), test_idx=[])
+        assert len(data.val_idx) > 3 * EVAL_BLOCK
+        theta, log = train(config, data, Rng(4))
         path = tmp_path / "model.ckpt"
         save_checkpoint(str(path), theta, config.pipeline)
         assert hashlib.sha256(path.read_bytes()).hexdigest() == ckpt_sha
