@@ -22,11 +22,12 @@ differences; see tests.
 
 Every parameter lives in one float64 vector, ``PipelineParams.flat``, whose
 views are the heads and the bilinear form, so an Adam step, a gradient tree
-and a checkpoint body (the bytes of ``flat``) are each one array.  The
-backward writes every layer's weight and bias gradient straight into the
-gradient tree's views (``out=`` products and sums), and an Adam step writes
-its arithmetic into its three fresh result vectors (moments and parameters)
-and one scratch vector, so neither allocates a temporary per operation.
+and a checkpoint body (the bytes of ``flat``) are each one array.  A training
+run allocates its parameters, its Adam moments and one gradient tree once and
+updates all three in place at every step: the backward writes every element
+of the tree through its views (``out=`` products and sums), and an Adam step
+writes its arithmetic into the parameter and moment vectors through two
+scratch vectors, so neither allocates a temporary per operation.
 
 Inference is batched too, over (N, .) or (E, N, .) stacks, but on the
 row-invariant kernel :func:`~groupcomm.densemath.row_matmul` (see
@@ -41,6 +42,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import numbers
 import struct
 from dataclasses import astuple, dataclass, field
 
@@ -91,8 +93,14 @@ class PipelineConfig:
 
     def __post_init__(self):
         for name in ("d_obs", "q_dim", "k_dim", "f_dim", "n_classes", "hidden"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"PipelineConfig.{name} must be positive, got {getattr(self, name)}")
+            _check_count(self, name, 1)
+
+
+def _check_count(config, name: str, low: int) -> None:
+    """Reject ``config.name`` unless it is an integer (not a bool) of at least ``low``, naming the field."""
+    value = getattr(config, name)
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < low:
+        raise ValueError(f"{type(config).__name__}.{name} must be an integer >= {low}, got {value!r}")
 
 
 def head_sizes(c: PipelineConfig) -> list[list[int]]:
@@ -216,21 +224,22 @@ def mlp_infer(p: MlpParams, x: np.ndarray) -> np.ndarray:
 
 
 def mlp_backward(p: MlpParams, cache: MlpCache, dout: np.ndarray, grads: MlpParams) -> np.ndarray:
-    """Write every layer's (dW, db) into ``grads``' arrays; return the derivative w.r.t. the input.
+    """Write every layer's (dW, db) into ``grads``' arrays; return the derivative at the first pre-activation.
 
     ``dout`` has the forward output's shape; for a stack of rows the layer
     gradients sum over the rows.  ``grads`` is the head's part of a gradient
-    tree, so the products land in its views of the flat gradient vector.
+    tree, so the products land in its views of the flat gradient vector.  The
+    derivative w.r.t. the input is the returned one times the first layer's
+    weight; only the decoder's caller needs it, so it forms that product.
     """
     dz = np.asarray(dout, dtype=np.float64)
-    last = len(p.layers) - 1
-    for idx in range(last, -1, -1):
-        if idx < last:
-            dz = dz * (cache.pre[idx] > 0.0)  # relu's subgradient, 0 at 0
+    for idx in range(len(p.layers) - 1, -1, -1):
         dw, db = grads.layers[idx]
         np.matmul(dz.T, cache.inputs[idx], out=dw)
         np.sum(dz, axis=0, out=db)
-        dz = dz @ p.layers[idx][0]
+        if idx:
+            dz = dz @ p.layers[idx][0]
+            dz *= cache.pre[idx - 1] > 0.0  # relu's subgradient, 0 at 0
     return dz
 
 
@@ -406,27 +415,29 @@ def cross_entropy_loss(logits, labels) -> float:
     return float(-np.mean(np.take_along_axis(log_p, y[..., None], axis=-1)))
 
 
-def pipeline_backward(
-    cache: ForwardCache, theta: PipelineParams, labels
-) -> Gradients:
-    """Exact gradients of the mean cross-entropy w.r.t. every parameter.
+def pipeline_backward(cache: ForwardCache, theta: PipelineParams, labels, grads: Gradients) -> None:
+    """Write the exact gradients of the mean cross-entropy w.r.t. every parameter into ``grads``.
 
-    ``labels`` has the forward logits' leading shape, (N,) or (B, N).  Only
-    valid for a training-mode forward: inference-time pruning is a hard gate
-    and is never differentiated.
+    ``labels`` has the forward logits' leading shape, (N,) or (B, N).  Every
+    element of ``grads`` is written: a fixed-row forward, which never ran the
+    attention heads, zero-fills the query and key heads and ``w_g``, so a tree
+    reused across steps carries nothing over.  Only valid for a training-mode
+    forward: inference-time pruning is a hard gate and is never differentiated.
     """
     if cache.mode != "training":
         raise ValueError("backward requires a training-mode forward cache")
+    if grads.config != theta.config:
+        raise ValueError(f"gradient tree of {grads.config} does not match the parameters' {theta.config}")
     b, n, f_dim = cache.features.shape
     y = np.asarray(labels)
     if y.size != b * n:
         raise ValueError(f"cache holds {b} x {n} agents but got labels of shape {y.shape}")
 
-    grads = zeros_like_params(theta)
     dlogits = softmax(cache.logits.reshape(b * n, -1))
     dlogits[np.arange(b * n), y.reshape(-1)] -= 1.0
     dlogits /= b * n
-    du = mlp_backward(theta.theta_d, cache.d_cache, dlogits, grads.theta_d).reshape(b, n, 2 * f_dim)
+    d_pre = mlp_backward(theta.theta_d, cache.d_cache, dlogits, grads.theta_d)
+    du = (d_pre @ theta.theta_d.layers[0][0]).reshape(b, n, 2 * f_dim)
 
     # Fusion: fused = M @ E.
     d_fused = du[..., f_dim:]
@@ -444,9 +455,13 @@ def pipeline_backward(
         d_kappa = (ds.transpose(0, 2, 1) @ cache.queries).reshape(b * n, -1) @ theta.w_g
         mlp_backward(theta.theta_q, cache.q_cache, d_mu, grads.theta_q)
         mlp_backward(theta.theta_k, cache.k_cache, d_kappa, grads.theta_k)
+    else:
+        for w, bias in grads.theta_q.layers + grads.theta_k.layers:
+            w.fill(0.0)
+            bias.fill(0.0)
+        grads.w_g.fill(0.0)
 
     mlp_backward(theta.theta_e, cache.e_cache, d_features.reshape(b * n, f_dim), grads.theta_e)
-    return grads
 
 
 @dataclass
@@ -470,32 +485,39 @@ def adam_step(
     beta1: float = 0.9,
     beta2: float = 0.999,
     eps: float = 1e-8,
-) -> tuple[PipelineParams, AdamState]:
-    """One bias-corrected Adam update over the flat vectors; returns fresh parameters and state.
+) -> None:
+    """One bias-corrected Adam update of ``theta`` and ``state``, in place.
 
-    The arithmetic is, operation for operation,
-    ``m = beta1 * m + (1 - beta1) * g``, ``v = beta2 * v + (1 - beta2) * g * g``
-    and ``flat - lr * (m / (1 - beta1**t)) / (sqrt(v / (1 - beta2**t)) + eps)``,
-    written into the three fresh result vectors and one scratch vector.  No
-    input is modified.
+    ``state.t`` advances by one, and the arithmetic is, operation for
+    operation, ``m = beta1 * m + (1 - beta1) * g``,
+    ``v = beta2 * v + (1 - beta2) * g * g`` and
+    ``flat = flat - lr * (m / (1 - beta1**t)) / (sqrt(v / (1 - beta2**t)) + eps)``,
+    written into ``state.m``, ``state.v`` and ``theta.flat`` through two
+    scratch vectors.  ``grads`` is only read.  A gradient or moment vector that
+    is not laid out as ``theta.flat`` is rejected before anything is written.
     """
-    t = state.t + 1
-    g = grads.flat
-    scratch = np.multiply(g, 1.0 - beta1)
-    m = np.multiply(state.m, beta1)
-    m += scratch
-    np.multiply(g, 1.0 - beta2, out=scratch)
-    scratch *= g
-    v = np.multiply(state.v, beta2)
-    v += scratch
-    flat = np.divide(m, 1.0 - beta1**t)
-    flat *= lr
-    np.divide(v, 1.0 - beta2**t, out=scratch)
-    np.sqrt(scratch, out=scratch)
-    scratch += eps
-    flat /= scratch
-    np.subtract(theta.flat, flat, out=flat)
-    return PipelineParams(theta.config, flat), AdamState(m=m, v=v, t=t)
+    flat = theta.flat
+    for name, vec in (("gradient", grads.flat), ("first moment", state.m), ("second moment", state.v)):
+        if vec.dtype != flat.dtype or vec.shape != flat.shape:
+            got = f"{vec.dtype} of shape {vec.shape}"
+            raise ValueError(f"adam_step: the {name} vector must be {flat.dtype} of shape {flat.shape}, got {got}")
+    state.t += 1
+    g, m, v = grads.flat, state.m, state.v
+    num, den = np.empty((2, flat.size))
+    np.multiply(g, 1.0 - beta1, out=num)
+    m *= beta1
+    m += num
+    np.multiply(g, 1.0 - beta2, out=num)
+    num *= g
+    v *= beta2
+    v += num
+    np.divide(m, 1.0 - beta1**state.t, out=num)
+    num *= lr
+    np.divide(v, 1.0 - beta2**state.t, out=den)
+    np.sqrt(den, out=den)
+    den += eps
+    num /= den
+    flat -= num
 
 
 @dataclass
@@ -507,32 +529,30 @@ class TrainConfig:
     eval_every: int = 500
 
     def __post_init__(self):
-        if self.steps < 0:
-            raise ValueError(f"TrainConfig.steps must be >= 0, got {self.steps}")
-        if self.batch_size < 1:
-            raise ValueError(f"TrainConfig.batch_size must be positive, got {self.batch_size}")
-        if self.eval_every < 0:
-            raise ValueError(f"TrainConfig.eval_every must be >= 0 (0 never validates), got {self.eval_every}")
+        _check_count(self, "steps", 0)
+        _check_count(self, "batch_size", 1)
+        _check_count(self, "eval_every", 0)  # 0 never validates
         if self.policy not in POLICIES:
             raise ValueError(f"TrainConfig.policy must be one of {POLICIES}, got {self.policy!r}")
 
 
-def episode_loss_and_grads(
-    theta: PipelineParams, episodes, policy: str, rng: Rng
-) -> tuple[float, Gradients]:
-    """Training-mode mean loss and exact gradients over a minibatch of episodes.
+def episode_loss_and_grads(theta: PipelineParams, episodes, policy: str, rng: Rng, grads: Gradients) -> float:
+    """Training-mode mean loss over a minibatch of episodes; writes its exact gradients into ``grads``.
 
-    The episodes (equal N) run as one (B, N, .) batch.
+    The episodes must share one agent count; they run as one (B, N, .) batch.
     """
+    shared_agent_count(episodes)
     observations = np.stack([ep.observations for ep in episodes])
     labels = np.array([ep.labels for ep in episodes])
     result = pipeline_forward(theta, observations, mode="training", policy=policy, rng=rng)
-    loss = cross_entropy_loss(result.logits, labels)
-    return loss, pipeline_backward(result.cache, theta, labels)
+    pipeline_backward(result.cache, theta, labels, grads)
+    return cross_entropy_loss(result.logits, labels)
 
 
 def shared_agent_count(episodes) -> int:
-    """The agent count of a non-empty episode list; raises naming the first episode that differs."""
+    """The agent count of an episode list; raises if it is empty or naming the first episode that differs."""
+    if not episodes:
+        raise ValueError("need at least one episode, got none")
     n = len(episodes[0].labels)
     for idx, ep in enumerate(episodes):
         if len(ep.labels) != n:
@@ -568,9 +588,11 @@ def train(config: TrainConfig, dataset, rng: Rng) -> tuple[PipelineParams, list[
 
     Each step draws its batch indices from ``rng``, then runs one batched
     forward and backward over the whole batch and one Adam update at
-    :func:`adam_step`'s default rates.  The log records the batch loss at
-    every step and validation task accuracy every ``eval_every`` steps.  The
-    run is single-threaded and bit-reproducible for a fixed seed.
+    :func:`adam_step`'s default rates.  The parameters, the Adam moments and
+    one gradient tree are allocated before the first step, and every step
+    updates them in place.  The log records the batch loss at every step and
+    validation task accuracy every ``eval_every`` steps.  The run is
+    single-threaded and bit-reproducible for a fixed seed.
     """
     train_eps = list(dataset.train_episodes)
     if not train_eps:
@@ -579,13 +601,14 @@ def train(config: TrainConfig, dataset, rng: Rng) -> tuple[PipelineParams, list[
 
     theta = init_pipeline(config.pipeline, rng)
     state = AdamState.for_params(theta)
+    grads = zeros_like_params(theta)
     log: list[dict] = []
     n_train = len(train_eps)
 
     for step in range(1, config.steps + 1):
         batch = [train_eps[rng.randint(n_train)] for _ in range(config.batch_size)]
-        loss, grads = episode_loss_and_grads(theta, batch, config.policy, rng)
-        theta, state = adam_step(theta, grads, state)
+        loss = episode_loss_and_grads(theta, batch, config.policy, rng, grads)
+        adam_step(theta, grads, state)
         log.append({"step": step, "loss": loss})
         if config.eval_every and val_eps and step % config.eval_every == 0:
             n_agents = len(val_eps[0].labels)

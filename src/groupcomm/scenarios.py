@@ -422,9 +422,19 @@ def save_dataset(path: str, dataset: Dataset) -> None:
         fh.write(', "world": ' + json.dumps(world, sort_keys=True) + "}\n")
 
 
+def _require_fields(where: str, record, fields) -> None:
+    """Raise naming ``where`` unless ``record`` is a JSON object holding every one of ``fields``."""
+    if not isinstance(record, dict):
+        raise ValueError(f"{where} must be a JSON object, got {type(record).__name__}")
+    for key in fields:
+        if key not in record:
+            raise ValueError(f"{where} has no {key!r} field")
+
+
 def _load_episode(path: str, index: int, record: dict, world: World) -> Episode:
     """One saved episode, rejected (naming ``path`` and ``index``) unless it fits ``world``."""
     where = f"{path}: episode {index}"
+    _require_fields(where, record, ("observations", "labels", "degraded", "needs_comm", "gt_support"))
     n = world.n_agents
     shape = (n, world.obs_dim)
     try:
@@ -466,6 +476,7 @@ def _load_episode(path: str, index: int, record: dict, world: World) -> Episode:
 def _load_world(path: str, w: dict) -> World:
     """The saved world, rejected (naming ``path``) unless ``make_world`` could have built it."""
     fields = ("case", "n_agents", "obs_dim", "n_classes", "degrade_prob", "noise_sigma", "overlap_frac", "scene_dim")
+    _require_fields(f"{path}: world", w, fields + ("prototypes", "scene_codes"))
     _check_world(f"{path}: ", *(w[f] for f in fields))
     arrays = {}
     for key, rows, cols in (("prototypes", "n_classes", "obs_dim"), ("scene_codes", "scene_dim", "scene_dim")):
@@ -483,6 +494,7 @@ def _load_world(path: str, w: dict) -> World:
 def _load_splits(path: str, splits: dict, n_episodes: int) -> list[list[int]]:
     """The train, val and test index lists: in range, duplicate-free and disjoint."""
     names = ("train", "val", "test")
+    _require_fields(f"{path}: splits", splits, names)
     members: dict[str, set[int]] = {}
     for name in names:
         members[name] = set()
@@ -500,8 +512,13 @@ def _load_splits(path: str, splits: dict, n_episodes: int) -> list[list[int]]:
 
 
 def load_dataset(path: str) -> Dataset:
+    """The dataset saved at ``path``; raises ValueError naming the file and the first problem found."""
     with open(path, "r", encoding="utf-8") as fh:
-        doc = json.load(fh)
+        try:
+            doc = json.load(fh)
+        except (json.JSONDecodeError, UnicodeDecodeError) as err:
+            raise ValueError(f"{path}: not valid JSON: {err}") from None
+    _require_fields(f"{path}: the dataset", doc, ("world", "episodes", "splits"))
     world = _load_world(path, doc["world"])
     episodes = [_load_episode(path, i, e, world) for i, e in enumerate(doc["episodes"])]
     return Dataset(world, episodes, *_load_splits(path, doc["splits"], len(episodes)))

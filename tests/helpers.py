@@ -15,6 +15,7 @@ from groupcomm.neuralnet import (
     pipeline_backward,
     pipeline_forward,
     save_checkpoint,
+    zeros_like_params,
 )
 
 
@@ -42,10 +43,17 @@ def monolithic_forward(theta, obs_matrix, delta=None):
     return mlp(theta.theta_d, u), m
 
 
+def fresh_backward(cache, theta, labels):
+    """``pipeline_backward`` written into a new gradient tree, which is returned."""
+    grads = zeros_like_params(theta)
+    pipeline_backward(cache, theta, labels, grads)
+    return grads
+
+
 def fd_gradcheck(theta, obs, labels, eps=1e-5):
     """Max relative error of analytic gradients vs central finite differences."""
     result = pipeline_forward(theta, obs, mode="training")
-    analytic = pipeline_backward(result.cache, theta, labels)
+    analytic = fresh_backward(result.cache, theta, labels)
 
     def loss_now():
         r = pipeline_forward(theta, obs, mode="training")

@@ -47,7 +47,7 @@ from groupcomm.evalcli import world_for_run
 from groupcomm.scenarios import generate_dataset, make_world
 
 
-from helpers import fd_gradcheck, monolithic_forward
+from helpers import fd_gradcheck, fresh_backward, monolithic_forward
 
 
 def zeros_like_mlp(p):
@@ -111,17 +111,30 @@ class TestMlp:
         nonzero_cols = np.nonzero(np.abs(dw1).sum(axis=0))[0]
         np.testing.assert_array_equal(nonzero_cols, [2])
 
-    def test_backward_relu_subgradient_is_zero_at_zero(self):
-        # The middle unit's pre-activation is exactly 0, so no gradient passes it.
-        p = MlpParams([(np.array([[1.0, 0.0], [0.0, 1.0], [1.0, -1.0]]), np.zeros(3)), (np.ones((1, 3)), np.zeros(1))])
+    def test_backward_returns_first_pre_activation_derivative(self):
+        # The middle unit's pre-activation is exactly 0, so relu's subgradient
+        # stops it; the input derivative is the returned one times W0.
+        w0 = np.array([[1.0, 0.0], [0.0, 1.0], [1.0, -1.0]])
+        p = MlpParams([(w0, np.zeros(3)), (np.ones((1, 3)), np.zeros(1))])
         x = np.array([[1.0, 1.0]])
         _, cache = mlp_forward(p, x)
         np.testing.assert_array_equal(cache.pre[0], [[1.0, 1.0, 0.0]])
         grads = zeros_like_mlp(p)
-        dx = mlp_backward(p, cache, np.array([[1.0]]), grads)
+        d_pre = mlp_backward(p, cache, np.array([[1.0]]), grads)
+        np.testing.assert_array_equal(d_pre, [[1.0, 1.0, 0.0]])
         np.testing.assert_array_equal(grads.layers[0][1], [1.0, 1.0, 0.0])
         np.testing.assert_array_equal(grads.layers[0][0], [[1.0, 1.0], [1.0, 1.0], [0.0, 0.0]])
-        np.testing.assert_array_equal(dx, [[1.0, 1.0]])
+        np.testing.assert_array_equal(d_pre @ w0, [[1.0, 1.0]])
+
+    def test_backward_of_one_layer_returns_output_derivative(self):
+        p = init_mlp([4, 3], Rng(16))
+        x = Rng(17).normal(2 * 4).reshape(2, 4)
+        _, cache = mlp_forward(p, x)
+        dout = np.array([[1.0, -2.0, 0.5], [0.0, 3.0, -1.0]])
+        grads = zeros_like_mlp(p)
+        np.testing.assert_array_equal(mlp_backward(p, cache, dout, grads), dout)
+        np.testing.assert_array_equal(grads.layers[0][0], dout.T @ x)
+        np.testing.assert_array_equal(grads.layers[0][1], dout.sum(axis=0))
 
     @pytest.mark.parametrize("sizes", [[5, 5], [5, 7, 3]])
     def test_infer_leaves_input_alone_and_returns_fresh_memory(self, sizes):
@@ -248,7 +261,7 @@ class TestPipelineBackward:
         theta.theta_d.layers[-1][1][0] = 60.0
         res = pipeline_forward(theta, obs, mode="training")
         assert cross_entropy_loss(res.logits, labels) < 1e-12
-        grads = pipeline_backward(res.cache, theta, labels)
+        grads = fresh_backward(res.cache, theta, labels)
         norm = max(float(np.max(np.abs(a))) for a in param_arrays(grads))
         assert norm < 1e-6
 
@@ -257,18 +270,41 @@ class TestPipelineBackward:
         cfg, theta, obs, labels = random_pipeline(rng)
         res = pipeline_forward(theta, obs, mode="inference", delta=0.2)
         with pytest.raises(ValueError):
-            pipeline_backward(res.cache, theta, labels)
+            pipeline_backward(res.cache, theta, labels, zeros_like_params(theta))
+
+    def test_backward_rejects_tree_of_another_config(self):
+        cfg, theta, obs, labels = random_pipeline(Rng(23))
+        res = pipeline_forward(theta, obs, mode="training")
+        other = PipelineParams(replace(cfg, hidden=cfg.hidden + 1))
+        with pytest.raises(ValueError, match="gradient tree of .* does not match"):
+            pipeline_backward(res.cache, theta, labels, other)
+        assert not np.any(other.flat)
 
     def test_fixed_rows_skip_attention_gradients(self):
         rng = Rng(24)
         cfg, theta, obs, labels = random_pipeline(rng, n_agents=3)
         res = pipeline_forward(theta, obs, mode="training", policy="nocom")
         np.testing.assert_array_equal(res.m, np.eye(3))
-        grads = pipeline_backward(res.cache, theta, labels)
+        grads = fresh_backward(res.cache, theta, labels)
         assert float(np.max(np.abs(grads.w_g))) == 0.0
         for w, b in grads.theta_q.layers + grads.theta_k.layers:
             assert float(np.max(np.abs(w))) == 0.0
         assert any(float(np.max(np.abs(w))) > 0.0 for w, b in grads.theta_e.layers)
+
+    @pytest.mark.parametrize("second", ["nocom", "randcom", "catall", "when2com"])
+    def test_reused_tree_equals_fresh_tree(self, second):
+        # A when2com step fills every gradient; a fixed-row step after it must
+        # overwrite the attention heads and w_g, not leave them behind.
+        cfg, theta, obs, labels = random_pipeline(Rng(24), n_agents=4)
+        tree = zeros_like_params(theta)
+        first = pipeline_forward(theta, obs, mode="training")
+        pipeline_backward(first.cache, theta, labels, tree)
+        assert np.all(tree.w_g != 0.0)
+        res = pipeline_forward(theta, obs, mode="training", policy=second, rng=Rng(5))
+        address = tree.flat.__array_interface__["data"][0]
+        pipeline_backward(res.cache, theta, labels, tree)
+        assert tree.flat.__array_interface__["data"][0] == address
+        np.testing.assert_array_equal(tree.flat, fresh_backward(res.cache, theta, labels).flat)
 
 
 def random_episodes(rng, cfg, n_agents, count):
@@ -300,12 +336,28 @@ class TestBatchedTraining:
         theta = init_pipeline(self.CFG, rng)
         episodes = random_episodes(rng, self.CFG, n_agents, 4)
         batch_rng, single_rng = Rng(7), Rng(7)
-        loss, grads = episode_loss_and_grads(theta, episodes, policy, batch_rng)
-        parts = [episode_loss_and_grads(theta, [ep], policy, single_rng) for ep in episodes]
+
+        def loss_and_grads(batch, rng):
+            grads = zeros_like_params(theta)
+            return episode_loss_and_grads(theta, batch, policy, rng, grads), grads
+
+        loss, grads = loss_and_grads(episodes, batch_rng)
+        parts = [loss_and_grads([ep], single_rng) for ep in episodes]
         assert loss == pytest.approx(np.mean([l for l, _ in parts]), rel=0.0, abs=1e-12)
         for total, *singles in zip(param_arrays(grads), *(param_arrays(g) for _, g in parts)):
             np.testing.assert_allclose(total, np.mean(singles, axis=0), rtol=0.0, atol=1e-12)
         assert batch_rng.u64(1) == single_rng.u64(1)
+
+    def test_rejects_empty_and_mixed_batches(self):
+        rng = Rng(44)
+        theta = init_pipeline(self.CFG, rng)
+        grads = zeros_like_params(theta)
+        with pytest.raises(ValueError, match="need at least one episode"):
+            episode_loss_and_grads(theta, [], "when2com", rng, grads)
+        mixed = random_episodes(rng, self.CFG, 3, 2) + random_episodes(rng, self.CFG, 4, 1)
+        with pytest.raises(ValueError, match="episode 2 has 4 agents, but episode 0 has 3"):
+            episode_loss_and_grads(theta, mixed, "when2com", rng, grads)
+        assert not np.any(grads.flat)
 
     @pytest.mark.parametrize("n_agents", [1, 5, 9])
     def test_training_matches_per_vector_inference(self, n_agents):
@@ -399,16 +451,17 @@ class TestFlatLayout:
         self.assert_views_of_flat(grads)
         assert not np.any(grads.flat)
         res = pipeline_forward(theta, rng.normal(3 * self.CFG.d_obs).reshape(3, -1), mode="training")
-        grads = pipeline_backward(res.cache, theta, [0, 1, 2])
+        grads = fresh_backward(res.cache, theta, [0, 1, 2])
         self.assert_views_of_flat(grads)
-        stepped, state = adam_step(theta, grads, AdamState.for_params(theta))
-        self.assert_views_of_flat(stepped)
+        state = AdamState.for_params(theta)
+        adam_step(theta, grads, state)
+        self.assert_views_of_flat(theta)
         assert state.m.shape == state.v.shape == theta.flat.shape
-        save_checkpoint(str(tmp_path / "m.ckpt"), stepped, self.CFG)
+        save_checkpoint(str(tmp_path / "m.ckpt"), theta, self.CFG)
         loaded, _ = load_checkpoint(str(tmp_path / "m.ckpt"))
         self.assert_views_of_flat(loaded)
         loaded.w_g[0, 0] += 1.0  # writing a view writes the vector
-        assert loaded.flat[-self.CFG.q_dim * self.CFG.k_dim] == stepped.w_g[0, 0] + 1.0
+        assert loaded.flat[-self.CFG.q_dim * self.CFG.k_dim] == theta.w_g[0, 0] + 1.0
 
 
 class TestAdam:
@@ -417,21 +470,21 @@ class TestAdam:
         cfg, theta, obs, labels = random_pipeline(rng)
         grads = zeros_like_params(theta)
         state = AdamState.for_params(theta)
-        new_theta, new_state = adam_step(theta, grads, state)
-        for a, b in zip(param_arrays(theta), param_arrays(new_theta)):
-            np.testing.assert_array_equal(a, b)
+        before = theta.flat.copy()
+        adam_step(theta, grads, state)
+        np.testing.assert_array_equal(theta.flat, before)
 
     def test_zero_lr_advances_state_only(self):
         rng = Rng(26)
         cfg, theta, obs, labels = random_pipeline(rng)
         res = pipeline_forward(theta, obs, mode="training")
-        grads = pipeline_backward(res.cache, theta, labels)
+        grads = fresh_backward(res.cache, theta, labels)
         state = AdamState.for_params(theta)
-        new_theta, new_state = adam_step(theta, grads, state, lr=0.0)
-        for a, b in zip(param_arrays(theta), param_arrays(new_theta)):
-            np.testing.assert_array_equal(a, b)
-        assert new_state.t == 1
-        assert any(float(np.max(np.abs(m))) > 0.0 for m in new_state.m)
+        before = theta.flat.copy()
+        adam_step(theta, grads, state, lr=0.0)
+        np.testing.assert_array_equal(theta.flat, before)
+        assert state.t == 1
+        assert np.any(state.m != 0.0) and np.any(state.v != 0.0)
 
     def test_first_step_hand_arithmetic(self):
         # With g = 1 everywhere, the bias-corrected first step moves every
@@ -443,25 +496,64 @@ class TestAdam:
             a[:] = 1.0
         state = AdamState.for_params(theta)
         before = [a.copy() for a in param_arrays(theta)]
-        new_theta, _ = adam_step(theta, grads, state, lr=0.1, eps=1e-8)
+        adam_step(theta, grads, state, lr=0.1, eps=1e-8)
         expected_delta = 0.1 * 1.0 / (1.0 + 1e-8)
-        for old, new in zip(before, param_arrays(new_theta)):
+        for old, new in zip(before, param_arrays(theta)):
             np.testing.assert_allclose(old - new, np.full_like(old, expected_delta), atol=1e-15)
         assert expected_delta == pytest.approx(0.1, abs=1e-8)
 
-    def test_inputs_are_not_modified(self):
+    def test_in_place_steps_match_documented_expression(self):
+        # Several steps at non-default rates, against copies updated with the
+        # docstring's expressions; the run's vectors never move.
         rng = Rng(29)
         cfg, theta, obs, labels = random_pipeline(rng)
         state = AdamState(m=rng.normal(theta.flat.size), v=np.abs(rng.normal(theta.flat.size)), t=3)
-        grads = pipeline_backward(pipeline_forward(theta, obs, mode="training").cache, theta, labels)
-        inputs = (theta.flat, grads.flat, state.m, state.v)
-        before = [a.copy() for a in inputs]
-        new_theta, new_state = adam_step(theta, grads, state)
-        for a, b in zip(inputs, before):
+        flat, m, v, t = theta.flat.copy(), state.m.copy(), state.v.copy(), state.t
+        vectors = (theta.flat, state.m, state.v)
+        lr, beta1, beta2, eps = 0.01, 0.8, 0.99, 1e-6
+        grads = zeros_like_params(theta)
+        for step in range(4):
+            grads.flat[:] = rng.normal(theta.flat.size) * 10.0**-step
+            g = grads.flat.copy()
+            adam_step(theta, grads, state, lr, beta1, beta2, eps)
+            t += 1
+            m = beta1 * m + (1 - beta1) * g
+            v = beta2 * v + (1 - beta2) * g * g
+            flat = flat - lr * (m / (1 - beta1**t)) / (np.sqrt(v / (1 - beta2**t)) + eps)
+            np.testing.assert_array_equal(theta.flat, flat)
+            np.testing.assert_array_equal(state.m, m)
+            np.testing.assert_array_equal(state.v, v)
+            np.testing.assert_array_equal(grads.flat, g)
+            assert state.t == t
+            assert all(a is b for a, b in zip((theta.flat, state.m, state.v), vectors))
+        assert all(np.shares_memory(a, theta.flat) for a in param_arrays(theta))
+
+    @pytest.mark.parametrize(
+        "bad, name",
+        [("grads", "gradient"), ("m", "first moment"), ("v", "second moment"), ("v32", "second moment")],
+    )
+    def test_mismatched_vector_rejected_before_any_write(self, bad, name):
+        rng = Rng(30)
+        cfg, theta, obs, labels = random_pipeline(rng)
+        size = theta.flat.size
+        grads = zeros_like_params(theta)
+        grads.flat[:] = rng.normal(size)
+        state = AdamState(m=rng.normal(size), v=np.abs(rng.normal(size)), t=3)
+        if bad == "grads":
+            grads = PipelineParams(replace(cfg, hidden=cfg.hidden + 1))
+            grads.flat[:] = 1.0
+        elif bad == "m":
+            state.m = rng.normal(size + 1)
+        elif bad == "v":
+            state.v = np.abs(rng.normal(size + 1))
+        else:
+            state.v = state.v.astype(np.float32)
+        before = [a.copy() for a in (theta.flat, state.m, state.v)]
+        with pytest.raises(ValueError, match=f"the {name} vector must be float64 of shape"):
+            adam_step(theta, grads, state)
+        for a, b in zip((theta.flat, state.m, state.v), before):
             np.testing.assert_array_equal(a, b)
-        assert state.t == 3 and new_state.t == 4
-        outputs = (new_theta.flat, new_state.m, new_state.v)
-        assert not any(np.shares_memory(a, b) for a in outputs for b in inputs + outputs if a is not b)
+        assert state.t == 3
 
 
 class TestTrain:
@@ -474,11 +566,38 @@ class TestTrain:
             (lambda: TrainConfig(policy="telepathy"), "policy"),
             (lambda: PipelineConfig(q_dim=0), "q_dim"),
             (lambda: PipelineConfig(hidden=-3), "hidden"),
+            (lambda: PipelineConfig(d_obs=3.5), "d_obs"),
+            (lambda: PipelineConfig(q_dim=True), "q_dim"),
+            (lambda: PipelineConfig(k_dim="16"), "k_dim"),
+            (lambda: TrainConfig(steps=2.5), "steps"),
+            (lambda: TrainConfig(batch_size=2.5), "batch_size"),
+            (lambda: TrainConfig(eval_every=True), "eval_every"),
         ],
     )
     def test_bad_config_names_field(self, make, field):
         with pytest.raises(ValueError, match=field):
             make()
+
+    def test_numpy_integer_sizes_accepted(self):
+        assert PipelineConfig(d_obs=np.int64(8)).d_obs == 8
+        assert TrainConfig(steps=np.int32(3)).steps == 3
+
+    @pytest.mark.parametrize("steps, policy", [(1, "when2com"), (9, "when2com"), (9, "nocom")])
+    def test_run_builds_two_parameter_trees(self, monkeypatch, steps, policy):
+        # One PipelineParams for theta and one for the gradient tree, however
+        # many steps and validations the run makes.
+        built = []
+        original = PipelineParams.__post_init__
+
+        def counting(self):
+            built.append(self)
+            original(self)
+
+        dataset = generate_dataset(make_world("srms", rng=Rng(36)), 40, seed=36)
+        monkeypatch.setattr(PipelineParams, "__post_init__", counting)
+        theta, log = train(TrainConfig(steps=steps, eval_every=3, policy=policy), dataset, Rng(11))
+        assert len(built) == 2 and built[0] is theta
+        assert len([rec for rec in log if "loss" in rec]) == steps
 
     def test_zero_steps_returns_initial_params(self):
         world = make_world("srms", rng=Rng(31))

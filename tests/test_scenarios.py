@@ -27,6 +27,13 @@ def linear_probe_accuracy(x, y, n_classes, ridge=1e-3):
     return float(np.mean(np.argmax(x @ w, axis=1) == np.asarray(y)))
 
 
+def _edited(text: str, edit) -> str:
+    """``text`` parsed as JSON, changed in place by ``edit``, and dumped again."""
+    doc = json.loads(text)
+    edit(doc)
+    return json.dumps(doc)
+
+
 class TestMakeWorld:
     def test_prototypes_unit_norm_and_separated(self):
         world = make_world("srms", rng=Rng(1))
@@ -447,6 +454,34 @@ class TestDatasetExport:
         doc["episodes"][6][key] = value
         path.write_text(json.dumps(doc))
         with pytest.raises(ValueError, match=r"data\.json: episode 6 " + message):
+            load_dataset(str(path))
+
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            (lambda text: text[:-40], r"data\.json: not valid JSON: "),
+            (lambda text: "[" + text + "]", r"data\.json: the dataset must be a JSON object, got list"),
+            (lambda text: _edited(text, lambda d: d.pop("world")), r"data\.json: the dataset has no 'world' field"),
+            (lambda text: _edited(text, lambda d: d.pop("episodes")), r"data\.json: the dataset has no 'episodes' field"),
+            (lambda text: _edited(text, lambda d: d.pop("splits")), r"data\.json: the dataset has no 'splits' field"),
+            (lambda text: _edited(text, lambda d: d["episodes"][3].pop("labels")), r"data\.json: episode 3 has no 'labels' field"),
+            (lambda text: _edited(text, lambda d: d["episodes"].__setitem__(8, [])), r"data\.json: episode 8 must be a JSON object, got list"),
+            (lambda text: _edited(text, lambda d: d["world"].pop("noise_sigma")), r"data\.json: world has no 'noise_sigma' field"),
+            (lambda text: _edited(text, lambda d: d["world"].pop("scene_codes")), r"data\.json: world has no 'scene_codes' field"),
+            (lambda text: _edited(text, lambda d: d["splits"].pop("val")), r"data\.json: splits has no 'val' field"),
+        ],
+    )
+    def test_load_names_file_and_problem_of_malformed_document(self, tmp_path, edit, message):
+        path = tmp_path / "data.json"
+        save_dataset(str(path), generate_dataset(make_world("srms", rng=Rng(3)), 10, seed=5))
+        path.write_text(edit(path.read_text()))
+        with pytest.raises(ValueError, match=message):
+            load_dataset(str(path))
+
+    def test_load_names_file_of_bytes_that_are_not_utf8(self, tmp_path):
+        path = tmp_path / "data.json"
+        path.write_bytes(b'{"world": "\xff"}')
+        with pytest.raises(ValueError, match=r"data\.json: not valid JSON: 'utf-8' codec can't decode"):
             load_dataset(str(path))
 
     @pytest.mark.parametrize(
