@@ -20,7 +20,7 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -267,11 +267,6 @@ def world_for_run(
     )
 
 
-def clean_world_copy(world: World) -> World:
-    """Same prototypes and geometry, but nothing ever degrades."""
-    return replace(world, degrade_prob=0.0)
-
-
 @dataclass
 class TrainRun:
     theta: PipelineParams
@@ -358,14 +353,9 @@ def _dataset_for_eval(args) -> Dataset:
     return generate_dataset(world, args.episodes, args.seed)
 
 
-def _train_report_path(args) -> str:
-    return args.report if args.report else args.out + ".report.json"
-
-
-def _write_train_outputs(args, run: TrainRun) -> None:
-    save_checkpoint(args.out, run.theta, run.config.pipeline)
-    log_path = args.out + ".log.jsonl"
-    with open(log_path, "w", encoding="utf-8") as fh:
+def _write_train_outputs(args, paths: dict[str, str], run: TrainRun) -> None:
+    save_checkpoint(paths["checkpoint"], run.theta, run.config.pipeline)
+    with open(paths["log"], "w", encoding="utf-8") as fh:
         for rec in run.log:
             fh.write(json.dumps(rec, sort_keys=True) + "\n")
     n = run.dataset.world.n_agents
@@ -377,34 +367,37 @@ def _write_train_outputs(args, run: TrainRun) -> None:
         args.seed,
         case=args.case,
     )
-    base = _train_report_path(args)
-    save_report(report, base, _sibling_path(base, ".json", ".csv"))
-    print(f"checkpoint: {args.out}")
-    print(f"report: {base}")
+    save_report(report, paths["report"], paths["csv"])
+    print(f"checkpoint: {paths['checkpoint']}")
+    print(f"report: {paths['report']}")
     print(f"acc_all={report.acc_all:.4f} when2com_acc={report.when2com_acc:.4f}")
 
 
-def _output_paths(args) -> list[tuple[str, str]]:
-    """Every (flag, path) the command will write, derived files included."""
+def _output_paths(args) -> dict[str, tuple[str, str]]:
+    """Every file the command will write, derived files included: name -> (flag, path)."""
     if args.command == "train":
-        report = _train_report_path(args)
-        return [
-            ("--out", args.out),
-            ("--out", args.out + ".log.jsonl"),
-            ("--report", report),
-            ("--report", _sibling_path(report, ".json", ".csv")),
-        ]
+        report = args.report if args.report else args.out + ".report.json"
+        return {
+            "checkpoint": ("--out", args.out),
+            "log": ("--out", args.out + ".log.jsonl"),
+            "report": ("--report", report),
+            "csv": ("--report", _sibling_path(report, ".json", ".csv")),
+        }
     if args.command == "eval":
-        paths = [("--report", args.report), ("--report", _sibling_path(args.report, ".json", ".csv"))]
-        return paths + ([("--trace", args.trace)] if args.trace is not None else [])
+        paths = {"report": ("--report", args.report), "csv": ("--report", _sibling_path(args.report, ".json", ".csv"))}
+        return paths | ({"trace": ("--trace", args.trace)} if args.trace is not None else {})
     if args.command == "sweep":
-        return [("--out", args.out), ("--out", _sibling_path(args.out, ".csv", ".json"))]
-    return [("--out", args.out)]
+        return {"csv": ("--out", args.out), "json": ("--out", _sibling_path(args.out, ".csv", ".json"))}
+    return {"dataset": ("--out", args.out)}
 
 
-def check_output_paths(args) -> None:
-    """Fail before any work when an output could not be written: no directory, or a directory in its place."""
-    for flag, path in _output_paths(args):
+def check_output_paths(args) -> dict[str, str]:
+    """Every output path of the command, by name, checked before any work.
+
+    Fails when an output could not be written: no directory, or a directory in its place.
+    """
+    outputs = _output_paths(args)
+    for flag, path in outputs.values():
         parent = os.path.dirname(os.path.abspath(path))
         if os.path.isdir(path):
             raise ValueError(f"{flag} {path}: is a directory")
@@ -412,6 +405,7 @@ def check_output_paths(args) -> None:
             raise ValueError(f"{flag} {path}: directory {parent} does not exist")
         if not os.access(parent, os.W_OK):
             raise ValueError(f"{flag} {path}: directory {parent} is not writable")
+    return {name: path for name, (_, path) in outputs.items()}
 
 
 def _int_list(text: str) -> list[int]:
@@ -492,7 +486,7 @@ def cli_main(argv: list[str]) -> int:
         return int(exc.code) if exc.code is not None else 0
 
     try:
-        check_output_paths(args)
+        paths = check_output_paths(args)
         if args.command == "train":
             run = train_run(
                 case=args.case,
@@ -504,7 +498,7 @@ def cli_main(argv: list[str]) -> int:
                 q_dim=args.q_dim,
                 k_dim=args.k_dim,
             )
-            _write_train_outputs(args, run)
+            _write_train_outputs(args, paths, run)
         elif args.command == "eval":
             theta, config = load_checkpoint(args.checkpoint)
             dataset = _dataset_for_eval(args)
@@ -522,10 +516,10 @@ def cli_main(argv: list[str]) -> int:
                 delta,
                 args.seed,
                 case=dataset.world.case,
-                trace_path=args.trace,
+                trace_path=paths.get("trace"),
             )
-            save_report(report, args.report, _sibling_path(args.report, ".json", ".csv"))
-            print(f"report: {args.report}")
+            save_report(report, paths["report"], paths["csv"])
+            print(f"report: {paths['report']}")
             print(
                 f"acc_all={report.acc_all:.4f} mbpf={report.mbpf:.6g} "
                 f"links_per_agent={report.links_per_agent:.4f}"
@@ -540,13 +534,13 @@ def cli_main(argv: list[str]) -> int:
                 steps=args.steps,
                 seed=args.seed,
             )
-            _save_table(_sibling_path(args.out, ".csv", ".json"), args.out, rows, SWEEP_COLUMNS, rows)
-            print(f"sweep table: {args.out}")
+            _save_table(paths["json"], paths["csv"], rows, SWEEP_COLUMNS, rows)
+            print(f"sweep table: {paths['csv']}")
         elif args.command == "gen-data":
             world = world_for_run(args.case, args.agents, args.seed)
             dataset = generate_dataset(world, args.episodes, args.seed)
-            save_dataset(args.out, dataset)
-            print(f"dataset: {args.out} ({args.episodes} episodes)")
+            save_dataset(paths["dataset"], dataset)
+            print(f"dataset: {paths['dataset']} ({args.episodes} episodes)")
         else:  # pragma: no cover - argparse enforces the choices
             parser.print_usage(sys.stderr)
             return 2

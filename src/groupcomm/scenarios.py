@@ -431,6 +431,13 @@ def _require_fields(where: str, record, fields) -> None:
             raise ValueError(f"{where} has no {key!r} field")
 
 
+def _require_list(where: str, value) -> list:
+    """``value``, rejected (naming ``where``) unless it is a JSON array."""
+    if not isinstance(value, list):
+        raise ValueError(f"{where} must be a JSON array, got {type(value).__name__}")
+    return value
+
+
 def _load_episode(path: str, index: int, record: dict, world: World) -> Episode:
     """One saved episode, rejected (naming ``path`` and ``index``) unless it fits ``world``."""
     where = f"{path}: episode {index}"
@@ -447,14 +454,15 @@ def _load_episode(path: str, index: int, record: dict, world: World) -> Episode:
     if not np.all(np.isfinite(obs)):
         raise ValueError(f"{where} observations contain non-finite values")
     for key in ("labels", "degraded", "needs_comm", "gt_support"):
-        if len(record[key]) != n:
+        if len(_require_list(f"{where} {key}", record[key])) != n:
             raise ValueError(f"{where} {key} has {len(record[key])} entries, expected {n}")
     for c in record["labels"]:
         if type(c) is not int or not 0 <= c < world.n_classes:
             raise ValueError(f"{where} label {c!r} is not an integer in [0, {world.n_classes})")
-    for j in (j for support in record["gt_support"] for j in support):
-        if type(j) is not int or not 0 <= j < n:
-            raise ValueError(f"{where} gt_support index {j!r} is not an integer in [0, {n})")
+    for i, support in enumerate(record["gt_support"]):
+        for j in _require_list(f"{where} gt_support[{i}]", support):
+            if type(j) is not int or not 0 <= j < n:
+                raise ValueError(f"{where} gt_support index {j!r} is not an integer in [0, {n})")
     # Every generator marks exactly the degraded agents as needing help, and
     # only they have supporters.
     needs, degraded = record["needs_comm"], record["degraded"]
@@ -498,7 +506,7 @@ def _load_splits(path: str, splits: dict, n_episodes: int) -> list[list[int]]:
     members: dict[str, set[int]] = {}
     for name in names:
         members[name] = set()
-        for i in splits[name]:
+        for i in _require_list(f"{path}: splits.{name}", splits[name]):
             if type(i) is not int or not 0 <= i < n_episodes:
                 raise ValueError(f"{path}: splits.{name} index {i!r} is not an integer in [0, {n_episodes})")
             if i in members[name]:
@@ -520,5 +528,6 @@ def load_dataset(path: str) -> Dataset:
             raise ValueError(f"{path}: not valid JSON: {err}") from None
     _require_fields(f"{path}: the dataset", doc, ("world", "episodes", "splits"))
     world = _load_world(path, doc["world"])
-    episodes = [_load_episode(path, i, e, world) for i, e in enumerate(doc["episodes"])]
+    records = _require_list(f"{path}: episodes", doc["episodes"])
+    episodes = [_load_episode(path, i, e, world) for i, e in enumerate(records)]
     return Dataset(world, episodes, *_load_splits(path, doc["splits"], len(episodes)))

@@ -6,34 +6,36 @@ round-based queue:
 1. ``query``    each agent broadcasts its Q-real query to every peer;
 2. ``score``    each recipient scores every query in its inbox against its
                 own retained key in one call and replies to each requester
-                with a single real (keys never leave their owner, preserving
-                the small-query/large-key asymmetry);
+                with a single real (keys never leave their owner);
 3. ``request``/``transfer``  after row-softmaxing its assembled scores and
                 pruning at delta, a requester asks each surviving off-diagonal
                 supporter for its F-real feature and fuses what arrives.
 
+Every message goes through :func:`send`, the one delivery path: it appends
+the message to the trace and hands it to ``AgentState.receive``, which files
+its payload in the addressee's one ``inbox`` by kind and sender.  An agent
+never reads another agent's fields, only its inbox.
+
 :func:`run_episode` runs one episode of every policy (``neuralnet.POLICIES``):
 the handshake only where the policy needs the matching matrix, then
 ``neuralnet.policy_rows``, then the same transmission, decode and ledger.
-Each agent's decode input (its own feature and what it fused) is local; the
-decoder runs once over all agents' inputs, on the row-invariant kernel, so
-every agent's logits are bit for bit those of its own lone decode.
+The decoder runs once over all agents' local inputs, on the row-invariant
+kernel, so every agent's logits are bit for bit those of its own lone decode.
 
 The ledger counts query broadcasts and feature transfers as payload at
 4 bytes per real; score replies, feature requests, and all 9-byte headers
 (kind 1, from 2, to 2, payload length 4) are control traffic.  Values travel
 as 64-bit floats in memory, so distributed results are bit-identical to
 centralized inference; the 4-byte accounting models the on-wire float size.
-
-An agent never reads another agent's fields: all cross-agent data arrives via
-Message objects.  The simulator is deterministic and single-threaded per
-episode; episodes may run concurrently with independent ledgers.
+The simulator is deterministic and single-threaded per episode; episodes may
+run concurrently with independent ledgers.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from operator import attrgetter
 
 import numpy as np
 
@@ -123,82 +125,65 @@ def links_per_agent(ledger: BandwidthLedger, n_agents: int) -> float:
 
 
 class AgentState:
-    """One agent's private state; cross-agent data arrives only as messages."""
+    """One agent's private state; cross-agent data arrives only through :meth:`receive`."""
 
     def __init__(self, agent_id: int, observation: np.ndarray):
         self.agent_id = agent_id
         self.observation = np.asarray(observation, dtype=np.float64)
-        self.mu: np.ndarray | None = None
-        self.kappa: np.ndarray | None = None
-        self.feature: np.ndarray | None = None
-        self.received_queries: dict[int, np.ndarray] = {}
-        self.received_scores: dict[int, float] = {}
-        self.received_features: dict[int, np.ndarray] = {}
-        self.row: np.ndarray | None = None
-        self.pruned_row: np.ndarray | None = None
-        self.fused: np.ndarray | None = None
+        # Head outputs (set by make_agents), then the rows and fusion this agent computes.
+        self.mu = self.kappa = self.feature = None
+        self.row = self.pruned_row = self.fused = None
+        # Every payload received, by message kind and then by sender.
+        self.inbox: dict[str, dict[int, np.ndarray | None]] = {kind: {} for kind in ALL_KINDS}
+
+    def receive(self, msg: Message) -> None:
+        self.inbox[msg.kind][msg.src] = msg.payload
 
     def query_broadcast(self, peers: list[int]) -> list[Message]:
         return [Message(KIND_QUERY, self.agent_id, j, self.mu) for j in peers]
 
-    def receive_query(self, msg: Message) -> None:
-        self.received_queries[msg.src] = np.asarray(msg.payload, dtype=np.float64)
-
-    def score_replies(self, theta: PipelineParams) -> dict[int, Message]:
-        """Score every query in the inbox against this agent's own key, in one call.
-
-        Returns one single-real reply per requester.
-        """
-        if not self.received_queries:
-            return {}
-        requesters = list(self.received_queries)
-        queries = np.array([self.received_queries[r] for r in requesters])
-        scores = attention_scores(queries, self.kappa, theta.w_g)
-        return {r: Message(KIND_SCORE, self.agent_id, r, scores[k : k + 1]) for k, r in enumerate(requesters)}
-
-    def receive_score(self, msg: Message) -> None:
-        self.received_scores[msg.src] = float(np.asarray(msg.payload)[0])
+    def score_replies(self, theta: PipelineParams) -> list[Message]:
+        """Score the whole query inbox against this agent's key in one call; one reply per requester."""
+        queries = self.inbox[KIND_QUERY]
+        if not queries:
+            return []
+        scores = attention_scores(np.array(list(queries.values())), self.kappa, theta.w_g)
+        return [Message(KIND_SCORE, self.agent_id, r, scores[k : k + 1]) for k, r in enumerate(queries)]
 
     def assemble_row(self, n_agents: int, theta: PipelineParams) -> np.ndarray:
-        """Softmax over the assembled score vector (self score computed locally)."""
-        raw = np.empty(n_agents, dtype=np.float64)
-        for j in range(n_agents):
-            if j == self.agent_id:
-                raw[j] = attention_score(self.mu, self.kappa, theta.w_g)
-            else:
-                raw[j] = self.received_scores[j]
-        self.row = softmax_row(raw)
+        """Softmax over the assembled score vector (self score computed locally).
+
+        Raises ``RuntimeError`` naming every peer whose score reply is missing.
+        """
+        scores = self.inbox[KIND_SCORE]
+        missing = [j for j in range(n_agents) if j != self.agent_id and j not in scores]
+        if missing:
+            raise RuntimeError(f"agent {self.agent_id} missing score replies from {missing}")
+        own = attention_score(self.mu, self.kappa, theta.w_g)
+        self.row = softmax_row(np.array([own if j == self.agent_id else scores[j][0] for j in range(n_agents)]))
         return self.row
 
     def feature_requests(self, delta: float) -> list[Message]:
         """Prune the row and request features from surviving off-diagonal peers."""
         self.pruned_row = prune(self.row, delta)
-        requests = []
-        for j, w in enumerate(self.pruned_row.tolist()):
-            if j == self.agent_id or w == 0.0:
-                continue
-            requests.append(Message(KIND_REQUEST, self.agent_id, j))
-        return requests
+        return [
+            Message(KIND_REQUEST, self.agent_id, j)
+            for j, w in enumerate(self.pruned_row.tolist())
+            if j != self.agent_id and w != 0.0
+        ]
 
     def feature_transfer(self, requester: int) -> Message:
         if requester == self.agent_id:
             raise RuntimeError("feature request to self must be short-circuited")
         return Message(KIND_TRANSFER, self.agent_id, requester, self.feature)
 
-    def receive_feature(self, msg: Message) -> None:
-        self.received_features[msg.src] = np.asarray(msg.payload, dtype=np.float64)
-
     def fuse_features(self, n_agents: int) -> np.ndarray:
-        """Weighted fusion over local plus message-borne features.
+        """Weighted fusion over the local feature plus the transfers in the inbox.
 
-        Entries without a received feature hold None; fuse() never touches
-        zero-weight slots, so absence is only an error if a surviving weight
-        has no corresponding transfer.
+        Peers without a transfer hold None, an error only under a surviving weight.
         """
-        features: list[np.ndarray | None] = [None] * n_agents
+        features = [self.inbox[KIND_TRANSFER].get(j) for j in range(n_agents)]
         features[self.agent_id] = self.feature
-        for j, f in self.received_features.items():
-            features[j] = f
         self.fused = fuse(self.pruned_row, features)
         return self.fused
 
@@ -230,55 +215,44 @@ def make_agents(observations, theta: PipelineParams) -> list[AgentState]:
     return agents
 
 
-def run_handshake(
-    agents: list[AgentState], theta: PipelineParams
-) -> tuple[np.ndarray, list[Message]]:
+def send(msg: Message, agents: list[AgentState], trace: list[Message]) -> None:
+    """The one delivery path: append ``msg`` to the trace and deliver it to its addressee."""
+    trace.append(msg)
+    agents[msg.dst].receive(msg)
+
+
+def run_handshake(agents: list[AgentState], theta: PipelineParams) -> tuple[np.ndarray, list[Message]]:
     """Three-phase handshake; the resulting rows match centralized softmax rows bit-for-bit."""
     n = len(agents)
     trace: list[Message] = []
     # Phase 1: query broadcasts, N*(N-1) directed messages.
     for agent in agents:
-        peers = [j for j in range(n) if j != agent.agent_id]
-        for msg in agent.query_broadcast(peers):
-            trace.append(msg)
-            agents[msg.dst].receive_query(msg)
+        for msg in agent.query_broadcast([j for j in range(n) if j != agent.agent_id]):
+            send(msg, agents, trace)
     # Phase 2: each recipient scores its whole inbox locally and replies to
-    # every requester with one real; replies go out requester by requester.
-    replies = [agent.score_replies(theta) for agent in agents]
-    for i in range(n):
-        for j in range(n):
-            if j == i:
-                continue
-            msg = replies[j][i]
-            trace.append(msg)
-            agents[i].receive_score(msg)
+    # every requester with one real; replies go out requester by requester
+    # (a stable sort keeps the repliers in agent order).
+    replies = [msg for agent in agents for msg in agent.score_replies(theta)]
+    for msg in sorted(replies, key=attrgetter("dst")):
+        send(msg, agents, trace)
     # Phase 3: local row softmax.
-    for i in range(n):
-        if n > 1 and len(agents[i].received_scores) != n - 1:
-            missing = [j for j in range(n) if j != i and j not in agents[i].received_scores]
-            raise RuntimeError(f"agent {i} missing score replies from {missing}")
-        agents[i].assemble_row(n, theta)
-    rows = np.array([agent.row for agent in agents])
+    rows = np.array([agent.assemble_row(n, theta) for agent in agents])
     return rows, trace
 
 
-def run_transmission(
-    agents: list[AgentState], rows: np.ndarray, delta: float
-) -> tuple[np.ndarray, list[Message]]:
+def run_transmission(agents: list[AgentState], rows: np.ndarray, delta: float) -> tuple[np.ndarray, list[Message]]:
     """Prune, request, transfer, fuse.  Diagonal weights use the local feature.
 
-    Returns the fused features, row i agent i's, and the messages sent.
+    Returns the fused features, row i agent i's, and the messages sent: each
+    request followed by the transfer that answers it.
     """
-    n = len(agents)
     trace: list[Message] = []
-    for i in range(n):
-        agents[i].row = np.asarray(rows[i], dtype=np.float64)
-        for req in agents[i].feature_requests(delta):
-            trace.append(req)
-            transfer = agents[req.dst].feature_transfer(req.src)
-            trace.append(transfer)
-            agents[i].receive_feature(transfer)
-    fused = np.array([agent.fuse_features(n) for agent in agents])
+    for agent, row in zip(agents, rows):
+        agent.row = np.asarray(row, dtype=np.float64)
+        for req in agent.feature_requests(delta):
+            send(req, agents, trace)
+            send(agents[req.dst].feature_transfer(req.src), agents, trace)
+    fused = np.array([agent.fuse_features(len(agents)) for agent in agents])
     return fused, trace
 
 
@@ -315,15 +289,8 @@ def run_episode(
 
 def _trace_record(msg: Message) -> dict:
     """The dumped fields of one message: its endpoints and sizes under the byte model."""
-    return {
-        "kind": msg.kind,
-        "from": msg.src,
-        "to": msg.dst,
-        "payload_reals": msg.payload_reals,
-        "payload_bytes": msg.payload_bytes,
-        "header_bytes": HEADER_BYTES,
-        "counted": msg.kind in COUNTED_KINDS,
-    }
+    values = (msg.kind, msg.src, msg.dst, msg.payload_reals, msg.payload_bytes, HEADER_BYTES)
+    return dict(zip(TRACE_FIELDS, (*values, msg.kind in COUNTED_KINDS)))
 
 
 def dump_trace(path: str, messages: list[Message]) -> None:

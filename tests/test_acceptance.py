@@ -10,6 +10,7 @@ Every test here is marked ``slow``, so ``pytest -m "not slow"`` skips them.
 
 import concurrent.futures
 import time
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -17,12 +18,7 @@ import pytest
 
 from groupcomm.commgraph import build_matching_matrix, fuse, prune
 from groupcomm.densemath import Rng, softmax_row
-from groupcomm.evalcli import (
-    clean_world_copy,
-    cli_main,
-    evaluate,
-    world_for_run,
-)
+from groupcomm.evalcli import cli_main, evaluate, world_for_run
 from groupcomm.neuralnet import init_pipeline, load_checkpoint, pipeline_forward
 from groupcomm.scenarios import generate_dataset
 from groupcomm.simnet import ledger_from_trace, make_agents, run_episode
@@ -67,7 +63,7 @@ def eval_data():
         world = world_for_run("srms", None, seed)
         dataset = generate_dataset(world, 40000, seed)
         data[seed] = {"world": world, "test": dataset.test_episodes}
-    clean_world = clean_world_copy(data[7]["world"])
+    clean_world = replace(data[7]["world"], degrade_prob=0.0)
     data["clean7"] = generate_dataset(clean_world, 4000, 7).test_episodes
     return data
 

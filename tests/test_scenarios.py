@@ -469,6 +469,17 @@ class TestDatasetExport:
             (lambda text: _edited(text, lambda d: d["world"].pop("noise_sigma")), r"data\.json: world has no 'noise_sigma' field"),
             (lambda text: _edited(text, lambda d: d["world"].pop("scene_codes")), r"data\.json: world has no 'scene_codes' field"),
             (lambda text: _edited(text, lambda d: d["splits"].pop("val")), r"data\.json: splits has no 'val' field"),
+            (lambda text: _edited(text, lambda d: d.update(episodes=3)), r"data\.json: episodes must be a JSON array, got int"),
+            (lambda text: _edited(text, lambda d: d.update(episodes={})), r"data\.json: episodes must be a JSON array, got dict"),
+            (lambda text: _edited(text, lambda d: d["splits"].update(test=5)), r"data\.json: splits\.test must be a JSON array, got int"),
+            (
+                lambda text: _edited(text, lambda d: d["episodes"][2].update(gt_support=[3, [], [], [], []])),
+                r"data\.json: episode 2 gt_support\[0\] must be a JSON array, got int",
+            ),
+            (
+                lambda text: _edited(text, lambda d: d["episodes"][2].update(labels=7)),
+                r"data\.json: episode 2 labels must be a JSON array, got int",
+            ),
         ],
     )
     def test_load_names_file_and_problem_of_malformed_document(self, tmp_path, edit, message):

@@ -202,12 +202,7 @@ class TestInformationFlow:
 
         fresh = make_agents(obs[:1], theta)[0]
         for msg in inbox:
-            if msg.kind == "query":
-                fresh.receive_query(msg)
-            elif msg.kind == "score":
-                fresh.receive_score(msg)
-            elif msg.kind == "transfer":
-                fresh.receive_feature(msg)
+            fresh.receive(msg)
         fresh.assemble_row(5, theta)
         fresh.feature_requests(1.0 / 5.0)
         fresh.fuse_features(5)
@@ -219,6 +214,30 @@ class TestInformationFlow:
         # of its own inputs gives the same bits.
         np.testing.assert_array_equal(logits, result.logits[0])
         assert int(np.argmax(logits)) == result.predictions[0]
+
+    def test_inbox_holds_exactly_the_payloads_addressed_to_the_agent(self):
+        cfg, theta, obs = small_setup(14)
+        agents = make_agents(obs, theta)
+        result = run_episode(agents, theta, delta=1.0 / 5.0)
+        assert {m.kind for m in result.trace} == set(ALL_KINDS)
+        for agent in agents:
+            assert set(agent.inbox) == set(ALL_KINDS)
+            for kind in ALL_KINDS:
+                sent = [m for m in result.trace if m.dst == agent.agent_id and m.kind == kind]
+                assert sorted(agent.inbox[kind]) == sorted(m.src for m in sent)
+                for m in sent:
+                    assert agent.inbox[kind][m.src] is m.payload
+
+    def test_missing_score_reply_names_the_peer(self):
+        # A replayed agent whose inbox lacks agent 3's score cannot build its row.
+        cfg, theta, obs = small_setup(14)
+        result = run_episode(make_agents(obs, theta), theta, delta=1.0 / 5.0)
+        fresh = make_agents(obs[:1], theta)[0]
+        for msg in result.trace:
+            if msg.dst == 0 and (msg.kind, msg.src) != ("score", 3):
+                fresh.receive(msg)
+        with pytest.raises(RuntimeError, match=r"agent 0 missing score replies from \[3\]"):
+            fresh.assemble_row(5, theta)
 
     def test_inbox_scores_match_per_query_scores_bitwise(self):
         from groupcomm.commgraph import attention_score
