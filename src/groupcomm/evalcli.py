@@ -26,6 +26,7 @@ import numpy as np
 
 from .densemath import Rng
 from .neuralnet import (
+    EVAL_BLOCK,
     POLICIES,
     PipelineConfig,
     PipelineParams,
@@ -127,9 +128,14 @@ def run_policy_episode(
     observations,
     delta: float,
     rng: Rng | None,
+    heads=None,
 ) -> simnet.EpisodeResult:
-    """Evaluation's per-episode step: fresh agents for ``observations``, then ``simnet.run_episode``."""
-    return simnet.run_episode(simnet.make_agents(observations, theta), theta, delta, policy, rng)
+    """Evaluation's per-episode step: fresh agents for ``observations``, then ``simnet.run_episode``.
+
+    ``heads``, when given, are the episode's rows of a block-wide
+    ``simnet.agent_heads`` pass (see :func:`simnet.make_agents`).
+    """
+    return simnet.run_episode(simnet.make_agents(observations, theta, heads), theta, delta, policy, rng)
 
 
 def decisions_from_rows(rows: np.ndarray) -> list[bool]:
@@ -162,6 +168,8 @@ def grouping_accuracy(
     Returns (top-1 rate, all-links-valid rate); both are None when no agent
     qualifies (needy and communicating), never 0.
     """
+    if len(episodes) != len(rows_per_episode):
+        raise ValueError(f"{len(episodes)} episodes vs {len(rows_per_episode)} row sets")
     top_hits = 0
     set_hits = 0
     total = 0
@@ -182,6 +190,15 @@ def grouping_accuracy(
     return top_hits / total, set_hits / total
 
 
+def _with_block_heads(theta: PipelineParams, episodes: list[Episode]):
+    """Each episode with its rows of ``simnet.agent_heads``, run once per ``EVAL_BLOCK`` episodes."""
+    for start in range(0, len(episodes), EVAL_BLOCK):
+        block = episodes[start : start + EVAL_BLOCK]
+        heads = simnet.agent_heads(theta, np.stack([ep.observations for ep in block]))
+        for b, ep in enumerate(block):
+            yield ep, [h[b] for h in heads]
+
+
 def evaluate(
     policy: str,
     theta: PipelineParams,
@@ -196,6 +213,12 @@ def evaluate(
     With ``trace_path`` set, every message of every episode is dumped as
     line-delimited records so the reported bandwidth numbers can be audited
     externally.
+
+    The agents' heads run once per block of ``EVAL_BLOCK`` episodes, stacked
+    as (B, N, d_obs), and each episode's agents get that episode's rows.  The
+    row-invariant kernel rounds every row as it does alone, across episodes
+    as across agents, so every report and trace is bit for bit what a
+    separate head pass per episode gives.
     """
     if policy not in POLICIES:
         raise ValueError(f"unknown policy {policy!r}; expected one of {POLICIES}")
@@ -212,8 +235,8 @@ def evaluate(
     all_messages: list[simnet.Message] = []
     correct = {"all": 0, "deg": 0, "clean": 0}
     totals = {"all": 0, "deg": 0, "clean": 0}
-    for ep in episodes:
-        res = run_policy_episode(policy, theta, list(ep.observations), delta, rng)
+    for ep, heads in _with_block_heads(theta, episodes):
+        res = run_policy_episode(policy, theta, list(ep.observations), delta, rng, heads)
         ledger.merge(res.ledger)
         decisions.append(decisions_from_rows(res.pruned_rows))
         rows_all.append(res.pruned_rows)

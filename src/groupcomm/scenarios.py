@@ -459,10 +459,16 @@ def _load_episode(path: str, index: int, record: dict, world: World) -> Episode:
     for c in record["labels"]:
         if type(c) is not int or not 0 <= c < world.n_classes:
             raise ValueError(f"{where} label {c!r} is not an integer in [0, {world.n_classes})")
+    for key in ("degraded", "needs_comm"):
+        for i, flag in enumerate(record[key]):
+            if type(flag) is not bool:
+                raise ValueError(f"{where} {key}[{i}] is {flag!r}, not a JSON boolean")
     for i, support in enumerate(record["gt_support"]):
         for j in _require_list(f"{where} gt_support[{i}]", support):
             if type(j) is not int or not 0 <= j < n:
                 raise ValueError(f"{where} gt_support index {j!r} is not an integer in [0, {n})")
+            if j == i:  # no agent transfers its feature to itself
+                raise ValueError(f"{where} agent {i} is listed as its own supporter in gt_support[{i}]")
     # Every generator marks exactly the degraded agents as needing help, and
     # only they have supporters.
     needs, degraded = record["needs_comm"], record["degraded"]

@@ -21,6 +21,12 @@ the handshake only where the policy needs the matching matrix, then
 ``neuralnet.policy_rows``, then the same transmission, decode and ledger.
 The decoder runs once over all agents' local inputs, on the row-invariant
 kernel, so every agent's logits are bit for bit those of its own lone decode.
+The same holds for the heads: :func:`make_agents` runs each head once over
+the episode's agents, or takes rows that a caller computed with
+:func:`agent_heads` over a whole block of episodes (``evalcli.evaluate``
+does, once per ``neuralnet.EVAL_BLOCK`` episodes).  The kernel rounds each
+row as it does alone, across episodes as across agents, so either way every
+agent holds what its own lone pass gives it.
 
 The ledger counts query broadcasts and feature transfers as payload at
 4 bytes per real; score replies, feature requests, and all 9-byte headers
@@ -199,19 +205,37 @@ class EpisodeResult:
     trace: list[Message] = field(default_factory=list)
 
 
-def make_agents(observations, theta: PipelineParams) -> list[AgentState]:
+HEAD_NAMES = ("theta_q", "theta_k", "theta_e")  # the query, key and feature heads an agent holds
+
+
+def agent_heads(theta: PipelineParams, observations) -> tuple[np.ndarray, ...]:
+    """Each of :data:`HEAD_NAMES` run over observations of any leading shape, (..., d_obs)."""
+    return tuple(mlp_infer(getattr(theta, name), observations) for name in HEAD_NAMES)
+
+
+def make_agents(observations, theta: PipelineParams, heads=None) -> list[AgentState]:
     """One agent per observation, holding its query, key and feature.
 
-    Each head runs once over all observations.  Its kernel rounds every row
-    as it does alone, so each agent holds exactly what its own observation
-    gives it, whatever the other agents observe.
+    ``heads`` is those three, row i agent i's; when it is None, each head runs
+    here once over the observations.  ``evalcli.evaluate`` passes each
+    episode's rows of one :func:`agent_heads` pass over a block of episodes.
+    The row-invariant kernel rounds every row as it does alone, so either way
+    each agent holds exactly what its own observation gives it.  Given heads
+    of the wrong shape raise ``ValueError`` naming the head.
     """
     agents = [AgentState(i, obs) for i, obs in enumerate(observations)]
-    if agents:
-        stack = np.array([agent.observation for agent in agents])
-        heads = [mlp_infer(head, stack) for head in (theta.theta_q, theta.theta_k, theta.theta_e)]
-        for agent, mu, kappa, feature in zip(agents, *heads):
-            agent.mu, agent.kappa, agent.feature = mu, kappa, feature
+    if heads is None:
+        if not agents:
+            return agents
+        heads = agent_heads(theta, np.array([agent.observation for agent in agents]))
+    if len(heads) != len(HEAD_NAMES):
+        raise ValueError(f"expected {len(HEAD_NAMES)} heads {HEAD_NAMES}, got {len(heads)}")
+    for name, values in zip(HEAD_NAMES, heads):
+        expected = (len(agents), getattr(theta, name).out_dim)
+        if np.shape(values) != expected:
+            raise ValueError(f"{name} head has shape {np.shape(values)}, expected {expected}")
+    for agent, mu, kappa, feature in zip(agents, *heads):
+        agent.mu, agent.kappa, agent.feature = mu, kappa, feature
     return agents
 
 

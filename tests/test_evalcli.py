@@ -121,6 +121,12 @@ class TestGroupingAccuracy:
         top, _ = grouping_accuracy(episodes, rows)
         assert abs(top - 0.25) < 0.02
 
+    def test_length_mismatch(self):
+        # 10 episodes against 3 row sets used to score only the first 3.
+        eps = [fake_episode([True, False], [{1}, set()])] * 10
+        with pytest.raises(ValueError, match="10 episodes vs 3 row sets"):
+            grouping_accuracy(eps, [np.ones((2, 2))] * 3)
+
     def test_set_rate_stricter_than_top1(self):
         eps = [fake_episode([True, False, False], [{1}, set(), set()])]
         # Top link is correct but a second link leaves the support set.
@@ -705,6 +711,28 @@ class TestPinnedEvalOutputs:
             save_report(report, str(paths[0]), str(paths[1]))
             got[policy] = tuple(hashlib.sha256(p.read_bytes()).hexdigest() for p in paths)
         assert got == PINNED_EVAL_DIGESTS[seed]
+
+    def test_block_head_pass_matches_per_episode_heads(self, eval_model, tmp_path, monkeypatch):
+        # 65 episodes: a full block of EVAL_BLOCK and a partial one.  Dropping
+        # the block's heads makes each episode run its own head pass; every
+        # report and trace byte must stay the same.
+        theta, world = eval_model
+        episodes = generate_dataset(world, neuralnet.EVAL_BLOCK + 1, 4).episodes
+        calls = []
+
+        def per_episode(policy, theta, observations, delta, rng, heads=None, real=evalcli.run_policy_episode):
+            calls.append(heads is not None)
+            return real(policy, theta, observations, delta, rng)
+
+        for policy in POLICIES:
+            paths = [tmp_path / f"{policy}.{side}.jsonl" for side in ("block", "alone")]
+            block = evaluate(policy, theta, episodes, 0.2, 4, "srms", str(paths[0]))
+            with monkeypatch.context() as patch:
+                patch.setattr(evalcli, "run_policy_episode", per_episode)
+                alone = evaluate(policy, theta, episodes, 0.2, 4, "srms", str(paths[1]))
+            assert block.to_dict() == alone.to_dict()
+            assert paths[0].read_bytes() == paths[1].read_bytes()
+        assert calls == [True] * len(POLICIES) * len(episodes)
 
     def test_trace_does_not_change_the_report(self, eval_model, tmp_path):
         theta, world = eval_model

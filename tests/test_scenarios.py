@@ -445,6 +445,9 @@ class TestDatasetExport:
         [
             ("needs_comm", [True] * 5, r"needs_comm\[\d\] is True but degraded\[\d\] is False"),
             ("gt_support", [[1], [], [], [], []], r"gt_support\[0\] is \[1\] but agent 0 does not need communication"),
+            # Integer flags equal the booleans in Python and used to load, then saved as 0 where false was.
+            ("degraded", [False, False, 0, False, False], r"degraded\[2\] is 0, not a JSON boolean"),
+            ("needs_comm", [False, False, False, 0, False], r"needs_comm\[3\] is 0, not a JSON boolean"),
         ],
     )
     def test_load_rejects_inconsistent_ground_truth(self, tmp_path, key, value, message):
@@ -455,6 +458,23 @@ class TestDatasetExport:
         path.write_text(json.dumps(doc))
         with pytest.raises(ValueError, match=r"data\.json: episode 6 " + message):
             load_dataset(str(path))
+
+    @pytest.mark.parametrize("support", [[4], [1, 4]])
+    def test_load_rejects_agent_listed_as_its_own_supporter(self, tmp_path, support):
+        # Agent 4 degraded and supported by itself used to load as {4}: a
+        # supporter no policy can pick, since no agent transfers to itself.
+        path = tmp_path / "data.json"
+        save_dataset(str(path), generate_dataset(make_world("srms", degrade_prob=0.0, rng=Rng(3)), 10, seed=5))
+        doc = json.loads(path.read_text())
+        episode = doc["episodes"][6]
+        episode["degraded"][4] = episode["needs_comm"][4] = True
+        episode["gt_support"][4] = support
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ValueError, match=r"data\.json: episode 6 agent 4 is listed as its own supporter in gt_support\[4\]"):
+            load_dataset(str(path))
+        episode["gt_support"][4] = [1]
+        path.write_text(json.dumps(doc))
+        assert load_dataset(str(path)).episodes[6].gt_support[4] == {1}
 
     @pytest.mark.parametrize(
         "edit, message",

@@ -1,20 +1,24 @@
 """Decentralized protocol: message flows, equivalence with centralized math, ledger."""
 
 import json
+import re
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from groupcomm.densemath import Rng
-from groupcomm.neuralnet import PipelineConfig, decode, init_pipeline, pipeline_forward
+from groupcomm.neuralnet import EVAL_BLOCK, POLICIES, PipelineConfig, decode, init_pipeline, pipeline_forward
+from groupcomm.scenarios import generate_dataset, make_world
 from groupcomm.simnet import (
     ALL_KINDS,
     BYTES_PER_REAL,
     COUNTED_KINDS,
+    HEAD_NAMES,
     HEADER_BYTES,
     BandwidthLedger,
     Message,
+    agent_heads,
     dump_trace,
     ledger_from_trace,
     links_per_agent,
@@ -189,6 +193,66 @@ class TestRunEpisode:
         for name in ("rows", "pruned_rows"):
             np.testing.assert_allclose(getattr(res_p, name), getattr(res, name)[np.ix_(perm, perm)], rtol=0, atol=1e-12)
         np.testing.assert_allclose(np.stack(res_p.logits), np.stack(res.logits)[perm], rtol=0, atol=1e-12)
+
+
+class TestBlockHeads:
+    """Heads run once over a block of episodes give each agent what its own episode's pass gives."""
+
+    @pytest.fixture(scope="class")
+    def block_setup(self):
+        # 65 episodes: one full block of EVAL_BLOCK and a partial block of one.
+        world = make_world("srms", rng=Rng(31))
+        episodes = generate_dataset(world, EVAL_BLOCK + 1, seed=32).episodes
+        cfg = PipelineConfig(d_obs=world.obs_dim)
+        theta = init_pipeline(cfg, Rng(33))
+        heads = []
+        for start in range(0, len(episodes), EVAL_BLOCK):
+            block = agent_heads(theta, np.stack([ep.observations for ep in episodes[start : start + EVAL_BLOCK]]))
+            heads += [[h[b] for h in block] for b in range(len(block[0]))]
+        return theta, episodes, heads
+
+    def test_agents_hold_their_own_episodes_heads(self, block_setup):
+        theta, episodes, heads = block_setup
+        assert len(heads) == EVAL_BLOCK + 1
+        for ep, ep_heads in zip(episodes, heads):
+            alone = make_agents(list(ep.observations), theta)
+            given = make_agents(list(ep.observations), theta, ep_heads)
+            for a, b in zip(alone, given):
+                for name in ("mu", "kappa", "feature"):
+                    assert getattr(a, name).tobytes() == getattr(b, name).tobytes()
+
+    @pytest.mark.parametrize("policy", POLICIES)
+    def test_episode_results_equal_bitwise(self, block_setup, policy):
+        theta, episodes, heads = block_setup
+        rng_alone, rng_given = Rng(34), Rng(34)
+        for ep, ep_heads in zip(episodes, heads):
+            obs = list(ep.observations)
+            alone = run_episode(make_agents(obs, theta), theta, 0.2, policy, rng_alone)
+            given = run_episode(make_agents(obs, theta, ep_heads), theta, 0.2, policy, rng_given)
+            assert alone.predictions == given.predictions
+            for name in ("logits", "rows", "pruned_rows", "fused"):
+                assert getattr(alone, name).tobytes() == getattr(given, name).tobytes()
+            assert alone.ledger == given.ledger
+            assert [(m.kind, m.src, m.dst) for m in alone.trace] == [(m.kind, m.src, m.dst) for m in given.trace]
+            for a, b in zip(alone.trace, given.trace):
+                assert (a.payload is None) == (b.payload is None)
+                assert a.payload is None or a.payload.tobytes() == b.payload.tobytes()
+
+    @pytest.mark.parametrize("head", range(3))
+    def test_misshapen_head_names_it(self, head):
+        cfg, theta, obs = small_setup(35)
+        heads = list(agent_heads(theta, np.array(obs)))
+        for bad in (heads[head][:4], heads[head][:, :-1], heads[head][None]):
+            wrong = heads[:head] + [bad] + heads[head + 1 :]
+            expected = re.escape(f"{HEAD_NAMES[head]} head has shape {bad.shape}, expected {heads[head].shape}")
+            with pytest.raises(ValueError, match=expected):
+                make_agents(obs, theta, wrong)
+
+    def test_wrong_head_count_rejected(self):
+        cfg, theta, obs = small_setup(36)
+        heads = agent_heads(theta, np.array(obs))
+        with pytest.raises(ValueError, match=r"expected 3 heads \('theta_q', 'theta_k', 'theta_e'\), got 2"):
+            make_agents(obs, theta, heads[:2])
 
 
 class TestInformationFlow:
