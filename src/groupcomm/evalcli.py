@@ -21,6 +21,7 @@ import json
 import os
 import sys
 from dataclasses import asdict, dataclass
+from itertools import islice
 
 import numpy as np
 
@@ -43,9 +44,11 @@ from .scenarios import (
     Episode,
     World,
     generate_dataset,
+    iter_episodes,
     load_dataset,
     make_world,
     save_dataset,
+    split_bounds,
 )
 from . import simnet
 
@@ -147,6 +150,8 @@ def decisions_from_rows(rows: np.ndarray) -> list[bool]:
 
 def when2com_accuracy(episodes: list[Episode], decisions: list[list[bool]]) -> float:
     """Agreement between communicate decisions and ground-truth need."""
+    if not episodes:
+        raise ValueError("when2com_accuracy: episodes is empty, so there is no decision to score")
     if len(episodes) != len(decisions):
         raise ValueError(f"{len(episodes)} episodes vs {len(decisions)} decision lists")
     hits = 0
@@ -157,7 +162,7 @@ def when2com_accuracy(episodes: list[Episode], decisions: list[list[bool]]) -> f
         for d, need in zip(dec, ep.needs_comm):
             hits += int(bool(d) == bool(need))
             total += 1
-    return hits / total if total else 0.0
+    return hits / total
 
 
 def grouping_accuracy(
@@ -369,11 +374,18 @@ def sweep_message_size(
     return rows
 
 
-def _dataset_for_eval(args) -> Dataset:
+def _test_split_for_eval(args) -> tuple[World, list[Episode]]:
+    """The world and test episodes to evaluate: from ``--data``, or generated from the run flags.
+
+    A generated set keeps only its test split; each train and validation
+    episode is dropped once drawn, so memory scales with the test split.
+    """
     if args.data:
-        return load_dataset(args.data)
+        dataset = load_dataset(args.data)
+        return dataset.world, dataset.test_episodes
     world = world_for_run(args.case, args.agents, args.seed)
-    return generate_dataset(world, args.episodes, args.seed)
+    _, test_start = split_bounds(args.episodes)
+    return world, list(islice(iter_episodes(world, args.episodes, args.seed), test_start, None))
 
 
 def _write_train_outputs(args, paths: dict[str, str], run: TrainRun) -> None:
@@ -524,21 +536,20 @@ def cli_main(argv: list[str]) -> int:
             _write_train_outputs(args, paths, run)
         elif args.command == "eval":
             theta, config = load_checkpoint(args.checkpoint)
-            dataset = _dataset_for_eval(args)
-            if dataset.world.obs_dim != config.d_obs:
+            world, episodes = _test_split_for_eval(args)
+            if world.obs_dim != config.d_obs:
                 raise ValueError(
                     f"{args.checkpoint}: checkpoint expects d_obs={config.d_obs}, "
-                    f"but the dataset has obs_dim={dataset.world.obs_dim}"
+                    f"but the dataset has obs_dim={world.obs_dim}"
                 )
-            n = dataset.world.n_agents
-            delta = args.delta if args.delta is not None else 1.0 / n
+            delta = args.delta if args.delta is not None else 1.0 / world.n_agents
             report = evaluate(
                 args.policy,
                 theta,
-                dataset.test_episodes,
+                episodes,
                 delta,
                 args.seed,
-                case=dataset.world.case,
+                case=world.case,
                 trace_path=paths.get("trace"),
             )
             save_report(report, paths["report"], paths["csv"])

@@ -572,7 +572,7 @@ def evaluate_task_accuracy(
     rng = rng if rng is not None else Rng(0)
     episodes = list(episodes)
     if not episodes:
-        return 0.0
+        raise ValueError("evaluate_task_accuracy: episodes is empty, so there is no accuracy to report")
     n = shared_agent_count(episodes)
     correct = 0
     for start in range(0, len(episodes), EVAL_BLOCK):

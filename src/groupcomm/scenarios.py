@@ -57,6 +57,7 @@ from __future__ import annotations
 import json
 import math
 import numbers
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -68,6 +69,9 @@ CASES = ("srms", "mrms", "mrmps", "triplet")
 PERTURBATION_SIGMA = 0.05
 MIN_PROTOTYPE_DISTANCE = 0.1
 DEFAULT_AGENTS = {"srms": 5, "mrms": 5, "mrmps": 5, "triplet": 9}
+# Every empty ``gt_support`` entry is this one object (``frozenset()`` is not
+# a shared singleton on every Python this package supports).
+NO_SUPPORT: frozenset[int] = frozenset()
 
 
 @dataclass
@@ -92,21 +96,24 @@ class World:
         return self.scene_codes.shape[0]
 
 
-@dataclass
+@dataclass(slots=True)
 class Episode:
     """One synchronized frame of N observations with ground truth.
 
     ``needs_comm[i]`` is true exactly when agent i is degraded (its own view
-    is insufficient).  ``gt_support[i]`` lists the agents holding informative
-    views for i; it is empty whenever ``needs_comm[i]`` is false, and may also
-    be empty for mrmps requesters with no sufficiently overlapping peer.
+    is insufficient).  ``gt_support[i]`` is the frozenset of agents holding
+    informative views for i; it is empty whenever ``needs_comm[i]`` is false,
+    and may also be empty for mrmps requesters with no sufficiently
+    overlapping peer.  Every empty entry, generated or loaded, is the one
+    shared :data:`NO_SUPPORT`, and the class has slots rather than a
+    ``__dict__``, so a held episode is mostly its observation array.
     """
 
     observations: np.ndarray  # (N, obs_dim)
     labels: list[int]
     degraded: list[bool]
     needs_comm: list[bool]
-    gt_support: list[set[int]] = field(default_factory=list)
+    gt_support: list[frozenset[int]] = field(default_factory=list)
 
 
 @dataclass
@@ -253,7 +260,7 @@ def _render(
     signatures: np.ndarray,
     labels: list[int],
     degraded: list[bool],
-    gt_support: list[set[int]],
+    gt_support: list[frozenset[int]],
     starts: list[int],
     content: np.ndarray | None = None,
 ) -> Episode:
@@ -280,14 +287,14 @@ def _generate_srms(world: World, rng: Rng) -> Episode:
     signatures = _episode_signatures(world, rng, n)
     designated = rng.randint(n)
     degraded = [False] * n
-    gt_support: list[set[int]] = [set() for _ in range(n)]
+    gt_support = [NO_SUPPORT] * n
     if rng.uniform_scalar() < world.degrade_prob:
         degraded[designated] = True
         off = rng.randint(n - 1)
         supporter = off if off < designated else off + 1
         labels[supporter] = labels[designated]
         signatures[supporter] = signatures[designated]
-        gt_support[designated] = {supporter}
+        gt_support[designated] = frozenset((supporter,))
     return _render(world, signatures, labels, degraded, gt_support, _skip_noise(world, rng, n))
 
 
@@ -304,12 +311,12 @@ def _generate_mrms(world: World, rng: Rng) -> Episode:
     deg_list = [i for i, d in enumerate(degraded) if d]
     clean_list = [i for i, d in enumerate(degraded) if not d]
     perm = rng.permutation(len(clean_list))
-    gt_support: list[set[int]] = [set() for _ in range(n)]
+    gt_support = [NO_SUPPORT] * n
     for t, r in enumerate(deg_list):
         s = clean_list[perm[t]]
         labels[s] = labels[r]
         signatures[s] = signatures[r]
-        gt_support[r] = {s}
+        gt_support[r] = frozenset((s,))
     return _render(world, signatures, labels, degraded, gt_support, _skip_noise(world, rng, n))
 
 
@@ -319,7 +326,7 @@ def _generate_mrmps(world: World, rng: Rng) -> Episode:
     signatures = _episode_signatures(world, rng, n)
     degraded = [rng.uniform_scalar() < world.degrade_prob for _ in range(n)]
     deg_list = [i for i, d in enumerate(degraded) if d]
-    gt_support: list[set[int]] = [set() for _ in range(n)]
+    gt_support = [NO_SUPPORT] * n
     content = world.prototypes[labels, world.scene_dim :]
     starts: list[int] = []
     for i in range(n):
@@ -335,7 +342,7 @@ def _generate_mrmps(world: World, rng: Rng) -> Episode:
             if overlap > 0.5:
                 labels[i] = labels[r]
             if overlap > world.overlap_frac:
-                gt_support[r].add(i)
+                gt_support[r] = gt_support[r] | {i}
         starts += _skip_noise(world, rng, 1)
     return _render(world, signatures, labels, degraded, gt_support, starts, content)
 
@@ -355,12 +362,12 @@ def _generate_triplet(world: World, rng: Rng) -> Episode:
             triplet_of[a] = t
     labels = [classes[triplet_of[i]] for i in range(n)]
     degraded = [False] * n
-    gt_support: list[set[int]] = [set() for _ in range(n)]
+    gt_support = [NO_SUPPORT] * n
     for t in range(k):
         if rng.uniform_scalar() < world.degrade_prob:
             victim = members[t][rng.randint(3)]
             degraded[victim] = True
-            gt_support[victim] = set(members[t]) - {victim}
+            gt_support[victim] = frozenset(members[t]) - {victim}
     return _render(world, signatures[triplet_of], labels, degraded, gt_support, _skip_noise(world, rng, n))
 
 
@@ -381,18 +388,31 @@ def generate_episode(world: World, rng: Rng) -> Episode:
     return gen(world, rng)
 
 
-def generate_dataset(world: World, n_episodes: int, seed: int) -> Dataset:
-    """Seeded episode list with a deterministic, disjoint 80/10/10 split."""
+def split_bounds(n_episodes: int) -> tuple[int, int]:
+    """Where the val and the test split start in a generated set of ``n_episodes`` (80/10/10)."""
     if n_episodes < 10:
         raise ValueError(f"need at least 10 episodes for a split, got {n_episodes}")
-    rng = Rng(seed)
-    episodes = [generate_episode(world, rng) for _ in range(n_episodes)]
     n_train = int(0.8 * n_episodes)
-    n_val = int(0.1 * n_episodes)
-    train_idx = list(range(0, n_train))
-    val_idx = list(range(n_train, n_train + n_val))
-    test_idx = list(range(n_train + n_val, n_episodes))
-    return Dataset(world, episodes, train_idx, val_idx, test_idx)
+    return n_train, n_train + int(0.1 * n_episodes)
+
+
+def iter_episodes(world: World, n_episodes: int, seed: int) -> Iterator[Episode]:
+    """The episodes of ``generate_dataset(world, n_episodes, seed)``, in order, drawn one at a time."""
+    rng = Rng(seed)
+    for _ in range(n_episodes):
+        yield generate_episode(world, rng)
+
+
+def generate_dataset(world: World, n_episodes: int, seed: int) -> Dataset:
+    """Seeded episode list with a deterministic, disjoint 80/10/10 split (see :func:`split_bounds`)."""
+    val_start, test_start = split_bounds(n_episodes)
+    return Dataset(
+        world,
+        list(iter_episodes(world, n_episodes, seed)),
+        list(range(val_start)),
+        list(range(val_start, test_start)),
+        list(range(test_start, n_episodes)),
+    )
 
 
 def save_dataset(path: str, dataset: Dataset) -> None:
@@ -463,12 +483,16 @@ def _load_episode(path: str, index: int, record: dict, world: World) -> Episode:
         for i, flag in enumerate(record[key]):
             if type(flag) is not bool:
                 raise ValueError(f"{where} {key}[{i}] is {flag!r}, not a JSON boolean")
+    gt_support = []
     for i, support in enumerate(record["gt_support"]):
-        for j in _require_list(f"{where} gt_support[{i}]", support):
+        for k, j in enumerate(_require_list(f"{where} gt_support[{i}]", support)):
             if type(j) is not int or not 0 <= j < n:
                 raise ValueError(f"{where} gt_support index {j!r} is not an integer in [0, {n})")
             if j == i:  # no agent transfers its feature to itself
                 raise ValueError(f"{where} agent {i} is listed as its own supporter in gt_support[{i}]")
+            if j in support[:k]:  # a set would drop it, and a re-save would rewrite the file
+                raise ValueError(f"{where} agent {i} lists supporter {j} twice in gt_support[{i}]")
+        gt_support.append(frozenset(support) if support else NO_SUPPORT)
     # Every generator marks exactly the degraded agents as needing help, and
     # only they have supporters.
     needs, degraded = record["needs_comm"], record["degraded"]
@@ -483,7 +507,7 @@ def _load_episode(path: str, index: int, record: dict, world: World) -> Episode:
         labels=list(record["labels"]),
         degraded=list(record["degraded"]),
         needs_comm=list(record["needs_comm"]),
-        gt_support=[set(s) for s in record["gt_support"]],
+        gt_support=gt_support,
     )
 
 

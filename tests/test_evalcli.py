@@ -59,7 +59,7 @@ def fake_episode(needs, gt):
         labels=[0] * n,
         degraded=list(needs),
         needs_comm=list(needs),
-        gt_support=[set(s) for s in gt],
+        gt_support=[frozenset(s) for s in gt],
     )
 
 
@@ -86,6 +86,11 @@ class TestWhen2comAccuracy:
     def test_length_mismatch(self):
         with pytest.raises(ValueError):
             when2com_accuracy([fake_episode([True], [{0}])], [])
+
+    def test_empty_episode_list_rejected(self):
+        # It used to score no decisions as 0.0, a plausible but wrong number.
+        with pytest.raises(ValueError, match="when2com_accuracy: episodes is empty"):
+            when2com_accuracy([], [])
 
 
 class TestGroupingAccuracy:
@@ -380,6 +385,31 @@ class TestCli:
                 )
             )
         assert outputs[0] == outputs[1]
+
+    def test_eval_without_data_reports_on_the_generated_test_split(self, tmp_path, capsys, monkeypatch):
+        ckpt = str(tmp_path / "m.ckpt")
+        theta = tiny_theta(5)
+        save_checkpoint(ckpt, theta, theta.config)
+        seen = []
+        real = evalcli.evaluate
+
+        def recording(policy, theta, episodes, *args, **kwargs):
+            seen.append(episodes)
+            return real(policy, theta, episodes, *args, **kwargs)
+
+        monkeypatch.setattr(evalcli, "evaluate", recording)
+        report = str(tmp_path / "ev.json")
+        argv = ["eval", "--checkpoint", ckpt, "--episodes", "37", "--seed", "2", "--report", report]
+        assert cli_main(argv) == 0
+        test_split = generate_dataset(world_for_run("srms", None, 2), 37, 2).test_episodes
+        (episodes,) = seen
+        assert len(episodes) == len(test_split) == 5  # 29 train, 3 val
+        for a, b in zip(episodes, test_split):
+            np.testing.assert_array_equal(a.observations, b.observations)
+            assert (a.labels, a.degraded, a.gt_support) == (b.labels, b.degraded, b.gt_support)
+        expected = tmp_path / "expected.json"
+        save_report(real("when2com", theta, test_split, 0.2, 2, case="srms"), str(expected), str(tmp_path / "expected.csv"))
+        assert Path(report).read_bytes() == expected.read_bytes()
 
     def test_eval_from_data_file(self, tmp_path, capsys):
         data = str(tmp_path / "d.json")

@@ -419,6 +419,12 @@ class TestValidation:
         with pytest.raises(ValueError, match="episode 5 has 4 agents, but episode 0 has 3"):
             evaluate_task_accuracy(theta, episodes, 0.25)
 
+    def test_rejects_empty_episode_list(self):
+        # It used to report 0.0 accuracy over no predictions.
+        theta = init_pipeline(self.CFG, Rng(53))
+        with pytest.raises(ValueError, match="evaluate_task_accuracy: episodes is empty"):
+            evaluate_task_accuracy(theta, [], 0.25)
+
 
 class TestFlatLayout:
     CFG = TestBatchedTraining.CFG

@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,12 +10,15 @@ import pytest
 from groupcomm.densemath import Rng
 from groupcomm.scenarios import (
     CASES,
+    NO_SUPPORT,
     Episode,
     generate_dataset,
     generate_episode,
+    iter_episodes,
     load_dataset,
     make_world,
     save_dataset,
+    split_bounds,
 )
 
 
@@ -242,6 +246,21 @@ class TestGenerateDataset:
         world = make_world("srms", rng=Rng(26))
         with pytest.raises(ValueError):
             generate_dataset(world, 9, seed=0)
+        with pytest.raises(ValueError, match="need at least 10 episodes for a split, got 9"):
+            split_bounds(9)
+
+    @pytest.mark.parametrize("n", [10, 37, 100])
+    def test_split_bounds_and_iterator_are_the_dataset(self, n):
+        world = make_world("mrmps", rng=Rng(26))
+        ds = generate_dataset(world, n, seed=4)
+        val_start, test_start = split_bounds(n)
+        assert ds.val_idx == list(range(val_start, test_start))
+        assert ds.test_idx == list(range(test_start, n))
+        drawn = list(iter_episodes(world, n, seed=4))
+        assert len(drawn) == n
+        for a, b in zip(ds.episodes, drawn):
+            np.testing.assert_array_equal(a.observations, b.observations)
+            assert (a.labels, a.degraded, a.gt_support) == (b.labels, b.degraded, b.gt_support)
 
     def test_label_histogram_uniformity(self):
         world = make_world("srms", degrade_prob=0.0, rng=Rng(27))
@@ -257,6 +276,52 @@ class TestGenerateDataset:
         # Binomial std for each class count
         sigma = (total * (1 / world.n_classes) * (1 - 1 / world.n_classes)) ** 0.5
         assert np.all(np.abs(counts - expected) < 3.0 * sigma)
+
+
+def _assert_frozen_support(episodes) -> int:
+    """Check every support is a frozenset and every empty one the shared NO_SUPPORT; count the non-empty ones."""
+    held = 0
+    for ep in episodes:
+        for support in ep.gt_support:
+            assert type(support) is frozenset
+            if support:
+                held += 1
+            else:
+                assert support is NO_SUPPORT
+    return held
+
+
+class TestSupportSets:
+    @pytest.mark.parametrize("case", CASES)
+    def test_generated_and_loaded_supports_are_frozen(self, tmp_path, case):
+        ds = generate_dataset(make_world(case, degrade_prob=0.6, rng=Rng(30)), 200, seed=8)
+        assert _assert_frozen_support(ds.episodes) > 0
+        path = str(tmp_path / "data.json")
+        save_dataset(path, ds)
+        assert _assert_frozen_support(load_dataset(path).episodes) > 0
+
+    def test_episode_has_no_instance_dict(self):
+        ep = generate_episode(make_world("srms", rng=Rng(31)), Rng(1))
+        assert not hasattr(ep, "__dict__")
+        with pytest.raises(AttributeError):
+            ep.note = "an attribute the class does not declare"
+
+    def test_held_srms_episode_stays_small(self):
+        # Per-agent mutable sets and an instance __dict__ held 3087 B per
+        # srms episode; frozen supports with one shared empty set hold about
+        # 2050 B, most of it the (5, 32) observation array.
+        world = make_world("srms", rng=Rng(32))
+        generate_episode(world, Rng(0))  # warm any first-call caches outside the traced span
+        n = 4000
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            episodes = list(iter_episodes(world, n, seed=5))
+            per_episode = (tracemalloc.get_traced_memory()[0] - before) / n
+        finally:
+            tracemalloc.stop()
+        assert len(episodes) == n
+        assert per_episode < 2600
 
 
 class TestDatasetExport:
@@ -475,6 +540,24 @@ class TestDatasetExport:
         episode["gt_support"][4] = [1]
         path.write_text(json.dumps(doc))
         assert load_dataset(str(path)).episodes[6].gt_support[4] == {1}
+
+    @pytest.mark.parametrize("support, twice", [([1, 1], 1), ([2, 0, 3, 0], 0)])
+    def test_load_rejects_supporter_listed_twice(self, tmp_path, support, twice):
+        # A set used to drop the repeat, so a load and a save rewrote the file.
+        path = tmp_path / "data.json"
+        save_dataset(str(path), generate_dataset(make_world("srms", degrade_prob=0.0, rng=Rng(3)), 10, seed=5))
+        doc = json.loads(path.read_text())
+        episode = doc["episodes"][6]
+        episode["degraded"][4] = episode["needs_comm"][4] = True
+        episode["gt_support"][4] = support
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ValueError, match=rf"data\.json: episode 6 agent 4 lists supporter {twice} twice in gt_support\[4\]"):
+            load_dataset(str(path))
+        episode["gt_support"][4] = sorted(set(support))
+        path.write_text(json.dumps(doc, sort_keys=True) + "\n")
+        again = tmp_path / "again.json"
+        save_dataset(str(again), load_dataset(str(path)))
+        assert again.read_bytes() == path.read_bytes()
 
     @pytest.mark.parametrize(
         "edit, message",
