@@ -619,6 +619,22 @@ def train(config: TrainConfig, dataset, rng: Rng) -> tuple[PipelineParams, list[
     return theta, log
 
 
+def _first_non_finite(theta: PipelineParams) -> str | None:
+    """Where ``theta``'s first non-finite parameter lies (head, layer, flat index), or None if all are finite."""
+    heads = ("theta_q", "theta_k", "theta_e", "theta_d")
+    names = [
+        f"{head} layer {i} {part}"
+        for head, sizes in zip(heads, head_sizes(theta.config))
+        for i in range(len(sizes) - 1)
+        for part in ("weight", "bias")
+    ] + ["w_g"]
+    for name, array in zip(names, param_arrays(theta), strict=True):
+        bad = np.flatnonzero(~np.isfinite(array))
+        if bad.size:
+            return f"{name} holds {array.flat[bad[0]]} at flat index {bad[0]}"
+    return None
+
+
 def save_checkpoint(path: str, theta: PipelineParams, config: PipelineConfig) -> None:
     """Binary layout: magic, version and dims, then the bytes of ``theta.flat``.
 
@@ -628,6 +644,9 @@ def save_checkpoint(path: str, theta: PipelineParams, config: PipelineConfig) ->
     """
     if config != theta.config:
         raise ValueError(f"checkpoint config {config} does not describe the parameters' {theta.config}")
+    bad = _first_non_finite(theta)
+    if bad:
+        raise ValueError(f"cannot save checkpoint {path}: {bad}, and a checkpoint must hold finite parameters")
     with open(path, "wb") as fh:
         fh.write(struct.pack(CHECKPOINT_HEADER, CHECKPOINT_MAGIC, CHECKPOINT_VERSION, *astuple(config)))
         fh.write(theta.flat.astype("<f8", copy=False).tobytes())
@@ -641,10 +660,13 @@ def load_checkpoint(path: str) -> tuple[PipelineParams, PipelineConfig]:
         raise ValueError(f"checkpoint {path} is truncated: {len(blob)} bytes, header needs {head_size}")
     magic, version, *dims = struct.unpack(CHECKPOINT_HEADER, blob[:head_size])
     if magic != CHECKPOINT_MAGIC:
-        raise ValueError(f"bad checkpoint magic {magic!r}")
+        raise ValueError(f"checkpoint {path}: bad checkpoint magic {magic!r}, expected {CHECKPOINT_MAGIC!r}")
     if version != CHECKPOINT_VERSION:
-        raise ValueError(f"unsupported checkpoint version {version}")
-    config = PipelineConfig(*dims)
+        raise ValueError(f"checkpoint {path}: unsupported checkpoint version {version}, expected {CHECKPOINT_VERSION}")
+    try:
+        config = PipelineConfig(*dims)
+    except ValueError as err:
+        raise ValueError(f"checkpoint {path}: {err}") from None
     expected = head_size + 8 * sum(math.prod(s) for s in param_shapes(config))
     if len(blob) != expected:
         raise ValueError(
@@ -652,4 +674,7 @@ def load_checkpoint(path: str) -> tuple[PipelineParams, PipelineConfig]:
         )
     theta = PipelineParams(config)
     theta.flat[:] = np.frombuffer(blob, dtype="<f8", offset=head_size)
+    bad = _first_non_finite(theta)
+    if bad:
+        raise ValueError(f"checkpoint {path}: {bad}")
     return theta, config

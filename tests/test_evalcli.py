@@ -452,6 +452,19 @@ class TestCli:
         assert ckpt in err and "d_obs=32" in err and "obs_dim=16" in err
         assert not report.exists()
 
+    def test_eval_rejects_checkpoint_with_nan_decoder_weight(self, tmp_path, capsys):
+        # A NaN decoder weight used to evaluate to a plausible accuracy and exit 0.
+        ckpt = tmp_path / "m.ckpt"
+        theta = tiny_theta()
+        save_checkpoint(str(ckpt), theta, PipelineConfig())
+        theta.theta_d.layers[0][0][0, 0] = float("nan")  # a view of theta.flat
+        ckpt.write_bytes(ckpt.read_bytes()[:36] + theta.flat.astype("<f8").tobytes())
+        report = tmp_path / "ev.json"
+        code = cli_main(["eval", "--checkpoint", str(ckpt), "--episodes", "20", "--report", str(report)])
+        assert code == 1
+        assert f"checkpoint {ckpt}: theta_d layer 0 weight holds nan at flat index 0" in capsys.readouterr().err
+        assert not report.exists()
+
     @pytest.mark.parametrize(
         "policy, delta, message",
         [
@@ -572,6 +585,31 @@ class TestCli:
         )
         assert proc.returncode == 0
         assert proc.stderr == ""
+
+    def test_train_and_eval_never_import_orjson(self, tmp_path):
+        # save_dataset imports orjson when it runs, so that training and
+        # evaluation, which never save a dataset, do not pay its import time
+        # and memory.  The save at the end shows the check can fail.
+        script = f"""
+import sys
+from groupcomm import evalcli, neuralnet, scenarios
+from groupcomm.densemath import Rng
+
+world = evalcli.world_for_run("srms", None, 3)
+data = scenarios.generate_dataset(world, 40, seed=3)
+config = neuralnet.TrainConfig(steps=4, batch_size=2, eval_every=2)
+theta, _ = neuralnet.train(config, data, Rng(3))
+neuralnet.save_checkpoint({str(tmp_path / "m.ckpt")!r}, theta, config.pipeline)
+theta, _ = neuralnet.load_checkpoint({str(tmp_path / "m.ckpt")!r})
+for policy in neuralnet.POLICIES:
+    evalcli.evaluate(policy, theta, data.episodes[:10], 0.2, seed=3, trace_path={str(tmp_path / "t.jsonl")!r})
+assert "orjson" not in sys.modules, "train or eval imported orjson"
+scenarios.save_dataset({str(tmp_path / "d.json")!r}, data)
+assert "orjson" in sys.modules, "save_dataset did not import orjson"
+"""
+        env = dict(os.environ, PYTHONPATH=str(Path(evalcli.__file__).parents[1]))
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env)
+        assert proc.returncode == 0, proc.stderr
 
     @pytest.mark.parametrize(
         "argv, flag",

@@ -790,5 +790,57 @@ class TestCheckpoint:
     def test_bad_magic_rejected(self, tmp_path):
         path = tmp_path / "junk.ckpt"
         path.write_bytes(b"NOTMAGIC" + b"\x00" * 64)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=rf"checkpoint {re.escape(str(path))}: bad checkpoint magic b'NOTMAGIC'"):
             load_checkpoint(str(path))
+
+    @pytest.mark.parametrize(
+        "offset, value, message",
+        [
+            (8, 2, "unsupported checkpoint version 2"),
+            (16, 0, "PipelineConfig.q_dim must be an integer >= 1, got 0"),  # the second dimension
+        ],
+    )
+    def test_bad_header_field_names_path(self, tmp_path, offset, value, message):
+        path = tmp_path / "odd.ckpt"
+        save_checkpoint(str(path), init_pipeline(PipelineConfig(), Rng(41)), PipelineConfig())
+        blob = path.read_bytes()
+        path.write_bytes(blob[:offset] + struct.pack("<I", value) + blob[offset + 4 :])
+        with pytest.raises(ValueError, match=re.escape(f"checkpoint {path}: {message}")):
+            load_checkpoint(str(path))
+
+    # (position of the array in checkpoint order, flat index within it, the
+    # message naming it); the index into theta.flat is derived from these.
+    NON_FINITE_SITES = [
+        (0, 0, "theta_q layer 0 weight holds {} at flat index 0"),
+        (2, 5, "theta_q layer 1 weight holds {} at flat index 5"),
+        (7, 3, "theta_k layer 1 bias holds {} at flat index 3"),
+        # The decoder's first weight: a NaN there once evaluated to a
+        # plausible 0.12 accuracy instead of failing.
+        (12, 0, "theta_d layer 0 weight holds {} at flat index 0"),
+        (16, 63, "w_g holds {} at flat index 63"),
+    ]
+
+    @staticmethod
+    def flat_index(array, index):
+        return sum(math.prod(s) for s in param_shapes(PipelineConfig())[:array]) + index
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+    @pytest.mark.parametrize("array, index, where", NON_FINITE_SITES)
+    def test_load_rejects_non_finite_parameter(self, tmp_path, bad, array, index, where):
+        theta = init_pipeline(PipelineConfig(), Rng(42))
+        path = tmp_path / "diverged.ckpt"
+        save_checkpoint(str(path), theta, PipelineConfig())
+        theta.flat[self.flat_index(array, index)] = bad
+        path.write_bytes(path.read_bytes()[:36] + theta.flat.astype("<f8").tobytes())
+        message = f"checkpoint {path}: " + where.format(bad)
+        with pytest.raises(ValueError, match=re.escape(message)):
+            load_checkpoint(str(path))
+
+    @pytest.mark.parametrize("array, index, where", NON_FINITE_SITES)
+    def test_save_refuses_non_finite_parameter(self, tmp_path, array, index, where):
+        theta = init_pipeline(PipelineConfig(), Rng(43))
+        theta.flat[self.flat_index(array, index)] = float("nan")
+        path = tmp_path / "diverged.ckpt"
+        with pytest.raises(ValueError, match=re.escape(f"cannot save checkpoint {path}: " + where.format("nan"))):
+            save_checkpoint(str(path), theta, PipelineConfig())
+        assert not path.exists()

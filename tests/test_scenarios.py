@@ -2,15 +2,21 @@
 
 import hashlib
 import json
+import os
+import re
+import tempfile
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from groupcomm.densemath import Rng
 from groupcomm.scenarios import (
     CASES,
     NO_SUPPORT,
+    Dataset,
     Episode,
     generate_dataset,
     generate_episode,
@@ -36,6 +42,63 @@ def _edited(text: str, edit) -> str:
     doc = json.loads(text)
     edit(doc)
     return json.dumps(doc)
+
+
+def _one_shot_doc(ds) -> dict:
+    """The document ``save_dataset`` writes for ``ds``, built in one piece for ``json.dump``."""
+    w = ds.world
+    return {
+        "world": {
+            "case": w.case,
+            "n_agents": w.n_agents,
+            "obs_dim": w.obs_dim,
+            "scene_dim": w.scene_dim,
+            "n_classes": w.n_classes,
+            "degrade_prob": w.degrade_prob,
+            "noise_sigma": w.noise_sigma,
+            "overlap_frac": w.overlap_frac,
+            "prototypes": w.prototypes.tolist(),
+            "scene_codes": w.scene_codes.tolist(),
+        },
+        "episodes": [
+            {
+                "observations": ep.observations.tolist(),
+                "labels": list(ep.labels),
+                "degraded": list(ep.degraded),
+                "needs_comm": list(ep.needs_comm),
+                "gt_support": [sorted(s) for s in ep.gt_support],
+            }
+            for ep in ds.episodes
+        ],
+        "splits": {"train": ds.train_idx, "val": ds.val_idx, "test": ds.test_idx},
+    }
+
+
+# Ground truth for the writer's property test: two agents with four-float
+# observations, whose values the test draws.
+_PROPERTY_DATASET = generate_dataset(make_world("srms", n_agents=2, obs_dim=4, rng=Rng(3)), 10, seed=5)
+
+# save_dataset writes an episode through orjson when every observation's
+# magnitude lies in [1e-4, 1e16).  Half the drawn episodes keep to that
+# range; the others mix in floats of every magnitude, so one saved dataset
+# can take both paths.
+_IN_RANGE = st.one_of(
+    st.floats(1e-4, 1e16, exclude_max=True),
+    st.floats(-1e16, -1e-4, exclude_min=True),
+    st.sampled_from([1e-4, -9999999999999998.0]),
+)
+_ANY_FINITE = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.sampled_from([0.0, -0.0, 5e-324, -2.2250738585072014e-308, 9.999999999999999e-05, 1e-5, 1e16, -1e16]),
+    st.floats(-2.2250738585072014e-308, 2.2250738585072014e-308),  # subnormals
+    st.floats(-1e-4, 1e-4, exclude_min=True, exclude_max=True),
+    st.floats(min_value=1e16, allow_infinity=False),
+    st.floats(max_value=-1e16, allow_infinity=False),
+)
+_OBSERVATIONS = st.one_of(
+    st.lists(_IN_RANGE, min_size=8, max_size=8),
+    st.lists(st.one_of(_IN_RANGE, _ANY_FINITE), min_size=8, max_size=8),
+).map(lambda v: np.array(v).reshape(2, 4))
 
 
 class TestMakeWorld:
@@ -347,37 +410,59 @@ class TestDatasetExport:
         ds = generate_dataset(make_world(case, rng=Rng(3)), 20, seed=5)
         path = tmp_path / "data.json"
         save_dataset(str(path), ds)
-        w = ds.world
-        doc = {
-            "world": {
-                "case": w.case,
-                "n_agents": w.n_agents,
-                "obs_dim": w.obs_dim,
-                "scene_dim": w.scene_dim,
-                "n_classes": w.n_classes,
-                "degrade_prob": w.degrade_prob,
-                "noise_sigma": w.noise_sigma,
-                "overlap_frac": w.overlap_frac,
-                "prototypes": w.prototypes.tolist(),
-                "scene_codes": w.scene_codes.tolist(),
-            },
-            "episodes": [
-                {
-                    "observations": ep.observations.tolist(),
-                    "labels": list(ep.labels),
-                    "degraded": list(ep.degraded),
-                    "needs_comm": list(ep.needs_comm),
-                    "gt_support": [sorted(s) for s in ep.gt_support],
-                }
-                for ep in ds.episodes
-            ],
-            "splits": {"train": ds.train_idx, "val": ds.val_idx, "test": ds.test_idx},
-        }
         reference = tmp_path / "reference.json"
         with open(reference, "w", encoding="utf-8") as fh:
-            json.dump(doc, fh, sort_keys=True)
+            json.dump(_one_shot_doc(ds), fh, sort_keys=True)
             fh.write("\n")
         assert path.read_bytes() == reference.read_bytes()
+
+    @settings(derandomize=True, database=None, max_examples=300, deadline=None)
+    @given(observations=st.lists(_OBSERVATIONS, min_size=1, max_size=4))
+    @example(  # one episode for each path: orjson, then json.dumps for 1e-05 and for 1e+16
+        observations=[np.full((2, 4), 0.5), np.full((2, 4), 1e-5), np.full((2, 4), -1e16)]
+    )
+    def test_bytes_match_json_dumps_for_any_finite_observation(self, observations):
+        # The writer formats in-range episodes through orjson and the rest
+        # through json.dumps; either way the file must be json.dumps's bytes.
+        base = _PROPERTY_DATASET
+        episodes = [replace(base.episodes[i], observations=obs) for i, obs in enumerate(observations)]
+        ds = Dataset(base.world, episodes, [0], list(range(1, len(episodes))), [])
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "data.json")
+            save_dataset(path, ds)
+            with open(path, "rb") as fh:
+                saved = fh.read()
+            loaded = load_dataset(path)
+        assert saved == (json.dumps(_one_shot_doc(ds), sort_keys=True) + "\n").encode()
+        for ep, back in zip(ds.episodes, loaded.episodes, strict=True):
+            np.testing.assert_array_equal(back.observations, ep.observations)
+            assert np.array_equal(np.signbit(back.observations), np.signbit(ep.observations))
+
+    @pytest.mark.parametrize(
+        "convert",
+        [lambda a: (a * 1000).astype(np.float32), lambda a: (a * 1000).astype(np.int64), np.asfortranarray],
+        ids=["float32", "int64", "column-major"],
+    )
+    def test_bytes_match_json_dumps_for_other_arrays(self, tmp_path, convert):
+        # orjson spells float32 and integer arrays in their own way, so only
+        # float64 observations go through it; it also needs them row-major.
+        ds = generate_dataset(make_world("srms", rng=Rng(3)), 10, seed=5)
+        for ep in ds.episodes:
+            ep.observations = convert(ep.observations)
+        path = tmp_path / "data.json"
+        save_dataset(str(path), ds)
+        assert path.read_bytes() == (json.dumps(_one_shot_doc(ds), sort_keys=True) + "\n").encode()
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+    def test_save_refuses_non_finite_observations(self, tmp_path, bad):
+        # load_dataset would refuse the file, so nothing is written at all.
+        ds = generate_dataset(make_world("srms", rng=Rng(3)), 10, seed=5)
+        ds.episodes[6].observations[3, 2] = bad
+        path = tmp_path / "data.json"
+        path.write_text("an earlier save")
+        with pytest.raises(ValueError, match=rf"{re.escape(str(path))}: episode 6 agent 3 has non-finite observations"):
+            save_dataset(str(path), ds)
+        assert path.read_text() == "an earlier save"
 
     # SHA-256 of the saved 20-episode dataset of each case, frozen so that
     # neither the generators nor the file format drift silently.
