@@ -467,12 +467,15 @@ def save_dataset(path: str, dataset: Dataset) -> None:
 
 
 def _require_fields(where: str, record, fields) -> None:
-    """Raise naming ``where`` unless ``record`` is a JSON object holding every one of ``fields``."""
+    """Raise naming ``where`` unless ``record`` is a JSON object holding exactly ``fields``."""
     if not isinstance(record, dict):
         raise ValueError(f"{where} must be a JSON object, got {type(record).__name__}")
     for key in fields:
         if key not in record:
             raise ValueError(f"{where} has no {key!r} field")
+    if len(record) != len(fields):
+        key = next(key for key in record if key not in fields)
+        raise ValueError(f"{where} has an unknown {key!r} field")
 
 
 def _require_list(where: str, value) -> list:
@@ -482,21 +485,28 @@ def _require_list(where: str, value) -> list:
     return value
 
 
+def _require_array(where: str, value, shape: tuple[int, int], expected: str) -> np.ndarray:
+    """``value`` as a finite float64 array, rejected (naming ``where``) unless it has ``shape``."""
+    try:
+        array = np.asarray(value, dtype=np.float64)
+    except OverflowError:  # an integer beyond the float64 range
+        raise ValueError(f"{where} hold an integer beyond the float64 range") from None
+    except (TypeError, ValueError):  # ragged or non-numeric rows
+        array = None
+    if array is None or array.shape != shape:
+        raise ValueError(f"{where} have shape {'ragged' if array is None else array.shape}, expected {expected}")
+    if not np.all(np.isfinite(array)):
+        raise ValueError(f"{where} contain non-finite values")
+    return array
+
+
 def _load_episode(path: str, index: int, record: dict, world: World) -> Episode:
     """One saved episode, rejected (naming ``path`` and ``index``) unless it fits ``world``."""
     where = f"{path}: episode {index}"
     _require_fields(where, record, ("observations", "labels", "degraded", "needs_comm", "gt_support"))
     n = world.n_agents
     shape = (n, world.obs_dim)
-    try:
-        obs = np.asarray(record["observations"], dtype=np.float64)
-    except (TypeError, ValueError):  # ragged or non-numeric rows
-        obs = None
-    if obs is None or obs.shape != shape:
-        got = "ragged" if obs is None else obs.shape
-        raise ValueError(f"{where} observations have shape {got}, expected {shape}")
-    if not np.all(np.isfinite(obs)):
-        raise ValueError(f"{where} observations contain non-finite values")
+    obs = _require_array(f"{where} observations", record["observations"], shape, str(shape))
     for key in ("labels", "degraded", "needs_comm", "gt_support"):
         if len(_require_list(f"{where} {key}", record[key])) != n:
             raise ValueError(f"{where} {key} has {len(record[key])} entries, expected {n}")
@@ -543,13 +553,7 @@ def _load_world(path: str, w: dict) -> World:
     arrays = {}
     for key, rows, cols in (("prototypes", "n_classes", "obs_dim"), ("scene_codes", "scene_dim", "scene_dim")):
         shape = (w[rows], w[cols])
-        try:
-            arrays[key] = np.asarray(w[key], dtype=np.float64)
-        except (TypeError, ValueError):  # ragged or non-numeric rows
-            arrays[key] = None
-        if arrays[key] is None or arrays[key].shape != shape:
-            got = "ragged" if arrays[key] is None else arrays[key].shape
-            raise ValueError(f"{path}: world {key} have shape {got}, expected ({rows}, {cols}) = {shape}")
+        arrays[key] = _require_array(f"{path}: world {key}", w[key], shape, f"({rows}, {cols}) = {shape}")
     return World(**dict(w, **arrays))
 
 
@@ -573,15 +577,59 @@ def _load_splits(path: str, splits: dict, n_episodes: int) -> list[list[int]]:
     return [list(splits[name]) for name in names]
 
 
-def load_dataset(path: str) -> Dataset:
-    """The dataset saved at ``path``; raises ValueError naming the file and the first problem found."""
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            doc = json.load(fh)
-        except (json.JSONDecodeError, UnicodeDecodeError) as err:
-            raise ValueError(f"{path}: not valid JSON: {err}") from None
+def _dataset_from_doc(path: str, doc) -> Dataset:
+    """The dataset a parsed file holds, rejected (naming ``path``) at the first problem found."""
     _require_fields(f"{path}: the dataset", doc, ("world", "episodes", "splits"))
     world = _load_world(path, doc["world"])
     records = _require_list(f"{path}: episodes", doc["episodes"])
     episodes = [_load_episode(path, i, e, world) for i, e in enumerate(records)]
     return Dataset(world, episodes, *_load_splits(path, doc["splits"], len(episodes)))
+
+
+def _load_through_orjson(path: str) -> Dataset | None:
+    """The dataset at ``path`` as orjson parses it, or None where ``json.load`` must read the file."""
+    import orjson  # here, as in save_dataset: train, and eval without --data, never load it
+
+    with open(path, "rb") as fh:
+        try:
+            doc = orjson.loads(fh.read())
+        except orjson.JSONDecodeError:  # NaN, 1e400, a lone surrogate, a BOM, invalid UTF-8, ...
+            return None
+    try:
+        dataset = _dataset_from_doc(path, doc)
+    except (ValueError, RecursionError):  # the message comes from json's document, positions included
+        return None
+    # orjson reads an integer wider than 64 bits as a float; noise_sigma is
+    # the one checked field where such a float also passes.
+    if type(dataset.world.noise_sigma) is float and dataset.world.noise_sigma >= 2.0**64:
+        return None
+    return dataset
+
+
+def load_dataset(path: str) -> Dataset:
+    """The dataset saved at ``path``; raises ValueError naming the file and the first problem found.
+
+    The file is parsed by orjson, about twice as fast as ``json.load``, and
+    the result is checked.  Wherever orjson could read the file other
+    than ``json.load`` does, the file is read again through ``json.load``
+    and checked as parsed there, so the dataset and every message are the
+    standard module's: when orjson refuses the bytes (``NaN``, ``1e400``, a
+    lone surrogate, a BOM, invalid UTF-8, any syntax error), when the checks
+    refuse orjson's document, and when the world's ``noise_sigma`` is a float
+    of at least 2**64, which orjson also makes of a wider integer.  Every
+    object must hold exactly the fields ``save_dataset`` writes.  The cost is
+    memory: orjson parses the whole document at once, which briefly holds
+    about 1.8 times the file's size more than ``json.load`` needs.
+    """
+    dataset = _load_through_orjson(path)  # its frame frees orjson's document before json.load runs
+    if dataset is not None:
+        return dataset
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            try:
+                doc = json.load(fh)
+            except ValueError as err:  # also bad UTF-8, and an integer of more than 4300 digits
+                raise ValueError(f"{path}: not valid JSON: {err}") from None
+        return _dataset_from_doc(path, doc)
+    except RecursionError:  # in json.load, or in the repr of a deeply nested value
+        raise ValueError(f"{path}: JSON nests too deeply to load") from None

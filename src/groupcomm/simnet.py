@@ -345,17 +345,24 @@ def load_trace(path: str) -> list[Message]:
     :func:`dump_trace` writes, a known kind, non-negative integer ids and
     payload size, two distinct ids, and payload bytes, header bytes and
     ``counted`` as the byte model gives them.  An error names the path and
-    the 1-based line.
+    the 1-based line, bytes that are not UTF-8 and nesting too deep to parse
+    included.
     """
     messages = []
-    with open(path, "r", encoding="utf-8") as fh:
+    # Undecodable bytes pass the read as lone surrogates, so that the line
+    # holding them raises, not the read of the chunk around it.
+    with open(path, "r", encoding="utf-8", errors="surrogateescape") as fh:
         for lineno, line in enumerate(fh, 1):
             try:
+                if not line.isascii():
+                    line.encode("utf-8", "surrogateescape").decode("utf-8")
                 messages.append(_message_from_record(json.loads(line.rstrip("\n"))))
             except json.JSONDecodeError as exc:
                 raise ValueError(f"trace {path}, line {lineno}: bad JSON: {exc.msg} at column {exc.colno}") from None
-            except ValueError as exc:
+            except ValueError as exc:  # UnicodeDecodeError included
                 raise ValueError(f"trace {path}, line {lineno}: {exc}") from None
+            except RecursionError:
+                raise ValueError(f"trace {path}, line {lineno}: JSON nests too deeply to load") from None
     return messages
 
 

@@ -587,9 +587,10 @@ class TestCli:
         assert proc.stderr == ""
 
     def test_train_and_eval_never_import_orjson(self, tmp_path):
-        # save_dataset imports orjson when it runs, so that training and
-        # evaluation, which never save a dataset, do not pay its import time
-        # and memory.  The save at the end shows the check can fail.
+        # save_dataset and load_dataset import orjson when they run, so that
+        # training and evaluation of data in memory, which never save or load
+        # a dataset file, do not pay its import time and memory (eval --data
+        # loads it).  The save at the end shows the check can fail.
         script = f"""
 import sys
 from groupcomm import evalcli, neuralnet, scenarios

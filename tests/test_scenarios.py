@@ -1,5 +1,6 @@
 """Scenario generators: constructions, ground-truth invariants, statistics."""
 
+import dataclasses
 import hashlib
 import json
 import os
@@ -9,6 +10,7 @@ import tracemalloc
 from dataclasses import replace
 
 import numpy as np
+import orjson
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
@@ -18,6 +20,7 @@ from groupcomm.scenarios import (
     NO_SUPPORT,
     Dataset,
     Episode,
+    World,
     generate_dataset,
     generate_episode,
     iter_episodes,
@@ -99,6 +102,125 @@ _OBSERVATIONS = st.one_of(
     st.lists(_IN_RANGE, min_size=8, max_size=8),
     st.lists(st.one_of(_IN_RANGE, _ANY_FINITE), min_size=8, max_size=8),
 ).map(lambda v: np.array(v).reshape(2, 4))
+
+# The loader's differential property mutates one node or a few bytes of this
+# file (``json.dumps(doc, sort_keys=True)``, which is what save_dataset writes).
+_DIFF_BASE = json.dumps(_one_shot_doc(_PROPERTY_DATASET), sort_keys=True)
+_RAW = "\x00raw"  # stands in for the raw JSON text of a mutated node
+
+
+def _node_paths(node, prefix=()):
+    """The path (keys and indices) and value of every node below ``node``."""
+    items = node.items() if isinstance(node, dict) else enumerate(node) if isinstance(node, list) else ()
+    for key, child in items:
+        yield prefix + (key,), child
+        yield from _node_paths(child, prefix + (key,))
+
+
+_BASE_NODES = list(_node_paths(json.loads(_DIFF_BASE)))
+_BASE_PATHS = [path for path, _ in _BASE_NODES]
+# Most nodes are floats in an array; the rest are drawn as often as they are.
+_FLOAT_PATHS = [path for path, value in _BASE_NODES if type(value) is float]
+_OTHER_PATHS = [path for path, value in _BASE_NODES if type(value) is not float]
+_DICT_PATHS = [()] + [path for path, value in _BASE_NODES if isinstance(value, dict)]
+
+# Raw JSON texts for a mutated node: numbers of every width and spelling,
+# literals orjson refuses, strings, containers and deep nesting.
+_RAW_VALUES = st.one_of(
+    st.sampled_from([
+        "NaN", "Infinity", "-Infinity", "1e400", "-1e400", "1e-400", "-1e-400", "-0", "-0.0", "true", "false",
+        "null", "[]", "{}", '""', '"srms"', '"\\u0073rms"', '"\\ud800"', '"\\udc00"', '"\\ud83d\\ude00"',
+        "18446744073709551615", "18446744073709551616", "-9223372036854775808", "-9223372036854775809",
+        "1" + "0" * 30, "1e30", "1" + "0" * 400, "1" * 5000, "[" * 100000 + "]" * 100000,
+    ]),
+    st.integers().map(str),
+    st.integers(2**63 - 2, 2**65).map(str),
+    st.integers(-(2**65), -(2**63) + 2).map(str),
+    st.floats(allow_nan=False, allow_infinity=False).map(repr),
+    st.from_regex(r"-?(0|[1-9][0-9]{0,25})(\.[0-9]{1,25})?([eE][+-]?[0-9]{1,3})?", fullmatch=True),
+    st.text(max_size=4).map(json.dumps),
+    st.lists(st.integers(-2, 11), max_size=4).map(json.dumps),
+    st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=4, max_size=4).map(json.dumps),
+    st.integers(1, 3000).map(lambda depth: "[" * depth + "]" * depth),
+)
+
+# A mutation is ("set", path, raw) (a new key in a dict adds a field),
+# ("drop", path), or ("splice", pos, cut, insert, crlf): ``cut`` bytes at
+# ``pos`` replaced by ``insert``, in the file as written or re-indented with
+# CRLF line ends.
+_MUTATIONS = st.one_of(
+    st.tuples(st.just("set"), st.sampled_from(_FLOAT_PATHS), _RAW_VALUES),
+    st.tuples(st.just("set"), st.sampled_from(_OTHER_PATHS), _RAW_VALUES),
+    st.tuples(
+        st.just("set"),
+        st.tuples(st.sampled_from(_DICT_PATHS), st.sampled_from(["colour", "x", "labels", "world"])).map(
+            lambda t: t[0] + (t[1],)
+        ),
+        _RAW_VALUES,
+    ),
+    st.tuples(st.just("drop"), st.sampled_from(_BASE_PATHS)),
+    st.tuples(
+        st.just("splice"),
+        st.integers(0, len(_DIFF_BASE)),
+        st.integers(0, 3),
+        st.one_of(st.binary(max_size=3), st.sampled_from([b"\xef\xbb\xbf", b"\xff", b"\xed\xa0\x80", b"\r", b"9e9"])),
+        st.booleans(),
+    ),
+)
+
+
+def _mutated(mutation) -> bytes:
+    """The bytes of ``_DIFF_BASE`` with ``mutation`` applied."""
+    kind, *args = mutation
+    doc = json.loads(_DIFF_BASE)
+    if kind == "splice":
+        pos, cut, insert, crlf = args
+        data = (json.dumps(doc, indent=1).replace("\n", "\r\n") + "\r\n" if crlf else _DIFF_BASE).encode()
+        pos %= len(data) + 1
+        return data[:pos] + insert + data[pos + cut :]
+    *parents, last = args[0]
+    node = doc
+    for key in parents:
+        node = node[key]
+    if kind == "drop":
+        del node[last]
+        return json.dumps(doc).encode()
+    node[last] = _RAW
+    return json.dumps(doc).replace(json.dumps(_RAW), args[1]).encode()
+
+
+def _load_outcome(path: str):
+    """``load_dataset(path)``, or the message of the ValueError it raises."""
+    try:
+        return load_dataset(path)
+    except ValueError as err:
+        return str(err)
+
+
+def _refuse(data):
+    raise orjson.JSONDecodeError("refused, so that json.load reads the file", "", 0)
+
+
+def _load_through_json_only(path: str):
+    """``_load_outcome(path)`` with orjson refusing every file."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(orjson, "loads", _refuse)
+        return _load_outcome(path)
+
+
+def _assert_identical(a: Dataset, b: Dataset) -> None:
+    """Equal datasets, down to the bits of every float and the type of every world field."""
+    for f in dataclasses.fields(World):
+        x, y = getattr(a.world, f.name), getattr(b.world, f.name)
+        if isinstance(x, np.ndarray):
+            assert (x.dtype, x.shape, x.tobytes()) == (y.dtype, y.shape, y.tobytes()), f.name
+        else:
+            assert type(x) is type(y) and x == y, f.name
+    assert (a.train_idx, a.val_idx, a.test_idx) == (b.train_idx, b.val_idx, b.test_idx)
+    assert len(a.episodes) == len(b.episodes)
+    for x, y in zip(a.episodes, b.episodes):
+        assert (x.observations.shape, x.observations.tobytes()) == (y.observations.shape, y.observations.tobytes())
+        assert (x.labels, x.degraded, x.needs_comm, x.gt_support) == (y.labels, y.degraded, y.needs_comm, y.gt_support)
 
 
 class TestMakeWorld:
@@ -579,6 +701,12 @@ class TestDatasetExport:
             (lambda w: w.update(overlap_frac="half"), r"world overlap_frac must be a real number, got 'half'"),
             (lambda w: w.update(noise_sigma=True), r"world noise_sigma must be a real number, got True"),
             (lambda w: w.update(noise_sigma=float("inf")), r"world noise_sigma must be positive and finite"),
+            # World(**fields) used to raise a bare TypeError for an unknown field.
+            (lambda w: w.update(colour="red"), r"world has an unknown 'colour' field"),
+            # Integers beyond float64 used to escape as OverflowError, naming no file.
+            (lambda w: w["prototypes"][2].__setitem__(1, 10**400), r"world prototypes hold an integer beyond the float64 range"),
+            (lambda w: w["scene_codes"][0].__setitem__(3, -(10**400)), r"world scene_codes hold an integer beyond the float64 range"),
+            (lambda w: w["prototypes"][4].__setitem__(20, float("nan")), r"world prototypes contain non-finite values"),
         ],
     )
     def test_load_rejects_world_that_make_world_cannot_build(self, tmp_path, edit, message):
@@ -668,6 +796,17 @@ class TestDatasetExport:
                 lambda text: _edited(text, lambda d: d["episodes"][2].update(labels=7)),
                 r"data\.json: episode 2 labels must be a JSON array, got int",
             ),
+            (lambda text: _edited(text, lambda d: d.update(notes=[])), r"data\.json: the dataset has an unknown 'notes' field"),
+            (lambda text: _edited(text, lambda d: d["episodes"][5].update(pose=0)), r"data\.json: episode 5 has an unknown 'pose' field"),
+            (lambda text: _edited(text, lambda d: d["splits"].update(extra=[])), r"data\.json: splits has an unknown 'extra' field"),
+            # np.asarray used to raise OverflowError, naming no file.
+            (
+                lambda text: _edited(text, lambda d: d["episodes"][4]["observations"][1].__setitem__(9, 10**400)),
+                r"data\.json: episode 4 observations hold an integer beyond the float64 range",
+            ),
+            # json.load used to raise RecursionError, naming no file.
+            (lambda text: "[" * 100000 + "]" * 100000, r"data\.json: JSON nests too deeply to load"),
+            (lambda text: text[:-2] + ', "notes": ' + "[" * 100000 + "]" * 100000 + "}", r"data\.json: JSON nests too deeply"),
         ],
     )
     def test_load_names_file_and_problem_of_malformed_document(self, tmp_path, edit, message):
@@ -682,6 +821,53 @@ class TestDatasetExport:
         path.write_bytes(b'{"world": "\xff"}')
         with pytest.raises(ValueError, match=r"data\.json: not valid JSON: 'utf-8' codec can't decode"):
             load_dataset(str(path))
+
+    @settings(derandomize=True, database=None, max_examples=300, deadline=None)
+    @given(mutation=_MUTATIONS)
+    @example(mutation=("set", ("episodes", 4, "observations", 1, 2), "NaN"))
+    @example(mutation=("set", ("episodes", 4, "observations", 1, 2), "1e400"))
+    @example(mutation=("set", ("episodes", 4, "observations", 1, 2), "1" + "0" * 400))
+    @example(mutation=("set", ("episodes", 1, "observations", 0, 0), "123456789012345678901234567890"))
+    @example(mutation=("set", ("world", "case"), '"\\ud800"'))
+    @example(mutation=("splice", 0, 0, b"\xef\xbb\xbf", False))  # a BOM
+    @example(mutation=("splice", 3, 0, b"\xff", False))  # invalid UTF-8 in the first key
+    @example(mutation=("set", ("episodes", 6, "labels", 0), str(2**64)))
+    @example(mutation=("set", ("world", "noise_sigma"), str(10**30)))
+    @example(mutation=("set", ("world", "noise_sigma"), "1e30"))
+    @example(mutation=("splice", 0, len(_DIFF_BASE), b"[" * 100000 + b"]" * 100000, False))
+    @example(mutation=("set", ("world", "colour"), "[" * 100000 + "]" * 100000))
+    @example(mutation=("set", ("episodes", 2, "labels"), "[" * 2000 + "]" * 2000))
+    @example(mutation=("set", ("world", "case"), "[" * 100000 + "]" * 100000))  # its message would quote it
+    @example(mutation=("set", ("episodes", 3, "labels", 1), "1" * 5000))  # beyond int's 4300-digit limit
+    @example(mutation=("splice", 0, 1, b"", True))  # a CRLF file with a syntax error on its second line
+    @example(mutation=("splice", 0, 0, b"", True))  # the same file, valid
+    def test_orjson_and_json_load_alike(self, mutation):
+        # load_dataset parses through orjson and falls back to json.load
+        # wherever the two could differ; with orjson refusing every file, it
+        # reads through json.load alone.  The two must load the same dataset
+        # or raise the same ValueError, which names the file.
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "data.json")
+            with open(path, "wb") as fh:
+                fh.write(_mutated(mutation))
+            fast, reference = _load_outcome(path), _load_through_json_only(path)
+        if isinstance(reference, str):
+            assert fast == reference
+            assert reference.startswith(f"{path}: ")
+        else:
+            _assert_identical(fast, reference)
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_generated_files_load_through_orjson_alone(self, tmp_path, monkeypatch, case):
+        # Generated files never need json.load, and orjson reads them exactly.
+        ds = generate_dataset(make_world(case, degrade_prob=0.6, rng=Rng(3)), 40, seed=5)
+        path = str(tmp_path / "data.json")
+        save_dataset(path, ds)
+        reference = _load_through_json_only(path)
+        monkeypatch.setattr(json, "load", lambda fh: pytest.fail("json.load read a generated file"))
+        loaded = load_dataset(path)
+        _assert_identical(loaded, reference)
+        _assert_identical(loaded, ds)
 
     @pytest.mark.parametrize(
         "split, value, message",

@@ -423,6 +423,8 @@ class TestTraceDump:
             (_good_record(counted=False), "counted is False, but the byte model gives True"),
             (_good_record(counted=1), "counted is 1, but the byte model gives True"),
             (_good_record(kind="score", payload_reals=1, payload_bytes=4), "counted is True, but the byte model gives False"),
+            # json.loads used to raise RecursionError, naming no file.
+            pytest.param("[" * 100000 + "]" * 100000, "JSON nests too deeply to load", id="deep-nesting"),
         ],
     )
     def test_bad_record_names_path_and_line(self, tmp_path, line, message):
@@ -432,6 +434,15 @@ class TestTraceDump:
             load_trace(str(path))
         assert str(err.value).startswith(f"trace {path}, line 3: ")
         assert message in str(err.value)
+
+    def test_bytes_that_are_not_utf8_name_path_and_line(self, tmp_path):
+        # Decoding used to fail while the first line was read, outside the
+        # per-line check, as a UnicodeDecodeError naming no file.
+        path = tmp_path / "trace.jsonl"
+        path.write_bytes(f"{_good_record()}\n{_good_record()}\n".encode() + b'{"kind": "q\xffuery"}\n')
+        with pytest.raises(ValueError) as err:
+            load_trace(str(path))
+        assert str(err.value).startswith(f"trace {path}, line 3: 'utf-8' codec can't decode byte 0xff in position 11")
 
     def test_dump_and_reload_preserves_ledger(self, tmp_path):
         cfg, theta, obs = small_setup(16)
