@@ -59,6 +59,8 @@ import math
 import numbers
 from collections.abc import Iterator
 from dataclasses import dataclass, field
+from itertools import chain, compress
+from operator import itemgetter
 
 import numpy as np
 
@@ -415,55 +417,93 @@ def generate_dataset(world: World, n_episodes: int, seed: int) -> Dataset:
     )
 
 
+_ALL_IN_RANGE = np.empty(0, dtype=np.intp)  # no value to respell
+
+
+def _out_of_range(magnitudes: np.ndarray) -> np.ndarray:
+    """Flat indices of the nonzero magnitudes below 1e-4 and of those of 1e16 or more."""
+    return np.flatnonzero(((magnitudes < 1e-4) & (magnitudes != 0)) | (magnitudes >= 1e16))
+
+
+def _array_text(array: np.ndarray, odd: np.ndarray) -> bytes:
+    """The bytes ``json.dumps(array.tolist())`` writes.
+
+    orjson formats a float64 array's shortest round-trip digits about ten
+    times faster than ``repr``, and the two spell a value alike when its
+    magnitude is 0 or lies in [1e-4, 1e16).  Outside that range orjson writes
+    ``0.00001`` and ``1e16`` where ``repr`` writes ``1e-05`` and ``1e+16``, so
+    the values at the flat indices ``odd`` (see :func:`_out_of_range`) are
+    respelled by ``repr``.  orjson spells float32 and integer arrays its own
+    way, so those go through ``json.dumps``.
+    """
+    import orjson  # here, as in save_dataset
+
+    if array.dtype != np.float64:
+        return json.dumps(array.tolist()).encode()
+    array = np.ascontiguousarray(array)
+    text = orjson.dumps(array, option=orjson.OPT_SERIALIZE_NUMPY)
+    if odd.size:
+        pieces = text.split(b",")  # piece k is flat value k, with the brackets around it
+        for k, value in zip(odd.tolist(), array.flat[odd].tolist()):
+            number = pieces[k].strip(b"[]")
+            pieces[k] = pieces[k].replace(number, repr(value).encode())
+        text = b",".join(pieces)
+    return text.replace(b",", b", ")
+
+
+def _field_text(value) -> bytes:
+    """The bytes ``json.dumps(value)`` writes for one world field."""
+    if isinstance(value, np.ndarray):
+        return _array_text(value, _out_of_range(np.abs(value)))
+    if isinstance(value, float) and math.isfinite(value):
+        return float.__repr__(value).encode()  # how json.dumps spells a finite float
+    return json.dumps(value).encode()
+
+
 def save_dataset(path: str, dataset: Dataset) -> None:
     """Structured-text export: world parameters plus per-episode arrays.
 
     The file holds the bytes of ``json.dump(doc, sort_keys=True)`` plus a
     newline, where ``doc`` has the keys ``episodes``, ``splits`` and
     ``world`` (every ``World`` field, its arrays as nested lists).  It is
-    streamed one episode at a time.  Each episode goes through ``orjson``,
-    which formats the observation array's shortest round-trip digits about
-    ten times faster than ``repr``, then gets ``json.dumps``'s spacing.  The
-    two spell a float64 alike when its magnitude lies in [1e-4, 1e16); outside
-    that range orjson writes ``0.00001`` and ``1e16`` where ``repr`` writes
-    ``1e-05`` and ``1e+16``.  So an episode with any observation outside it
-    (about 4% of generated ones) goes through ``json.dumps`` instead.  A
-    non-finite observation, which :func:`load_dataset` would refuse, raises
-    ``ValueError`` before the file is opened.
+    streamed one episode at a time.  Every float64 array, each episode's
+    observations and the world's ``prototypes`` and ``scene_codes``, is
+    formatted by orjson, with the few values outside [1e-4, 1e16) respelled
+    by ``repr`` (see :func:`_array_text`); an episode's other fields go
+    through orjson too, and every text then gets ``json.dumps``'s spacing.
+    A non-finite observation, which :func:`load_dataset` would refuse,
+    raises ``ValueError`` before the file is opened.
     """
     import orjson  # here, not at the top: train and eval never save, so they do not load it
 
-    exact = []  # per episode: does orjson spell every observation as repr does?
+    odd = []  # per episode: the flat indices of the observations orjson spells other than repr
     for i, ep in enumerate(dataset.episodes):
         mag = np.abs(ep.observations)
         low, high = mag.min(), mag.max()
         if not high < np.inf:  # also true when max propagates a NaN
             agent = int(np.argwhere(~np.isfinite(ep.observations))[0][0])
             raise ValueError(f"{path}: episode {i} agent {agent} has non-finite observations, which would not load")
-        exact.append(ep.observations.dtype == np.float64 and low >= 1e-4 and high < 1e16)
+        odd.append(_ALL_IN_RANGE if low >= 1e-4 and high < 1e16 else _out_of_range(mag))
     options = orjson.OPT_SORT_KEYS | orjson.OPT_SERIALIZE_NUMPY
-    w = dataset.world
-    world = dict(vars(w), prototypes=w.prototypes.tolist(), scene_codes=w.scene_codes.tolist())
+    world = b", ".join(
+        json.dumps(key).encode() + b": " + _field_text(value) for key, value in sorted(vars(dataset.world).items())
+    )
     splits = {"train": dataset.train_idx, "val": dataset.val_idx, "test": dataset.test_idx}
     with open(path, "wb") as fh:
         fh.write(b'{"episodes": [')
         for i, ep in enumerate(dataset.episodes):
-            obs = ep.observations
             record = {
                 "labels": ep.labels,
                 "degraded": ep.degraded,
                 "needs_comm": ep.needs_comm,
                 "gt_support": [sorted(s) for s in ep.gt_support],
             }
-            if exact[i]:
-                record["observations"] = np.ascontiguousarray(obs)
-                text = orjson.dumps(record, option=options).replace(b",", b", ").replace(b":", b": ")
-            else:
-                record["observations"] = obs.tolist()
-                text = json.dumps(record, sort_keys=True).encode()
+            text = orjson.dumps(record, option=options).replace(b",", b", ").replace(b":", b": ")
+            # "observations" sorts after the other four keys.
+            text = text[:-1] + b', "observations": ' + _array_text(ep.observations, odd[i]) + b"}"
             fh.write(b", " + text if i else text)
         fh.write(b'], "splits": ' + json.dumps(splits, sort_keys=True).encode())
-        fh.write(b', "world": ' + json.dumps(world, sort_keys=True).encode() + b"}\n")
+        fh.write(b', "world": {' + world + b"}}\n")
 
 
 def _require_fields(where: str, record, fields) -> None:
@@ -487,6 +527,11 @@ def _require_list(where: str, value) -> list:
 
 def _require_array(where: str, value, shape: tuple[int, int], expected: str) -> np.ndarray:
     """``value`` as a finite float64 array, rejected (naming ``where``) unless it has ``shape``."""
+    if type(value) is list and set(map(type, value)) <= {list}:  # numpy would read "0.5" and true as numbers
+        kinds = set(map(type, chain.from_iterable(value)))
+        if str in kinds or bool in kinds:
+            bad = next(x for x in chain.from_iterable(value) if type(x) in (str, bool))
+            raise ValueError(f"{where} hold {bad!r}, not a JSON number")
     try:
         array = np.asarray(value, dtype=np.float64)
     except OverflowError:  # an integer beyond the float64 range
@@ -500,10 +545,68 @@ def _require_array(where: str, value, shape: tuple[int, int], expected: str) -> 
     return array
 
 
+_EPISODE_FIELDS = ("observations", "labels", "degraded", "needs_comm", "gt_support")
+_episode_values = itemgetter(*_EPISODE_FIELDS)
+_LOAD_BLOCK = 64  # records checked, and their observations converted, at once
+
+
+def _accept_episodes(records: list, world: World) -> list[Episode] | None:
+    """``records`` as Episodes if whole-list checks find all of them well formed, else None.
+
+    The checks hold every record to what :func:`_load_episode` checks, but
+    run in C over all the records at once: key counts and ``itemgetter``,
+    ``set(map(type, ...))`` and ``set(map(len, ...))``, ``min``/``max``, list
+    equality, and one ``np.array`` with ``isfinite`` for all observations.
+    Only the non-empty supports are visited one by one.  A JSON ``true`` or
+    ``false`` in an observation row would read as 1.0 or 0.0 there, so
+    records holding either value are declined as well.  Declined records go
+    to :func:`_load_episode`, which loads them or names their first problem.
+    """
+    n = world.n_agents
+    if set(map(type, records)) != {dict} or set(map(len, records)) != {len(_EPISODE_FIELDS)}:
+        return None
+    try:
+        obs, labels, degraded, needs, support = zip(*map(_episode_values, records))
+    except KeyError:
+        return None
+    lists = labels + degraded + needs + support
+    if set(map(type, lists)) != {list} or set(map(len, lists)) != {n}:
+        return None
+    flat = list(chain.from_iterable(labels))
+    if set(map(type, flat)) != {int} or min(flat) < 0 or max(flat) >= world.n_classes:
+        return None
+    if degraded != needs or set(map(type, chain.from_iterable(degraded + needs))) != {bool}:
+        return None
+    entries = list(chain.from_iterable(support))  # agent k % n of record k // n
+    if set(map(type, entries)) != {list}:
+        return None
+    gt_support = [NO_SUPPORT] * len(entries)
+    flat = list(chain.from_iterable(entries))
+    if flat:
+        if set(map(type, flat)) != {int} or min(flat) < 0 or max(flat) >= n:
+            return None
+        need = list(chain.from_iterable(needs))
+        for k in compress(range(len(entries)), entries):
+            members = frozenset(entries[k])
+            if not need[k] or k % n in members or len(members) != len(entries[k]):
+                return None
+            gt_support[k] = members
+    try:
+        observations = np.array(obs)
+    except ValueError:  # a row entry that is itself an array
+        return None
+    if observations.dtype != np.float64 or observations.shape[1:] != (n, world.obs_dim):  # strings, null, ...
+        return None
+    if not np.isfinite(observations).all() or (observations == 0.0).any() or (observations == 1.0).any():
+        return None
+    supports = (gt_support[k : k + n] for k in range(0, len(entries), n))
+    return list(map(Episode, map(np.ndarray.copy, observations), labels, degraded, needs, supports))
+
+
 def _load_episode(path: str, index: int, record: dict, world: World) -> Episode:
     """One saved episode, rejected (naming ``path`` and ``index``) unless it fits ``world``."""
     where = f"{path}: episode {index}"
-    _require_fields(where, record, ("observations", "labels", "degraded", "needs_comm", "gt_support"))
+    _require_fields(where, record, _EPISODE_FIELDS)
     n = world.n_agents
     shape = (n, world.obs_dim)
     obs = _require_array(f"{where} observations", record["observations"], shape, str(shape))
@@ -582,7 +685,11 @@ def _dataset_from_doc(path: str, doc) -> Dataset:
     _require_fields(f"{path}: the dataset", doc, ("world", "episodes", "splits"))
     world = _load_world(path, doc["world"])
     records = _require_list(f"{path}: episodes", doc["episodes"])
-    episodes = [_load_episode(path, i, e, world) for i, e in enumerate(records)]
+    episodes = []
+    for start in range(0, len(records), _LOAD_BLOCK):
+        block = records[start : start + _LOAD_BLOCK]
+        accepted = _accept_episodes(block, world)
+        episodes += accepted if accepted is not None else [_load_episode(path, start + i, e, world) for i, e in enumerate(block)]
     return Dataset(world, episodes, *_load_splits(path, doc["splits"], len(episodes)))
 
 
@@ -617,7 +724,10 @@ def load_dataset(path: str) -> Dataset:
     lone surrogate, a BOM, invalid UTF-8, any syntax error), when the checks
     refuse orjson's document, and when the world's ``noise_sigma`` is a float
     of at least 2**64, which orjson also makes of a wider integer.  Every
-    object must hold exactly the fields ``save_dataset`` writes.  The cost is
+    object must hold exactly the fields ``save_dataset`` writes, and every
+    array entry must be a JSON number.  Episodes are checked 64 at a time by
+    whole-list checks (:func:`_accept_episodes`); only a block those decline
+    is checked record by record, which names the first problem.  The cost is
     memory: orjson parses the whole document at once, which briefly holds
     about 1.8 times the file's size more than ``json.load`` needs.
     """

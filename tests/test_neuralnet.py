@@ -13,7 +13,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from groupcomm.commgraph import prune
 from groupcomm.densemath import Rng, relu
@@ -715,6 +715,46 @@ class TestTrainingBytes:
         assert hashlib.sha256(body).hexdigest() == log_sha
 
 
+# The checkpoint loader's mutation property changes one header field, one
+# parameter or a few bytes of this small checkpoint.
+_CKPT_CONFIG = PipelineConfig(d_obs=4, q_dim=2, k_dim=2, f_dim=3, n_classes=2, hidden=3)
+with tempfile.TemporaryDirectory() as _tmp:
+    save_checkpoint(os.path.join(_tmp, "base.ckpt"), init_pipeline(_CKPT_CONFIG, Rng(44)), _CKPT_CONFIG)
+    _CKPT_BASE = Path(_tmp, "base.ckpt").read_bytes()
+_CKPT_HEADER_SIZE = struct.calcsize("<8sI6I")
+_UINT32 = st.one_of(st.integers(0, 2**32 - 1), st.integers(0, 12), st.sampled_from([2**16, 2**31, 2**32 - 1]))
+# ("header", field, value): field 0 is the magic (value repeated as a byte),
+# 1 the version and 2-7 the dimensions; ("param", index, value) overwrites
+# one float64 of the body; ("splice", pos, cut, insert) replaces ``cut``
+# bytes at ``pos``.
+_CKPT_MUTATIONS = st.one_of(
+    st.tuples(st.just("header"), st.integers(0, 7), _UINT32),
+    st.tuples(
+        st.just("param"),
+        st.integers(0, (len(_CKPT_BASE) - _CKPT_HEADER_SIZE) // 8 - 1),
+        st.one_of(st.floats(), st.sampled_from([math.nan, math.inf, -math.inf, 0.0, -0.0, 5e-324, 1.7976931348623157e308])),
+    ),
+    st.tuples(st.just("splice"), st.integers(0, len(_CKPT_BASE)), st.integers(0, 16), st.binary(max_size=16)),
+)
+
+
+def _mutated_checkpoint(mutation) -> bytes:
+    """The bytes of ``_CKPT_BASE`` with ``mutation`` applied."""
+    kind, *args = mutation
+    blob = _CKPT_BASE
+    if kind == "header":
+        field, value = args
+        header = list(struct.unpack("<8sI6I", blob[:_CKPT_HEADER_SIZE]))
+        header[field] = bytes([value % 256]) * 8 if field == 0 else value
+        return struct.pack("<8sI6I", *header) + blob[_CKPT_HEADER_SIZE:]
+    if kind == "param":
+        index, value = args
+        at = _CKPT_HEADER_SIZE + 8 * index
+        return blob[:at] + struct.pack("<d", value) + blob[at + 8 :]
+    pos, cut, insert = args
+    return blob[:pos] + insert + blob[pos + cut :]
+
+
 class TestCheckpoint:
     def test_roundtrip_exact(self, tmp_path):
         rng = Rng(35)
@@ -745,6 +785,30 @@ class TestCheckpoint:
             assert a.shape == b.shape
             np.testing.assert_array_equal(a, b)
         assert body == theta.flat.astype("<f8").tobytes()
+
+    @settings(derandomize=True, database=None, max_examples=300, deadline=None)
+    @given(mutation=_CKPT_MUTATIONS)
+    @example(mutation=("header", 0, 0))
+    @example(mutation=("header", 1, 2))
+    @example(mutation=("header", 7, 2**32 - 1))  # a header implying about 10**19 parameters
+    @example(mutation=("header", 2, 0))
+    @example(mutation=("param", 0, math.nan))
+    @example(mutation=("splice", 0, 0, b"x"))
+    @example(mutation=("splice", len(_CKPT_BASE) - 1, 1, b""))
+    def test_any_mutation_loads_or_names_path(self, mutation):
+        # Whatever one header field, parameter or few bytes become,
+        # load_checkpoint either loads finite parameters or raises ValueError
+        # naming the file.
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "model.ckpt")
+            with open(path, "wb") as fh:
+                fh.write(_mutated_checkpoint(mutation))
+            try:
+                theta, config = load_checkpoint(path)
+            except ValueError as err:
+                assert str(err).startswith(f"checkpoint {path}"), str(err)
+            else:
+                assert theta.config == config and np.isfinite(theta.flat).all()
 
     def test_save_is_byte_deterministic(self, tmp_path):
         rng = Rng(36)

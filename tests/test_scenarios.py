@@ -14,6 +14,7 @@ import orjson
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from groupcomm import scenarios
 from groupcomm.densemath import Rng
 from groupcomm.scenarios import (
     CASES,
@@ -97,6 +98,17 @@ _ANY_FINITE = st.one_of(
     st.floats(-1e-4, 1e-4, exclude_min=True, exclude_max=True),
     st.floats(min_value=1e16, allow_infinity=False),
     st.floats(max_value=-1e16, allow_infinity=False),
+)
+# World arrays and scalars of every magnitude the writer must respell, with
+# scalars kept where load_dataset accepts them.
+_WORLD_ARRAY = st.one_of(st.just(0.0), _IN_RANGE, _ANY_FINITE)
+_UNIT_REALS = st.one_of(
+    st.sampled_from([0.0, 5e-324, 2.2250738585072014e-308, 1e-5, 9.999999999999999e-05, 1e-4, 0.5, 1.0, 0, 1]),
+    st.floats(0.0, 1.0),
+)
+_NOISE_SIGMAS = st.one_of(
+    st.sampled_from([5e-324, 1e-5, 1e16, 1e300, 1.7976931348623157e308, 3]),
+    st.floats(min_value=5e-324, allow_infinity=False),
 )
 _OBSERVATIONS = st.one_of(
     st.lists(_IN_RANGE, min_size=8, max_size=8),
@@ -206,6 +218,22 @@ def _load_through_json_only(path: str):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(orjson, "loads", _refuse)
         return _load_outcome(path)
+
+
+def _load_through_detailed_checks_only(path: str):
+    """``_load_outcome(path)`` with the whole-list episode checks declining every record."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(scenarios, "_accept_episodes", lambda records, world: None)
+        return _load_outcome(path)
+
+
+def _holds_float(value) -> bool:
+    """Whether ``value`` is, or holds at any depth, a float or an array."""
+    if isinstance(value, dict):
+        return any(map(_holds_float, value.values()))
+    if isinstance(value, (list, tuple)):
+        return any(map(_holds_float, value))
+    return isinstance(value, (float, np.floating, np.ndarray))
 
 
 def _assert_identical(a: Dataset, b: Dataset) -> None:
@@ -560,6 +588,63 @@ class TestDatasetExport:
             np.testing.assert_array_equal(back.observations, ep.observations)
             assert np.array_equal(np.signbit(back.observations), np.signbit(ep.observations))
 
+    @settings(derandomize=True, database=None, max_examples=200, deadline=None)
+    @given(
+        prototypes=st.lists(_WORLD_ARRAY, min_size=40, max_size=40),
+        scene_codes=st.lists(_WORLD_ARRAY, min_size=4, max_size=4),
+        degrade_prob=_UNIT_REALS,
+        overlap_frac=_UNIT_REALS,
+        noise_sigma=_NOISE_SIGMAS,
+    )
+    @example(  # zeros, a subnormal, 1e-05 and 1e+16 in both arrays and in the scalars
+        prototypes=[0.0, -0.0, 5e-324, 1e-5, -1e16, 0.5] + [0.25] * 34,
+        scene_codes=[1e-5, 0.0, 1e16, -2.5e-310],
+        degrade_prob=1e-5,
+        overlap_frac=5e-324,
+        noise_sigma=1e16,
+    )
+    def test_bytes_match_json_dumps_for_any_finite_world(
+        self, prototypes, scene_codes, degrade_prob, overlap_frac, noise_sigma
+    ):
+        # The world's arrays go through orjson and its scalars through repr;
+        # the file must still be json.dumps's bytes, and load back bit for bit.
+        base = _PROPERTY_DATASET
+        world = replace(
+            base.world,
+            prototypes=np.array(prototypes).reshape(10, 4),
+            scene_codes=np.array(scene_codes).reshape(2, 2),
+            degrade_prob=degrade_prob,
+            overlap_frac=overlap_frac,
+            noise_sigma=noise_sigma,
+        )
+        ds = Dataset(world, base.episodes, base.train_idx, base.val_idx, base.test_idx)
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "data.json")
+            save_dataset(path, ds)
+            with open(path, "rb") as fh:
+                saved = fh.read()
+            loaded = load_dataset(path)
+        assert saved == (json.dumps(_one_shot_doc(ds), sort_keys=True) + "\n").encode()
+        _assert_identical(loaded, ds)
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_generated_files_save_without_json_dumps_formatting_floats(self, tmp_path, monkeypatch, case):
+        # Every float a generated dataset holds is formatted by orjson, or by
+        # repr where orjson spells it otherwise; json.dumps formats none.
+        ds = generate_dataset(make_world(case, degrade_prob=0.6, rng=Rng(3)), 40, seed=5)
+        ds.episodes[3].observations[0, :3] = (1e-5, -3e16, 0.0)
+        reference = (json.dumps(_one_shot_doc(ds), sort_keys=True) + "\n").encode()
+        dumps = json.dumps
+
+        def dumps_no_float(value, *args, **kwargs):
+            assert not _holds_float(value), f"json.dumps formatted a float in {str(value)[:80]}"
+            return dumps(value, *args, **kwargs)
+
+        monkeypatch.setattr(json, "dumps", dumps_no_float)
+        path = tmp_path / "data.json"
+        save_dataset(str(path), ds)
+        assert path.read_bytes() == reference
+
     @pytest.mark.parametrize(
         "convert",
         [lambda a: (a * 1000).astype(np.float32), lambda a: (a * 1000).astype(np.int64), np.asfortranarray],
@@ -816,6 +901,29 @@ class TestDatasetExport:
         with pytest.raises(ValueError, match=message):
             load_dataset(str(path))
 
+    @pytest.mark.parametrize("read", [_load_outcome, _load_through_json_only], ids=["orjson", "json.load"])
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            # numpy used to read these as [0.5, 1.0, 7.0, 1000.0], and a world prototype false as 0.0.
+            (
+                lambda d: d["episodes"][3]["observations"].__setitem__(1, ["0.5", True, " 7 ", "1e3"]),
+                r"episode 3 observations hold '0\.5', not a JSON number",
+            ),
+            (lambda d: d["episodes"][3]["observations"][0].__setitem__(2, False), r"episode 3 observations hold False, not a JSON number"),
+            (lambda d: d["world"]["prototypes"][2].__setitem__(1, False), r"world prototypes hold False, not a JSON number"),
+            (lambda d: d["world"]["scene_codes"][1].__setitem__(0, "1"), r"world scene_codes hold '1', not a JSON number"),
+        ],
+    )
+    def test_load_rejects_strings_and_booleans_as_numbers(self, tmp_path, read, edit, message):
+        path = tmp_path / "data.json"
+        save_dataset(str(path), _PROPERTY_DATASET)
+        doc = json.loads(path.read_text())
+        edit(doc)
+        path.write_text(json.dumps(doc))
+        outcome = read(str(path))
+        assert isinstance(outcome, str) and re.fullmatch(re.escape(str(path)) + ": " + message, outcome), outcome
+
     def test_load_names_file_of_bytes_that_are_not_utf8(self, tmp_path):
         path = tmp_path / "data.json"
         path.write_bytes(b'{"world": "\xff"}')
@@ -841,30 +949,45 @@ class TestDatasetExport:
     @example(mutation=("set", ("episodes", 3, "labels", 1), "1" * 5000))  # beyond int's 4300-digit limit
     @example(mutation=("splice", 0, 1, b"", True))  # a CRLF file with a syntax error on its second line
     @example(mutation=("splice", 0, 0, b"", True))  # the same file, valid
+    @example(mutation=("set", ("episodes", 4, "observations", 1, 2), '"0.5"'))
+    @example(mutation=("set", ("episodes", 4, "observations", 1, 2), "true"))
+    @example(mutation=("set", ("episodes", 4, "observations", 0, 0), "false"))
+    @example(mutation=("set", ("episodes", 4, "observations", 0, 0), "1.0"))  # loads; the whole-list checks decline it
+    @example(mutation=("set", ("episodes", 4, "observations", 0, 0), "-0.0"))
+    @example(mutation=("set", ("episodes", 4, "observations", 0, 0), "7"))
+    @example(mutation=("set", ("world", "prototypes", 2, 1), "false"))
+    @example(mutation=("set", ("episodes", 9, "gt_support", 0), "[1, 1]"))
     def test_orjson_and_json_load_alike(self, mutation):
         # load_dataset parses through orjson and falls back to json.load
         # wherever the two could differ; with orjson refusing every file, it
-        # reads through json.load alone.  The two must load the same dataset
-        # or raise the same ValueError, which names the file.
+        # reads through json.load alone.  Episodes pass whole-list checks and
+        # go to the element-by-element ones only where those decline; with
+        # the whole-list checks declining every record, the element-by-element
+        # ones check all.  All three must load the same dataset or raise the
+        # same ValueError, which names the file.
         with tempfile.TemporaryDirectory() as tmp:
             path = os.path.join(tmp, "data.json")
             with open(path, "wb") as fh:
                 fh.write(_mutated(mutation))
             fast, reference = _load_outcome(path), _load_through_json_only(path)
+            detailed = _load_through_detailed_checks_only(path)
         if isinstance(reference, str):
-            assert fast == reference
+            assert fast == reference == detailed
             assert reference.startswith(f"{path}: ")
         else:
             _assert_identical(fast, reference)
+            _assert_identical(detailed, reference)
 
     @pytest.mark.parametrize("case", CASES)
     def test_generated_files_load_through_orjson_alone(self, tmp_path, monkeypatch, case):
-        # Generated files never need json.load, and orjson reads them exactly.
+        # Generated files never need json.load, nor the element-by-element
+        # episode checks, and orjson reads them exactly.
         ds = generate_dataset(make_world(case, degrade_prob=0.6, rng=Rng(3)), 40, seed=5)
         path = str(tmp_path / "data.json")
         save_dataset(path, ds)
         reference = _load_through_json_only(path)
         monkeypatch.setattr(json, "load", lambda fh: pytest.fail("json.load read a generated file"))
+        monkeypatch.setattr(scenarios, "_load_episode", lambda *args: pytest.fail("a generated episode was declined"))
         loaded = load_dataset(path)
         _assert_identical(loaded, reference)
         _assert_identical(loaded, ds)

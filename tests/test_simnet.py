@@ -1,11 +1,13 @@
 """Decentralized protocol: message flows, equivalence with centralized math, ledger."""
 
 import json
+import os
 import re
+import tempfile
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from groupcomm.densemath import Rng
 from groupcomm.neuralnet import EVAL_BLOCK, POLICIES, PipelineConfig, decode, init_pipeline, pipeline_forward
@@ -375,6 +377,66 @@ def _good_record(**changes):
     return json.dumps(rec, sort_keys=True)
 
 
+# The trace loader's mutation property changes one field, element or few
+# bytes of this file: every kind, with and without a payload.
+_TRACE_BASE = "".join(
+    _old_trace_line(Message(kind, src, dst, payload))
+    for kind in ALL_KINDS
+    for src, dst in ((0, 1), (3, 2))
+    for payload in (None, np.zeros(3))
+)
+_TRACE_LINES = _TRACE_BASE.splitlines()
+_RAW = "\x00raw"  # stands in for the raw JSON text of a mutated field
+_TRACE_RAW_VALUES = st.one_of(
+    st.sampled_from([
+        "NaN", "Infinity", "1e400", "-1", "-0", "0.0", "2.5", "true", "false", "null", "[]", "{}", '""', '"query"',
+        '"transfer"', '"\\ud800"', "9", "18446744073709551616", "1" + "0" * 30, "1" + "0" * 400, "1" * 5000,
+        "[" * 100000 + "]" * 100000,
+    ]),
+    st.integers().map(str),
+    st.integers(0, 40).map(str),
+    st.floats().map(json.dumps),
+    st.text(max_size=4).map(json.dumps),
+    st.integers(1, 3000).map(lambda depth: "[" * depth + "]" * depth),
+)
+_TRACE_FIELDS = ["kind", "from", "to", "payload_reals", "payload_bytes", "header_bytes", "counted"]
+# ("set", line, field, raw) (an unknown field name adds one), ("drop", line,
+# field), or ("splice", pos, cut, insert): ``cut`` bytes at ``pos`` replaced.
+_TRACE_MUTATIONS = st.one_of(
+    st.tuples(
+        st.just("set"),
+        st.integers(0, len(_TRACE_LINES) - 1),
+        st.sampled_from(_TRACE_FIELDS + ["colour"]),
+        _TRACE_RAW_VALUES,
+    ),
+    st.tuples(st.just("drop"), st.integers(0, len(_TRACE_LINES) - 1), st.sampled_from(_TRACE_FIELDS)),
+    st.tuples(
+        st.just("splice"),
+        st.integers(0, len(_TRACE_BASE)),
+        st.integers(0, 3),
+        st.one_of(st.binary(max_size=3), st.sampled_from([b"\xef\xbb\xbf", b"\xff", b"\xed\xa0\x80", b"\r", b"\n"])),
+    ),
+)
+
+
+def _mutated_trace(mutation) -> bytes:
+    """The bytes of ``_TRACE_BASE`` with ``mutation`` applied."""
+    kind, *args = mutation
+    data = _TRACE_BASE.encode()
+    if kind == "splice":
+        pos, cut, insert = args
+        return data[:pos] + insert + data[pos + cut :]
+    lines = list(_TRACE_LINES)
+    record = json.loads(lines[args[0]])
+    if kind == "drop":
+        del record[args[1]]
+        lines[args[0]] = json.dumps(record)
+    else:
+        record[args[1]] = _RAW
+        lines[args[0]] = json.dumps(record).replace(json.dumps(_RAW), args[2])
+    return ("\n".join(lines) + "\n").encode("utf-8", "surrogatepass")
+
+
 class TestTraceDump:
     def test_lines_equal_per_message_encoding(self, tmp_path):
         # Every kind, with and without a payload, between one- and two-digit
@@ -443,6 +505,31 @@ class TestTraceDump:
         with pytest.raises(ValueError) as err:
             load_trace(str(path))
         assert str(err.value).startswith(f"trace {path}, line 3: 'utf-8' codec can't decode byte 0xff in position 11")
+
+    @settings(derandomize=True, database=None, max_examples=300, deadline=None)
+    @given(mutation=_TRACE_MUTATIONS)
+    @example(mutation=("set", 2, "payload_reals", "1" + "0" * 30))
+    @example(mutation=("set", 2, "payload_reals", str(2**62)))
+    @example(mutation=("set", 0, "kind", "[]"))
+    @example(mutation=("set", 0, "kind", '"\\ud800"'))
+    @example(mutation=("set", 1, "from", "[" * 100000 + "]" * 100000))
+    @example(mutation=("set", 3, "counted", "1"))
+    @example(mutation=("splice", 0, 0, b"\xef\xbb\xbf"))  # a BOM
+    @example(mutation=("splice", 5, 0, b"\xff"))  # invalid UTF-8
+    @example(mutation=("splice", 0, 1, b""))  # a syntax error on the first line
+    def test_any_mutation_loads_or_names_path_and_line(self, mutation):
+        # Whatever one field, entry or few bytes become, load_trace either
+        # loads the file or raises ValueError naming the file and the line.
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "trace.jsonl")
+            with open(path, "wb") as fh:
+                fh.write(_mutated_trace(mutation))
+            try:
+                messages = load_trace(path)
+            except ValueError as err:
+                assert re.match(rf"trace {re.escape(path)}, line [1-9][0-9]*: ", str(err)), str(err)
+            else:
+                assert all(isinstance(msg, Message) for msg in messages)
 
     def test_dump_and_reload_preserves_ledger(self, tmp_path):
         cfg, theta, obs = small_setup(16)
