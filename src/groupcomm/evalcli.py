@@ -21,7 +21,6 @@ import json
 import os
 import sys
 from dataclasses import asdict, dataclass
-from itertools import islice
 
 import numpy as np
 
@@ -377,15 +376,16 @@ def sweep_message_size(
 def _test_split_for_eval(args) -> tuple[World, list[Episode]]:
     """The world and test episodes to evaluate: from ``--data``, or generated from the run flags.
 
-    A generated set keeps only its test split; each train and validation
-    episode is dropped once drawn, so memory scales with the test split.
+    A generated set keeps only its test split: the train and validation
+    episodes are drawn, to move the stream past them, but never rendered, so
+    memory scales with the test split.
     """
     if args.data:
         dataset = load_dataset(args.data)
         return dataset.world, dataset.test_episodes
     world = world_for_run(args.case, args.agents, args.seed)
     _, test_start = split_bounds(args.episodes)
-    return world, list(islice(iter_episodes(world, args.episodes, args.seed), test_start, None))
+    return world, list(iter_episodes(world, args.episodes, args.seed, start=test_start))
 
 
 def _write_train_outputs(args, paths: dict[str, str], run: TrainRun) -> None:

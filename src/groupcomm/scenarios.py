@@ -19,20 +19,25 @@ signature still identifies which peers hold relevant views.  That asymmetry
 is what makes learned grouping possible at all: a requester's query can only
 advertise *where it is looking*, never the label it cannot see.
 
-Every observation, in every case, is built by one rule (``_render``) from
-one block of normals per agent that covers both halves.  Each half of a
+Every observation, in every case, is built by one rule (``render_episodes``)
+from one block of normals per agent that covers both halves.  Each half of a
 block is padded to an even length, so no Box-Muller pair straddles the two
 halves: for an odd ``scene_dim`` the spare sin term is dropped, and the
 block consumes the same words and yields the same values as one
 ``Rng.normal`` call per half, which keeps saved datasets stable for every
 even ``obs_dim``.
 
-An episode is made in two steps.  First every scalar draw runs in stream
-order (labels, scene picks, degradation, and mrmps's supporter picks and
-overlaps); where an agent's noise block falls, ``Rng.skip`` jumps over it
-and records the state it starts from.  Then ``densemath.normal_blocks``
-draws all N blocks from those states at once, and the observations are
-(N, obs_dim) array arithmetic, bit-equal to drawing each block in place.
+An episode is made in two steps.  First ``generate_episode`` runs every
+scalar draw of one episode in stream order (labels, scene picks,
+degradation, and mrmps's supporter picks and overlaps); where an agent's
+noise block falls, ``Rng.skip`` jumps over it and records the state it
+starts from.  The result is an ``EpisodeDraw``: everything but the noise.
+Then ``render_episodes`` turns a block of draws, 64 episodes in
+``iter_episodes``, into episodes: one ``densemath.normal_blocks`` call draws
+every agent's noise from those states, and the observations are
+(B, N, obs_dim) array arithmetic, each episode bit-equal to drawing its
+blocks in place.  splitmix64 is counter-based, so the render needs no
+stream, and episodes that are drawn but not needed are never rendered.
 
 Cases
 -----
@@ -74,6 +79,7 @@ DEFAULT_AGENTS = {"srms": 5, "mrms": 5, "mrmps": 5, "triplet": 9}
 # Every empty ``gt_support`` entry is this one object (``frozenset()`` is not
 # a shared singleton on every Python this package supports).
 NO_SUPPORT: frozenset[int] = frozenset()
+RENDER_BLOCK = 64  # episodes drawn, then rendered by one render_episodes call
 
 
 @dataclass
@@ -245,6 +251,23 @@ def make_world(
     )
 
 
+@dataclass(slots=True)
+class EpisodeDraw:
+    """One episode's scalar draws: everything :func:`render_episodes` needs but its noise.
+
+    ``starts[i]`` is the state agent i's noise block starts from (see
+    ``Rng.skip``).  ``content`` is set only for mrmps, whose clean content is
+    mixed during the draws; every other case takes the label prototypes.
+    """
+
+    labels: list[int]
+    degraded: list[bool]
+    gt_support: list[frozenset[int]]
+    signatures: np.ndarray  # (N, scene_dim)
+    starts: list[int]
+    content: np.ndarray | None = None  # (N, content_dim)
+
+
 def _episode_signatures(world: World, rng: Rng, n_scenes: int) -> np.ndarray:
     """Distinct (hence orthogonal) scene codes for this episode's viewpoints."""
     picks = rng.permutation(world.n_scenes)[:n_scenes]
@@ -257,33 +280,7 @@ def _skip_noise(world: World, rng: Rng, n: int) -> list[int]:
     return [rng.skip(width) for _ in range(n)]
 
 
-def _render(
-    world: World,
-    signatures: np.ndarray,
-    labels: list[int],
-    degraded: list[bool],
-    gt_support: list[frozenset[int]],
-    starts: list[int],
-    content: np.ndarray | None = None,
-) -> Episode:
-    """Every agent's view, clean or degraded, from its noise block starting at ``starts[i]``.
-
-    Row i of ``content`` (by default the prototype of ``labels[i]``) is agent
-    i's clean content; a degraded agent sees noise alone, taken unchanged.
-    """
-    half = world.scene_dim + world.scene_dim % 2
-    z = normal_blocks(starts, 2 * half)
-    if content is None:
-        content = world.prototypes[labels, world.scene_dim :]
-    deg = np.array(degraded)[:, None]
-    noise = np.where(deg, world.noise_sigma, PERTURBATION_SIGMA) * z[:, half : half + world.content_dim]
-    obs = np.empty((world.n_agents, world.obs_dim), dtype=np.float64)
-    obs[:, : world.scene_dim] = signatures + PERTURBATION_SIGMA * z[:, : world.scene_dim]
-    obs[:, world.scene_dim :] = np.where(deg, noise, content + noise)
-    return Episode(obs, labels, degraded, list(degraded), gt_support)
-
-
-def _generate_srms(world: World, rng: Rng) -> Episode:
+def _draw_srms(world: World, rng: Rng) -> EpisodeDraw:
     n = world.n_agents
     labels = [rng.randint(world.n_classes) for _ in range(n)]
     signatures = _episode_signatures(world, rng, n)
@@ -297,10 +294,10 @@ def _generate_srms(world: World, rng: Rng) -> Episode:
         labels[supporter] = labels[designated]
         signatures[supporter] = signatures[designated]
         gt_support[designated] = frozenset((supporter,))
-    return _render(world, signatures, labels, degraded, gt_support, _skip_noise(world, rng, n))
+    return EpisodeDraw(labels, degraded, gt_support, signatures, _skip_noise(world, rng, n))
 
 
-def _generate_mrms(world: World, rng: Rng) -> Episode:
+def _draw_mrms(world: World, rng: Rng) -> EpisodeDraw:
     n = world.n_agents
     labels = [rng.randint(world.n_classes) for _ in range(n)]
     signatures = _episode_signatures(world, rng, n)
@@ -319,10 +316,10 @@ def _generate_mrms(world: World, rng: Rng) -> Episode:
         labels[s] = labels[r]
         signatures[s] = signatures[r]
         gt_support[r] = frozenset((s,))
-    return _render(world, signatures, labels, degraded, gt_support, _skip_noise(world, rng, n))
+    return EpisodeDraw(labels, degraded, gt_support, signatures, _skip_noise(world, rng, n))
 
 
-def _generate_mrmps(world: World, rng: Rng) -> Episode:
+def _draw_mrmps(world: World, rng: Rng) -> EpisodeDraw:
     n = world.n_agents
     labels = [rng.randint(world.n_classes) for _ in range(n)]
     signatures = _episode_signatures(world, rng, n)
@@ -346,10 +343,10 @@ def _generate_mrmps(world: World, rng: Rng) -> Episode:
             if overlap > world.overlap_frac:
                 gt_support[r] = gt_support[r] | {i}
         starts += _skip_noise(world, rng, 1)
-    return _render(world, signatures, labels, degraded, gt_support, starts, content)
+    return EpisodeDraw(labels, degraded, gt_support, signatures, starts, content)
 
 
-def _generate_triplet(world: World, rng: Rng) -> Episode:
+def _draw_triplet(world: World, rng: Rng) -> EpisodeDraw:
     n = world.n_agents
     k = n // 3
     classes = [rng.randint(world.n_classes) for _ in range(k)]
@@ -370,24 +367,59 @@ def _generate_triplet(world: World, rng: Rng) -> Episode:
             victim = members[t][rng.randint(3)]
             degraded[victim] = True
             gt_support[victim] = frozenset(members[t]) - {victim}
-    return _render(world, signatures[triplet_of], labels, degraded, gt_support, _skip_noise(world, rng, n))
+    return EpisodeDraw(labels, degraded, gt_support, signatures[triplet_of], _skip_noise(world, rng, n))
 
 
-_GENERATORS = {
-    "srms": _generate_srms,
-    "mrms": _generate_mrms,
-    "mrmps": _generate_mrmps,
-    "triplet": _generate_triplet,
+_DRAWS = {
+    "srms": _draw_srms,
+    "mrms": _draw_mrms,
+    "mrmps": _draw_mrmps,
+    "triplet": _draw_triplet,
 }
 
 
-def generate_episode(world: World, rng: Rng) -> Episode:
-    """Draw one episode under the world's case-specific construction."""
+def generate_episode(world: World, rng: Rng) -> EpisodeDraw:
+    """Draw one episode under the world's case-specific construction: its scalar draws, no noise yet.
+
+    The draws run in stream order and leave ``rng`` where the whole episode,
+    noise included, ends.  :func:`render_episodes` turns the result into an
+    :class:`Episode`.
+    """
     try:
-        gen = _GENERATORS[world.case]
+        draw = _DRAWS[world.case]
     except KeyError:
         raise ValueError(f"unknown case {world.case!r}") from None
-    return gen(world, rng)
+    return draw(world, rng)
+
+
+def render_episodes(world: World, draws: list[EpisodeDraw]) -> list[Episode]:
+    """The episodes of ``draws`` (all drawn for ``world``), rendered as one (B, N, obs_dim) block.
+
+    One :func:`densemath.normal_blocks` call draws every agent's noise block
+    from its recorded start.  Row (b, i) of ``content`` (the prototype of
+    agent i's label unless the draw mixed its own) is its clean content; a
+    degraded agent sees noise alone, taken unchanged.  Every operation is
+    elementwise, so each episode is bit-equal to rendering it alone, and each
+    owns a copy of its rows.
+    """
+    half = world.scene_dim + world.scene_dim % 2
+    shape = (len(draws), world.n_agents)
+    z = normal_blocks(list(chain.from_iterable(d.starts for d in draws)), 2 * half).reshape(*shape, 2 * half)
+    labels = [d.labels for d in draws]
+    if draws[0].content is None:
+        content = world.prototypes[labels, world.scene_dim :]
+    else:
+        content = np.array([d.content for d in draws])
+    signatures = np.array([d.signatures for d in draws])
+    deg = np.array([d.degraded for d in draws])[..., None]
+    noise = np.where(deg, world.noise_sigma, PERTURBATION_SIGMA) * z[..., half : half + world.content_dim]
+    obs = np.empty((*shape, world.obs_dim), dtype=np.float64)
+    obs[..., : world.scene_dim] = signatures + PERTURBATION_SIGMA * z[..., : world.scene_dim]
+    obs[..., world.scene_dim :] = np.where(deg, noise, content + noise)
+    return [
+        Episode(rows, d.labels, d.degraded, list(d.degraded), d.gt_support)
+        for rows, d in zip(map(np.ndarray.copy, obs), draws)
+    ]
 
 
 def split_bounds(n_episodes: int) -> tuple[int, int]:
@@ -398,15 +430,30 @@ def split_bounds(n_episodes: int) -> tuple[int, int]:
     return n_train, n_train + int(0.1 * n_episodes)
 
 
-def iter_episodes(world: World, n_episodes: int, seed: int) -> Iterator[Episode]:
-    """The episodes of ``generate_dataset(world, n_episodes, seed)``, in order, drawn one at a time."""
+def iter_episodes(world: World, n_episodes: int, seed: int, start: int = 0) -> Iterator[Episode]:
+    """Episodes ``start`` to ``n_episodes - 1`` of ``generate_dataset(world, n_episodes, seed)``, in order.
+
+    Each episode is drawn by one :func:`generate_episode` call, in stream
+    order; every ``RENDER_BLOCK`` draws are rendered at once by
+    :func:`render_episodes`.  The episodes before ``start`` are drawn, which
+    moves the stream past them, but never rendered.
+    """
+    if not 0 <= start <= n_episodes:
+        raise ValueError(f"start must lie in [0, {n_episodes}], got {start}")
     rng = Rng(seed)
-    for _ in range(n_episodes):
-        yield generate_episode(world, rng)
+    for _ in range(start):
+        generate_episode(world, rng)
+    for first in range(start, n_episodes, RENDER_BLOCK):
+        draws = [generate_episode(world, rng) for _ in range(min(RENDER_BLOCK, n_episodes - first))]
+        yield from render_episodes(world, draws)
 
 
 def generate_dataset(world: World, n_episodes: int, seed: int) -> Dataset:
-    """Seeded episode list with a deterministic, disjoint 80/10/10 split (see :func:`split_bounds`)."""
+    """Seeded episode list with a deterministic, disjoint 80/10/10 split (see :func:`split_bounds`).
+
+    The episodes are :func:`iter_episodes`'s: one :func:`generate_episode`
+    draw per episode, rendered ``RENDER_BLOCK`` at a time.
+    """
     val_start, test_start = split_bounds(n_episodes)
     return Dataset(
         world,

@@ -59,6 +59,9 @@ KIND_TRANSFER = "transfer"
 COUNTED_KINDS = (KIND_QUERY, KIND_TRANSFER)
 ALL_KINDS = (KIND_QUERY, KIND_SCORE, KIND_REQUEST, KIND_TRANSFER)
 TRACE_FIELDS = ("kind", "from", "to", "payload_reals", "payload_bytes", "header_bytes", "counted")
+# The largest payload a loaded stub can stand for: numpy refuses a float64
+# array, even a zero-stride one, whose byte size exceeds the intp range.
+_MAX_STUB_REALS = np.iinfo(np.intp).max // 8
 
 
 @dataclass(slots=True)
@@ -377,6 +380,8 @@ def _message_from_record(rec) -> Message:
         if type(value) is not int or value < 0:
             raise ValueError(f"{name} must be a non-negative integer, got {value!r}")
     reals = rec["payload_reals"]
+    if reals > _MAX_STUB_REALS:
+        raise ValueError(f"payload_reals must be at most {_MAX_STUB_REALS}, got {reals}")
     # A zero-stride view: the stub's size without allocating its reals.
     msg = Message(rec["kind"], rec["from"], rec["to"], np.broadcast_to(0.0, (reals,)) if reals else None)
     for name, expected in _trace_record(msg).items():

@@ -17,6 +17,12 @@ from groupcomm.neuralnet import (
     save_checkpoint,
     zeros_like_params,
 )
+from groupcomm.scenarios import generate_episode, render_episodes
+
+
+def one_episode(world, rng):
+    """The next episode of ``rng``'s stream: one ``generate_episode`` draw, rendered alone."""
+    return render_episodes(world, [generate_episode(world, rng)])[0]
 
 
 def monolithic_forward(theta, obs_matrix, delta=None):

@@ -40,11 +40,12 @@ from groupcomm.neuralnet import (
 from groupcomm.scenarios import (
     Episode,
     generate_dataset,
-    generate_episode,
     load_dataset,
     make_world,
     save_dataset,
 )
+
+from helpers import one_episode
 
 
 def tiny_theta(seed=0):
@@ -75,7 +76,7 @@ class TestWhen2comAccuracy:
     def test_coin_flip_statistics(self):
         world = make_world("srms", degrade_prob=0.5, rng=Rng(1))
         gen = Rng(2)
-        episodes = [generate_episode(world, gen) for _ in range(2000)]
+        episodes = [one_episode(world, gen) for _ in range(2000)]
         coin = Rng(3)
         decisions = [
             [coin.uniform_scalar() < 0.5 for _ in range(world.n_agents)] for _ in episodes
@@ -115,7 +116,7 @@ class TestGroupingAccuracy:
         episodes, rows = [], []
         n = world.n_agents
         for _ in range(10000):
-            ep = generate_episode(world, gen)
+            ep = one_episode(world, gen)
             episodes.append(ep)
             row = np.zeros((n, n))
             for i in range(n):
@@ -144,7 +145,7 @@ class TestGroupingAccuracy:
 def world_and_episodes():
     world = make_world("srms", degrade_prob=0.5, rng=Rng(7))
     gen = Rng(8)
-    episodes = [generate_episode(world, gen) for _ in range(30)]
+    episodes = [one_episode(world, gen) for _ in range(30)]
     return world, episodes
 
 
@@ -313,7 +314,7 @@ class TestReports:
     def test_csv_schema(self, tmp_path):
         world = make_world("srms", rng=Rng(10))
         gen = Rng(11)
-        episodes = [generate_episode(world, gen) for _ in range(12)]
+        episodes = [one_episode(world, gen) for _ in range(12)]
         rep = evaluate("nocom", tiny_theta(), episodes, 0.2, seed=5)
         json_path = str(tmp_path / "r.json")
         csv_path = str(tmp_path / "r.csv")
@@ -333,7 +334,7 @@ class TestReports:
     def test_report_determinism(self, tmp_path):
         world = make_world("srms", rng=Rng(12))
         gen = Rng(13)
-        episodes = [generate_episode(world, gen) for _ in range(10)]
+        episodes = [one_episode(world, gen) for _ in range(10)]
         paths = []
         for tag in ("a", "b"):
             rep = evaluate("randcom", tiny_theta(), episodes, 0.2, seed=7)

@@ -23,13 +23,14 @@ from groupcomm.scenarios import (
     Episode,
     World,
     generate_dataset,
-    generate_episode,
     iter_episodes,
     load_dataset,
     make_world,
     save_dataset,
     split_bounds,
 )
+
+from helpers import one_episode
 
 
 def linear_probe_accuracy(x, y, n_classes, ridge=1e-3):
@@ -314,7 +315,7 @@ class TestGenerateEpisode:
         world = make_world("srms", degrade_prob=0.0, rng=Rng(4))
         rng = Rng(5)
         for _ in range(50):
-            ep = generate_episode(world, rng)
+            ep = one_episode(world, rng)
             assert not any(ep.needs_comm)
             assert all(len(s) == 0 for s in ep.gt_support)
 
@@ -322,7 +323,7 @@ class TestGenerateEpisode:
         world = make_world("srms", degrade_prob=1.0, rng=Rng(6))
         rng = Rng(7)
         for _ in range(50):
-            ep = generate_episode(world, rng)
+            ep = one_episode(world, rng)
             assert sum(ep.degraded) == 1
             d = ep.degraded.index(True)
             assert len(ep.gt_support[d]) == 1
@@ -335,7 +336,7 @@ class TestGenerateEpisode:
         world = make_world("srms", degrade_prob=0.5, rng=Rng(8))
         rng = Rng(9)
         degraded_frac = np.mean(
-            [any(generate_episode(world, rng).degraded) for _ in range(10000)]
+            [any(one_episode(world, rng).degraded) for _ in range(10000)]
         )
         assert abs(degraded_frac - 0.5) < 0.02
 
@@ -343,7 +344,7 @@ class TestGenerateEpisode:
         world = make_world("mrms", degrade_prob=0.9, rng=Rng(10))
         rng = Rng(11)
         for _ in range(200):
-            ep = generate_episode(world, rng)
+            ep = one_episode(world, rng)
             assert 2 * sum(ep.degraded) <= world.n_agents
             supporters = [list(ep.gt_support[i])[0] for i in range(world.n_agents) if ep.degraded[i]]
             assert len(supporters) == len(set(supporters))
@@ -355,7 +356,7 @@ class TestGenerateEpisode:
         rng = Rng(13)
         any_empty = False
         for _ in range(300):
-            ep = generate_episode(world, rng)
+            ep = one_episode(world, rng)
             for i in range(world.n_agents):
                 if ep.needs_comm[i] and not ep.gt_support[i]:
                     any_empty = True
@@ -365,7 +366,7 @@ class TestGenerateEpisode:
         world = make_world("triplet", degrade_prob=1.0, rng=Rng(14))
         rng = Rng(15)
         for _ in range(100):
-            ep = generate_episode(world, rng)
+            ep = one_episode(world, rng)
             assert sum(ep.degraded) == world.n_agents // 3
             for i in range(world.n_agents):
                 if ep.degraded[i]:
@@ -380,7 +381,7 @@ class TestGenerateEpisode:
         for case in ("srms", "mrms", "triplet", "mrmps"):
             world = make_world(case, degrade_prob=0.6, rng=Rng(17))
             for _ in range(2500):
-                ep = generate_episode(world, rng)
+                ep = one_episode(world, rng)
                 for i in range(world.n_agents):
                     if ep.degraded[i]:
                         assert ep.needs_comm[i]
@@ -397,7 +398,7 @@ class TestGenerateEpisode:
         hits = 0
         total = 0
         for _ in range(500):
-            ep = generate_episode(world, rng)
+            ep = one_episode(world, rng)
             for i in range(world.n_agents):
                 dists = np.linalg.norm(world.prototypes - ep.observations[i], axis=1)
                 hits += int(np.argmin(dists) == ep.labels[i])
@@ -412,7 +413,7 @@ class TestGenerateEpisode:
         rng = Rng(21)
         xs, ys = [], []
         for _ in range(4000):
-            ep = generate_episode(world, rng)
+            ep = one_episode(world, rng)
             d = ep.degraded.index(True)
             xs.append(ep.observations[d])
             ys.append(ep.labels[d])
@@ -432,7 +433,7 @@ class TestGenerateEpisode:
         rng = Rng(23)
         xs, ys = [], []
         for _ in range(400):
-            ep = generate_episode(world, rng)
+            ep = one_episode(world, rng)
             xs.extend(ep.observations)
             ys.extend(ep.labels)
         acc = linear_probe_accuracy(np.asarray(xs), ys, world.n_classes)
@@ -481,7 +482,7 @@ class TestGenerateDataset:
         counts = np.zeros(world.n_classes)
         n_episodes = 10000
         for _ in range(n_episodes):
-            ep = generate_episode(world, rng)
+            ep = one_episode(world, rng)
             for y in ep.labels:
                 counts[y] += 1
         total = counts.sum()
@@ -489,6 +490,51 @@ class TestGenerateDataset:
         # Binomial std for each class count
         sigma = (total * (1 / world.n_classes) * (1 - 1 / world.n_classes)) ** 0.5
         assert np.all(np.abs(counts - expected) < 3.0 * sigma)
+
+
+def _assert_same_episodes(got, expected) -> None:
+    """Bit-equal observations, each array owning its rows, and equal ground truth, episode by episode."""
+    got = list(got)
+    assert len(got) == len(expected)
+    for a, b in zip(got, expected):
+        assert a.observations.base is None
+        assert a.observations.shape == b.observations.shape
+        assert a.observations.tobytes() == b.observations.tobytes()
+        assert (a.labels, a.degraded, a.needs_comm, a.gt_support) == (b.labels, b.degraded, b.needs_comm, b.gt_support)
+
+
+class TestBlockRender:
+    @pytest.mark.parametrize("case", CASES)
+    @pytest.mark.parametrize("block", [1, 7, 64])
+    def test_block_renders_each_episode_as_alone(self, monkeypatch, case, block):
+        world = make_world(case, degrade_prob=0.6, rng=Rng(40))
+        rng = Rng(41)
+        alone = [one_episode(world, rng) for _ in range(130)]
+        monkeypatch.setattr(scenarios, "RENDER_BLOCK", block)
+        for n in (1, 63, 64, 65, 130):
+            _assert_same_episodes(iter_episodes(world, n, seed=41), alone[:n])
+
+    @pytest.mark.parametrize("case", CASES)
+    @pytest.mark.parametrize("block", [7, 64])
+    def test_start_yields_the_tail_of_the_stream(self, monkeypatch, case, block):
+        monkeypatch.setattr(scenarios, "RENDER_BLOCK", block)
+        world = make_world(case, degrade_prob=0.6, rng=Rng(42))
+        full = list(iter_episodes(world, 130, seed=43))
+        for start in (0, 1, 7, 63, 64, 65, 129, 130):  # on block boundaries and off them
+            _assert_same_episodes(iter_episodes(world, 130, seed=43, start=start), full[start:])
+
+    def test_odd_scene_dim_renders_as_alone(self):
+        # An odd scene half drops each block's spare sin term.
+        world = make_world("mrmps", obs_dim=22, rng=Rng(44))
+        rng = Rng(45)
+        alone = [one_episode(world, rng) for _ in range(70)]
+        _assert_same_episodes(iter_episodes(world, 70, seed=45), alone)
+
+    def test_start_outside_the_set_names_it(self):
+        world = make_world("srms", rng=Rng(46))
+        for start in (-1, 11):
+            with pytest.raises(ValueError, match=rf"start must lie in \[0, 10\], got {start}"):
+                next(iter_episodes(world, 10, seed=0, start=start))
 
 
 def _assert_frozen_support(episodes) -> int:
@@ -514,7 +560,7 @@ class TestSupportSets:
         assert _assert_frozen_support(load_dataset(path).episodes) > 0
 
     def test_episode_has_no_instance_dict(self):
-        ep = generate_episode(make_world("srms", rng=Rng(31)), Rng(1))
+        ep = one_episode(make_world("srms", rng=Rng(31)), Rng(1))
         assert not hasattr(ep, "__dict__")
         with pytest.raises(AttributeError):
             ep.note = "an attribute the class does not declare"
@@ -524,7 +570,7 @@ class TestSupportSets:
         # srms episode; frozen supports with one shared empty set hold about
         # 2050 B, most of it the (5, 32) observation array.
         world = make_world("srms", rng=Rng(32))
-        generate_episode(world, Rng(0))  # warm any first-call caches outside the traced span
+        one_episode(world, Rng(0))  # warm any first-call caches outside the traced span
         n = 4000
         tracemalloc.start()
         try:

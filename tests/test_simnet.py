@@ -455,9 +455,9 @@ class TestTraceDump:
             (m.kind, m.src, m.dst, m.payload_reals) for m in messages
         ]
 
-    def test_large_payload_counts_load_without_allocating(self, tmp_path):
+    @pytest.mark.parametrize("reals", [10**12, 2**60 - 1])
+    def test_large_payload_counts_load_without_allocating(self, tmp_path, reals):
         path = tmp_path / "trace.jsonl"
-        reals = 10**12
         path.write_text(_good_record(kind="transfer", payload_reals=reals, payload_bytes=4 * reals) + "\n")
         (msg,) = load_trace(str(path))
         assert msg.payload_reals == reals
@@ -476,6 +476,9 @@ class TestTraceDump:
             (_good_record(kind="gossip"), "unknown message kind 'gossip'"),
             (_good_record(payload_reals=-3), "payload_reals must be a non-negative integer, got -3"),
             (_good_record(payload_reals=2.5), "payload_reals must be a non-negative integer, got 2.5"),
+            # numpy used to refuse the payload stub, naming no field.
+            (_good_record(payload_reals=2**60), f"payload_reals must be at most {2**60 - 1}, got {2**60}"),
+            (_good_record(payload_reals=10**30), f"payload_reals must be at most {2**60 - 1}, got {10**30}"),
             (_good_record(to=-1), "to must be a non-negative integer, got -1"),
             (_good_record(to=0), "inter-agent message to self: agent 0"),
             ('{"kind": "query", "from": 0,', "bad JSON: Expecting property name enclosed in double quotes at column 29"),
