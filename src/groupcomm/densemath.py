@@ -27,25 +27,33 @@ Uniform doubles take the top 53 bits of each output word; standard normals
 come from Box-Muller pairs over consecutive uniforms (cos term first, then
 sin), so the normal stream is also fully determined by the seed.
 
-The state is a Python int.  Scalar draws (``uniform_scalar``, and so
-``randint`` and ``permutation``) run the recurrence above in int arithmetic,
-masking to 64 bits after each step; vector draws (``u64``, ``uniform``,
-``normal``) run it on uint64 arrays, which wrap mod 2**64 by themselves.  Both
-forms consume the same words in the same order and ``(z >> 11) * 2**-53`` is
-exact in either, so interleaving them reproduces the vector-only stream.
+splitmix64 is counter-based: word k (from 1) after seed s is
+``mix(s + k*GAMMA)``.  An ``Rng`` is its seed and the count of words drawn,
+both Python ints.  Scalar draws (``uniform_scalar``, and so ``randint`` and
+``permutation``) run the recurrence above in int arithmetic, masking to 64
+bits after each step; vector draws (``u64``, ``uniform``, ``normal``) run it
+on uint64 arrays, which wrap mod 2**64 by themselves.  Both forms consume the
+same words in the same order and ``(z >> 11) * 2**-53`` is exact in either,
+so interleaving them reproduces the vector-only stream.
 
-splitmix64 is counter-based: word k after state s is ``mix(s + k*GAMMA)``.
-So ``Rng.skip(n)`` jumps over n words in O(1) and returns the state they
-start from, and :func:`normal_blocks` later draws the normals of many such
-skipped blocks in one vector op, each bit-equal to the ``normal`` call it
-stands in for (Steele, Lea and Flood, OOPSLA 2014; Salmon et al., SC 2011).
-``u64`` and ``normal`` are the one-block case of the same splitmix and
-Box-Muller code.
+``Rng.skip(n)`` jumps over n words in O(1) and returns the state they start
+from, and :func:`normal_blocks` later draws the normals of many such skipped
+blocks in one vector op, each bit-equal to the ``normal`` call it stands in
+for (Steele, Lea and Flood, OOPSLA 2014; Salmon et al., SC 2011).  ``u64``
+and ``normal`` are the one-block case of the same splitmix and Box-Muller
+code.
+
+:func:`keyed_streams` gives each of many streams its own key, word e of
+``Rng(seed)`` for stream e, so stream e is reached without drawing the
+streams before it.  One vector op draws the first ``AHEAD_WORDS`` words of
+every stream of a block, and each stream's ``Rng`` serves its scalar draws
+from them; past them it goes on in int arithmetic, with the same words.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 
 import numpy as np
 
@@ -61,6 +69,8 @@ _U53_SCALE = 2.0 ** -53
 # (read-only) by every vector draw of up to this many words per block.
 _GAMMA_STEPS = np.arange(1, 1025, dtype=np.uint64) * np.uint64(_GAMMA)
 _GAMMA_STEPS.setflags(write=False)
+
+AHEAD_WORDS = 64  # words of each keyed stream drawn ahead by keyed_streams
 
 
 def softmax(z: np.ndarray) -> np.ndarray:
@@ -146,11 +156,17 @@ class Rng:
     Identical seeds produce byte-identical integer streams on any platform;
     the float derivations are fixed arithmetic on those integers.  One Rng
     per thread of execution.
+
+    ``ahead``, when given, holds the unit doubles of the stream's first words
+    (``Rng(seed).uniform(len(ahead))``, as :func:`keyed_streams` draws them);
+    scalar draws read those instead of computing them, and past them go on
+    with the same arithmetic.  Every draw is the same with or without it.
     """
 
-    def __init__(self, seed: int):
+    def __init__(self, seed: int, ahead: Sequence[float] = ()):
         self.seed = int(seed) & _MASK64
-        self._state = self.seed
+        self._ahead = ahead
+        self._drawn = 0  # words consumed: the state is seed + drawn * GAMMA
 
     def skip(self, n: int) -> int:
         """Jump over the next ``n`` words in O(1); return the state they start from.
@@ -160,8 +176,8 @@ class Rng:
         """
         if n < 0:
             raise ValueError("draw count must be >= 0")
-        start = self._state
-        self._state = (start + n * _GAMMA) & _MASK64
+        start = (self.seed + self._drawn * _GAMMA) & _MASK64
+        self._drawn += n
         return start
 
     def u64(self, n: int) -> np.ndarray:
@@ -184,8 +200,12 @@ class Rng:
         return _box_muller(self.uniform(n + n % 2))[:n]
 
     def uniform_scalar(self) -> float:
-        """One double uniform on [0, 1): ``uniform(1)[0]`` in int arithmetic."""
-        self._state = z = (self._state + _GAMMA) & _MASK64
+        """One double uniform on [0, 1): ``uniform(1)[0]``, drawn ahead or in int arithmetic."""
+        k = self._drawn
+        self._drawn = k + 1
+        if k < len(self._ahead):
+            return self._ahead[k]
+        z = (self.seed + (k + 1) * _GAMMA) & _MASK64
         z = ((z ^ (z >> 30)) * _MUL1) & _MASK64
         z = ((z ^ (z >> 27)) * _MUL2) & _MASK64
         return ((z ^ (z >> 31)) >> 11) * _U53_SCALE
@@ -203,3 +223,17 @@ class Rng:
             j = self.randint(i + 1)
             perm[i], perm[j] = perm[j], perm[i]
         return perm
+
+
+def keyed_streams(seed: int, first: int, count: int) -> list[Rng]:
+    """Streams ``first`` to ``first + count - 1`` keyed by ``seed``, each with its first words drawn ahead.
+
+    Stream e is ``Rng(key)``, where ``key`` is word e (counting from 0) of
+    ``Rng(seed)``'s stream, so it depends on (seed, e) alone and is reached
+    without drawing the streams before it.  One :func:`_words` call gives
+    the ``count`` keys and one more the first ``AHEAD_WORDS`` words of every
+    stream, passed to its ``Rng`` as unit doubles.
+    """
+    keys = _words(np.array([(int(seed) + first * _GAMMA) & _MASK64], dtype=np.uint64), count)[0]
+    ahead = _unit_doubles(_words(keys, AHEAD_WORDS)).tolist()
+    return list(map(Rng, keys.tolist(), ahead))

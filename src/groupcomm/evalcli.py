@@ -376,9 +376,9 @@ def sweep_message_size(
 def _test_split_for_eval(args) -> tuple[World, list[Episode]]:
     """The world and test episodes to evaluate: from ``--data``, or generated from the run flags.
 
-    A generated set keeps only its test split: the train and validation
-    episodes are drawn, to move the stream past them, but never rendered, so
-    memory scales with the test split.
+    A generated set keeps only its test split.  Each episode's stream is
+    keyed by (seed, index), so the train and validation episodes are never
+    drawn at all, and time and memory scale with the test split.
     """
     if args.data:
         dataset = load_dataset(args.data)
@@ -541,6 +541,11 @@ def cli_main(argv: list[str]) -> int:
                 raise ValueError(
                     f"{args.checkpoint}: checkpoint expects d_obs={config.d_obs}, "
                     f"but the dataset has obs_dim={world.obs_dim}"
+                )
+            if world.n_classes != config.n_classes:
+                raise ValueError(
+                    f"{args.checkpoint}: checkpoint expects n_classes={config.n_classes}, "
+                    f"but the dataset has n_classes={world.n_classes}"
                 )
             delta = args.delta if args.delta is not None else 1.0 / world.n_agents
             report = evaluate(

@@ -27,17 +27,18 @@ block consumes the same words and yields the same values as one
 ``Rng.normal`` call per half, which keeps saved datasets stable for every
 even ``obs_dim``.
 
-An episode is made in two steps.  First ``generate_episode`` runs every
-scalar draw of one episode in stream order (labels, scene picks,
-degradation, and mrmps's supporter picks and overlaps); where an agent's
-noise block falls, ``Rng.skip`` jumps over it and records the state it
-starts from.  The result is an ``EpisodeDraw``: everything but the noise.
-Then ``render_episodes`` turns a block of draws, 64 episodes in
-``iter_episodes``, into episodes: one ``densemath.normal_blocks`` call draws
-every agent's noise from those states, and the observations are
-(B, N, obs_dim) array arithmetic, each episode bit-equal to drawing its
-blocks in place.  splitmix64 is counter-based, so the render needs no
-stream, and episodes that are drawn but not needed are never rendered.
+Episode e of a generated set draws from its own stream, keyed by the set's
+seed and e alone (``densemath.keyed_streams``), so any episode, and any
+split, is reached without drawing the episodes before it.  An episode is
+made in two steps.  First ``generate_episode`` runs every scalar draw of the
+episode in stream order (labels, scene picks, degradation, and mrmps's
+supporter picks and overlaps), then ``Rng.skip`` jumps over each agent's
+noise block and records the state it starts from.  The result is an
+``EpisodeDraw``: everything but the noise.  Then ``render_episodes`` turns a
+block of draws, 64 episodes in ``iter_episodes``, into episodes: one
+``densemath.normal_blocks`` call draws every agent's noise from those
+states, and the observations are (B, N, obs_dim) array arithmetic, each
+episode bit-equal to drawing its blocks in place.
 
 Cases
 -----
@@ -53,8 +54,8 @@ Cases
            signature, with at most one degraded member per triplet whose
            supporters are its two peers.
 
-Generation is pure given an Rng; parallel generation requires independent
-seeded Rngs per worker.
+Generation is pure given an Rng.  Keyed streams are independent of one
+another, so workers may generate disjoint ranges of one set in parallel.
 """
 
 from __future__ import annotations
@@ -69,7 +70,7 @@ from operator import itemgetter
 
 import numpy as np
 
-from .densemath import Rng, normal_blocks
+from .densemath import Rng, keyed_streams, normal_blocks
 
 CASES = ("srms", "mrms", "mrmps", "triplet")
 
@@ -269,15 +270,21 @@ class EpisodeDraw:
 
 
 def _episode_signatures(world: World, rng: Rng, n_scenes: int) -> np.ndarray:
-    """Distinct (hence orthogonal) scene codes for this episode's viewpoints."""
-    picks = rng.permutation(world.n_scenes)[:n_scenes]
-    return world.scene_codes[picks].copy()
+    """Distinct (hence orthogonal) scene codes for this episode's viewpoints.
+
+    A partial Fisher-Yates shuffle picks them: one draw per scene picked.
+    """
+    picks = list(range(world.n_scenes))
+    for i in range(n_scenes):
+        j = i + rng.randint(world.n_scenes - i)
+        picks[i], picks[j] = picks[j], picks[i]
+    return world.scene_codes[picks[:n_scenes]]
 
 
-def _skip_noise(world: World, rng: Rng, n: int) -> list[int]:
-    """Jump over ``n`` agents' noise blocks in turn; return the state each block starts from."""
+def _skip_noise(world: World, rng: Rng) -> list[int]:
+    """Jump over every agent's noise block in turn; return the state each block starts from."""
     width = 2 * (world.scene_dim + world.scene_dim % 2)
-    return [rng.skip(width) for _ in range(n)]
+    return [rng.skip(width) for _ in range(world.n_agents)]
 
 
 def _draw_srms(world: World, rng: Rng) -> EpisodeDraw:
@@ -294,7 +301,7 @@ def _draw_srms(world: World, rng: Rng) -> EpisodeDraw:
         labels[supporter] = labels[designated]
         signatures[supporter] = signatures[designated]
         gt_support[designated] = frozenset((supporter,))
-    return EpisodeDraw(labels, degraded, gt_support, signatures, _skip_noise(world, rng, n))
+    return EpisodeDraw(labels, degraded, gt_support, signatures, _skip_noise(world, rng))
 
 
 def _draw_mrms(world: World, rng: Rng) -> EpisodeDraw:
@@ -316,7 +323,7 @@ def _draw_mrms(world: World, rng: Rng) -> EpisodeDraw:
         labels[s] = labels[r]
         signatures[s] = signatures[r]
         gt_support[r] = frozenset((s,))
-    return EpisodeDraw(labels, degraded, gt_support, signatures, _skip_noise(world, rng, n))
+    return EpisodeDraw(labels, degraded, gt_support, signatures, _skip_noise(world, rng))
 
 
 def _draw_mrmps(world: World, rng: Rng) -> EpisodeDraw:
@@ -327,10 +334,8 @@ def _draw_mrmps(world: World, rng: Rng) -> EpisodeDraw:
     deg_list = [i for i, d in enumerate(degraded) if d]
     gt_support = [NO_SUPPORT] * n
     content = world.prototypes[labels, world.scene_dim :]
-    starts: list[int] = []
     for i in range(n):
-        # A clean agent's supporter draws precede its noise block.  Only
-        # clean rows change, and they read only their own and degraded rows.
+        # Only clean rows change, and they read only their own and degraded rows.
         if not degraded[i] and deg_list:
             r = deg_list[rng.randint(len(deg_list))]
             overlap = rng.uniform_scalar()
@@ -342,8 +347,7 @@ def _draw_mrmps(world: World, rng: Rng) -> EpisodeDraw:
                 labels[i] = labels[r]
             if overlap > world.overlap_frac:
                 gt_support[r] = gt_support[r] | {i}
-        starts += _skip_noise(world, rng, 1)
-    return EpisodeDraw(labels, degraded, gt_support, signatures, starts, content)
+    return EpisodeDraw(labels, degraded, gt_support, signatures, _skip_noise(world, rng), content)
 
 
 def _draw_triplet(world: World, rng: Rng) -> EpisodeDraw:
@@ -367,7 +371,7 @@ def _draw_triplet(world: World, rng: Rng) -> EpisodeDraw:
             victim = members[t][rng.randint(3)]
             degraded[victim] = True
             gt_support[victim] = frozenset(members[t]) - {victim}
-    return EpisodeDraw(labels, degraded, gt_support, signatures[triplet_of], _skip_noise(world, rng, n))
+    return EpisodeDraw(labels, degraded, gt_support, signatures[triplet_of], _skip_noise(world, rng))
 
 
 _DRAWS = {
@@ -381,9 +385,9 @@ _DRAWS = {
 def generate_episode(world: World, rng: Rng) -> EpisodeDraw:
     """Draw one episode under the world's case-specific construction: its scalar draws, no noise yet.
 
-    The draws run in stream order and leave ``rng`` where the whole episode,
-    noise included, ends.  :func:`render_episodes` turns the result into an
-    :class:`Episode`.
+    The scalar draws run first, then each agent's noise block is skipped;
+    ``rng`` is left where the whole episode, noise included, ends.
+    :func:`render_episodes` turns the result into an :class:`Episode`.
     """
     try:
         draw = _DRAWS[world.case]
@@ -433,26 +437,26 @@ def split_bounds(n_episodes: int) -> tuple[int, int]:
 def iter_episodes(world: World, n_episodes: int, seed: int, start: int = 0) -> Iterator[Episode]:
     """Episodes ``start`` to ``n_episodes - 1`` of ``generate_dataset(world, n_episodes, seed)``, in order.
 
-    Each episode is drawn by one :func:`generate_episode` call, in stream
-    order; every ``RENDER_BLOCK`` draws are rendered at once by
-    :func:`render_episodes`.  The episodes before ``start`` are drawn, which
-    moves the stream past them, but never rendered.
+    Episode e is one :func:`generate_episode` call on its own stream, whose
+    key is word e of ``Rng(seed)`` (see ``densemath.keyed_streams``); the
+    streams of every ``RENDER_BLOCK`` episodes are keyed, and their first
+    words drawn, at once, and their draws rendered at once by
+    :func:`render_episodes`.  Nothing is drawn for the episodes before
+    ``start``, and episode e does not depend on ``n_episodes``.
     """
     if not 0 <= start <= n_episodes:
         raise ValueError(f"start must lie in [0, {n_episodes}], got {start}")
-    rng = Rng(seed)
-    for _ in range(start):
-        generate_episode(world, rng)
     for first in range(start, n_episodes, RENDER_BLOCK):
-        draws = [generate_episode(world, rng) for _ in range(min(RENDER_BLOCK, n_episodes - first))]
-        yield from render_episodes(world, draws)
+        rngs = keyed_streams(seed, first, min(RENDER_BLOCK, n_episodes - first))
+        yield from render_episodes(world, [generate_episode(world, rng) for rng in rngs])
 
 
 def generate_dataset(world: World, n_episodes: int, seed: int) -> Dataset:
     """Seeded episode list with a deterministic, disjoint 80/10/10 split (see :func:`split_bounds`).
 
     The episodes are :func:`iter_episodes`'s: one :func:`generate_episode`
-    draw per episode, rendered ``RENDER_BLOCK`` at a time.
+    draw per episode, each on the stream keyed by (``seed``, its index), so
+    the first k episodes of any larger set are these.
     """
     val_start, test_start = split_bounds(n_episodes)
     return Dataset(

@@ -84,6 +84,18 @@ def test_datagen_unit_traces_generate_episode_for_every_case(tmp_path):
     assert calls == {case: workload.per_case for case in CASES}
 
 
+def test_datagen_unit_traces_rng_randint(tmp_path):
+    # The per-layer RNG spans are Rng methods replaced on the class, so
+    # generation must keep drawing its scalars through Rng, words drawn
+    # ahead or not.
+    tracing = _load("tracing")
+    workload = _load("workloads").Datagen(3, tmp_path, mini=True)
+    workload.setup()
+    tracer = _traced_unit(tracing, workload)
+    calls = Counter(tracer._names[name] for name in tracer.name)
+    assert calls["densemath.Rng.randint"] >= 5 * workload.per_case * len(CASES)
+
+
 def test_eval_unit_traces_every_simulator_span(tmp_path):
     # The traced benchmark fails when a declared span records no call.  The
     # simulator scores each inbox with commgraph.attention_scores, which is

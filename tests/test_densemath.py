@@ -5,6 +5,7 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from groupcomm import densemath
 from groupcomm.densemath import Rng, normal_blocks, relu, row_matmul, softmax, softmax_row
@@ -25,6 +26,9 @@ GOLDEN_NORMAL_SEED42 = [
     -0.4508498757188601,
     0.6707164409024291,
 ]
+
+
+_DRAW_KINDS = ("uniform_scalar", "randint", "permutation", "skip", "u64", "normal")
 
 
 class TestSoftmaxRow:
@@ -150,21 +154,27 @@ class TestRng:
         assert sorted(perm) == list(range(20))
 
     @pytest.mark.parametrize("seed", [0, 42, -1, 2**64 - 1])
-    def test_scalar_draws_reproduce_vector_stream(self, seed):
-        # Scalar draws (int arithmetic) interleaved with array draws inside and
-        # beyond the cached step table must give, word for word, the values
-        # derived from one array draw of the whole stream.
+    @pytest.mark.parametrize("ahead", [0, 3, 64])
+    def test_scalar_draws_reproduce_vector_stream(self, seed, ahead):
+        # Scalar draws (int arithmetic, or read from the words drawn ahead)
+        # interleaved with skips and array draws inside and beyond the cached
+        # step table must give, word for word, the values derived from one
+        # array draw of the whole stream.
         table = densemath._GAMMA_STEPS.size
         sizes = [1, 2, 16, table - 1, table, table + 1, 2 * table + 3]
-        rng = Rng(seed)
+        rng = Rng(seed, Rng(seed).uniform(ahead).tolist())
         draws = []  # (kind, first word index, argument, result)
         pos = 0
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            for k in range(400):
+            for k in range(480):
                 n = sizes[k % len(sizes)]
-                kind = ("uniform_scalar", "randint", "permutation", "u64", "normal")[k % 5]
-                if kind == "uniform_scalar":
+                kind = _DRAW_KINDS[k % 6]
+                if kind == "skip":
+                    m = k % 5
+                    draws.append((kind, pos, m, rng.skip(m)))
+                    pos += m
+                elif kind == "uniform_scalar":
                     draws.append((kind, pos, None, rng.uniform_scalar()))
                     pos += 1
                 elif kind == "randint":
@@ -196,6 +206,8 @@ class TestRng:
                     j = int(unit[p + t] * (i + 1))
                     expected[i], expected[j] = expected[j], expected[i]
                 assert got == expected
+            elif kind == "skip":
+                assert got == (seed + p * 0x9E3779B97F4A7C15) % 2**64
             elif kind == "u64":
                 np.testing.assert_array_equal(got, whole[p : p + arg])
             else:
@@ -206,6 +218,31 @@ class TestRng:
                 expected[0::2] = r * np.cos(theta)
                 expected[1::2] = r * np.sin(theta)
                 np.testing.assert_array_equal(got, expected[:arg])
+
+    @settings(derandomize=True, database=None, max_examples=300, deadline=None)
+    @given(
+        index=st.integers(0, 2**40),
+        ops=st.lists(st.tuples(st.sampled_from(_DRAW_KINDS), st.integers(0, 40)), max_size=30),
+    )
+    def test_keyed_stream_draws_as_a_plain_rng_of_its_key(self, index, ops):
+        # The words drawn ahead must change no draw of any mix, up to and past
+        # the last of them.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            ahead = densemath.keyed_streams(53, index, 1)[0]
+            seed_stream = Rng(53)
+            seed_stream.skip(index)
+            plain = Rng(int(seed_stream.u64(1)[0]))  # word ``index`` of Rng(53)
+            for kind, arg in ops + [("uniform_scalar", 0)] * (densemath.AHEAD_WORDS + 1):
+                if kind == "randint":
+                    assert ahead.randint(arg + 1) == plain.randint(arg + 1)
+                elif kind in ("u64", "normal"):
+                    np.testing.assert_array_equal(getattr(ahead, kind)(arg), getattr(plain, kind)(arg))
+                elif kind == "uniform_scalar":
+                    assert ahead.uniform_scalar() == plain.uniform_scalar()
+                else:
+                    assert getattr(ahead, kind)(arg) == getattr(plain, kind)(arg)
+            np.testing.assert_array_equal(ahead.u64(3), plain.u64(3))
 
     def test_uniform_scalar_matches_top_53_bits(self):
         word = int(Rng(42).u64(1)[0])
@@ -228,7 +265,7 @@ class TestSkipAndBlocks:
             skipping, drawing = Rng(seed), Rng(seed)
             starts, expected = [], []
             for b in range(blocks):
-                if interleaved and b % 2:  # scalar draws between blocks, as mrmps makes
+                if interleaved and b % 2:  # scalar draws between blocks
                     assert skipping.randint(7 + b) == drawing.randint(7 + b)
                 starts.append(skipping.skip(width))
                 expected.append(drawing.normal(width))

@@ -453,6 +453,21 @@ class TestCli:
         assert ckpt in err and "d_obs=32" in err and "obs_dim=16" in err
         assert not report.exists()
 
+    @pytest.mark.parametrize("n_classes", [12, 8])
+    def test_eval_rejects_dataset_of_other_class_count(self, tmp_path, capsys, n_classes):
+        # A 12-class file used to evaluate on a 10-class checkpoint, exit 0
+        # and print a plausible acc_all; 8 classes would as well.
+        data = str(tmp_path / f"c{n_classes}.json")
+        save_dataset(data, generate_dataset(make_world("srms", n_classes=n_classes, rng=Rng(1)), 10, seed=1))
+        ckpt = str(tmp_path / "m.ckpt")
+        save_checkpoint(ckpt, tiny_theta(), PipelineConfig())
+        report = tmp_path / "ev.json"
+        code = cli_main(["eval", "--checkpoint", ckpt, "--data", data, "--report", str(report)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert f"{ckpt}: checkpoint expects n_classes=10, but the dataset has n_classes={n_classes}" in err
+        assert not report.exists()
+
     def test_eval_rejects_checkpoint_with_nan_decoder_weight(self, tmp_path, capsys):
         # A NaN decoder weight used to evaluate to a plausible accuracy and exit 0.
         ckpt = tmp_path / "m.ckpt"
@@ -697,65 +712,65 @@ BENCH_DIR = Path(__file__).resolve().parents[1] / "bench"
 PINNED_EVAL_DIGESTS = {
     3: {
         "when2com": (
-            "b0a41f14d97cf06516b9aa3c14c7a292090b884c354233fb4d7ee9765f61188d",
-            "3bcdf2d1f724588dab3c3eade227662c9db62e940eb0d1e5831c740fa8a22de5",
-            "3c6e41061c1d787f1d86deeb74e88353d802c574b7032a45c5a0b18db9e6f9c0",
+            "97d69a570d2352ec46bf30d4314632388f42e95484ed64a9b53fff1edeab7eb5",
+            "1bab8ec087c8f77c4603b809ee5445f79ff2ae39c64600f93a158dd4d8864787",
+            "fd5c57124668ad35ddaa98cf089925c5aa3705ec30e4c5ff565b8eade7b45b61",
         ),
         "nocom": (
-            "31a4b7874a30519c78aaec4cef7f23128fa0851b83945023faf3aa641671f3e1",
-            "6ee7c2c6d51d82c64c678c71cd8f3870f79d9aa783ab5c29be24a22adb764aed",
+            "40dc0e559d2eaf201caa3b6564d42cad7ccf8725632e7bdaf8b34fb79db7f370",
+            "8b205b3c9cca5f0a3e766c6656eb014b7a0dbdbc9f0e65b47e8b49f3b07e1a8e",
             "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
         ),
         "randcom": (
-            "0277cce660124182a6584d47ae7a9207f0a4b78daecf11d47eaf6a9e18314ee8",
-            "5033e90cb60da647a5f449b9e7d34ca09f4394b192158bb090131d18ff6514fb",
+            "19d0d393cf1ba583f6cad17f82fc857f02b4b4b7e9a8977d17c171f57085d792",
+            "afd89913ef00da0cbbfb6c73829cc42b029daf1d126ae2444d3b0f9da23be1d8",
             "1dbfbf3193ff8d5244751f9e1d8603ba3d10edc5a13db6fa7e63145e20241d1b",
         ),
         "catall": (
-            "249d97d1ff5090bf54a684cc855da53699c0857c746b0e9feebe4a9cc016e72e",
-            "d09211fbe5eab2e0c86c1639a888c5c17baf9a70ca0db84ea504e6dba622cc3b",
+            "be078a2237ce5d1f6c9fc84da719b771bcf35e82e1d874358a96ba0e18912339",
+            "12af304c584b29d47272e1c35620a9d693360d744cd7db01fa3937e72c42c00b",
             "2d9b1ee9dd7c8afb818a8ade561d93d08eadf8bff385c641278aad9ec2b78938",
         ),
         "forced_top1": (
-            "68f55364febf8d0e2a131db3f7a24bd1a7df82940fac85ef957a28fa27f297e0",
-            "d2a44fbb8d69195ed2ede82ece1a6a503356c9dd7dbf34d81916edcc4109531e",
-            "87bf9b77403a58aa5e3a7d9f902d181ea1519257cd97550cb1a53b6bffdbea66",
+            "26a0ce9b64d0d9b1253425b499adcca49fcf990da8c8d8103b0b8eb842eecbd3",
+            "09ef47f06ea224a16d8725739e9975b64a9876f97a6b8111caff896b6836c2b1",
+            "12744cdaf16cd8d3fcd1362f2b921790da7b8f74b4bbeaa4cff676dc9ea9d4ca",
         ),
         "fully_connected": (
-            "df3899f7f6d0c703ee84272820c9189b8f0a526b9d18376bd6f15cc2695e37cf",
-            "cd9fc4d51d32518cdc1e7d253e0d58a2c4468fe0d4d3b66b5c26c9deb03f70f7",
+            "27db624fc3832d823b6e003396cd0efc71b69eca286c2e6124895b1aadea1310",
+            "74ef18362266e4495bbfb7d13d7fbb31dd3bcf3ce43c093f2736af0381308921",
             "7b50420058554e40e9630bb5076aaec8cf81553f4beb995fedad2d8c31827363",
         ),
     },
     11: {
         "when2com": (
-            "5236403750efa5276b0c15fb1b9cb50d0247cb69b9a2aa757dd01c02e2490684",
-            "4704d047ea91855f64cc8c083b440f78bb5cfcffcfb0bcbec6f81cb55fdff912",
-            "6ad2c05142ad24f790b13b02f911990d433add7a2c0396e7033cd48a5dcb6c7e",
+            "0de4fea0b74ae43fa54df0905761d779a13d80d86ed494a2b73925589a400909",
+            "81f063d00803ff923bf849e8c8538d49ad6e89535ccf9a08925404eefe41b1df",
+            "ff7eae0eb77459cf41d185efcf55f45dedd3a044fec78f5db107f8c8cfe5314b",
         ),
         "nocom": (
-            "e6f32095a2d6a3cd1ebac03b8607323c4706529256de131aee97e73f4196ad57",
-            "4b84c56debd275423d65c7b05d1db250195c64858c4c47474d9c7c0a98be6a22",
+            "65ab7fa98d890f8f2ab1f30ac01f900134a232a48e03e6c5144b7524c600ea47",
+            "faaa925a1ff3cdd94db18c91e1db44d8d404351a7d5d86cf0eec40a827ebaec4",
             "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
         ),
         "randcom": (
-            "8d80da78388d6ab1aeb99185e2cecd253da513fc0c895074cbce4612abcfa8d9",
-            "96108185d224e123365d81216df11c27932e6c3dc531502ba99196d2e3a07998",
+            "98f3a773fa20ad51f199a311de53d92cdc187881c4da8f767f5596217e524612",
+            "a589e7b4cc1bf76ee31ede973f54abe0d03c6691e863214a81f03ced336fd222",
             "b9b3859b99613ab3d4aa360c7770dc29bcbb5470ee1576d6d47eba54dc176c27",
         ),
         "catall": (
-            "7d0032a75718e367326bfd0451df9d88b6e132914dc76264f22802f2530a7c65",
-            "45ec82e371374e25cd0bccfedd8928268d424d3ef932e83acb30882c8c412c5d",
+            "d2e24587f68ef473a2eedf769d7c0aa89fce4b9fecd105de359805095a8af093",
+            "a05a0c2a5b090aab97554bf08a1106214c96398e30f35bd27ff91524f174dc5d",
             "2d9b1ee9dd7c8afb818a8ade561d93d08eadf8bff385c641278aad9ec2b78938",
         ),
         "forced_top1": (
-            "b74bbe4c6fef8fcca0cf518963623a75f920c324ff748367e81268802b5d960f",
-            "078bb3000e6c50c527c72194f2073cbddda7ad74b26f1ba17fc907a2fd1d9691",
-            "ca4aa07d0f2050751eec969d67e9a7e14c6e764c7df9eff79f06fe4eab82502c",
+            "82ffc32b571083b3794dd6e288927f5c32cc92668cbd99842a8ab4c2e30808ed",
+            "197ded6eee75a13535429f97fa80c1c20738579fd341acbfef80874c98ba1bc6",
+            "81d4d3dd214442326f64aacc82ceaa60d0d39c583e066e76c6ce1f2efa9f0710",
         ),
         "fully_connected": (
-            "d4a091f5df72b8c7f56819b719637cf286eb892b180f553321d41c22d0f69ada",
-            "c79decb65eecdb786a2f98c4294a9896964cd59f50cdfdcd07ad2ad9b569a100",
+            "2cbe35501cff8776766b69d0c292e88f22f01f93c5e89d85fc52e6b4a6ce11e8",
+            "889b8968ad5e4473672d666b4b85ba1f69a28eeaad50d8dc9629acfe20a706de",
             "7b50420058554e40e9630bb5076aaec8cf81553f4beb995fedad2d8c31827363",
         ),
     },

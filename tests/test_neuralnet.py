@@ -664,13 +664,13 @@ class TestTrainingBytes:
         [
             (
                 "when2com",
-                "6917321f3e916d2ff2f9e37b55f8f8a94c15584576a02166c9e664917b105121",
-                "7553e4c78883adebbb656410e0f349f55d9ddfe487bbf6b540d3d55d2dba3228",
+                "2962c8f925fe5419bddbb01d0036191cbe18aa17204b9c03603b6d6d16ccc8eb",
+                "0c17356c2e0e381a059f5f8eddeacdd73ab88d9547632f742149e0cc3251eae3",
             ),
             (
                 "randcom",
-                "2b1e6e4fbf3efcb952ce8ecc2248cb7cefa225ac3f9d475ab10b0bd6ff86b10a",
-                "2fb020cce9ffb7b393743c221a967dfb8bdb40396ea89c33a76c23398084055b",
+                "e8b080c0d59252b081af086c3d2dc7e80141a9c695197bbf8993bc62a4ba2570",
+                "d24ba33417b4e9c5a3bb64a92423744406ccdd7c9df243c87bcc5d5fd07e44f4",
             ),
         ],
     )
@@ -692,13 +692,13 @@ class TestTrainingBytes:
         [
             (
                 "when2com",
-                "8a9ea6aed8ba65bf9eff808aa7757115483372e3a534fc4b0f9d51fa097ac2cc",
-                "19d7ab3eb731d372b35734fdf0aa61aafaf3e290f5695622de9ffde66ad5c332",
+                "c4cdb93fb0f5a2f838c13f54e983be9a06dc48c170d3961daa8fc82e959ac25f",
+                "27702508aeb9765edaec0da9c07f851255c9ddae41bcf2a85609387108270452",
             ),
             (
                 "randcom",
-                "7f8eccfe8f4a7a2738a36397b6296b661f3e399772e2d3cc6bd2f5045049fb19",
-                "beba1300f7081f6daf3c92457d25df7772c89a48db59968091786cfe06c37711",
+                "edf55131f5cac8e795ca6fe257ba9c68e7d5fa6adec4476f0449ce7470a1ea48",
+                "6c19a383c6118f40b2d0f8c661851313637c88632692dafefb8ba8eecfd62d3e",
             ),
         ],
     )

@@ -503,13 +503,20 @@ def _assert_same_episodes(got, expected) -> None:
         assert (a.labels, a.degraded, a.needs_comm, a.gt_support) == (b.labels, b.degraded, b.needs_comm, b.gt_support)
 
 
+def _alone(world, seed, n):
+    """Episodes 0..n-1 of ``seed``'s keyed streams, each drawn from a plain ``Rng`` of its key and rendered alone.
+
+    Episode e's key is word e of ``Rng(seed)``'s stream.
+    """
+    return [one_episode(world, Rng(key)) for key in Rng(seed).u64(n).tolist()]
+
+
 class TestBlockRender:
     @pytest.mark.parametrize("case", CASES)
     @pytest.mark.parametrize("block", [1, 7, 64])
     def test_block_renders_each_episode_as_alone(self, monkeypatch, case, block):
         world = make_world(case, degrade_prob=0.6, rng=Rng(40))
-        rng = Rng(41)
-        alone = [one_episode(world, rng) for _ in range(130)]
+        alone = _alone(world, 41, 130)
         monkeypatch.setattr(scenarios, "RENDER_BLOCK", block)
         for n in (1, 63, 64, 65, 130):
             _assert_same_episodes(iter_episodes(world, n, seed=41), alone[:n])
@@ -526,15 +533,51 @@ class TestBlockRender:
     def test_odd_scene_dim_renders_as_alone(self):
         # An odd scene half drops each block's spare sin term.
         world = make_world("mrmps", obs_dim=22, rng=Rng(44))
-        rng = Rng(45)
-        alone = [one_episode(world, rng) for _ in range(70)]
-        _assert_same_episodes(iter_episodes(world, 70, seed=45), alone)
+        _assert_same_episodes(iter_episodes(world, 70, seed=45), _alone(world, 45, 70))
 
     def test_start_outside_the_set_names_it(self):
         world = make_world("srms", rng=Rng(46))
         for start in (-1, 11):
             with pytest.raises(ValueError, match=rf"start must lie in \[0, 10\], got {start}"):
                 next(iter_episodes(world, 10, seed=0, start=start))
+
+
+class TestKeyedStreams:
+    @pytest.mark.parametrize("case", CASES)
+    def test_episode_does_not_depend_on_the_dataset_size(self, case):
+        world = make_world(case, rng=Rng(47))
+        small = generate_dataset(world, 100, seed=48)
+        large = generate_dataset(world, 1000, seed=48)
+        _assert_same_episodes(small.episodes, large.episodes[:100])
+
+    @pytest.mark.parametrize("start", [0, 1, 64, 65, 1999, 2000])
+    def test_start_draws_nothing_before_it(self, monkeypatch, start):
+        world = make_world("srms", rng=Rng(49))
+        tail = list(iter_episodes(world, 2000, seed=50))[start:]
+        calls = []
+
+        def counted(world, rng, real=scenarios.generate_episode):
+            calls.append(rng.seed)
+            return real(world, rng)
+
+        monkeypatch.setattr(scenarios, "generate_episode", counted)
+        _assert_same_episodes(iter_episodes(world, 2000, seed=50, start=start), tail)
+        assert len(calls) == 2000 - start
+        assert calls == Rng(50).u64(2000).tolist()[start:]  # each call on its own episode's key
+
+    def test_scene_picks_are_distinct_and_uniform(self):
+        # 16 scenes, 5 picked by a partial Fisher-Yates shuffle.  A chi-square
+        # test per pick position (15 degrees of freedom; 37.7 is its 0.1%
+        # tail) on 16000 seeded draws.
+        world = make_world("srms", rng=Rng(51))
+        rng = Rng(52)
+        signatures = [scenarios._episode_signatures(world, rng, 5) for _ in range(16000)]
+        picks = np.argmax(np.array(signatures) @ world.scene_codes.T, axis=2)
+        assert all(len(set(row)) == 5 for row in picks.tolist())
+        for position in range(5):
+            counts = np.bincount(picks[:, position], minlength=world.n_scenes)
+            expected = len(picks) / world.n_scenes
+            assert ((counts - expected) ** 2 / expected).sum() < 37.7
 
 
 def _assert_frozen_support(episodes) -> int:
@@ -720,29 +763,30 @@ class TestDatasetExport:
     # SHA-256 of the saved 20-episode dataset of each case, frozen so that
     # neither the generators nor the file format drift silently.
     PINNED_SHA256 = {
-        "srms": "ff83f1a0fb8252aef9434d9bb09e66100715511b86701a73e777a8a577b063ac",
-        "mrms": "d2f402bf4ab647a5c64183f52b8b8eb7d339913a0cbd88542932dac126d15363",
-        "mrmps": "bcca3f142b211b1693309172f8fe489441684b176d1f747173a0870ba14b4fa1",
-        "triplet": "d05a47425089fc326cba99b369d20a448b3b4f2ba6bc52e21c73276e94203162",
+        "srms": "5f4af18ee7bd5c348a378f8624cc2d92793dc15805ab3ab4f9b81256d03276c1",
+        "mrms": "d6d8fe4211a042f669cf6f30493198ceae0008ba32c0df6d59863ec9dbabcc13",
+        "mrmps": "a538b44576d6c4e696a3521f71be2fdb4281fe145efaeb3d1c6a04eb02b65db6",
+        "triplet": "bb58ca7531f636c1bf8fafdc2afbc2082f8d70d60afd23119bb98b3288a5a118",
     }
 
     # The same at obs_dim 10 with three agents: an odd scene half (5), so
     # the padding between the two halves of one observation's draw is pinned.
     PINNED_SHA256_OBS10 = {
-        "srms": "a92350b0a4c3fa1961cbfc2ac4251c38a3e93677c1772ade39b233658c6520f1",
-        "mrms": "47d4ef9ae14cd308776d6d210d7acac9e9b73ff920e9979ebaf0573e2e1b9846",
-        "mrmps": "63fa8f4f7d8f0bfa828bd56e8658c4ff1ed756ef5a3719ffbd9fe44b6b9dce84",
-        "triplet": "71432a00e7a6ffe89c123edec2de636bffbe6f2d495e8a7b5114e8b6f132f046",
+        "srms": "3e975fa430dbcc008ef48a14e9511aebe360bec2d00bc3cacc136667f93a052b",
+        "mrms": "e4116ac4f41d771208ce48a0e9682c9da9dc9ad128f937cb7f2ec5fcfd9a9993",
+        "mrmps": "999ce530a0acb20a606ab7845d119cfcb306ef34668af13f470a59598eb0539c",
+        "triplet": "d651cf1cc33dac6184aa56ee1fbf94abc6ccf16a44bc7e0291f5f2193d69403e",
     }
 
     # The same for 200 episodes at degrade_prob 0.9: mrmps then draws a
-    # supporter's pick and overlap between agents' noise blocks in most
-    # episodes, so the recorded block starts are pinned past those draws.
+    # supporter's pick and overlap before the noise blocks in most episodes,
+    # and srms and triplet draw a supporter or victim in most, so the
+    # recorded block starts are pinned past those draws.
     PINNED_SHA256_DEGRADE09 = {
-        "srms": "78042441597a2c25f59da253468af81d3434d1397a3b2266ddfc867f63228086",
-        "mrms": "527b6226160d01866a326dfc05cb08604711d6df733f0f280af407ad2f3c4bb6",
-        "mrmps": "1ee3a8b8058a18809e038603d5ebc343fa32e77bbb6f4c4e77f4f41b58366059",
-        "triplet": "1d3da270585b0b93bfa55a233d3eb72c17d4f863c2e9d100bdd26260aa9d6be6",
+        "srms": "0693e00af6bf174af9e858d22c20ed2ecf4a5b8e4f437ca4b233db058cd66426",
+        "mrms": "a01ef1c3fced986439624a71d606bec7b9fb66bd4699975eacc652ea9826ab93",
+        "mrmps": "a3eaee0a160a4dbb80bd0528f4de8a90b8625a567810e33d21ca535280a26026",
+        "triplet": "871e32e690b2f4e6082e7d1e4edeead3b29c8d95a798e9ec64448edb61eaeb0d",
     }
 
     @pytest.mark.parametrize("case", CASES)
