@@ -382,6 +382,8 @@ def _test_split_for_eval(args) -> tuple[World, list[Episode]]:
     """
     if args.data:
         dataset = load_dataset(args.data)
+        if not dataset.test_idx:
+            raise ValueError(f"{args.data}: splits.test is empty, so --data holds no episode to evaluate")
         return dataset.world, dataset.test_episodes
     world = world_for_run(args.case, args.agents, args.seed)
     _, test_start = split_bounds(args.episodes)

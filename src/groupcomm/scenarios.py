@@ -63,10 +63,10 @@ from __future__ import annotations
 import json
 import math
 import numbers
+import struct
 from collections.abc import Iterator
 from dataclasses import dataclass, field
 from itertools import chain, compress
-from operator import itemgetter
 
 import numpy as np
 
@@ -179,7 +179,7 @@ def _check_world(
         raise ValueError(f"{where}world n_agents must be a multiple of 3 for case 'triplet', got {n_agents}")
     if obs_dim < 4 or obs_dim % 2 != 0:
         raise ValueError(f"{where}world obs_dim must be an even integer >= 4, got {obs_dim}")
-    if scene_dim != obs_dim // 2:
+    if scene_dim != obs_dim // 2 or type(scene_dim) is not type(obs_dim // 2):  # 16.0 would not index
         raise ValueError(f"{where}world scene_dim must be obs_dim // 2 = {obs_dim // 2}, got {scene_dim!r}")
     if n_agents > scene_dim:
         raise ValueError(
@@ -468,93 +468,62 @@ def generate_dataset(world: World, n_episodes: int, seed: int) -> Dataset:
     )
 
 
-_ALL_IN_RANGE = np.empty(0, dtype=np.intp)  # no value to respell
+DATASET_MAGIC = b"GRPCDATA"
+DATASET_VERSION = 1
+_PREFIX = struct.Struct("<8sII")  # magic, version, header length
+_WORLD_SCALARS = ("case", "n_agents", "obs_dim", "n_classes", "degrade_prob", "noise_sigma", "overlap_frac", "scene_dim")
 
 
-def _out_of_range(magnitudes: np.ndarray) -> np.ndarray:
-    """Flat indices of the nonzero magnitudes below 1e-4 and of those of 1e16 or more."""
-    return np.flatnonzero(((magnitudes < 1e-4) & (magnitudes != 0)) | (magnitudes >= 1e16))
+def _body_layout(header: dict) -> list[tuple[str, tuple[int, ...]]]:
+    """The little-endian dtype and shape of each body array, in file order (see :func:`save_dataset`)."""
+    e, n, d, c, s = (header[key] for key in ("n_episodes", "n_agents", "obs_dim", "n_classes", "scene_dim"))
+    return [("<f8", (c, d)), ("<f8", (s, s)), ("<f8", (e, n, d)), ("<i8", (e, n)), ("u1", (e, n)), ("u1", (e, n, n))]
 
 
-def _array_text(array: np.ndarray, odd: np.ndarray) -> bytes:
-    """The bytes ``json.dumps(array.tolist())`` writes.
+def _reject_first(path: str, bad: np.ndarray, what: str, values: np.ndarray | None = None) -> None:
+    """Raise naming ``path`` and the first (episode, agent) where the (E, N) mask ``bad`` holds.
 
-    orjson formats a float64 array's shortest round-trip digits about ten
-    times faster than ``repr``, and the two spell a value alike when its
-    magnitude is 0 or lies in [1e-4, 1e16).  Outside that range orjson writes
-    ``0.00001`` and ``1e16`` where ``repr`` writes ``1e-05`` and ``1e+16``, so
-    the values at the flat indices ``odd`` (see :func:`_out_of_range`) are
-    respelled by ``repr``.  orjson spells float32 and integer arrays its own
-    way, so those go through ``json.dumps``.
+    ``what`` ends the message, formatted with that entry of ``values`` when given.
     """
-    import orjson  # here, as in save_dataset
-
-    if array.dtype != np.float64:
-        return json.dumps(array.tolist()).encode()
-    array = np.ascontiguousarray(array)
-    text = orjson.dumps(array, option=orjson.OPT_SERIALIZE_NUMPY)
-    if odd.size:
-        pieces = text.split(b",")  # piece k is flat value k, with the brackets around it
-        for k, value in zip(odd.tolist(), array.flat[odd].tolist()):
-            number = pieces[k].strip(b"[]")
-            pieces[k] = pieces[k].replace(number, repr(value).encode())
-        text = b",".join(pieces)
-    return text.replace(b",", b", ")
-
-
-def _field_text(value) -> bytes:
-    """The bytes ``json.dumps(value)`` writes for one world field."""
-    if isinstance(value, np.ndarray):
-        return _array_text(value, _out_of_range(np.abs(value)))
-    if isinstance(value, float) and math.isfinite(value):
-        return float.__repr__(value).encode()  # how json.dumps spells a finite float
-    return json.dumps(value).encode()
+    if bad.any():
+        e, i = np.argwhere(bad)[0].tolist()
+        raise ValueError(f"{path}: episode {e} agent {i} " + (what if values is None else what.format(values[e, i])))
 
 
 def save_dataset(path: str, dataset: Dataset) -> None:
-    """Structured-text export: world parameters plus per-episode arrays.
+    """Binary layout: magic, version and header length, a JSON header, then a raw little-endian body.
 
-    The file holds the bytes of ``json.dump(doc, sort_keys=True)`` plus a
-    newline, where ``doc`` has the keys ``episodes``, ``splits`` and
-    ``world`` (every ``World`` field, its arrays as nested lists).  It is
-    streamed one episode at a time.  Every float64 array, each episode's
-    observations and the world's ``prototypes`` and ``scene_codes``, is
-    formatted by orjson, with the few values outside [1e-4, 1e16) respelled
-    by ``repr`` (see :func:`_array_text`); an episode's other fields go
-    through orjson too, and every text then gets ``json.dumps``'s spacing.
-    A non-finite observation, which :func:`load_dataset` would refuse,
-    raises ``ValueError`` before the file is opened.
+    The header is ``json.dumps(..., sort_keys=True)`` of the world's scalar
+    fields, ``n_episodes`` (E) and the three splits.  The body holds, each
+    row-major, the world's ``prototypes`` (C, obs_dim) and ``scene_codes``
+    (S, S) as f8, then the episodes' observations (E, N, obs_dim) as f8,
+    labels (E, N) as i8, degraded flags (E, N) as u1 and supports as a u1
+    membership matrix (E, N, N), whose entry [e, i, j] is 1 when agent j
+    supports agent i.  ``needs_comm`` is not stored: every generator sets it
+    equal to ``degraded``.  A non-finite observation or a ``needs_comm``
+    that differs from ``degraded``, which :func:`load_dataset` could not
+    give back, raises ValueError naming the episode and the agent before the
+    file is opened.
     """
-    import orjson  # here, not at the top: train and eval never save, so they do not load it
-
-    odd = []  # per episode: the flat indices of the observations orjson spells other than repr
-    for i, ep in enumerate(dataset.episodes):
-        mag = np.abs(ep.observations)
-        low, high = mag.min(), mag.max()
-        if not high < np.inf:  # also true when max propagates a NaN
-            agent = int(np.argwhere(~np.isfinite(ep.observations))[0][0])
-            raise ValueError(f"{path}: episode {i} agent {agent} has non-finite observations, which would not load")
-        odd.append(_ALL_IN_RANGE if low >= 1e-4 and high < 1e16 else _out_of_range(mag))
-    options = orjson.OPT_SORT_KEYS | orjson.OPT_SERIALIZE_NUMPY
-    world = b", ".join(
-        json.dumps(key).encode() + b": " + _field_text(value) for key, value in sorted(vars(dataset.world).items())
-    )
+    world, episodes = dataset.world, dataset.episodes
+    header = {key: getattr(world, key) for key in _WORLD_SCALARS}
     splits = {"train": dataset.train_idx, "val": dataset.val_idx, "test": dataset.test_idx}
+    header.update(n_episodes=len(episodes), splits=splits)
+    supports = list(chain.from_iterable(ep.gt_support for ep in episodes))  # agent k % n of episode k // n
+    member = np.zeros((len(supports), world.n_agents), dtype="u1")
+    for k in compress(range(len(supports)), supports):
+        member[k, list(supports[k])] = 1
+    values = (world.prototypes, world.scene_codes, [ep.observations for ep in episodes], [ep.labels for ep in episodes])
+    values += ([ep.degraded for ep in episodes], member)
+    body = [np.asarray(v, dtype=dtype).reshape(shape) for v, (dtype, shape) in zip(values, _body_layout(header))]
+    _reject_first(path, ~np.isfinite(body[2]).all(axis=2), "has non-finite observations, which would not load")
+    needs = np.asarray([ep.needs_comm for ep in episodes], dtype="u1").reshape(body[4].shape)
+    _reject_first(path, needs != body[4], "has needs_comm differing from degraded, and the file stores degraded alone")
+    text = json.dumps(header, sort_keys=True).encode()
     with open(path, "wb") as fh:
-        fh.write(b'{"episodes": [')
-        for i, ep in enumerate(dataset.episodes):
-            record = {
-                "labels": ep.labels,
-                "degraded": ep.degraded,
-                "needs_comm": ep.needs_comm,
-                "gt_support": [sorted(s) for s in ep.gt_support],
-            }
-            text = orjson.dumps(record, option=options).replace(b",", b", ").replace(b":", b": ")
-            # "observations" sorts after the other four keys.
-            text = text[:-1] + b', "observations": ' + _array_text(ep.observations, odd[i]) + b"}"
-            fh.write(b", " + text if i else text)
-        fh.write(b'], "splits": ' + json.dumps(splits, sort_keys=True).encode())
-        fh.write(b', "world": {' + world + b"}}\n")
+        fh.write(_PREFIX.pack(DATASET_MAGIC, DATASET_VERSION, len(text)) + text)
+        for array in body:
+            fh.write(array.tobytes())
 
 
 def _require_fields(where: str, record, fields) -> None:
@@ -569,148 +538,6 @@ def _require_fields(where: str, record, fields) -> None:
         raise ValueError(f"{where} has an unknown {key!r} field")
 
 
-def _require_list(where: str, value) -> list:
-    """``value``, rejected (naming ``where``) unless it is a JSON array."""
-    if not isinstance(value, list):
-        raise ValueError(f"{where} must be a JSON array, got {type(value).__name__}")
-    return value
-
-
-def _require_array(where: str, value, shape: tuple[int, int], expected: str) -> np.ndarray:
-    """``value`` as a finite float64 array, rejected (naming ``where``) unless it has ``shape``."""
-    if type(value) is list and set(map(type, value)) <= {list}:  # numpy would read "0.5" and true as numbers
-        kinds = set(map(type, chain.from_iterable(value)))
-        if str in kinds or bool in kinds:
-            bad = next(x for x in chain.from_iterable(value) if type(x) in (str, bool))
-            raise ValueError(f"{where} hold {bad!r}, not a JSON number")
-    try:
-        array = np.asarray(value, dtype=np.float64)
-    except OverflowError:  # an integer beyond the float64 range
-        raise ValueError(f"{where} hold an integer beyond the float64 range") from None
-    except (TypeError, ValueError):  # ragged or non-numeric rows
-        array = None
-    if array is None or array.shape != shape:
-        raise ValueError(f"{where} have shape {'ragged' if array is None else array.shape}, expected {expected}")
-    if not np.all(np.isfinite(array)):
-        raise ValueError(f"{where} contain non-finite values")
-    return array
-
-
-_EPISODE_FIELDS = ("observations", "labels", "degraded", "needs_comm", "gt_support")
-_episode_values = itemgetter(*_EPISODE_FIELDS)
-_LOAD_BLOCK = 64  # records checked, and their observations converted, at once
-
-
-def _accept_episodes(records: list, world: World) -> list[Episode] | None:
-    """``records`` as Episodes if whole-list checks find all of them well formed, else None.
-
-    The checks hold every record to what :func:`_load_episode` checks, but
-    run in C over all the records at once: key counts and ``itemgetter``,
-    ``set(map(type, ...))`` and ``set(map(len, ...))``, ``min``/``max``, list
-    equality, and one ``np.array`` with ``isfinite`` for all observations.
-    Only the non-empty supports are visited one by one.  A JSON ``true`` or
-    ``false`` in an observation row would read as 1.0 or 0.0 there, so
-    records holding either value are declined as well.  Declined records go
-    to :func:`_load_episode`, which loads them or names their first problem.
-    """
-    n = world.n_agents
-    if set(map(type, records)) != {dict} or set(map(len, records)) != {len(_EPISODE_FIELDS)}:
-        return None
-    try:
-        obs, labels, degraded, needs, support = zip(*map(_episode_values, records))
-    except KeyError:
-        return None
-    lists = labels + degraded + needs + support
-    if set(map(type, lists)) != {list} or set(map(len, lists)) != {n}:
-        return None
-    flat = list(chain.from_iterable(labels))
-    if set(map(type, flat)) != {int} or min(flat) < 0 or max(flat) >= world.n_classes:
-        return None
-    if degraded != needs or set(map(type, chain.from_iterable(degraded + needs))) != {bool}:
-        return None
-    entries = list(chain.from_iterable(support))  # agent k % n of record k // n
-    if set(map(type, entries)) != {list}:
-        return None
-    gt_support = [NO_SUPPORT] * len(entries)
-    flat = list(chain.from_iterable(entries))
-    if flat:
-        if set(map(type, flat)) != {int} or min(flat) < 0 or max(flat) >= n:
-            return None
-        need = list(chain.from_iterable(needs))
-        for k in compress(range(len(entries)), entries):
-            members = frozenset(entries[k])
-            if not need[k] or k % n in members or len(members) != len(entries[k]):
-                return None
-            gt_support[k] = members
-    try:
-        observations = np.array(obs)
-    except ValueError:  # a row entry that is itself an array
-        return None
-    if observations.dtype != np.float64 or observations.shape[1:] != (n, world.obs_dim):  # strings, null, ...
-        return None
-    if not np.isfinite(observations).all() or (observations == 0.0).any() or (observations == 1.0).any():
-        return None
-    supports = (gt_support[k : k + n] for k in range(0, len(entries), n))
-    return list(map(Episode, map(np.ndarray.copy, observations), labels, degraded, needs, supports))
-
-
-def _load_episode(path: str, index: int, record: dict, world: World) -> Episode:
-    """One saved episode, rejected (naming ``path`` and ``index``) unless it fits ``world``."""
-    where = f"{path}: episode {index}"
-    _require_fields(where, record, _EPISODE_FIELDS)
-    n = world.n_agents
-    shape = (n, world.obs_dim)
-    obs = _require_array(f"{where} observations", record["observations"], shape, str(shape))
-    for key in ("labels", "degraded", "needs_comm", "gt_support"):
-        if len(_require_list(f"{where} {key}", record[key])) != n:
-            raise ValueError(f"{where} {key} has {len(record[key])} entries, expected {n}")
-    for c in record["labels"]:
-        if type(c) is not int or not 0 <= c < world.n_classes:
-            raise ValueError(f"{where} label {c!r} is not an integer in [0, {world.n_classes})")
-    for key in ("degraded", "needs_comm"):
-        for i, flag in enumerate(record[key]):
-            if type(flag) is not bool:
-                raise ValueError(f"{where} {key}[{i}] is {flag!r}, not a JSON boolean")
-    gt_support = []
-    for i, support in enumerate(record["gt_support"]):
-        for k, j in enumerate(_require_list(f"{where} gt_support[{i}]", support)):
-            if type(j) is not int or not 0 <= j < n:
-                raise ValueError(f"{where} gt_support index {j!r} is not an integer in [0, {n})")
-            if j == i:  # no agent transfers its feature to itself
-                raise ValueError(f"{where} agent {i} is listed as its own supporter in gt_support[{i}]")
-            if j in support[:k]:  # a set would drop it, and a re-save would rewrite the file
-                raise ValueError(f"{where} agent {i} lists supporter {j} twice in gt_support[{i}]")
-        gt_support.append(frozenset(support) if support else NO_SUPPORT)
-    # Every generator marks exactly the degraded agents as needing help, and
-    # only they have supporters.
-    needs, degraded = record["needs_comm"], record["degraded"]
-    if needs != degraded:
-        i = next(i for i, (a, b) in enumerate(zip(needs, degraded)) if a != b)
-        raise ValueError(f"{where} needs_comm[{i}] is {needs[i]!r} but degraded[{i}] is {degraded[i]!r}")
-    for i, (need, support) in enumerate(zip(needs, record["gt_support"])):
-        if support and not need:
-            raise ValueError(f"{where} gt_support[{i}] is {support!r} but agent {i} does not need communication")
-    return Episode(
-        observations=obs,
-        labels=list(record["labels"]),
-        degraded=list(record["degraded"]),
-        needs_comm=list(record["needs_comm"]),
-        gt_support=gt_support,
-    )
-
-
-def _load_world(path: str, w: dict) -> World:
-    """The saved world, rejected (naming ``path``) unless ``make_world`` could have built it."""
-    fields = ("case", "n_agents", "obs_dim", "n_classes", "degrade_prob", "noise_sigma", "overlap_frac", "scene_dim")
-    _require_fields(f"{path}: world", w, fields + ("prototypes", "scene_codes"))
-    _check_world(f"{path}: ", *(w[f] for f in fields))
-    arrays = {}
-    for key, rows, cols in (("prototypes", "n_classes", "obs_dim"), ("scene_codes", "scene_dim", "scene_dim")):
-        shape = (w[rows], w[cols])
-        arrays[key] = _require_array(f"{path}: world {key}", w[key], shape, f"({rows}, {cols}) = {shape}")
-    return World(**dict(w, **arrays))
-
-
 def _load_splits(path: str, splits: dict, n_episodes: int) -> list[list[int]]:
     """The train, val and test index lists: in range, duplicate-free and disjoint."""
     names = ("train", "val", "test")
@@ -718,7 +545,9 @@ def _load_splits(path: str, splits: dict, n_episodes: int) -> list[list[int]]:
     members: dict[str, set[int]] = {}
     for name in names:
         members[name] = set()
-        for i in _require_list(f"{path}: splits.{name}", splits[name]):
+        if not isinstance(splits[name], list):
+            raise ValueError(f"{path}: splits.{name} must be a JSON array, got {type(splits[name]).__name__}")
+        for i in splits[name]:
             if type(i) is not int or not 0 <= i < n_episodes:
                 raise ValueError(f"{path}: splits.{name} index {i!r} is not an integer in [0, {n_episodes})")
             if i in members[name]:
@@ -731,66 +560,61 @@ def _load_splits(path: str, splits: dict, n_episodes: int) -> list[list[int]]:
     return [list(splits[name]) for name in names]
 
 
-def _dataset_from_doc(path: str, doc) -> Dataset:
-    """The dataset a parsed file holds, rejected (naming ``path``) at the first problem found."""
-    _require_fields(f"{path}: the dataset", doc, ("world", "episodes", "splits"))
-    world = _load_world(path, doc["world"])
-    records = _require_list(f"{path}: episodes", doc["episodes"])
-    episodes = []
-    for start in range(0, len(records), _LOAD_BLOCK):
-        block = records[start : start + _LOAD_BLOCK]
-        accepted = _accept_episodes(block, world)
-        episodes += accepted if accepted is not None else [_load_episode(path, start + i, e, world) for i, e in enumerate(block)]
-    return Dataset(world, episodes, *_load_splits(path, doc["splits"], len(episodes)))
-
-
-def _load_through_orjson(path: str) -> Dataset | None:
-    """The dataset at ``path`` as orjson parses it, or None where ``json.load`` must read the file."""
-    import orjson  # here, as in save_dataset: train, and eval without --data, never load it
-
-    with open(path, "rb") as fh:
-        try:
-            doc = orjson.loads(fh.read())
-        except orjson.JSONDecodeError:  # NaN, 1e400, a lone surrogate, a BOM, invalid UTF-8, ...
-            return None
-    try:
-        dataset = _dataset_from_doc(path, doc)
-    except (ValueError, RecursionError):  # the message comes from json's document, positions included
-        return None
-    # orjson reads an integer wider than 64 bits as a float; noise_sigma is
-    # the one checked field where such a float also passes.
-    if type(dataset.world.noise_sigma) is float and dataset.world.noise_sigma >= 2.0**64:
-        return None
-    return dataset
-
-
 def load_dataset(path: str) -> Dataset:
     """The dataset saved at ``path``; raises ValueError naming the file and the first problem found.
 
-    The file is parsed by orjson, about twice as fast as ``json.load``, and
-    the result is checked.  Wherever orjson could read the file other
-    than ``json.load`` does, the file is read again through ``json.load``
-    and checked as parsed there, so the dataset and every message are the
-    standard module's: when orjson refuses the bytes (``NaN``, ``1e400``, a
-    lone surrogate, a BOM, invalid UTF-8, any syntax error), when the checks
-    refuse orjson's document, and when the world's ``noise_sigma`` is a float
-    of at least 2**64, which orjson also makes of a wider integer.  Every
-    object must hold exactly the fields ``save_dataset`` writes, and every
-    array entry must be a JSON number.  Episodes are checked 64 at a time by
-    whole-list checks (:func:`_accept_episodes`); only a block those decline
-    is checked record by record, which names the first problem.  The cost is
-    memory: orjson parses the whole document at once, which briefly holds
-    about 1.8 times the file's size more than ``json.load`` needs.
+    The file is read once.  Its magic and version come first.  The header
+    must hold exactly the fields :func:`save_dataset` writes, a world
+    ``make_world`` could build and valid splits, and the file's size must be
+    the one the header implies.  Whole-array checks then name the first
+    (episode, agent) at fault: finite arrays, labels in range, flags in
+    {0, 1}, and supports in {0, 1}, never the agent itself and only for a
+    degraded agent.  ``needs_comm`` is a copy of ``degraded``, and every
+    empty support is :data:`NO_SUPPORT`.
     """
-    dataset = _load_through_orjson(path)  # its frame frees orjson's document before json.load runs
-    if dataset is not None:
-        return dataset
+    with open(path, "rb") as fh:
+        blob = fh.read()
+    if len(blob) < _PREFIX.size or blob[:8] != DATASET_MAGIC:
+        raise ValueError(f"{path}: not a groupcomm dataset file of this version: it starts with {blob[:8]!r}")
+    _, version, header_size = _PREFIX.unpack_from(blob)
+    if version != DATASET_VERSION:
+        raise ValueError(f"{path}: unsupported dataset file version {version}, expected {DATASET_VERSION}")
+    offset = _PREFIX.size + header_size
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            try:
-                doc = json.load(fh)
-            except ValueError as err:  # also bad UTF-8, and an integer of more than 4300 digits
-                raise ValueError(f"{path}: not valid JSON: {err}") from None
-        return _dataset_from_doc(path, doc)
-    except RecursionError:  # in json.load, or in the repr of a deeply nested value
-        raise ValueError(f"{path}: JSON nests too deeply to load") from None
+        header = json.loads(blob[_PREFIX.size : offset].decode())
+    except (ValueError, RecursionError) as err:  # also bad UTF-8, a cut header and a 4301-digit integer
+        raise ValueError(f"{path}: the header is not valid JSON: {err}") from None
+    _require_fields(f"{path}: the header", header, _WORLD_SCALARS + ("n_episodes", "splits"))
+    _check_world(f"{path}: ", *(header[key] for key in _WORLD_SCALARS))
+    n_episodes, n_agents, n_classes = header["n_episodes"], header["n_agents"], header["n_classes"]
+    if type(n_episodes) is not int or n_episodes < 0:
+        raise ValueError(f"{path}: n_episodes must be a non-negative integer, got {n_episodes!r}")
+    splits = _load_splits(path, header["splits"], n_episodes)
+    layout = _body_layout(header)
+    expected = offset + sum(np.dtype(dtype).itemsize * math.prod(shape) for dtype, shape in layout)
+    if len(blob) != expected:
+        raise ValueError(f"{path}: the file holds {len(blob)} bytes but its header implies {expected}")
+    arrays = []
+    for dtype, shape in layout:
+        arrays.append(np.frombuffer(blob, dtype, math.prod(shape), offset).reshape(shape))
+        offset += arrays[-1].nbytes
+    prototypes, scene_codes, obs, labels, degraded, member = arrays
+    for name, array in (("prototypes", prototypes), ("scene_codes", scene_codes)):
+        if not np.isfinite(array).all():
+            raise ValueError(f"{path}: world {name} contain non-finite values")
+    _reject_first(path, ~np.isfinite(obs).all(axis=2), "has non-finite observations")
+    _reject_first(path, (labels < 0) | (labels >= n_classes), f"has label {{}}, not one in [0, {n_classes})", labels)
+    _reject_first(path, degraded > 1, "has degraded flag {}, not 0 or 1", degraded)
+    _reject_first(path, (member > 1).any(axis=2), "has a gt_support entry other than 0 or 1")
+    _reject_first(path, np.diagonal(member, axis1=1, axis2=2) != 0, "is listed as its own supporter")
+    _reject_first(path, member.any(axis=2) & (degraded == 0), "has supporters but is not degraded")
+    rows = member.reshape(-1, n_agents)  # agent k % n of episode k // n
+    supports = [NO_SUPPORT] * len(rows)
+    for k in np.flatnonzero(rows.any(axis=1)).tolist():
+        supports[k] = frozenset(np.flatnonzero(rows[k]).tolist())
+    flags = degraded.astype(bool).tolist()
+    chunks = (supports[k : k + n_agents] for k in range(0, len(supports), n_agents))
+    episodes = list(map(Episode, map(np.ndarray.copy, obs), labels.tolist(), flags, map(list, flags), chunks))
+    scalars = {key: header[key] for key in _WORLD_SCALARS}
+    world = World(**scalars, prototypes=prototypes.copy(), scene_codes=scene_codes.copy())
+    return Dataset(world, episodes, *splits)

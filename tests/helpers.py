@@ -1,7 +1,10 @@
 """Shared test oracles and training-job helpers (importable from any test module)."""
 
+import json
 import math
+import struct
 import time
+from pathlib import Path
 
 import numpy as np
 
@@ -18,6 +21,54 @@ from groupcomm.neuralnet import (
     zeros_like_params,
 )
 from groupcomm.scenarios import generate_episode, render_episodes
+
+
+# The dataset file layout, written out here apart from scenarios so that the
+# tests pin it: magic, version and header length, the JSON header, then the
+# body arrays, each little-endian and row-major.
+DATASET_PREFIX = struct.Struct("<8sII")
+DATASET_MAGIC = b"GRPCDATA"
+BODY_DTYPES = {
+    "prototypes": "<f8",
+    "scene_codes": "<f8",
+    "observations": "<f8",
+    "labels": "<i8",
+    "degraded": "u1",
+    "gt_support": "u1",
+}
+
+
+def read_dataset_file(path) -> tuple[dict, dict[str, np.ndarray]]:
+    """The header and the body arrays of a well-formed dataset file, each array a writable copy."""
+    blob = Path(path).read_bytes()
+    magic, version, size = DATASET_PREFIX.unpack_from(blob)
+    assert (magic, version) == (DATASET_MAGIC, 1)
+    offset = DATASET_PREFIX.size + size
+    header = json.loads(blob[DATASET_PREFIX.size : offset])
+    e, n, d, c, s = (header[key] for key in ("n_episodes", "n_agents", "obs_dim", "n_classes", "scene_dim"))
+    shapes = [(c, d), (s, s), (e, n, d), (e, n), (e, n), (e, n, n)]
+    arrays = {}
+    for (name, dtype), shape in zip(BODY_DTYPES.items(), shapes):
+        arrays[name] = np.frombuffer(blob, dtype, math.prod(shape), offset).reshape(shape).copy()
+        offset += arrays[name].nbytes
+    assert offset == len(blob)
+    return header, arrays
+
+
+def write_dataset_file(path, header, arrays, version=1) -> None:
+    """A dataset file holding ``header`` and ``arrays`` as given, whether or not they fit each other."""
+    text = json.dumps(header, sort_keys=True).encode()
+    with open(path, "wb") as fh:
+        fh.write(DATASET_PREFIX.pack(DATASET_MAGIC, version, len(text)) + text)
+        for name, dtype in BODY_DTYPES.items():
+            fh.write(np.asarray(arrays[name], dtype=dtype).tobytes())
+
+
+def edit_dataset_file(path, edit) -> None:
+    """Rewrite the dataset file at ``path`` after ``edit(header, arrays)`` changed its contents in place."""
+    header, arrays = read_dataset_file(path)
+    edit(header, arrays)
+    write_dataset_file(path, header, arrays)
 
 
 def one_episode(world, rng):

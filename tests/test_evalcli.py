@@ -6,6 +6,7 @@ import os
 import re
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -45,7 +46,7 @@ from groupcomm.scenarios import (
     save_dataset,
 )
 
-from helpers import one_episode
+from helpers import edit_dataset_file, one_episode
 
 
 def tiny_theta(seed=0):
@@ -510,41 +511,37 @@ class TestCli:
             args = build_parser().parse_args(["eval", "--checkpoint", "m.ckpt", "--delta", text])
             assert args.delta == float(text)
 
-    @pytest.mark.parametrize(
-        "labels, message",
-        [([0, 0, 0], "episode 2 labels has 3 entries, expected 5"), ([99] * 5, "episode 2 label 99 is not")],
-    )
-    def test_eval_rejects_dataset_with_bad_labels(self, tmp_path, capsys, labels, message):
-        data = tmp_path / "d.json"
+    @pytest.mark.parametrize("label, message", [(99, "has label 99, not one in [0, 10)"), (-1, "has label -1, not")])
+    def test_eval_rejects_dataset_with_bad_labels(self, tmp_path, capsys, label, message):
+        data = tmp_path / "d.bin"
         assert cli_main(["gen-data", "--episodes", "40", "--seed", "3", "--out", str(data)]) == 0
-        doc = json.loads(data.read_text())
-        doc["episodes"][2]["labels"] = labels
-        data.write_text(json.dumps(doc))
+        edit_dataset_file(data, lambda h, a: a["labels"].__setitem__((2, 1), label))
         ckpt = str(tmp_path / "m.ckpt")
         save_checkpoint(ckpt, tiny_theta(), PipelineConfig())
         report = tmp_path / "ev.json"
         code = cli_main(["eval", "--checkpoint", ckpt, "--data", str(data), "--report", str(report)])
         assert code == 1
-        assert f"{data}: {message}" in capsys.readouterr().err
+        assert f"{data}: episode 2 agent 1 {message}" in capsys.readouterr().err
         assert not report.exists()
 
     @pytest.mark.parametrize(
         "edit, message",
         [
-            (lambda doc: doc["splits"].update(test=[999]), "splits.test index 999 is not an integer in [0, 40)"),
-            (lambda doc: doc["splits"].update(test=[0, 0, 0, 0]), "episode 0 is listed twice in splits.test"),
-            (lambda doc: doc["world"].update(case="zzz"), "world case 'zzz' is not one of"),
-            (lambda doc: doc["episodes"][37].update(needs_comm=[True] * 5), "episode 37 needs_comm["),
+            (lambda h, a: h["splits"].update(test=[999]), "splits.test index 999 is not an integer in [0, 40)"),
+            (lambda h, a: h["splits"].update(test=[0, 0, 0, 0]), "episode 0 is listed twice in splits.test"),
+            (lambda h, a: h.update(case="zzz"), "world case 'zzz' is not one of"),
+            # No agent of episode 37 is degraded.
+            (lambda h, a: a["gt_support"].__setitem__((37, 0, 1), 1), "episode 37 agent 0 has supporters but is not"),
+            (lambda h, a: h.update(n_episodes=41), "the file holds "),
         ],
     )
     def test_eval_rejects_dataset_with_bad_split_world_or_ground_truth(self, tmp_path, capsys, edit, message):
-        # Each edit used to run to a report: an index error naming nothing, one
-        # episode scored four times, an unknown case, or a moved when2com_acc.
-        data = tmp_path / "d.json"
+        # Each edit but the last used to run to a report: an index error
+        # naming nothing, one episode scored four times, an unknown case, or
+        # a moved when2com_acc.
+        data = tmp_path / "d.bin"
         assert cli_main(["gen-data", "--episodes", "40", "--seed", "3", "--out", str(data)]) == 0
-        doc = json.loads(data.read_text())
-        edit(doc)
-        data.write_text(json.dumps(doc))
+        edit_dataset_file(data, edit)
         ckpt = str(tmp_path / "m.ckpt")
         save_checkpoint(ckpt, tiny_theta(), PipelineConfig())
         report = tmp_path / "ev.json"
@@ -565,17 +562,28 @@ class TestCli:
     )
     def test_eval_rejects_dataset_with_bad_world_scalars(self, tmp_path, capsys, field, value, message):
         # Each edit used to load silently; a triplet case even ran to a report.
-        data = tmp_path / "d.json"
+        data = tmp_path / "d.bin"
         assert cli_main(["gen-data", "--episodes", "40", "--seed", "3", "--out", str(data)]) == 0
-        doc = json.loads(data.read_text())
-        doc["world"][field] = value
-        data.write_text(json.dumps(doc))
+        edit_dataset_file(data, lambda h, a: h.update({field: value}))
         ckpt = str(tmp_path / "m.ckpt")
         save_checkpoint(ckpt, tiny_theta(), PipelineConfig())
         report = tmp_path / "ev.json"
         code = cli_main(["eval", "--checkpoint", ckpt, "--data", str(data), "--report", str(report)])
         assert code == 1
         assert f"{data}: {message}" in capsys.readouterr().err
+        assert not report.exists()
+
+    def test_eval_rejects_dataset_with_empty_test_split(self, tmp_path, capsys):
+        # Used to exit with "cannot evaluate on an empty dataset", naming neither the file nor the split.
+        data = tmp_path / "d.bin"
+        ds = generate_dataset(make_world("srms", rng=Rng(1)), 10, seed=1)
+        save_dataset(str(data), replace(ds, val_idx=ds.val_idx + ds.test_idx, test_idx=[]))
+        ckpt = str(tmp_path / "m.ckpt")
+        save_checkpoint(ckpt, tiny_theta(), PipelineConfig())
+        report = tmp_path / "ev.json"
+        code = cli_main(["eval", "--checkpoint", ckpt, "--data", str(data), "--report", str(report)])
+        assert code == 1
+        assert f"error: {data}: splits.test is empty, so --data holds no episode to evaluate" in capsys.readouterr().err
         assert not report.exists()
 
     @pytest.mark.parametrize("command", ["gen-data", "train", "eval"])
@@ -601,32 +609,6 @@ class TestCli:
         )
         assert proc.returncode == 0
         assert proc.stderr == ""
-
-    def test_train_and_eval_never_import_orjson(self, tmp_path):
-        # save_dataset and load_dataset import orjson when they run, so that
-        # training and evaluation of data in memory, which never save or load
-        # a dataset file, do not pay its import time and memory (eval --data
-        # loads it).  The save at the end shows the check can fail.
-        script = f"""
-import sys
-from groupcomm import evalcli, neuralnet, scenarios
-from groupcomm.densemath import Rng
-
-world = evalcli.world_for_run("srms", None, 3)
-data = scenarios.generate_dataset(world, 40, seed=3)
-config = neuralnet.TrainConfig(steps=4, batch_size=2, eval_every=2)
-theta, _ = neuralnet.train(config, data, Rng(3))
-neuralnet.save_checkpoint({str(tmp_path / "m.ckpt")!r}, theta, config.pipeline)
-theta, _ = neuralnet.load_checkpoint({str(tmp_path / "m.ckpt")!r})
-for policy in neuralnet.POLICIES:
-    evalcli.evaluate(policy, theta, data.episodes[:10], 0.2, seed=3, trace_path={str(tmp_path / "t.jsonl")!r})
-assert "orjson" not in sys.modules, "train or eval imported orjson"
-scenarios.save_dataset({str(tmp_path / "d.json")!r}, data)
-assert "orjson" in sys.modules, "save_dataset did not import orjson"
-"""
-        env = dict(os.environ, PYTHONPATH=str(Path(evalcli.__file__).parents[1]))
-        proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env)
-        assert proc.returncode == 0, proc.stderr
 
     @pytest.mark.parametrize(
         "argv, flag",
