@@ -572,6 +572,16 @@ class TestDatasetExport:
             assert ep.observations.base is None and ep.observations.flags.writeable
             assert ep.needs_comm == ep.degraded and ep.needs_comm is not ep.degraded
 
+    def test_empty_dataset_round_trips(self, tmp_path):
+        # No episode: a header, the two world arrays and an empty body.
+        world = make_world("mrmps", rng=Rng(3))
+        ds = Dataset(world, [], [], [], [])
+        path = tmp_path / "data.bin"
+        save_dataset(str(path), ds)
+        header, arrays = read_dataset_file(path)
+        assert header["n_episodes"] == 0 and arrays["observations"].shape == (0, world.n_agents, world.obs_dim)
+        _assert_identical(load_dataset(str(path)), ds)
+
     @settings(derandomize=True, database=None, max_examples=200, deadline=None)
     @given(observations=st.lists(_OBSERVATIONS, min_size=1, max_size=4))
     def test_any_finite_observation_round_trips(self, observations):
@@ -729,12 +739,31 @@ class TestDatasetExport:
             (lambda h, a: a.update(labels=a["labels"][:9]), r"the file holds \d+ bytes but its header implies"),
             (lambda h, a: h.update(n_episodes=11), r"the file holds \d+ bytes but its header implies"),
             (lambda h, a: h.update(n_classes=11), r"the file holds \d+ bytes but its header implies"),
+            # Sizes beyond any int64 are compared as Python integers, not wrapped.
+            (
+                lambda h, a: h.update(obs_dim=2**40, scene_dim=2**39),
+                r"the file holds 18377 bytes but its header implies 2417851639757023930745801$",
+            ),
+            (lambda h, a: h.update(n_episodes=10**400), r"the file holds 18755 bytes but its header implies 1350{397}\d{4}$"),
         ],
     )
     def test_load_rejects_misshapen_body(self, tmp_path, edit, message):
         path = _saved_srms(tmp_path)
         edit_dataset_file(path, edit)
         with pytest.raises(ValueError, match=r"data\.bin: " + message):
+            load_dataset(str(path))
+
+    @pytest.mark.parametrize("name", ["prototypes", "scene_codes", "observations", "labels", "degraded", "gt_support"])
+    def test_load_rejects_body_array_one_row_short(self, tmp_path, name):
+        # The size check catches a short array wherever it lies in the body,
+        # and names the file's size and the size the header implies.
+        path = _saved_srms(tmp_path)
+        full = path.stat().st_size
+        header, arrays = read_dataset_file(path)
+        row = arrays[name][0].nbytes
+        arrays[name] = arrays[name][1:]
+        write_dataset_file(path, header, arrays)
+        with pytest.raises(ValueError, match=rf"data\.bin: the file holds {full - row} bytes but its header implies {full}$"):
             load_dataset(str(path))
 
     @pytest.mark.parametrize("keep", [0, 7, 8, 15, 16, 100, -1])
@@ -762,7 +791,7 @@ class TestDatasetExport:
         with pytest.raises(ValueError, match=r"data\.bin: episode 4 agent 1 has non-finite observations$"):
             load_dataset(str(path))
 
-    @pytest.mark.parametrize("label", [99, 10, -1, -(2**63)])
+    @pytest.mark.parametrize("label", [99, 10, -1, -(2**63), 2**63 - 1])
     def test_load_rejects_label_out_of_range(self, tmp_path, label):
         path = _saved_srms(tmp_path)
         edit_dataset_file(path, lambda h, a: a["labels"].__setitem__((6, 1), label))
@@ -773,6 +802,10 @@ class TestDatasetExport:
         "edit, message",
         [
             (lambda h, a: h.update(case="zzz"), r"world case 'zzz' is not one of"),
+            (lambda h, a: h.update(case=["srms"]), r"world case \['srms'\] is not one of"),
+            (lambda h, a: h.update(case="triplet"), r"world n_agents must be a multiple of 3 for case 'triplet', got 5"),
+            (lambda h, a: h.update(n_agents=10**30), rf"world n_agents {10**30} need {10**30} orthogonal scene signatures"),
+            (lambda h, a: h.update(degrade_prob=None), r"world degrade_prob must be a real number, got None"),
             (lambda h, a: h.update(n_agents=2.0), r"world n_agents must be a positive integer, got 2\.0"),
             (lambda h, a: h.update(n_classes=0), r"world n_classes must be a positive integer, got 0"),
             (lambda h, a: h.update(obs_dim=31), r"world obs_dim must be an even integer >= 4, got 31"),
@@ -862,6 +895,38 @@ class TestDatasetExport:
         path = _saved_srms(tmp_path)
         path.write_bytes(DATASET_PREFIX.pack(DATASET_MAGIC, 1, len(text)) + text)
         with pytest.raises(ValueError, match=r"data\.bin: " + message):
+            load_dataset(str(path))
+
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            (lambda h: h.update(n_agents="5"), r"world n_agents must be a positive integer, got '5'"),
+            (lambda h: h.update(obs_dim="32"), r"world obs_dim must be a positive integer, got '32'"),
+            (lambda h: h.update(n_classes=False), r"world n_classes must be a positive integer, got False"),
+            (lambda h: h.update(scene_dim="16"), r"world scene_dim must be obs_dim // 2 = 16, got '16'"),
+            (lambda h: h.update(scene_dim=True), r"world scene_dim must be obs_dim // 2 = 16, got True"),
+            (lambda h: h.update(degrade_prob="0.5"), r"world degrade_prob must be a real number, got '0\.5'"),
+            (lambda h: h.update(overlap_frac=False), r"world overlap_frac must be a real number, got False"),
+            (lambda h: h.update(n_episodes="10"), r"n_episodes must be a non-negative integer, got '10'"),
+            (lambda h: h["splits"].update(train=["0"]), r"splits\.train index '0' is not an integer in \[0, 10\)"),
+            (lambda h: h["splits"].update(val=[True]), r"splits\.val index True is not an integer in \[0, 10\)"),
+        ],
+    )
+    def test_load_rejects_strings_and_booleans_as_numbers(self, tmp_path, edit, message):
+        # A JSON string or boolean where the header holds a number is refused, never converted.
+        path = _saved_srms(tmp_path)
+        edit_dataset_file(path, lambda h, a: edit(h))
+        with pytest.raises(ValueError, match=r"data\.bin: " + message + "$"):
+            load_dataset(str(path))
+
+    def test_load_names_file_of_bytes_that_are_not_utf8(self, tmp_path):
+        # Bytes that decode as no text are quoted, not decoded, in the message.
+        path = tmp_path / "data.bin"
+        path.write_bytes(b'{"world": "\xff"}')
+        with pytest.raises(ValueError, match=r"""data\.bin: not a groupcomm dataset file of this version: it starts with b'\{"world"'$"""):
+            load_dataset(str(path))
+        path.write_bytes(b"\xff" * 20)
+        with pytest.raises(ValueError, match=r"data\.bin: not a groupcomm dataset file of this version: it starts with b'(\\xff){8}'$"):
             load_dataset(str(path))
 
     @pytest.mark.parametrize(
