@@ -1,10 +1,15 @@
-"""Selection metrics, policy evaluation through the simulator, sweeps, and the CLI.
+"""Selection metrics, batched policy evaluation audited by the simulator, sweeps, and the CLI.
 
 The policies (``neuralnet.POLICIES``, re-exported here) and the rule that
 turns each into fusion rows (``neuralnet.policy_rows``) live in
-:mod:`groupcomm.neuralnet`.  Every policy runs through the simulator's one
-episode runner, ``simnet.run_episode``, so every reported bandwidth number is
-recomputable from the dumped message trace.
+:mod:`groupcomm.neuralnet`.  :func:`evaluate` computes every report from one
+batched pass, ``neuralnet.pipeline_forward(mode="inference")`` per stack of
+``EVAL_BLOCK`` episodes, and its bandwidth from the closed form
+``simnet.ledger_from_rows``.  The simulator's episode runner,
+``simnet.run_episode``, audits that pass: it runs the first episode, or every
+episode when a trace is dumped, and any difference in pruned rows,
+predictions or trace-derived ledger raises.  So every reported bandwidth
+number is recomputable from a dumped message trace.
 
 "Communicates" is operationalized as having at least one surviving
 off-diagonal link after pruning.  Selection metrics: when-to-communicate
@@ -27,11 +32,13 @@ import numpy as np
 from .densemath import Rng
 from .neuralnet import (
     EVAL_BLOCK,
+    HANDSHAKE_POLICIES,
     POLICIES,
     PipelineConfig,
     PipelineParams,
     TrainConfig,
     load_checkpoint,
+    pipeline_forward,
     save_checkpoint,
     shared_agent_count,
     train,
@@ -125,26 +132,18 @@ def _sibling_path(path: str, suffix: str, other: str) -> str:
 
 
 def run_policy_episode(
-    policy: str,
-    theta: PipelineParams,
-    observations,
-    delta: float,
-    rng: Rng | None,
-    heads=None,
+    policy: str, theta: PipelineParams, observations, delta: float, rng: Rng | None
 ) -> simnet.EpisodeResult:
-    """Evaluation's per-episode step: fresh agents for ``observations``, then ``simnet.run_episode``.
-
-    ``heads``, when given, are the episode's rows of a block-wide
-    ``simnet.agent_heads`` pass (see :func:`simnet.make_agents`).
-    """
-    return simnet.run_episode(simnet.make_agents(observations, theta, heads), theta, delta, policy, rng)
+    """Evaluation's simulator step: fresh agents for ``observations``, then ``simnet.run_episode``."""
+    return simnet.run_episode(simnet.make_agents(observations, theta), theta, delta, policy, rng)
 
 
-def decisions_from_rows(rows: np.ndarray) -> list[bool]:
-    """Per agent: true when at least one off-diagonal weight survived."""
+def decisions_from_rows(rows: np.ndarray) -> list:
+    """Per agent: true when at least one off-diagonal weight survived; rows of one episode or a stack."""
     linked = np.asarray(rows) != 0.0
-    np.fill_diagonal(linked, False)
-    return linked.any(axis=1).tolist()
+    diagonal = np.arange(linked.shape[-1])
+    linked[..., diagonal, diagonal] = False
+    return linked.any(axis=-1).tolist()
 
 
 def when2com_accuracy(episodes: list[Episode], decisions: list[list[bool]]) -> float:
@@ -194,15 +193,6 @@ def grouping_accuracy(
     return top_hits / total, set_hits / total
 
 
-def _with_block_heads(theta: PipelineParams, episodes: list[Episode]):
-    """Each episode with its rows of ``simnet.agent_heads``, run once per ``EVAL_BLOCK`` episodes."""
-    for start in range(0, len(episodes), EVAL_BLOCK):
-        block = episodes[start : start + EVAL_BLOCK]
-        heads = simnet.agent_heads(theta, np.stack([ep.observations for ep in block]))
-        for b, ep in enumerate(block):
-            yield ep, [h[b] for h in heads]
-
-
 def evaluate(
     policy: str,
     theta: PipelineParams,
@@ -214,15 +204,17 @@ def evaluate(
 ) -> MetricsReport:
     """Run a policy over episodes and aggregate task, selection, and bandwidth metrics.
 
-    With ``trace_path`` set, every message of every episode is dumped as
-    line-delimited records so the reported bandwidth numbers can be audited
-    externally.
-
-    The agents' heads run once per block of ``EVAL_BLOCK`` episodes, stacked
-    as (B, N, d_obs), and each episode's agents get that episode's rows.  The
-    row-invariant kernel rounds every row as it does alone, across episodes
-    as across agents, so every report and trace is bit for bit what a
-    separate head pass per episode gives.
+    The report comes from one batched inference pass per stack of
+    ``EVAL_BLOCK`` episodes, with ``randcom`` rows drawn from ``Rng(seed)``
+    episode by episode, in stack order, and its bandwidth from the closed
+    form ``simnet.ledger_from_rows``.  The simulator then audits the pass
+    from a fresh ``Rng(seed)``: on the first episode, or with ``trace_path``
+    set on every episode, whose messages are dumped there as line-delimited
+    records so the reported bandwidth can be audited externally.  The
+    row-invariant kernel rounds every row as it does alone, so the two agree
+    bit for bit; where a simulated episode's pruned rows, predictions or
+    trace-derived ledger differ, ``RuntimeError`` names the policy and the
+    first such episode.
     """
     if policy not in POLICIES:
         raise ValueError(f"unknown policy {policy!r}; expected one of {POLICIES}")
@@ -232,45 +224,51 @@ def evaluate(
         raise ValueError(f"delta must lie in [0, 1], got {delta}")
     n_agents = shared_agent_count(episodes)
     rng = Rng(seed)
+    m_bar, predictions = [], []  # only these outlive their block
+    for start in range(0, len(episodes), EVAL_BLOCK):
+        stack = np.stack([ep.observations for ep in episodes[start : start + EVAL_BLOCK]])
+        result = pipeline_forward(theta, stack, mode="inference", delta=delta, policy=policy, rng=rng)
+        m_bar.append(result.m_bar)
+        predictions.append(np.argmax(result.logits, axis=-1))
+    m_bar, predictions = np.concatenate(m_bar), np.concatenate(predictions)
+    q_dim, f_dim, handshake = theta.w_g.shape[0], theta.theta_e.out_dim, policy in HANDSHAKE_POLICIES
 
-    ledger = simnet.BandwidthLedger()
-    decisions: list[list[bool]] = []
-    rows_all: list[np.ndarray] = []
-    all_messages: list[simnet.Message] = []
-    correct = {"all": 0, "deg": 0, "clean": 0}
-    totals = {"all": 0, "deg": 0, "clean": 0}
-    for ep, heads in _with_block_heads(theta, episodes):
-        res = run_policy_episode(policy, theta, list(ep.observations), delta, rng, heads)
-        ledger.merge(res.ledger)
-        decisions.append(decisions_from_rows(res.pruned_rows))
-        rows_all.append(res.pruned_rows)
-        if trace_path is not None:
-            all_messages.extend(res.trace)
-        for i, (pred, label) in enumerate(zip(res.predictions, ep.labels)):
-            hit = int(pred == label)
-            correct["all"] += hit
-            totals["all"] += 1
-            split = "deg" if ep.degraded[i] else "clean"
-            correct[split] += hit
-            totals[split] += 1
-
+    sim_rng = Rng(seed)
+    messages: list[simnet.Message] = []
+    for e, ep in enumerate(episodes if trace_path is not None else episodes[:1]):
+        res = run_policy_episode(policy, theta, list(ep.observations), delta, sim_rng)
+        for what, same in (
+            ("pruned rows", np.array_equal(res.pruned_rows, m_bar[e])),
+            ("predictions", res.predictions == predictions[e].tolist()),
+            ("trace ledger", res.ledger == simnet.ledger_from_rows(m_bar[e : e + 1], q_dim, f_dim, handshake)),
+        ):
+            if not same:
+                raise RuntimeError(
+                    f"policy {policy!r}, episode {e}: the simulator's {what} differ from the batched pass"
+                )
+        messages.extend(res.trace)
     if trace_path is not None:
-        simnet.dump_trace(trace_path, all_messages)
+        simnet.dump_trace(trace_path, messages)
 
-    top_rate, set_rate = grouping_accuracy(episodes, rows_all)
+    ledger = simnet.ledger_from_rows(m_bar, q_dim, f_dim, handshake)
+    hits = predictions == np.array([ep.labels for ep in episodes])
+    degraded = np.array([ep.degraded for ep in episodes], dtype=bool)
+    hits_deg, n_deg = int(hits[degraded].sum()), int(degraded.sum())
+    hits_clean, n_clean = int(hits.sum()) - hits_deg, hits.size - n_deg
+    top_rate, set_rate = grouping_accuracy(episodes, m_bar)
     return MetricsReport(
         policy=policy,
         case=case,
         n_agents=n_agents,
         seed=seed,
         delta=delta,
-        Q=theta.w_g.shape[0],
+        Q=q_dim,
         K=theta.w_g.shape[1],
-        F=theta.theta_e.out_dim,
-        acc_all=correct["all"] / totals["all"],
-        acc_degraded=(correct["deg"] / totals["deg"]) if totals["deg"] else None,
-        acc_clean=(correct["clean"] / totals["clean"]) if totals["clean"] else None,
-        when2com_acc=when2com_accuracy(episodes, decisions),
+        F=f_dim,
+        acc_all=int(hits.sum()) / hits.size,
+        acc_degraded=hits_deg / n_deg if n_deg else None,
+        acc_clean=hits_clean / n_clean if n_clean else None,
+        when2com_acc=when2com_accuracy(episodes, decisions_from_rows(m_bar)),
         grouping_acc=top_rate,
         grouping_set_acc=set_rate,
         mbpf=simnet.mbpf(ledger),

@@ -190,10 +190,15 @@ def _check_world(
     for name, value in reals:
         if isinstance(value, bool) or not isinstance(value, numbers.Real):
             raise ValueError(f"{where}world {name} must be a real number, got {value!r}")
+        try:
+            float(value)
+        except OverflowError:  # a 10**400 compares as finite but never becomes a float64
+            kind = type(value).__name__
+            raise ValueError(f"{where}world {name} must be a finite float64, got {kind} beyond its range") from None
     for name, value in reals[:2]:
-        if not 0.0 <= value <= 1.0:
+        if not 0.0 <= float(value) <= 1.0:
             raise ValueError(f"{where}world {name} must lie in [0, 1], got {value!r}")
-    if not 0.0 < noise_sigma < math.inf:
+    if not 0.0 < float(noise_sigma) < math.inf:
         raise ValueError(f"{where}world noise_sigma must be positive and finite, got {noise_sigma!r}")
     if case == "srms" and n_agents < 2 and degrade_prob > 0.0:
         raise ValueError(

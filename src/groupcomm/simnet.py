@@ -19,22 +19,24 @@ never reads another agent's fields, only its inbox.
 :func:`run_episode` runs one episode of every policy (``neuralnet.POLICIES``):
 the handshake only where the policy needs the matching matrix, then
 ``neuralnet.policy_rows``, then the same transmission, decode and ledger.
-The decoder runs once over all agents' local inputs, on the row-invariant
-kernel, so every agent's logits are bit for bit those of its own lone decode.
-The same holds for the heads: :func:`make_agents` runs each head once over
-the episode's agents, or takes rows that a caller computed with
-:func:`agent_heads` over a whole block of episodes (``evalcli.evaluate``
-does, once per ``neuralnet.EVAL_BLOCK`` episodes).  The kernel rounds each
-row as it does alone, across episodes as across agents, so either way every
-agent holds what its own lone pass gives it.
+:func:`make_agents` runs each head once over the episode's agents, and the
+decoder runs once over all agents' local inputs, both on the row-invariant
+kernel, so every agent holds and decodes bit for bit what its own lone pass
+gives it.  That is why the simulator agrees bit for bit with centralized
+inference (``neuralnet.pipeline_forward(mode="inference")``), and why
+``evalcli.evaluate`` can report from the batched pass and run the simulator
+as its auditor.
 
 The ledger counts query broadcasts and feature transfers as payload at
 4 bytes per real; score replies, feature requests, and all 9-byte headers
-(kind 1, from 2, to 2, payload length 4) are control traffic.  Values travel
-as 64-bit floats in memory, so distributed results are bit-identical to
-centralized inference; the 4-byte accounting models the on-wire float size.
-The simulator is deterministic and single-threaded per episode; episodes may
-run concurrently with independent ledgers.
+(kind 1, from 2, to 2, payload length 4) are control traffic.  The message
+counts follow from the rows alone, so :func:`ledger_from_rows` gives the
+ledger of any set of episodes in closed form, equal to
+:func:`ledger_from_trace` of their messages.  Values travel as 64-bit floats
+in memory, so distributed results are bit-identical to centralized
+inference; the 4-byte accounting models the on-wire float size.  The
+simulator is deterministic and single-threaded per episode; episodes may run
+concurrently with independent ledgers.
 """
 
 from __future__ import annotations
@@ -102,12 +104,6 @@ class BandwidthLedger:
         if msg.kind == KIND_TRANSFER:
             self.inter_agent_links += 1
 
-    def merge(self, other: "BandwidthLedger") -> None:
-        self.counted_bytes += other.counted_bytes
-        self.control_bytes += other.control_bytes
-        self.inter_agent_links += other.inter_agent_links
-        self.frames += other.frames
-
 
 def ledger_from_trace(messages: list[Message], frames: int) -> BandwidthLedger:
     """Recompute a ledger purely from a message trace."""
@@ -115,6 +111,26 @@ def ledger_from_trace(messages: list[Message], frames: int) -> BandwidthLedger:
     for msg in messages:
         ledger.record(msg)
     return ledger
+
+
+def ledger_from_rows(m_bar: np.ndarray, q_dim: int, f_dim: int, handshake: bool) -> BandwidthLedger:
+    """The ledger of episodes whose fused rows are ``m_bar``, (E, N, N), in closed form.
+
+    Equal to :func:`ledger_from_trace` of the episodes' messages: with the
+    handshake, each episode sends N(N-1) Q-real queries and as many 1-real
+    score replies; each off-diagonal nonzero of ``m_bar`` is one link, a
+    payload-free request answered by an F-real transfer.
+    """
+    m_bar = np.asarray(m_bar)
+    frames, n = m_bar.shape[0], m_bar.shape[-1]
+    links = int(np.count_nonzero(m_bar)) - int(np.count_nonzero(np.diagonal(m_bar, axis1=-2, axis2=-1)))
+    queries = frames * n * (n - 1) if handshake else 0
+    return BandwidthLedger(
+        counted_bytes=BYTES_PER_REAL * (queries * q_dim + links * f_dim),
+        control_bytes=queries * (2 * HEADER_BYTES + BYTES_PER_REAL) + links * 2 * HEADER_BYTES,
+        inter_agent_links=links,
+        frames=frames,
+    )
 
 
 def mbpf(ledger: BandwidthLedger) -> float:
@@ -208,37 +224,18 @@ class EpisodeResult:
     trace: list[Message] = field(default_factory=list)
 
 
-HEAD_NAMES = ("theta_q", "theta_k", "theta_e")  # the query, key and feature heads an agent holds
-
-
-def agent_heads(theta: PipelineParams, observations) -> tuple[np.ndarray, ...]:
-    """Each of :data:`HEAD_NAMES` run over observations of any leading shape, (..., d_obs)."""
-    return tuple(mlp_infer(getattr(theta, name), observations) for name in HEAD_NAMES)
-
-
-def make_agents(observations, theta: PipelineParams, heads=None) -> list[AgentState]:
+def make_agents(observations, theta: PipelineParams) -> list[AgentState]:
     """One agent per observation, holding its query, key and feature.
 
-    ``heads`` is those three, row i agent i's; when it is None, each head runs
-    here once over the observations.  ``evalcli.evaluate`` passes each
-    episode's rows of one :func:`agent_heads` pass over a block of episodes.
-    The row-invariant kernel rounds every row as it does alone, so either way
-    each agent holds exactly what its own observation gives it.  Given heads
-    of the wrong shape raise ``ValueError`` naming the head.
+    Each head runs once over the observations, on the row-invariant kernel,
+    so every agent holds exactly what its own observation alone gives it.
     """
     agents = [AgentState(i, obs) for i, obs in enumerate(observations)]
-    if heads is None:
-        if not agents:
-            return agents
-        heads = agent_heads(theta, np.array([agent.observation for agent in agents]))
-    if len(heads) != len(HEAD_NAMES):
-        raise ValueError(f"expected {len(HEAD_NAMES)} heads {HEAD_NAMES}, got {len(heads)}")
-    for name, values in zip(HEAD_NAMES, heads):
-        expected = (len(agents), getattr(theta, name).out_dim)
-        if np.shape(values) != expected:
-            raise ValueError(f"{name} head has shape {np.shape(values)}, expected {expected}")
-    for agent, mu, kappa, feature in zip(agents, *heads):
-        agent.mu, agent.kappa, agent.feature = mu, kappa, feature
+    if agents:
+        obs = np.array([agent.observation for agent in agents])
+        heads = (mlp_infer(head, obs) for head in (theta.theta_q, theta.theta_k, theta.theta_e))
+        for agent, mu, kappa, feature in zip(agents, *heads):
+            agent.mu, agent.kappa, agent.feature = mu, kappa, feature
     return agents
 
 

@@ -10,6 +10,7 @@ from collections import Counter
 from pathlib import Path
 
 from groupcomm.evalcli import POLICIES
+from groupcomm.neuralnet import EVAL_BLOCK, HANDSHAKE_POLICIES
 from groupcomm.scenarios import CASES
 
 BENCH_DIR = Path(__file__).resolve().parents[1] / "bench"
@@ -97,21 +98,35 @@ def test_datagen_unit_traces_rng_randint(tmp_path):
 
 
 def test_eval_unit_traces_every_simulator_span(tmp_path):
-    # The traced benchmark fails when a declared span records no call.  The
-    # simulator scores each inbox with commgraph.attention_scores, which is
-    # not a span; attention_score must still be called (the self score), as
-    # must fuse, prune and softmax_row, through the module bindings.
+    # The traced benchmark fails when a declared span records no call.  Each
+    # policy's report comes from one batched pass per block, and the
+    # simulator audits it: every episode of the traced when2com pass, the
+    # first episode of each other policy.  The simulator scores each inbox
+    # with commgraph.attention_scores, which is not a span; attention_score
+    # must still be called (the self score), as must fuse, prune and
+    # softmax_row, through the module bindings.
     tracing = _load("tracing")
     workload = _load("workloads").Eval(3, tmp_path, mini=True)
     workload.setup()
     tracer = _traced_unit(tracing, workload)
     calls = Counter(tracer._names[name] for name in tracer.name)
+    eval_spans = [
+        span for span in tracing.SPANS
+        if span.split(".")[0] in ("commgraph", "simnet", "evalcli") or span == "densemath.softmax_row"
+    ]
+    assert [span for span in eval_spans if calls[span] == 0] == []
+
     n_agents = len(workload.episodes[0].labels)
-    handshakes = 3 * workload.n_episodes  # when2com, forced_top1, fully_connected
-    policy_episodes = len(POLICIES) * workload.n_episodes
+    blocks = -(-workload.n_episodes // EVAL_BLOCK)
+    simulated = {policy: workload.n_episodes if policy == "when2com" else 1 for policy in POLICIES}
+    handshakes = sum(simulated[policy] for policy in HANDSHAKE_POLICIES)
+    policy_episodes = sum(simulated.values())
+    assert calls["evalcli.evaluate"] == len(POLICIES)
+    assert calls["neuralnet.pipeline_forward"] == len(POLICIES) * blocks
+    assert calls["commgraph.build_matching_matrix"] == len(HANDSHAKE_POLICIES) * blocks
     assert calls["commgraph.attention_score"] == handshakes * n_agents
     assert calls["densemath.softmax_row"] == handshakes * n_agents
-    assert calls["commgraph.prune"] == policy_episodes * n_agents
+    assert calls["commgraph.prune"] == policy_episodes * n_agents + len(POLICIES) * blocks
     assert calls["commgraph.fuse"] == policy_episodes * n_agents
     assert calls["simnet.make_agents"] == policy_episodes
     assert calls["simnet.run_handshake"] == handshakes
@@ -121,7 +136,7 @@ def test_eval_unit_traces_every_simulator_span(tmp_path):
     assert tracer.first_dump is not None
     span = tracer._names.index("evalcli.run_policy_episode")
     per_policy = Counter(tracer._tags[tag] for name, tag in zip(tracer.name, tracer.tag) if name == span)
-    assert per_policy == {policy: workload.n_episodes for policy in POLICIES}
+    assert per_policy == simulated
     assert tracer.units == policy_episodes
 
 

@@ -6,6 +6,7 @@ import os
 import re
 import subprocess
 import sys
+import tempfile
 from dataclasses import replace
 from pathlib import Path
 
@@ -29,7 +30,7 @@ from groupcomm.evalcli import (
     when2com_accuracy,
     world_for_run,
 )
-from groupcomm import evalcli, neuralnet
+from groupcomm import evalcli, neuralnet, simnet
 from groupcomm.neuralnet import (
     HANDSHAKE_POLICIES,
     PipelineConfig,
@@ -39,8 +40,10 @@ from groupcomm.neuralnet import (
     save_checkpoint,
 )
 from groupcomm.scenarios import (
+    CASES,
     Episode,
     generate_dataset,
+    iter_episodes,
     load_dataset,
     make_world,
     save_dataset,
@@ -306,9 +309,87 @@ class TestPolicies:
         three = generate_dataset(make_world("mrms", n_agents=3, rng=Rng(2)), 10, seed=2).episodes
         episodes_run = []
         monkeypatch.setattr(evalcli, "run_policy_episode", lambda *args: episodes_run.append(args))
+        monkeypatch.setattr(evalcli, "pipeline_forward", lambda *args, **kwargs: episodes_run.append(args))
         with pytest.raises(ValueError, match="episode 10 has 3 agents, but episode 0 has 5"):
             evaluate("catall", tiny_theta(), five + three, 0.2, seed=0)
         assert episodes_run == []
+
+
+class TestBatchedPassAndAudit:
+    """The report comes from the batched pass and the closed-form ledger; the simulator audits both."""
+
+    CFG = PipelineConfig(d_obs=32, q_dim=3, k_dim=4, f_dim=5, n_classes=10, hidden=8)
+
+    @settings(derandomize=True, database=None, max_examples=150, deadline=None)
+    @given(
+        case=st.sampled_from(CASES),
+        policy=st.sampled_from(POLICIES),
+        delta=st.one_of(st.sampled_from([0.0, "1/N", 1.0]), st.floats(0.0, 1.0)),
+        seed=st.integers(0, 2**64 - 1),
+        n_episodes=st.integers(1, 6),
+    )
+    def test_simulator_agrees_with_batched_pass(self, case, policy, delta, seed, n_episodes):
+        # Untraced, the simulator audits the first episode; traced, every
+        # episode.  Both give one report, and the dumped trace's ledger is
+        # the closed form of the batched pass's pruned rows.
+        world = world_for_run(case, None, seed)
+        delta = 1.0 / world.n_agents if delta == "1/N" else delta
+        episodes = list(iter_episodes(world, n_episodes, seed))
+        theta = init_pipeline(self.CFG, Rng(seed))
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "trace.jsonl")
+            traced = evaluate(policy, theta, episodes, delta, seed, case, path)
+            dumped = simnet.ledger_from_trace(simnet.load_trace(path), frames=len(episodes))
+        assert evaluate(policy, theta, episodes, delta, seed, case) == traced
+        stack = np.stack([ep.observations for ep in episodes])
+        m_bar = pipeline_forward(theta, stack, mode="inference", delta=delta, policy=policy, rng=Rng(seed)).m_bar
+        closed = simnet.ledger_from_rows(m_bar, self.CFG.q_dim, self.CFG.f_dim, policy in HANDSHAKE_POLICIES)
+        assert dumped == closed
+        assert simnet.mbpf(closed) == traced.mbpf
+        assert simnet.links_per_agent(closed, world.n_agents) == traced.links_per_agent
+
+    @staticmethod
+    def _flip_prediction(res):
+        res.predictions[1] = (res.predictions[1] + 1) % 10
+
+    @staticmethod
+    def _change_pruned_weight(res):
+        res.pruned_rows = res.pruned_rows.copy()
+        res.pruned_rows[2, 2] += 0.25
+
+    @staticmethod
+    def _change_ledger(res):
+        res.ledger = replace(res.ledger, counted_bytes=res.ledger.counted_bytes + 4)
+
+    @pytest.mark.parametrize(
+        "doctor, what",
+        [("_flip_prediction", "predictions"), ("_change_pruned_weight", "pruned rows"), ("_change_ledger", "trace ledger")],
+    )
+    @pytest.mark.parametrize("policy", ["when2com", "randcom"])
+    @pytest.mark.parametrize("traced", [False, True])
+    def test_doctored_simulator_result_names_policy_and_episode(
+        self, world_and_episodes, tmp_path, monkeypatch, doctor, what, policy, traced
+    ):
+        # Untraced, the audit runs episode 0 only; traced, every episode, and
+        # the first one at fault is named.
+        _, episodes = world_and_episodes
+        at_fault = 3 if traced else 0
+        calls = []
+
+        def doctored(*args, real=evalcli.run_policy_episode):
+            res = real(*args)
+            if len(calls) == at_fault:
+                getattr(self, doctor)(res)
+            calls.append(args[0])
+            return res
+
+        monkeypatch.setattr(evalcli, "run_policy_episode", doctored)
+        trace = str(tmp_path / "t.jsonl") if traced else None
+        message = f"policy {policy!r}, episode {at_fault}: the simulator's {what} differ from the batched pass"
+        with pytest.raises(RuntimeError, match=re.escape(message)):
+            evaluate(policy, tiny_theta(), episodes, 0.2, 3, "srms", trace)
+        assert calls == [policy] * (at_fault + 1)
+        assert not (tmp_path / "t.jsonl").exists()
 
 
 class TestReports:
@@ -637,6 +718,7 @@ class TestCli:
         save_checkpoint(str(ckpt), tiny_theta(), PipelineConfig())
         episodes_run = []
         monkeypatch.setattr(evalcli, "run_policy_episode", lambda *args: episodes_run.append(args))
+        monkeypatch.setattr(evalcli, "pipeline_forward", lambda *args, **kwargs: episodes_run.append(args))
         bad = str(tmp_path / "absent" / "out.jsonl")
         outputs = {"--report": str(tmp_path / "ev.json"), "--trace": str(tmp_path / "t.jsonl"), flag: bad}
         argv = ["eval", "--checkpoint", str(ckpt), "--episodes", "20"]
@@ -683,6 +765,11 @@ class TestDecisions:
         assert decisions_from_rows(np.eye(1)) == [False]
         # The input rows are left as they are.
         assert rows[0, 0] == 0.5
+
+    def test_stack_of_episodes_gives_one_list_per_episode(self):
+        stack = np.stack([np.eye(3), np.full((3, 3), 1.0 / 3), np.array([[0.5, 0.5, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]])])
+        assert decisions_from_rows(stack) == [decisions_from_rows(rows) for rows in stack]
+        assert decisions_from_rows(stack) == [[False] * 3, [True] * 3, [True, False, False]]
 
 
 BENCH_DIR = Path(__file__).resolve().parents[1] / "bench"
@@ -779,31 +866,11 @@ class TestPinnedEvalOutputs:
             got[policy] = tuple(hashlib.sha256(p.read_bytes()).hexdigest() for p in paths)
         assert got == PINNED_EVAL_DIGESTS[seed]
 
-    def test_block_head_pass_matches_per_episode_heads(self, eval_model, tmp_path, monkeypatch):
-        # 65 episodes: a full block of EVAL_BLOCK and a partial one.  Dropping
-        # the block's heads makes each episode run its own head pass; every
-        # report and trace byte must stay the same.
-        theta, world = eval_model
-        episodes = generate_dataset(world, neuralnet.EVAL_BLOCK + 1, 4).episodes
-        calls = []
-
-        def per_episode(policy, theta, observations, delta, rng, heads=None, real=evalcli.run_policy_episode):
-            calls.append(heads is not None)
-            return real(policy, theta, observations, delta, rng)
-
-        for policy in POLICIES:
-            paths = [tmp_path / f"{policy}.{side}.jsonl" for side in ("block", "alone")]
-            block = evaluate(policy, theta, episodes, 0.2, 4, "srms", str(paths[0]))
-            with monkeypatch.context() as patch:
-                patch.setattr(evalcli, "run_policy_episode", per_episode)
-                alone = evaluate(policy, theta, episodes, 0.2, 4, "srms", str(paths[1]))
-            assert block.to_dict() == alone.to_dict()
-            assert paths[0].read_bytes() == paths[1].read_bytes()
-        assert calls == [True] * len(POLICIES) * len(episodes)
-
     def test_trace_does_not_change_the_report(self, eval_model, tmp_path):
+        # 65 episodes: a full block of EVAL_BLOCK and a partial one.  The
+        # traced run checks every episode against its block's rows.
         theta, world = eval_model
-        episodes = generate_dataset(world, 10, 3).episodes
+        episodes = generate_dataset(world, neuralnet.EVAL_BLOCK + 1, 3).episodes
         for policy in POLICIES:
             traced = evaluate(policy, theta, episodes, 0.2, 3, "srms", str(tmp_path / "t.jsonl"))
             assert evaluate(policy, theta, episodes, 0.2, 3, "srms") == traced

@@ -8,6 +8,7 @@ import re
 import tempfile
 import tracemalloc
 from dataclasses import replace
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -205,6 +206,12 @@ class TestMakeWorld:
             (dict(case="srms", degrade_prob=1.5), r"world degrade_prob must lie in \[0, 1\], got 1\.5"),
             (dict(case="srms", overlap_frac=-0.1), r"world overlap_frac must lie in \[0, 1\], got -0\.1"),
             (dict(case="srms", noise_sigma=0.0), r"world noise_sigma must be positive and finite, got 0\.0"),
+            # Python numbers that compare inside the range but do not convert
+            # to a finite float64, or convert to 0.0.
+            (dict(case="srms", noise_sigma=10**400), r"world noise_sigma must be a finite float64, got int beyond its range"),
+            (dict(case="srms", degrade_prob=-(10**400)), r"world degrade_prob must be a finite float64, got int beyond"),
+            (dict(case="srms", overlap_frac=Fraction(10**400, 3)), r"world overlap_frac must be a finite float64, got Fraction"),
+            (dict(case="srms", noise_sigma=Fraction(1, 10**400)), r"world noise_sigma must be positive and finite, got Fraction"),
             (
                 dict(case="srms", n_agents=1),
                 r"world n_agents must be >= 2 for case 'srms' when degrade_prob > 0 .*n_agents=1, degrade_prob=0\.5",
@@ -818,6 +825,8 @@ class TestDatasetExport:
             (lambda h, a: h.update(overlap_frac="half"), r"world overlap_frac must be a real number, got 'half'"),
             (lambda h, a: h.update(noise_sigma=True), r"world noise_sigma must be a real number, got True"),
             (lambda h, a: h.update(noise_sigma=float("inf")), r"world noise_sigma must be positive and finite"),
+            # 401 digits: JSON holds it as an int that no float64 can.
+            (lambda h, a: h.update(noise_sigma=10**400), r"world noise_sigma must be a finite float64, got int beyond its range"),
             (lambda h, a: a["prototypes"].__setitem__((4, 20), np.nan), r"world prototypes contain non-finite values"),
             (lambda h, a: a["scene_codes"].__setitem__((0, 3), -float("inf")), r"world scene_codes contain non-finite"),
         ],

@@ -10,18 +10,16 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from groupcomm.densemath import Rng
-from groupcomm.neuralnet import EVAL_BLOCK, POLICIES, PipelineConfig, decode, init_pipeline, pipeline_forward
-from groupcomm.scenarios import generate_dataset, make_world
+from groupcomm.neuralnet import POLICIES, PipelineConfig, decode, init_pipeline, pipeline_forward
 from groupcomm.simnet import (
     ALL_KINDS,
     BYTES_PER_REAL,
     COUNTED_KINDS,
-    HEAD_NAMES,
     HEADER_BYTES,
     BandwidthLedger,
     Message,
-    agent_heads,
     dump_trace,
+    ledger_from_rows,
     ledger_from_trace,
     links_per_agent,
     load_trace,
@@ -197,66 +195,6 @@ class TestRunEpisode:
         np.testing.assert_allclose(np.stack(res_p.logits), np.stack(res.logits)[perm], rtol=0, atol=1e-12)
 
 
-class TestBlockHeads:
-    """Heads run once over a block of episodes give each agent what its own episode's pass gives."""
-
-    @pytest.fixture(scope="class")
-    def block_setup(self):
-        # 65 episodes: one full block of EVAL_BLOCK and a partial block of one.
-        world = make_world("srms", rng=Rng(31))
-        episodes = generate_dataset(world, EVAL_BLOCK + 1, seed=32).episodes
-        cfg = PipelineConfig(d_obs=world.obs_dim)
-        theta = init_pipeline(cfg, Rng(33))
-        heads = []
-        for start in range(0, len(episodes), EVAL_BLOCK):
-            block = agent_heads(theta, np.stack([ep.observations for ep in episodes[start : start + EVAL_BLOCK]]))
-            heads += [[h[b] for h in block] for b in range(len(block[0]))]
-        return theta, episodes, heads
-
-    def test_agents_hold_their_own_episodes_heads(self, block_setup):
-        theta, episodes, heads = block_setup
-        assert len(heads) == EVAL_BLOCK + 1
-        for ep, ep_heads in zip(episodes, heads):
-            alone = make_agents(list(ep.observations), theta)
-            given = make_agents(list(ep.observations), theta, ep_heads)
-            for a, b in zip(alone, given):
-                for name in ("mu", "kappa", "feature"):
-                    assert getattr(a, name).tobytes() == getattr(b, name).tobytes()
-
-    @pytest.mark.parametrize("policy", POLICIES)
-    def test_episode_results_equal_bitwise(self, block_setup, policy):
-        theta, episodes, heads = block_setup
-        rng_alone, rng_given = Rng(34), Rng(34)
-        for ep, ep_heads in zip(episodes, heads):
-            obs = list(ep.observations)
-            alone = run_episode(make_agents(obs, theta), theta, 0.2, policy, rng_alone)
-            given = run_episode(make_agents(obs, theta, ep_heads), theta, 0.2, policy, rng_given)
-            assert alone.predictions == given.predictions
-            for name in ("logits", "rows", "pruned_rows", "fused"):
-                assert getattr(alone, name).tobytes() == getattr(given, name).tobytes()
-            assert alone.ledger == given.ledger
-            assert [(m.kind, m.src, m.dst) for m in alone.trace] == [(m.kind, m.src, m.dst) for m in given.trace]
-            for a, b in zip(alone.trace, given.trace):
-                assert (a.payload is None) == (b.payload is None)
-                assert a.payload is None or a.payload.tobytes() == b.payload.tobytes()
-
-    @pytest.mark.parametrize("head", range(3))
-    def test_misshapen_head_names_it(self, head):
-        cfg, theta, obs = small_setup(35)
-        heads = list(agent_heads(theta, np.array(obs)))
-        for bad in (heads[head][:4], heads[head][:, :-1], heads[head][None]):
-            wrong = heads[:head] + [bad] + heads[head + 1 :]
-            expected = re.escape(f"{HEAD_NAMES[head]} head has shape {bad.shape}, expected {heads[head].shape}")
-            with pytest.raises(ValueError, match=expected):
-                make_agents(obs, theta, wrong)
-
-    def test_wrong_head_count_rejected(self):
-        cfg, theta, obs = small_setup(36)
-        heads = agent_heads(theta, np.array(obs))
-        with pytest.raises(ValueError, match=r"expected 3 heads \('theta_q', 'theta_k', 'theta_e'\), got 2"):
-            make_agents(obs, theta, heads[:2])
-
-
 class TestInformationFlow:
     def test_agent_output_depends_only_on_messages(self):
         # Replay the exact inbox of agent 0 into a fresh copy whose peers'
@@ -337,6 +275,24 @@ class TestBandwidthMetrics:
         assert ledger.counted_bytes == 576
         assert mbpf(ledger) == pytest.approx(5.76e-4)
         assert links_per_agent(ledger, 5) == pytest.approx(0.4)
+
+    def test_closed_form_hand_arithmetic(self):
+        # Two frames of N=3, Q=4, F=32: 12 queries and 12 score replies with
+        # the handshake, and three off-diagonal links; diagonal weights,
+        # kept or pruned, send nothing.
+        m_bar = np.zeros((2, 3, 3))
+        m_bar[0] = np.eye(3)
+        m_bar[0, 0, 1] = 0.5
+        m_bar[1, 1, 0] = m_bar[1, 2, 0] = 0.25
+        with_handshake = ledger_from_rows(m_bar, q_dim=4, f_dim=32, handshake=True)
+        assert with_handshake == BandwidthLedger(
+            counted_bytes=4 * (12 * 4 + 3 * 32), control_bytes=12 * (9 + 9 + 4) + 3 * (9 + 9),
+            inter_agent_links=3, frames=2,
+        )
+        assert ledger_from_rows(m_bar, q_dim=4, f_dim=32, handshake=False) == BandwidthLedger(
+            counted_bytes=3 * 32 * 4, control_bytes=3 * 18, inter_agent_links=3, frames=2
+        )
+        assert type(with_handshake.counted_bytes) is int and type(with_handshake.inter_agent_links) is int
 
     def test_empty_case(self):
         ledger = BandwidthLedger(frames=1)
