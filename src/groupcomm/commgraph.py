@@ -20,12 +20,13 @@ from .densemath import row_matmul, softmax
 
 
 def attention_scores(queries: np.ndarray, kappa: np.ndarray, w_g: np.ndarray) -> np.ndarray:
-    """Scaled general-attention scores  mu^T W_g kappa / sqrt(K)  of many queries against one key.
+    """Scaled general-attention scores  mu^T W_g kappa / sqrt(K)  of many queries, one key per leading index.
 
-    ``queries`` is (..., Q); the scores keep its leading shape.  This is how
-    an agent scores every query in its inbox against its own retained key in
-    one call.  Each score is the :func:`_scores` product of its query alone,
-    so it does not depend on the other queries of the stack.
+    ``queries`` is (..., Q); the scores keep its leading shape.  ``kappa`` is
+    one key, (K,), or one per leading index: (L..., K) scores every query of
+    ``queries[l]`` against ``kappa[l]``, as every agent scores its query inbox
+    against its own key.  Each score is the :func:`_scores` product of its
+    query and key alone, so it does not depend on the rest of the stack.
     """
     w_g = np.asarray(w_g, dtype=np.float64)
     q = np.asarray(queries, dtype=np.float64)
@@ -35,9 +36,13 @@ def attention_scores(queries: np.ndarray, kappa: np.ndarray, w_g: np.ndarray) ->
     q_dim, k_dim = w_g.shape
     if q.ndim == 0 or q.shape[-1] != q_dim:
         raise ValueError(f"query shape {q.shape} does not match w_g shape {w_g.shape}")
-    if kappa.shape != (k_dim,):
-        raise ValueError(f"key shape {kappa.shape} does not match w_g shape {w_g.shape}")
-    return _scores(q, row_matmul(kappa, w_g), k_dim)
+    lead = kappa.ndim - 1
+    if not 0 <= lead < q.ndim or kappa.shape != q.shape[:lead] + (k_dim,):
+        raise ValueError(f"key shape {kappa.shape} does not match w_g shape {w_g.shape} and query shape {q.shape}")
+    projected = row_matmul(kappa, w_g)
+    if lead:  # each key broadcasts over the leading axes its queries have beyond its own
+        projected = projected.reshape(kappa.shape[:-1] + (1,) * (q.ndim - 1 - lead) + (q_dim,))
+    return _scores(q, projected, k_dim)
 
 
 def attention_score(mu: np.ndarray, kappa: np.ndarray, w_g: np.ndarray) -> float:
@@ -104,17 +109,21 @@ def prune(m: np.ndarray, delta: float) -> np.ndarray:
     return np.where(m >= delta, m, 0.0)
 
 
+def link_mask(m: np.ndarray) -> np.ndarray:
+    """Which weights of (..., N, N) rows are inter-agent links: the nonzero ones off the diagonal."""
+    m = np.asarray(m)
+    return (m != 0.0) & ~np.eye(m.shape[-1], dtype=bool)
+
+
 def top1_rows(m: np.ndarray) -> np.ndarray:
-    """Hard rows selecting each agent's highest-weight peer, diagonal masked.
+    """Hard rows selecting each agent's highest-weight peer, diagonal masked, for (..., N, N) rows.
 
     Ties go to the lowest index; a lone agent selects itself.
     """
     m = np.asarray(m, dtype=np.float64)
-    n = m.shape[0]
+    n = m.shape[-1]
     masked = np.where(np.eye(n, dtype=bool), -np.inf, m)
-    rows = np.zeros((n, n))
-    rows[np.arange(n), np.argmax(masked, axis=1)] = 1.0
-    return rows
+    return (np.argmax(masked, axis=-1)[..., None] == np.arange(n)).astype(np.float64)
 
 
 def fuse(weights: np.ndarray, features: list) -> np.ndarray:
@@ -156,12 +165,16 @@ def fuse(weights: np.ndarray, features: list) -> np.ndarray:
 def fuse_rows(weights: np.ndarray, features: np.ndarray) -> np.ndarray:
     """:func:`fuse` of every row at once: (..., N, N) weights over (..., N, F) features.
 
-    Accumulates in ascending agent order and skips exactly-zero weights, as
-    :func:`fuse` does, so every fused row is bit-identical to :func:`fuse` of
+    Accumulates in ascending agent order and multiplies and adds only where
+    a weight is nonzero, as :func:`fuse` does, so a zero weight's feature is
+    never touched and every fused row is bit-identical to :func:`fuse` of
     that row alone.
     """
     acc = np.zeros(features.shape, dtype=np.float64)
+    term = np.empty_like(acc)
     for j in range(features.shape[-2]):
         w = weights[..., j, None]
-        acc = np.where(w != 0.0, acc + w * features[..., None, j, :], acc)
+        live = w != 0.0
+        np.multiply(w, features[..., None, j, :], out=term, where=live)
+        np.add(acc, term, out=acc, where=live)
     return acc

@@ -5,11 +5,12 @@ turns each into fusion rows (``neuralnet.policy_rows``) live in
 :mod:`groupcomm.neuralnet`.  :func:`evaluate` computes every report from one
 batched pass, ``neuralnet.pipeline_forward(mode="inference")`` per stack of
 ``EVAL_BLOCK`` episodes, and its bandwidth from the closed form
-``simnet.ledger_from_rows``.  The simulator's episode runner,
-``simnet.run_episode``, audits that pass: it runs the first episode, or every
-episode when a trace is dumped, and any difference in pruned rows,
-predictions or trace-derived ledger raises.  So every reported bandwidth
-number is recomputable from a dumped message trace.
+``simnet.ledger_from_links`` of the pass's link counts.  The selection
+metrics are array operations over the pass's (E, N, N) rows.  The
+simulator's episode runner, ``simnet.run_episode``, audits that pass: it
+runs the first episode, or every episode when a trace is dumped, and any
+difference in pruned rows, predictions or trace-derived ledger raises.  So
+every reported bandwidth number is recomputable from a dumped message trace.
 
 "Communicates" is operationalized as having at least one surviving
 off-diagonal link after pruning.  Selection metrics: when-to-communicate
@@ -26,9 +27,11 @@ import json
 import os
 import sys
 from dataclasses import asdict, dataclass
+from itertools import chain, compress
 
 import numpy as np
 
+from .commgraph import link_mask
 from .densemath import Rng
 from .neuralnet import (
     EVAL_BLOCK,
@@ -140,57 +143,66 @@ def run_policy_episode(
 
 def decisions_from_rows(rows: np.ndarray) -> list:
     """Per agent: true when at least one off-diagonal weight survived; rows of one episode or a stack."""
-    linked = np.asarray(rows) != 0.0
-    diagonal = np.arange(linked.shape[-1])
-    linked[..., diagonal, diagonal] = False
-    return linked.any(axis=-1).tolist()
+    return link_mask(rows).any(axis=-1).tolist()
 
 
 def when2com_accuracy(episodes: list[Episode], decisions: list[list[bool]]) -> float:
-    """Agreement between communicate decisions and ground-truth need."""
+    """Agreement between communicate decisions and ground-truth need, over episodes of one agent count."""
     if not episodes:
         raise ValueError("when2com_accuracy: episodes is empty, so there is no decision to score")
     if len(episodes) != len(decisions):
         raise ValueError(f"{len(episodes)} episodes vs {len(decisions)} decision lists")
-    hits = 0
-    total = 0
-    for ep, dec in zip(episodes, decisions):
-        if len(dec) != len(ep.needs_comm):
-            raise ValueError("decision list length does not match agent count")
-        for d, need in zip(dec, ep.needs_comm):
-            hits += int(bool(d) == bool(need))
-            total += 1
-    return hits / total
+    needs = _needs(episodes)
+    decided = np.asarray(decisions, dtype=bool)
+    if decided.shape != needs.shape:
+        raise ValueError(f"decisions of shape {decided.shape} do not match the episodes' {needs.shape} agents")
+    return int(np.count_nonzero(decided == needs)) / needs.size
 
 
 def grouping_accuracy(
     episodes: list[Episode], rows_per_episode: list[np.ndarray]
 ) -> tuple[float | None, float | None]:
-    """Supporter-selection rates over needy agents that do communicate.
+    """Supporter-selection rates over needy agents that do communicate, in episodes of one agent count.
 
     Returns (top-1 rate, all-links-valid rate); both are None when no agent
-    qualifies (needy and communicating), never 0.
+    qualifies (needy and communicating), never 0.  Top-1 ties go to the
+    lowest index.  Every episode's rows must be (N, N).
     """
     if len(episodes) != len(rows_per_episode):
         raise ValueError(f"{len(episodes)} episodes vs {len(rows_per_episode)} row sets")
-    top_hits = 0
-    set_hits = 0
-    total = 0
-    for ep, rows in zip(episodes, rows_per_episode):
-        n = len(ep.needs_comm)
-        for i in range(n):
-            if not ep.needs_comm[i]:
-                continue
-            off = [(rows[i, j], j) for j in range(n) if j != i and rows[i, j] != 0.0]
-            if not off:
-                continue
-            total += 1
-            top_j = max(off, key=lambda t: (t[0], -t[1]))[1]
-            top_hits += int(top_j in ep.gt_support[i])
-            set_hits += int(all(j in ep.gt_support[i] for _, j in off))
+    if not episodes:
+        return None, None
+    needs = _needs(episodes)
+    n = needs.shape[1]
+    try:
+        rows = np.asarray(rows_per_episode, dtype=np.float64)
+    except ValueError:  # row sets of several shapes, named below
+        rows = None
+    if rows is None or rows.shape != needs.shape + (n,):
+        for e, r in enumerate(rows_per_episode):
+            if np.shape(r) != (n, n):
+                raise ValueError(f"episode {e}: rows of shape {np.shape(r)}, but its N = {n} agents need (N, N) rows")
+        rows = np.asarray(rows_per_episode, dtype=np.float64)  # entries that are not numbers raise here
+    linked = link_mask(rows)
+    qualified = needs & linked.any(axis=-1)
+    total = int(np.count_nonzero(qualified))
     if total == 0:
         return None, None
-    return top_hits / total, set_hits / total
+    supports = list(chain.from_iterable(ep.gt_support for ep in episodes))  # agent k % n of episode k // n
+    support = np.zeros(rows.size, dtype=bool)  # [e, i, j], flat: j is in agent i's ground-truth support
+    support[[k * n + j for k in compress(range(len(supports)), supports) for j in supports[k] if 0 <= j < n]] = True
+    support = support.reshape(rows.shape)
+    top = np.argmax(np.where(linked, rows, -np.inf), axis=-1)  # the first maximum: ties to the lowest index
+    top_hits = np.take_along_axis(support, top[..., None], axis=-1)[..., 0] & qualified
+    set_hits = ~np.any(linked & ~support, axis=-1) & qualified
+    return int(np.count_nonzero(top_hits)) / total, int(np.count_nonzero(set_hits)) / total
+
+
+def _needs(episodes: list[Episode]) -> np.ndarray:
+    """The (E, N) ground-truth need of episodes of one agent count; raises naming the first that differs."""
+    n = shared_agent_count(episodes)
+    flags = chain.from_iterable(ep.needs_comm for ep in episodes)
+    return np.fromiter(flags, dtype=bool, count=len(episodes) * n).reshape(-1, n)
 
 
 def evaluate(
@@ -207,7 +219,7 @@ def evaluate(
     The report comes from one batched inference pass per stack of
     ``EVAL_BLOCK`` episodes, with ``randcom`` rows drawn from ``Rng(seed)``
     episode by episode, in stack order, and its bandwidth from the closed
-    form ``simnet.ledger_from_rows``.  The simulator then audits the pass
+    form ``simnet.ledger_from_links``.  The simulator then audits the pass
     from a fresh ``Rng(seed)``: on the first episode, or with ``trace_path``
     set on every episode, whose messages are dumped there as line-delimited
     records so the reported bandwidth can be audited externally.  The
@@ -233,14 +245,18 @@ def evaluate(
     m_bar, predictions = np.concatenate(m_bar), np.concatenate(predictions)
     q_dim, f_dim, handshake = theta.w_g.shape[0], theta.theta_e.out_dim, policy in HANDSHAKE_POLICIES
 
+    # The audit: each simulated episode against its batched rows, predictions and closed-form ledger.
+    links = simnet.link_counts(m_bar)
+    simulated = episodes if trace_path is not None else episodes[:1]
+    expected_predictions = predictions[: len(simulated)].tolist()
     sim_rng = Rng(seed)
     messages: list[simnet.Message] = []
-    for e, ep in enumerate(episodes if trace_path is not None else episodes[:1]):
-        res = run_policy_episode(policy, theta, list(ep.observations), delta, sim_rng)
+    for e, ep in enumerate(simulated):
+        res = run_policy_episode(policy, theta, ep.observations, delta, sim_rng)
         for what, same in (
             ("pruned rows", np.array_equal(res.pruned_rows, m_bar[e])),
-            ("predictions", res.predictions == predictions[e].tolist()),
-            ("trace ledger", res.ledger == simnet.ledger_from_rows(m_bar[e : e + 1], q_dim, f_dim, handshake)),
+            ("predictions", res.predictions == expected_predictions[e]),
+            ("trace ledger", res.ledger == simnet.ledger_from_links(links[e], 1, n_agents, q_dim, f_dim, handshake)),
         ):
             if not same:
                 raise RuntimeError(
@@ -250,7 +266,7 @@ def evaluate(
     if trace_path is not None:
         simnet.dump_trace(trace_path, messages)
 
-    ledger = simnet.ledger_from_rows(m_bar, q_dim, f_dim, handshake)
+    ledger = simnet.ledger_from_links(links.sum(), len(episodes), n_agents, q_dim, f_dim, handshake)
     hits = predictions == np.array([ep.labels for ep in episodes])
     degraded = np.array([ep.degraded for ep in episodes], dtype=bool)
     hits_deg, n_deg = int(hits[degraded].sum()), int(degraded.sum())

@@ -303,9 +303,9 @@ def fixed_policy_rows(policy: str, n: int, rng: Rng | None) -> np.ndarray:
 
 
 def policy_rows(
-    policy: str, soft_rows: np.ndarray | None, n: int, delta: float, rng: Rng | None
+    policy: str, soft_rows: np.ndarray | None, n: int, delta: float, rng: Rng | None, episodes: int | None = None
 ) -> tuple[np.ndarray, float]:
-    """One episode's fusion rows under ``policy`` and the threshold that prunes them.
+    """One episode's fusion rows under ``policy``, or a stack's, and the threshold that prunes them.
 
     ``when2com``        the soft matching rows, pruned at ``delta``;
     ``fully_connected`` the soft rows unpruned, so every feature is fused;
@@ -314,9 +314,11 @@ def policy_rows(
     ``randcom``         each agent pulls one uniformly random other agent;
     ``catall``          each agent fuses the plain mean of every feature.
 
-    ``soft_rows`` is the (N, N) matching matrix for the
-    :data:`HANDSHAKE_POLICIES` and unused by the others.  Only ``when2com``
-    prunes at ``delta``; every other policy's threshold is 0.
+    ``soft_rows`` is the (N, N) or (E, N, N) matching matrix for the
+    :data:`HANDSHAKE_POLICIES` and unused by the others.  With ``episodes``
+    set, the others' rows are an (E, N, N) stack: ``randcom`` draws them
+    episode by episode, in stack order, and the rest repeat one episode's.
+    Only ``when2com`` prunes at ``delta``; every other threshold is 0.
     """
     if policy == "when2com":
         return soft_rows, delta
@@ -324,7 +326,11 @@ def policy_rows(
         return soft_rows, 0.0
     if policy == "forced_top1":
         return top1_rows(soft_rows), 0.0
-    return fixed_policy_rows(policy, n, rng), 0.0
+    if episodes is None:
+        return fixed_policy_rows(policy, n, rng), 0.0
+    if policy == "randcom":
+        return np.array([fixed_policy_rows(policy, n, rng) for _ in range(episodes)]), 0.0
+    return np.repeat(fixed_policy_rows(policy, n, rng)[None], episodes, axis=0), 0.0
 
 
 def pipeline_forward(
@@ -357,9 +363,8 @@ def pipeline_forward(
     soft = None
     if policy in HANDSHAKE_POLICIES:
         soft = build_matching_matrix(mlp_infer(theta.theta_q, obs), mlp_infer(theta.theta_k, obs), theta.w_g)
-    picked = [policy_rows(policy, None if soft is None else soft[e], n, delta, rng) for e in range(len(obs))]
-    m = np.stack([rows for rows, _ in picked])
-    m_bar = prune(m, picked[0][1])  # the threshold is the policy's, the same for every episode
+    m, threshold = policy_rows(policy, soft, n, delta, rng, episodes=len(obs))
+    m_bar = prune(m, threshold)
     fused = fuse_rows(m_bar, features)
     logits = decode(theta, features, fused)
     logits, features, fused, m, m_bar = (a.reshape(lead + a.shape[-1:]) for a in (logits, features, fused, m, m_bar))
@@ -389,7 +394,7 @@ def _training_forward(theta: PipelineParams, observations, policy: str, rng: Rng
         scores = (mu @ theta.w_g).reshape(b, n, -1) @ keys.transpose(0, 2, 1)
         m = softmax(scores / math.sqrt(theta.w_g.shape[1]))
     else:
-        m = np.stack([policy_rows(policy, None, n, 0.0, rng)[0] for _ in range(b)])
+        m = policy_rows(policy, None, n, 0.0, rng, episodes=b)[0]
 
     fused = m @ features
     z, d_cache = mlp_forward(theta.theta_d, np.concatenate([features, fused], axis=-1).reshape(b * n, -1))

@@ -5,8 +5,8 @@ round-based queue:
 
 1. ``query``    each agent broadcasts its Q-real query to every peer;
 2. ``score``    each recipient scores every query in its inbox against its
-                own retained key in one call and replies to each requester
-                with a single real (keys never leave their owner);
+                own retained key and replies to each requester with a single
+                real (keys never leave their owner);
 3. ``request``/``transfer``  after row-softmaxing its assembled scores and
                 pruning at delta, a requester asks each surviving off-diagonal
                 supporter for its F-real feature and fuses what arrives.
@@ -16,13 +16,14 @@ the message to the trace and hands it to ``AgentState.receive``, which files
 its payload in the addressee's one ``inbox`` by kind and sender.  An agent
 never reads another agent's fields, only its inbox.
 
-:func:`run_episode` runs one episode of every policy (``neuralnet.POLICIES``):
-the handshake only where the policy needs the matching matrix, then
-``neuralnet.policy_rows``, then the same transmission, decode and ledger.
-:func:`make_agents` runs each head once over the episode's agents, and the
-decoder runs once over all agents' local inputs, both on the row-invariant
-kernel, so every agent holds and decodes bit for bit what its own lone pass
-gives it.  That is why the simulator agrees bit for bit with centralized
+A phase's bookkeeping runs once, not once per agent: :func:`make_agents`
+runs each head once over the episode, :func:`score_inboxes` scores every
+query inbox in one call, and one decode call runs every agent.  Each
+agent's decisions about its own row run per agent, from its inbox alone: its
+self score, softmax, prune and fusion.  All of it runs on row-invariant
+kernels, so every agent holds, scores and decodes bit for bit what its own
+lone pass gives it.  That is why :func:`run_episode`, one episode of any
+policy (``neuralnet.POLICIES``), agrees bit for bit with centralized
 inference (``neuralnet.pipeline_forward(mode="inference")``), and why
 ``evalcli.evaluate`` can report from the batched pass and run the simulator
 as its auditor.
@@ -30,24 +31,23 @@ as its auditor.
 The ledger counts query broadcasts and feature transfers as payload at
 4 bytes per real; score replies, feature requests, and all 9-byte headers
 (kind 1, from 2, to 2, payload length 4) are control traffic.  The message
-counts follow from the rows alone, so :func:`ledger_from_rows` gives the
-ledger of any set of episodes in closed form, equal to
-:func:`ledger_from_trace` of their messages.  Values travel as 64-bit floats
-in memory, so distributed results are bit-identical to centralized
-inference; the 4-byte accounting models the on-wire float size.  The
-simulator is deterministic and single-threaded per episode; episodes may run
-concurrently with independent ledgers.
+counts follow from the rows alone, so :func:`ledger_from_links` of the
+:func:`link_counts` of any set of episodes' rows gives their ledger in
+closed form, equal to :func:`ledger_from_trace` of their messages.  Values
+travel as 64-bit floats in memory, so distributed results are bit-identical
+to centralized inference; the 4-byte accounting models the on-wire float
+size.  The simulator is deterministic and single-threaded per episode;
+episodes may run concurrently with independent ledgers.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from operator import attrgetter
 
 import numpy as np
 
-from .commgraph import attention_score, attention_scores, fuse, prune
+from .commgraph import attention_score, attention_scores, fuse, link_mask, prune
 from .densemath import Rng, softmax_row
 from .neuralnet import HANDSHAKE_POLICIES, PipelineParams, decode, mlp_infer, policy_rows
 
@@ -113,18 +113,23 @@ def ledger_from_trace(messages: list[Message], frames: int) -> BandwidthLedger:
     return ledger
 
 
-def ledger_from_rows(m_bar: np.ndarray, q_dim: int, f_dim: int, handshake: bool) -> BandwidthLedger:
-    """The ledger of episodes whose fused rows are ``m_bar``, (E, N, N), in closed form.
+def link_counts(m_bar: np.ndarray) -> np.ndarray:
+    """Each episode's links, the off-diagonal nonzeros of its fused rows: (..., N, N) -> (...)."""
+    return np.count_nonzero(link_mask(m_bar), axis=(-2, -1))
+
+
+def ledger_from_links(
+    links: int, frames: int, n_agents: int, q_dim: int, f_dim: int, handshake: bool
+) -> BandwidthLedger:
+    """The ledger of ``frames`` episodes of ``n_agents`` agents that made ``links`` links in all, in closed form.
 
     Equal to :func:`ledger_from_trace` of the episodes' messages: with the
     handshake, each episode sends N(N-1) Q-real queries and as many 1-real
-    score replies; each off-diagonal nonzero of ``m_bar`` is one link, a
-    payload-free request answered by an F-real transfer.
+    score replies; each link (see :func:`link_counts`) is a payload-free
+    request answered by an F-real transfer.
     """
-    m_bar = np.asarray(m_bar)
-    frames, n = m_bar.shape[0], m_bar.shape[-1]
-    links = int(np.count_nonzero(m_bar)) - int(np.count_nonzero(np.diagonal(m_bar, axis1=-2, axis2=-1)))
-    queries = frames * n * (n - 1) if handshake else 0
+    links = int(links)
+    queries = frames * n_agents * (n_agents - 1) if handshake else 0
     return BandwidthLedger(
         counted_bytes=BYTES_PER_REAL * (queries * q_dim + links * f_dim),
         control_bytes=queries * (2 * HEADER_BYTES + BYTES_PER_REAL) + links * 2 * HEADER_BYTES,
@@ -166,14 +171,6 @@ class AgentState:
 
     def query_broadcast(self, peers: list[int]) -> list[Message]:
         return [Message(KIND_QUERY, self.agent_id, j, self.mu) for j in peers]
-
-    def score_replies(self, theta: PipelineParams) -> list[Message]:
-        """Score the whole query inbox against this agent's key in one call; one reply per requester."""
-        queries = self.inbox[KIND_QUERY]
-        if not queries:
-            return []
-        scores = attention_scores(np.array(list(queries.values())), self.kappa, theta.w_g)
-        return [Message(KIND_SCORE, self.agent_id, r, scores[k : k + 1]) for k, r in enumerate(queries)]
 
     def assemble_row(self, n_agents: int, theta: PipelineParams) -> np.ndarray:
         """Softmax over the assembled score vector (self score computed locally).
@@ -225,14 +222,14 @@ class EpisodeResult:
 
 
 def make_agents(observations, theta: PipelineParams) -> list[AgentState]:
-    """One agent per observation, holding its query, key and feature.
+    """One agent per row of the episode's (N, d_obs) observations, holding its query, key and feature.
 
     Each head runs once over the observations, on the row-invariant kernel,
     so every agent holds exactly what its own observation alone gives it.
     """
-    agents = [AgentState(i, obs) for i, obs in enumerate(observations)]
+    obs = np.asarray(observations, dtype=np.float64)
+    agents = [AgentState(i, row) for i, row in enumerate(obs)]
     if agents:
-        obs = np.array([agent.observation for agent in agents])
         heads = (mlp_infer(head, obs) for head in (theta.theta_q, theta.theta_k, theta.theta_e))
         for agent, mu, kappa, feature in zip(agents, *heads):
             agent.mu, agent.kappa, agent.feature = mu, kappa, feature
@@ -245,6 +242,23 @@ def send(msg: Message, agents: list[AgentState], trace: list[Message]) -> None:
     agents[msg.dst].receive(msg)
 
 
+def score_inboxes(agents: list[AgentState], theta: PipelineParams, trace: list[Message]) -> None:
+    """The score phase: one call scores every agent's query inbox, in sender order, against its own key.
+
+    The replies, one real each, go out requester by requester, the repliers in agent order.
+    """
+    n = len(agents)
+    if n < 2:
+        return
+    inboxes = [[agent.inbox[KIND_QUERY][j] for j in range(n) if j != agent.agent_id] for agent in agents]
+    scores = attention_scores(np.array(inboxes), np.array([agent.kappa for agent in agents]), theta.w_g)
+    for r in range(n):
+        for j in range(n):
+            if j != r:
+                k = r - (r > j)  # requester r's place in replier j's inbox
+                send(Message(KIND_SCORE, j, r, scores[j, k : k + 1]), agents, trace)
+
+
 def run_handshake(agents: list[AgentState], theta: PipelineParams) -> tuple[np.ndarray, list[Message]]:
     """Three-phase handshake; the resulting rows match centralized softmax rows bit-for-bit."""
     n = len(agents)
@@ -253,12 +267,8 @@ def run_handshake(agents: list[AgentState], theta: PipelineParams) -> tuple[np.n
     for agent in agents:
         for msg in agent.query_broadcast([j for j in range(n) if j != agent.agent_id]):
             send(msg, agents, trace)
-    # Phase 2: each recipient scores its whole inbox locally and replies to
-    # every requester with one real; replies go out requester by requester
-    # (a stable sort keeps the repliers in agent order).
-    replies = [msg for agent in agents for msg in agent.score_replies(theta)]
-    for msg in sorted(replies, key=attrgetter("dst")):
-        send(msg, agents, trace)
+    # Phase 2: the score replies, N*(N-1) more.
+    score_inboxes(agents, theta, trace)
     # Phase 3: local row softmax.
     rows = np.array([agent.assemble_row(n, theta) for agent in agents])
     return rows, trace

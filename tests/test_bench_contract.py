@@ -6,6 +6,9 @@ only in a benchmark run.
 
 import importlib
 import importlib.util
+import json
+import subprocess
+import sys
 from collections import Counter
 from pathlib import Path
 
@@ -160,3 +163,21 @@ def test_train_unit_traces_each_training_span_once_per_step(tmp_path):
     assert calls["neuralnet.mlp_backward"] == 4 * steps
     assert calls["neuralnet.evaluate_task_accuracy"] == 1
     assert tracer.units == steps
+
+
+def test_traced_benchmark_of_every_workload_runs_correct():
+    # The traced benchmark raises when a declared span records no call.  The
+    # in-process tests above trace one unit of each workload; this is the
+    # benchmark's own traced run of all three, in fresh processes.
+    argv = [sys.executable, str(BENCH_DIR / "run.py"), "--workload", "all"]
+    argv += ["--seed", "1", "--seconds", "1", "--trace", "1"]
+    proc = subprocess.run(argv, capture_output=True, text=True, cwd=BENCH_DIR.parent, timeout=600)
+    assert proc.returncode == 0, proc.stdout[-2000:] + proc.stderr[-2000:]
+    lines = proc.stdout.splitlines()
+    # Each workload prints its run record first and its end-to-end line last;
+    # the summary table follows a blank line.
+    starts = [k for k, line in enumerate(lines) if line.startswith("record ")]
+    ends = starts[1:] + [lines.index("")]
+    assert [json.loads(lines[k].removeprefix("record "))["workload"] for k in starts] == ["datagen", "train", "eval"]
+    for start, end in zip(starts, ends):
+        assert json.loads(lines[end - 1])["correct"] is True, lines[start]

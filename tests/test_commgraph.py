@@ -1,6 +1,8 @@
 """Matching-matrix math: scores, row softmax, pruning, fusion."""
 
 import math
+import re
+import warnings
 
 import numpy as np
 import pytest
@@ -11,7 +13,9 @@ from groupcomm.commgraph import (
     build_matching_matrix,
     fuse,
     fuse_rows,
+    link_mask,
     prune,
+    top1_rows,
 )
 from groupcomm.densemath import Rng, softmax_row
 
@@ -101,8 +105,30 @@ class TestAttentionScores:
         assert scores.shape == (2, 5)
         np.testing.assert_array_equal(scores[1], attention_scores(queries[1], kappa, w))
 
+    @pytest.mark.parametrize("n", [2, 3, 6])
+    def test_one_key_per_leading_index_equals_lone_scores_bitwise(self, n):
+        # The score phase: agent a's (N-1)-query inbox against agent a's own
+        # key, every inbox in one call.
+        rng = Rng(70 + n)
+        for _ in range(30):
+            q, k = 1 + rng.randint(6), 1 + rng.randint(17)
+            w = rng.normal(q * k).reshape(q, k)
+            inboxes = rng.normal(n * (n - 1) * q).reshape(n, n - 1, q) * 3.0
+            keys = rng.normal(n * k).reshape(n, k)
+            scores = attention_scores(inboxes, keys, w)
+            assert scores.shape == (n, n - 1)
+            for a in range(n):
+                assert scores[a].tolist() == attention_scores(inboxes[a], keys[a], w).tolist()
+                assert scores[a].tolist() == [attention_score(mu, keys[a], w) for mu in inboxes[a]]
+            # One key per query, the deepest leading index.
+            paired = attention_scores(inboxes[0], keys[: n - 1], w)
+            assert paired.tolist() == [attention_score(mu, kappa, w) for mu, kappa in zip(inboxes[0], keys)]
+
     def test_shapes_rejected(self):
         w = np.zeros((2, 4))
+        for keys in (np.zeros((4, 4)), np.zeros((3, 2, 4)), np.zeros((3, 3)), np.zeros((3, 5, 2, 4)), np.float64(1.0)):
+            with pytest.raises(ValueError, match=re.escape(f"key shape {keys.shape} does not match w_g shape (2, 4)")):
+                attention_scores(np.zeros((3, 5, 2)), keys, w)
         with pytest.raises(ValueError, match="query shape"):
             attention_scores(np.zeros((3, 3)), np.zeros(4), w)
         with pytest.raises(ValueError, match="key shape"):
@@ -229,6 +255,42 @@ class TestPrune:
             prune(np.eye(2), 1.5)
 
 
+class TestTop1Rows:
+    @staticmethod
+    def oracle(rows):
+        """Per agent: the lowest index among its largest off-diagonal weights (itself when alone)."""
+        n = len(rows)
+        out = np.zeros((n, n))
+        for i in range(n):
+            peers = [j for j in range(n) if j != i] or [i]
+            best = max(rows[i][j] for j in peers)
+            out[i, min(j for j in peers if rows[i][j] == best)] = 1.0
+        return out
+
+    @pytest.mark.parametrize("n", [1, 2, 5, 9])
+    def test_stack_equals_per_episode_calls_ties_included(self, n):
+        rng = Rng(80 + n)
+        # Weights on a coarse grid, so equal top weights are common; one
+        # episode ties every weight.
+        stack = np.floor(rng.uniform(7 * n * n).reshape(7, n, n) * 3.0) / 3.0
+        stack[0] = 0.25
+        hard = top1_rows(stack)
+        assert hard.shape == (7, n, n)
+        for e in range(7):
+            np.testing.assert_array_equal(hard[e], top1_rows(stack[e]))
+            np.testing.assert_array_equal(hard[e], self.oracle(stack[e].tolist()))
+        np.testing.assert_array_equal(top1_rows(stack[None])[0], hard)
+
+
+class TestLinkMask:
+    def test_off_diagonal_nonzeros_of_one_episode_or_a_stack(self):
+        rows = np.array([[0.5, 0.0, -0.1], [0.0, 1.0, 0.0], [0.2, 0.3, 0.0]])
+        expected = [[False, False, True], [False, False, False], [True, True, False]]
+        assert link_mask(rows).tolist() == expected
+        assert link_mask(np.stack([rows, np.eye(3)])).tolist() == [expected, [[False] * 3] * 3]
+        assert rows[0, 0] == 0.5
+
+
 class TestFuse:
     def test_one_hot_is_exact(self):
         rng = Rng(10)
@@ -286,3 +348,22 @@ class TestFuse:
             for e in range(4):
                 for i in range(n):
                     np.testing.assert_array_equal(fused[e, i], fuse(rows[e, i], list(feats[e])))
+
+    def test_rows_never_touch_features_under_zero_weights(self):
+        # fuse_rows used to compute w * feature for every weight and drop
+        # the zero ones afterwards, so an inf feature under a zero weight
+        # raised "invalid value encountered in multiply".
+        feats = np.array([[[np.inf, np.nan, 1e300], [1.0, 2.0, 3.0], [np.nan, -np.inf, np.inf]]] * 2)
+        rows = np.array(
+            [
+                [[0.0, 2.0, 0.0], [0.0, 0.5, 0.0], [0.0, 0.0, 0.0]],
+                [[0.0, 0.25, 0.0], [0.0, 1.0, 0.0], [0.0, 0.75, 0.0]],
+            ]
+        )
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            fused = fuse_rows(rows, feats)
+            for e in range(2):
+                for i in range(3):
+                    np.testing.assert_array_equal(fused[e, i], fuse(rows[e, i], list(feats[e])))
+        np.testing.assert_array_equal(fused[0], [[2.0, 4.0, 6.0], [0.5, 1.0, 1.5], [0.0, 0.0, 0.0]])

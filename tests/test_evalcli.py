@@ -13,7 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from groupcomm.densemath import Rng
 from groupcomm.evalcli import (
@@ -92,6 +92,11 @@ class TestWhen2comAccuracy:
         with pytest.raises(ValueError):
             when2com_accuracy([fake_episode([True], [{0}])], [])
 
+    def test_decisions_of_another_agent_count_rejected(self):
+        eps = [fake_episode([True, False], [{1}, set()])] * 2
+        with pytest.raises(ValueError, match=re.escape("decisions of shape (2, 3) do not match the episodes' (2, 2)")):
+            when2com_accuracy(eps, [[False, True, True]] * 2)
+
     def test_empty_episode_list_rejected(self):
         # It used to score no decisions as 0.0, a plausible but wrong number.
         with pytest.raises(ValueError, match="when2com_accuracy: episodes is empty"):
@@ -137,12 +142,106 @@ class TestGroupingAccuracy:
         with pytest.raises(ValueError, match="10 episodes vs 3 row sets"):
             grouping_accuracy(eps, [np.ones((2, 2))] * 3)
 
+    @pytest.mark.parametrize("shape", [(2, 2), (3, 5)])
+    def test_rows_that_are_not_n_by_n_rejected(self, shape):
+        # For 3-agent episodes, (2, 2) rows used to raise a bare IndexError
+        # and (3, 5) rows were silently cut to (3, 3), scoring (1.0, 0.0).
+        eps = [fake_episode([True, False, False], [{1}, set(), set()])] * 2
+        message = f"episode 1: rows of shape {shape}, but its N = 3 agents need (N, N) rows"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            grouping_accuracy(eps, [np.eye(3), np.ones(shape)])
+        with pytest.raises(ValueError, match=re.escape(message.replace("episode 1", "episode 0"))):
+            grouping_accuracy(eps, np.ones((2,) + shape))
+
+    def test_supporters_outside_the_episode_never_match(self):
+        # Agent 0's support names agents -1 and 3 of a 3-agent episode; a
+        # flat index k * N + j would have marked agent 1's supporter 0.
+        eps = [fake_episode([True, True, False], [{-1, 3}, {2}, set()])]
+        rows = [np.array([[0.2, 0.5, 0.3], [0.4, 0.0, 0.6], [0.0, 0.0, 1.0]])]
+        assert grouping_accuracy(eps, rows) == grouping_accuracy_oracle(eps, rows) == (0.5, 0.0)
+
+    def test_mixed_agent_counts_rejected(self):
+        eps = [fake_episode([True, False], [{1}, set()]), fake_episode([True, False, False], [{1}, set(), set()])]
+        with pytest.raises(ValueError, match="episode 1 has 3 agents, but episode 0 has 2"):
+            grouping_accuracy(eps, [np.eye(2), np.eye(3)])
+        with pytest.raises(ValueError, match="episode 1 has 3 agents, but episode 0 has 2"):
+            when2com_accuracy(eps, [[False, False], [False, False, False]])
+
     def test_set_rate_stricter_than_top1(self):
         eps = [fake_episode([True, False, False], [{1}, set(), set()])]
         # Top link is correct but a second link leaves the support set.
         rows = [np.array([[0.0, 0.6, 0.3], [0, 1, 0], [0, 0, 1]])]
         top, full = grouping_accuracy(eps, rows)
         assert top == 1.0 and full == 0.0
+
+
+def when2com_accuracy_oracle(episodes, decisions):
+    """The per-agent loop when2com_accuracy was defined by."""
+    hits = total = 0
+    for ep, dec in zip(episodes, decisions):
+        for d, need in zip(dec, ep.needs_comm):
+            hits += int(bool(d) == bool(need))
+            total += 1
+    return hits / total
+
+
+def grouping_accuracy_oracle(episodes, rows_per_episode):
+    """The per-agent loop grouping_accuracy was defined by."""
+    top_hits = set_hits = total = 0
+    for ep, rows in zip(episodes, rows_per_episode):
+        n = len(ep.needs_comm)
+        for i in range(n):
+            if not ep.needs_comm[i]:
+                continue
+            off = [(rows[i, j], j) for j in range(n) if j != i and rows[i, j] != 0.0]
+            if not off:
+                continue
+            total += 1
+            top_j = max(off, key=lambda t: (t[0], -t[1]))[1]
+            top_hits += int(top_j in ep.gt_support[i])
+            set_hits += int(all(j in ep.gt_support[i] for _, j in off))
+    if total == 0:
+        return None, None
+    return top_hits / total, set_hits / total
+
+
+class TestMetricsEqualPerAgentLoops:
+    CFG = PipelineConfig(d_obs=32, q_dim=3, k_dim=4, f_dim=5, n_classes=10, hidden=8)
+
+    @settings(derandomize=True, database=None, max_examples=150, deadline=None)
+    @given(
+        case=st.sampled_from(CASES),
+        policy=st.sampled_from(POLICIES),
+        delta=st.one_of(st.sampled_from([0.0, "1/N", 1.0]), st.floats(0.0, 1.0)),
+        seed=st.integers(0, 2**64 - 1),
+        n_episodes=st.integers(1, 12),
+        grid=st.sampled_from([0, 1, 2, 3]),
+        unsupported=st.booleans(),
+    )
+    @example(case="srms", policy="catall", delta=0.0, seed=1, n_episodes=4, grid=0, unsupported=False)
+    @example(case="mrmps", policy="when2com", delta="1/N", seed=2, n_episodes=12, grid=2, unsupported=True)
+    def test_vectorized_metrics_equal_per_agent_loops(self, case, policy, delta, seed, n_episodes, grid, unsupported):
+        # The batched pass's rows under every policy, case and threshold.
+        # ``grid`` rounds the rows onto a grid of that many steps, so equal
+        # top weights are common (catall ties every weight by itself);
+        # ``unsupported`` empties the support of every other needy agent.
+        world = world_for_run(case, None, seed)
+        delta = 1.0 / world.n_agents if delta == "1/N" else delta
+        episodes = list(iter_episodes(world, n_episodes, seed))
+        if unsupported:
+            for ep in episodes:
+                needy = [i for i, need in enumerate(ep.needs_comm) if need]
+                ep.gt_support = [frozenset() if i in needy[1::2] else s for i, s in enumerate(ep.gt_support)]
+        theta = init_pipeline(self.CFG, Rng(seed))
+        stack = np.stack([ep.observations for ep in episodes])
+        m_bar = pipeline_forward(theta, stack, mode="inference", delta=delta, policy=policy, rng=Rng(seed)).m_bar
+        if grid:
+            m_bar = np.round(m_bar * grid) / grid
+        decisions = decisions_from_rows(m_bar)
+        assert when2com_accuracy(episodes, decisions) == when2com_accuracy_oracle(episodes, decisions)
+        expected = grouping_accuracy_oracle(episodes, m_bar)
+        assert grouping_accuracy(episodes, m_bar) == expected
+        assert grouping_accuracy(episodes, list(m_bar)) == expected
 
 
 @pytest.fixture(scope="module")
@@ -343,7 +442,10 @@ class TestBatchedPassAndAudit:
         assert evaluate(policy, theta, episodes, delta, seed, case) == traced
         stack = np.stack([ep.observations for ep in episodes])
         m_bar = pipeline_forward(theta, stack, mode="inference", delta=delta, policy=policy, rng=Rng(seed)).m_bar
-        closed = simnet.ledger_from_rows(m_bar, self.CFG.q_dim, self.CFG.f_dim, policy in HANDSHAKE_POLICIES)
+        links = simnet.link_counts(m_bar).sum()
+        closed = simnet.ledger_from_links(
+            links, len(episodes), world.n_agents, self.CFG.q_dim, self.CFG.f_dim, policy in HANDSHAKE_POLICIES
+        )
         assert dumped == closed
         assert simnet.mbpf(closed) == traced.mbpf
         assert simnet.links_per_agent(closed, world.n_agents) == traced.links_per_agent

@@ -19,8 +19,9 @@ from groupcomm.simnet import (
     BandwidthLedger,
     Message,
     dump_trace,
-    ledger_from_rows,
+    ledger_from_links,
     ledger_from_trace,
+    link_counts,
     links_per_agent,
     load_trace,
     make_agents,
@@ -28,6 +29,7 @@ from groupcomm.simnet import (
     run_episode,
     run_handshake,
     run_transmission,
+    score_inboxes,
 )
 
 
@@ -244,7 +246,10 @@ class TestInformationFlow:
             fresh.assemble_row(5, theta)
 
     def test_inbox_scores_match_per_query_scores_bitwise(self):
-        from groupcomm.commgraph import attention_score
+        # The score phase scores every inbox in one call; each reply equals
+        # the replier's lone score of that query and its lone call on its
+        # own inbox, bit for bit.
+        from groupcomm.commgraph import attention_score, attention_scores
 
         cfg, theta, obs = small_setup(18, n_agents=6)
         agents = make_agents(obs, theta)
@@ -254,6 +259,34 @@ class TestInformationFlow:
         for m in scores:
             assert m.payload.shape == (1,)
             assert m.payload[0] == attention_score(agents[m.dst].mu, agents[m.src].kappa, theta.w_g)
+        for replier in agents:
+            senders = [j for j in range(6) if j != replier.agent_id]
+            assert list(replier.inbox["query"]) == senders
+            alone = attention_scores(np.array([replier.inbox["query"][j] for j in senders]), replier.kappa, theta.w_g)
+            sent = [m.payload[0] for m in scores if m.src == replier.agent_id]
+            assert sent == alone.tolist()
+
+    def test_score_phase_replays_from_query_inboxes_and_own_keys_alone(self):
+        # Fresh agents holding only their own keys, every other field of
+        # theirs corrupted, receive the recorded queries; the score phase
+        # then sends the recorded replies, in order, bit for bit.
+        cfg, theta, obs = small_setup(19, n_agents=5)
+        _, trace = run_handshake(make_agents(obs, theta), theta)
+        fresh = make_agents(obs, theta)
+        for agent in fresh:
+            agent.mu, agent.feature = np.full_like(agent.mu, np.nan), None
+            agent.observation = np.full_like(agent.observation, np.nan)
+        for msg in trace:
+            if msg.kind == "query":
+                fresh[msg.dst].receive(msg)
+        replayed = []
+        score_inboxes(fresh, theta, replayed)
+        recorded = [m for m in trace if m.kind == "score"]
+        assert [(m.src, m.dst) for m in replayed] == [(m.src, m.dst) for m in recorded]
+        assert [m.payload.tobytes() for m in replayed] == [m.payload.tobytes() for m in recorded]
+        assert all(sorted(agent.inbox["score"]) == [j for j in range(5) if j != agent.agent_id] for agent in fresh)
+        score_inboxes(fresh[:1], theta, replayed)  # a lone agent has no inbox to score
+        assert len(replayed) == len(recorded)
 
     def test_self_transfer_short_circuited(self):
         cfg, theta, obs = small_setup(15, n_agents=2)
@@ -278,18 +311,21 @@ class TestBandwidthMetrics:
 
     def test_closed_form_hand_arithmetic(self):
         # Two frames of N=3, Q=4, F=32: 12 queries and 12 score replies with
-        # the handshake, and three off-diagonal links; diagonal weights,
-        # kept or pruned, send nothing.
+        # the handshake, and three off-diagonal links, one in the first frame
+        # and two in the second; diagonal weights, kept or pruned, send nothing.
         m_bar = np.zeros((2, 3, 3))
         m_bar[0] = np.eye(3)
         m_bar[0, 0, 1] = 0.5
         m_bar[1, 1, 0] = m_bar[1, 2, 0] = 0.25
-        with_handshake = ledger_from_rows(m_bar, q_dim=4, f_dim=32, handshake=True)
+        assert link_counts(m_bar).tolist() == [1, 2]
+        assert link_counts(m_bar[1]) == 2
+        links = link_counts(m_bar).sum()
+        with_handshake = ledger_from_links(links, 2, 3, q_dim=4, f_dim=32, handshake=True)
         assert with_handshake == BandwidthLedger(
             counted_bytes=4 * (12 * 4 + 3 * 32), control_bytes=12 * (9 + 9 + 4) + 3 * (9 + 9),
             inter_agent_links=3, frames=2,
         )
-        assert ledger_from_rows(m_bar, q_dim=4, f_dim=32, handshake=False) == BandwidthLedger(
+        assert ledger_from_links(links, 2, 3, q_dim=4, f_dim=32, handshake=False) == BandwidthLedger(
             counted_bytes=3 * 32 * 4, control_bytes=3 * 18, inter_agent_links=3, frames=2
         )
         assert type(with_handshake.counted_bytes) is int and type(with_handshake.inter_agent_links) is int
