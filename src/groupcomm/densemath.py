@@ -65,11 +65,6 @@ _SM64_MUL1 = np.uint64(_MUL1)
 _SM64_MUL2 = np.uint64(_MUL2)
 _U53_SCALE = 2.0 ** -53
 
-# (1..n) * GAMMA mod 2**64: the state offsets of the next n words, shared
-# (read-only) by every vector draw of up to this many words per block.
-_GAMMA_STEPS = np.arange(1, 1025, dtype=np.uint64) * np.uint64(_GAMMA)
-_GAMMA_STEPS.setflags(write=False)
-
 AHEAD_WORDS = 64  # words of each keyed stream drawn ahead by keyed_streams
 
 
@@ -111,13 +106,9 @@ def relu(v: np.ndarray) -> np.ndarray:
 
 def _words(starts: np.ndarray, n: int) -> np.ndarray:
     """The ``n`` splitmix64 words after each state of the uint64 vector ``starts``, as (len(starts), n)."""
-    if n <= _GAMMA_STEPS.size:
-        steps = _GAMMA_STEPS[:n]
-    else:
-        steps = np.arange(1, n + 1, dtype=np.uint64) * np.uint64(_GAMMA)
     # Array arithmetic throughout: numpy wraps unsigned arrays silently,
     # whereas scalar uint64 ops emit overflow warnings.
-    z = starts[:, None] + steps
+    z = starts[:, None] + np.arange(1, n + 1, dtype=np.uint64) * np.uint64(_GAMMA)
     z = (z ^ (z >> np.uint64(30))) * _SM64_MUL1
     z = (z ^ (z >> np.uint64(27))) * _SM64_MUL2
     return z ^ (z >> np.uint64(31))

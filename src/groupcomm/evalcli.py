@@ -3,8 +3,8 @@
 The policies (``neuralnet.POLICIES``, re-exported here) and the rule that
 turns each into fusion rows (``neuralnet.policy_rows``) live in
 :mod:`groupcomm.neuralnet`.  :func:`evaluate` computes every report from one
-batched pass, ``neuralnet.pipeline_forward(mode="inference")`` per stack of
-``EVAL_BLOCK`` episodes, and its bandwidth from the closed form
+batched pass, ``neuralnet.infer_episodes`` (the inference loop validation
+shares), and its bandwidth from the closed form
 ``simnet.ledger_from_links`` of the pass's link counts.  The selection
 metrics are array operations over the pass's (E, N, N) rows.  The
 simulator's episode runner, ``simnet.run_episode``, audits that pass: it
@@ -26,22 +26,21 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import asdict, dataclass
-from itertools import chain, compress
+from dataclasses import asdict, dataclass, fields
+from itertools import chain
 
 import numpy as np
 
 from .commgraph import link_mask
 from .densemath import Rng
 from .neuralnet import (
-    EVAL_BLOCK,
     HANDSHAKE_POLICIES,
     POLICIES,
     PipelineConfig,
     PipelineParams,
     TrainConfig,
+    infer_episodes,
     load_checkpoint,
-    pipeline_forward,
     save_checkpoint,
     shared_agent_count,
     train,
@@ -58,6 +57,7 @@ from .scenarios import (
     make_world,
     save_dataset,
     split_bounds,
+    support_matrix,
 )
 from . import simnet
 
@@ -65,24 +65,6 @@ from . import simnet
 # that a checkpoint can be re-evaluated from the same flags alone.
 WORLD_SEED_XOR = 0x9E3779B9
 
-CSV_COLUMNS = (
-    "policy",
-    "case",
-    "n_agents",
-    "seed",
-    "delta",
-    "Q",
-    "K",
-    "F",
-    "acc_all",
-    "acc_degraded",
-    "acc_clean",
-    "when2com_acc",
-    "grouping_acc",
-    "mbpf",
-    "links_per_agent",
-    "n_episodes",
-)
 SWEEP_COLUMNS = ("param", "size", "Q", "K", "seed", "grouping_acc", "task_acc", "when2com_acc", "links_per_agent")
 
 
@@ -108,6 +90,10 @@ class MetricsReport:
 
     def to_dict(self) -> dict:
         return asdict(self)
+
+
+# The report's fields in order; the all-links-valid rate goes to the JSON report only.
+CSV_COLUMNS = tuple(f.name for f in fields(MetricsReport) if f.name != "grouping_set_acc")
 
 
 def _save_table(json_path: str, csv_path: str, doc, columns, records: list[dict]) -> None:
@@ -153,9 +139,7 @@ def when2com_accuracy(episodes: list[Episode], decisions: list[list[bool]]) -> f
     if len(episodes) != len(decisions):
         raise ValueError(f"{len(episodes)} episodes vs {len(decisions)} decision lists")
     needs = _needs(episodes)
-    decided = np.asarray(decisions, dtype=bool)
-    if decided.shape != needs.shape:
-        raise ValueError(f"decisions of shape {decided.shape} do not match the episodes' {needs.shape} agents")
+    decided = _per_episode("decisions", decisions, needs.shape[1:], bool)
     return int(np.count_nonzero(decided == needs)) / needs.size
 
 
@@ -166,7 +150,8 @@ def grouping_accuracy(
 
     Returns (top-1 rate, all-links-valid rate); both are None when no agent
     qualifies (needy and communicating), never 0.  Top-1 ties go to the
-    lowest index.  Every episode's rows must be (N, N).
+    lowest index.  Every episode's rows must be (N, N), and every supporter
+    one of its N agents (:func:`~groupcomm.scenarios.support_matrix`).
     """
     if len(episodes) != len(rows_per_episode):
         raise ValueError(f"{len(episodes)} episodes vs {len(rows_per_episode)} row sets")
@@ -174,24 +159,13 @@ def grouping_accuracy(
         return None, None
     needs = _needs(episodes)
     n = needs.shape[1]
-    try:
-        rows = np.asarray(rows_per_episode, dtype=np.float64)
-    except ValueError:  # row sets of several shapes, named below
-        rows = None
-    if rows is None or rows.shape != needs.shape + (n,):
-        for e, r in enumerate(rows_per_episode):
-            if np.shape(r) != (n, n):
-                raise ValueError(f"episode {e}: rows of shape {np.shape(r)}, but its N = {n} agents need (N, N) rows")
-        rows = np.asarray(rows_per_episode, dtype=np.float64)  # entries that are not numbers raise here
+    rows = _per_episode("rows", rows_per_episode, (n, n), np.float64)
+    support = support_matrix(episodes, n)
     linked = link_mask(rows)
     qualified = needs & linked.any(axis=-1)
     total = int(np.count_nonzero(qualified))
     if total == 0:
         return None, None
-    supports = list(chain.from_iterable(ep.gt_support for ep in episodes))  # agent k % n of episode k // n
-    support = np.zeros(rows.size, dtype=bool)  # [e, i, j], flat: j is in agent i's ground-truth support
-    support[[k * n + j for k in compress(range(len(supports)), supports) for j in supports[k] if 0 <= j < n]] = True
-    support = support.reshape(rows.shape)
     top = np.argmax(np.where(linked, rows, -np.inf), axis=-1)  # the first maximum: ties to the lowest index
     top_hits = np.take_along_axis(support, top[..., None], axis=-1)[..., 0] & qualified
     set_hits = ~np.any(linked & ~support, axis=-1) & qualified
@@ -205,6 +179,26 @@ def _needs(episodes: list[Episode]) -> np.ndarray:
     return np.fromiter(flags, dtype=bool, count=len(episodes) * n).reshape(-1, n)
 
 
+def _per_episode(what: str, values, shape: tuple[int, ...], dtype) -> np.ndarray:
+    """``values``, one entry of ``shape`` per episode, as one array; ``shape`` is (N,) or (N, N).
+
+    Raises ValueError naming the first episode whose entry has another shape, with that shape and N.
+    """
+    try:
+        stack = np.asarray(values, dtype=dtype)
+    except ValueError:  # entries of several shapes, named below
+        stack = None
+    if stack is None or stack.shape != (len(values),) + shape:
+        need = "(N,)" if len(shape) == 1 else "(N, N)"
+        for e, value in enumerate(values):
+            if np.shape(value) != shape:
+                raise ValueError(
+                    f"episode {e}: {what} of shape {np.shape(value)}, but its N = {shape[0]} agents need {need} {what}"
+                )
+        stack = np.asarray(values, dtype=dtype)  # entries that are not numbers raise here
+    return stack
+
+
 def evaluate(
     policy: str,
     theta: PipelineParams,
@@ -216,8 +210,8 @@ def evaluate(
 ) -> MetricsReport:
     """Run a policy over episodes and aggregate task, selection, and bandwidth metrics.
 
-    The report comes from one batched inference pass per stack of
-    ``EVAL_BLOCK`` episodes, with ``randcom`` rows drawn from ``Rng(seed)``
+    The report comes from one batched inference pass
+    (``neuralnet.infer_episodes``), with ``randcom`` rows drawn from ``Rng(seed)``
     episode by episode, in stack order, and its bandwidth from the closed
     form ``simnet.ledger_from_links``.  The simulator then audits the pass
     from a fresh ``Rng(seed)``: on the first episode, or with ``trace_path``
@@ -230,19 +224,10 @@ def evaluate(
     """
     if policy not in POLICIES:
         raise ValueError(f"unknown policy {policy!r}; expected one of {POLICIES}")
-    if not episodes:
-        raise ValueError("cannot evaluate on an empty dataset")
     if not 0.0 <= delta <= 1.0:
         raise ValueError(f"delta must lie in [0, 1], got {delta}")
-    n_agents = shared_agent_count(episodes)
-    rng = Rng(seed)
-    m_bar, predictions = [], []  # only these outlive their block
-    for start in range(0, len(episodes), EVAL_BLOCK):
-        stack = np.stack([ep.observations for ep in episodes[start : start + EVAL_BLOCK]])
-        result = pipeline_forward(theta, stack, mode="inference", delta=delta, policy=policy, rng=rng)
-        m_bar.append(result.m_bar)
-        predictions.append(np.argmax(result.logits, axis=-1))
-    m_bar, predictions = np.concatenate(m_bar), np.concatenate(predictions)
+    m_bar, predictions = infer_episodes(theta, episodes, delta, policy, Rng(seed))
+    n_agents = predictions.shape[1]
     q_dim, f_dim, handshake = theta.w_g.shape[0], theta.theta_e.out_dim, policy in HANDSHAKE_POLICIES
 
     # The audit: each simulated episode against its batched rows, predictions and closed-form ledger.
@@ -293,19 +278,9 @@ def evaluate(
     )
 
 
-def world_for_run(
-    case: str,
-    n_agents: int | None,
-    seed: int,
-    degrade_prob: float = 0.5,
-) -> World:
+def world_for_run(case: str, n_agents: int | None, seed: int) -> World:
     """World derived deterministically from the run seed."""
-    return make_world(
-        case,
-        n_agents=n_agents,
-        degrade_prob=degrade_prob,
-        rng=Rng(seed ^ WORLD_SEED_XOR),
-    )
+    return make_world(case, n_agents=n_agents, rng=Rng(seed ^ WORLD_SEED_XOR))
 
 
 @dataclass
@@ -371,19 +346,8 @@ def sweep_message_size(
         report = evaluate(
             "when2com", run.theta, run.dataset.test_episodes, 1.0 / n, seed, case=case
         )
-        rows.append(
-            {
-                "param": param,
-                "size": size,
-                "Q": q_dim,
-                "K": k_dim,
-                "seed": seed,
-                "grouping_acc": report.grouping_acc,
-                "task_acc": report.acc_all,
-                "when2com_acc": report.when2com_acc,
-                "links_per_agent": report.links_per_agent,
-            }
-        )
+        metrics = (report.grouping_acc, report.acc_all, report.when2com_acc, report.links_per_agent)
+        rows.append(dict(zip(SWEEP_COLUMNS, (param, size, q_dim, k_dim, seed) + metrics, strict=True)))
     return rows
 
 
@@ -553,16 +517,12 @@ def cli_main(argv: list[str]) -> int:
         elif args.command == "eval":
             theta, config = load_checkpoint(args.checkpoint)
             world, episodes = _test_split_for_eval(args)
-            if world.obs_dim != config.d_obs:
-                raise ValueError(
-                    f"{args.checkpoint}: checkpoint expects d_obs={config.d_obs}, "
-                    f"but the dataset has obs_dim={world.obs_dim}"
-                )
-            if world.n_classes != config.n_classes:
-                raise ValueError(
-                    f"{args.checkpoint}: checkpoint expects n_classes={config.n_classes}, "
-                    f"but the dataset has n_classes={world.n_classes}"
-                )
+            for field, name in (("d_obs", "obs_dim"), ("n_classes", "n_classes")):
+                if getattr(world, name) != getattr(config, field):
+                    raise ValueError(
+                        f"{args.checkpoint}: checkpoint expects {field}={getattr(config, field)}, "
+                        f"but the dataset has {name}={getattr(world, name)}"
+                    )
             delta = args.delta if args.delta is not None else 1.0 / world.n_agents
             report = evaluate(
                 args.policy,

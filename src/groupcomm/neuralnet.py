@@ -11,8 +11,9 @@ feature (gradients flow through the softmax and the bilinear scores);
 inference fuses with delta-pruned rows and is never differentiated.
 
 The communication policies live here as well: :data:`POLICIES` and the one
-rule :func:`policy_rows` that turns a policy into an episode's fusion rows,
-which training, validation and the simulator-driven evaluation all call.
+rule :func:`policy_rows` that turns a policy into a stack of episodes' fusion
+rows, which training, inference and the simulator all call.  So does the one
+inference loop, :func:`infer_episodes`, which validation and evaluation share.
 
 Training runs a whole minibatch at once: the episodes are stacked as
 (B, N, .) arrays, every head is one matrix product over all B*N agents, and
@@ -279,33 +280,10 @@ def decode(theta: PipelineParams, features: np.ndarray, fused: np.ndarray) -> np
     return mlp_infer(theta.theta_d, np.concatenate([features, fused], axis=-1))
 
 
-def fixed_policy_rows(policy: str, n: int, rng: Rng | None) -> np.ndarray:
-    """Constant fusion rows for the policies that run no handshake.
-
-    ``randcom`` draws one peer per agent from ``rng``, in agent order; a lone
-    agent has no peer, keeps its own feature and draws nothing.
-    """
-    if policy == "nocom" or (policy == "randcom" and n == 1):
-        return np.eye(n)
-    if policy == "catall":
-        return np.full((n, n), 1.0 / n)
-    if policy == "randcom":
-        if rng is None:
-            raise ValueError("policy 'randcom' draws its peers from rng, but rng is None")
-        rows = np.zeros((n, n))
-        for i in range(n):
-            j = rng.randint(n - 1)
-            if j >= i:
-                j += 1
-            rows[i, j] = 1.0
-        return rows
-    raise ValueError(f"unknown policy {policy!r}; expected one of {POLICIES}")
-
-
 def policy_rows(
-    policy: str, soft_rows: np.ndarray | None, n: int, delta: float, rng: Rng | None, episodes: int | None = None
+    policy: str, soft_rows: np.ndarray | None, n: int, delta: float, rng: Rng | None, episodes: int
 ) -> tuple[np.ndarray, float]:
-    """One episode's fusion rows under ``policy``, or a stack's, and the threshold that prunes them.
+    """An (E, N, N) stack of fusion rows under ``policy``, one per episode, and the threshold that prunes them.
 
     ``when2com``        the soft matching rows, pruned at ``delta``;
     ``fully_connected`` the soft rows unpruned, so every feature is fused;
@@ -314,11 +292,12 @@ def policy_rows(
     ``randcom``         each agent pulls one uniformly random other agent;
     ``catall``          each agent fuses the plain mean of every feature.
 
-    ``soft_rows`` is the (N, N) or (E, N, N) matching matrix for the
-    :data:`HANDSHAKE_POLICIES` and unused by the others.  With ``episodes``
-    set, the others' rows are an (E, N, N) stack: ``randcom`` draws them
-    episode by episode, in stack order, and the rest repeat one episode's.
-    Only ``when2com`` prunes at ``delta``; every other threshold is 0.
+    ``soft_rows`` is the (E, N, N) matching matrix for the
+    :data:`HANDSHAKE_POLICIES` and unused by the others.  ``randcom`` draws
+    one peer per agent from ``rng``, episode by episode, then agent by agent;
+    a lone agent has no peer, keeps its own feature and draws nothing.  The
+    other fixed policies repeat one episode's rows.  Only ``when2com`` prunes
+    at ``delta``; every other threshold is 0.
     """
     if policy == "when2com":
         return soft_rows, delta
@@ -326,11 +305,18 @@ def policy_rows(
         return soft_rows, 0.0
     if policy == "forced_top1":
         return top1_rows(soft_rows), 0.0
-    if episodes is None:
-        return fixed_policy_rows(policy, n, rng), 0.0
-    if policy == "randcom":
-        return np.array([fixed_policy_rows(policy, n, rng) for _ in range(episodes)]), 0.0
-    return np.repeat(fixed_policy_rows(policy, n, rng)[None], episodes, axis=0), 0.0
+    if policy == "randcom" and n > 1:
+        if rng is None:
+            raise ValueError("policy 'randcom' draws its peers from rng, but rng is None")
+        peers = np.fromiter((rng.randint(n - 1) for _ in range(episodes * n)), np.intp, episodes * n)
+        peers = peers.reshape(episodes, n, 1)
+        peers += peers >= np.arange(n)[:, None]  # skip the agent itself
+        return (peers == np.arange(n)).astype(np.float64), 0.0
+    if policy in ("nocom", "randcom"):
+        return np.repeat(np.eye(n)[None], episodes, axis=0), 0.0
+    if policy == "catall":
+        return np.full((episodes, n, n), 1.0 / n), 0.0
+    raise ValueError(f"unknown policy {policy!r}; expected one of {POLICIES}")
 
 
 def pipeline_forward(
@@ -363,7 +349,7 @@ def pipeline_forward(
     soft = None
     if policy in HANDSHAKE_POLICIES:
         soft = build_matching_matrix(mlp_infer(theta.theta_q, obs), mlp_infer(theta.theta_k, obs), theta.w_g)
-    m, threshold = policy_rows(policy, soft, n, delta, rng, episodes=len(obs))
+    m, threshold = policy_rows(policy, soft, n, delta, rng, len(obs))
     m_bar = prune(m, threshold)
     fused = fuse_rows(m_bar, features)
     logits = decode(theta, features, fused)
@@ -394,7 +380,7 @@ def _training_forward(theta: PipelineParams, observations, policy: str, rng: Rng
         scores = (mu @ theta.w_g).reshape(b, n, -1) @ keys.transpose(0, 2, 1)
         m = softmax(scores / math.sqrt(theta.w_g.shape[1]))
     else:
-        m = policy_rows(policy, None, n, 0.0, rng, episodes=b)[0]
+        m = policy_rows(policy, None, n, 0.0, rng, b)[0]
 
     fused = m @ features
     z, d_cache = mlp_forward(theta.theta_d, np.concatenate([features, fused], axis=-1).reshape(b * n, -1))
@@ -565,27 +551,39 @@ def shared_agent_count(episodes) -> int:
     return n
 
 
+def infer_episodes(
+    theta: PipelineParams, episodes, delta: float, policy: str = "when2com", rng: Rng | None = None
+) -> tuple[np.ndarray, np.ndarray]:
+    """The (E, N, N) pruned rows and (E, N) predicted classes of ``episodes`` at inference.
+
+    There must be at least one episode, and all must share one agent count;
+    both are checked before anything runs.  The episodes go through :func:`pipeline_forward` in stacks of
+    :data:`EVAL_BLOCK`, with ``randcom`` rows drawn from ``rng`` episode by
+    episode.
+    """
+    shared_agent_count(episodes)
+    m_bar, predictions = [], []  # only these outlive their block
+    for start in range(0, len(episodes), EVAL_BLOCK):
+        stack = np.stack([ep.observations for ep in episodes[start : start + EVAL_BLOCK]])
+        result = pipeline_forward(theta, stack, mode="inference", delta=delta, policy=policy, rng=rng)
+        m_bar.append(result.m_bar)
+        predictions.append(np.argmax(result.logits, axis=-1))
+    return np.concatenate(m_bar), np.concatenate(predictions)
+
+
 def evaluate_task_accuracy(
     theta: PipelineParams, episodes, delta: float, policy: str = "when2com", rng: Rng | None = None
 ) -> float:
-    """Fraction of (episode, agent) predictions matching labels at inference.
+    """Fraction of (episode, agent) predictions of :func:`infer_episodes` matching labels.
 
-    The episodes must share one agent count; they run in stacks of
-    :data:`EVAL_BLOCK`.  ``randcom`` rows are drawn from ``rng``, episode by
-    episode, or from one ``Rng(0)`` for the whole call when it is omitted.
+    ``randcom`` rows are drawn from ``rng``, episode by episode, or from one
+    ``Rng(0)`` for the whole call when it is omitted.
     """
-    rng = rng if rng is not None else Rng(0)
     episodes = list(episodes)
     if not episodes:
         raise ValueError("evaluate_task_accuracy: episodes is empty, so there is no accuracy to report")
-    n = shared_agent_count(episodes)
-    correct = 0
-    for start in range(0, len(episodes), EVAL_BLOCK):
-        block = episodes[start : start + EVAL_BLOCK]
-        obs = np.stack([ep.observations for ep in block])
-        result = pipeline_forward(theta, obs, mode="inference", delta=delta, policy=policy, rng=rng)
-        correct += int(np.sum(np.argmax(result.logits, axis=-1) == np.array([ep.labels for ep in block])))
-    return correct / (len(episodes) * n)
+    _, predictions = infer_episodes(theta, episodes, delta, policy, rng if rng is not None else Rng(0))
+    return int(np.count_nonzero(predictions == np.array([ep.labels for ep in episodes]))) / predictions.size
 
 
 def train(config: TrainConfig, dataset, rng: Rng) -> tuple[PipelineParams, list[dict]]:

@@ -67,6 +67,7 @@ import struct
 from collections.abc import Iterator
 from dataclasses import dataclass, field
 from itertools import chain, compress
+from operator import index
 
 import numpy as np
 
@@ -109,20 +110,25 @@ class World:
 class Episode:
     """One synchronized frame of N observations with ground truth.
 
-    ``needs_comm[i]`` is true exactly when agent i is degraded (its own view
-    is insufficient).  ``gt_support[i]`` is the frozenset of agents holding
-    informative views for i; it is empty whenever ``needs_comm[i]`` is false,
-    and may also be empty for mrmps requesters with no sufficiently
-    overlapping peer.  Every empty entry, generated or loaded, is the one
-    shared :data:`NO_SUPPORT`, and the class has slots rather than a
-    ``__dict__``, so a held episode is mostly its observation array.
+    Agent i needs to communicate exactly when it is degraded (its own view
+    is insufficient), so :attr:`needs_comm` is ``degraded`` itself.
+    ``gt_support[i]`` is the frozenset of agents holding informative views
+    for i; it is empty whenever agent i is clean, and may also be empty for
+    mrmps requesters with no sufficiently overlapping peer.  Every empty
+    entry, generated or loaded, is the one shared :data:`NO_SUPPORT`, and the
+    class has slots rather than a ``__dict__``, so a held episode is mostly
+    its observation array.
     """
 
     observations: np.ndarray  # (N, obs_dim)
     labels: list[int]
     degraded: list[bool]
-    needs_comm: list[bool]
     gt_support: list[frozenset[int]] = field(default_factory=list)
+
+    @property
+    def needs_comm(self) -> list[bool]:
+        """The ground-truth need to communicate: the ``degraded`` list itself (read-only)."""
+        return self.degraded
 
 
 @dataclass
@@ -426,7 +432,7 @@ def render_episodes(world: World, draws: list[EpisodeDraw]) -> list[Episode]:
     obs[..., : world.scene_dim] = signatures + PERTURBATION_SIGMA * z[..., : world.scene_dim]
     obs[..., world.scene_dim :] = np.where(deg, noise, content + noise)
     return [
-        Episode(rows, d.labels, d.degraded, list(d.degraded), d.gt_support)
+        Episode(rows, d.labels, d.degraded, d.gt_support)
         for rows, d in zip(map(np.ndarray.copy, obs), draws)
     ]
 
@@ -485,6 +491,29 @@ def _body_layout(header: dict) -> list[tuple[str, tuple[int, ...]]]:
     return [("<f8", (c, d)), ("<f8", (s, s)), ("<f8", (e, n, d)), ("<i8", (e, n)), ("u1", (e, n)), ("u1", (e, n, n))]
 
 
+def support_matrix(episodes: list[Episode], n: int) -> np.ndarray:
+    """The (E, N, N) bool ground-truth membership of ``episodes`` of ``n`` agents: [e, i, j] when j supports i.
+
+    Raises ValueError naming the first episode whose support list does not
+    hold ``n`` entries, or the first episode and agent with a supporter
+    outside [0, n).
+    """
+    supports = list(chain.from_iterable(ep.gt_support for ep in episodes))  # agent k % n of episode k // n
+    if len(supports) != len(episodes) * n:
+        e = next(e for e, ep in enumerate(episodes) if len(ep.gt_support) != n)
+        raise ValueError(f"episode {e} has {len(episodes[e].gt_support)} gt_support entries, not one per agent of {n}")
+    pairs = [(k, index(j)) for k in compress(range(len(supports)), supports) for j in supports[k]]  # 1.5 raises
+    k, j = np.array(pairs, dtype=np.intp).reshape(-1, 2).T  # k ascends
+    bad = (j < 0) | (j >= n)
+    if bad.any():
+        k0 = k[bad][0]
+        j0 = j[bad & (k == k0)].min()
+        raise ValueError(f"episode {k0 // n} agent {k0 % n} has supporter {j0}, not one in [0, {n})")
+    member = np.zeros((len(supports), n), dtype=bool)
+    member[k, j] = True
+    return member.reshape(len(episodes), n, n)
+
+
 def _reject_first(path: str, bad: np.ndarray, what: str, values: np.ndarray | None = None) -> None:
     """Raise naming ``path`` and the first (episode, agent) where the (E, N) mask ``bad`` holds.
 
@@ -495,6 +524,25 @@ def _reject_first(path: str, bad: np.ndarray, what: str, values: np.ndarray | No
         raise ValueError(f"{path}: episode {e} agent {i} " + (what if values is None else what.format(values[e, i])))
 
 
+def _check_body(path: str, n_classes: int, body: list[np.ndarray]) -> None:
+    """Raise ValueError naming ``path`` and the first fault of a dataset body, arrays in :func:`_body_layout` order.
+
+    The one set of checks :func:`save_dataset` and :func:`load_dataset` both
+    run: finite arrays, labels in [0, C), flags and supports in {0, 1}, no
+    agent its own supporter, and supporters only for a degraded agent.
+    """
+    prototypes, scene_codes, obs, labels, degraded, member = body
+    for name, array in (("prototypes", prototypes), ("scene_codes", scene_codes)):
+        if not np.isfinite(array).all():
+            raise ValueError(f"{path}: world {name} contain non-finite values")
+    _reject_first(path, ~np.isfinite(obs).all(axis=2), "has non-finite observations")
+    _reject_first(path, (labels < 0) | (labels >= n_classes), f"has label {{}}, not one in [0, {n_classes})", labels)
+    _reject_first(path, degraded > 1, "has degraded flag {}, not 0 or 1", degraded)
+    _reject_first(path, (member > 1).any(axis=2), "has a gt_support entry other than 0 or 1")
+    _reject_first(path, np.diagonal(member, axis1=1, axis2=2) != 0, "is listed as its own supporter")
+    _reject_first(path, member.any(axis=2) & (degraded == 0), "has supporters but is not degraded")
+
+
 def save_dataset(path: str, dataset: Dataset) -> None:
     """Binary layout: magic, version and header length, a JSON header, then a raw little-endian body.
 
@@ -503,27 +551,24 @@ def save_dataset(path: str, dataset: Dataset) -> None:
     row-major, the world's ``prototypes`` (C, obs_dim) and ``scene_codes``
     (S, S) as f8, then the episodes' observations (E, N, obs_dim) as f8,
     labels (E, N) as i8, degraded flags (E, N) as u1 and supports as a u1
-    membership matrix (E, N, N), whose entry [e, i, j] is 1 when agent j
-    supports agent i.  ``needs_comm`` is not stored: every generator sets it
-    equal to ``degraded``.  A non-finite observation or a ``needs_comm``
-    that differs from ``degraded``, which :func:`load_dataset` could not
-    give back, raises ValueError naming the episode and the agent before the
-    file is opened.
+    membership matrix (E, N, N) (:func:`support_matrix`), whose entry
+    [e, i, j] is 1 when agent j supports agent i.  ``needs_comm`` is
+    ``degraded`` and is not stored.  A body :func:`load_dataset` would
+    refuse raises the same ValueError, naming the episode and the agent,
+    before the file is opened.
     """
     world, episodes = dataset.world, dataset.episodes
     header = {key: getattr(world, key) for key in _WORLD_SCALARS}
     splits = {"train": dataset.train_idx, "val": dataset.val_idx, "test": dataset.test_idx}
     header.update(n_episodes=len(episodes), splits=splits)
-    supports = list(chain.from_iterable(ep.gt_support for ep in episodes))  # agent k % n of episode k // n
-    member = np.zeros((len(supports), world.n_agents), dtype="u1")
-    for k in compress(range(len(supports)), supports):
-        member[k, list(supports[k])] = 1
+    try:
+        member = support_matrix(episodes, world.n_agents)
+    except ValueError as err:
+        raise ValueError(f"{path}: {err}") from None
     values = (world.prototypes, world.scene_codes, [ep.observations for ep in episodes], [ep.labels for ep in episodes])
     values += ([ep.degraded for ep in episodes], member)
     body = [np.asarray(v, dtype=dtype).reshape(shape) for v, (dtype, shape) in zip(values, _body_layout(header))]
-    _reject_first(path, ~np.isfinite(body[2]).all(axis=2), "has non-finite observations, which would not load")
-    needs = np.asarray([ep.needs_comm for ep in episodes], dtype="u1").reshape(body[4].shape)
-    _reject_first(path, needs != body[4], "has needs_comm differing from degraded, and the file stores degraded alone")
+    _check_body(path, world.n_classes, body)
     text = json.dumps(header, sort_keys=True).encode()
     with open(path, "wb") as fh:
         fh.write(_PREFIX.pack(DATASET_MAGIC, DATASET_VERSION, len(text)) + text)
@@ -572,10 +617,10 @@ def load_dataset(path: str) -> Dataset:
     must hold exactly the fields :func:`save_dataset` writes, a world
     ``make_world`` could build and valid splits, and the file's size must be
     the one the header implies.  Whole-array checks then name the first
-    (episode, agent) at fault: finite arrays, labels in range, flags in
+    (episode, agent) at fault (:func:`_check_body`, which
+    :func:`save_dataset` runs too): finite arrays, labels in range, flags in
     {0, 1}, and supports in {0, 1}, never the agent itself and only for a
-    degraded agent.  ``needs_comm`` is a copy of ``degraded``, and every
-    empty support is :data:`NO_SUPPORT`.
+    degraded agent.  Every empty support is :data:`NO_SUPPORT`.
     """
     with open(path, "rb") as fh:
         blob = fh.read()
@@ -603,23 +648,14 @@ def load_dataset(path: str) -> Dataset:
     for dtype, shape in layout:
         arrays.append(np.frombuffer(blob, dtype, math.prod(shape), offset).reshape(shape))
         offset += arrays[-1].nbytes
+    _check_body(path, n_classes, arrays)
     prototypes, scene_codes, obs, labels, degraded, member = arrays
-    for name, array in (("prototypes", prototypes), ("scene_codes", scene_codes)):
-        if not np.isfinite(array).all():
-            raise ValueError(f"{path}: world {name} contain non-finite values")
-    _reject_first(path, ~np.isfinite(obs).all(axis=2), "has non-finite observations")
-    _reject_first(path, (labels < 0) | (labels >= n_classes), f"has label {{}}, not one in [0, {n_classes})", labels)
-    _reject_first(path, degraded > 1, "has degraded flag {}, not 0 or 1", degraded)
-    _reject_first(path, (member > 1).any(axis=2), "has a gt_support entry other than 0 or 1")
-    _reject_first(path, np.diagonal(member, axis1=1, axis2=2) != 0, "is listed as its own supporter")
-    _reject_first(path, member.any(axis=2) & (degraded == 0), "has supporters but is not degraded")
     rows = member.reshape(-1, n_agents)  # agent k % n of episode k // n
     supports = [NO_SUPPORT] * len(rows)
     for k in np.flatnonzero(rows.any(axis=1)).tolist():
         supports[k] = frozenset(np.flatnonzero(rows[k]).tolist())
-    flags = degraded.astype(bool).tolist()
     chunks = (supports[k : k + n_agents] for k in range(0, len(supports), n_agents))
-    episodes = list(map(Episode, map(np.ndarray.copy, obs), labels.tolist(), flags, map(list, flags), chunks))
+    episodes = list(map(Episode, map(np.ndarray.copy, obs), labels.tolist(), degraded.astype(bool).tolist(), chunks))
     scalars = {key: header[key] for key in _WORLD_SCALARS}
     world = World(**scalars, prototypes=prototypes.copy(), scene_codes=scene_codes.copy())
     return Dataset(world, episodes, *splits)

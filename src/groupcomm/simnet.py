@@ -299,14 +299,15 @@ def run_episode(
 ) -> EpisodeResult:
     """One episode of ``policy`` through messages: rows, transmission, decode, ledger.
 
-    The handshake runs only for ``HANDSHAKE_POLICIES``; ``policy_rows`` then
-    sets the rows (``randcom`` draws them from ``rng``) and the threshold
-    that transmission prunes them at.  One ``decode`` call then runs every
-    agent's own feature and fused feature; its kernel rounds each agent's row
-    as that agent's lone decode would.
+    The handshake runs only for ``HANDSHAKE_POLICIES``; ``policy_rows`` of a
+    one-episode stack then sets the rows (``randcom`` draws them from
+    ``rng``) and the threshold that transmission prunes them at.  One
+    ``decode`` call then runs every agent's own feature and fused feature;
+    its kernel rounds each agent's row as that agent's lone decode would.
     """
     soft_rows, trace = run_handshake(agents, theta) if policy in HANDSHAKE_POLICIES else (None, [])
-    rows, threshold = policy_rows(policy, soft_rows, len(agents), delta, rng)
+    stack = None if soft_rows is None else soft_rows[None]
+    (rows,), threshold = policy_rows(policy, stack, len(agents), delta, rng, 1)  # the one episode's (N, N) rows
     fused, transfers = run_transmission(agents, rows, threshold)
     logits = decode(theta, np.array([agent.feature for agent in agents]), fused)
     trace = trace + transfers

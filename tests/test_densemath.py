@@ -157,10 +157,10 @@ class TestRng:
     @pytest.mark.parametrize("ahead", [0, 3, 64])
     def test_scalar_draws_reproduce_vector_stream(self, seed, ahead):
         # Scalar draws (int arithmetic, or read from the words drawn ahead)
-        # interleaved with skips and array draws inside and beyond the cached
-        # step table must give, word for word, the values derived from one
-        # array draw of the whole stream.
-        table = densemath._GAMMA_STEPS.size
+        # interleaved with skips and array draws of many sizes must give,
+        # word for word, the values derived from one array draw of the whole
+        # stream.
+        table = 1024
         sizes = [1, 2, 16, table - 1, table, table + 1, 2 * table + 3]
         rng = Rng(seed, Rng(seed).uniform(ahead).tolist())
         draws = []  # (kind, first word index, argument, result)

@@ -63,7 +63,6 @@ def fake_episode(needs, gt):
         observations=np.zeros((n, 4)),
         labels=[0] * n,
         degraded=list(needs),
-        needs_comm=list(needs),
         gt_support=[frozenset(s) for s in gt],
     )
 
@@ -94,8 +93,16 @@ class TestWhen2comAccuracy:
 
     def test_decisions_of_another_agent_count_rejected(self):
         eps = [fake_episode([True, False], [{1}, set()])] * 2
-        with pytest.raises(ValueError, match=re.escape("decisions of shape (2, 3) do not match the episodes' (2, 2)")):
+        message = "episode 0: decisions of shape (3,), but its N = 2 agents need (N,) decisions"
+        with pytest.raises(ValueError, match=re.escape(message)):
             when2com_accuracy(eps, [[False, True, True]] * 2)
+
+    def test_decision_lists_of_several_lengths_name_the_episode(self):
+        # numpy's own "inhomogeneous shape" error named no episode.
+        eps = [fake_episode([True, False, False], [{1}, set(), set()])] * 3
+        message = "episode 1: decisions of shape (2,), but its N = 3 agents need (N,) decisions"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            when2com_accuracy(eps, [[False] * 3, [False] * 2, [False] * 3])
 
     def test_empty_episode_list_rejected(self):
         # It used to score no decisions as 0.0, a plausible but wrong number.
@@ -155,10 +162,12 @@ class TestGroupingAccuracy:
 
     def test_supporters_outside_the_episode_never_match(self):
         # Agent 0's support names agents -1 and 3 of a 3-agent episode; a
-        # flat index k * N + j would have marked agent 1's supporter 0.
+        # flat index k * N + j would have marked agent 1's supporter 0, and
+        # skipping them would score a support no episode can hold.
         eps = [fake_episode([True, True, False], [{-1, 3}, {2}, set()])]
         rows = [np.array([[0.2, 0.5, 0.3], [0.4, 0.0, 0.6], [0.0, 0.0, 1.0]])]
-        assert grouping_accuracy(eps, rows) == grouping_accuracy_oracle(eps, rows) == (0.5, 0.0)
+        with pytest.raises(ValueError, match=re.escape("episode 0 agent 0 has supporter -1, not one in [0, 3)")):
+            grouping_accuracy(eps, rows)
 
     def test_mixed_agent_counts_rejected(self):
         eps = [fake_episode([True, False], [{1}, set()]), fake_episode([True, False, False], [{1}, set(), set()])]
@@ -319,12 +328,12 @@ class TestPolicies:
         theta = tiny_theta()
         drawn = []
 
-        def record(policy, n, rng, real=neuralnet.fixed_policy_rows):
-            rows = real(policy, n, rng)
-            drawn.append(rows)
-            return rows
+        def record(*args, real=neuralnet.policy_rows):
+            rows, threshold = real(*args)
+            drawn.extend(rows)  # one (N, N) entry per episode of the stack
+            return rows, threshold
 
-        monkeypatch.setattr(neuralnet, "fixed_policy_rows", record)
+        monkeypatch.setattr(neuralnet, "policy_rows", record)
         acc_default = evaluate_task_accuracy(theta, episodes, 0.2, policy="randcom")
         default_rows, drawn[:] = list(drawn), []
         acc_passed = evaluate_task_accuracy(theta, episodes, 0.2, policy="randcom", rng=Rng(0))
@@ -408,7 +417,7 @@ class TestPolicies:
         three = generate_dataset(make_world("mrms", n_agents=3, rng=Rng(2)), 10, seed=2).episodes
         episodes_run = []
         monkeypatch.setattr(evalcli, "run_policy_episode", lambda *args: episodes_run.append(args))
-        monkeypatch.setattr(evalcli, "pipeline_forward", lambda *args, **kwargs: episodes_run.append(args))
+        monkeypatch.setattr(neuralnet, "pipeline_forward", lambda *args, **kwargs: episodes_run.append(args))
         with pytest.raises(ValueError, match="episode 10 has 3 agents, but episode 0 has 5"):
             evaluate("catall", tiny_theta(), five + three, 0.2, seed=0)
         assert episodes_run == []
@@ -820,7 +829,7 @@ class TestCli:
         save_checkpoint(str(ckpt), tiny_theta(), PipelineConfig())
         episodes_run = []
         monkeypatch.setattr(evalcli, "run_policy_episode", lambda *args: episodes_run.append(args))
-        monkeypatch.setattr(evalcli, "pipeline_forward", lambda *args, **kwargs: episodes_run.append(args))
+        monkeypatch.setattr(neuralnet, "pipeline_forward", lambda *args, **kwargs: episodes_run.append(args))
         bad = str(tmp_path / "absent" / "out.jsonl")
         outputs = {"--report": str(tmp_path / "ev.json"), "--trace": str(tmp_path / "t.jsonl"), flag: bad}
         argv = ["eval", "--checkpoint", str(ckpt), "--episodes", "20"]

@@ -16,7 +16,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from groupcomm.commgraph import prune
-from groupcomm.densemath import Rng, relu
+from groupcomm.densemath import Rng, relu, softmax
 from groupcomm.neuralnet import (
     EVAL_BLOCK,
     POLICIES,
@@ -39,6 +39,7 @@ from groupcomm.neuralnet import (
     param_shapes,
     pipeline_backward,
     pipeline_forward,
+    policy_rows,
     save_checkpoint,
     train,
     zeros_like_params,
@@ -210,6 +211,37 @@ class TestPipelineForward:
             pipeline_forward(theta, obs, mode=mode, policy="randcom")
         lone = pipeline_forward(theta, obs[:1], mode=mode, policy="randcom")
         np.testing.assert_array_equal(lone.m, [[1.0]])
+
+
+class TestPolicyRows:
+    @pytest.mark.parametrize("policy", POLICIES)
+    @pytest.mark.parametrize("n", [1, 2, 5])
+    def test_stack_equals_one_episode_calls(self, policy, n):
+        # randcom draws from equal Rngs, so the stack and the one-episode
+        # calls must consume the same words in the same order.
+        soft = softmax(Rng(n).normal(4 * n * n).reshape(4, n, n))
+        stacked_rng, single_rng = Rng(9), Rng(9)
+        stacked, threshold = policy_rows(policy, soft, n, 0.3, stacked_rng, 4)
+        singles = [policy_rows(policy, soft[e : e + 1], n, 0.3, single_rng, 1) for e in range(4)]
+        assert stacked.shape == (4, n, n) and all(rows.shape == (1, n, n) for rows, _ in singles)
+        np.testing.assert_array_equal(stacked, np.concatenate([rows for rows, _ in singles]))
+        assert {t for _, t in singles} == {threshold} == {0.3 if policy == "when2com" else 0.0}
+        assert stacked_rng.uniform_scalar() == single_rng.uniform_scalar()
+
+    def test_randcom_draws_episode_by_episode_then_agent_by_agent(self):
+        n, rng = 4, Rng(11)
+        expected = np.zeros((3, n, n))
+        for e in range(3):
+            for i in range(n):
+                j = rng.randint(n - 1)
+                expected[e, i, j + (j >= i)] = 1.0
+        rows, threshold = policy_rows("randcom", None, n, 0.3, Rng(11), 3)
+        np.testing.assert_array_equal(rows, expected)
+        assert threshold == 0.0
+
+    def test_unknown_policy_named(self):
+        with pytest.raises(ValueError, match="unknown policy 'broadcast'"):
+            policy_rows("broadcast", None, 3, 0.3, Rng(0), 2)
 
 
 class TestCrossEntropy:

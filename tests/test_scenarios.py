@@ -29,6 +29,7 @@ from groupcomm.scenarios import (
     make_world,
     save_dataset,
     split_bounds,
+    support_matrix,
 )
 
 from helpers import DATASET_MAGIC, DATASET_PREFIX, edit_dataset_file, one_episode, read_dataset_file, write_dataset_file
@@ -539,6 +540,34 @@ class TestSupportSets:
         with pytest.raises(AttributeError):
             ep.note = "an attribute the class does not declare"
 
+    def test_needs_comm_is_degraded_and_read_only(self):
+        ep = one_episode(make_world("mrms", degrade_prob=0.6, rng=Rng(31)), Rng(2))
+        assert ep.needs_comm is ep.degraded
+        with pytest.raises(AttributeError):
+            ep.needs_comm = [True] * len(ep.degraded)
+        assert ep.needs_comm is ep.degraded
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_support_matrix_is_each_support_set(self, case):
+        episodes = generate_dataset(make_world(case, degrade_prob=0.6, rng=Rng(30)), 40, seed=8).episodes
+        n = len(episodes[0].labels)
+        member = support_matrix(episodes, n)
+        assert member.dtype == bool and member.shape == (40, n, n)
+        for ep, rows in zip(episodes, member):
+            assert [set(np.flatnonzero(row).tolist()) for row in rows] == ep.gt_support
+
+    def test_support_matrix_names_a_supporter_outside_the_episode(self):
+        episodes = generate_dataset(make_world("srms", rng=Rng(3)), 10, seed=5).episodes
+        episodes[3].gt_support[1] = frozenset({0, 5, 9})
+        with pytest.raises(ValueError, match=re.escape("episode 3 agent 1 has supporter 5, not one in [0, 5)")):
+            support_matrix(episodes, 5)
+        episodes[3].gt_support[1] = frozenset({1.5})  # would otherwise be truncated to agent 1
+        with pytest.raises(TypeError, match="'float' object cannot be interpreted as an integer"):
+            support_matrix(episodes, 5)
+        episodes[3].gt_support.pop()
+        with pytest.raises(ValueError, match="episode 3 has 4 gt_support entries, not one per agent of 5"):
+            support_matrix(episodes, 5)
+
     def test_held_srms_episode_stays_small(self):
         # Per-agent mutable sets and an instance __dict__ held 3087 B per
         # srms episode; frozen supports with one shared empty set hold about
@@ -577,7 +606,7 @@ class TestDatasetExport:
         assert _assert_frozen_support(loaded.episodes) > 0  # every empty support is NO_SUPPORT
         for ep in loaded.episodes:  # each episode owns its rows, so a kept split does not hold the whole body
             assert ep.observations.base is None and ep.observations.flags.writeable
-            assert ep.needs_comm == ep.degraded and ep.needs_comm is not ep.degraded
+            assert ep.needs_comm is ep.degraded
 
     def test_empty_dataset_round_trips(self, tmp_path):
         # No episode: a header, the two world arrays and an empty body.
@@ -660,15 +689,39 @@ class TestDatasetExport:
             save_dataset(str(path), ds)
         assert path.read_text() == "an earlier save"
 
-    def test_save_refuses_needs_comm_unlike_degraded(self, tmp_path):
-        # The file stores degraded alone, so such an episode would not load as it was.
+    @pytest.mark.parametrize(
+        "fault, message",
+        [
+            ("supporter -1", "has supporter -1, not one in [0, 5)"),
+            ("supporter 7", "has supporter 7, not one in [0, 5)"),
+            ("self support", "is listed as its own supporter"),
+            ("clean supported", "has supporters but is not degraded"),
+            ("label 12", "has label 12, not one in [0, 10)"),
+            ("non-finite prototype", None),
+        ],
+    )
+    def test_save_refuses_what_load_refuses(self, tmp_path, fault, message):
+        # Each of these used to be saved (or to raise a bare IndexError, for
+        # 7); load_dataset then refused the file, or read -1 back as agent 4.
         ds = generate_dataset(make_world("srms", rng=Rng(3)), 10, seed=5)
-        ds.episodes[4].needs_comm[2] = not ds.episodes[4].degraded[2]
+        e = next(e for e, ep in enumerate(ds.episodes) if any(ep.degraded))
+        ep = ds.episodes[e]
+        agent = ep.degraded.index(fault != "clean supported")
+        if fault.startswith("supporter"):
+            ep.gt_support[agent] = frozenset({int(fault.split()[1])})
+        elif fault == "self support":
+            ep.gt_support[agent] = ep.gt_support[agent] | {agent}
+        elif fault == "clean supported":
+            ep.gt_support[agent] = frozenset({ep.degraded.index(True)})
+        elif fault == "label 12":
+            ep.labels[agent] = 12
+        else:
+            ds.world.prototypes[2, 20] = float("nan")
         path = tmp_path / "data.bin"
-        path.write_text("an earlier save")
-        with pytest.raises(ValueError, match=rf"{re.escape(str(path))}: episode 4 agent 2 has needs_comm differing"):
+        where = f"episode {e} agent {agent} {message}" if message else "world prototypes contain non-finite values"
+        with pytest.raises(ValueError, match=re.escape(f"{path}: {where}")):
             save_dataset(str(path), ds)
-        assert path.read_text() == "an earlier save"
+        assert not path.exists()
 
     # SHA-256 of the saved 20-episode dataset of each case, frozen so that
     # neither the generators nor the file format drift silently.
