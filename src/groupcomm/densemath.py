@@ -75,8 +75,8 @@ def softmax(z: np.ndarray) -> np.ndarray:
     magnitude up to ~1e3 (and far beyond) cannot overflow.  Every row of a
     stack comes out bit-identical to :func:`softmax_row` of that row alone.
     """
-    e = np.exp(z - z.max(axis=-1, keepdims=True))
-    return e / e.sum(axis=-1, keepdims=True)
+    e = np.exp(z - np.maximum.reduce(z, axis=-1, keepdims=True))
+    return e / np.add.reduce(e, axis=-1, keepdims=True)
 
 
 def softmax_row(v: np.ndarray) -> np.ndarray:

@@ -7,10 +7,11 @@ batched pass, ``neuralnet.infer_episodes`` (the inference loop validation
 shares), and its bandwidth from the closed form
 ``simnet.ledger_from_links`` of the pass's link counts.  The selection
 metrics are array operations over the pass's (E, N, N) rows.  The
-simulator's episode runner, ``simnet.run_episode``, audits that pass: it
-runs the first episode, or every episode when a trace is dumped, and any
-difference in pruned rows, predictions or trace-derived ledger raises.  So
-every reported bandwidth number is recomputable from a dumped message trace.
+simulator's block runner, ``simnet.run_block``, audits that pass: it runs
+the first episode, or every episode when a trace is dumped, in lockstep
+blocks of at most ``EVAL_BLOCK`` episodes, and any difference in an
+episode's pruned rows, predictions or trace-derived ledger raises.  So every
+reported bandwidth number is recomputable from a dumped message trace.
 
 "Communicates" is operationalized as having at least one surviving
 off-diagonal link after pruning.  Selection metrics: when-to-communicate
@@ -34,6 +35,7 @@ import numpy as np
 from .commgraph import link_mask
 from .densemath import Rng
 from .neuralnet import (
+    EVAL_BLOCK,
     HANDSHAKE_POLICIES,
     POLICIES,
     PipelineConfig,
@@ -122,18 +124,31 @@ def _sibling_path(path: str, suffix: str, other: str) -> str:
 
 def run_policy_episode(
     policy: str, theta: PipelineParams, observations, delta: float, rng: Rng | None
-) -> simnet.EpisodeResult:
-    """Evaluation's simulator step: fresh agents for ``observations``, then ``simnet.run_episode``."""
-    return simnet.run_episode(simnet.make_agents(observations, theta), theta, delta, policy, rng)
+) -> simnet.EpisodeResult | list[simnet.EpisodeResult]:
+    """Evaluation's simulator step: fresh agents for ``observations``, then the simulator's block runner.
+
+    One episode's (N, d_obs) observations give its ``simnet.run_episode``
+    result; a block's (E, N, d_obs) stack gives ``simnet.run_block``'s, one
+    result per episode, simulated in lockstep.
+    """
+    obs = np.asarray(observations, dtype=np.float64)
+    agents = simnet.make_agents(obs, theta)
+    if obs.ndim == 3:
+        return simnet.run_block(agents, theta, delta, policy, rng)
+    return simnet.run_episode(agents, theta, delta, policy, rng)
 
 
-def decisions_from_rows(rows: np.ndarray) -> list:
+def decisions_from_rows(rows: np.ndarray) -> np.ndarray:
     """Per agent: true when at least one off-diagonal weight survived; rows of one episode or a stack."""
-    return link_mask(rows).any(axis=-1).tolist()
+    return link_mask(rows).any(axis=-1)
 
 
-def when2com_accuracy(episodes: list[Episode], decisions: list[list[bool]]) -> float:
-    """Agreement between communicate decisions and ground-truth need, over episodes of one agent count."""
+def when2com_accuracy(episodes: list[Episode], decisions) -> float:
+    """Agreement between communicate decisions and ground-truth need, over episodes of one agent count.
+
+    ``decisions`` holds one (N,) entry per episode: the (E, N) bool array of
+    :func:`decisions_from_rows`, or lists.
+    """
     if not episodes:
         raise ValueError("when2com_accuracy: episodes is empty, so there is no decision to score")
     if len(episodes) != len(decisions):
@@ -216,11 +231,13 @@ def evaluate(
     form ``simnet.ledger_from_links``.  The simulator then audits the pass
     from a fresh ``Rng(seed)``: on the first episode, or with ``trace_path``
     set on every episode, whose messages are dumped there as line-delimited
-    records so the reported bandwidth can be audited externally.  The
+    records, in episode order, so the reported bandwidth can be audited
+    externally.  It simulates them in lockstep blocks of at most
+    ``EVAL_BLOCK`` episodes, one :func:`run_policy_episode` call each.  The
     row-invariant kernel rounds every row as it does alone, so the two agree
     bit for bit; where a simulated episode's pruned rows, predictions or
     trace-derived ledger differ, ``RuntimeError`` names the policy and the
-    first such episode.
+    first such episode, and no trace is written.
     """
     if policy not in POLICIES:
         raise ValueError(f"unknown policy {policy!r}; expected one of {POLICIES}")
@@ -232,22 +249,24 @@ def evaluate(
 
     # The audit: each simulated episode against its batched rows, predictions and closed-form ledger.
     links = simnet.link_counts(m_bar)
-    simulated = episodes if trace_path is not None else episodes[:1]
-    expected_predictions = predictions[: len(simulated)].tolist()
+    simulated = len(episodes) if trace_path is not None else 1
+    expected_predictions = predictions[:simulated].tolist()
     sim_rng = Rng(seed)
     messages: list[simnet.Message] = []
-    for e, ep in enumerate(simulated):
-        res = run_policy_episode(policy, theta, ep.observations, delta, sim_rng)
-        for what, same in (
-            ("pruned rows", np.array_equal(res.pruned_rows, m_bar[e])),
-            ("predictions", res.predictions == expected_predictions[e]),
-            ("trace ledger", res.ledger == simnet.ledger_from_links(links[e], 1, n_agents, q_dim, f_dim, handshake)),
-        ):
-            if not same:
-                raise RuntimeError(
-                    f"policy {policy!r}, episode {e}: the simulator's {what} differ from the batched pass"
-                )
-        messages.extend(res.trace)
+    for start in range(0, simulated, EVAL_BLOCK):
+        block = np.stack([ep.observations for ep in episodes[start : min(start + EVAL_BLOCK, simulated)]])
+        for e, res in enumerate(run_policy_episode(policy, theta, block, delta, sim_rng), start):
+            closed = simnet.ledger_from_links(links[e], 1, n_agents, q_dim, f_dim, handshake)
+            for what, same in (
+                ("pruned rows", np.array_equal(res.pruned_rows, m_bar[e])),
+                ("predictions", res.predictions == expected_predictions[e]),
+                ("trace ledger", res.ledger == closed),
+            ):
+                if not same:
+                    raise RuntimeError(
+                        f"policy {policy!r}, episode {e}: the simulator's {what} differ from the batched pass"
+                    )
+            messages.extend(res.trace)
     if trace_path is not None:
         simnet.dump_trace(trace_path, messages)
 
@@ -409,10 +428,18 @@ def _output_paths(args) -> dict[str, tuple[str, str]]:
 def check_output_paths(args) -> dict[str, str]:
     """Every output path of the command, by name, checked before any work.
 
-    Fails when an output could not be written: no directory, or a directory in its place.
+    Fails when an output could not be written: no directory, or a directory
+    in its place; or when two outputs are one file (``os.path.realpath``),
+    so that one would overwrite the other.
     """
     outputs = _output_paths(args)
+    written: dict[str, tuple[str, str]] = {}  # real path -> (flag, path) of the output that writes it
     for flag, path in outputs.values():
+        real = os.path.realpath(path)
+        if real in written:
+            other_flag, other_path = written[real]
+            raise ValueError(f"{flag} {path}: {other_flag} also writes {other_path}, the same file")
+        written[real] = (flag, path)
         parent = os.path.dirname(os.path.abspath(path))
         if os.path.isdir(path):
             raise ValueError(f"{flag} {path}: is a directory")

@@ -16,17 +16,22 @@ the message to the trace and hands it to ``AgentState.receive``, which files
 its payload in the addressee's one ``inbox`` by kind and sender.  An agent
 never reads another agent's fields, only its inbox.
 
-A phase's bookkeeping runs once, not once per agent: :func:`make_agents`
-runs each head once over the episode, :func:`score_inboxes` scores every
-query inbox in one call, and one decode call runs every agent.  Each
-agent's decisions about its own row run per agent, from its inbox alone: its
-self score, softmax, prune and fusion.  All of it runs on row-invariant
-kernels, so every agent holds, scores and decodes bit for bit what its own
-lone pass gives it.  That is why :func:`run_episode`, one episode of any
-policy (``neuralnet.POLICIES``), agrees bit for bit with centralized
-inference (``neuralnet.pipeline_forward(mode="inference")``), and why
-``evalcli.evaluate`` can report from the batched pass and run the simulator
-as its auditor.
+:func:`run_block` runs a block of episodes of one agent count in lockstep,
+one phase at a time over the whole block, and a phase's bookkeeping runs
+once per block, not once per agent or episode: :func:`make_agents` runs
+each head once over the (E, N, d_obs) stack, :func:`score_inboxes` scores
+every query inbox of the block in one call, one ``policy_rows`` call sets
+every episode's rows, and one decode call runs every agent.  Each agent's
+decisions about its own row run per agent, from its inbox alone: its self
+score, softmax, prune and fusion.  Episodes share no messages; each keeps
+its own trace and ledger.  All of it runs on row-invariant kernels, so every
+agent holds, scores and decodes bit for bit what its own lone pass gives it,
+whatever the block around it.  :func:`run_episode`, one episode of any
+policy (``neuralnet.POLICIES``), is the block runner on a block of one.
+That is why a block agrees bit for bit with its episodes run one by one and
+with centralized inference (``neuralnet.pipeline_forward(mode="inference")``),
+and why ``evalcli.evaluate`` can report from the batched pass and run the
+simulator as its auditor.
 
 The ledger counts query broadcasts and feature transfers as payload at
 4 bytes per real; score replies, feature requests, and all 9-byte headers
@@ -36,14 +41,16 @@ counts follow from the rows alone, so :func:`ledger_from_links` of the
 closed form, equal to :func:`ledger_from_trace` of their messages.  Values
 travel as 64-bit floats in memory, so distributed results are bit-identical
 to centralized inference; the 4-byte accounting models the on-wire float
-size.  The simulator is deterministic and single-threaded per episode;
-episodes may run concurrently with independent ledgers.
+size.  The simulator is deterministic and single-threaded per block;
+blocks may run concurrently with independent ledgers.
 """
 
 from __future__ import annotations
 
 import json
+import operator
 from dataclasses import dataclass, field
+from itertools import islice
 
 import numpy as np
 
@@ -61,6 +68,8 @@ KIND_TRANSFER = "transfer"
 COUNTED_KINDS = (KIND_QUERY, KIND_TRANSFER)
 ALL_KINDS = (KIND_QUERY, KIND_SCORE, KIND_REQUEST, KIND_TRANSFER)
 TRACE_FIELDS = ("kind", "from", "to", "payload_reals", "payload_bytes", "header_bytes", "counted")
+_TRACE_KEY = operator.attrgetter("kind", "src", "dst", "payload_reals")  # all a dumped record depends on
+_DUMP_CHUNK = 4096  # trace lines per write
 # The largest payload a loaded stub can stand for: numpy refuses a float64
 # array, even a zero-stride one, whose byte size exceeds the intp range.
 _MAX_STUB_REALS = np.iinfo(np.intp).max // 8
@@ -82,7 +91,7 @@ class Message:
             raise ValueError(f"unknown message kind {self.kind!r}")
         if self.src == self.dst:
             raise ValueError(f"inter-agent message to self: agent {self.src}")
-        self.payload_reals = 0 if self.payload is None else int(np.asarray(self.payload).size)
+        self.payload_reals = 0 if self.payload is None else self.payload.size
         self.payload_bytes = BYTES_PER_REAL * self.payload_reals
 
 
@@ -221,19 +230,23 @@ class EpisodeResult:
     trace: list[Message] = field(default_factory=list)
 
 
-def make_agents(observations, theta: PipelineParams) -> list[AgentState]:
-    """One agent per row of the episode's (N, d_obs) observations, holding its query, key and feature.
+def make_agents(observations, theta: PipelineParams) -> list[AgentState] | list[list[AgentState]]:
+    """One agent per row of an episode's (N, d_obs) observations, holding its query, key and feature.
 
-    Each head runs once over the observations, on the row-invariant kernel,
-    so every agent holds exactly what its own observation alone gives it.
+    An (E, N, d_obs) stack gives a block: one such list of agents per
+    episode.  Each head runs once over all the observations, on the
+    row-invariant kernel, so every agent holds exactly what its own
+    observation alone gives it, whatever the stack around it.
     """
     obs = np.asarray(observations, dtype=np.float64)
-    agents = [AgentState(i, row) for i, row in enumerate(obs)]
-    if agents:
-        heads = (mlp_infer(head, obs) for head in (theta.theta_q, theta.theta_k, theta.theta_e))
-        for agent, mu, kappa, feature in zip(agents, *heads):
-            agent.mu, agent.kappa, agent.feature = mu, kappa, feature
-    return agents
+    stack = obs if obs.ndim == 3 else obs[None]
+    block = [[AgentState(i, row) for i, row in enumerate(episode)] for episode in stack]
+    if any(block):
+        heads = [mlp_infer(head, stack) for head in (theta.theta_q, theta.theta_k, theta.theta_e)]
+        for agents, *outputs in zip(block, *heads):
+            for agent, mu, kappa, feature in zip(agents, *outputs):
+                agent.mu, agent.kappa, agent.feature = mu, kappa, feature
+    return block if obs.ndim == 3 else block[0]
 
 
 def send(msg: Message, agents: list[AgentState], trace: list[Message]) -> None:
@@ -242,52 +255,104 @@ def send(msg: Message, agents: list[AgentState], trace: list[Message]) -> None:
     agents[msg.dst].receive(msg)
 
 
-def score_inboxes(agents: list[AgentState], theta: PipelineParams, trace: list[Message]) -> None:
-    """The score phase: one call scores every agent's query inbox, in sender order, against its own key.
+def score_inboxes(block: list[list[AgentState]], theta: PipelineParams, traces: list[list[Message]]) -> None:
+    """The score phase: one call scores every query inbox of the block, in sender order, against its owner's key.
 
-    The replies, one real each, go out requester by requester, the repliers in agent order.
+    In each episode the replies, one real each, go out requester by
+    requester, the repliers in agent order, onto that episode's trace.
     """
-    n = len(agents)
+    n = len(block[0]) if block else 0
     if n < 2:
         return
-    inboxes = [[agent.inbox[KIND_QUERY][j] for j in range(n) if j != agent.agent_id] for agent in agents]
-    scores = attention_scores(np.array(inboxes), np.array([agent.kappa for agent in agents]), theta.w_g)
-    for r in range(n):
-        for j in range(n):
-            if j != r:
-                k = r - (r > j)  # requester r's place in replier j's inbox
-                send(Message(KIND_SCORE, j, r, scores[j, k : k + 1]), agents, trace)
+    inboxes = [
+        [[agent.inbox[KIND_QUERY][j] for j in range(n) if j != agent.agent_id] for agent in agents] for agents in block
+    ]
+    keys = [[agent.kappa for agent in agents] for agents in block]
+    scores = attention_scores(np.array(inboxes), np.array(keys), theta.w_g)  # (E, N, N - 1)
+    for agents, trace, episode_scores in zip(block, traces, scores):
+        for r in range(n):
+            for j in range(n):
+                if j != r:
+                    k = r - (r > j)  # requester r's place in replier j's inbox
+                    send(Message(KIND_SCORE, j, r, episode_scores[j, k : k + 1]), agents, trace)
 
 
-def run_handshake(agents: list[AgentState], theta: PipelineParams) -> tuple[np.ndarray, list[Message]]:
-    """Three-phase handshake; the resulting rows match centralized softmax rows bit-for-bit."""
-    n = len(agents)
-    trace: list[Message] = []
-    # Phase 1: query broadcasts, N*(N-1) directed messages.
-    for agent in agents:
-        for msg in agent.query_broadcast([j for j in range(n) if j != agent.agent_id]):
-            send(msg, agents, trace)
-    # Phase 2: the score replies, N*(N-1) more.
-    score_inboxes(agents, theta, trace)
-    # Phase 3: local row softmax.
-    rows = np.array([agent.assemble_row(n, theta) for agent in agents])
-    return rows, trace
+def run_handshake(block: list[list[AgentState]], theta: PipelineParams) -> tuple[np.ndarray, list[list[Message]]]:
+    """Three-phase handshake over a block of episodes of one agent count.
 
-
-def run_transmission(agents: list[AgentState], rows: np.ndarray, delta: float) -> tuple[np.ndarray, list[Message]]:
-    """Prune, request, transfer, fuse.  Diagonal weights use the local feature.
-
-    Returns the fused features, row i agent i's, and the messages sent: each
-    request followed by the transfer that answers it.
+    Returns the (E, N, N) rows, which match centralized softmax rows bit for
+    bit, and each episode's messages.
     """
-    trace: list[Message] = []
-    for agent, row in zip(agents, rows):
-        agent.row = np.asarray(row, dtype=np.float64)
-        for req in agent.feature_requests(delta):
-            send(req, agents, trace)
-            send(agents[req.dst].feature_transfer(req.src), agents, trace)
-    fused = np.array([agent.fuse_features(len(agents)) for agent in agents])
-    return fused, trace
+    traces: list[list[Message]] = [[] for _ in block]
+    # Phase 1: query broadcasts, N*(N-1) directed messages per episode.
+    for agents, trace in zip(block, traces):
+        n = len(agents)
+        for agent in agents:
+            for msg in agent.query_broadcast([j for j in range(n) if j != agent.agent_id]):
+                send(msg, agents, trace)
+    # Phase 2: the score replies, N*(N-1) more.
+    score_inboxes(block, theta, traces)
+    # Phase 3: each agent's local row softmax.
+    rows = np.array([[agent.assemble_row(len(agents), theta) for agent in agents] for agents in block])
+    return rows, traces
+
+
+def run_transmission(
+    block: list[list[AgentState]], rows: np.ndarray, delta: float
+) -> tuple[np.ndarray, list[list[Message]]]:
+    """Prune, request, transfer, fuse, for every episode of a block.  Diagonal weights use the local feature.
+
+    ``rows`` is (E, N, N).  Returns the (E, N, F) fused features, row i of
+    episode e agent i's, and each episode's messages: each request followed
+    by the transfer that answers it.
+    """
+    traces: list[list[Message]] = [[] for _ in block]
+    for agents, episode_rows, trace in zip(block, rows, traces):
+        for agent, row in zip(agents, episode_rows):
+            agent.row = np.asarray(row, dtype=np.float64)
+            for req in agent.feature_requests(delta):
+                send(req, agents, trace)
+                send(agents[req.dst].feature_transfer(req.src), agents, trace)
+    fused = np.array([[agent.fuse_features(len(agents)) for agent in agents] for agents in block])
+    return fused, traces
+
+
+def run_block(
+    block: list[list[AgentState]],
+    theta: PipelineParams,
+    delta: float,
+    policy: str = "when2com",
+    rng: Rng | None = None,
+) -> list[EpisodeResult]:
+    """A block of episodes of ``policy`` through messages, in lockstep: rows, transmission, decode, ledgers.
+
+    ``block`` is one list of agents per episode, all of one agent count, as
+    :func:`make_agents` builds from an (E, N, d_obs) stack.  Every phase runs
+    over the whole block before the next: the handshake (only for
+    ``HANDSHAKE_POLICIES``), one ``policy_rows`` call over the (E, N, N)
+    stack that sets the rows (``randcom`` draws them from ``rng``, episode by
+    episode, then agent by agent) and the threshold transmission prunes them
+    at, then one ``decode`` call over every agent's own feature and fused
+    feature.  Episodes share no messages: each keeps its own trace and
+    ledger, and the kernels round each agent's row as its lone call would,
+    so each result is bit for bit that of the episode run alone.
+    """
+    n = len(block[0])
+    if policy in HANDSHAKE_POLICIES:
+        soft_rows, traces = run_handshake(block, theta)
+    else:
+        soft_rows, traces = None, [[] for _ in block]
+    rows, threshold = policy_rows(policy, soft_rows, n, delta, rng, len(block))
+    fused, transfers = run_transmission(block, rows, threshold)
+    logits = decode(theta, np.array([[agent.feature for agent in agents] for agents in block]), fused)
+    predictions = np.argmax(logits, axis=-1).tolist()
+    pruned_rows = np.array([[agent.pruned_row for agent in agents] for agents in block])
+    results = []
+    for e, (trace, more) in enumerate(zip(traces, transfers)):
+        trace += more
+        ledger = ledger_from_trace(trace, frames=1)
+        results.append(EpisodeResult(predictions[e], logits[e], rows[e], pruned_rows[e], fused[e], ledger, trace))
+    return results
 
 
 def run_episode(
@@ -297,35 +362,22 @@ def run_episode(
     policy: str = "when2com",
     rng: Rng | None = None,
 ) -> EpisodeResult:
-    """One episode of ``policy`` through messages: rows, transmission, decode, ledger.
-
-    The handshake runs only for ``HANDSHAKE_POLICIES``; ``policy_rows`` of a
-    one-episode stack then sets the rows (``randcom`` draws them from
-    ``rng``) and the threshold that transmission prunes them at.  One
-    ``decode`` call then runs every agent's own feature and fused feature;
-    its kernel rounds each agent's row as that agent's lone decode would.
-    """
-    soft_rows, trace = run_handshake(agents, theta) if policy in HANDSHAKE_POLICIES else (None, [])
-    stack = None if soft_rows is None else soft_rows[None]
-    (rows,), threshold = policy_rows(policy, stack, len(agents), delta, rng, 1)  # the one episode's (N, N) rows
-    fused, transfers = run_transmission(agents, rows, threshold)
-    logits = decode(theta, np.array([agent.feature for agent in agents]), fused)
-    trace = trace + transfers
-    return EpisodeResult(
-        predictions=np.argmax(logits, axis=1).tolist(),
-        logits=logits,
-        rows=rows,
-        pruned_rows=np.array([agent.pruned_row for agent in agents]),
-        fused=fused,
-        ledger=ledger_from_trace(trace, frames=1),
-        trace=trace,
-    )
+    """One episode of ``policy`` through messages: :func:`run_block` on a block of one."""
+    return run_block([agents], theta, delta, policy, rng)[0]
 
 
-def _trace_record(msg: Message) -> dict:
-    """The dumped fields of one message: its endpoints and sizes under the byte model."""
-    values = (msg.kind, msg.src, msg.dst, msg.payload_reals, msg.payload_bytes, HEADER_BYTES)
-    return dict(zip(TRACE_FIELDS, (*values, msg.kind in COUNTED_KINDS)))
+def _trace_record(kind: str, src: int, dst: int, payload_reals: int) -> dict:
+    """The dumped fields of a message: its endpoints and sizes under the byte model."""
+    values = (kind, src, dst, payload_reals, BYTES_PER_REAL * payload_reals, HEADER_BYTES, kind in COUNTED_KINDS)
+    return dict(zip(TRACE_FIELDS, values))
+
+
+class _TraceLines(dict):
+    """Dumped lines by message key, each encoded the first time its key is looked up."""
+
+    def __missing__(self, key: tuple) -> str:
+        line = self[key] = json.dumps(_trace_record(*key), sort_keys=True) + "\n"
+        return line
 
 
 def dump_trace(path: str, messages: list[Message]) -> None:
@@ -333,20 +385,14 @@ def dump_trace(path: str, messages: list[Message]) -> None:
 
     Each line is the ``json.dumps(..., sort_keys=True)`` of the message's
     record.  A record depends only on (kind, from, to, payload_reals), so
-    each distinct one is encoded once and its line reused; lines are
-    streamed to the file, never joined into one string.
+    each message is keyed once, each distinct key's line is encoded once,
+    and the lines are written in joined chunks of ``_DUMP_CHUNK``, never as
+    one string.
     """
-    lines: dict[tuple, str] = {}
-
-    def line(msg: Message) -> str:
-        key = (msg.kind, msg.src, msg.dst, msg.payload_reals)
-        text = lines.get(key)
-        if text is None:
-            text = lines[key] = json.dumps(_trace_record(msg), sort_keys=True) + "\n"
-        return text
-
+    lines = map(_TraceLines().__getitem__, map(_TRACE_KEY, messages))
     with open(path, "w", encoding="utf-8") as fh:
-        fh.writelines(map(line, messages))
+        while chunk := "".join(islice(lines, _DUMP_CHUNK)):
+            fh.write(chunk)
 
 
 def load_trace(path: str) -> list[Message]:
@@ -392,7 +438,7 @@ def _message_from_record(rec) -> Message:
         raise ValueError(f"payload_reals must be at most {_MAX_STUB_REALS}, got {reals}")
     # A zero-stride view: the stub's size without allocating its reals.
     msg = Message(rec["kind"], rec["from"], rec["to"], np.broadcast_to(0.0, (reals,)) if reals else None)
-    for name, expected in _trace_record(msg).items():
+    for name, expected in _trace_record(*_TRACE_KEY(msg)).items():
         if type(rec[name]) is not type(expected) or rec[name] != expected:
             raise ValueError(f"{name} is {rec[name]!r}, but the byte model gives {expected!r}")
     return msg

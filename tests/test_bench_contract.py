@@ -104,10 +104,13 @@ def test_eval_unit_traces_every_simulator_span(tmp_path):
     # The traced benchmark fails when a declared span records no call.  Each
     # policy's report comes from one batched pass per block, and the
     # simulator audits it: every episode of the traced when2com pass, the
-    # first episode of each other policy.  The simulator scores each inbox
-    # with commgraph.attention_scores, which is not a span; attention_score
-    # must still be called (the self score), as must fuse, prune and
-    # softmax_row, through the module bindings.
+    # first episode of each other policy, in lockstep blocks of at most
+    # EVAL_BLOCK episodes.  Each block is one run_policy_episode call (one
+    # tracer unit) with one make_agents, run_handshake and run_transmission
+    # call; each episode keeps its own ledger_from_trace call.  The simulator
+    # scores each inbox with commgraph.attention_scores, which is not a span;
+    # attention_score must still be called (the self score), as must fuse,
+    # prune and softmax_row, once per agent, through the module bindings.
     tracing = _load("tracing")
     workload = _load("workloads").Eval(3, tmp_path, mini=True)
     workload.setup()
@@ -124,6 +127,7 @@ def test_eval_unit_traces_every_simulator_span(tmp_path):
     simulated = {policy: workload.n_episodes if policy == "when2com" else 1 for policy in POLICIES}
     handshakes = sum(simulated[policy] for policy in HANDSHAKE_POLICIES)
     policy_episodes = sum(simulated.values())
+    sim_blocks = {policy: -(-episodes // EVAL_BLOCK) for policy, episodes in simulated.items()}
     assert calls["evalcli.evaluate"] == len(POLICIES)
     assert calls["neuralnet.pipeline_forward"] == len(POLICIES) * blocks
     assert calls["commgraph.build_matching_matrix"] == len(HANDSHAKE_POLICIES) * blocks
@@ -131,16 +135,16 @@ def test_eval_unit_traces_every_simulator_span(tmp_path):
     assert calls["densemath.softmax_row"] == handshakes * n_agents
     assert calls["commgraph.prune"] == policy_episodes * n_agents + len(POLICIES) * blocks
     assert calls["commgraph.fuse"] == policy_episodes * n_agents
-    assert calls["simnet.make_agents"] == policy_episodes
-    assert calls["simnet.run_handshake"] == handshakes
-    assert calls["simnet.run_transmission"] == policy_episodes
+    assert calls["simnet.make_agents"] == sum(sim_blocks.values())
+    assert calls["simnet.run_handshake"] == sum(sim_blocks[policy] for policy in HANDSHAKE_POLICIES)
+    assert calls["simnet.run_transmission"] == sum(sim_blocks.values())
     assert calls["simnet.ledger_from_trace"] == policy_episodes
     assert calls["simnet.dump_trace"] == 1
     assert tracer.first_dump is not None
     span = tracer._names.index("evalcli.run_policy_episode")
     per_policy = Counter(tracer._tags[tag] for name, tag in zip(tracer.name, tracer.tag) if name == span)
-    assert per_policy == simulated
-    assert tracer.units == policy_episodes
+    assert per_policy == sim_blocks
+    assert tracer.units == sum(sim_blocks.values())
 
 
 def test_train_unit_traces_each_training_span_once_per_step(tmp_path):

@@ -248,6 +248,7 @@ class TestMetricsEqualPerAgentLoops:
             m_bar = np.round(m_bar * grid) / grid
         decisions = decisions_from_rows(m_bar)
         assert when2com_accuracy(episodes, decisions) == when2com_accuracy_oracle(episodes, decisions)
+        assert when2com_accuracy(episodes, decisions.tolist()) == when2com_accuracy_oracle(episodes, decisions)
         expected = grouping_accuracy_oracle(episodes, m_bar)
         assert grouping_accuracy(episodes, m_bar) == expected
         assert grouping_accuracy(episodes, list(m_bar)) == expected
@@ -481,25 +482,26 @@ class TestBatchedPassAndAudit:
     def test_doctored_simulator_result_names_policy_and_episode(
         self, world_and_episodes, tmp_path, monkeypatch, doctor, what, policy, traced
     ):
-        # Untraced, the audit runs episode 0 only; traced, every episode, and
-        # the first one at fault is named.
+        # Untraced, the audit runs episode 0 only; traced, every episode, in
+        # lockstep blocks, and the first one at fault is named.
         _, episodes = world_and_episodes
         at_fault = 3 if traced else 0
         calls = []
 
         def doctored(*args, real=evalcli.run_policy_episode):
-            res = real(*args)
-            if len(calls) == at_fault:
-                getattr(self, doctor)(res)
-            calls.append(args[0])
-            return res
+            results = real(*args)
+            done = sum(size for _, size in calls)
+            if done <= at_fault < done + len(results):
+                getattr(self, doctor)(results[at_fault - done])
+            calls.append((args[0], len(results)))
+            return results
 
         monkeypatch.setattr(evalcli, "run_policy_episode", doctored)
         trace = str(tmp_path / "t.jsonl") if traced else None
         message = f"policy {policy!r}, episode {at_fault}: the simulator's {what} differ from the batched pass"
         with pytest.raises(RuntimeError, match=re.escape(message)):
             evaluate(policy, tiny_theta(), episodes, 0.2, 3, "srms", trace)
-        assert calls == [policy] * (at_fault + 1)
+        assert calls == [(policy, len(episodes) if traced else 1)]  # one block: the 30 episodes, or the first
         assert not (tmp_path / "t.jsonl").exists()
 
 
@@ -850,6 +852,47 @@ class TestCli:
         assert work == []
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            # The report used to overwrite the checkpoint, which then failed to load.
+            (
+                ["train", "--out", "{tmp}/m.ckpt", "--report", "{tmp}/m.ckpt"],
+                "--report {tmp}/m.ckpt: --out also writes {tmp}/m.ckpt",
+            ),
+            (
+                ["train", "--out", "{tmp}/m", "--report", "{tmp}/m.log.jsonl"],
+                "--report {tmp}/m.log.jsonl: --out also writes {tmp}/m.log.jsonl",
+            ),
+            # The trace used to overwrite the report, or its CSV sibling.
+            (
+                ["eval", "--report", "{tmp}/x.json", "--trace", "{tmp}/x.json"],
+                "--trace {tmp}/x.json: --report also writes {tmp}/x.json",
+            ),
+            (
+                ["eval", "--report", "{tmp}/x.json", "--trace", "{tmp}/x.csv"],
+                "--trace {tmp}/x.csv: --report also writes {tmp}/x.csv",
+            ),
+            (
+                ["eval", "--report", "{tmp}/x.json", "--trace", "{tmp}/link.jsonl"],
+                "--trace {tmp}/link.jsonl: --report also writes {tmp}/x.json",
+            ),
+        ],
+    )
+    def test_colliding_output_paths_rejected_before_any_work(self, tmp_path, capsys, monkeypatch, argv, message):
+        # Two outputs that resolve to one file, through a symlink included, exit 1 naming both flags.
+        ckpt = tmp_path / "in.ckpt"
+        save_checkpoint(str(ckpt), tiny_theta(), PipelineConfig())
+        os.symlink(tmp_path / "x.json", tmp_path / "link.jsonl")
+        work = []
+        monkeypatch.setattr(evalcli, "generate_dataset", lambda *args: work.append(args))
+        monkeypatch.setattr(evalcli, "load_checkpoint", lambda *args: work.append(args))
+        argv = [a.format(tmp=tmp_path) for a in argv] + (["--checkpoint", str(ckpt)] if argv[0] == "eval" else [])
+        assert cli_main(argv) == 1
+        assert f"error: {message.format(tmp=tmp_path)}, the same file" in capsys.readouterr().err
+        assert work == []
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["in.ckpt", "link.jsonl"]
+
     def test_output_paths_cover_derived_files(self, tmp_path):
         # A directory where the CSV sibling of the report would go is caught too.
         (tmp_path / "r.csv").mkdir()
@@ -866,21 +909,23 @@ class TestCli:
 class TestDecisions:
     def test_decisions_from_rows(self):
         rows = np.array([[1.0, 0.0], [0.4, 0.6]])
-        assert decisions_from_rows(rows) == [False, True]
+        assert decisions_from_rows(rows).tolist() == [False, True]
 
     def test_decisions_ignore_the_diagonal_only(self):
         rows = np.array([[0.5, 0.0, 0.0], [0.0, 0.0, 0.0], [0.0, -0.1, 0.9]])
         decisions = decisions_from_rows(rows)
-        assert decisions == [False, False, True]
-        assert all(type(d) is bool for d in decisions)
-        assert decisions_from_rows(np.eye(1)) == [False]
+        assert (decisions.dtype, decisions.shape) == (np.dtype(bool), (3,))
+        assert decisions.tolist() == [False, False, True]
+        assert decisions_from_rows(np.eye(1)).tolist() == [False]
         # The input rows are left as they are.
         assert rows[0, 0] == 0.5
 
     def test_stack_of_episodes_gives_one_list_per_episode(self):
         stack = np.stack([np.eye(3), np.full((3, 3), 1.0 / 3), np.array([[0.5, 0.5, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]])])
-        assert decisions_from_rows(stack) == [decisions_from_rows(rows) for rows in stack]
-        assert decisions_from_rows(stack) == [[False] * 3, [True] * 3, [True, False, False]]
+        decisions = decisions_from_rows(stack)
+        assert (decisions.dtype, decisions.shape) == (np.dtype(bool), (3, 3))
+        assert decisions.tolist() == [decisions_from_rows(rows).tolist() for rows in stack]
+        assert decisions.tolist() == [[False] * 3, [True] * 3, [True, False, False]]
 
 
 BENCH_DIR = Path(__file__).resolve().parents[1] / "bench"

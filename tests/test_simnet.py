@@ -10,7 +10,8 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from groupcomm.densemath import Rng
-from groupcomm.neuralnet import POLICIES, PipelineConfig, decode, init_pipeline, pipeline_forward
+from groupcomm.neuralnet import EVAL_BLOCK, POLICIES, PipelineConfig, decode, init_pipeline, pipeline_forward
+from groupcomm.scenarios import generate_dataset, make_world
 from groupcomm.simnet import (
     ALL_KINDS,
     BYTES_PER_REAL,
@@ -26,6 +27,7 @@ from groupcomm.simnet import (
     load_trace,
     make_agents,
     mbpf,
+    run_block,
     run_episode,
     run_handshake,
     run_transmission,
@@ -70,14 +72,14 @@ class TestHandshake:
     def test_single_agent_no_messages(self):
         cfg, theta, obs = small_setup(1, n_agents=1)
         agents = make_agents(obs, theta)
-        rows, trace = run_handshake(agents, theta)
+        (rows,), (trace,) = run_handshake([agents], theta)
         assert trace == []
         np.testing.assert_array_equal(rows, [[1.0]])
 
     def test_counted_query_bytes(self):
         cfg, theta, obs = small_setup(2, n_agents=5, q=4)
         agents = make_agents(obs, theta)
-        rows, trace = run_handshake(agents, theta)
+        (rows,), (trace,) = run_handshake([agents], theta)
         ledger = ledger_from_trace(trace, frames=1)
         # N agents broadcast Q reals to N-1 peers at 4 bytes per real.
         assert ledger.counted_bytes == 5 * 4 * 4 * 4
@@ -90,7 +92,7 @@ class TestHandshake:
         for seed in (3, 4, 5):
             cfg, theta, obs = small_setup(seed)
             agents = make_agents(obs, theta)
-            rows, _ = run_handshake(agents, theta)
+            (rows,), _ = run_handshake([agents], theta)
             central = pipeline_forward(theta, obs, mode="inference", delta=0.0)
             np.testing.assert_array_equal(rows, central.m)
 
@@ -100,7 +102,7 @@ class TestTransmission:
         cfg, theta, obs = small_setup(6, n_agents=3)
         agents = make_agents(obs, theta)
         rows = np.eye(3) * 0.7
-        fused, trace = run_transmission(agents, rows, delta=0.0)
+        (fused,), (trace,) = run_transmission([agents], rows[None], delta=0.0)
         assert trace == []
         for i in range(3):
             np.testing.assert_array_equal(fused[i], 0.7 * agents[i].feature)
@@ -111,7 +113,7 @@ class TestTransmission:
         rows = np.zeros((4, 4))
         for i in range(4):
             rows[i, (i + 1) % 4] = 1.0
-        fused, trace = run_transmission(agents, rows, delta=0.0)
+        (fused,), (trace,) = run_transmission([agents], rows[None], delta=0.0)
         ledger = ledger_from_trace(trace, frames=1)
         assert ledger.inter_agent_links == 4
         assert ledger.counted_bytes == 4 * 32 * 4
@@ -120,8 +122,8 @@ class TestTransmission:
         cfg, theta, obs = small_setup(8)
         delta = 1.0 / 5.0
         agents = make_agents(obs, theta)
-        rows, _ = run_handshake(agents, theta)
-        fused, _ = run_transmission(agents, rows, delta)
+        rows, _ = run_handshake([agents], theta)
+        (fused,), _ = run_transmission([agents], rows, delta)
         central = pipeline_forward(theta, obs, mode="inference", delta=delta)
         for i in range(5):
             np.testing.assert_array_equal(fused[i], central.cache.fused[i])
@@ -197,6 +199,91 @@ class TestRunEpisode:
         np.testing.assert_allclose(np.stack(res_p.logits), np.stack(res.logits)[perm], rtol=0, atol=1e-12)
 
 
+def _trace_items(trace):
+    """Each message's kind, endpoints and payload bytes, in order."""
+    return [(m.kind, m.src, m.dst, None if m.payload is None else m.payload.tobytes()) for m in trace]
+
+
+def _assert_same_result(got, want):
+    """Two episode results equal bit for bit: arrays, predictions, ledger and trace."""
+    for name in ("rows", "pruned_rows", "fused", "logits"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert (a.shape, a.dtype, a.tobytes()) == (b.shape, b.dtype, b.tobytes()), name
+    assert got.predictions == want.predictions
+    assert got.ledger == want.ledger
+    assert _trace_items(got.trace) == _trace_items(want.trace)
+
+
+class TestBlockRunner:
+    """Episodes simulated in lockstep blocks give what each episode run alone gives, bit for bit."""
+
+    CFG = PipelineConfig(d_obs=32, q_dim=3, k_dim=4, f_dim=5, n_classes=10, hidden=8)
+
+    @pytest.fixture(scope="class")
+    def srms70(self):
+        # 70 srms episodes: more than one block of EVAL_BLOCK.
+        world = make_world("srms", rng=Rng(31))
+        episodes = generate_dataset(world, EVAL_BLOCK + 6, seed=32).episodes
+        return np.stack([ep.observations for ep in episodes]), init_pipeline(self.CFG, Rng(33))
+
+    @pytest.mark.parametrize("policy", POLICIES)
+    def test_blocks_equal_per_episode_calls(self, srms70, policy):
+        # Blocks of EVAL_BLOCK (64, then 6), as evaluate's audit runs them,
+        # and all 70 as one block, each block's rng going on where the last
+        # one stopped.
+        stack, theta = srms70
+        delta = 1.0 / stack.shape[1]
+        single_rng = Rng(5)
+        alone = [run_episode(make_agents(obs, theta), theta, delta, policy, single_rng) for obs in stack]
+        block_rng = Rng(5)
+        blocked = [
+            res
+            for start in range(0, len(stack), EVAL_BLOCK)
+            for res in run_block(make_agents(stack[start : start + EVAL_BLOCK], theta), theta, delta, policy, block_rng)
+        ]
+        whole = run_block(make_agents(stack, theta), theta, delta, policy, Rng(5))
+        assert len(alone) == len(blocked) == len(whole) == EVAL_BLOCK + 6
+        for want, got, got_whole in zip(alone, blocked, whole):
+            _assert_same_result(got, want)
+            _assert_same_result(got_whole, want)
+        if policy != "nocom":
+            assert any(res.trace for res in alone)
+
+    def test_randcom_draws_episode_then_agent_from_one_rng(self, srms70):
+        stack, theta = srms70
+        n = stack.shape[1]
+        rng, ref = Rng(7), Rng(7)
+        for res in run_block(make_agents(stack, theta), theta, 0.2, "randcom", rng):
+            for i in range(n):
+                peer = ref.randint(n - 1)
+                peer += peer >= i  # skip the agent itself
+                assert res.rows[i].tolist() == [float(j == peer) for j in range(n)]
+        assert rng.uniform_scalar() == ref.uniform_scalar()  # both drew E * N words, no more
+
+    def test_make_agents_on_a_stack_gives_each_agent_its_lone_call(self, srms70):
+        stack, theta = srms70
+        block = make_agents(stack, theta)
+        assert [len(agents) for agents in block] == [stack.shape[1]] * len(stack)
+        for obs, agents in zip(stack, block):
+            for i, agent in enumerate(agents):
+                (lone,) = make_agents(obs[i : i + 1], theta)
+                assert agent.agent_id == i
+                for name in ("observation", "mu", "kappa", "feature"):
+                    assert getattr(agent, name).tobytes() == getattr(lone, name).tobytes(), name
+
+    @pytest.mark.parametrize("policy", POLICIES)
+    def test_block_of_lone_agents(self, srms70, policy):
+        # N = 1: no messages, and every policy keeps the agent's own feature.
+        stack, theta = srms70
+        lone = stack[:, :1]
+        results = run_block(make_agents(lone, theta), theta, 0.2, policy, Rng(5))
+        assert len(results) == len(lone)
+        for obs, res in zip(lone, results):
+            _assert_same_result(res, run_episode(make_agents(obs, theta), theta, 0.2, policy, Rng(5)))
+            assert res.trace == []
+            assert res.rows.tolist() == res.pruned_rows.tolist() == [[1.0]]
+
+
 class TestInformationFlow:
     def test_agent_output_depends_only_on_messages(self):
         # Replay the exact inbox of agent 0 into a fresh copy whose peers'
@@ -253,7 +340,7 @@ class TestInformationFlow:
 
         cfg, theta, obs = small_setup(18, n_agents=6)
         agents = make_agents(obs, theta)
-        _, trace = run_handshake(agents, theta)
+        _, (trace,) = run_handshake([agents], theta)
         scores = [m for m in trace if m.kind == "score"]
         assert [(m.dst, m.src) for m in scores] == [(i, j) for i in range(6) for j in range(6) if j != i]
         for m in scores:
@@ -271,7 +358,7 @@ class TestInformationFlow:
         # theirs corrupted, receive the recorded queries; the score phase
         # then sends the recorded replies, in order, bit for bit.
         cfg, theta, obs = small_setup(19, n_agents=5)
-        _, trace = run_handshake(make_agents(obs, theta), theta)
+        _, (trace,) = run_handshake([make_agents(obs, theta)], theta)
         fresh = make_agents(obs, theta)
         for agent in fresh:
             agent.mu, agent.feature = np.full_like(agent.mu, np.nan), None
@@ -280,12 +367,12 @@ class TestInformationFlow:
             if msg.kind == "query":
                 fresh[msg.dst].receive(msg)
         replayed = []
-        score_inboxes(fresh, theta, replayed)
+        score_inboxes([fresh], theta, [replayed])
         recorded = [m for m in trace if m.kind == "score"]
         assert [(m.src, m.dst) for m in replayed] == [(m.src, m.dst) for m in recorded]
         assert [m.payload.tobytes() for m in replayed] == [m.payload.tobytes() for m in recorded]
         assert all(sorted(agent.inbox["score"]) == [j for j in range(5) if j != agent.agent_id] for agent in fresh)
-        score_inboxes(fresh[:1], theta, replayed)  # a lone agent has no inbox to score
+        score_inboxes([fresh[:1]], theta, [replayed])  # a lone agent has no inbox to score
         assert len(replayed) == len(recorded)
 
     def test_self_transfer_short_circuited(self):
