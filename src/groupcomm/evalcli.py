@@ -469,6 +469,17 @@ def _unit_interval(text: str) -> float:
     return value
 
 
+def _seed(text: str) -> int:
+    """``--seed``: an integer in [0, 2**64), the range in which ``Rng`` tells seeds apart."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected an integer in [0, 2**64), got {text!r}") from None
+    if not 0 <= value < 2**64:
+        raise argparse.ArgumentTypeError(f"must lie in [0, 2**64), got {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="groupcomm",
@@ -481,7 +492,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_train.add_argument("--agents", type=int, default=None)
     p_train.add_argument("--episodes", type=int, default=40000)
     p_train.add_argument("--steps", type=int, default=5000)
-    p_train.add_argument("--seed", type=int, default=0)
+    p_train.add_argument("--seed", type=_seed, default=0)
     p_train.add_argument("--policy", choices=POLICIES, default="when2com")
     p_train.add_argument("--q-dim", type=int, default=4)
     p_train.add_argument("--k-dim", type=int, default=16)
@@ -492,7 +503,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_eval.add_argument("--checkpoint", required=True)
     p_eval.add_argument("--policy", choices=POLICIES, default="when2com")
     p_eval.add_argument("--delta", type=_unit_interval, default=None, help="pruning threshold in [0, 1] (default 1/N)")
-    p_eval.add_argument("--seed", type=int, default=0)
+    p_eval.add_argument("--seed", type=_seed, default=0)
     p_eval.add_argument("--data", default=None, help="dataset file from gen-data")
     p_eval.add_argument("--case", choices=CASES, default="srms")
     p_eval.add_argument("--agents", type=int, default=None)
@@ -507,14 +518,14 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--agents", type=int, default=None)
     p_sweep.add_argument("--episodes", type=int, default=40000)
     p_sweep.add_argument("--steps", type=int, default=5000)
-    p_sweep.add_argument("--seed", type=int, default=0)
+    p_sweep.add_argument("--seed", type=_seed, default=0)
     p_sweep.add_argument("--out", default="sweep.csv")
 
     p_gen = sub.add_parser("gen-data", help="generate and save a dataset")
     p_gen.add_argument("--case", choices=CASES, default="srms")
     p_gen.add_argument("--agents", type=int, default=None)
     p_gen.add_argument("--episodes", type=int, required=True)
-    p_gen.add_argument("--seed", type=int, default=0)
+    p_gen.add_argument("--seed", type=_seed, default=0)
     p_gen.add_argument("--out", required=True)
 
     return parser

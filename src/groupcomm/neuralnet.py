@@ -19,16 +19,21 @@ Training runs a whole minibatch at once: the episodes are stacked as
 (B, N, .) arrays, every head is one matrix product over all B*N agents, and
 the matching matrix and fusion are batched products.  Its gradients are
 derived by hand in the same matrix form and validated against central finite
-differences; see tests.
+differences; see tests.  A step computes one softmax of the logits: the
+backward starts from it, and the step's loss is read from the same shifted
+logits and row sums, bit for bit the loss :func:`cross_entropy_loss` gives.
 
 Every parameter lives in one float64 vector, ``PipelineParams.flat``, whose
-views are the heads and the bilinear form, so an Adam step, a gradient tree
-and a checkpoint body (the bytes of ``flat``) are each one array.  A training
-run allocates its parameters, its Adam moments and one gradient tree once and
-updates all three in place at every step: the backward writes every element
-of the tree through its views (``out=`` products and sums), and an Adam step
-writes its arithmetic into the parameter and moment vectors through two
-scratch vectors, so neither allocates a temporary per operation.
+views are the heads and the bilinear form, so an initial draw, an Adam step,
+a gradient tree and a checkpoint body (the bytes of ``flat``) are each one
+array.  :func:`init_pipeline` draws every weight from one ``Rng.normal`` call
+and writes each scaled slice into its view.  A training run allocates its
+parameters, its Adam state and one gradient tree once and updates all three
+in place at every step: the backward writes every element of the tree
+through its views (``out=`` products and reductions), and an Adam step writes
+its arithmetic into the parameter and moment vectors through the two scratch
+vectors its :class:`AdamState` holds, so neither allocates a temporary per
+operation.
 
 Inference is batched too, over (N, .) or (E, N, .) stacks, but on the
 row-invariant kernel :func:`~groupcomm.densemath.row_matmul` (see
@@ -152,28 +157,31 @@ class PipelineParams:
 Gradients = PipelineParams
 
 
-def init_mlp(sizes: list[int], rng: Rng) -> MlpParams:
-    """He-scaled weights (Normal with variance 2/fan_in), zero biases."""
-    layers = []
-    for fan_in, fan_out in zip(sizes[:-1], sizes[1:]):
-        w = rng.normal(fan_out * fan_in).reshape(fan_out, fan_in) * math.sqrt(2.0 / fan_in)
-        layers.append((w, np.zeros(fan_out, dtype=np.float64)))
-    return MlpParams(layers)
-
-
-def init_pipeline(config: PipelineConfig, rng: Rng) -> PipelineParams:
-    """The heads from :func:`init_mlp` in head order, then the bilinear form, drawn in that order."""
-    c = config
-    arrays = [a for sizes in head_sizes(c) for layer in init_mlp(sizes, rng).layers for a in layer]
-    # Bilinear form scaled to variance 1/sqrt(Q*K).
-    arrays.append(rng.normal(c.q_dim * c.k_dim) * (c.q_dim * c.k_dim) ** -0.25)
-    return PipelineParams(c, np.concatenate([a.ravel() for a in arrays]))
-
-
 def param_arrays(theta: PipelineParams) -> list[np.ndarray]:
     """Every parameter array (views of ``theta.flat``), in checkpoint order."""
     heads = (theta.theta_q, theta.theta_k, theta.theta_e, theta.theta_d)
     return [a for head in heads for layer in head.layers for a in layer] + [theta.w_g]
+
+
+def init_pipeline(config: PipelineConfig, rng: Rng) -> PipelineParams:
+    """He-scaled head weights (Normal with variance 2/fan_in), zero biases, then the bilinear form.
+
+    The weights are drawn in checkpoint order from one :meth:`Rng.normal` call,
+    each taking a slice whose length is its size rounded up to even: so each
+    starts a Box-Muller pair, and the values and the words consumed are those
+    of one ``normal`` call per weight.  Each scaled slice is written straight
+    into its view of ``flat``.
+    """
+    theta = PipelineParams(config)
+    weights = param_arrays(theta)[0::2]  # every head's weights, then w_g
+    # The bilinear form is scaled to variance 1/sqrt(Q*K).
+    scales = [math.sqrt(2.0 / w.shape[1]) for w in weights[:-1]] + [theta.w_g.size**-0.25]
+    draws = rng.normal(sum(w.size + w.size % 2 for w in weights))
+    start = 0
+    for w, scale in zip(weights, scales):
+        np.multiply(draws[start : start + w.size].reshape(w.shape), scale, out=w)
+        start += w.size + w.size % 2
+    return theta
 
 
 def zeros_like_params(theta: PipelineParams) -> Gradients:
@@ -237,7 +245,7 @@ def mlp_backward(p: MlpParams, cache: MlpCache, dout: np.ndarray, grads: MlpPara
     for idx in range(len(p.layers) - 1, -1, -1):
         dw, db = grads.layers[idx]
         np.matmul(dz.T, cache.inputs[idx], out=dw)
-        np.sum(dz, axis=0, out=db)
+        np.add.reduce(dz, axis=0, out=db)
         if idx:
             dz = dz @ p.layers[idx][0]
             dz *= cache.pre[idx - 1] > 0.0  # relu's subgradient, 0 at 0
@@ -398,22 +406,44 @@ def cross_entropy_loss(logits, labels) -> float:
     y = np.asarray(labels)
     if z.shape[:-1] != y.shape:
         raise ValueError(f"logits of shape {z.shape} vs labels of shape {y.shape}")
-    bad = (y < 0) | (y >= z.shape[-1])
-    if np.any(bad):
-        raise ValueError(f"label {y[bad][0]} out of range [0, {z.shape[-1]})")
-    shifted = z - np.max(z, axis=-1, keepdims=True)
-    log_p = shifted - np.log(np.sum(np.exp(shifted), axis=-1, keepdims=True))
-    return float(-np.mean(np.take_along_axis(log_p, y[..., None], axis=-1)))
+    return _softmax_cross_entropy(z.reshape(-1, z.shape[-1]), y)[0]
 
 
-def pipeline_backward(cache: ForwardCache, theta: PipelineParams, labels, grads: Gradients) -> None:
-    """Write the exact gradients of the mean cross-entropy w.r.t. every parameter into ``grads``.
+def _softmax_cross_entropy(z: np.ndarray, labels: np.ndarray) -> tuple[float, np.ndarray]:
+    """The mean cross-entropy of (R, C) logits against R labels, and its (R, C) derivative w.r.t. ``z``.
 
-    ``labels`` has the forward logits' leading shape, (N,) or (B, N).  Every
-    element of ``grads`` is written: a fixed-row forward, which never ran the
-    attention heads, zero-fills the query and key heads and ``w_g``, so a tree
-    reused across steps carries nothing over.  Only valid for a training-mode
-    forward: inference-time pruning is a hard gate and is never differentiated.
+    One softmax serves both: the shifted logits, their exponentials and the
+    row sums are computed once, and the probabilities are ``e / s`` as in
+    :func:`~groupcomm.densemath.softmax`.  A label outside [0, C) is rejected
+    before anything is computed.
+    """
+    r, c = z.shape
+    y = labels.reshape(-1)
+    bad = (y < 0) | (y >= c)
+    if bad.any():
+        raise ValueError(f"label {y[bad][0]} out of range [0, {c})")
+    shifted = z - np.maximum.reduce(z, axis=-1, keepdims=True)
+    e = np.exp(shifted)
+    s = np.add.reduce(e, axis=-1, keepdims=True)
+    rows = np.arange(r)
+    loss = -(np.add.reduce(shifted[rows, y] - np.log(s[:, 0])) / r)
+    e /= s
+    e[rows, y] -= 1.0
+    e /= r
+    return float(loss), e
+
+
+def pipeline_backward(cache: ForwardCache, theta: PipelineParams, labels, grads: Gradients) -> float:
+    """Write the exact gradients of the mean cross-entropy w.r.t. every parameter into ``grads``; return the loss.
+
+    ``labels`` has the forward logits' leading shape, (N,) or (B, N).  The
+    loss is :func:`cross_entropy_loss` of the forward logits, bit for bit,
+    taken from the softmax the backward starts from.  Every element of
+    ``grads`` is written: a fixed-row forward, which never ran the attention
+    heads, zero-fills the query and key heads and ``w_g``, so a tree reused
+    across steps carries nothing over.  Only valid for a training-mode
+    forward: inference-time pruning is a hard gate and is never
+    differentiated.  Bad labels are rejected before ``grads`` is written.
     """
     if cache.mode != "training":
         raise ValueError("backward requires a training-mode forward cache")
@@ -424,9 +454,7 @@ def pipeline_backward(cache: ForwardCache, theta: PipelineParams, labels, grads:
     if y.size != b * n:
         raise ValueError(f"cache holds {b} x {n} agents but got labels of shape {y.shape}")
 
-    dlogits = softmax(cache.logits.reshape(b * n, -1))
-    dlogits[np.arange(b * n), y.reshape(-1)] -= 1.0
-    dlogits /= b * n
+    loss, dlogits = _softmax_cross_entropy(cache.logits.reshape(b * n, -1), y)
     d_pre = mlp_backward(theta.theta_d, cache.d_cache, dlogits, grads.theta_d)
     du = (d_pre @ theta.theta_d.layers[0][0]).reshape(b, n, 2 * f_dim)
 
@@ -435,10 +463,11 @@ def pipeline_backward(cache: ForwardCache, theta: PipelineParams, labels, grads:
     d_features = du[..., :f_dim] + cache.m.transpose(0, 2, 1) @ d_fused
 
     if cache.queries is not None:
-        # Row-softmax jacobian: dS = M * (dM - rowsum(dM * M)), then the
+        # Row-softmax jacobian: dS = (dM - rowsum(dM * M)) * M, then the
         # 1/sqrt(K) scale of the scores S = (Q W_g) K^T.
-        dm = d_fused @ cache.features.transpose(0, 2, 1)
-        ds = cache.m * (dm - np.sum(dm * cache.m, axis=-1, keepdims=True))
+        ds = d_fused @ cache.features.transpose(0, 2, 1)
+        ds -= np.add.reduce(ds * cache.m, axis=-1, keepdims=True)
+        ds *= cache.m
         ds /= math.sqrt(theta.w_g.shape[1])
         ds_keys = (ds @ cache.keys).reshape(b * n, -1)
         np.matmul(cache.queries.reshape(b * n, -1).T, ds_keys, out=grads.w_g)
@@ -453,15 +482,20 @@ def pipeline_backward(cache: ForwardCache, theta: PipelineParams, labels, grads:
         grads.w_g.fill(0.0)
 
     mlp_backward(theta.theta_e, cache.e_cache, d_features.reshape(b * n, f_dim), grads.theta_e)
+    return loss
 
 
 @dataclass
 class AdamState:
-    """First and second moment vectors, laid out as ``PipelineParams.flat``."""
+    """First and second moment vectors, laid out as ``PipelineParams.flat``, and the step's two scratch vectors."""
 
     m: np.ndarray
     v: np.ndarray
     t: int = 0
+    scratch: np.ndarray = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        self.scratch = np.empty((2,) + self.m.shape)
 
     @classmethod
     def for_params(cls, theta: PipelineParams) -> "AdamState":
@@ -483,9 +517,10 @@ def adam_step(
     operation, ``m = beta1 * m + (1 - beta1) * g``,
     ``v = beta2 * v + (1 - beta2) * g * g`` and
     ``flat = flat - lr * (m / (1 - beta1**t)) / (sqrt(v / (1 - beta2**t)) + eps)``,
-    written into ``state.m``, ``state.v`` and ``theta.flat`` through two
-    scratch vectors.  ``grads`` is only read.  A gradient or moment vector that
-    is not laid out as ``theta.flat`` is rejected before anything is written.
+    written into ``state.m``, ``state.v`` and ``theta.flat`` through the
+    state's two scratch vectors.  ``grads`` is only read.  A gradient or
+    moment vector that is not laid out as ``theta.flat`` is rejected before
+    anything is written.
     """
     flat = theta.flat
     for name, vec in (("gradient", grads.flat), ("first moment", state.m), ("second moment", state.v)):
@@ -494,7 +529,7 @@ def adam_step(
             raise ValueError(f"adam_step: the {name} vector must be {flat.dtype} of shape {flat.shape}, got {got}")
     state.t += 1
     g, m, v = grads.flat, state.m, state.v
-    num, den = np.empty((2, flat.size))
+    num, den = state.scratch
     np.multiply(g, 1.0 - beta1, out=num)
     m *= beta1
     m += num
@@ -533,11 +568,10 @@ def episode_loss_and_grads(theta: PipelineParams, episodes, policy: str, rng: Rn
     The episodes must share one agent count; they run as one (B, N, .) batch.
     """
     shared_agent_count(episodes)
-    observations = np.stack([ep.observations for ep in episodes])
+    observations = np.array([ep.observations for ep in episodes])
     labels = np.array([ep.labels for ep in episodes])
     result = pipeline_forward(theta, observations, mode="training", policy=policy, rng=rng)
-    pipeline_backward(result.cache, theta, labels, grads)
-    return cross_entropy_loss(result.logits, labels)
+    return pipeline_backward(result.cache, theta, labels, grads)
 
 
 def shared_agent_count(episodes) -> int:

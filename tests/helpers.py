@@ -11,8 +11,11 @@ import numpy as np
 from groupcomm.densemath import Rng
 from groupcomm.evalcli import train_run
 from groupcomm.neuralnet import (
+    MlpParams,
     PipelineConfig,
+    PipelineParams,
     cross_entropy_loss,
+    head_sizes,
     init_pipeline,
     param_arrays,
     pipeline_backward,
@@ -74,6 +77,22 @@ def edit_dataset_file(path, edit) -> None:
 def one_episode(world, rng):
     """The next episode of ``rng``'s stream: one ``generate_episode`` draw, rendered alone."""
     return render_episodes(world, [generate_episode(world, rng)])[0]
+
+
+def init_mlp(sizes, rng):
+    """One head, He-scaled (Normal with variance 2/fan_in), zero biases: one ``normal`` call per weight."""
+    layers = []
+    for fan_in, fan_out in zip(sizes[:-1], sizes[1:]):
+        w = rng.normal(fan_out * fan_in).reshape(fan_out, fan_in) * math.sqrt(2.0 / fan_in)
+        layers.append((w, np.zeros(fan_out)))
+    return MlpParams(layers)
+
+
+def per_layer_init(config, rng):
+    """The reference for ``init_pipeline``: each head from :func:`init_mlp` in head order, then ``w_g``."""
+    arrays = [a for sizes in head_sizes(config) for layer in init_mlp(sizes, rng).layers for a in layer]
+    arrays.append(rng.normal(config.q_dim * config.k_dim) * (config.q_dim * config.k_dim) ** -0.25)
+    return PipelineParams(config, np.concatenate([a.ravel() for a in arrays]))
 
 
 def monolithic_forward(theta, obs_matrix, delta=None):

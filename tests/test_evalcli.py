@@ -700,6 +700,41 @@ class TestCli:
         assert f"argument --delta: {message}" in capsys.readouterr().err
         assert sorted(p.name for p in tmp_path.iterdir()) == ["m.ckpt"]
 
+    SEED_ARGV = {
+        "train": ["train", "--out", "m.ckpt"],
+        "eval": ["eval", "--checkpoint", "m.ckpt"],
+        "sweep": ["sweep", "--param", "query", "--values", "1"],
+        "gen-data": ["gen-data", "--episodes", "1", "--out", "d.data"],
+    }
+
+    @pytest.mark.parametrize("command", sorted(SEED_ARGV))
+    @pytest.mark.parametrize(
+        "seed, message",
+        [
+            ("-1", "must lie in [0, 2**64), got -1"),
+            (str(2**64), f"must lie in [0, 2**64), got {2**64}"),
+            (str(2**64 + 7), f"must lie in [0, 2**64), got {2**64 + 7}"),
+            ("seven", "expected an integer in [0, 2**64), got 'seven'"),
+        ],
+    )
+    def test_seed_outside_rng_range_rejected(self, tmp_path, capsys, monkeypatch, command, seed, message):
+        # Rng reduces its seed mod 2**64, so -1 would run as 2**64 - 1 and
+        # 2**64 + 7 as 7, while the report records the seed as typed.
+        monkeypatch.chdir(tmp_path)
+        assert cli_main(self.SEED_ARGV[command] + ["--seed", seed]) == 2
+        assert f"argument --seed: {message}" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("command", sorted(SEED_ARGV))
+    @pytest.mark.parametrize("seed", [0, 2**64 - 1])
+    def test_seed_at_both_ends_of_rng_range_accepted(self, command, seed):
+        assert build_parser().parse_args(self.SEED_ARGV[command] + ["--seed", str(seed)]).seed == seed
+
+    def test_gen_data_runs_at_the_largest_seed(self, tmp_path):
+        data = tmp_path / "d.data"
+        assert cli_main(["gen-data", "--episodes", "10", "--seed", str(2**64 - 1), "--out", str(data)]) == 0
+        assert data.stat().st_size > 0
+
     def test_eval_accepts_delta_at_both_ends(self):
         for text in ("0", "1", "1e-3"):
             args = build_parser().parse_args(["eval", "--checkpoint", "m.ckpt", "--delta", text])

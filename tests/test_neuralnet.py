@@ -15,6 +15,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from groupcomm import neuralnet
 from groupcomm.commgraph import prune
 from groupcomm.densemath import Rng, relu, softmax
 from groupcomm.neuralnet import (
@@ -29,7 +30,6 @@ from groupcomm.neuralnet import (
     cross_entropy_loss,
     episode_loss_and_grads,
     evaluate_task_accuracy,
-    init_mlp,
     init_pipeline,
     load_checkpoint,
     mlp_backward,
@@ -48,7 +48,7 @@ from groupcomm.evalcli import world_for_run
 from groupcomm.scenarios import generate_dataset, make_world
 
 
-from helpers import fd_gradcheck, fresh_backward, monolithic_forward
+from helpers import fd_gradcheck, fresh_backward, init_mlp, monolithic_forward, per_layer_init
 
 
 def zeros_like_mlp(p):
@@ -339,6 +339,14 @@ class TestPipelineBackward:
         np.testing.assert_array_equal(tree.flat, fresh_backward(res.cache, theta, labels).flat)
 
 
+def log_softmax_loss(logits, labels):
+    """Mean cross-entropy from a log-softmax of its own, gathered at the labels: the loss's reference."""
+    z, y = np.asarray(logits), np.asarray(labels)
+    shifted = z - np.max(z, axis=-1, keepdims=True)
+    log_p = shifted - np.log(np.sum(np.exp(shifted), axis=-1, keepdims=True))
+    return float(-np.mean(np.take_along_axis(log_p, y[..., None], axis=-1)))
+
+
 def random_episodes(rng, cfg, n_agents, count):
     return [
         SimpleNamespace(
@@ -390,6 +398,30 @@ class TestBatchedTraining:
         with pytest.raises(ValueError, match="episode 2 has 4 agents, but episode 0 has 3"):
             episode_loss_and_grads(theta, mixed, "when2com", rng, grads)
         assert not np.any(grads.flat)
+
+    @settings(derandomize=True, database=None, max_examples=60, deadline=None)
+    @given(policy=st.sampled_from(POLICIES), b=st.integers(1, 9), n=st.integers(1, 6), seed=st.integers(0, 2**32))
+    def test_step_loss_and_gradients_equal_standalone_loss_and_backward(self, policy, b, n, seed):
+        # The step takes its loss from the backward's softmax.  It must equal
+        # cross_entropy_loss and a separate log-softmax pass bit for bit, and
+        # its tree must equal a standalone backward's, whose logit derivative
+        # is densemath.softmax's probabilities minus the one-hot labels.
+        rng = Rng(seed)
+        theta = init_pipeline(self.CFG, rng)
+        episodes = random_episodes(rng, self.CFG, n, b)
+        grads = zeros_like_params(theta)
+        loss = episode_loss_and_grads(theta, episodes, policy, Rng(seed + 1), grads)
+        obs = np.stack([ep.observations for ep in episodes])
+        labels = np.array([ep.labels for ep in episodes])
+        result = pipeline_forward(theta, obs, mode="training", policy=policy, rng=Rng(seed + 1))
+        assert loss == cross_entropy_loss(result.logits, labels) == log_softmax_loss(result.logits, labels)
+        standalone = fresh_backward(result.cache, theta, labels)
+        for step_array, alone in zip(param_arrays(grads), param_arrays(standalone), strict=True):
+            assert np.array_equal(step_array, alone)
+        dlogits = softmax(result.logits.reshape(b * n, -1))
+        dlogits[np.arange(b * n), labels.reshape(-1)] -= 1.0
+        dlogits /= b * n
+        assert np.array_equal(grads.theta_d.layers[-1][1], np.add.reduce(dlogits, axis=0))
 
     @pytest.mark.parametrize("n_agents", [1, 5, 9])
     def test_training_matches_per_vector_inference(self, n_agents):
@@ -456,6 +488,26 @@ class TestValidation:
         theta = init_pipeline(self.CFG, Rng(53))
         with pytest.raises(ValueError, match="evaluate_task_accuracy: episodes is empty"):
             evaluate_task_accuracy(theta, [], 0.25)
+
+
+class TestInit:
+    @pytest.mark.parametrize(
+        "config",
+        [
+            PipelineConfig(),
+            PipelineConfig(d_obs=4, q_dim=2, k_dim=2, f_dim=3, n_classes=2, hidden=3),
+            PipelineConfig(d_obs=1, q_dim=1, k_dim=1, f_dim=1, n_classes=1, hidden=1),
+            PipelineConfig(d_obs=5, q_dim=3, k_dim=5, f_dim=7, n_classes=3, hidden=9),
+        ],
+    )
+    def test_one_draw_equals_per_layer_draws(self, config):
+        # Odd-sized weights take an even span of the one draw, so every
+        # weight starts a Box-Muller pair as its own normal() call did.
+        rng, reference = Rng(61), Rng(61)
+        theta = init_pipeline(config, rng)
+        assert np.array_equal(theta.flat, per_layer_init(config, reference).flat)
+        assert rng.u64(1) == reference.u64(1)
+        assert not np.any(np.concatenate(param_arrays(theta)[1:-1:2]))  # the biases
 
 
 class TestFlatLayout:
@@ -636,6 +688,46 @@ class TestTrain:
         theta, log = train(TrainConfig(steps=steps, eval_every=3, policy=policy), dataset, Rng(11))
         assert len(built) == 2 and built[0] is theta
         assert len([rec for rec in log if "loss" in rec]) == steps
+
+    @staticmethod
+    def count_steps(monkeypatch):
+        """Record each training step's loss call and Adam update, in order, through the module bindings."""
+        calls = []
+        loss_step, adam = neuralnet.episode_loss_and_grads, neuralnet.adam_step
+
+        def counted_loss(*args):
+            calls.append("loss")
+            return loss_step(*args)
+
+        def counted_adam(*args):
+            calls.append("adam")
+            return adam(*args)
+
+        monkeypatch.setattr(neuralnet, "episode_loss_and_grads", counted_loss)
+        monkeypatch.setattr(neuralnet, "adam_step", counted_adam)
+        return calls
+
+    @pytest.mark.parametrize("bad", [-1, 10])
+    def test_out_of_range_label_stops_the_step_before_adam(self, monkeypatch, bad):
+        dataset = generate_dataset(make_world("srms", rng=Rng(38)), 40, seed=38)
+        dataset.episodes[dataset.train_idx[5]].labels[2] = bad
+        calls = self.count_steps(monkeypatch)
+        with pytest.raises(ValueError, match=re.escape(f"label {bad} out of range [0, 10)")):
+            train(TrainConfig(steps=200, eval_every=0), dataset, Rng(12))
+        assert calls[-1] == "loss" and calls.count("loss") > 1
+        assert calls[:-1] == ["loss", "adam"] * (len(calls) // 2)
+
+    def test_mixed_agent_counts_stop_the_step_before_adam(self, monkeypatch):
+        cfg = TestBatchedTraining.CFG
+        rng = Rng(39)
+        episodes = random_episodes(rng, cfg, 3, 30)
+        episodes[17] = random_episodes(rng, cfg, 4, 1)[0]
+        dataset = SimpleNamespace(train_episodes=episodes, val_episodes=[])
+        calls = self.count_steps(monkeypatch)
+        with pytest.raises(ValueError, match=r"episode \d has [34] agents, but episode 0 has [34]"):
+            train(TrainConfig(pipeline=cfg, steps=200, eval_every=0), dataset, Rng(13))
+        assert calls[-1] == "loss" and calls.count("loss") > 1
+        assert calls[:-1] == ["loss", "adam"] * (len(calls) // 2)
 
     def test_zero_steps_returns_initial_params(self):
         world = make_world("srms", rng=Rng(31))
