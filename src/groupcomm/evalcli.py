@@ -9,8 +9,9 @@ shares), and its bandwidth from the closed form
 metrics are array operations over the pass's (E, N, N) rows.  The
 simulator's block runner, ``simnet.run_block``, audits that pass: it runs
 the first episode, or every episode when a trace is dumped, in lockstep
-blocks of at most ``EVAL_BLOCK`` episodes, and any difference in an
-episode's pruned rows, predictions or trace-derived ledger raises.  So every
+blocks of at most ``EVAL_BLOCK`` episodes, and a message its log does not
+deliver as sent, or any difference in an episode's pruned rows,
+predictions or trace-derived ledger, raises.  So every
 reported bandwidth number is recomputable from a dumped message trace.
 
 "Communicates" is operationalized as having at least one surviving
@@ -66,6 +67,10 @@ from . import simnet
 # Train and eval derive the world from the run seed with this fixed offset so
 # that a checkpoint can be re-evaluated from the same flags alone.
 WORLD_SEED_XOR = 0x9E3779B9
+
+# The policies with a training scheme of their own.  forced_top1 and
+# fully_connected select from when2com's rows at eval time, and have none yet.
+TRAIN_POLICIES = ("when2com", "nocom", "randcom", "catall")
 
 SWEEP_COLUMNS = ("param", "size", "Q", "K", "seed", "grouping_acc", "task_acc", "when2com_acc", "links_per_agent")
 
@@ -235,9 +240,11 @@ def evaluate(
     externally.  It simulates them in lockstep blocks of at most
     ``EVAL_BLOCK`` episodes, one :func:`run_policy_episode` call each.  The
     row-invariant kernel rounds every row as it does alone, so the two agree
-    bit for bit; where a simulated episode's pruned rows, predictions or
-    trace-derived ledger differ, ``RuntimeError`` names the policy and the
-    first such episode, and no trace is written.
+    bit for bit; where a simulated episode's log does not deliver a
+    message as the protocol sends it (``simnet.DeliveryError``), or its
+    pruned rows, predictions or trace-derived ledger differ,
+    ``RuntimeError`` names the policy and the first such episode, and no
+    trace is written.
     """
     if policy not in POLICIES:
         raise ValueError(f"unknown policy {policy!r}; expected one of {POLICIES}")
@@ -252,10 +259,14 @@ def evaluate(
     simulated = len(episodes) if trace_path is not None else 1
     expected_predictions = predictions[:simulated].tolist()
     sim_rng = Rng(seed)
-    messages: list[simnet.Message] = []
+    traces = []
     for start in range(0, simulated, EVAL_BLOCK):
         block = np.stack([ep.observations for ep in episodes[start : min(start + EVAL_BLOCK, simulated)]])
-        for e, res in enumerate(run_policy_episode(policy, theta, block, delta, sim_rng), start):
+        try:
+            results = run_policy_episode(policy, theta, block, delta, sim_rng)
+        except simnet.DeliveryError as exc:
+            raise RuntimeError(f"policy {policy!r}, episode {start + exc.episode}: {exc.detail}") from exc
+        for e, res in enumerate(results, start):
             closed = simnet.ledger_from_links(links[e], 1, n_agents, q_dim, f_dim, handshake)
             for what, same in (
                 ("pruned rows", np.array_equal(res.pruned_rows, m_bar[e])),
@@ -266,9 +277,9 @@ def evaluate(
                     raise RuntimeError(
                         f"policy {policy!r}, episode {e}: the simulator's {what} differ from the batched pass"
                     )
-            messages.extend(res.trace)
+            traces.append(res.trace)
     if trace_path is not None:
-        simnet.dump_trace(trace_path, messages)
+        simnet.dump_trace(trace_path, simnet.MessageLog.concat(traces))
 
     ledger = simnet.ledger_from_links(links.sum(), len(episodes), n_agents, q_dim, f_dim, handshake)
     hits = predictions == np.array([ep.labels for ep in episodes])
@@ -320,9 +331,13 @@ def train_run(
     q_dim: int = 4,
     k_dim: int = 16,
 ) -> TrainRun:
-    """End-to-end training orchestration shared by the CLI, sweeps, and tests."""
-    if policy in ("forced_top1", "fully_connected"):
-        policy = "when2com"  # same full model; selection differs only at eval time
+    """End-to-end training orchestration shared by the CLI, sweeps, and tests.
+
+    Only the :data:`TRAIN_POLICIES` train; another of the ``POLICIES``
+    raises ``ValueError`` before any work.
+    """
+    if policy in POLICIES and policy not in TRAIN_POLICIES:
+        raise ValueError(f"policy {policy!r} has no training scheme; train when2com and evaluate under it")
     config = TrainConfig(
         pipeline=PipelineConfig(q_dim=q_dim, k_dim=k_dim),
         steps=steps,
@@ -493,7 +508,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_train.add_argument("--episodes", type=int, default=40000)
     p_train.add_argument("--steps", type=int, default=5000)
     p_train.add_argument("--seed", type=_seed, default=0)
-    p_train.add_argument("--policy", choices=POLICIES, default="when2com")
+    p_train.add_argument("--policy", choices=TRAIN_POLICIES, default="when2com")
     p_train.add_argument("--q-dim", type=int, default=4)
     p_train.add_argument("--k-dim", type=int, default=16)
     p_train.add_argument("--out", required=True, help="checkpoint output path")

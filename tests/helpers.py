@@ -24,6 +24,7 @@ from groupcomm.neuralnet import (
     zeros_like_params,
 )
 from groupcomm.scenarios import generate_episode, render_episodes
+from groupcomm.simnet import KIND_CODES
 
 
 # The dataset file layout, written out here apart from scenarios so that the
@@ -183,3 +184,26 @@ def training_job(out_path: str, seed: int, policy: str = "when2com", q_dim: int 
     )
     save_checkpoint(out_path, run.theta, run.config.pipeline)
     return out_path, time.time() - start
+
+
+def log_entry(log, kind, episode, src, dst) -> int:
+    """The index of the one ``kind`` message from ``src`` to ``dst`` in ``episode`` of a block's log."""
+    (entry,) = np.flatnonzero(
+        (log.kind == KIND_CODES[kind]) & (log.episode == episode) & (log.src == src) & (log.dst == dst)
+    )
+    return int(entry)
+
+
+def drop_entry(log, entry) -> None:
+    """Remove one message from a log, as if it were lost."""
+    log.columns = np.delete(log.columns, entry, axis=1)
+
+
+def repeat_entry(log, entry) -> None:
+    """Deliver one message of a log twice."""
+    log.columns = np.insert(log.columns, entry + 1, log.columns[:, entry], axis=1)
+
+
+def readdress_entry(log, entry, dst) -> None:
+    """Send one message of a log to agent ``dst`` instead."""
+    log.columns[3, entry] = dst

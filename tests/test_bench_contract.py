@@ -4,6 +4,7 @@ A refactor that renames or breaks something ``bench/`` calls fails here, not
 only in a benchmark run.
 """
 
+import dataclasses
 import importlib
 import importlib.util
 import json
@@ -145,6 +146,38 @@ def test_eval_unit_traces_every_simulator_span(tmp_path):
     per_policy = Counter(tracer._tags[tag] for name, tag in zip(tracer.name, tracer.tag) if name == span)
     assert per_policy == sim_blocks
     assert tracer.units == sum(sim_blocks.values())
+
+
+def test_tracer_counts_the_dumped_trace_of_a_traced_evaluate(tmp_path):
+    # The tracer's dump hook runs list() over what evaluate hands to
+    # dump_trace, reads each item's .kind, and passes that list to
+    # ledger_from_trace(..., frames=0).  Those calls, made here by the
+    # tracer itself, must count the closed form of the batched pass.
+    tracing = _load("tracing")
+    workload = _load("workloads").Eval(3, tmp_path, mini=True)
+    workload.setup()
+    simnet = importlib.import_module("groupcomm.simnet")
+    evalcli = importlib.import_module("groupcomm.evalcli")
+    neuralnet = importlib.import_module("groupcomm.neuralnet")
+    tracer = tracing.Tracer()
+    path = tmp_path / "when2com.trace.jsonl"
+    with tracer.installed({name: importlib.import_module(f"groupcomm.{name}") for name in LAYERS}):
+        evalcli.evaluate("when2com", workload.theta, workload.episodes, workload.delta, 3, "srms", str(path))
+    first_dump = tracer.first_dump
+    assert type(first_dump) is list and all(isinstance(msg, simnet.Message) for msg in first_dump)
+    kinds = Counter(msg.kind for msg in first_dump)
+    ledger = simnet.ledger_from_trace(first_dump, frames=0)
+
+    stack = [ep.observations for ep in workload.episodes]
+    m_bar = neuralnet.pipeline_forward(workload.theta, stack, mode="inference", delta=workload.delta).m_bar
+    links = int(simnet.link_counts(m_bar).sum())
+    n = len(workload.episodes[0].labels)
+    queries = workload.n_episodes * n * (n - 1)
+    assert kinds == {"query": queries, "score": queries, "request": links, "transfer": links}
+    q_dim, f_dim = workload.theta.w_g.shape[0], workload.theta.theta_e.out_dim
+    closed = simnet.ledger_from_links(links, workload.n_episodes, n, q_dim, f_dim, True)
+    assert ledger == dataclasses.replace(closed, frames=0)
+    assert tracer.counts["dumped_bytes"] == path.stat().st_size > 0
 
 
 def test_train_unit_traces_each_training_span_once_per_step(tmp_path):

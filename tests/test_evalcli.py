@@ -19,6 +19,7 @@ from groupcomm.densemath import Rng
 from groupcomm.evalcli import (
     CSV_COLUMNS,
     POLICIES,
+    TRAIN_POLICIES,
     build_parser,
     check_output_paths,
     cli_main,
@@ -27,11 +28,13 @@ from groupcomm.evalcli import (
     grouping_accuracy,
     run_policy_episode,
     save_report,
+    train_run,
     when2com_accuracy,
     world_for_run,
 )
 from groupcomm import evalcli, neuralnet, simnet
 from groupcomm.neuralnet import (
+    EVAL_BLOCK,
     HANDSHAKE_POLICIES,
     PipelineConfig,
     evaluate_task_accuracy,
@@ -49,7 +52,7 @@ from groupcomm.scenarios import (
     save_dataset,
 )
 
-from helpers import edit_dataset_file, one_episode
+from helpers import drop_entry, edit_dataset_file, log_entry, one_episode, readdress_entry, repeat_entry
 
 
 def tiny_theta(seed=0):
@@ -504,6 +507,43 @@ class TestBatchedPassAndAudit:
         assert calls == [(policy, len(episodes) if traced else 1)]  # one block: the 30 episodes, or the first
         assert not (tmp_path / "t.jsonl").exists()
 
+    @pytest.mark.parametrize(
+        "phase, kind, doctor, message",
+        [
+            ("score_inboxes", "score", drop_entry, "agent 2 received 0 score messages from peer 4, where the protocol sends 1"),
+            ("score_inboxes", "score", repeat_entry, "agent 2 received 2 score messages from peer 4, where the protocol sends 1"),
+            (
+                "request_features", "transfer", lambda log, k: readdress_entry(log, k, 1),
+                "agent 1 received 2 transfer messages from peer 4, where the protocol sends 1",
+            ),
+        ],
+    )
+    @pytest.mark.parametrize("traced, at_fault", [(False, 0), (True, 3), (True, EVAL_BLOCK + 2)])
+    def test_doctored_log_names_policy_and_episode(self, tmp_path, monkeypatch, phase, kind, doctor, message, traced, at_fault):
+        # The reply from agent 4 to agent 2 is lost or repeated, or the
+        # transfer from agent 4 to agent 2 goes to agent 1, in the episode at
+        # fault: the simulator raises, and evaluate names the policy and the
+        # episode, counted over the whole evaluation, and writes no trace.
+        # At delta 0 every agent asks every peer, so agent 1 already holds
+        # agent 4's transfer.
+        episodes = list(iter_episodes(make_world("srms", rng=Rng(7)), EVAL_BLOCK + 6, 8))
+        calls = []
+
+        def doctored(*args, real=getattr(simnet, phase)):
+            result = real(*args)
+            if len(calls) == at_fault // EVAL_BLOCK:
+                log = args[-1]
+                doctor(log, log_entry(log, kind, at_fault % EVAL_BLOCK, 4, 2))
+            calls.append(args[0])
+            return result
+
+        monkeypatch.setattr(simnet, phase, doctored)
+        trace = str(tmp_path / "t.jsonl") if traced else None
+        with pytest.raises(RuntimeError, match=re.escape(f"policy 'when2com', episode {at_fault}: {message}")):
+            evaluate("when2com", tiny_theta(), episodes, 0.0, 3, "srms", trace)
+        assert len(calls) == 1 + at_fault // EVAL_BLOCK
+        assert not (tmp_path / "t.jsonl").exists()
+
 
 class TestReports:
     def test_csv_schema(self, tmp_path):
@@ -552,6 +592,34 @@ class TestCli:
 
     def test_unknown_flag(self, capsys):
         assert cli_main(["train", "--nope"]) == 2
+
+    @pytest.mark.parametrize("policy", ["forced_top1", "fully_connected"])
+    def test_train_rejects_a_policy_without_a_training_scheme(self, tmp_path, capsys, monkeypatch, policy):
+        # Both used to train a when2com checkpoint without a word.
+        work = []
+        monkeypatch.setattr(evalcli, "train_run", lambda *args, **kwargs: work.append(kwargs))
+        ckpt = tmp_path / "m.ckpt"
+        assert cli_main(["train", "--episodes", "40", "--policy", policy, "--out", str(ckpt)]) == 2
+        err = capsys.readouterr().err
+        assert f"argument --policy: invalid choice: '{policy}'" in err
+        assert "'when2com', 'nocom', 'randcom', 'catall'" in err
+        assert work == [] and list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("policy", ["forced_top1", "fully_connected"])
+    def test_train_run_rejects_a_policy_without_a_training_scheme(self, monkeypatch, policy):
+        work = []
+        monkeypatch.setattr(evalcli, "generate_dataset", lambda *args: work.append(args))
+        monkeypatch.setattr(evalcli, "train", lambda *args: work.append(args))
+        message = f"policy {policy!r} has no training scheme; train when2com and evaluate under it"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            train_run(n_episodes=40, steps=1, policy=policy)
+        assert work == []
+
+    def test_eval_takes_every_policy(self):
+        parser = build_parser()
+        for policy in POLICIES:
+            assert parser.parse_args(["eval", "--checkpoint", "m.ckpt", "--policy", policy]).policy == policy
+        assert TRAIN_POLICIES == ("when2com", "nocom", "randcom", "catall")
 
     def test_gen_data_round_trip(self, tmp_path, capsys):
         out = str(tmp_path / "d.json")

@@ -9,16 +9,32 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from groupcomm import simnet
+from groupcomm.commgraph import link_mask
 from groupcomm.densemath import Rng
-from groupcomm.neuralnet import EVAL_BLOCK, POLICIES, PipelineConfig, decode, init_pipeline, pipeline_forward
-from groupcomm.scenarios import generate_dataset, make_world
+from groupcomm.neuralnet import (
+    EVAL_BLOCK,
+    HANDSHAKE_POLICIES,
+    POLICIES,
+    PipelineConfig,
+    decode,
+    init_pipeline,
+    pipeline_forward,
+)
+from groupcomm.scenarios import CASES, generate_dataset, iter_episodes, make_world
+from helpers import drop_entry, log_entry, readdress_entry, repeat_entry
 from groupcomm.simnet import (
     ALL_KINDS,
     BYTES_PER_REAL,
     COUNTED_KINDS,
     HEADER_BYTES,
+    KIND_CODES,
     BandwidthLedger,
+    DeliveryError,
     Message,
+    MessageLog,
+    delivered_features,
+    delivered_scores,
     dump_trace,
     ledger_from_links,
     ledger_from_trace,
@@ -32,6 +48,7 @@ from groupcomm.simnet import (
     run_handshake,
     run_transmission,
     score_inboxes,
+    _trace_record,
 )
 
 
@@ -62,24 +79,22 @@ class TestMessages:
         msg = Message("query", 0, 1, np.zeros((2, 3)))
         assert (msg.payload_reals, msg.payload_bytes) == (6, 6 * BYTES_PER_REAL)
         assert (Message("request", 0, 1).payload_reals, Message("request", 0, 1).payload_bytes) == (0, 0)
-        msg.payload_bytes = 1000
-        ledger = BandwidthLedger()
-        ledger.record(msg)
-        assert ledger.counted_bytes == 1000
+        msg.payload_reals = 250
+        assert ledger_from_trace([msg], frames=1).counted_bytes == 1000
 
 
 class TestHandshake:
     def test_single_agent_no_messages(self):
         cfg, theta, obs = small_setup(1, n_agents=1)
         agents = make_agents(obs, theta)
-        (rows,), (trace,) = run_handshake([agents], theta)
-        assert trace == []
+        (rows,), log = run_handshake([agents], theta)
+        assert len(log) == 0 and list(log) == []
         np.testing.assert_array_equal(rows, [[1.0]])
 
     def test_counted_query_bytes(self):
         cfg, theta, obs = small_setup(2, n_agents=5, q=4)
         agents = make_agents(obs, theta)
-        (rows,), (trace,) = run_handshake([agents], theta)
+        (rows,), trace = run_handshake([agents], theta)
         ledger = ledger_from_trace(trace, frames=1)
         # N agents broadcast Q reals to N-1 peers at 4 bytes per real.
         assert ledger.counted_bytes == 5 * 4 * 4 * 4
@@ -102,8 +117,8 @@ class TestTransmission:
         cfg, theta, obs = small_setup(6, n_agents=3)
         agents = make_agents(obs, theta)
         rows = np.eye(3) * 0.7
-        (fused,), (trace,) = run_transmission([agents], rows[None], delta=0.0)
-        assert trace == []
+        (fused,), trace = run_transmission([agents], rows[None], delta=0.0)
+        assert len(trace) == 0
         for i in range(3):
             np.testing.assert_array_equal(fused[i], 0.7 * agents[i].feature)
 
@@ -113,7 +128,7 @@ class TestTransmission:
         rows = np.zeros((4, 4))
         for i in range(4):
             rows[i, (i + 1) % 4] = 1.0
-        (fused,), (trace,) = run_transmission([agents], rows[None], delta=0.0)
+        (fused,), trace = run_transmission([agents], rows[None], delta=0.0)
         ledger = ledger_from_trace(trace, frames=1)
         assert ledger.inter_agent_links == 4
         assert ledger.counted_bytes == 4 * 32 * 4
@@ -173,7 +188,7 @@ class TestRunEpisode:
         with pytest.raises(ValueError, match="rng is None"):
             run_episode(make_agents(obs, theta), theta, 0.2, "randcom")
         lone = run_episode(make_agents(obs[:1], theta), theta, 0.2, "randcom")
-        assert lone.trace == []
+        assert len(lone.trace) == 0
         np.testing.assert_array_equal(lone.rows, [[1.0]])
 
     # Left out: randcom draws its peers in agent-index order, so relabelled
@@ -280,57 +295,143 @@ class TestBlockRunner:
         assert len(results) == len(lone)
         for obs, res in zip(lone, results):
             _assert_same_result(res, run_episode(make_agents(obs, theta), theta, 0.2, policy, Rng(5)))
-            assert res.trace == []
+            assert len(res.trace) == 0
             assert res.rows.tolist() == res.pruned_rows.tolist() == [[1.0]]
+
+
+def _n_for(case):
+    """Agent counts a world of ``case`` can have, 1 to 6: triplet worlds come in threes."""
+    return st.sampled_from([3, 6]) if case == "triplet" else st.integers(1, 6)
+
+
+class TestBlockLog:
+    """Every block's log: its per-kind counts, ledger, dump bytes and reload, against references kept here."""
+
+    CFG = PipelineConfig(d_obs=32, q_dim=3, k_dim=4, f_dim=5, n_classes=10, hidden=8)
+
+    @settings(derandomize=True, database=None, max_examples=120, deadline=None)
+    @given(
+        case_n=st.sampled_from(CASES).flatmap(lambda case: st.tuples(st.just(case), _n_for(case))),
+        policy=st.sampled_from(POLICIES),
+        delta=st.one_of(st.sampled_from([0.0, "1/N", 1.0]), st.floats(0.0, 1.0)),
+        seed=st.integers(0, 2**64 - 1),
+        n_episodes=st.integers(1, 5),
+    )
+    @example(case_n=("srms", 1), policy="when2com", delta="1/N", seed=0, n_episodes=3)
+    @example(case_n=("mrms", 6), policy="fully_connected", delta=0.0, seed=1, n_episodes=5)
+    @example(case_n=("triplet", 3), policy="randcom", delta=1.0, seed=2, n_episodes=2)
+    def test_counts_ledgers_dump_and_reload(self, case_n, policy, delta, seed, n_episodes):
+        case, n = case_n
+        delta = 1.0 / n if delta == "1/N" else delta
+        lone_srms = {"degrade_prob": 0.0} if (case, n) == ("srms", 1) else {}  # nobody could hold its view
+        episodes = list(iter_episodes(make_world(case, n_agents=n, rng=Rng(seed), **lone_srms), n_episodes, seed))
+        theta = init_pipeline(self.CFG, Rng(seed))
+        stack = np.stack([ep.observations for ep in episodes])
+        results = run_block(make_agents(stack, theta), theta, delta, policy, Rng(seed))
+        handshake = policy in HANDSHAKE_POLICIES
+        q_dim, f_dim = self.CFG.q_dim, self.CFG.f_dim
+        links = [int(link_counts(res.pruned_rows)) for res in results]
+        for res, k in zip(results, links):
+            per_kind = {kind: sum(m.kind == kind for m in res.trace) for kind in ALL_KINDS}
+            queries = n * (n - 1) if handshake else 0
+            assert per_kind == {"query": queries, "score": queries, "request": k, "transfer": k}
+            closed = ledger_from_links(k, 1, n, q_dim, f_dim, handshake)
+            assert res.ledger == ledger_from_trace(res.trace, frames=1) == ledger_from_trace(list(res.trace), 1) == closed
+        whole = MessageLog.concat([res.trace for res in results])
+        reference = "".join(
+            json.dumps(_trace_record(m.kind, m.src, m.dst, m.payload_reals), sort_keys=True) + "\n"
+            for res in results
+            for m in res.trace
+        )
+        closed = ledger_from_links(sum(links), len(results), n, q_dim, f_dim, handshake)
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "trace.jsonl")
+            dump_trace(path, whole)
+            with open(path, "rb") as fh:
+                assert fh.read() == reference.encode()
+            assert ledger_from_trace(load_trace(path), frames=len(results)) == closed
+        assert ledger_from_trace(whole, frames=len(results)) == closed
+
+
+def _lone_agent(obs, i, theta):
+    """Agent i built from its own observation alone: no peer of it exists."""
+    (agent,) = make_agents(obs[i : i + 1], theta)
+    agent.agent_id = i
+    return agent
+
+
+def _only(i, mask):
+    """A (1, N, N) expectation that agent i, alone of its episode, receives from the peers set in ``mask``."""
+    expected = np.zeros((1, len(mask), len(mask)), dtype=bool)
+    expected[0, i] = mask
+    return expected
 
 
 class TestInformationFlow:
     def test_agent_output_depends_only_on_messages(self):
-        # Replay the exact inbox of agent 0 into a fresh copy whose peers'
-        # private state has been corrupted: every output must be identical.
+        # Replay the log entries addressed to each agent into a fresh copy
+        # built from its own observation alone, with no peer in existence:
+        # every decision and output must be identical.
         cfg, theta, obs = small_setup(14)
+        delta = 1.0 / 5.0
         agents = make_agents(obs, theta)
-        result = run_episode(agents, theta, delta=1.0 / 5.0)
-        inbox = [m for m in result.trace if m.dst == 0]
+        result = run_episode(agents, theta, delta)
+        for i, agent in enumerate(agents):
+            inbox = result.trace[result.trace.dst == i]
+            assert len(inbox) < len(result.trace)
+            fresh = _lone_agent(obs, i, theta)
+            fresh.assemble_row(delivered_scores(inbox, _only(i, np.arange(5) != i))[0, i], theta)
+            fresh.prune_row(delta)
+            fresh.fuse_features(delivered_features(inbox, _only(i, (fresh.pruned_row != 0) & (np.arange(5) != i)))[0][i])
+            logits = decode(theta, fresh.feature, fresh.fused)
 
-        fresh = make_agents(obs[:1], theta)[0]
-        for msg in inbox:
-            fresh.receive(msg)
-        fresh.assemble_row(5, theta)
-        fresh.feature_requests(1.0 / 5.0)
-        fresh.fuse_features(5)
-        logits = decode(theta, fresh.feature, fresh.fused)
-
-        np.testing.assert_array_equal(fresh.row, agents[0].row)
-        np.testing.assert_array_equal(fresh.fused, agents[0].fused)
-        # The episode decodes every agent in one call; agent 0's lone decode
-        # of its own inputs gives the same bits.
-        np.testing.assert_array_equal(logits, result.logits[0])
-        assert int(np.argmax(logits)) == result.predictions[0]
+            np.testing.assert_array_equal(fresh.row, agent.row)
+            np.testing.assert_array_equal(fresh.pruned_row, agent.pruned_row)
+            np.testing.assert_array_equal(fresh.fused, agent.fused)
+            # The episode decodes every agent in one call; the agent's lone
+            # decode of its own inputs gives the same bits.
+            np.testing.assert_array_equal(logits, result.logits[i])
+            assert int(np.argmax(logits)) == result.predictions[i]
 
     def test_inbox_holds_exactly_the_payloads_addressed_to_the_agent(self):
+        # Each agent receives one query and one score from every peer, a
+        # request from every agent that asked it, and a transfer from every
+        # peer it asked; the scores and features it is handed are exactly
+        # those payloads, the features views of the log's buffer.
         cfg, theta, obs = small_setup(14)
         agents = make_agents(obs, theta)
         result = run_episode(agents, theta, delta=1.0 / 5.0)
-        assert {m.kind for m in result.trace} == set(ALL_KINDS)
+        trace = result.trace
+        assert {m.kind for m in trace} == set(ALL_KINDS)
+        requested = link_mask(result.pruned_rows)
+        scores = delivered_scores(trace, ~np.eye(5, dtype=bool)[None])[0]
+        features = delivered_features(trace, requested[None])[0]
         for agent in agents:
-            assert set(agent.inbox) == set(ALL_KINDS)
-            for kind in ALL_KINDS:
-                sent = [m for m in result.trace if m.dst == agent.agent_id and m.kind == kind]
-                assert sorted(agent.inbox[kind]) == sorted(m.src for m in sent)
-                for m in sent:
-                    assert agent.inbox[kind][m.src] is m.payload
+            i = agent.agent_id
+            sent = {kind: {m.src: m.payload for m in trace if m.dst == i and m.kind == kind} for kind in ALL_KINDS}
+            assert sorted(sent["query"]) == sorted(sent["score"]) == [j for j in range(5) if j != i]
+            assert sorted(sent["request"]) == np.flatnonzero(requested[:, i]).tolist()
+            assert sorted(sent["transfer"]) == np.flatnonzero(requested[i]).tolist()
+            for j, query in sent["query"].items():
+                assert query.tobytes() == agents[j].mu.tobytes()
+            for j, score in sent["score"].items():
+                assert scores[i, j] == score[0]
+            for j in range(5):
+                if j in sent["transfer"]:
+                    assert features[i][j].tobytes() == sent["transfer"][j].tobytes() == agents[j].feature.tobytes()
+                    assert np.shares_memory(features[i][j], trace.payloads)
+                else:
+                    assert features[i][j] is None
 
     def test_missing_score_reply_names_the_peer(self):
         # A replayed agent whose inbox lacks agent 3's score cannot build its row.
         cfg, theta, obs = small_setup(14)
         result = run_episode(make_agents(obs, theta), theta, delta=1.0 / 5.0)
-        fresh = make_agents(obs[:1], theta)[0]
-        for msg in result.trace:
-            if msg.dst == 0 and (msg.kind, msg.src) != ("score", 3):
-                fresh.receive(msg)
-        with pytest.raises(RuntimeError, match=r"agent 0 missing score replies from \[3\]"):
-            fresh.assemble_row(5, theta)
+        trace = result.trace
+        inbox = trace[(trace.dst == 0) & ~((trace.kind == KIND_CODES["score"]) & (trace.src == 3))]
+        message = "episode 0: agent 0 received 0 score messages from peer 3, where the protocol sends 1"
+        with pytest.raises(DeliveryError, match=re.escape(message)):
+            delivered_scores(inbox, _only(0, np.arange(5) != 0))
 
     def test_inbox_scores_match_per_query_scores_bitwise(self):
         # The score phase scores every inbox in one call; each reply equals
@@ -340,7 +441,8 @@ class TestInformationFlow:
 
         cfg, theta, obs = small_setup(18, n_agents=6)
         agents = make_agents(obs, theta)
-        _, (trace,) = run_handshake([agents], theta)
+        _, log = run_handshake([agents], theta)
+        trace = list(log)
         scores = [m for m in trace if m.kind == "score"]
         assert [(m.dst, m.src) for m in scores] == [(i, j) for i in range(6) for j in range(6) if j != i]
         for m in scores:
@@ -348,8 +450,9 @@ class TestInformationFlow:
             assert m.payload[0] == attention_score(agents[m.dst].mu, agents[m.src].kappa, theta.w_g)
         for replier in agents:
             senders = [j for j in range(6) if j != replier.agent_id]
-            assert list(replier.inbox["query"]) == senders
-            alone = attention_scores(np.array([replier.inbox["query"][j] for j in senders]), replier.kappa, theta.w_g)
+            inbox = [m for m in trace if m.kind == "query" and m.dst == replier.agent_id]
+            assert [m.src for m in inbox] == senders
+            alone = attention_scores(np.array([m.payload for m in inbox]), replier.kappa, theta.w_g)
             sent = [m.payload[0] for m in scores if m.src == replier.agent_id]
             assert sent == alone.tolist()
 
@@ -358,40 +461,100 @@ class TestInformationFlow:
         # theirs corrupted, receive the recorded queries; the score phase
         # then sends the recorded replies, in order, bit for bit.
         cfg, theta, obs = small_setup(19, n_agents=5)
-        _, (trace,) = run_handshake([make_agents(obs, theta)], theta)
+        _, log = run_handshake([make_agents(obs, theta)], theta)
         fresh = make_agents(obs, theta)
         for agent in fresh:
             agent.mu, agent.feature = np.full_like(agent.mu, np.nan), None
             agent.observation = np.full_like(agent.observation, np.nan)
-        for msg in trace:
-            if msg.kind == "query":
-                fresh[msg.dst].receive(msg)
-        replayed = []
-        score_inboxes([fresh], theta, [replayed])
-        recorded = [m for m in trace if m.kind == "score"]
+        replay = log[log.kind == KIND_CODES["query"]]
+        score_inboxes([fresh], theta, replay)
+        replayed = [m for m in replay if m.kind == "score"]
+        recorded = [m for m in log if m.kind == "score"]
         assert [(m.src, m.dst) for m in replayed] == [(m.src, m.dst) for m in recorded]
         assert [m.payload.tobytes() for m in replayed] == [m.payload.tobytes() for m in recorded]
-        assert all(sorted(agent.inbox["score"]) == [j for j in range(5) if j != agent.agent_id] for agent in fresh)
-        score_inboxes([fresh[:1]], theta, [replayed])  # a lone agent has no inbox to score
-        assert len(replayed) == len(recorded)
+        # Every agent holds one reply from each peer (delivered_scores raises otherwise).
+        assert delivered_scores(replay, ~np.eye(5, dtype=bool)[None]).tobytes() == delivered_scores(
+            log, ~np.eye(5, dtype=bool)[None]
+        ).tobytes()
+        before = len(replay)
+        score_inboxes([fresh[:1]], theta, replay)  # a lone agent has no inbox to score
+        assert len(replay) == before
 
     def test_self_transfer_short_circuited(self):
+        # A diagonal weight uses the agent's own feature: no message goes to
+        # self, and a log holding a transfer to self is refused.
         cfg, theta, obs = small_setup(15, n_agents=2)
         agents = make_agents(obs, theta)
-        with pytest.raises(RuntimeError):
-            agents[0].feature_transfer(0)
+        _, log = run_transmission([agents], np.array([[[0.5, 0.5], [0.0, 1.0]]]), 0.0)
+        assert [(m.kind, m.src, m.dst) for m in log] == [("request", 0, 1), ("transfer", 1, 0)]
+        readdress_entry(log, 1, 1)
+        message = "episode 0: agent 0 received 0 transfer messages from peer 1, where the protocol sends 1"
+        with pytest.raises(DeliveryError, match=re.escape(message)):
+            delivered_features(log, np.array([[[False, True], [False, False]]]))
+        with pytest.raises(ValueError, match="inter-agent message to self: agent 1"):
+            list(log)
+
+
+class TestDoctoredLog:
+    """A block whose log does not deliver what the protocol sent raises, naming the episode, the agent and the peer."""
+
+    CFG = PipelineConfig(d_obs=32, q_dim=3, k_dim=4, f_dim=5, n_classes=10, hidden=8)
+
+    @pytest.fixture(scope="class")
+    def block6(self):
+        episodes = list(iter_episodes(make_world("srms", rng=Rng(41)), 6, 42))
+        return np.stack([ep.observations for ep in episodes]), init_pipeline(self.CFG, Rng(43))
+
+    @pytest.mark.parametrize(
+        "phase, kind, doctor, message",
+        [
+            ("score_inboxes", "score", drop_entry, "agent 2 received 0 score messages from peer 4, where the protocol sends 1"),
+            ("score_inboxes", "score", repeat_entry, "agent 2 received 2 score messages from peer 4, where the protocol sends 1"),
+            (
+                "request_features", "transfer", lambda log, k: readdress_entry(log, k, 1),
+                "agent 1 received 2 transfer messages from peer 4, where the protocol sends 1",
+            ),
+        ],
+    )
+    def test_doctored_log_names_episode_agent_and_peer(self, block6, monkeypatch, phase, kind, doctor, message):
+        # At delta 0 every agent asks every peer, so agent 1 already holds
+        # agent 4's transfer when agent 2's copy is sent to it as well.
+        stack, theta = block6
+
+        def doctored(*args, real=getattr(simnet, phase)):
+            result = real(*args)
+            log = args[-1]
+            doctor(log, log_entry(log, kind, 3, 4, 2))
+            return result
+
+        monkeypatch.setattr(simnet, phase, doctored)
+        with pytest.raises(DeliveryError, match=re.escape(f"episode 3: {message}")) as err:
+            run_block(make_agents(stack, theta), theta, 0.0)
+        assert (err.value.episode, err.value.peer) == (3, 4)
+        assert err.value.agent == (1 if kind == "transfer" else 2)
+
+    def test_message_to_an_agent_outside_the_block_is_refused(self, block6, monkeypatch):
+        stack, theta = block6
+
+        def doctored(block, log, real=simnet.broadcast_queries):
+            real(block, log)
+            readdress_entry(log, log_entry(log, "query", 3, 4, 2), 5)
+
+        monkeypatch.setattr(simnet, "broadcast_queries", doctored)
+        message = "episode 3: a query message from agent 4 to agent 5 names no agent of a block of 6 episodes of 5 agents"
+        with pytest.raises(DeliveryError, match=re.escape(message)):
+            run_block(make_agents(stack, theta), theta, 0.2)
 
 
 class TestBandwidthMetrics:
     def test_hand_arithmetic_example(self):
         # Q=4, F=32, N=5, one frame, two feature transfers:
         # counted = 5*4*4*4 + 2*32*4 = 576 bytes.
-        ledger = BandwidthLedger(frames=1)
-        for msg in (
+        ledger = ledger_from_trace(
             [Message("query", i, j, np.zeros(4)) for i in range(5) for j in range(5) if i != j]
-            + [Message("transfer", 1, 0, np.zeros(32)), Message("transfer", 2, 4, np.zeros(32))]
-        ):
-            ledger.record(msg)
+            + [Message("transfer", 1, 0, np.zeros(32)), Message("transfer", 2, 4, np.zeros(32))],
+            frames=1,
+        )
         assert ledger.counted_bytes == 576
         assert mbpf(ledger) == pytest.approx(5.76e-4)
         assert links_per_agent(ledger, 5) == pytest.approx(0.4)
@@ -559,6 +722,8 @@ class TestTraceDump:
             (_good_record(payload_reals=2**60), f"payload_reals must be at most {2**60 - 1}, got {2**60}"),
             (_good_record(payload_reals=10**30), f"payload_reals must be at most {2**60 - 1}, got {10**30}"),
             (_good_record(to=-1), "to must be a non-negative integer, got -1"),
+            # A log holds ids in 64-bit columns.
+            (_good_record(to=2**63), f"to must be at most {2**63 - 1}, got {2**63}"),
             (_good_record(to=0), "inter-agent message to self: agent 0"),
             ('{"kind": "query", "from": 0,', "bad JSON: Expecting property name enclosed in double quotes at column 29"),
             ("[1, 2]", "expected a JSON object, got list"),
