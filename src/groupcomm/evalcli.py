@@ -333,11 +333,14 @@ def train_run(
 ) -> TrainRun:
     """End-to-end training orchestration shared by the CLI, sweeps, and tests.
 
-    Only the :data:`TRAIN_POLICIES` train; another of the ``POLICIES``
-    raises ``ValueError`` before any work.
+    Only the :data:`TRAIN_POLICIES` train; any other policy raises
+    ``ValueError`` before any work.
     """
-    if policy in POLICIES and policy not in TRAIN_POLICIES:
-        raise ValueError(f"policy {policy!r} has no training scheme; train when2com and evaluate under it")
+    if policy not in TRAIN_POLICIES:
+        raise ValueError(
+            f"policy {policy!r} has no training scheme (expected one of {TRAIN_POLICIES}); "
+            "train when2com and evaluate under it"
+        )
     config = TrainConfig(
         pipeline=PipelineConfig(q_dim=q_dim, k_dim=k_dim),
         steps=steps,

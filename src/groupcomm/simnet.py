@@ -114,9 +114,7 @@ class MessageLog:
     payload: a message without reals, or one whose size alone is recorded,
     as :meth:`from_messages` and :meth:`concat` record them.  Iterating yields one
     :class:`Message` per entry, its payload a view of the buffer (a
-    zero-stride stub where only the size is held).  Indexing by a slice,
-    mask or entry indices gives a log of those messages that shares the
-    buffer.
+    zero-stride stub where only the size is held).
     """
 
     __slots__ = ("columns", "payloads")
@@ -127,16 +125,11 @@ class MessageLog:
 
     episode = property(lambda self: self.columns[0])
     kind = property(lambda self: self.columns[1])
-    src = property(lambda self: self.columns[2])
-    dst = property(lambda self: self.columns[3])
     reals = property(lambda self: self.columns[4])
     offset = property(lambda self: self.columns[5])
 
     def __len__(self) -> int:
         return self.columns.shape[1]
-
-    def __getitem__(self, rows) -> MessageLog:
-        return MessageLog(self.columns[:, rows], self.payloads)
 
     def __iter__(self):
         payloads = self.payloads
@@ -494,16 +487,13 @@ def request_features(block: list[list[AgentState]], log: MessageLog) -> np.ndarr
     return requested
 
 
-def run_handshake(
-    block: list[list[AgentState]], theta: PipelineParams, log: MessageLog | None = None
-) -> tuple[np.ndarray, MessageLog]:
+def run_handshake(block: list[list[AgentState]], theta: PipelineParams) -> tuple[np.ndarray, MessageLog]:
     """Three-phase handshake over a block of episodes of one agent count.
 
-    Appends the queries and score replies to ``log`` (a new one if None)
-    and returns the (E, N, N) rows, which match centralized softmax rows
-    bit for bit, and the log.
+    Returns the (E, N, N) rows, which match centralized softmax rows bit
+    for bit, and a new log of the queries and score replies.
     """
-    log = MessageLog() if log is None else log
+    log = MessageLog()
     # Phase 1: query broadcasts, N*(N-1) directed messages per episode.
     broadcast_queries(block, log)
     # Phase 2: the score replies, N*(N-1) more.
@@ -555,11 +545,7 @@ def run_block(
     so each result is bit for bit that of the episode run alone.
     """
     n = len(block[0])
-    log = MessageLog()
-    if policy in HANDSHAKE_POLICIES:
-        soft_rows, log = run_handshake(block, theta, log)
-    else:
-        soft_rows = None
+    soft_rows, log = run_handshake(block, theta) if policy in HANDSHAKE_POLICIES else (None, None)
     rows, threshold = policy_rows(policy, soft_rows, n, delta, rng, len(block))
     fused, log = run_transmission(block, rows, threshold, log)
     logits = decode(theta, _gather(block, "feature"), fused)

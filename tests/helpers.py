@@ -189,7 +189,7 @@ def training_job(out_path: str, seed: int, policy: str = "when2com", q_dim: int 
 def log_entry(log, kind, episode, src, dst) -> int:
     """The index of the one ``kind`` message from ``src`` to ``dst`` in ``episode`` of a block's log."""
     (entry,) = np.flatnonzero(
-        (log.kind == KIND_CODES[kind]) & (log.episode == episode) & (log.src == src) & (log.dst == dst)
+        (log.kind == KIND_CODES[kind]) & (log.episode == episode) & (log.columns[2] == src) & (log.columns[3] == dst)
     )
     return int(entry)
 

@@ -605,12 +605,15 @@ class TestCli:
         assert "'when2com', 'nocom', 'randcom', 'catall'" in err
         assert work == [] and list(tmp_path.iterdir()) == []
 
-    @pytest.mark.parametrize("policy", ["forced_top1", "fully_connected"])
+    @pytest.mark.parametrize("policy", ["forced_top1", "fully_connected", "broadcast"])
     def test_train_run_rejects_a_policy_without_a_training_scheme(self, monkeypatch, policy):
         work = []
         monkeypatch.setattr(evalcli, "generate_dataset", lambda *args: work.append(args))
         monkeypatch.setattr(evalcli, "train", lambda *args: work.append(args))
-        message = f"policy {policy!r} has no training scheme; train when2com and evaluate under it"
+        message = (
+            f"policy {policy!r} has no training scheme (expected one of {TRAIN_POLICIES}); "
+            "train when2com and evaluate under it"
+        )
         with pytest.raises(ValueError, match=re.escape(message)):
             train_run(n_episodes=40, steps=1, policy=policy)
         assert work == []

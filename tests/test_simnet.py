@@ -360,6 +360,11 @@ def _lone_agent(obs, i, theta):
     return agent
 
 
+def _rows(log, mask):
+    """The messages of ``log`` that ``mask`` selects, in order, sharing its payload buffer."""
+    return MessageLog(log.columns[:, mask], log.payloads)
+
+
 def _only(i, mask):
     """A (1, N, N) expectation that agent i, alone of its episode, receives from the peers set in ``mask``."""
     expected = np.zeros((1, len(mask), len(mask)), dtype=bool)
@@ -377,7 +382,7 @@ class TestInformationFlow:
         agents = make_agents(obs, theta)
         result = run_episode(agents, theta, delta)
         for i, agent in enumerate(agents):
-            inbox = result.trace[result.trace.dst == i]
+            inbox = _rows(result.trace, result.trace.columns[3] == i)
             assert len(inbox) < len(result.trace)
             fresh = _lone_agent(obs, i, theta)
             fresh.assemble_row(delivered_scores(inbox, _only(i, np.arange(5) != i))[0, i], theta)
@@ -428,7 +433,7 @@ class TestInformationFlow:
         cfg, theta, obs = small_setup(14)
         result = run_episode(make_agents(obs, theta), theta, delta=1.0 / 5.0)
         trace = result.trace
-        inbox = trace[(trace.dst == 0) & ~((trace.kind == KIND_CODES["score"]) & (trace.src == 3))]
+        inbox = _rows(trace, (trace.columns[3] == 0) & ~((trace.kind == KIND_CODES["score"]) & (trace.columns[2] == 3)))
         message = "episode 0: agent 0 received 0 score messages from peer 3, where the protocol sends 1"
         with pytest.raises(DeliveryError, match=re.escape(message)):
             delivered_scores(inbox, _only(0, np.arange(5) != 0))
@@ -466,7 +471,7 @@ class TestInformationFlow:
         for agent in fresh:
             agent.mu, agent.feature = np.full_like(agent.mu, np.nan), None
             agent.observation = np.full_like(agent.observation, np.nan)
-        replay = log[log.kind == KIND_CODES["query"]]
+        replay = _rows(log, log.kind == KIND_CODES["query"])
         score_inboxes([fresh], theta, replay)
         replayed = [m for m in replay if m.kind == "score"]
         recorded = [m for m in log if m.kind == "score"]
