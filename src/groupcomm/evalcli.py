@@ -29,7 +29,6 @@ import json
 import os
 import sys
 from dataclasses import asdict, dataclass, fields
-from itertools import chain
 
 import numpy as np
 
@@ -45,22 +44,20 @@ from .neuralnet import (
     infer_episodes,
     load_checkpoint,
     save_checkpoint,
-    shared_agent_count,
     train,
 )
 from .scenarios import (
     CASES,
     DEFAULT_AGENTS,
     Dataset,
-    Episode,
+    EpisodeSet,
     World,
     generate_dataset,
-    iter_episodes,
+    generate_episodes,
     load_dataset,
     make_world,
     save_dataset,
     split_bounds,
-    support_matrix,
 )
 from . import simnet
 
@@ -148,87 +145,55 @@ def decisions_from_rows(rows: np.ndarray) -> np.ndarray:
     return link_mask(rows).any(axis=-1)
 
 
-def when2com_accuracy(episodes: list[Episode], decisions) -> float:
-    """Agreement between communicate decisions and ground-truth need, over episodes of one agent count.
+def when2com_accuracy(episodes: EpisodeSet, decisions) -> float:
+    """Agreement between communicate decisions and ground-truth need (``episodes.degraded``).
 
-    ``decisions`` holds one (N,) entry per episode: the (E, N) bool array of
-    :func:`decisions_from_rows`, or lists.
+    ``decisions`` is the (E, N) bool array of :func:`decisions_from_rows`.
     """
-    if not episodes:
+    if not len(episodes):
         raise ValueError("when2com_accuracy: episodes is empty, so there is no decision to score")
-    if len(episodes) != len(decisions):
-        raise ValueError(f"{len(episodes)} episodes vs {len(decisions)} decision lists")
-    needs = _needs(episodes)
-    decided = _per_episode("decisions", decisions, needs.shape[1:], bool)
-    return int(np.count_nonzero(decided == needs)) / needs.size
+    decided = _shaped("decisions", decisions, episodes.degraded.shape, bool)
+    return int(np.count_nonzero(decided == episodes.degraded)) / decided.size
 
 
-def grouping_accuracy(
-    episodes: list[Episode], rows_per_episode: list[np.ndarray]
-) -> tuple[float | None, float | None]:
-    """Supporter-selection rates over needy agents that do communicate, in episodes of one agent count.
+def grouping_accuracy(episodes: EpisodeSet, rows) -> tuple[float | None, float | None]:
+    """Supporter-selection rates over needy agents that do communicate, against ``episodes.support``.
 
-    Returns (top-1 rate, all-links-valid rate); both are None when no agent
-    qualifies (needy and communicating), never 0.  Top-1 ties go to the
-    lowest index.  Every episode's rows must be (N, N), and every supporter
-    one of its N agents (:func:`~groupcomm.scenarios.support_matrix`).
+    ``rows`` is the (E, N, N) stack of pruned rows.  Returns (top-1 rate,
+    all-links-valid rate); both are None when no agent qualifies (needy and
+    communicating), never 0.  Top-1 ties go to the lowest index.
     """
-    if len(episodes) != len(rows_per_episode):
-        raise ValueError(f"{len(episodes)} episodes vs {len(rows_per_episode)} row sets")
-    if not episodes:
-        return None, None
-    needs = _needs(episodes)
-    n = needs.shape[1]
-    rows = _per_episode("rows", rows_per_episode, (n, n), np.float64)
-    support = support_matrix(episodes, n)
+    rows = _shaped("rows", rows, episodes.support.shape, np.float64)
     linked = link_mask(rows)
-    qualified = needs & linked.any(axis=-1)
+    qualified = episodes.degraded & linked.any(axis=-1)
     total = int(np.count_nonzero(qualified))
     if total == 0:
         return None, None
     top = np.argmax(np.where(linked, rows, -np.inf), axis=-1)  # the first maximum: ties to the lowest index
-    top_hits = np.take_along_axis(support, top[..., None], axis=-1)[..., 0] & qualified
-    set_hits = ~np.any(linked & ~support, axis=-1) & qualified
+    top_hits = np.take_along_axis(episodes.support, top[..., None], axis=-1)[..., 0] & qualified
+    set_hits = ~np.any(linked & ~episodes.support, axis=-1) & qualified
     return int(np.count_nonzero(top_hits)) / total, int(np.count_nonzero(set_hits)) / total
 
 
-def _needs(episodes: list[Episode]) -> np.ndarray:
-    """The (E, N) ground-truth need of episodes of one agent count; raises naming the first that differs."""
-    n = shared_agent_count(episodes)
-    flags = chain.from_iterable(ep.needs_comm for ep in episodes)
-    return np.fromiter(flags, dtype=bool, count=len(episodes) * n).reshape(-1, n)
-
-
-def _per_episode(what: str, values, shape: tuple[int, ...], dtype) -> np.ndarray:
-    """``values``, one entry of ``shape`` per episode, as one array; ``shape`` is (N,) or (N, N).
-
-    Raises ValueError naming the first episode whose entry has another shape, with that shape and N.
-    """
-    try:
-        stack = np.asarray(values, dtype=dtype)
-    except ValueError:  # entries of several shapes, named below
-        stack = None
-    if stack is None or stack.shape != (len(values),) + shape:
-        need = "(N,)" if len(shape) == 1 else "(N, N)"
-        for e, value in enumerate(values):
-            if np.shape(value) != shape:
-                raise ValueError(
-                    f"episode {e}: {what} of shape {np.shape(value)}, but its N = {shape[0]} agents need {need} {what}"
-                )
-        stack = np.asarray(values, dtype=dtype)  # entries that are not numbers raise here
-    return stack
+def _shaped(what: str, values, shape: tuple[int, ...], dtype) -> np.ndarray:
+    """``values`` as an array of ``shape``; raises ValueError naming ``what``, its shape and the one needed."""
+    array = np.asarray(values, dtype=dtype)
+    if array.shape != shape:
+        e, n = shape[:2]
+        raise ValueError(f"{what} of shape {array.shape}, but {e} episodes of N = {n} agents need {shape}")
+    return array
 
 
 def evaluate(
     policy: str,
     theta: PipelineParams,
-    episodes: list[Episode],
+    episodes: EpisodeSet,
     delta: float,
     seed: int,
     case: str = "srms",
     trace_path: str | None = None,
 ) -> MetricsReport:
-    """Run a policy over episodes and aggregate task, selection, and bandwidth metrics.
+    """Run a policy over an ``EpisodeSet`` and aggregate task, selection, and bandwidth metrics.
 
     The report comes from one batched inference pass
     (``neuralnet.infer_episodes``), with ``randcom`` rows drawn from ``Rng(seed)``
@@ -261,7 +226,7 @@ def evaluate(
     sim_rng = Rng(seed)
     traces = []
     for start in range(0, simulated, EVAL_BLOCK):
-        block = np.stack([ep.observations for ep in episodes[start : min(start + EVAL_BLOCK, simulated)]])
+        block = episodes.observations[start : min(start + EVAL_BLOCK, simulated)]
         try:
             results = run_policy_episode(policy, theta, block, delta, sim_rng)
         except simnet.DeliveryError as exc:
@@ -282,9 +247,8 @@ def evaluate(
         simnet.dump_trace(trace_path, simnet.MessageLog.concat(traces))
 
     ledger = simnet.ledger_from_links(links.sum(), len(episodes), n_agents, q_dim, f_dim, handshake)
-    hits = predictions == np.array([ep.labels for ep in episodes])
-    degraded = np.array([ep.degraded for ep in episodes], dtype=bool)
-    hits_deg, n_deg = int(hits[degraded].sum()), int(degraded.sum())
+    hits = predictions == episodes.labels
+    hits_deg, n_deg = int(hits[episodes.degraded].sum()), int(episodes.degraded.sum())
     hits_clean, n_clean = int(hits.sum()) - hits_deg, hits.size - n_deg
     top_rate, set_rate = grouping_accuracy(episodes, m_bar)
     return MetricsReport(
@@ -388,10 +352,11 @@ def sweep_message_size(
     return rows
 
 
-def _test_split_for_eval(args) -> tuple[World, list[Episode]]:
+def _test_split_for_eval(args) -> tuple[World, EpisodeSet]:
     """The world and test episodes to evaluate: from ``--data``, or generated from the run flags.
 
-    A generated set keeps only its test split.  Each episode's stream is
+    A loaded file's test split is gathered, so the file's bytes are not kept
+    alive.  A generated set holds only its test split.  Each episode's stream is
     keyed by (seed, index), so the train and validation episodes are never
     drawn at all, and time and memory scale with the test split.
     """
@@ -402,7 +367,7 @@ def _test_split_for_eval(args) -> tuple[World, list[Episode]]:
         return dataset.world, dataset.test_episodes
     world = world_for_run(args.case, args.agents, args.seed)
     _, test_start = split_bounds(args.episodes)
-    return world, list(iter_episodes(world, args.episodes, args.seed, start=test_start))
+    return world, generate_episodes(world, args.episodes, args.seed, start=test_start)
 
 
 def _write_train_outputs(args, paths: dict[str, str], run: TrainRun) -> None:

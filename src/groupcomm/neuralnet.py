@@ -15,9 +15,13 @@ rule :func:`policy_rows` that turns a policy into a stack of episodes' fusion
 rows, which training, inference and the simulator all call.  So does the one
 inference loop, :func:`infer_episodes`, which validation and evaluation share.
 
-Training runs a whole minibatch at once: the episodes are stacked as
-(B, N, .) arrays, every head is one matrix product over all B*N agents, and
-the matching matrix and fusion are batched products.  Its gradients are
+Episodes arrive as a :class:`~groupcomm.scenarios.EpisodeSet`, and no split
+is copied whole: a training batch gathers its B episodes' rows, and
+inference runs on slices, or gathers, of :data:`EVAL_BLOCK` episodes.
+
+Training runs a whole minibatch at once: the batch is (B, N, .) arrays,
+every head is one matrix product over all B*N agents, and the matching
+matrix and fusion are batched products.  Its gradients are
 derived by hand in the same matrix form and validated against central finite
 differences; see tests.  A step computes one softmax of the logits: the
 backward starts from it, and the step's loss is read from the same shifted
@@ -563,94 +567,88 @@ class TrainConfig:
 
 
 def episode_loss_and_grads(theta: PipelineParams, episodes, policy: str, rng: Rng, grads: Gradients) -> float:
-    """Training-mode mean loss over a minibatch of episodes; writes its exact gradients into ``grads``.
+    """Training-mode mean loss over a minibatch; writes its exact gradients into ``grads``.
 
-    The episodes must share one agent count; they run as one (B, N, .) batch.
+    The batch is an :class:`~groupcomm.scenarios.EpisodeSet`, whose arrays
+    run as one (B, N, .) batch.
     """
-    shared_agent_count(episodes)
-    observations = np.array([ep.observations for ep in episodes])
-    labels = np.array([ep.labels for ep in episodes])
-    result = pipeline_forward(theta, observations, mode="training", policy=policy, rng=rng)
-    return pipeline_backward(result.cache, theta, labels, grads)
-
-
-def shared_agent_count(episodes) -> int:
-    """The agent count of an episode list; raises if it is empty or naming the first episode that differs."""
-    if not episodes:
-        raise ValueError("need at least one episode, got none")
-    n = len(episodes[0].labels)
-    for idx, ep in enumerate(episodes):
-        if len(ep.labels) != n:
-            raise ValueError(f"episode {idx} has {len(ep.labels)} agents, but episode 0 has {n}")
-    return n
+    result = pipeline_forward(theta, episodes.observations, mode="training", policy=policy, rng=rng)
+    return pipeline_backward(result.cache, theta, episodes.labels, grads)
 
 
 def infer_episodes(
-    theta: PipelineParams, episodes, delta: float, policy: str = "when2com", rng: Rng | None = None
+    theta: PipelineParams, episodes, delta: float, policy: str = "when2com", rng: Rng | None = None, index=None
 ) -> tuple[np.ndarray, np.ndarray]:
-    """The (E, N, N) pruned rows and (E, N) predicted classes of ``episodes`` at inference.
+    """The (E, N, N) pruned rows and (E, N) predicted classes of episodes at inference.
 
-    There must be at least one episode, and all must share one agent count;
-    both are checked before anything runs.  The episodes go through :func:`pipeline_forward` in stacks of
-    :data:`EVAL_BLOCK`, with ``randcom`` rows drawn from ``rng`` episode by
-    episode.
+    ``episodes`` is an :class:`~groupcomm.scenarios.EpisodeSet`; ``index``
+    picks its episodes, in its order, and by default all of them, in order.
+    There must be at least one, checked before anything runs.  The episodes
+    go through :func:`pipeline_forward` in stacks of :data:`EVAL_BLOCK`, each
+    a slice of the set or a gather of ``index``'s rows, and ``randcom`` rows
+    are drawn from ``rng`` episode by episode.
     """
-    shared_agent_count(episodes)
+    count = len(episodes) if index is None else len(index)
+    if not count:
+        raise ValueError("need at least one episode, got none")
     m_bar, predictions = [], []  # only these outlive their block
-    for start in range(0, len(episodes), EVAL_BLOCK):
-        stack = np.stack([ep.observations for ep in episodes[start : start + EVAL_BLOCK]])
-        result = pipeline_forward(theta, stack, mode="inference", delta=delta, policy=policy, rng=rng)
+    for start in range(0, count, EVAL_BLOCK):
+        rows = slice(start, start + EVAL_BLOCK) if index is None else index[start : start + EVAL_BLOCK]
+        result = pipeline_forward(
+            theta, episodes.observations[rows], mode="inference", delta=delta, policy=policy, rng=rng
+        )
         m_bar.append(result.m_bar)
         predictions.append(np.argmax(result.logits, axis=-1))
     return np.concatenate(m_bar), np.concatenate(predictions)
 
 
 def evaluate_task_accuracy(
-    theta: PipelineParams, episodes, delta: float, policy: str = "when2com", rng: Rng | None = None
+    theta: PipelineParams, episodes, delta: float, policy: str = "when2com", rng: Rng | None = None, index=None
 ) -> float:
     """Fraction of (episode, agent) predictions of :func:`infer_episodes` matching labels.
 
-    ``randcom`` rows are drawn from ``rng``, episode by episode, or from one
-    ``Rng(0)`` for the whole call when it is omitted.
+    ``episodes`` and ``index`` are :func:`infer_episodes`'s.  ``randcom`` rows
+    are drawn from ``rng``, episode by episode, or from one ``Rng(0)`` for
+    the whole call when it is omitted.
     """
-    episodes = list(episodes)
-    if not episodes:
+    labels = episodes.labels if index is None else episodes.labels[np.asarray(index, dtype=np.intp)]
+    if not len(labels):
         raise ValueError("evaluate_task_accuracy: episodes is empty, so there is no accuracy to report")
-    _, predictions = infer_episodes(theta, episodes, delta, policy, rng if rng is not None else Rng(0))
-    return int(np.count_nonzero(predictions == np.array([ep.labels for ep in episodes]))) / predictions.size
+    _, predictions = infer_episodes(theta, episodes, delta, policy, rng if rng is not None else Rng(0), index)
+    return int(np.count_nonzero(predictions == labels)) / predictions.size
 
 
 def train(config: TrainConfig, dataset, rng: Rng) -> tuple[PipelineParams, list[dict]]:
-    """Minibatch Adam loop over training episodes.
+    """Minibatch Adam loop over the training split of a :class:`~groupcomm.scenarios.Dataset`.
 
-    Each step draws its batch indices from ``rng``, then runs one batched
-    forward and backward over the whole batch and one Adam update at
-    :func:`adam_step`'s default rates.  The parameters, the Adam moments and
-    one gradient tree are allocated before the first step, and every step
+    Each step draws its batch indices into ``train_idx`` from ``rng``,
+    gathers those episodes' rows, then runs one batched forward and backward
+    over the whole batch and one Adam update at :func:`adam_step`'s default
+    rates.  Validation runs over ``val_idx`` in gathered blocks, so neither
+    split is copied whole.  The parameters, the Adam moments and one
+    gradient tree are allocated before the first step, and every step
     updates them in place.  The log records the batch loss at every step and
     validation task accuracy every ``eval_every`` steps.  The run is
     single-threaded and bit-reproducible for a fixed seed.
     """
-    train_eps = list(dataset.train_episodes)
-    if not train_eps:
+    episodes, train_idx, val_idx = dataset.episodes, np.asarray(dataset.train_idx, dtype=np.intp), dataset.val_idx
+    if not len(train_idx):
         raise ValueError("training dataset is empty")
-    val_eps = list(dataset.val_episodes)
 
     theta = init_pipeline(config.pipeline, rng)
     state = AdamState.for_params(theta)
     grads = zeros_like_params(theta)
     log: list[dict] = []
-    n_train = len(train_eps)
+    n_train = len(train_idx)
 
     for step in range(1, config.steps + 1):
-        batch = [train_eps[rng.randint(n_train)] for _ in range(config.batch_size)]
-        loss = episode_loss_and_grads(theta, batch, config.policy, rng, grads)
+        batch = train_idx[[rng.randint(n_train) for _ in range(config.batch_size)]]
+        loss = episode_loss_and_grads(theta, episodes[batch], config.policy, rng, grads)
         adam_step(theta, grads, state)
         log.append({"step": step, "loss": loss})
-        if config.eval_every and val_eps and step % config.eval_every == 0:
-            n_agents = len(val_eps[0].labels)
+        if config.eval_every and len(val_idx) and step % config.eval_every == 0:
             acc = evaluate_task_accuracy(
-                theta, val_eps, delta=1.0 / n_agents, policy=config.policy, rng=Rng(rng.seed ^ step)
+                theta, episodes, 1.0 / episodes.labels.shape[1], config.policy, Rng(rng.seed ^ step), val_idx
             )
             log.append({"step": step, "val_task_acc": acc})
     return theta, log

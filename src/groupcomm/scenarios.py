@@ -34,11 +34,16 @@ made in two steps.  First ``generate_episode`` runs every scalar draw of the
 episode in stream order (labels, scene picks, degradation, and mrmps's
 supporter picks and overlaps), then ``Rng.skip`` jumps over each agent's
 noise block and records the state it starts from.  The result is an
-``EpisodeDraw``: everything but the noise.  Then ``render_episodes`` turns a
-block of draws, 64 episodes in ``iter_episodes``, into episodes: one
-``densemath.normal_blocks`` call draws every agent's noise from those
-states, and the observations are (B, N, obs_dim) array arithmetic, each
-episode bit-equal to drawing its blocks in place.
+``EpisodeDraw``: everything but the noise, its support already a mask.  Then
+``render_episodes`` turns a block of draws, 64 episodes in
+``generate_episodes``, into arrays: one ``densemath.normal_blocks`` call
+draws every agent's noise from those states, and the observations are
+(B, N, obs_dim) array arithmetic, each episode bit-equal to drawing its
+blocks in place.
+
+Episodes are held as an ``EpisodeSet``, the dataset file's four arrays, from
+generation through saving, loading, training and the metrics; an
+``Episode`` is a read-only view of one row.
 
 Cases
 -----
@@ -65,9 +70,10 @@ import math
 import numbers
 import struct
 from collections.abc import Iterator
-from dataclasses import dataclass, field
-from itertools import chain, compress
+from dataclasses import dataclass
+from itertools import chain
 from operator import index
+from typing import NamedTuple
 
 import numpy as np
 
@@ -78,9 +84,6 @@ CASES = ("srms", "mrms", "mrmps", "triplet")
 PERTURBATION_SIGMA = 0.05
 MIN_PROTOTYPE_DISTANCE = 0.1
 DEFAULT_AGENTS = {"srms": 5, "mrms": 5, "mrmps": 5, "triplet": 9}
-# Every empty ``gt_support`` entry is this one object (``frozenset()`` is not
-# a shared singleton on every Python this package supports).
-NO_SUPPORT: frozenset[int] = frozenset()
 RENDER_BLOCK = 64  # episodes drawn, then rendered by one render_episodes call
 
 
@@ -106,50 +109,103 @@ class World:
         return self.scene_codes.shape[0]
 
 
-@dataclass(slots=True)
-class Episode:
-    """One synchronized frame of N observations with ground truth.
+@dataclass(frozen=True, eq=False)
+class EpisodeSet:
+    """E synchronized frames of N agents each: the dataset file's four arrays, row e episode e.
 
-    Agent i needs to communicate exactly when it is degraded (its own view
-    is insufficient), so :attr:`needs_comm` is ``degraded`` itself.
-    ``gt_support[i]`` is the frozenset of agents holding informative views
-    for i; it is empty whenever agent i is clean, and may also be empty for
-    mrmps requesters with no sufficiently overlapping peer.  Every empty
-    entry, generated or loaded, is the one shared :data:`NO_SUPPORT`, and the
-    class has slots rather than a ``__dict__``, so a held episode is mostly
-    its observation array.
+    ``support[e, i, j]`` is true when agent j holds an informative view for
+    agent i, and ``degraded`` is also the need to communicate.  The
+    constructor rejects shapes or dtypes that disagree, so all episodes
+    share one N.  An int index gives an :class:`Episode` view, a slice a set
+    of views, and an index list or array a gathered copy.
     """
 
-    observations: np.ndarray  # (N, obs_dim)
-    labels: list[int]
-    degraded: list[bool]
-    gt_support: list[frozenset[int]] = field(default_factory=list)
+    observations: np.ndarray  # (E, N, obs_dim) float64
+    labels: np.ndarray  # (E, N) int64
+    degraded: np.ndarray  # (E, N) bool
+    support: np.ndarray  # (E, N, N) bool
+
+    def __post_init__(self):
+        if self.labels.ndim != 2:
+            raise ValueError(f"EpisodeSet.labels must be (E, N), got shape {self.labels.shape}")
+        e, n = self.labels.shape
+        for name, dtype, shape, dims in (
+            ("observations", np.float64, (e, n) + self.observations.shape[-1:], "(E, N, obs_dim)"),
+            ("labels", np.int64, (e, n), "(E, N)"),
+            ("degraded", np.bool_, (e, n), "(E, N)"),
+            ("support", np.bool_, (e, n, n), "(E, N, N)"),
+        ):
+            array = getattr(self, name)
+            if array.dtype != dtype or array.shape != shape:
+                raise ValueError(
+                    f"EpisodeSet.{name} must be {np.dtype(dtype)} of shape {dims} with the labels' E = {e} and "
+                    f"N = {n}, got {array.dtype} of shape {array.shape}"
+                )
 
     @property
-    def needs_comm(self) -> list[bool]:
-        """The ground-truth need to communicate: the ``degraded`` list itself (read-only)."""
-        return self.degraded
+    def arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """The four arrays in file order: observations, labels, degraded, support."""
+        return self.observations, self.labels, self.degraded, self.support
+
+    def __len__(self) -> int:
+        return len(self.labels)
+
+    def __iter__(self) -> Iterator[Episode]:
+        return map(self.__getitem__, range(len(self)))
+
+    def __getitem__(self, key) -> Episode | EpisodeSet:
+        try:
+            e = index(key)
+        except TypeError:  # a slice views rows; an index array or list gathers them
+            return EpisodeSet(*(a[key] for a in self.arrays))
+        if not -len(self) <= e < len(self):
+            raise IndexError(f"episode {e} is out of range for a set of {len(self)}")
+        return Episode(self, e % len(self))
+
+
+class Episode(NamedTuple):
+    """Read-only view of row ``index`` of ``episodes``; each field is built on access.
+
+    ``observations`` is a view; ``labels``, ``degraded`` and ``needs_comm``
+    (``degraded`` again) are lists, and ``gt_support[i]`` is the frozenset
+    of agent i's supporters: empty for a clean agent, and possibly for an
+    mrmps requester with no peer overlapping enough.
+    """
+
+    episodes: EpisodeSet
+    index: int
+
+    @property
+    def observations(self) -> np.ndarray:
+        return self.episodes.observations[self.index]
+
+    @property
+    def labels(self) -> list[int]:
+        return self.episodes.labels[self.index].tolist()
+
+    @property
+    def degraded(self) -> list[bool]:
+        return self.episodes.degraded[self.index].tolist()
+
+    needs_comm = degraded  # the ground-truth need to communicate
+
+    @property
+    def gt_support(self) -> list[frozenset[int]]:
+        return [frozenset(np.flatnonzero(row).tolist()) for row in self.episodes.support[self.index]]
 
 
 @dataclass
 class Dataset:
     world: World
-    episodes: list[Episode]
+    episodes: EpisodeSet
     train_idx: list[int]
     val_idx: list[int]
     test_idx: list[int]
 
     @property
-    def train_episodes(self) -> list[Episode]:
-        return [self.episodes[i] for i in self.train_idx]
-
-    @property
-    def val_episodes(self) -> list[Episode]:
-        return [self.episodes[i] for i in self.val_idx]
-
-    @property
-    def test_episodes(self) -> list[Episode]:
-        return [self.episodes[i] for i in self.test_idx]
+    def test_episodes(self) -> EpisodeSet:
+        """The test split, gathered: a copy that holds no reference to the whole set."""
+        return self.episodes[self.test_idx]
 
 
 def _unit(v: np.ndarray) -> np.ndarray:
@@ -267,14 +323,16 @@ def make_world(
 class EpisodeDraw:
     """One episode's scalar draws: everything :func:`render_episodes` needs but its noise.
 
-    ``starts[i]`` is the state agent i's noise block starts from (see
-    ``Rng.skip``).  ``content`` is set only for mrmps, whose clean content is
-    mixed during the draws; every other case takes the label prototypes.
+    ``support`` is the episode's (N, N) membership mask (see
+    :class:`EpisodeSet`).  ``starts[i]`` is the state agent i's noise block
+    starts from (see ``Rng.skip``).  ``content`` is set only for mrmps, whose
+    clean content is mixed during the draws; every other case takes the
+    label prototypes.
     """
 
     labels: list[int]
     degraded: list[bool]
-    gt_support: list[frozenset[int]]
+    support: np.ndarray  # (N, N) bool
     signatures: np.ndarray  # (N, scene_dim)
     starts: list[int]
     content: np.ndarray | None = None  # (N, content_dim)
@@ -304,15 +362,15 @@ def _draw_srms(world: World, rng: Rng) -> EpisodeDraw:
     signatures = _episode_signatures(world, rng, n)
     designated = rng.randint(n)
     degraded = [False] * n
-    gt_support = [NO_SUPPORT] * n
+    support = np.zeros((n, n), dtype=bool)
     if rng.uniform_scalar() < world.degrade_prob:
         degraded[designated] = True
         off = rng.randint(n - 1)
         supporter = off if off < designated else off + 1
         labels[supporter] = labels[designated]
         signatures[supporter] = signatures[designated]
-        gt_support[designated] = frozenset((supporter,))
-    return EpisodeDraw(labels, degraded, gt_support, signatures, _skip_noise(world, rng))
+        support[designated, supporter] = True
+    return EpisodeDraw(labels, degraded, support, signatures, _skip_noise(world, rng))
 
 
 def _draw_mrms(world: World, rng: Rng) -> EpisodeDraw:
@@ -328,13 +386,13 @@ def _draw_mrms(world: World, rng: Rng) -> EpisodeDraw:
     deg_list = [i for i, d in enumerate(degraded) if d]
     clean_list = [i for i, d in enumerate(degraded) if not d]
     perm = rng.permutation(len(clean_list))
-    gt_support = [NO_SUPPORT] * n
+    support = np.zeros((n, n), dtype=bool)
     for t, r in enumerate(deg_list):
         s = clean_list[perm[t]]
         labels[s] = labels[r]
         signatures[s] = signatures[r]
-        gt_support[r] = frozenset((s,))
-    return EpisodeDraw(labels, degraded, gt_support, signatures, _skip_noise(world, rng))
+        support[r, s] = True
+    return EpisodeDraw(labels, degraded, support, signatures, _skip_noise(world, rng))
 
 
 def _draw_mrmps(world: World, rng: Rng) -> EpisodeDraw:
@@ -343,7 +401,7 @@ def _draw_mrmps(world: World, rng: Rng) -> EpisodeDraw:
     signatures = _episode_signatures(world, rng, n)
     degraded = [rng.uniform_scalar() < world.degrade_prob for _ in range(n)]
     deg_list = [i for i, d in enumerate(degraded) if d]
-    gt_support = [NO_SUPPORT] * n
+    support = np.zeros((n, n), dtype=bool)
     content = world.prototypes[labels, world.scene_dim :]
     for i in range(n):
         # Only clean rows change, and they read only their own and degraded rows.
@@ -357,8 +415,8 @@ def _draw_mrmps(world: World, rng: Rng) -> EpisodeDraw:
             if overlap > 0.5:
                 labels[i] = labels[r]
             if overlap > world.overlap_frac:
-                gt_support[r] = gt_support[r] | {i}
-    return EpisodeDraw(labels, degraded, gt_support, signatures, _skip_noise(world, rng), content)
+                support[r, i] = True
+    return EpisodeDraw(labels, degraded, support, signatures, _skip_noise(world, rng), content)
 
 
 def _draw_triplet(world: World, rng: Rng) -> EpisodeDraw:
@@ -376,13 +434,14 @@ def _draw_triplet(world: World, rng: Rng) -> EpisodeDraw:
             triplet_of[a] = t
     labels = [classes[triplet_of[i]] for i in range(n)]
     degraded = [False] * n
-    gt_support = [NO_SUPPORT] * n
+    support = np.zeros((n, n), dtype=bool)
     for t in range(k):
         if rng.uniform_scalar() < world.degrade_prob:
             victim = members[t][rng.randint(3)]
             degraded[victim] = True
-            gt_support[victim] = frozenset(members[t]) - {victim}
-    return EpisodeDraw(labels, degraded, gt_support, signatures[triplet_of], _skip_noise(world, rng))
+            support[victim, members[t]] = True
+            support[victim, victim] = False
+    return EpisodeDraw(labels, degraded, support, signatures[triplet_of], _skip_noise(world, rng))
 
 
 _DRAWS = {
@@ -398,7 +457,7 @@ def generate_episode(world: World, rng: Rng) -> EpisodeDraw:
 
     The scalar draws run first, then each agent's noise block is skipped;
     ``rng`` is left where the whole episode, noise included, ends.
-    :func:`render_episodes` turns the result into an :class:`Episode`.
+    :func:`render_episodes` turns the result into a row of an :class:`EpisodeSet`.
     """
     try:
         draw = _DRAWS[world.case]
@@ -407,34 +466,31 @@ def generate_episode(world: World, rng: Rng) -> EpisodeDraw:
     return draw(world, rng)
 
 
-def render_episodes(world: World, draws: list[EpisodeDraw]) -> list[Episode]:
+def render_episodes(world: World, draws: list[EpisodeDraw]) -> EpisodeSet:
     """The episodes of ``draws`` (all drawn for ``world``), rendered as one (B, N, obs_dim) block.
 
     One :func:`densemath.normal_blocks` call draws every agent's noise block
     from its recorded start.  Row (b, i) of ``content`` (the prototype of
     agent i's label unless the draw mixed its own) is its clean content; a
     degraded agent sees noise alone, taken unchanged.  Every operation is
-    elementwise, so each episode is bit-equal to rendering it alone, and each
-    owns a copy of its rows.
+    elementwise, so each episode is bit-equal to rendering it alone.
     """
     half = world.scene_dim + world.scene_dim % 2
     shape = (len(draws), world.n_agents)
     z = normal_blocks(list(chain.from_iterable(d.starts for d in draws)), 2 * half).reshape(*shape, 2 * half)
-    labels = [d.labels for d in draws]
+    labels = np.array([d.labels for d in draws], dtype=np.int64)
     if draws[0].content is None:
         content = world.prototypes[labels, world.scene_dim :]
     else:
         content = np.array([d.content for d in draws])
     signatures = np.array([d.signatures for d in draws])
-    deg = np.array([d.degraded for d in draws])[..., None]
+    degraded = np.array([d.degraded for d in draws], dtype=bool)
+    deg = degraded[..., None]
     noise = np.where(deg, world.noise_sigma, PERTURBATION_SIGMA) * z[..., half : half + world.content_dim]
     obs = np.empty((*shape, world.obs_dim), dtype=np.float64)
     obs[..., : world.scene_dim] = signatures + PERTURBATION_SIGMA * z[..., : world.scene_dim]
     obs[..., world.scene_dim :] = np.where(deg, noise, content + noise)
-    return [
-        Episode(rows, d.labels, d.degraded, d.gt_support)
-        for rows, d in zip(map(np.ndarray.copy, obs), draws)
-    ]
+    return EpisodeSet(obs, labels, degraded, np.array([d.support for d in draws]))
 
 
 def split_bounds(n_episodes: int) -> tuple[int, int]:
@@ -445,34 +501,42 @@ def split_bounds(n_episodes: int) -> tuple[int, int]:
     return n_train, n_train + int(0.1 * n_episodes)
 
 
-def iter_episodes(world: World, n_episodes: int, seed: int, start: int = 0) -> Iterator[Episode]:
+def generate_episodes(world: World, n_episodes: int, seed: int, start: int = 0) -> EpisodeSet:
     """Episodes ``start`` to ``n_episodes - 1`` of ``generate_dataset(world, n_episodes, seed)``, in order.
 
     Episode e is one :func:`generate_episode` call on its own stream, whose
     key is word e of ``Rng(seed)`` (see ``densemath.keyed_streams``); the
     streams of every ``RENDER_BLOCK`` episodes are keyed, and their first
     words drawn, at once, and their draws rendered at once by
-    :func:`render_episodes`.  Nothing is drawn for the episodes before
-    ``start``, and episode e does not depend on ``n_episodes``.
+    :func:`render_episodes` into the rows of one preallocated set.  Nothing
+    is drawn for the episodes before ``start``, and episode e does not
+    depend on ``n_episodes``.
     """
     if not 0 <= start <= n_episodes:
         raise ValueError(f"start must lie in [0, {n_episodes}], got {start}")
+    e, n = n_episodes - start, world.n_agents
+    episodes = EpisodeSet(
+        np.empty((e, n, world.obs_dim)), np.empty((e, n), np.int64), np.empty((e, n), bool), np.empty((e, n, n), bool)
+    )
     for first in range(start, n_episodes, RENDER_BLOCK):
         rngs = keyed_streams(seed, first, min(RENDER_BLOCK, n_episodes - first))
-        yield from render_episodes(world, [generate_episode(world, rng) for rng in rngs])
+        block = render_episodes(world, [generate_episode(world, rng) for rng in rngs])
+        for array, rows in zip(episodes.arrays, block.arrays):
+            array[first - start : first - start + len(rows)] = rows
+    return episodes
 
 
 def generate_dataset(world: World, n_episodes: int, seed: int) -> Dataset:
-    """Seeded episode list with a deterministic, disjoint 80/10/10 split (see :func:`split_bounds`).
+    """Seeded episode set with a deterministic, disjoint 80/10/10 split (see :func:`split_bounds`).
 
-    The episodes are :func:`iter_episodes`'s: one :func:`generate_episode`
+    The episodes are :func:`generate_episodes`'s: one :func:`generate_episode`
     draw per episode, each on the stream keyed by (``seed``, its index), so
     the first k episodes of any larger set are these.
     """
     val_start, test_start = split_bounds(n_episodes)
     return Dataset(
         world,
-        list(iter_episodes(world, n_episodes, seed)),
+        generate_episodes(world, n_episodes, seed),
         list(range(val_start)),
         list(range(val_start, test_start)),
         list(range(test_start, n_episodes)),
@@ -483,35 +547,13 @@ DATASET_MAGIC = b"GRPCDATA"
 DATASET_VERSION = 1
 _PREFIX = struct.Struct("<8sII")  # magic, version, header length
 _WORLD_SCALARS = ("case", "n_agents", "obs_dim", "n_classes", "degrade_prob", "noise_sigma", "overlap_frac", "scene_dim")
+_BODY_NAMES = ("world prototypes", "world scene_codes", "observations", "labels", "degraded", "support")
 
 
 def _body_layout(header: dict) -> list[tuple[str, tuple[int, ...]]]:
     """The little-endian dtype and shape of each body array, in file order (see :func:`save_dataset`)."""
     e, n, d, c, s = (header[key] for key in ("n_episodes", "n_agents", "obs_dim", "n_classes", "scene_dim"))
     return [("<f8", (c, d)), ("<f8", (s, s)), ("<f8", (e, n, d)), ("<i8", (e, n)), ("u1", (e, n)), ("u1", (e, n, n))]
-
-
-def support_matrix(episodes: list[Episode], n: int) -> np.ndarray:
-    """The (E, N, N) bool ground-truth membership of ``episodes`` of ``n`` agents: [e, i, j] when j supports i.
-
-    Raises ValueError naming the first episode whose support list does not
-    hold ``n`` entries, or the first episode and agent with a supporter
-    outside [0, n).
-    """
-    supports = list(chain.from_iterable(ep.gt_support for ep in episodes))  # agent k % n of episode k // n
-    if len(supports) != len(episodes) * n:
-        e = next(e for e, ep in enumerate(episodes) if len(ep.gt_support) != n)
-        raise ValueError(f"episode {e} has {len(episodes[e].gt_support)} gt_support entries, not one per agent of {n}")
-    pairs = [(k, index(j)) for k in compress(range(len(supports)), supports) for j in supports[k]]  # 1.5 raises
-    k, j = np.array(pairs, dtype=np.intp).reshape(-1, 2).T  # k ascends
-    bad = (j < 0) | (j >= n)
-    if bad.any():
-        k0 = k[bad][0]
-        j0 = j[bad & (k == k0)].min()
-        raise ValueError(f"episode {k0 // n} agent {k0 % n} has supporter {j0}, not one in [0, {n})")
-    member = np.zeros((len(supports), n), dtype=bool)
-    member[k, j] = True
-    return member.reshape(len(episodes), n, n)
 
 
 def _reject_first(path: str, bad: np.ndarray, what: str, values: np.ndarray | None = None) -> None:
@@ -549,25 +591,24 @@ def save_dataset(path: str, dataset: Dataset) -> None:
     The header is ``json.dumps(..., sort_keys=True)`` of the world's scalar
     fields, ``n_episodes`` (E) and the three splits.  The body holds, each
     row-major, the world's ``prototypes`` (C, obs_dim) and ``scene_codes``
-    (S, S) as f8, then the episodes' observations (E, N, obs_dim) as f8,
-    labels (E, N) as i8, degraded flags (E, N) as u1 and supports as a u1
-    membership matrix (E, N, N) (:func:`support_matrix`), whose entry
-    [e, i, j] is 1 when agent j supports agent i.  ``needs_comm`` is
-    ``degraded`` and is not stored.  A body :func:`load_dataset` would
-    refuse raises the same ValueError, naming the episode and the agent,
-    before the file is opened.
+    (S, S) as f8, then the :class:`EpisodeSet`'s arrays: observations
+    (E, N, obs_dim) as f8, labels (E, N) as i8, degraded flags (E, N) as u1
+    and the support mask (E, N, N) as u1, whose entry [e, i, j] is 1 when
+    agent j supports agent i.  ``needs_comm`` is ``degraded`` and is not
+    stored.  An array whose shape the world's fields do not give, or a body
+    :func:`load_dataset` would refuse, raises ValueError naming the array,
+    or the episode and the agent, before the file is opened.
     """
     world, episodes = dataset.world, dataset.episodes
     header = {key: getattr(world, key) for key in _WORLD_SCALARS}
     splits = {"train": dataset.train_idx, "val": dataset.val_idx, "test": dataset.test_idx}
     header.update(n_episodes=len(episodes), splits=splits)
-    try:
-        member = support_matrix(episodes, world.n_agents)
-    except ValueError as err:
-        raise ValueError(f"{path}: {err}") from None
-    values = (world.prototypes, world.scene_codes, [ep.observations for ep in episodes], [ep.labels for ep in episodes])
-    values += ([ep.degraded for ep in episodes], member)
-    body = [np.asarray(v, dtype=dtype).reshape(shape) for v, (dtype, shape) in zip(values, _body_layout(header))]
+    body = []
+    arrays = (world.prototypes, world.scene_codes, *episodes.arrays)
+    for name, array, (dtype, shape) in zip(_BODY_NAMES, arrays, _body_layout(header)):
+        if array.shape != shape:
+            raise ValueError(f"{path}: the {name} array is {array.shape}, but the world's fields give {shape}")
+        body.append(array.astype(dtype, copy=False))
     _check_body(path, world.n_classes, body)
     text = json.dumps(header, sort_keys=True).encode()
     with open(path, "wb") as fh:
@@ -620,7 +661,7 @@ def load_dataset(path: str) -> Dataset:
     (episode, agent) at fault (:func:`_check_body`, which
     :func:`save_dataset` runs too): finite arrays, labels in range, flags in
     {0, 1}, and supports in {0, 1}, never the agent itself and only for a
-    degraded agent.  Every empty support is :data:`NO_SUPPORT`.
+    degraded agent.  The episodes are read-only views of the file's bytes.
     """
     with open(path, "rb") as fh:
         blob = fh.read()
@@ -636,7 +677,7 @@ def load_dataset(path: str) -> Dataset:
         raise ValueError(f"{path}: the header is not valid JSON: {err}") from None
     _require_fields(f"{path}: the header", header, _WORLD_SCALARS + ("n_episodes", "splits"))
     _check_world(f"{path}: ", *(header[key] for key in _WORLD_SCALARS))
-    n_episodes, n_agents, n_classes = header["n_episodes"], header["n_agents"], header["n_classes"]
+    n_episodes, n_classes = header["n_episodes"], header["n_classes"]
     if type(n_episodes) is not int or n_episodes < 0:
         raise ValueError(f"{path}: n_episodes must be a non-negative integer, got {n_episodes!r}")
     splits = _load_splits(path, header["splits"], n_episodes)
@@ -650,12 +691,6 @@ def load_dataset(path: str) -> Dataset:
         offset += arrays[-1].nbytes
     _check_body(path, n_classes, arrays)
     prototypes, scene_codes, obs, labels, degraded, member = arrays
-    rows = member.reshape(-1, n_agents)  # agent k % n of episode k // n
-    supports = [NO_SUPPORT] * len(rows)
-    for k in np.flatnonzero(rows.any(axis=1)).tolist():
-        supports[k] = frozenset(np.flatnonzero(rows[k]).tolist())
-    chunks = (supports[k : k + n_agents] for k in range(0, len(supports), n_agents))
-    episodes = list(map(Episode, map(np.ndarray.copy, obs), labels.tolist(), degraded.astype(bool).tolist(), chunks))
     scalars = {key: header[key] for key in _WORLD_SCALARS}
     world = World(**scalars, prototypes=prototypes.copy(), scene_codes=scene_codes.copy())
-    return Dataset(world, episodes, *splits)
+    return Dataset(world, EpisodeSet(obs, labels, degraded.view(bool), member.view(bool)), *splits)

@@ -63,8 +63,11 @@ from .commgraph import attention_score, attention_scores, fuse, link_mask, prune
 from .densemath import Rng, softmax_row
 from .neuralnet import HANDSHAKE_POLICIES, PipelineParams, decode, mlp_infer, policy_rows
 
-HEADER_BYTES = 9  # kind: 1, from: 2, to: 2, payload length: 4
+KIND_BYTES, ID_BYTES, LENGTH_BYTES = 1, 2, 4  # header field widths: kind, each of from and to, payload length
+HEADER_BYTES = KIND_BYTES + 2 * ID_BYTES + LENGTH_BYTES
 BYTES_PER_REAL = 4  # transmitted payloads are modeled as 32-bit reals
+# The largest agent id and payload that those fields hold, and so that a loaded trace may name.
+MAX_AGENT_ID, MAX_PAYLOAD_REALS = 2 ** (8 * ID_BYTES) - 1, (2 ** (8 * LENGTH_BYTES) - 1) // BYTES_PER_REAL
 
 KIND_QUERY = "query"
 KIND_SCORE = "score"
@@ -78,10 +81,6 @@ LOG_COLUMNS = ("episode", "kind", "src", "dst", "reals", "offset")
 _COUNTED = np.array([kind in COUNTED_KINDS for kind in ALL_KINDS])
 _DUMP_CHUNK = 4096  # trace lines per write
 _LINE_CACHE = 4096  # distinct trace lines kept encoded
-# The largest payload a loaded stub can stand for: numpy refuses a float64
-# array, even a zero-stride one, whose byte size exceeds the intp range.
-_MAX_STUB_REALS = np.iinfo(np.intp).max // 8
-_MAX_ID = np.iinfo(np.int64).max  # the largest agent id a log's columns hold
 
 
 @dataclass(slots=True)
@@ -601,7 +600,8 @@ def load_trace(path: str) -> list[Message]:
 
     Every record is checked: it must be a JSON object with every field
     :func:`dump_trace` writes, a known kind, non-negative integer ids and
-    payload size that a log's columns hold, two distinct ids, and payload
+    payload size that the header fields hold (at most :data:`MAX_AGENT_ID`
+    and :data:`MAX_PAYLOAD_REALS`), two distinct ids, and payload
     bytes, header bytes and ``counted`` as the byte model gives them.  An
     error names the path and the 1-based line, bytes that are not UTF-8 and
     nesting too deep to parse included.
@@ -630,7 +630,7 @@ def _message_from_record(rec) -> Message:
     missing = [name for name in TRACE_FIELDS if name not in rec]
     if missing:
         raise ValueError(f"record lacks field(s) {missing}")
-    for name, most in (("from", _MAX_ID), ("to", _MAX_ID), ("payload_reals", _MAX_STUB_REALS)):
+    for name, most in (("from", MAX_AGENT_ID), ("to", MAX_AGENT_ID), ("payload_reals", MAX_PAYLOAD_REALS)):
         value = rec[name]
         if type(value) is not int or value < 0:
             raise ValueError(f"{name} must be a non-negative integer, got {value!r}")

@@ -23,7 +23,7 @@ from groupcomm.neuralnet import (
     save_checkpoint,
     zeros_like_params,
 )
-from groupcomm.scenarios import generate_episode, render_episodes
+from groupcomm.scenarios import EpisodeSet, generate_episode, render_episodes
 from groupcomm.simnet import KIND_CODES
 
 
@@ -76,8 +76,23 @@ def edit_dataset_file(path, edit) -> None:
 
 
 def one_episode(world, rng):
-    """The next episode of ``rng``'s stream: one ``generate_episode`` draw, rendered alone."""
+    """The next episode of ``rng``'s stream: one ``generate_episode`` draw, rendered alone (an ``Episode`` view)."""
     return render_episodes(world, [generate_episode(world, rng)])[0]
+
+
+def drawn_episodes(world, rng, count):
+    """The next ``count`` episodes of ``rng``'s stream as one set, each bit-equal to :func:`one_episode`'s."""
+    return render_episodes(world, [generate_episode(world, rng) for _ in range(count)])
+
+
+def episode_set(observations, labels, degraded, support):
+    """An ``EpisodeSet`` from array-likes: (E, N, d) observations, (E, N) labels and flags, (E, N, N) support."""
+    return EpisodeSet(
+        np.asarray(observations, dtype=np.float64),
+        np.asarray(labels, dtype=np.int64),
+        np.asarray(degraded, dtype=bool),
+        np.asarray(support, dtype=bool),
+    )
 
 
 def init_mlp(sizes, rng):

@@ -20,7 +20,7 @@ from groupcomm.commgraph import build_matching_matrix, fuse, prune
 from groupcomm.densemath import Rng, softmax_row
 from groupcomm.evalcli import cli_main, evaluate, world_for_run
 from groupcomm.neuralnet import init_pipeline, load_checkpoint, pipeline_forward
-from groupcomm.scenarios import iter_episodes, split_bounds
+from groupcomm.scenarios import generate_episodes, split_bounds
 from groupcomm.simnet import ledger_from_trace, make_agents, run_episode
 
 from helpers import fd_gradcheck, fresh_backward, random_small_pipeline, training_job
@@ -61,10 +61,9 @@ def eval_data():
     data = {}
     for seed in (7, 8, 9):
         world = world_for_run("srms", None, seed)
-        test = iter_episodes(world, 40000, seed, start=split_bounds(40000)[1])
-        data[seed] = {"world": world, "test": list(test)}
+        data[seed] = {"world": world, "test": generate_episodes(world, 40000, seed, start=split_bounds(40000)[1])}
     clean_world = replace(data[7]["world"], degrade_prob=0.0)
-    data["clean7"] = list(iter_episodes(clean_world, 4000, 7, start=split_bounds(4000)[1]))
+    data["clean7"] = generate_episodes(clean_world, 4000, 7, start=split_bounds(4000)[1])
     return data
 
 

@@ -37,6 +37,7 @@ from groupcomm.neuralnet import (
     EVAL_BLOCK,
     HANDSHAKE_POLICIES,
     PipelineConfig,
+    TrainConfig,
     evaluate_task_accuracy,
     init_pipeline,
     pipeline_forward,
@@ -44,15 +45,23 @@ from groupcomm.neuralnet import (
 )
 from groupcomm.scenarios import (
     CASES,
-    Episode,
+    Dataset,
     generate_dataset,
-    iter_episodes,
+    generate_episodes,
     load_dataset,
     make_world,
     save_dataset,
 )
 
-from helpers import drop_entry, edit_dataset_file, log_entry, one_episode, readdress_entry, repeat_entry
+from helpers import (
+    drawn_episodes,
+    drop_entry,
+    edit_dataset_file,
+    episode_set,
+    log_entry,
+    readdress_entry,
+    repeat_entry,
+)
 
 
 def tiny_theta(seed=0):
@@ -60,29 +69,31 @@ def tiny_theta(seed=0):
     return init_pipeline(cfg, Rng(seed))
 
 
-def fake_episode(needs, gt):
-    n = len(needs)
-    return Episode(
-        observations=np.zeros((n, 4)),
-        labels=[0] * n,
-        degraded=list(needs),
-        gt_support=[frozenset(s) for s in gt],
-    )
+def needy_set(needs, supports):
+    """An ``episode_set`` of one episode per row of ``needs``, with zero observations and labels.
+
+    ``supports[e][i]`` lists agent i's supporters in episode e.
+    """
+    e, n = np.shape(needs)
+    support = np.zeros((e, n, n), dtype=bool)
+    for k, agents in enumerate(supports):
+        for i, members in enumerate(agents):
+            support[k, i, list(members)] = True
+    return episode_set(np.zeros((e, n, 4)), np.zeros((e, n)), needs, support)
 
 
 class TestWhen2comAccuracy:
     def test_all_negative_case(self):
-        eps = [fake_episode([False, False], [set(), set()])]
+        eps = needy_set([[False, False]], [[(), ()]])
         assert when2com_accuracy(eps, [[False, False]]) == 1.0
 
     def test_complement_decisions(self):
-        eps = [fake_episode([True, False], [{1}, set()])]
+        eps = needy_set([[True, False]], [[{1}, ()]])
         assert when2com_accuracy(eps, [[False, True]]) == 0.0
 
     def test_coin_flip_statistics(self):
         world = make_world("srms", degrade_prob=0.5, rng=Rng(1))
-        gen = Rng(2)
-        episodes = [one_episode(world, gen) for _ in range(2000)]
+        episodes = drawn_episodes(world, Rng(2), 2000)
         coin = Rng(3)
         decisions = [
             [coin.uniform_scalar() < 0.5 for _ in range(world.n_agents)] for _ in episodes
@@ -92,51 +103,47 @@ class TestWhen2comAccuracy:
 
     def test_length_mismatch(self):
         with pytest.raises(ValueError):
-            when2com_accuracy([fake_episode([True], [{0}])], [])
+            when2com_accuracy(needy_set([[True]], [[{0}]]), [])
 
     def test_decisions_of_another_agent_count_rejected(self):
-        eps = [fake_episode([True, False], [{1}, set()])] * 2
-        message = "episode 0: decisions of shape (3,), but its N = 2 agents need (N,) decisions"
+        eps = needy_set([[True, False]] * 2, [[{1}, ()]] * 2)
+        message = "decisions of shape (2, 3), but 2 episodes of N = 2 agents need (2, 2)"
         with pytest.raises(ValueError, match=re.escape(message)):
             when2com_accuracy(eps, [[False, True, True]] * 2)
 
-    def test_decision_lists_of_several_lengths_name_the_episode(self):
-        # numpy's own "inhomogeneous shape" error named no episode.
-        eps = [fake_episode([True, False, False], [{1}, set(), set()])] * 3
-        message = "episode 1: decisions of shape (2,), but its N = 3 agents need (N,) decisions"
-        with pytest.raises(ValueError, match=re.escape(message)):
+    def test_decision_lists_of_several_lengths_rejected(self):
+        eps = needy_set([[True, False, False]] * 3, [[{1}, (), ()]] * 3)
+        with pytest.raises(ValueError, match="inhomogeneous shape"):
             when2com_accuracy(eps, [[False] * 3, [False] * 2, [False] * 3])
 
-    def test_empty_episode_list_rejected(self):
+    def test_empty_episode_set_rejected(self):
         # It used to score no decisions as 0.0, a plausible but wrong number.
         with pytest.raises(ValueError, match="when2com_accuracy: episodes is empty"):
-            when2com_accuracy([], [])
+            when2com_accuracy(needy_set(np.zeros((0, 2), bool), []), np.zeros((0, 2), bool))
 
 
 class TestGroupingAccuracy:
     def test_perfect_selection(self):
-        eps = [fake_episode([True, False, False], [{1}, set(), set()])]
+        eps = needy_set([[True, False, False]], [[{1}, (), ()]])
         rows = [np.array([[0.0, 0.9, 0.0], [0, 1, 0], [0, 0, 1]])]
         top, full = grouping_accuracy(eps, rows)
         assert top == 1.0 and full == 1.0
 
     def test_empty_denominator_reported_absent(self):
-        eps = [fake_episode([False, False], [set(), set()])]
+        eps = needy_set([[False, False]], [[(), ()]])
         rows = [np.eye(2)]
         assert grouping_accuracy(eps, rows) == (None, None)
         # Needy agents without links also stay out of the denominator.
-        eps = [fake_episode([True, False], [{1}, set()])]
+        eps = needy_set([[True, False]], [[{1}, ()]])
         assert grouping_accuracy(eps, [np.eye(2)]) == (None, None)
 
     def test_random_selection_hits_one_in_four(self):
         world = make_world("srms", degrade_prob=1.0, rng=Rng(4))
-        gen = Rng(5)
+        episodes = drawn_episodes(world, Rng(5), 10000)
         pick = Rng(6)
-        episodes, rows = [], []
+        rows = []
         n = world.n_agents
-        for _ in range(10000):
-            ep = one_episode(world, gen)
-            episodes.append(ep)
+        for ep in episodes:
             row = np.zeros((n, n))
             for i in range(n):
                 if ep.needs_comm[i]:
@@ -148,39 +155,23 @@ class TestGroupingAccuracy:
 
     def test_length_mismatch(self):
         # 10 episodes against 3 row sets used to score only the first 3.
-        eps = [fake_episode([True, False], [{1}, set()])] * 10
-        with pytest.raises(ValueError, match="10 episodes vs 3 row sets"):
+        eps = needy_set([[True, False]] * 10, [[{1}, ()]] * 10)
+        with pytest.raises(ValueError, match=re.escape("rows of shape (3, 2, 2), but 10 episodes of N = 2 agents")):
             grouping_accuracy(eps, [np.ones((2, 2))] * 3)
 
     @pytest.mark.parametrize("shape", [(2, 2), (3, 5)])
     def test_rows_that_are_not_n_by_n_rejected(self, shape):
         # For 3-agent episodes, (2, 2) rows used to raise a bare IndexError
         # and (3, 5) rows were silently cut to (3, 3), scoring (1.0, 0.0).
-        eps = [fake_episode([True, False, False], [{1}, set(), set()])] * 2
-        message = f"episode 1: rows of shape {shape}, but its N = 3 agents need (N, N) rows"
-        with pytest.raises(ValueError, match=re.escape(message)):
+        eps = needy_set([[True, False, False]] * 2, [[{1}, (), ()]] * 2)
+        with pytest.raises(ValueError, match="inhomogeneous shape"):
             grouping_accuracy(eps, [np.eye(3), np.ones(shape)])
-        with pytest.raises(ValueError, match=re.escape(message.replace("episode 1", "episode 0"))):
+        message = f"rows of shape {(2,) + shape}, but 2 episodes of N = 3 agents need (2, 3, 3)"
+        with pytest.raises(ValueError, match=re.escape(message)):
             grouping_accuracy(eps, np.ones((2,) + shape))
 
-    def test_supporters_outside_the_episode_never_match(self):
-        # Agent 0's support names agents -1 and 3 of a 3-agent episode; a
-        # flat index k * N + j would have marked agent 1's supporter 0, and
-        # skipping them would score a support no episode can hold.
-        eps = [fake_episode([True, True, False], [{-1, 3}, {2}, set()])]
-        rows = [np.array([[0.2, 0.5, 0.3], [0.4, 0.0, 0.6], [0.0, 0.0, 1.0]])]
-        with pytest.raises(ValueError, match=re.escape("episode 0 agent 0 has supporter -1, not one in [0, 3)")):
-            grouping_accuracy(eps, rows)
-
-    def test_mixed_agent_counts_rejected(self):
-        eps = [fake_episode([True, False], [{1}, set()]), fake_episode([True, False, False], [{1}, set(), set()])]
-        with pytest.raises(ValueError, match="episode 1 has 3 agents, but episode 0 has 2"):
-            grouping_accuracy(eps, [np.eye(2), np.eye(3)])
-        with pytest.raises(ValueError, match="episode 1 has 3 agents, but episode 0 has 2"):
-            when2com_accuracy(eps, [[False, False], [False, False, False]])
-
     def test_set_rate_stricter_than_top1(self):
-        eps = [fake_episode([True, False, False], [{1}, set(), set()])]
+        eps = needy_set([[True, False, False]], [[{1}, (), ()]])
         # Top link is correct but a second link leaves the support set.
         rows = [np.array([[0.0, 0.6, 0.3], [0, 1, 0], [0, 0, 1]])]
         top, full = grouping_accuracy(eps, rows)
@@ -239,13 +230,13 @@ class TestMetricsEqualPerAgentLoops:
         # ``unsupported`` empties the support of every other needy agent.
         world = world_for_run(case, None, seed)
         delta = 1.0 / world.n_agents if delta == "1/N" else delta
-        episodes = list(iter_episodes(world, n_episodes, seed))
+        episodes = generate_episodes(world, n_episodes, seed)
         if unsupported:
-            for ep in episodes:
+            for e, ep in enumerate(episodes):
                 needy = [i for i, need in enumerate(ep.needs_comm) if need]
-                ep.gt_support = [frozenset() if i in needy[1::2] else s for i, s in enumerate(ep.gt_support)]
+                episodes.support[e, needy[1::2]] = False
         theta = init_pipeline(self.CFG, Rng(seed))
-        stack = np.stack([ep.observations for ep in episodes])
+        stack = episodes.observations
         m_bar = pipeline_forward(theta, stack, mode="inference", delta=delta, policy=policy, rng=Rng(seed)).m_bar
         if grid:
             m_bar = np.round(m_bar * grid) / grid
@@ -260,9 +251,7 @@ class TestMetricsEqualPerAgentLoops:
 @pytest.fixture(scope="module")
 def world_and_episodes():
     world = make_world("srms", degrade_prob=0.5, rng=Rng(7))
-    gen = Rng(8)
-    episodes = [one_episode(world, gen) for _ in range(30)]
-    return world, episodes
+    return world, drawn_episodes(world, Rng(8), 30)
 
 
 class TestPolicies:
@@ -311,7 +300,7 @@ class TestPolicies:
             assert res.predictions == [int(np.argmax(z)) for z in central.logits]
         # A stack of episodes draws its rows from one rng in episode order and
         # matches single-episode calls and the simulator's agents bit for bit.
-        stack = np.stack([ep.observations for ep in episodes])
+        stack = episodes.observations
         stacked = pipeline_forward(theta, stack, mode="inference", delta=delta, policy=policy, rng=Rng(3))
         single_rng, sim_rng = Rng(3), Rng(3)
         for e, ep in enumerate(episodes):
@@ -403,28 +392,16 @@ class TestPolicies:
         with pytest.raises(ValueError):
             evaluate("telepathy", tiny_theta(), episodes, 0.2, seed=0)
 
-    def test_empty_dataset_rejected(self):
-        with pytest.raises(ValueError):
-            evaluate("nocom", tiny_theta(), [], 0.2, seed=0)
+    def test_empty_dataset_rejected(self, world_and_episodes):
+        _, episodes = world_and_episodes
+        with pytest.raises(ValueError, match="need at least one episode, got none"):
+            evaluate("nocom", tiny_theta(), episodes[:0], 0.2, seed=0)
 
     @pytest.mark.parametrize("delta", [-0.1, 1.5, float("nan")])
     def test_delta_outside_unit_interval_rejected(self, world_and_episodes, delta):
         _, episodes = world_and_episodes
         with pytest.raises(ValueError, match=re.escape(f"delta must lie in [0, 1], got {delta}")):
             evaluate("when2com", tiny_theta(), episodes, delta, seed=0)
-
-    def test_mixed_agent_counts_rejected_before_any_episode_runs(self, monkeypatch):
-        # 10 srms (N=5) then 10 mrms (N=3) episodes under catall used to
-        # report links_per_agent 2.6 (260 links over 20 frames of 5 agents)
-        # where 260 links over the 80 agent-frames is 3.25.
-        five = generate_dataset(make_world("srms", rng=Rng(1)), 10, seed=1).episodes
-        three = generate_dataset(make_world("mrms", n_agents=3, rng=Rng(2)), 10, seed=2).episodes
-        episodes_run = []
-        monkeypatch.setattr(evalcli, "run_policy_episode", lambda *args: episodes_run.append(args))
-        monkeypatch.setattr(neuralnet, "pipeline_forward", lambda *args, **kwargs: episodes_run.append(args))
-        with pytest.raises(ValueError, match="episode 10 has 3 agents, but episode 0 has 5"):
-            evaluate("catall", tiny_theta(), five + three, 0.2, seed=0)
-        assert episodes_run == []
 
 
 class TestBatchedPassAndAudit:
@@ -446,14 +423,14 @@ class TestBatchedPassAndAudit:
         # the closed form of the batched pass's pruned rows.
         world = world_for_run(case, None, seed)
         delta = 1.0 / world.n_agents if delta == "1/N" else delta
-        episodes = list(iter_episodes(world, n_episodes, seed))
+        episodes = generate_episodes(world, n_episodes, seed)
         theta = init_pipeline(self.CFG, Rng(seed))
         with tempfile.TemporaryDirectory() as tmp:
             path = os.path.join(tmp, "trace.jsonl")
             traced = evaluate(policy, theta, episodes, delta, seed, case, path)
             dumped = simnet.ledger_from_trace(simnet.load_trace(path), frames=len(episodes))
         assert evaluate(policy, theta, episodes, delta, seed, case) == traced
-        stack = np.stack([ep.observations for ep in episodes])
+        stack = episodes.observations
         m_bar = pipeline_forward(theta, stack, mode="inference", delta=delta, policy=policy, rng=Rng(seed)).m_bar
         links = simnet.link_counts(m_bar).sum()
         closed = simnet.ledger_from_links(
@@ -526,7 +503,7 @@ class TestBatchedPassAndAudit:
         # episode, counted over the whole evaluation, and writes no trace.
         # At delta 0 every agent asks every peer, so agent 1 already holds
         # agent 4's transfer.
-        episodes = list(iter_episodes(make_world("srms", rng=Rng(7)), EVAL_BLOCK + 6, 8))
+        episodes = generate_episodes(make_world("srms", rng=Rng(7)), EVAL_BLOCK + 6, 8)
         calls = []
 
         def doctored(*args, real=getattr(simnet, phase)):
@@ -547,9 +524,7 @@ class TestBatchedPassAndAudit:
 
 class TestReports:
     def test_csv_schema(self, tmp_path):
-        world = make_world("srms", rng=Rng(10))
-        gen = Rng(11)
-        episodes = [one_episode(world, gen) for _ in range(12)]
+        episodes = drawn_episodes(make_world("srms", rng=Rng(10)), Rng(11), 12)
         rep = evaluate("nocom", tiny_theta(), episodes, 0.2, seed=5)
         json_path = str(tmp_path / "r.json")
         csv_path = str(tmp_path / "r.csv")
@@ -567,9 +542,7 @@ class TestReports:
         assert doc["n_episodes"] == 12
 
     def test_report_determinism(self, tmp_path):
-        world = make_world("srms", rng=Rng(12))
-        gen = Rng(13)
-        episodes = [one_episode(world, gen) for _ in range(10)]
+        episodes = drawn_episodes(make_world("srms", rng=Rng(12)), Rng(13), 10)
         paths = []
         for tag in ("a", "b"):
             rep = evaluate("randcom", tiny_theta(), episodes, 0.2, seed=7)
@@ -1113,6 +1086,47 @@ def eval_model():
     recipe = json.loads((BENCH_DIR / "eval_model.json").read_text())
     theta, _ = neuralnet.load_checkpoint(str(BENCH_DIR / recipe["checkpoint"]))
     return theta, world_for_run("srms", None, recipe["run_seed"])
+
+
+class TestSplitsInAnyOrder:
+    """The pinned digests cover contiguous splits; a loaded file may hold any split, in any order."""
+
+    @staticmethod
+    def shuffled_and_rebuilt():
+        """A set whose splits are shuffled, non-contiguous index lists, and the set rebuilt in that episode order."""
+        data = generate_dataset(world_for_run("srms", None, 4), 90, seed=4)
+        order = Rng(5).permutation(90)
+        train_idx, val_idx, test_idx = order[:60], order[60:75], order[75:]
+        assert all(sorted(split) != split for split in (train_idx, val_idx, test_idx))
+        shuffled = Dataset(data.world, data.episodes, train_idx, val_idx, test_idx)
+        rebuilt = Dataset(data.world, data.episodes[order], list(range(60)), list(range(60, 75)), list(range(75, 90)))
+        return shuffled, rebuilt
+
+    def test_train_gives_the_same_checkpoint_and_log_bytes(self, tmp_path):
+        config = TrainConfig(steps=30, eval_every=10)
+        outputs = []
+        for tag, dataset in zip("ab", self.shuffled_and_rebuilt()):
+            theta, log = neuralnet.train(config, dataset, Rng(6))
+            ckpt = tmp_path / f"{tag}.ckpt"
+            save_checkpoint(str(ckpt), theta, config.pipeline)
+            lines = "".join(json.dumps(rec, sort_keys=True) + "\n" for rec in log)
+            outputs.append((ckpt.read_bytes(), lines))
+        assert sum("val_task_acc" in line for line in outputs[0][1].splitlines()) == 3
+        assert outputs[0] == outputs[1]
+
+    def test_eval_data_gives_the_same_report_bytes(self, tmp_path, capsys):
+        ckpt = str(tmp_path / "m.ckpt")
+        theta = tiny_theta(5)
+        save_checkpoint(ckpt, theta, theta.config)
+        outputs = []
+        for tag, dataset in zip("ab", self.shuffled_and_rebuilt()):
+            data, report = str(tmp_path / f"{tag}.bin"), tmp_path / f"{tag}.json"
+            save_dataset(data, dataset)
+            argv = ["eval", "--checkpoint", ckpt, "--data", data, "--policy", "randcom", "--report", str(report)]
+            assert cli_main(argv) == 0
+            outputs.append((report.read_bytes(), report.with_suffix(".csv").read_bytes()))
+        assert json.loads(outputs[0][0])["n_episodes"] == 15
+        assert outputs[0] == outputs[1]
 
 
 class TestPinnedEvalOutputs:

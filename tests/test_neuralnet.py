@@ -9,7 +9,6 @@ import struct
 import tempfile
 from dataclasses import astuple, replace
 from pathlib import Path
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -48,7 +47,7 @@ from groupcomm.evalcli import world_for_run
 from groupcomm.scenarios import generate_dataset, make_world
 
 
-from helpers import fd_gradcheck, fresh_backward, init_mlp, monolithic_forward, per_layer_init
+from helpers import episode_set, fd_gradcheck, fresh_backward, init_mlp, monolithic_forward, per_layer_init
 
 
 def zeros_like_mlp(p):
@@ -348,13 +347,12 @@ def log_softmax_loss(logits, labels):
 
 
 def random_episodes(rng, cfg, n_agents, count):
-    return [
-        SimpleNamespace(
-            observations=np.stack([rng.normal(cfg.d_obs) for _ in range(n_agents)]),
-            labels=[rng.randint(cfg.n_classes) for _ in range(n_agents)],
-        )
-        for _ in range(count)
-    ]
+    """``count`` episodes of random observations and labels, drawn episode by episode; none degraded."""
+    observations, labels = [], []
+    for _ in range(count):
+        observations.append([rng.normal(cfg.d_obs) for _ in range(n_agents)])
+        labels.append([rng.randint(cfg.n_classes) for _ in range(n_agents)])
+    return episode_set(observations, labels, np.zeros((count, n_agents)), np.zeros((count, n_agents, n_agents)))
 
 
 class TestBatchedTraining:
@@ -364,8 +362,7 @@ class TestBatchedTraining:
         rng = Rng(41)
         theta = init_pipeline(self.CFG, rng)
         episodes = random_episodes(rng, self.CFG, 3, 3)
-        obs = np.stack([ep.observations for ep in episodes])
-        labels = np.array([ep.labels for ep in episodes])
+        obs, labels = episodes.observations, episodes.labels
         assert obs.shape == (3, 3, self.CFG.d_obs)
         assert fd_gradcheck(theta, obs, labels) < 1e-4
 
@@ -382,21 +379,19 @@ class TestBatchedTraining:
             return episode_loss_and_grads(theta, batch, policy, rng, grads), grads
 
         loss, grads = loss_and_grads(episodes, batch_rng)
-        parts = [loss_and_grads([ep], single_rng) for ep in episodes]
+        parts = [loss_and_grads(episodes[e : e + 1], single_rng) for e in range(len(episodes))]
         assert loss == pytest.approx(np.mean([l for l, _ in parts]), rel=0.0, abs=1e-12)
         for total, *singles in zip(param_arrays(grads), *(param_arrays(g) for _, g in parts)):
             np.testing.assert_allclose(total, np.mean(singles, axis=0), rtol=0.0, atol=1e-12)
         assert batch_rng.u64(1) == single_rng.u64(1)
 
-    def test_rejects_empty_and_mixed_batches(self):
+    def test_rejects_an_empty_batch(self):
         rng = Rng(44)
         theta = init_pipeline(self.CFG, rng)
         grads = zeros_like_params(theta)
-        with pytest.raises(ValueError, match="need at least one episode"):
-            episode_loss_and_grads(theta, [], "when2com", rng, grads)
-        mixed = random_episodes(rng, self.CFG, 3, 2) + random_episodes(rng, self.CFG, 4, 1)
-        with pytest.raises(ValueError, match="episode 2 has 4 agents, but episode 0 has 3"):
-            episode_loss_and_grads(theta, mixed, "when2com", rng, grads)
+        empty = random_episodes(rng, self.CFG, 3, 2)[:0]
+        with pytest.raises(ValueError, match=re.escape("observations of N >= 1 agents, got (0, 3, 6)")):
+            episode_loss_and_grads(theta, empty, "when2com", rng, grads)
         assert not np.any(grads.flat)
 
     @settings(derandomize=True, database=None, max_examples=60, deadline=None)
@@ -411,8 +406,7 @@ class TestBatchedTraining:
         episodes = random_episodes(rng, self.CFG, n, b)
         grads = zeros_like_params(theta)
         loss = episode_loss_and_grads(theta, episodes, policy, Rng(seed + 1), grads)
-        obs = np.stack([ep.observations for ep in episodes])
-        labels = np.array([ep.labels for ep in episodes])
+        obs, labels = episodes.observations, episodes.labels
         result = pipeline_forward(theta, obs, mode="training", policy=policy, rng=Rng(seed + 1))
         assert loss == cross_entropy_loss(result.logits, labels) == log_softmax_loss(result.logits, labels)
         standalone = fresh_backward(result.cache, theta, labels)
@@ -428,7 +422,7 @@ class TestBatchedTraining:
         rng = Rng(43)
         theta = init_pipeline(self.CFG, rng)
         episodes = random_episodes(rng, self.CFG, n_agents, 3)
-        batch = pipeline_forward(theta, np.stack([ep.observations for ep in episodes]), mode="training")
+        batch = pipeline_forward(theta, episodes.observations, mode="training")
         for b, ep in enumerate(episodes):
             ref = pipeline_forward(theta, list(ep.observations), mode="inference", delta=0.0)
             np.testing.assert_allclose(batch.logits[b], np.stack(ref.logits), rtol=0.0, atol=1e-12)
@@ -448,7 +442,7 @@ class TestBatchedTraining:
 
         world = make_world("srms", rng=Rng(37))
         dataset = generate_dataset(world, 40, seed=37)
-        n_train, n = len(dataset.train_episodes), world.n_agents
+        n_train, n = len(dataset.train_idx), world.n_agents
         config = TrainConfig(steps=1, eval_every=0, policy="randcom")
         rng = RecordingRng(3)
         train(config, dataset, rng)
@@ -475,19 +469,20 @@ class TestValidation:
             res = pipeline_forward(theta, ep.observations, mode="inference", delta=0.25, policy=policy, rng=single_rng)
             hits += sum(int(np.argmax(z) == y) for z, y in zip(res.logits, ep.labels))
         assert evaluate_task_accuracy(theta, episodes, 0.25, policy, Rng(8)) == hits / (4 * len(episodes))
+        # An index picks and orders the episodes, block by block, as a gathered set would.
+        order = Rng(9).permutation(len(episodes))[: EVAL_BLOCK + 5]
+        gathered = evaluate_task_accuracy(theta, episodes[order], 0.25, policy, Rng(8))
+        assert evaluate_task_accuracy(theta, episodes, 0.25, policy, Rng(8), order) == gathered
 
-    def test_rejects_mixed_agent_counts(self):
-        rng = Rng(52)
-        theta = init_pipeline(self.CFG, rng)
-        episodes = random_episodes(rng, self.CFG, 3, 5) + random_episodes(rng, self.CFG, 4, 1)
-        with pytest.raises(ValueError, match="episode 5 has 4 agents, but episode 0 has 3"):
-            evaluate_task_accuracy(theta, episodes, 0.25)
-
-    def test_rejects_empty_episode_list(self):
+    def test_rejects_an_empty_episode_set(self):
         # It used to report 0.0 accuracy over no predictions.
-        theta = init_pipeline(self.CFG, Rng(53))
+        rng = Rng(53)
+        theta = init_pipeline(self.CFG, rng)
+        episodes = random_episodes(rng, self.CFG, 3, 2)
         with pytest.raises(ValueError, match="evaluate_task_accuracy: episodes is empty"):
-            evaluate_task_accuracy(theta, [], 0.25)
+            evaluate_task_accuracy(theta, episodes[:0], 0.25)
+        with pytest.raises(ValueError, match="evaluate_task_accuracy: episodes is empty"):
+            evaluate_task_accuracy(theta, episodes, 0.25, index=[])
 
 
 class TestInit:
@@ -710,22 +705,10 @@ class TestTrain:
     @pytest.mark.parametrize("bad", [-1, 10])
     def test_out_of_range_label_stops_the_step_before_adam(self, monkeypatch, bad):
         dataset = generate_dataset(make_world("srms", rng=Rng(38)), 40, seed=38)
-        dataset.episodes[dataset.train_idx[5]].labels[2] = bad
+        dataset.episodes.labels[dataset.train_idx[5], 2] = bad
         calls = self.count_steps(monkeypatch)
         with pytest.raises(ValueError, match=re.escape(f"label {bad} out of range [0, 10)")):
             train(TrainConfig(steps=200, eval_every=0), dataset, Rng(12))
-        assert calls[-1] == "loss" and calls.count("loss") > 1
-        assert calls[:-1] == ["loss", "adam"] * (len(calls) // 2)
-
-    def test_mixed_agent_counts_stop_the_step_before_adam(self, monkeypatch):
-        cfg = TestBatchedTraining.CFG
-        rng = Rng(39)
-        episodes = random_episodes(rng, cfg, 3, 30)
-        episodes[17] = random_episodes(rng, cfg, 4, 1)[0]
-        dataset = SimpleNamespace(train_episodes=episodes, val_episodes=[])
-        calls = self.count_steps(monkeypatch)
-        with pytest.raises(ValueError, match=r"episode \d has [34] agents, but episode 0 has [34]"):
-            train(TrainConfig(pipeline=cfg, steps=200, eval_every=0), dataset, Rng(13))
         assert calls[-1] == "loss" and calls.count("loss") > 1
         assert calls[:-1] == ["loss", "adam"] * (len(calls) // 2)
 
@@ -755,7 +738,7 @@ class TestTrain:
         theta, _ = train(config, dataset, Rng(6))
         correct = 0
         total = 0
-        for ep in dataset.train_episodes:
+        for ep in dataset.episodes[dataset.train_idx]:
             res = pipeline_forward(theta, list(ep.observations), mode="inference", delta=1.0)
             correct += int(np.argmax(res.logits[0]) == ep.labels[0])
             total += 1

@@ -19,20 +19,27 @@ from groupcomm import scenarios
 from groupcomm.densemath import Rng
 from groupcomm.scenarios import (
     CASES,
-    NO_SUPPORT,
     Dataset,
     Episode,
+    EpisodeSet,
     World,
     generate_dataset,
-    iter_episodes,
+    generate_episodes,
     load_dataset,
     make_world,
     save_dataset,
     split_bounds,
-    support_matrix,
 )
 
-from helpers import DATASET_MAGIC, DATASET_PREFIX, edit_dataset_file, one_episode, read_dataset_file, write_dataset_file
+from helpers import (
+    DATASET_MAGIC,
+    DATASET_PREFIX,
+    drawn_episodes,
+    edit_dataset_file,
+    one_episode,
+    read_dataset_file,
+    write_dataset_file,
+)
 
 
 def linear_probe_accuracy(x, y, n_classes, ridge=1e-3):
@@ -312,17 +319,17 @@ class TestGenerateEpisode:
         rng = Rng(16)
         for case in ("srms", "mrms", "triplet", "mrmps"):
             world = make_world(case, degrade_prob=0.6, rng=Rng(17))
-            for _ in range(2500):
-                ep = one_episode(world, rng)
+            for ep in drawn_episodes(world, rng, 2500):
+                degraded, needs_comm, gt_support, labels = ep.degraded, ep.needs_comm, ep.gt_support, ep.labels
                 for i in range(world.n_agents):
-                    if ep.degraded[i]:
-                        assert ep.needs_comm[i]
+                    if degraded[i]:
+                        assert needs_comm[i]
                         if case != "mrmps":
-                            assert len(ep.gt_support[i]) > 0
+                            assert len(gt_support[i]) > 0
                     else:
-                        assert not ep.needs_comm[i]
-                        assert len(ep.gt_support[i]) == 0
-                    assert 0 <= ep.labels[i] < world.n_classes
+                        assert not needs_comm[i]
+                        assert len(gt_support[i]) == 0
+                    assert 0 <= labels[i] < world.n_classes
 
     def test_clean_observation_nearest_prototype(self):
         world = make_world("srms", degrade_prob=0.0, rng=Rng(18))
@@ -396,13 +403,13 @@ class TestGenerateDataset:
             split_bounds(9)
 
     @pytest.mark.parametrize("n", [10, 37, 100])
-    def test_split_bounds_and_iterator_are_the_dataset(self, n):
+    def test_split_bounds_and_generate_episodes_are_the_dataset(self, n):
         world = make_world("mrmps", rng=Rng(26))
         ds = generate_dataset(world, n, seed=4)
         val_start, test_start = split_bounds(n)
         assert ds.val_idx == list(range(val_start, test_start))
         assert ds.test_idx == list(range(test_start, n))
-        drawn = list(iter_episodes(world, n, seed=4))
+        drawn = generate_episodes(world, n, seed=4)
         assert len(drawn) == n
         for a, b in zip(ds.episodes, drawn):
             np.testing.assert_array_equal(a.observations, b.observations)
@@ -425,11 +432,9 @@ class TestGenerateDataset:
 
 
 def _assert_same_episodes(got, expected) -> None:
-    """Bit-equal observations, each array owning its rows, and equal ground truth, episode by episode."""
-    got = list(got)
+    """Bit-equal observations and equal ground truth, episode by episode."""
     assert len(got) == len(expected)
     for a, b in zip(got, expected):
-        assert a.observations.base is None
         assert a.observations.shape == b.observations.shape
         assert a.observations.tobytes() == b.observations.tobytes()
         assert (a.labels, a.degraded, a.needs_comm, a.gt_support) == (b.labels, b.degraded, b.needs_comm, b.gt_support)
@@ -451,27 +456,27 @@ class TestBlockRender:
         alone = _alone(world, 41, 130)
         monkeypatch.setattr(scenarios, "RENDER_BLOCK", block)
         for n in (1, 63, 64, 65, 130):
-            _assert_same_episodes(iter_episodes(world, n, seed=41), alone[:n])
+            _assert_same_episodes(generate_episodes(world, n, seed=41), alone[:n])
 
     @pytest.mark.parametrize("case", CASES)
     @pytest.mark.parametrize("block", [7, 64])
     def test_start_yields_the_tail_of_the_stream(self, monkeypatch, case, block):
         monkeypatch.setattr(scenarios, "RENDER_BLOCK", block)
         world = make_world(case, degrade_prob=0.6, rng=Rng(42))
-        full = list(iter_episodes(world, 130, seed=43))
+        full = generate_episodes(world, 130, seed=43)
         for start in (0, 1, 7, 63, 64, 65, 129, 130):  # on block boundaries and off them
-            _assert_same_episodes(iter_episodes(world, 130, seed=43, start=start), full[start:])
+            _assert_same_episodes(generate_episodes(world, 130, seed=43, start=start), full[start:])
 
     def test_odd_scene_dim_renders_as_alone(self):
         # An odd scene half drops each block's spare sin term.
         world = make_world("mrmps", obs_dim=22, rng=Rng(44))
-        _assert_same_episodes(iter_episodes(world, 70, seed=45), _alone(world, 45, 70))
+        _assert_same_episodes(generate_episodes(world, 70, seed=45), _alone(world, 45, 70))
 
     def test_start_outside_the_set_names_it(self):
         world = make_world("srms", rng=Rng(46))
         for start in (-1, 11):
             with pytest.raises(ValueError, match=rf"start must lie in \[0, 10\], got {start}"):
-                next(iter_episodes(world, 10, seed=0, start=start))
+                generate_episodes(world, 10, seed=0, start=start)
 
 
 class TestKeyedStreams:
@@ -485,7 +490,7 @@ class TestKeyedStreams:
     @pytest.mark.parametrize("start", [0, 1, 64, 65, 1999, 2000])
     def test_start_draws_nothing_before_it(self, monkeypatch, start):
         world = make_world("srms", rng=Rng(49))
-        tail = list(iter_episodes(world, 2000, seed=50))[start:]
+        tail = generate_episodes(world, 2000, seed=50)[start:]
         calls = []
 
         def counted(world, rng, real=scenarios.generate_episode):
@@ -493,7 +498,7 @@ class TestKeyedStreams:
             return real(world, rng)
 
         monkeypatch.setattr(scenarios, "generate_episode", counted)
-        _assert_same_episodes(iter_episodes(world, 2000, seed=50, start=start), tail)
+        _assert_same_episodes(generate_episodes(world, 2000, seed=50, start=start), tail)
         assert len(calls) == 2000 - start
         assert calls == Rng(50).u64(2000).tolist()[start:]  # each call on its own episode's key
 
@@ -513,15 +518,12 @@ class TestKeyedStreams:
 
 
 def _assert_frozen_support(episodes) -> int:
-    """Check every support is a frozenset and every empty one the shared NO_SUPPORT; count the non-empty ones."""
+    """Check every support an episode view gives is a frozenset; count the non-empty ones."""
     held = 0
     for ep in episodes:
         for support in ep.gt_support:
             assert type(support) is frozenset
-            if support:
-                held += 1
-            else:
-                assert support is NO_SUPPORT
+            held += bool(support)
     return held
 
 
@@ -542,48 +544,90 @@ class TestSupportSets:
 
     def test_needs_comm_is_degraded_and_read_only(self):
         ep = one_episode(make_world("mrms", degrade_prob=0.6, rng=Rng(31)), Rng(2))
-        assert ep.needs_comm is ep.degraded
+        assert Episode.needs_comm is Episode.degraded  # one accessor: the need is not stored apart
+        assert ep.needs_comm == ep.degraded and any(ep.degraded)
         with pytest.raises(AttributeError):
             ep.needs_comm = [True] * len(ep.degraded)
-        assert ep.needs_comm is ep.degraded
-
-    @pytest.mark.parametrize("case", CASES)
-    def test_support_matrix_is_each_support_set(self, case):
-        episodes = generate_dataset(make_world(case, degrade_prob=0.6, rng=Rng(30)), 40, seed=8).episodes
-        n = len(episodes[0].labels)
-        member = support_matrix(episodes, n)
-        assert member.dtype == bool and member.shape == (40, n, n)
-        for ep, rows in zip(episodes, member):
-            assert [set(np.flatnonzero(row).tolist()) for row in rows] == ep.gt_support
-
-    def test_support_matrix_names_a_supporter_outside_the_episode(self):
-        episodes = generate_dataset(make_world("srms", rng=Rng(3)), 10, seed=5).episodes
-        episodes[3].gt_support[1] = frozenset({0, 5, 9})
-        with pytest.raises(ValueError, match=re.escape("episode 3 agent 1 has supporter 5, not one in [0, 5)")):
-            support_matrix(episodes, 5)
-        episodes[3].gt_support[1] = frozenset({1.5})  # would otherwise be truncated to agent 1
-        with pytest.raises(TypeError, match="'float' object cannot be interpreted as an integer"):
-            support_matrix(episodes, 5)
-        episodes[3].gt_support.pop()
-        with pytest.raises(ValueError, match="episode 3 has 4 gt_support entries, not one per agent of 5"):
-            support_matrix(episodes, 5)
+        with pytest.raises(AttributeError):
+            ep.index = 0
+        assert ep.needs_comm == ep.degraded
 
     def test_held_srms_episode_stays_small(self):
         # Per-agent mutable sets and an instance __dict__ held 3087 B per
-        # srms episode; frozen supports with one shared empty set hold about
-        # 2050 B, most of it the (5, 32) observation array.
+        # srms episode, and one slotted object with frozen supports 1939 B.
+        # A set holds the file body's arrays alone: 1350 B, of which the
+        # (5, 32) observations are 1280.
         world = make_world("srms", rng=Rng(32))
         one_episode(world, Rng(0))  # warm any first-call caches outside the traced span
         n = 4000
         tracemalloc.start()
         try:
             before = tracemalloc.get_traced_memory()[0]
-            episodes = list(iter_episodes(world, n, seed=5))
+            episodes = generate_episodes(world, n, seed=5)
             per_episode = (tracemalloc.get_traced_memory()[0] - before) / n
         finally:
             tracemalloc.stop()
         assert len(episodes) == n
-        assert per_episode < 2600
+        assert per_episode < 1500
+
+
+class TestEpisodeSet:
+    @staticmethod
+    def arrays(e=3, n=4, d=6):
+        return np.zeros((e, n, d)), np.zeros((e, n), np.int64), np.zeros((e, n), bool), np.zeros((e, n, n), bool)
+
+    @pytest.mark.parametrize(
+        "position, array, message",
+        [
+            # Episodes of another agent count, then of another episode count, than the labels'.
+            (0, np.zeros((3, 5, 6)), "observations must be float64 of shape (E, N, obs_dim) with the labels' E = 3 and "
+             "N = 4, got float64 of shape (3, 5, 6)"),
+            (2, np.zeros((3, 5), bool), "degraded must be bool of shape (E, N) with the labels' E = 3 and N = 4, "
+             "got bool of shape (3, 5)"),
+            (3, np.zeros((3, 4, 5), bool), "support must be bool of shape (E, N, N) with the labels' E = 3 and N = 4, "
+             "got bool of shape (3, 4, 5)"),
+            (3, np.zeros((2, 4, 4), bool), "support must be bool of shape (E, N, N) with the labels' E = 3 and N = 4, "
+             "got bool of shape (2, 4, 4)"),
+            (1, np.zeros((3, 4), np.int32), "labels must be int64 of shape (E, N) with the labels' E = 3 and N = 4, "
+             "got int32 of shape (3, 4)"),
+            (2, np.zeros((3, 4), np.uint8), "degraded must be bool of shape (E, N) with the labels' E = 3 and N = 4, "
+             "got uint8 of shape (3, 4)"),
+            (1, np.zeros(12, np.int64), "labels must be (E, N), got shape (12,)"),
+        ],
+    )
+    def test_constructor_rejects_arrays_that_disagree(self, position, array, message):
+        arrays = list(self.arrays())
+        arrays[position] = array
+        with pytest.raises(ValueError, match=re.escape(f"EpisodeSet.{message}")):
+            EpisodeSet(*arrays)
+
+    def test_ints_and_slices_view_rows_and_index_arrays_gather_them(self):
+        episodes = generate_episodes(make_world("mrms", degrade_prob=0.6, rng=Rng(60)), 20, seed=61)
+        ep = episodes[-3]
+        assert type(ep) is Episode and ep.index == 17
+        assert np.shares_memory(ep.observations, episodes.observations)
+        assert (ep.labels, ep.degraded) == (episodes.labels[17].tolist(), episodes.degraded[17].tolist())
+        assert ep.gt_support == [frozenset(np.flatnonzero(row).tolist()) for row in episodes.support[17]]
+        window = episodes[4:9]
+        assert all(np.shares_memory(a, b) for a, b in zip(window.arrays, episodes.arrays))
+        gathered = episodes[[9, 2, 9]]
+        assert not any(np.shares_memory(a, b) for a, b in zip(gathered.arrays, episodes.arrays))
+        for a, full in zip(gathered.arrays, episodes.arrays):
+            assert a.tobytes() == full[[9, 2, 9]].tobytes()
+        assert len(episodes[[]]) == 0 and episodes[[]].observations.shape == (0, 5, 32)
+        assert [e.index for e in episodes] == list(range(20))
+        for bad in (20, -21):
+            with pytest.raises(IndexError, match=f"episode {bad} is out of range for a set of 20"):
+                episodes[bad]
+
+    def test_save_names_an_array_the_world_does_not_shape(self, tmp_path):
+        world = make_world("srms", rng=Rng(3))
+        other = generate_dataset(make_world("srms", n_agents=4, rng=Rng(3)), 10, seed=5)
+        path = tmp_path / "data.bin"
+        message = f"{path}: the observations array is (10, 4, 32), but the world's fields give (10, 5, 32)"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            save_dataset(str(path), replace(other, world=world))
+        assert not path.exists()
 
 
 def _saved_srms(tmp_path, name="data.bin", **world):
@@ -603,15 +647,19 @@ class TestDatasetExport:
         save_dataset(path, ds)
         loaded = load_dataset(path)
         _assert_identical(loaded, ds)
-        assert _assert_frozen_support(loaded.episodes) > 0  # every empty support is NO_SUPPORT
-        for ep in loaded.episodes:  # each episode owns its rows, so a kept split does not hold the whole body
-            assert ep.observations.base is None and ep.observations.flags.writeable
-            assert ep.needs_comm is ep.degraded
+        assert _assert_frozen_support(loaded.episodes) > 0
+        for array in loaded.episodes.arrays:  # read-only views of the file's bytes
+            assert not array.flags.writeable and not array.flags.owndata
+        for ep in loaded.episodes:
+            assert ep.needs_comm == ep.degraded
+        test_split = loaded.test_episodes  # a gather, which does not keep the file's bytes alive
+        assert all(array.base is None for array in test_split.arrays)
+        _assert_same_episodes(test_split, ds.episodes[ds.test_idx])
 
     def test_empty_dataset_round_trips(self, tmp_path):
         # No episode: a header, the two world arrays and an empty body.
         world = make_world("mrmps", rng=Rng(3))
-        ds = Dataset(world, [], [], [], [])
+        ds = Dataset(world, generate_episodes(world, 0, seed=0), [], [], [])
         path = tmp_path / "data.bin"
         save_dataset(str(path), ds)
         header, arrays = read_dataset_file(path)
@@ -622,7 +670,8 @@ class TestDatasetExport:
     @given(observations=st.lists(_OBSERVATIONS, min_size=1, max_size=4))
     def test_any_finite_observation_round_trips(self, observations):
         base = _PROPERTY_DATASET
-        episodes = [replace(base.episodes[i], observations=obs) for i, obs in enumerate(observations)]
+        episodes = base.episodes[list(range(len(observations)))]
+        episodes.observations[...] = observations
         ds = Dataset(base.world, episodes, [0], list(range(1, len(episodes))), [])
         with tempfile.TemporaryDirectory() as tmp:
             path = os.path.join(tmp, "data.bin")
@@ -692,8 +741,6 @@ class TestDatasetExport:
     @pytest.mark.parametrize(
         "fault, message",
         [
-            ("supporter -1", "has supporter -1, not one in [0, 5)"),
-            ("supporter 7", "has supporter 7, not one in [0, 5)"),
             ("self support", "is listed as its own supporter"),
             ("clean supported", "has supporters but is not degraded"),
             ("label 12", "has label 12, not one in [0, 10)"),
@@ -701,20 +748,17 @@ class TestDatasetExport:
         ],
     )
     def test_save_refuses_what_load_refuses(self, tmp_path, fault, message):
-        # Each of these used to be saved (or to raise a bare IndexError, for
-        # 7); load_dataset then refused the file, or read -1 back as agent 4.
+        # Each of these used to be saved; load_dataset then refused the file.
         ds = generate_dataset(make_world("srms", rng=Rng(3)), 10, seed=5)
         e = next(e for e, ep in enumerate(ds.episodes) if any(ep.degraded))
         ep = ds.episodes[e]
         agent = ep.degraded.index(fault != "clean supported")
-        if fault.startswith("supporter"):
-            ep.gt_support[agent] = frozenset({int(fault.split()[1])})
-        elif fault == "self support":
-            ep.gt_support[agent] = ep.gt_support[agent] | {agent}
+        if fault == "self support":
+            ds.episodes.support[e, agent, agent] = True
         elif fault == "clean supported":
-            ep.gt_support[agent] = frozenset({ep.degraded.index(True)})
+            ds.episodes.support[e, agent, ep.degraded.index(True)] = True
         elif fault == "label 12":
-            ep.labels[agent] = 12
+            ds.episodes.labels[e, agent] = 12
         else:
             ds.world.prototypes[2, 20] = float("nan")
         path = tmp_path / "data.bin"

@@ -21,7 +21,7 @@ from groupcomm.neuralnet import (
     init_pipeline,
     pipeline_forward,
 )
-from groupcomm.scenarios import CASES, generate_dataset, iter_episodes, make_world
+from groupcomm.scenarios import CASES, generate_dataset, generate_episodes, make_world
 from helpers import drop_entry, log_entry, readdress_entry, repeat_entry
 from groupcomm.simnet import (
     ALL_KINDS,
@@ -29,6 +29,8 @@ from groupcomm.simnet import (
     COUNTED_KINDS,
     HEADER_BYTES,
     KIND_CODES,
+    MAX_AGENT_ID,
+    MAX_PAYLOAD_REALS,
     BandwidthLedger,
     DeliveryError,
     Message,
@@ -239,7 +241,7 @@ class TestBlockRunner:
         # 70 srms episodes: more than one block of EVAL_BLOCK.
         world = make_world("srms", rng=Rng(31))
         episodes = generate_dataset(world, EVAL_BLOCK + 6, seed=32).episodes
-        return np.stack([ep.observations for ep in episodes]), init_pipeline(self.CFG, Rng(33))
+        return episodes.observations, init_pipeline(self.CFG, Rng(33))
 
     @pytest.mark.parametrize("policy", POLICIES)
     def test_blocks_equal_per_episode_calls(self, srms70, policy):
@@ -324,9 +326,9 @@ class TestBlockLog:
         case, n = case_n
         delta = 1.0 / n if delta == "1/N" else delta
         lone_srms = {"degrade_prob": 0.0} if (case, n) == ("srms", 1) else {}  # nobody could hold its view
-        episodes = list(iter_episodes(make_world(case, n_agents=n, rng=Rng(seed), **lone_srms), n_episodes, seed))
+        episodes = generate_episodes(make_world(case, n_agents=n, rng=Rng(seed), **lone_srms), n_episodes, seed)
         theta = init_pipeline(self.CFG, Rng(seed))
-        stack = np.stack([ep.observations for ep in episodes])
+        stack = episodes.observations
         results = run_block(make_agents(stack, theta), theta, delta, policy, Rng(seed))
         handshake = policy in HANDSHAKE_POLICIES
         q_dim, f_dim = self.CFG.q_dim, self.CFG.f_dim
@@ -507,8 +509,8 @@ class TestDoctoredLog:
 
     @pytest.fixture(scope="class")
     def block6(self):
-        episodes = list(iter_episodes(make_world("srms", rng=Rng(41)), 6, 42))
-        return np.stack([ep.observations for ep in episodes]), init_pipeline(self.CFG, Rng(43))
+        episodes = generate_episodes(make_world("srms", rng=Rng(41)), 6, 42)
+        return episodes.observations, init_pipeline(self.CFG, Rng(43))
 
     @pytest.mark.parametrize(
         "phase, kind, doctor, message",
@@ -702,13 +704,22 @@ class TestTraceDump:
             (m.kind, m.src, m.dst, m.payload_reals) for m in messages
         ]
 
-    @pytest.mark.parametrize("reals", [10**12, 2**60 - 1])
-    def test_large_payload_counts_load_without_allocating(self, tmp_path, reals):
+    def test_large_payload_counts_load_without_allocating(self, tmp_path):
+        # The header's 4-byte payload length holds at most 2**32 - 1 bytes, so 2**30 - 1 reals.
+        reals = 2**30 - 1
+        assert MAX_PAYLOAD_REALS == reals
         path = tmp_path / "trace.jsonl"
         path.write_text(_good_record(kind="transfer", payload_reals=reals, payload_bytes=4 * reals) + "\n")
         (msg,) = load_trace(str(path))
         assert msg.payload_reals == reals
         assert ledger_from_trace([msg], frames=1).counted_bytes == 4 * reals
+
+    def test_ids_load_up_to_the_header_width(self, tmp_path):
+        # from and to are 2-byte header fields.
+        assert MAX_AGENT_ID == 2**16 - 1
+        path = tmp_path / "trace.jsonl"
+        path.write_text(_good_record(**{"from": 2**16 - 1, "to": 2**16 - 2}) + "\n" + _good_record(to=2**16 - 1) + "\n")
+        assert [(msg.src, msg.dst) for msg in load_trace(str(path))] == [(2**16 - 1, 2**16 - 2), (0, 2**16 - 1)]
 
     def test_empty_trace_is_an_empty_file(self, tmp_path):
         path = tmp_path / "trace.jsonl"
@@ -723,12 +734,12 @@ class TestTraceDump:
             (_good_record(kind="gossip"), "unknown message kind 'gossip'"),
             (_good_record(payload_reals=-3), "payload_reals must be a non-negative integer, got -3"),
             (_good_record(payload_reals=2.5), "payload_reals must be a non-negative integer, got 2.5"),
-            # numpy used to refuse the payload stub, naming no field.
-            (_good_record(payload_reals=2**60), f"payload_reals must be at most {2**60 - 1}, got {2**60}"),
-            (_good_record(payload_reals=10**30), f"payload_reals must be at most {2**60 - 1}, got {10**30}"),
+            # The header's payload length and ids are 4- and 2-byte fields.
+            (_good_record(payload_reals=2**30), f"payload_reals must be at most {2**30 - 1}, got {2**30}"),
+            (_good_record(payload_reals=10**30), f"payload_reals must be at most {2**30 - 1}, got {10**30}"),
             (_good_record(to=-1), "to must be a non-negative integer, got -1"),
-            # A log holds ids in 64-bit columns.
-            (_good_record(to=2**63), f"to must be at most {2**63 - 1}, got {2**63}"),
+            (_good_record(to=2**16), f"to must be at most {2**16 - 1}, got {2**16}"),
+            (_good_record(**{"from": 2**16}), f"from must be at most {2**16 - 1}, got {2**16}"),
             (_good_record(to=0), "inter-agent message to self: agent 0"),
             ('{"kind": "query", "from": 0,', "bad JSON: Expecting property name enclosed in double quotes at column 29"),
             ("[1, 2]", "expected a JSON object, got list"),
