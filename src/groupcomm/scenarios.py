@@ -32,12 +32,15 @@ seed and e alone (``densemath.keyed_streams``), so any episode, and any
 split, is reached without drawing the episodes before it.  An episode is
 made in two steps.  First ``generate_episode`` runs every scalar draw of the
 episode in stream order (labels, scene picks, degradation, and mrmps's
-supporter picks and overlaps), then ``Rng.skip`` jumps over each agent's
+requester picks and overlaps), then ``Rng.skip`` jumps over each agent's
 noise block and records the state it starts from.  The result is an
-``EpisodeDraw``: everything but the noise, its support already a mask.  Then
-``render_episodes`` turns a block of draws, 64 episodes in
-``generate_episodes``, into arrays: one ``densemath.normal_blocks`` call
-draws every agent's noise from those states, and the observations are
+``EpisodeDraw`` of Python scalars alone: labels, flags, the index of each
+agent's scene code, (requester, supporter) pairs and, for mrmps, each clean
+agent's (requester, overlap) mix.  Then ``render_episodes`` does all the
+array work for a block of draws, 64 episodes in ``generate_episodes``: one
+``densemath.normal_blocks`` call draws every agent's noise from those
+states, one gather takes the scene codes, one assignment fills the support
+mask, one pass applies every mrmps mix, and the observations are
 (B, N, obs_dim) array arithmetic, each episode bit-equal to drawing its
 blocks in place.
 
@@ -191,7 +194,11 @@ class Episode(NamedTuple):
 
     @property
     def gt_support(self) -> list[frozenset[int]]:
-        return [frozenset(np.flatnonzero(row).tolist()) for row in self.episodes.support[self.index]]
+        mask = self.episodes.support[self.index]
+        supporters = [[] for _ in mask]
+        for i, j in zip(*(axis.tolist() for axis in np.nonzero(mask))):
+            supporters[i].append(j)
+        return list(map(frozenset, supporters))
 
 
 @dataclass
@@ -208,11 +215,17 @@ class Dataset:
         return self.episodes[self.test_idx]
 
 
-def _unit(v: np.ndarray) -> np.ndarray:
-    norm = float(np.linalg.norm(v))
-    if norm < 1e-12:
+def _unit_rows(v: np.ndarray) -> np.ndarray:
+    """Each row of the (R, d) ``v`` divided by its norm; raises ValueError on a zero row.
+
+    A row's norm is the square root of its own ``(1, d) @ (d, 1)`` product:
+    one ddot, as ``np.linalg.norm`` of the row alone takes it, bit for bit
+    (a test pins this).
+    """
+    norm = np.sqrt(np.matmul(v[:, None, :], v[:, :, None])[:, 0, 0])
+    if (norm < 1e-12).any():
         raise ValueError("cannot normalize a zero vector")
-    return v / norm
+    return v / norm[:, None]
 
 
 def _orthonormal_rows(rng: Rng, n: int, dim: int) -> np.ndarray:
@@ -224,7 +237,7 @@ def _orthonormal_rows(rng: Rng, n: int, dim: int) -> np.ndarray:
         for _ in range(2):  # re-orthogonalize once for numerical hygiene
             for j in range(i):
                 rows[i] -= np.dot(rows[i], rows[j]) * rows[j]
-        rows[i] = _unit(rows[i])
+        rows[i] = _unit_rows(rows[i : i + 1])[0]
     return rows
 
 
@@ -290,7 +303,7 @@ def make_world(
     # Rejection-sample unit prototypes until pairwise separated.
     for _ in range(1000):
         protos = rng.normal(n_classes * content_dim).reshape(n_classes, content_dim)
-        protos = np.stack([_unit(p) for p in protos])
+        protos = _unit_rows(protos)
         dists = [
             float(np.linalg.norm(protos[a] - protos[b]))
             for a in range(n_classes)
@@ -321,33 +334,38 @@ def make_world(
 
 @dataclass(slots=True)
 class EpisodeDraw:
-    """One episode's scalar draws: everything :func:`render_episodes` needs but its noise.
+    """One episode's scalar draws, all Python scalars: everything :func:`render_episodes` needs but its noise.
 
-    ``support`` is the episode's (N, N) membership mask (see
-    :class:`EpisodeSet`).  ``starts[i]`` is the state agent i's noise block
-    starts from (see ``Rng.skip``).  ``content`` is set only for mrmps, whose
-    clean content is mixed during the draws; every other case takes the
-    label prototypes.
+    ``labels[i]`` is agent i's label before any mrmps mix relabels it, and
+    ``picks[i]`` the row of ``world.scene_codes`` it views.  Each
+    (requester, supporter) pair of ``pairs`` is one true entry of the
+    support mask (see :class:`EpisodeSet`).  ``starts[i]`` is the state
+    agent i's noise block starts from (see ``Rng.skip``).  ``mixes`` is set
+    only for mrmps: each (clean agent, requester, overlap) leans that
+    agent's view toward the requester's, and :func:`render_episodes`
+    derives from it the agent's signature, content, label and support
+    entry.
     """
 
     labels: list[int]
     degraded: list[bool]
-    support: np.ndarray  # (N, N) bool
-    signatures: np.ndarray  # (N, scene_dim)
+    picks: list[int]
+    pairs: list[tuple[int, int]]
     starts: list[int]
-    content: np.ndarray | None = None  # (N, content_dim)
+    mixes: list[tuple[int, int, float]] = ()
 
 
-def _episode_signatures(world: World, rng: Rng, n_scenes: int) -> np.ndarray:
-    """Distinct (hence orthogonal) scene codes for this episode's viewpoints.
+def _scene_picks(world: World, rng: Rng, n_scenes: int) -> list[int]:
+    """Distinct (hence orthogonal) scene codes for this episode's viewpoints, as rows of ``world.scene_codes``.
 
     A partial Fisher-Yates shuffle picks them: one draw per scene picked.
     """
-    picks = list(range(world.n_scenes))
+    total = world.n_scenes
+    picks = list(range(total))
     for i in range(n_scenes):
-        j = i + rng.randint(world.n_scenes - i)
+        j = i + rng.randint(total - i)
         picks[i], picks[j] = picks[j], picks[i]
-    return world.scene_codes[picks[:n_scenes]]
+    return picks[:n_scenes]
 
 
 def _skip_noise(world: World, rng: Rng) -> list[int]:
@@ -359,24 +377,24 @@ def _skip_noise(world: World, rng: Rng) -> list[int]:
 def _draw_srms(world: World, rng: Rng) -> EpisodeDraw:
     n = world.n_agents
     labels = [rng.randint(world.n_classes) for _ in range(n)]
-    signatures = _episode_signatures(world, rng, n)
+    picks = _scene_picks(world, rng, n)
     designated = rng.randint(n)
     degraded = [False] * n
-    support = np.zeros((n, n), dtype=bool)
+    pairs = []
     if rng.uniform_scalar() < world.degrade_prob:
         degraded[designated] = True
         off = rng.randint(n - 1)
         supporter = off if off < designated else off + 1
         labels[supporter] = labels[designated]
-        signatures[supporter] = signatures[designated]
-        support[designated, supporter] = True
-    return EpisodeDraw(labels, degraded, support, signatures, _skip_noise(world, rng))
+        picks[supporter] = picks[designated]
+        pairs.append((designated, supporter))
+    return EpisodeDraw(labels, degraded, picks, pairs, _skip_noise(world, rng))
 
 
 def _draw_mrms(world: World, rng: Rng) -> EpisodeDraw:
     n = world.n_agents
     labels = [rng.randint(world.n_classes) for _ in range(n)]
-    signatures = _episode_signatures(world, rng, n)
+    picks = _scene_picks(world, rng, n)
     degraded = [rng.uniform_scalar() < world.degrade_prob for _ in range(n)]
     # Each degraded agent needs a distinct clean counterpart, so at most
     # N//2 agents may stay degraded; surplus picks are cleared at random.
@@ -386,62 +404,47 @@ def _draw_mrms(world: World, rng: Rng) -> EpisodeDraw:
     deg_list = [i for i, d in enumerate(degraded) if d]
     clean_list = [i for i, d in enumerate(degraded) if not d]
     perm = rng.permutation(len(clean_list))
-    support = np.zeros((n, n), dtype=bool)
-    for t, r in enumerate(deg_list):
-        s = clean_list[perm[t]]
+    pairs = [(r, clean_list[perm[t]]) for t, r in enumerate(deg_list)]
+    for r, s in pairs:
         labels[s] = labels[r]
-        signatures[s] = signatures[r]
-        support[r, s] = True
-    return EpisodeDraw(labels, degraded, support, signatures, _skip_noise(world, rng))
+        picks[s] = picks[r]
+    return EpisodeDraw(labels, degraded, picks, pairs, _skip_noise(world, rng))
 
 
 def _draw_mrmps(world: World, rng: Rng) -> EpisodeDraw:
     n = world.n_agents
     labels = [rng.randint(world.n_classes) for _ in range(n)]
-    signatures = _episode_signatures(world, rng, n)
+    picks = _scene_picks(world, rng, n)
     degraded = [rng.uniform_scalar() < world.degrade_prob for _ in range(n)]
     deg_list = [i for i, d in enumerate(degraded) if d]
-    support = np.zeros((n, n), dtype=bool)
-    content = world.prototypes[labels, world.scene_dim :]
+    mixes = []
     for i in range(n):
-        # Only clean rows change, and they read only their own and degraded rows.
         if not degraded[i] and deg_list:
             r = deg_list[rng.randint(len(deg_list))]
-            overlap = rng.uniform_scalar()
-            # Overlap is an energy fraction: the supporter's signature leans
-            # toward the requester's scene by sqrt(overlap).
-            signatures[i] = _unit(math.sqrt(overlap) * signatures[r] + math.sqrt(1.0 - overlap) * signatures[i])
-            content[i] = overlap * content[r] + (1.0 - overlap) * content[i]
-            if overlap > 0.5:
-                labels[i] = labels[r]
-            if overlap > world.overlap_frac:
-                support[r, i] = True
-    return EpisodeDraw(labels, degraded, support, signatures, _skip_noise(world, rng), content)
+            mixes.append((i, r, rng.uniform_scalar()))
+    return EpisodeDraw(labels, degraded, picks, [], _skip_noise(world, rng), mixes)
 
 
 def _draw_triplet(world: World, rng: Rng) -> EpisodeDraw:
     n = world.n_agents
     k = n // 3
     classes = [rng.randint(world.n_classes) for _ in range(k)]
-    signatures = _episode_signatures(world, rng, k)
+    scenes = _scene_picks(world, rng, k)
     perm = rng.permutation(n)
+    members = [perm[3 * t : 3 * t + 3] for t in range(k)]
     triplet_of = [0] * n
-    members: list[list[int]] = []
-    for t in range(k):
-        group = [perm[3 * t], perm[3 * t + 1], perm[3 * t + 2]]
-        members.append(group)
+    for t, group in enumerate(members):
         for a in group:
             triplet_of[a] = t
-    labels = [classes[triplet_of[i]] for i in range(n)]
+    labels = [classes[t] for t in triplet_of]
     degraded = [False] * n
-    support = np.zeros((n, n), dtype=bool)
-    for t in range(k):
+    pairs = []
+    for group in members:
         if rng.uniform_scalar() < world.degrade_prob:
-            victim = members[t][rng.randint(3)]
+            victim = group[rng.randint(3)]
             degraded[victim] = True
-            support[victim, members[t]] = True
-            support[victim, victim] = False
-    return EpisodeDraw(labels, degraded, support, signatures[triplet_of], _skip_noise(world, rng))
+            pairs += [(victim, a) for a in group if a != victim]
+    return EpisodeDraw(labels, degraded, [scenes[t] for t in triplet_of], pairs, _skip_noise(world, rng))
 
 
 _DRAWS = {
@@ -469,28 +472,47 @@ def generate_episode(world: World, rng: Rng) -> EpisodeDraw:
 def render_episodes(world: World, draws: list[EpisodeDraw]) -> EpisodeSet:
     """The episodes of ``draws`` (all drawn for ``world``), rendered as one (B, N, obs_dim) block.
 
-    One :func:`densemath.normal_blocks` call draws every agent's noise block
-    from its recorded start.  Row (b, i) of ``content`` (the prototype of
-    agent i's label unless the draw mixed its own) is its clean content; a
-    degraded agent sees noise alone, taken unchanged.  Every operation is
-    elementwise, so each episode is bit-equal to rendering it alone.
+    All the array work of generation happens here, once per block: one
+    :func:`densemath.normal_blocks` call draws every agent's noise block
+    from its recorded start, one gather takes the picked scene codes as
+    signatures, and one assignment sets every pair's support entry.  Clean
+    content is the prototype of the agent's label; a degraded agent sees
+    noise alone.  Then every mrmps mix of the block is applied at once.  A
+    clean agent reads only its own row and its requester's, which is
+    degraded and never mixed, so this equals mixing agent by agent.  Every
+    operation is elementwise or one row at a time, so each episode is
+    bit-equal to rendering it alone.
     """
     half = world.scene_dim + world.scene_dim % 2
     shape = (len(draws), world.n_agents)
     z = normal_blocks(list(chain.from_iterable(d.starts for d in draws)), 2 * half).reshape(*shape, 2 * half)
     labels = np.array([d.labels for d in draws], dtype=np.int64)
-    if draws[0].content is None:
-        content = world.prototypes[labels, world.scene_dim :]
-    else:
-        content = np.array([d.content for d in draws])
-    signatures = np.array([d.signatures for d in draws])
     degraded = np.array([d.degraded for d in draws], dtype=bool)
+    signatures = world.scene_codes[np.array([d.picks for d in draws])]
+    content = world.prototypes[labels, world.scene_dim :]
+    support = np.zeros((*shape, world.n_agents), dtype=bool)
+    pairs = [(b, r, s) for b, d in enumerate(draws) for r, s in d.pairs]
+    if pairs:
+        support[tuple(np.array(pairs).T)] = True
+    mixes = [(b, *mix) for b, d in enumerate(draws) for mix in d.mixes]
+    if mixes:
+        b, i, r, overlap = (np.array(column) for column in zip(*mixes))
+        # Overlap is an energy fraction: the agent's signature leans toward
+        # the requester's scene by sqrt(overlap), and its content mixes
+        # linearly; past 0.5 it takes the requester's label, and past the
+        # world's overlap_frac it supports the requester.
+        lean = np.sqrt(overlap)[:, None] * signatures[b, r] + np.sqrt(1.0 - overlap)[:, None] * signatures[b, i]
+        signatures[b, i] = _unit_rows(lean)
+        content[b, i] = overlap[:, None] * content[b, r] + (1.0 - overlap)[:, None] * content[b, i]
+        labels[b, i] = np.where(overlap > 0.5, labels[b, r], labels[b, i])
+        strong = overlap > world.overlap_frac
+        support[b[strong], r[strong], i[strong]] = True
     deg = degraded[..., None]
     noise = np.where(deg, world.noise_sigma, PERTURBATION_SIGMA) * z[..., half : half + world.content_dim]
     obs = np.empty((*shape, world.obs_dim), dtype=np.float64)
     obs[..., : world.scene_dim] = signatures + PERTURBATION_SIGMA * z[..., : world.scene_dim]
     obs[..., world.scene_dim :] = np.where(deg, noise, content + noise)
-    return EpisodeSet(obs, labels, degraded, np.array([d.support for d in draws]))
+    return EpisodeSet(obs, labels, degraded, support)
 
 
 def split_bounds(n_episodes: int) -> tuple[int, int]:
@@ -499,6 +521,18 @@ def split_bounds(n_episodes: int) -> tuple[int, int]:
         raise ValueError(f"need at least 10 episodes for a split, got {n_episodes}")
     n_train = int(0.8 * n_episodes)
     return n_train, n_train + int(0.1 * n_episodes)
+
+
+def _check_generation(n_episodes, seed, start=0) -> None:
+    """Reject a count, seed or start that is not an integer (a bool is not), or a negative count, naming it.
+
+    Any integer seed is read mod 2**64, as ``Rng`` reads it.
+    """
+    for name, value in (("n_episodes", n_episodes), ("seed", seed), ("start", start)):
+        if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+            raise ValueError(f"{name} must be an integer, got {value!r}")
+    if n_episodes < 0:
+        raise ValueError(f"n_episodes must be an integer >= 0, got {n_episodes!r}")
 
 
 def generate_episodes(world: World, n_episodes: int, seed: int, start: int = 0) -> EpisodeSet:
@@ -512,6 +546,7 @@ def generate_episodes(world: World, n_episodes: int, seed: int, start: int = 0) 
     is drawn for the episodes before ``start``, and episode e does not
     depend on ``n_episodes``.
     """
+    _check_generation(n_episodes, seed, start)
     if not 0 <= start <= n_episodes:
         raise ValueError(f"start must lie in [0, {n_episodes}], got {start}")
     e, n = n_episodes - start, world.n_agents
@@ -533,6 +568,7 @@ def generate_dataset(world: World, n_episodes: int, seed: int) -> Dataset:
     draw per episode, each on the stream keyed by (``seed``, its index), so
     the first k episodes of any larger set are these.
     """
+    _check_generation(n_episodes, seed)
     val_start, test_start = split_bounds(n_episodes)
     return Dataset(
         world,

@@ -478,6 +478,33 @@ class TestBlockRender:
             with pytest.raises(ValueError, match=rf"start must lie in \[0, 10\], got {start}"):
                 generate_episodes(world, 10, seed=0, start=start)
 
+    @pytest.mark.parametrize(
+        "args, message",
+        [
+            ({"n_episodes": -5}, "n_episodes must be an integer >= 0, got -5"),
+            ({"n_episodes": 20.0}, "n_episodes must be an integer, got 20.0"),
+            ({"n_episodes": True}, "n_episodes must be an integer, got True"),
+            ({"start": 3.0}, "start must be an integer, got 3.0"),
+            ({"start": True}, "start must be an integer, got True"),
+            ({"seed": 1.5}, "seed must be an integer, got 1.5"),
+            ({"seed": None}, "seed must be an integer, got None"),
+            ({"seed": True}, "seed must be an integer, got True"),
+        ],
+    )
+    def test_bad_generation_arguments_are_named(self, args, message):
+        world = make_world("srms", rng=Rng(46))
+        call = {"n_episodes": 20, "seed": 0} | args
+        with pytest.raises(ValueError, match=re.escape(message) + "$"):
+            generate_episodes(world, **call)
+        if "start" not in args:
+            with pytest.raises(ValueError, match=re.escape(message) + "$"):
+                generate_dataset(world, **call)
+
+    def test_integer_seeds_are_read_mod_2_64(self):
+        world = make_world("srms", rng=Rng(46))
+        _assert_same_episodes(generate_episodes(world, 20, seed=-1), generate_episodes(world, 20, seed=2**64 - 1))
+        _assert_same_episodes(generate_episodes(world, 20, seed=np.int64(7)), generate_episodes(world, 20, seed=7))
+
 
 class TestKeyedStreams:
     @pytest.mark.parametrize("case", CASES)
@@ -508,8 +535,7 @@ class TestKeyedStreams:
         # tail) on 16000 seeded draws.
         world = make_world("srms", rng=Rng(51))
         rng = Rng(52)
-        signatures = [scenarios._episode_signatures(world, rng, 5) for _ in range(16000)]
-        picks = np.argmax(np.array(signatures) @ world.scene_codes.T, axis=2)
+        picks = np.array([scenarios._scene_picks(world, rng, 5) for _ in range(16000)])
         assert all(len(set(row)) == 5 for row in picks.tolist())
         for position in range(5):
             counts = np.bincount(picks[:, position], minlength=world.n_scenes)
@@ -535,6 +561,12 @@ class TestSupportSets:
         path = str(tmp_path / "data.json")
         save_dataset(path, ds)
         assert _assert_frozen_support(load_dataset(path).episodes) > 0
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_gt_support_is_each_row_of_the_mask(self, case):
+        episodes = generate_episodes(make_world(case, degrade_prob=0.6, rng=Rng(30)), 200, seed=9)
+        for ep, mask in zip(episodes, episodes.support):
+            assert ep.gt_support == [frozenset(np.flatnonzero(row).tolist()) for row in mask]
 
     def test_episode_has_no_instance_dict(self):
         ep = one_episode(make_world("srms", rng=Rng(31)), Rng(1))
@@ -796,6 +828,24 @@ class TestDatasetExport:
         "triplet": "92a4ede3ecca4dc0b1fcd2df7f612a6ab785818bee78019261c433a57ca32217",
     }
 
+    # The same for 200 episodes at the edges of the draws, pinned before the
+    # draws were split into scalar draws and an array render: degrade_prob
+    # 0 (no supporter pair and no mrmps mix in any block), degrade_prob 1
+    # (mrms's cap loop in every episode, and no clean mrmps agent), and
+    # mrmps overlap_frac 0 and 1 (every mix, or none, a supporter).
+    PINNED_SHA256_EDGES = {
+        ("srms", "degrade_prob", 0.0): "db825db1ea2e180048e8411fb3dc9aff3015d10ebe929e5b63d73752f30cbdf4",
+        ("mrms", "degrade_prob", 0.0): "4b283574d5723ea6aa2dfbd40b96951c5acc778ea0a9eb74839b7c831c0bfef8",
+        ("mrmps", "degrade_prob", 0.0): "ea029e4c04526101b8b4a1561f924b9bc0439a9db680ca1a91ff7d4bda22f120",
+        ("triplet", "degrade_prob", 0.0): "913d0662bee783a42c802bb9c2dfac1e7a1b560dbe7e55d26699b21ae7a4b0bb",
+        ("srms", "degrade_prob", 1.0): "cefe29817d31d66def384431c8bcc9a99c54da1091ec696ef67c12dbab0760fb",
+        ("mrms", "degrade_prob", 1.0): "05bf1329e9329f19a56c403b33c4915a6fffd8559f763b2cd500c0217e1f1d9b",
+        ("mrmps", "degrade_prob", 1.0): "8bdea8e902c368362496f6760cd641944d22a43426a30edabdd4c04965d386fa",
+        ("triplet", "degrade_prob", 1.0): "5a359c3db851f47efd94a9e25bc31828c05760171fd55de208fdbe1074731e2d",
+        ("mrmps", "overlap_frac", 0.0): "65e56051f347b8c1f0400c2561146f640beae66d5cb4b67f1255e2638bfc45d6",
+        ("mrmps", "overlap_frac", 1.0): "e725d173893900b29cf9114c8fd253a9592cf37b6f3523b3f0dabd99ae2d71c1",
+    }
+
     @pytest.mark.parametrize("case", CASES)
     def test_saved_bytes_pinned(self, tmp_path, case):
         path = tmp_path / "data.bin"
@@ -814,6 +864,12 @@ class TestDatasetExport:
         path = tmp_path / "data.bin"
         save_dataset(str(path), generate_dataset(make_world(case, degrade_prob=0.9, rng=Rng(3)), 200, seed=5))
         assert hashlib.sha256(path.read_bytes()).hexdigest() == self.PINNED_SHA256_DEGRADE09[case]
+
+    @pytest.mark.parametrize("case, field, value", sorted(PINNED_SHA256_EDGES))
+    def test_saved_bytes_pinned_at_the_edges(self, tmp_path, case, field, value):
+        path = tmp_path / "data.bin"
+        save_dataset(str(path), generate_dataset(make_world(case, rng=Rng(3), **{field: value}), 200, seed=5))
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == self.PINNED_SHA256_EDGES[case, field, value]
 
     def test_load_rejects_json_dataset_file(self, tmp_path):
         # The JSON document save_dataset wrote before the binary layout.
