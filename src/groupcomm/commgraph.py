@@ -54,12 +54,6 @@ def attention_score(mu: np.ndarray, kappa: np.ndarray, w_g: np.ndarray) -> float
     """
     if np.ndim(mu) != 1:
         raise ValueError(f"attention_score takes one query vector, got shape {np.shape(mu)}")
-    if (
-        type(mu) is type(kappa) is type(w_g) is np.ndarray
-        and mu.dtype == kappa.dtype == w_g.dtype == np.float64
-        and w_g.shape == mu.shape + kappa.shape
-    ):  # a well-shaped lone pair: attention_scores' product, without its conversions and checks
-        return float(_scores(mu, row_matmul(kappa, w_g), w_g.shape[1]))
     return float(attention_scores(mu, kappa, w_g))
 
 

@@ -1,6 +1,7 @@
 """Selection metrics, batched policy evaluation audited by the simulator, sweeps, and the CLI.
 
-The policies (``neuralnet.POLICIES``, re-exported here) and the rule that
+The policies (``neuralnet.POLICIES``, re-exported here), the ones that
+train (``neuralnet.TRAIN_POLICIES``, re-exported too) and the rule that
 turns each into fusion rows (``neuralnet.policy_rows``) live in
 :mod:`groupcomm.neuralnet`.  :func:`evaluate` computes every report from one
 batched pass, ``neuralnet.infer_episodes`` (the inference loop validation
@@ -38,6 +39,7 @@ from .neuralnet import (
     EVAL_BLOCK,
     HANDSHAKE_POLICIES,
     POLICIES,
+    TRAIN_POLICIES,
     PipelineConfig,
     PipelineParams,
     TrainConfig,
@@ -64,10 +66,6 @@ from . import simnet
 # Train and eval derive the world from the run seed with this fixed offset so
 # that a checkpoint can be re-evaluated from the same flags alone.
 WORLD_SEED_XOR = 0x9E3779B9
-
-# The policies with a training scheme of their own.  forced_top1 and
-# fully_connected select from when2com's rows at eval time, and have none yet.
-TRAIN_POLICIES = ("when2com", "nocom", "randcom", "catall")
 
 SWEEP_COLUMNS = ("param", "size", "Q", "K", "seed", "grouping_acc", "task_acc", "when2com_acc", "links_per_agent")
 
@@ -126,18 +124,14 @@ def _sibling_path(path: str, suffix: str, other: str) -> str:
 
 def run_policy_episode(
     policy: str, theta: PipelineParams, observations, delta: float, rng: Rng | None
-) -> simnet.EpisodeResult | list[simnet.EpisodeResult]:
-    """Evaluation's simulator step: fresh agents for ``observations``, then the simulator's block runner.
+) -> list[simnet.EpisodeResult]:
+    """Evaluation's simulator step: fresh agents for an (E, N, d_obs) block, then ``simnet.run_block``.
 
-    One episode's (N, d_obs) observations give its ``simnet.run_episode``
-    result; a block's (E, N, d_obs) stack gives ``simnet.run_block``'s, one
-    result per episode, simulated in lockstep.
+    One result per episode, simulated in lockstep.
     """
-    obs = np.asarray(observations, dtype=np.float64)
-    agents = simnet.make_agents(obs, theta)
-    if obs.ndim == 3:
-        return simnet.run_block(agents, theta, delta, policy, rng)
-    return simnet.run_episode(agents, theta, delta, policy, rng)
+    if np.ndim(observations) != 3:
+        raise ValueError(f"run_policy_episode takes an (E, N, d_obs) block, got shape {np.shape(observations)}")
+    return simnet.run_block(simnet.make_agents(observations, theta), theta, delta, policy, rng)
 
 
 def decisions_from_rows(rows: np.ndarray) -> np.ndarray:
@@ -283,6 +277,7 @@ class TrainRun:
     config: TrainConfig
     dataset: Dataset
     log: list[dict]
+    seed: int
 
 
 def train_run(
@@ -297,14 +292,9 @@ def train_run(
 ) -> TrainRun:
     """End-to-end training orchestration shared by the CLI, sweeps, and tests.
 
-    Only the :data:`TRAIN_POLICIES` train; any other policy raises
-    ``ValueError`` before any work.
+    Only the :data:`TRAIN_POLICIES` train: ``TrainConfig`` raises
+    ``ValueError`` on any other policy, before any work.
     """
-    if policy not in TRAIN_POLICIES:
-        raise ValueError(
-            f"policy {policy!r} has no training scheme (expected one of {TRAIN_POLICIES}); "
-            "train when2com and evaluate under it"
-        )
     config = TrainConfig(
         pipeline=PipelineConfig(q_dim=q_dim, k_dim=k_dim),
         steps=steps,
@@ -313,7 +303,13 @@ def train_run(
     world = world_for_run(case, n_agents, seed)
     dataset = generate_dataset(world, n_episodes, seed)
     theta, log = train(config, dataset, Rng(seed))
-    return TrainRun(theta=theta, config=config, dataset=dataset, log=log)
+    return TrainRun(theta=theta, config=config, dataset=dataset, log=log, seed=seed)
+
+
+def run_report(run: TrainRun) -> MetricsReport:
+    """The run's test-split report: its own policy and seed, at delta = 1/N, labelled with its world's case."""
+    world = run.dataset.world
+    return evaluate(run.config.policy, run.theta, run.dataset.test_episodes, 1.0 / world.n_agents, run.seed, world.case)
 
 
 def sweep_message_size(
@@ -332,23 +328,11 @@ def sweep_message_size(
         raise ValueError("sizes must be non-empty")
     rows = []
     for size in sizes:
-        q_dim = size if param == "query" else 4
-        k_dim = size if param == "key" else 16
-        run = train_run(
-            case=case,
-            n_agents=n_agents,
-            n_episodes=n_episodes,
-            steps=steps,
-            seed=seed,
-            q_dim=q_dim,
-            k_dim=k_dim,
-        )
-        n = run.dataset.world.n_agents
-        report = evaluate(
-            "when2com", run.theta, run.dataset.test_episodes, 1.0 / n, seed, case=case
-        )
+        swept = {"q_dim" if param == "query" else "k_dim": size}
+        run = train_run(case=case, n_agents=n_agents, n_episodes=n_episodes, steps=steps, seed=seed, **swept)
+        report, dims = run_report(run), run.config.pipeline
         metrics = (report.grouping_acc, report.acc_all, report.when2com_acc, report.links_per_agent)
-        rows.append(dict(zip(SWEEP_COLUMNS, (param, size, q_dim, k_dim, seed) + metrics, strict=True)))
+        rows.append(dict(zip(SWEEP_COLUMNS, (param, size, dims.q_dim, dims.k_dim, seed) + metrics, strict=True)))
     return rows
 
 
@@ -370,20 +354,12 @@ def _test_split_for_eval(args) -> tuple[World, EpisodeSet]:
     return world, generate_episodes(world, args.episodes, args.seed, start=test_start)
 
 
-def _write_train_outputs(args, paths: dict[str, str], run: TrainRun) -> None:
+def _write_train_outputs(paths: dict[str, str], run: TrainRun) -> None:
     save_checkpoint(paths["checkpoint"], run.theta, run.config.pipeline)
     with open(paths["log"], "w", encoding="utf-8") as fh:
         for rec in run.log:
             fh.write(json.dumps(rec, sort_keys=True) + "\n")
-    n = run.dataset.world.n_agents
-    report = evaluate(
-        args.policy,
-        run.theta,
-        run.dataset.test_episodes,
-        1.0 / n,
-        args.seed,
-        case=args.case,
-    )
+    report = run_report(run)
     save_report(report, paths["report"], paths["csv"])
     print(f"checkpoint: {paths['checkpoint']}")
     print(f"report: {paths['report']}")
@@ -534,7 +510,7 @@ def cli_main(argv: list[str]) -> int:
                 q_dim=args.q_dim,
                 k_dim=args.k_dim,
             )
-            _write_train_outputs(args, paths, run)
+            _write_train_outputs(paths, run)
         elif args.command == "eval":
             theta, config = load_checkpoint(args.checkpoint)
             world, episodes = _test_split_for_eval(args)

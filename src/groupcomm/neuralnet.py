@@ -10,8 +10,9 @@ Training fuses with the full soft matching rows so every agent sees every
 feature (gradients flow through the softmax and the bilinear scores);
 inference fuses with delta-pruned rows and is never differentiated.
 
-The communication policies live here as well: :data:`POLICIES` and the one
-rule :func:`policy_rows` that turns a policy into a stack of episodes' fusion
+The communication policies live here as well: :data:`POLICIES`, the
+:data:`TRAIN_POLICIES` that have a training scheme, and the one rule
+:func:`policy_rows` that turns a policy into a stack of episodes' fusion
 rows, which training, inference and the simulator all call.  So does the one
 inference loop, :func:`infer_episodes`, which validation and evaluation share.
 
@@ -68,6 +69,9 @@ CHECKPOINT_HEADER = "<8sI6I"
 POLICIES = ("when2com", "nocom", "randcom", "catall", "forced_top1", "fully_connected")
 # Policies whose rows start from the soft matching matrix, so the handshake runs.
 HANDSHAKE_POLICIES = ("when2com", "forced_top1", "fully_connected")
+# The policies with a training scheme of their own.  forced_top1 and
+# fully_connected select from when2com's rows at eval time, and have none yet.
+TRAIN_POLICIES = ("when2com", "nocom", "randcom", "catall")
 
 # Episodes per inference call in validation.  The inference kernel rounds
 # every row as it does alone, so accuracy does not depend on this size; it
@@ -111,6 +115,15 @@ def _check_count(config, name: str, low: int) -> None:
     value = getattr(config, name)
     if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < low:
         raise ValueError(f"{type(config).__name__}.{name} must be an integer >= {low}, got {value!r}")
+
+
+def _check_train_policy(policy: str) -> None:
+    """Reject a policy outside :data:`TRAIN_POLICIES`, naming it."""
+    if policy not in TRAIN_POLICIES:
+        raise ValueError(
+            f"policy {policy!r} has no training scheme (expected one of {TRAIN_POLICIES}); "
+            "train when2com and evaluate under it"
+        )
 
 
 def head_sizes(c: PipelineConfig) -> list[list[int]]:
@@ -344,12 +357,14 @@ def pipeline_forward(
     Both modes take one episode, (N, d_obs), or a stack of episodes with equal
     N, (B, N, d_obs); ``logits``, ``m`` and ``m_bar`` keep the input's leading
     shape, and the rows of ``randcom`` are drawn from ``rng`` episode by
-    episode, in stack order.  ``training`` fuses the handshake policies with
-    the soft matching rows; the other policies' attention heads are neither
-    evaluated nor differentiated.  ``inference`` builds the matching matrix
-    only for a handshake policy, prunes the policy's rows at its threshold,
-    and runs on the row-invariant kernel, so each episode's outputs are bit
-    for bit those of the simulator, whatever the stack around it.
+    episode, in stack order.  ``training`` takes only the
+    :data:`TRAIN_POLICIES` and raises ``ValueError`` on any other: it fuses
+    when2com with the soft matching rows, and the fixed-row policies'
+    attention heads are neither evaluated nor differentiated.  ``inference``
+    builds the matching matrix only for a handshake policy, prunes the
+    policy's rows at its threshold, and runs on the row-invariant kernel, so
+    each episode's outputs are bit for bit those of the simulator, whatever
+    the stack around it.
     """
     if mode == "training":
         return _training_forward(theta, observations, policy, rng)
@@ -378,6 +393,7 @@ def _episode_stack(observations) -> tuple[np.ndarray, tuple[int, ...]]:
 
 
 def _training_forward(theta: PipelineParams, observations, policy: str, rng: Rng | None) -> ForwardResult:
+    _check_train_policy(policy)
     obs, lead = _episode_stack(observations)
     b, n, d = obs.shape
     x = obs.reshape(b * n, d)
@@ -552,6 +568,8 @@ def adam_step(
 
 @dataclass
 class TrainConfig:
+    """A training run's settings; only the :data:`TRAIN_POLICIES` train."""
+
     pipeline: PipelineConfig = field(default_factory=PipelineConfig)
     steps: int = 5000
     batch_size: int = 8
@@ -562,8 +580,7 @@ class TrainConfig:
         _check_count(self, "steps", 0)
         _check_count(self, "batch_size", 1)
         _check_count(self, "eval_every", 0)  # 0 never validates
-        if self.policy not in POLICIES:
-            raise ValueError(f"TrainConfig.policy must be one of {POLICIES}, got {self.policy!r}")
+        _check_train_policy(self.policy)
 
 
 def episode_loss_and_grads(theta: PipelineParams, episodes, policy: str, rng: Rng, grads: Gradients) -> float:
@@ -629,8 +646,10 @@ def train(config: TrainConfig, dataset, rng: Rng) -> tuple[PipelineParams, list[
     gradient tree are allocated before the first step, and every step
     updates them in place.  The log records the batch loss at every step and
     validation task accuracy every ``eval_every`` steps.  The run is
-    single-threaded and bit-reproducible for a fixed seed.
+    single-threaded and bit-reproducible for a fixed seed.  A policy outside
+    :data:`TRAIN_POLICIES` raises ``ValueError`` before any parameter is drawn.
     """
+    _check_train_policy(config.policy)
     episodes, train_idx, val_idx = dataset.episodes, np.asarray(dataset.train_idx, dtype=np.intp), dataset.val_idx
     if not len(train_idx):
         raise ValueError("training dataset is empty")

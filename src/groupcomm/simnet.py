@@ -379,10 +379,7 @@ def make_agents(observations, theta: PipelineParams) -> list[AgentState] | list[
     """
     obs = np.asarray(observations, dtype=np.float64)
     stack = obs if obs.ndim == 3 else obs[None]
-    if stack.shape[1]:
-        heads = [mlp_infer(head, stack) for head in (theta.theta_q, theta.theta_k, theta.theta_e)]
-    else:
-        heads = [stack] * 3  # no agent, so no head output
+    heads = [mlp_infer(head, stack) for head in (theta.theta_q, theta.theta_k, theta.theta_e)]
     block = [
         [AgentState(i, *outputs) for i, outputs in enumerate(zip(*episode))] for episode in zip(stack, *heads)
     ]

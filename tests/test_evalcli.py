@@ -27,6 +27,7 @@ from groupcomm.evalcli import (
     evaluate,
     grouping_accuracy,
     run_policy_episode,
+    run_report,
     save_report,
     train_run,
     when2com_accuracy,
@@ -292,7 +293,7 @@ class TestPolicies:
         for s, ep in enumerate(episodes):
             obs = list(ep.observations)
             central = pipeline_forward(theta, obs, mode="inference", delta=delta, policy=policy, rng=Rng(s))
-            res = run_policy_episode(policy, theta, obs, delta, Rng(s))
+            (res,) = run_policy_episode(policy, theta, ep.observations[None], delta, Rng(s))
             np.testing.assert_array_equal(res.rows, central.m)
             np.testing.assert_array_equal(res.pruned_rows, central.m_bar)
             np.testing.assert_array_equal(np.stack(res.fused), central.cache.fused)
@@ -308,7 +309,7 @@ class TestPolicies:
             for field in ("logits", "m", "m_bar"):
                 np.testing.assert_array_equal(getattr(stacked, field)[e], getattr(single, field))
             np.testing.assert_array_equal(stacked.cache.fused[e], single.cache.fused)
-            res = run_policy_episode(policy, theta, list(ep.observations), delta, sim_rng)
+            (res,) = run_policy_episode(policy, theta, ep.observations[None], delta, sim_rng)
             np.testing.assert_array_equal(stacked.m_bar[e], res.pruned_rows)
             assert res.predictions == [int(np.argmax(z)) for z in stacked.logits[e]]
         rep = evaluate(policy, theta, episodes, delta, seed=3)
@@ -350,12 +351,17 @@ class TestPolicies:
         rng = Rng(seed)
         theta = init_pipeline(cfg, rng)
         obs = rng.normal(n * cfg.d_obs).reshape(n, cfg.d_obs)
-        res = run_policy_episode(policy, theta, list(obs), delta, rng)
+        (res,) = run_policy_episode(policy, theta, obs[None], delta, rng)
         links = np.count_nonzero(res.pruned_rows) - np.count_nonzero(np.diag(res.pruned_rows))
         queries = n * (n - 1) if policy in HANDSHAKE_POLICIES else 0
         assert res.ledger.counted_bytes == queries * cfg.q_dim * 4 + links * cfg.f_dim * 4
         assert res.ledger.inter_agent_links == links
         assert res.ledger.frames == 1
+
+    def test_run_policy_episode_takes_a_block(self):
+        obs = np.zeros((3, PipelineConfig().d_obs))
+        with pytest.raises(ValueError, match=re.escape("(E, N, d_obs) block, got shape (3, 32)")):
+            run_policy_episode("nocom", tiny_theta(), obs, 0.2, None)
 
     def test_when2com_links_bounded(self, world_and_episodes):
         world, episodes = world_and_episodes
@@ -368,7 +374,7 @@ class TestPolicies:
         world, episodes = world_and_episodes
         rng = Rng(9)
         for policy in ("when2com", "nocom", "randcom", "catall", "forced_top1", "fully_connected"):
-            res = run_policy_episode(policy, tiny_theta(), list(episodes[0].observations), 0.2, rng)
+            (res,) = run_policy_episode(policy, tiny_theta(), episodes.observations[:1], 0.2, rng)
             assert simnet.ledger_from_trace(res.trace, frames=1) == res.ledger
 
     def test_dumped_trace_audits_reported_bandwidth(self, world_and_episodes, tmp_path):
@@ -590,6 +596,14 @@ class TestCli:
         with pytest.raises(ValueError, match=re.escape(message)):
             train_run(n_episodes=40, steps=1, policy=policy)
         assert work == []
+
+    def test_run_report_is_the_runs_own(self):
+        # The run's policy and seed, at delta = 1/N, labelled with its world's case.
+        run = train_run(case="mrms", n_episodes=60, steps=3, seed=2, policy="randcom")
+        world = run.dataset.world
+        expected = evaluate("randcom", run.theta, run.dataset.test_episodes, 1.0 / world.n_agents, 2, "mrms")
+        assert run_report(run) == expected
+        assert (expected.policy, expected.case, expected.seed) == ("randcom", "mrms", 2)
 
     def test_eval_takes_every_policy(self):
         parser = build_parser()

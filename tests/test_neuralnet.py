@@ -20,6 +20,7 @@ from groupcomm.densemath import Rng, relu, softmax
 from groupcomm.neuralnet import (
     EVAL_BLOCK,
     POLICIES,
+    TRAIN_POLICIES,
     AdamState,
     MlpParams,
     PipelineConfig,
@@ -395,7 +396,7 @@ class TestBatchedTraining:
         assert not np.any(grads.flat)
 
     @settings(derandomize=True, database=None, max_examples=60, deadline=None)
-    @given(policy=st.sampled_from(POLICIES), b=st.integers(1, 9), n=st.integers(1, 6), seed=st.integers(0, 2**32))
+    @given(policy=st.sampled_from(TRAIN_POLICIES), b=st.integers(1, 9), n=st.integers(1, 6), seed=st.integers(0, 2**32))
     def test_step_loss_and_gradients_equal_standalone_loss_and_backward(self, policy, b, n, seed):
         # The step takes its loss from the backward's softmax.  It must equal
         # cross_entropy_loss and a separate log-softmax pass bit for bit, and
@@ -662,6 +663,29 @@ class TestTrain:
     def test_bad_config_names_field(self, make, field):
         with pytest.raises(ValueError, match=field):
             make()
+
+    @pytest.mark.parametrize("policy", ["forced_top1", "fully_connected"])
+    def test_a_policy_without_a_training_scheme_is_refused_before_any_work(self, monkeypatch, policy):
+        # Both used to train when2com's soft rows under their own name.
+        message = (
+            f"policy {policy!r} has no training scheme (expected one of {TRAIN_POLICIES}); "
+            "train when2com and evaluate under it"
+        )
+        with pytest.raises(ValueError, match=re.escape(message)):
+            TrainConfig(policy=policy)
+        dataset = generate_dataset(make_world("srms", rng=Rng(13)), 40, seed=13)
+        cfg, theta, obs, labels = random_pipeline(Rng(14))
+        work = []
+        monkeypatch.setattr(neuralnet, "init_pipeline", lambda *args: work.append(args))
+        monkeypatch.setattr(neuralnet, "mlp_forward", lambda *args: work.append(args))
+        config = TrainConfig()
+        config.policy = policy  # past the constructor's check
+        rng = Rng(13)
+        with pytest.raises(ValueError, match=re.escape(message)):
+            train(config, dataset, rng)
+        with pytest.raises(ValueError, match=re.escape(message)):
+            pipeline_forward(theta, obs, mode="training", policy=policy, rng=rng)
+        assert work == [] and rng.u64(1) == Rng(13).u64(1)
 
     def test_numpy_integer_sizes_accepted(self):
         assert PipelineConfig(d_obs=np.int64(8)).d_obs == 8

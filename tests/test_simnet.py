@@ -287,6 +287,7 @@ class TestBlockRunner:
                 assert agent.agent_id == i
                 for name in ("observation", "mu", "kappa", "feature"):
                     assert getattr(agent, name).tobytes() == getattr(lone, name).tobytes(), name
+        assert make_agents(stack[:3, :0], theta) == [[], [], []]
 
     @pytest.mark.parametrize("policy", POLICIES)
     def test_block_of_lone_agents(self, srms70, policy):
