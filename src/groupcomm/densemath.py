@@ -1,4 +1,4 @@
-"""Activations, stable softmax, the row-invariant product, and a seeded RNG.
+"""Activations, stable softmax, the row-invariant product, a seeded RNG, and read-only arrays.
 
 Everything downstream builds on this module.  All values are 64-bit floats;
 matrices are 2-D C-ordered ``numpy.ndarray`` (rows x cols, row-major).  All
@@ -102,6 +102,12 @@ def row_matmul(x: np.ndarray, w: np.ndarray) -> np.ndarray:
 def relu(v: np.ndarray) -> np.ndarray:
     """Elementwise max(0, x)."""
     return np.maximum(np.asarray(v, dtype=np.float64), 0.0)
+
+
+def frozen(array: np.ndarray) -> np.ndarray:
+    """``array`` itself, made read-only in place: a write into it, or into any view taken after, raises ValueError."""
+    array.flags.writeable = False
+    return array
 
 
 def _words(starts: np.ndarray, n: int) -> np.ndarray:

@@ -29,7 +29,7 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import asdict, dataclass, fields
+from dataclasses import asdict, dataclass, fields, replace
 
 import numpy as np
 
@@ -271,7 +271,7 @@ def world_for_run(case: str, n_agents: int | None, seed: int) -> World:
     return make_world(case, n_agents=n_agents, rng=Rng(seed ^ WORLD_SEED_XOR))
 
 
-@dataclass
+@dataclass(frozen=True)
 class TrainRun:
     theta: PipelineParams
     config: TrainConfig
@@ -321,15 +321,21 @@ def sweep_message_size(
     steps: int = 5000,
     seed: int = 0,
 ) -> list[dict]:
-    """Train one model per query (or key) size and tabulate selection metrics."""
+    """Train one model per query (or key) size and tabulate selection metrics.
+
+    Every size's :class:`PipelineConfig` is built, and so checked, before
+    the first model trains.
+    """
     if param not in ("query", "key"):
         raise ValueError(f"param must be 'query' or 'key', got {param!r}")
     if not sizes:
         raise ValueError("sizes must be non-empty")
+    swept = "q_dim" if param == "query" else "k_dim"
+    for size in sizes:
+        replace(PipelineConfig(), **{swept: size})  # raises on a bad size, naming the field
     rows = []
     for size in sizes:
-        swept = {"q_dim" if param == "query" else "k_dim": size}
-        run = train_run(case=case, n_agents=n_agents, n_episodes=n_episodes, steps=steps, seed=seed, **swept)
+        run = train_run(case=case, n_agents=n_agents, n_episodes=n_episodes, steps=steps, seed=seed, **{swept: size})
         report, dims = run_report(run), run.config.pipeline
         metrics = (report.grouping_acc, report.acc_all, report.when2com_acc, report.links_per_agent)
         rows.append(dict(zip(SWEEP_COLUMNS, (param, size, dims.q_dim, dims.k_dim, seed) + metrics, strict=True)))

@@ -95,7 +95,7 @@ class MlpParams:
         return self.layers[-1][0].shape[0]
 
 
-@dataclass
+@dataclass(frozen=True)
 class PipelineConfig:
     # Field order is the checkpoint header's dimension order.
     d_obs: int = 32
@@ -566,9 +566,12 @@ def adam_step(
     flat -= num
 
 
-@dataclass
+@dataclass(frozen=True)
 class TrainConfig:
-    """A training run's settings; only the :data:`TRAIN_POLICIES` train."""
+    """A training run's settings, checked once here; only the :data:`TRAIN_POLICIES` train.
+
+    Frozen, as :class:`PipelineConfig` is; ``dataclasses.replace`` builds a checked variant.
+    """
 
     pipeline: PipelineConfig = field(default_factory=PipelineConfig)
     steps: int = 5000
@@ -599,12 +602,15 @@ def infer_episodes(
     """The (E, N, N) pruned rows and (E, N) predicted classes of episodes at inference.
 
     ``episodes`` is an :class:`~groupcomm.scenarios.EpisodeSet`; ``index``
-    picks its episodes, in its order, and by default all of them, in order.
-    There must be at least one, checked before anything runs.  The episodes
-    go through :func:`pipeline_forward` in stacks of :data:`EVAL_BLOCK`, each
-    a slice of the set or a gather of ``index``'s rows, and ``randcom`` rows
-    are drawn from ``rng`` episode by episode.
+    (any sequence of indices, a tuple too) picks its episodes, in its order,
+    and by default all of them, in order.  There must be at least one,
+    checked before anything runs.  The episodes go through
+    :func:`pipeline_forward` in stacks of :data:`EVAL_BLOCK`, each a slice of
+    the set or a gather of ``index``'s rows, and ``randcom`` rows are drawn
+    from ``rng`` episode by episode.
     """
+    if index is not None:
+        index = np.asarray(index, dtype=np.intp)
     count = len(episodes) if index is None else len(index)
     if not count:
         raise ValueError("need at least one episode, got none")
@@ -646,10 +652,10 @@ def train(config: TrainConfig, dataset, rng: Rng) -> tuple[PipelineParams, list[
     gradient tree are allocated before the first step, and every step
     updates them in place.  The log records the batch loss at every step and
     validation task accuracy every ``eval_every`` steps.  The run is
-    single-threaded and bit-reproducible for a fixed seed.  A policy outside
-    :data:`TRAIN_POLICIES` raises ``ValueError`` before any parameter is drawn.
+    single-threaded and bit-reproducible for a fixed seed.  ``config`` and
+    ``dataset`` are frozen, so the checks their constructors made still hold
+    and are not made again.
     """
-    _check_train_policy(config.policy)
     episodes, train_idx, val_idx = dataset.episodes, np.asarray(dataset.train_idx, dtype=np.intp), dataset.val_idx
     if not len(train_idx):
         raise ValueError("training dataset is empty")

@@ -46,7 +46,10 @@ blocks in place.
 
 Episodes are held as an ``EpisodeSet``, the dataset file's four arrays, from
 generation through saving, loading, training and the metrics; an
-``Episode`` is a read-only view of one row.
+``Episode`` is a read-only view of one row.  ``World``, ``EpisodeSet`` and
+``Dataset`` are frozen, and every array of a world or a set is read-only
+once it is built, so a check made at construction keeps holding; a variant
+comes from ``dataclasses.replace``.
 
 Cases
 -----
@@ -80,7 +83,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .densemath import Rng, keyed_streams, normal_blocks
+from .densemath import Rng, frozen, keyed_streams, normal_blocks
 
 CASES = ("srms", "mrms", "mrmps", "triplet")
 
@@ -90,8 +93,10 @@ DEFAULT_AGENTS = {"srms": 5, "mrms": 5, "mrmps": 5, "triplet": 9}
 RENDER_BLOCK = 64  # episodes drawn, then rendered by one render_episodes call
 
 
-@dataclass
+@dataclass(frozen=True)
 class World:
+    """A world's scalar settings and its two fixed arrays, which are made read-only here."""
+
     n_agents: int
     obs_dim: int
     n_classes: int
@@ -102,6 +107,10 @@ class World:
     prototypes: np.ndarray  # (C, obs_dim), zero on the scene half, unit norm
     scene_dim: int
     scene_codes: np.ndarray  # (scene_dim, scene_dim) orthonormal scene codebook
+
+    def __post_init__(self):
+        frozen(self.prototypes)
+        frozen(self.scene_codes)
 
     @property
     def content_dim(self) -> int:
@@ -119,8 +128,9 @@ class EpisodeSet:
     ``support[e, i, j]`` is true when agent j holds an informative view for
     agent i, and ``degraded`` is also the need to communicate.  The
     constructor rejects shapes or dtypes that disagree, so all episodes
-    share one N.  An int index gives an :class:`Episode` view, a slice a set
-    of views, and an index list or array a gathered copy.
+    share one N, and makes each array read-only.  An int index gives an
+    :class:`Episode` view, a slice a set of views, and any other key (a
+    list, tuple or array of indices) a gathered copy.
     """
 
     observations: np.ndarray  # (E, N, obs_dim) float64
@@ -144,6 +154,7 @@ class EpisodeSet:
                     f"EpisodeSet.{name} must be {np.dtype(dtype)} of shape {dims} with the labels' E = {e} and "
                     f"N = {n}, got {array.dtype} of shape {array.shape}"
                 )
+            frozen(array)
 
     @property
     def arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
@@ -159,8 +170,9 @@ class EpisodeSet:
     def __getitem__(self, key) -> Episode | EpisodeSet:
         try:
             e = index(key)
-        except TypeError:  # a slice views rows; an index array or list gathers them
-            return EpisodeSet(*(a[key] for a in self.arrays))
+        except TypeError:  # a slice views rows; any other key gathers them, a tuple too
+            rows = key if isinstance(key, slice) else np.asarray(key, dtype=np.intp)
+            return EpisodeSet(*(a[rows] for a in self.arrays))
         if not -len(self) <= e < len(self):
             raise IndexError(f"episode {e} is out of range for a set of {len(self)}")
         return Episode(self, e % len(self))
@@ -201,13 +213,23 @@ class Episode(NamedTuple):
         return list(map(frozenset, supporters))
 
 
-@dataclass
+@dataclass(frozen=True)
 class Dataset:
+    """A world, its episodes and three disjoint splits of episode indices, each held as a tuple.
+
+    The constructor takes each split as any sequence (a list, a range) and
+    keeps it as a tuple.
+    """
+
     world: World
     episodes: EpisodeSet
-    train_idx: list[int]
-    val_idx: list[int]
-    test_idx: list[int]
+    train_idx: tuple[int, ...]
+    val_idx: tuple[int, ...]
+    test_idx: tuple[int, ...]
+
+    def __post_init__(self):
+        for name in ("train_idx", "val_idx", "test_idx"):
+            object.__setattr__(self, name, tuple(getattr(self, name)))
 
     @property
     def test_episodes(self) -> EpisodeSet:
@@ -542,23 +564,23 @@ def generate_episodes(world: World, n_episodes: int, seed: int, start: int = 0) 
     key is word e of ``Rng(seed)`` (see ``densemath.keyed_streams``); the
     streams of every ``RENDER_BLOCK`` episodes are keyed, and their first
     words drawn, at once, and their draws rendered at once by
-    :func:`render_episodes` into the rows of one preallocated set.  Nothing
-    is drawn for the episodes before ``start``, and episode e does not
-    depend on ``n_episodes``.
+    :func:`render_episodes` into the rows of four preallocated arrays, which
+    then become the set.  Nothing is drawn for the episodes before
+    ``start``, and episode e does not depend on ``n_episodes``.
     """
     _check_generation(n_episodes, seed, start)
     if not 0 <= start <= n_episodes:
         raise ValueError(f"start must lie in [0, {n_episodes}], got {start}")
     e, n = n_episodes - start, world.n_agents
-    episodes = EpisodeSet(
+    arrays = (
         np.empty((e, n, world.obs_dim)), np.empty((e, n), np.int64), np.empty((e, n), bool), np.empty((e, n, n), bool)
     )
     for first in range(start, n_episodes, RENDER_BLOCK):
         rngs = keyed_streams(seed, first, min(RENDER_BLOCK, n_episodes - first))
         block = render_episodes(world, [generate_episode(world, rng) for rng in rngs])
-        for array, rows in zip(episodes.arrays, block.arrays):
+        for array, rows in zip(arrays, block.arrays):
             array[first - start : first - start + len(rows)] = rows
-    return episodes
+    return EpisodeSet(*arrays)
 
 
 def generate_dataset(world: World, n_episodes: int, seed: int) -> Dataset:
@@ -573,9 +595,9 @@ def generate_dataset(world: World, n_episodes: int, seed: int) -> Dataset:
     return Dataset(
         world,
         generate_episodes(world, n_episodes, seed),
-        list(range(val_start)),
-        list(range(val_start, test_start)),
-        list(range(test_start, n_episodes)),
+        range(val_start),
+        range(val_start, test_start),
+        range(test_start, n_episodes),
     )
 
 
@@ -631,14 +653,16 @@ def save_dataset(path: str, dataset: Dataset) -> None:
     (E, N, obs_dim) as f8, labels (E, N) as i8, degraded flags (E, N) as u1
     and the support mask (E, N, N) as u1, whose entry [e, i, j] is 1 when
     agent j supports agent i.  ``needs_comm`` is ``degraded`` and is not
-    stored.  An array whose shape the world's fields do not give, or a body
-    :func:`load_dataset` would refuse, raises ValueError naming the array,
-    or the episode and the agent, before the file is opened.
+    stored.  An array whose shape the world's fields do not give, or splits
+    or a body :func:`load_dataset` would refuse, raises ValueError naming
+    the file and the array, the split, or the episode and the agent, before
+    the file is opened.
     """
     world, episodes = dataset.world, dataset.episodes
     header = {key: getattr(world, key) for key in _WORLD_SCALARS}
-    splits = {"train": dataset.train_idx, "val": dataset.val_idx, "test": dataset.test_idx}
+    splits = {"train": list(dataset.train_idx), "val": list(dataset.val_idx), "test": list(dataset.test_idx)}
     header.update(n_episodes=len(episodes), splits=splits)
+    _load_splits(path, splits, len(episodes))
     body = []
     arrays = (world.prototypes, world.scene_codes, *episodes.arrays)
     for name, array, (dtype, shape) in zip(_BODY_NAMES, arrays, _body_layout(header)):
@@ -666,7 +690,7 @@ def _require_fields(where: str, record, fields) -> None:
 
 
 def _load_splits(path: str, splits: dict, n_episodes: int) -> list[list[int]]:
-    """The train, val and test index lists: in range, duplicate-free and disjoint."""
+    """The train, val and test index lists: in range, duplicate-free and disjoint (checked on save too)."""
     names = ("train", "val", "test")
     _require_fields(f"{path}: splits", splits, names)
     members: dict[str, set[int]] = {}
@@ -684,7 +708,7 @@ def _load_splits(path: str, splits: dict, n_episodes: int) -> list[list[int]]:
         if members[a] & members[b]:
             i = min(members[a] & members[b])
             raise ValueError(f"{path}: episode {i} is listed in both splits.{a} and splits.{b}")
-    return [list(splits[name]) for name in names]
+    return [splits[name] for name in names]
 
 
 def load_dataset(path: str) -> Dataset:
@@ -697,7 +721,8 @@ def load_dataset(path: str) -> Dataset:
     (episode, agent) at fault (:func:`_check_body`, which
     :func:`save_dataset` runs too): finite arrays, labels in range, flags in
     {0, 1}, and supports in {0, 1}, never the agent itself and only for a
-    degraded agent.  The episodes are read-only views of the file's bytes.
+    degraded agent.  The episodes are read-only views of the file's bytes,
+    the world's arrays read-only copies, and the splits tuples.
     """
     with open(path, "rb") as fh:
         blob = fh.read()

@@ -60,7 +60,7 @@ from functools import lru_cache
 import numpy as np
 
 from .commgraph import attention_score, attention_scores, fuse, link_mask, prune
-from .densemath import Rng, softmax_row
+from .densemath import Rng, frozen, softmax_row
 from .neuralnet import HANDSHAKE_POLICIES, PipelineParams, decode, mlp_infer, policy_rows
 
 KIND_BYTES, ID_BYTES, LENGTH_BYTES = 1, 2, 4  # header field widths: kind, each of from and to, payload length
@@ -391,21 +391,16 @@ def _gather(block: list[list[AgentState]], name: str) -> np.ndarray:
     return np.array([[getattr(agent, name) for agent in agents] for agents in block])
 
 
-def _frozen(array: np.ndarray) -> np.ndarray:
-    array.flags.writeable = False
-    return array
-
-
 @lru_cache(maxsize=64)
 def _pairs(n: int) -> tuple[np.ndarray, np.ndarray]:
     """The N(N-1) ordered pairs (a, b) of distinct agents, a-major: each agent's peers in agent order."""
-    return tuple(_frozen(ids) for ids in np.nonzero(~np.eye(n, dtype=bool)))
+    return tuple(frozen(ids) for ids in np.nonzero(~np.eye(n, dtype=bool)))
 
 
 @lru_cache(maxsize=256)
 def _peers(n_episodes: int, n: int) -> np.ndarray:
     """The (E, N, N) mask of every agent's peers: every ordered pair of distinct agents of an episode."""
-    return _frozen(np.tile(~np.eye(n, dtype=bool), (n_episodes, 1, 1)))
+    return frozen(np.tile(~np.eye(n, dtype=bool), (n_episodes, 1, 1)))
 
 
 def _query_columns(n_episodes: int, n: int, q_dim: int) -> np.ndarray:

@@ -7,7 +7,7 @@ import re
 import subprocess
 import sys
 import tempfile
-from dataclasses import replace
+from dataclasses import FrozenInstanceError, replace
 from pathlib import Path
 
 import numpy as np
@@ -233,9 +233,11 @@ class TestMetricsEqualPerAgentLoops:
         delta = 1.0 / world.n_agents if delta == "1/N" else delta
         episodes = generate_episodes(world, n_episodes, seed)
         if unsupported:
+            support = episodes.support.copy()
             for e, ep in enumerate(episodes):
                 needy = [i for i, need in enumerate(ep.needs_comm) if need]
-                episodes.support[e, needy[1::2]] = False
+                support[e, needy[1::2]] = False
+            episodes = replace(episodes, support=support)
         theta = init_pipeline(self.CFG, Rng(seed))
         stack = episodes.observations
         m_bar = pipeline_forward(theta, stack, mode="inference", delta=delta, policy=policy, rng=Rng(seed)).m_bar
@@ -1143,6 +1145,31 @@ class TestSplitsInAnyOrder:
         assert outputs[0] == outputs[1]
 
 
+class TestFrozenValues:
+    """A check made when a value is built keeps holding: the values are frozen, and a variant is checked again."""
+
+    def test_each_later_assignment_raises_where_it_is_made(self):
+        config = TrainConfig(steps=5)
+        with pytest.raises(FrozenInstanceError):
+            config.steps = -3  # once trained zero steps without a word
+        with pytest.raises(FrozenInstanceError):
+            config.pipeline.q_dim = 0  # once a ZeroDivisionError deep inside train
+        run = train_run(n_episodes=20, steps=1, seed=3)
+        with pytest.raises(FrozenInstanceError):
+            run.dataset.world.n_agents = 2  # once a report at delta 0.5 labelled 5 agents
+        with pytest.raises(FrozenInstanceError):
+            run.config.policy = "randcom"  # once a when2com model reported as randcom
+        with pytest.raises(FrozenInstanceError):
+            run.dataset = replace(run.dataset, test_idx=())
+        assert (config.steps, config.pipeline.q_dim) == (5, 4)
+        report = run_report(run)
+        assert (report.policy, report.n_agents, report.delta) == ("when2com", 5, 0.2)
+        with pytest.raises(ValueError, match=re.escape("TrainConfig.steps must be an integer >= 0, got -3")):
+            replace(config, steps=-3)
+        with pytest.raises(ValueError, match=re.escape("PipelineConfig.q_dim must be an integer >= 1, got 0")):
+            replace(config.pipeline, q_dim=0)
+
+
 class TestPinnedEvalOutputs:
     @pytest.mark.parametrize("seed", sorted(PINNED_EVAL_DIGESTS))
     def test_report_csv_and_trace_bytes(self, eval_model, tmp_path, seed):
@@ -1198,6 +1225,17 @@ class TestSweep:
             sweep_message_size("width", [1], n_episodes=60, steps=1, seed=0)
         with pytest.raises(ValueError):
             sweep_message_size("query", [], n_episodes=60, steps=1, seed=0)
+
+    def test_a_bad_size_is_refused_before_any_training(self, monkeypatch, tmp_path, capsys):
+        calls = []
+        monkeypatch.setattr(evalcli, "train_run", lambda **kwargs: calls.append(kwargs))
+        for param, name in (("query", "q_dim"), ("key", "k_dim")):
+            with pytest.raises(ValueError, match=re.escape(f"PipelineConfig.{name} must be an integer >= 1, got 0")):
+                evalcli.sweep_message_size(param, [4, 0], n_episodes=60, steps=1, seed=0)
+        out = tmp_path / "sweep.csv"
+        assert cli_main(["sweep", "--param", "query", "--values", "4,0", "--out", str(out)]) == 1
+        assert "PipelineConfig.q_dim must be an integer >= 1, got 0" in capsys.readouterr().err
+        assert calls == [] and not out.exists()
 
     def test_cli_sweep_table(self, tmp_path, capsys):
         out = str(tmp_path / "sweep.csv")

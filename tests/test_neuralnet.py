@@ -7,8 +7,9 @@ import os
 import re
 import struct
 import tempfile
-from dataclasses import astuple, replace
+from dataclasses import FrozenInstanceError, astuple, replace
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -673,16 +674,17 @@ class TestTrain:
         )
         with pytest.raises(ValueError, match=re.escape(message)):
             TrainConfig(policy=policy)
-        dataset = generate_dataset(make_world("srms", rng=Rng(13)), 40, seed=13)
         cfg, theta, obs, labels = random_pipeline(Rng(14))
         work = []
         monkeypatch.setattr(neuralnet, "init_pipeline", lambda *args: work.append(args))
         monkeypatch.setattr(neuralnet, "mlp_forward", lambda *args: work.append(args))
         config = TrainConfig()
-        config.policy = policy  # past the constructor's check
-        rng = Rng(13)
+        with pytest.raises(FrozenInstanceError):
+            config.policy = policy  # the constructor's check cannot be got past
         with pytest.raises(ValueError, match=re.escape(message)):
-            train(config, dataset, rng)
+            replace(config, policy=policy)
+        assert config.policy == "when2com"
+        rng = Rng(13)
         with pytest.raises(ValueError, match=re.escape(message)):
             pipeline_forward(theta, obs, mode="training", policy=policy, rng=rng)
         assert work == [] and rng.u64(1) == Rng(13).u64(1)
@@ -729,12 +731,24 @@ class TestTrain:
     @pytest.mark.parametrize("bad", [-1, 10])
     def test_out_of_range_label_stops_the_step_before_adam(self, monkeypatch, bad):
         dataset = generate_dataset(make_world("srms", rng=Rng(38)), 40, seed=38)
-        dataset.episodes.labels[dataset.train_idx[5], 2] = bad
+        labels = dataset.episodes.labels.copy()
+        labels[dataset.train_idx[5], 2] = bad
+        dataset = replace(dataset, episodes=replace(dataset.episodes, labels=labels))
         calls = self.count_steps(monkeypatch)
         with pytest.raises(ValueError, match=re.escape(f"label {bad} out of range [0, 10)")):
             train(TrainConfig(steps=200, eval_every=0), dataset, Rng(12))
         assert calls[-1] == "loss" and calls.count("loss") > 1
         assert calls[:-1] == ["loss", "adam"] * (len(calls) // 2)
+
+    @pytest.mark.parametrize("val_idx", [(30,), (30, 31), (30, 31, 32)])
+    def test_a_tuple_val_split_logs_what_a_list_does(self, val_idx):
+        # A Dataset holds its splits as tuples, so the list side is a plain namespace.
+        dataset = generate_dataset(make_world("srms", rng=Rng(39)), 40, seed=39)
+        config = TrainConfig(steps=4, eval_every=2)
+        as_list = SimpleNamespace(episodes=dataset.episodes, train_idx=list(dataset.train_idx), val_idx=list(val_idx))
+        logs = [train(config, d, Rng(7))[1] for d in (replace(dataset, val_idx=val_idx), as_list)]
+        assert sum("val_task_acc" in rec for rec in logs[0]) == 2
+        assert logs[0] == logs[1]
 
     def test_zero_steps_returns_initial_params(self):
         world = make_world("srms", rng=Rng(31))
@@ -748,8 +762,7 @@ class TestTrain:
 
     def test_empty_dataset_rejected(self):
         world = make_world("srms", rng=Rng(32))
-        dataset = generate_dataset(world, 20, seed=32)
-        dataset.train_idx = []
+        dataset = replace(generate_dataset(world, 20, seed=32), train_idx=[])
         with pytest.raises(ValueError):
             train(TrainConfig(steps=1), dataset, Rng(0))
 

@@ -407,8 +407,8 @@ class TestGenerateDataset:
         world = make_world("mrmps", rng=Rng(26))
         ds = generate_dataset(world, n, seed=4)
         val_start, test_start = split_bounds(n)
-        assert ds.val_idx == list(range(val_start, test_start))
-        assert ds.test_idx == list(range(test_start, n))
+        assert ds.val_idx == tuple(range(val_start, test_start))
+        assert ds.test_idx == tuple(range(test_start, n))
         drawn = generate_episodes(world, n, seed=4)
         assert len(drawn) == n
         for a, b in zip(ds.episodes, drawn):
@@ -652,6 +652,59 @@ class TestEpisodeSet:
             with pytest.raises(IndexError, match=f"episode {bad} is out of range for a set of 20"):
                 episodes[bad]
 
+    def test_every_built_array_is_read_only(self, tmp_path):
+        world = make_world("mrmps", degrade_prob=0.6, rng=Rng(62))
+        ds = generate_dataset(world, 20, seed=63)
+        path = str(tmp_path / "data.bin")
+        save_dataset(path, ds)
+        loaded = load_dataset(path)
+        sets = [
+            ds.episodes,  # generated
+            generate_episodes(world, 20, seed=63, start=5),
+            ds.episodes[2:7],  # sliced
+            ds.episodes[[3, 1]],  # gathered
+            ds.episodes[(3, 1)],
+            ds.test_episodes,
+            loaded.episodes,
+            loaded.test_episodes,
+            replace(ds.episodes, labels=ds.episodes.labels.copy()),
+        ]
+        for episodes in sets:
+            for array in episodes.arrays:
+                with pytest.raises(ValueError, match="read-only"):
+                    array[(0,) * array.ndim] = array[(0,) * array.ndim]
+            with pytest.raises(ValueError, match="read-only"):
+                episodes[0].observations[0, 0] = 0.0
+        for w in (world, loaded.world, replace(world, prototypes=world.prototypes.copy())):
+            for array in (w.prototypes, w.scene_codes):
+                with pytest.raises(ValueError, match="read-only"):
+                    array[0, 0] = 0.0
+
+    @pytest.mark.parametrize("split", [(4,), (4, 5), (4, 5, 6)])
+    def test_a_tuple_split_gathers_the_rows_of_the_list(self, split):
+        # numpy reads a tuple key as one index per axis, so (4, 5) once meant row 4, agent 5.
+        world = make_world("srms", rng=Rng(64))
+        episodes = generate_episodes(world, 10, seed=65)
+        expected = episodes[list(split)]
+        ds = Dataset(world, episodes, (0, 1), [2, 3], split)
+        for got in (ds.test_episodes, episodes[split]):
+            assert len(got) == len(split)
+            for a, b in zip(got.arrays, expected.arrays):
+                assert a.shape == b.shape and a.tobytes() == b.tobytes()
+
+    def test_splits_are_tuples_however_they_are_made(self, tmp_path):
+        world = make_world("srms", rng=Rng(66))
+        ds = generate_dataset(world, 20, seed=67)
+        path = str(tmp_path / "data.bin")
+        save_dataset(path, ds)
+        loaded = load_dataset(path)
+        given = Dataset(world, ds.episodes, list(range(16)), range(16, 18), (18, 19))
+        for d in (ds, loaded, given, replace(ds, val_idx=[16, 17])):
+            assert all(type(split) is tuple for split in (d.train_idx, d.val_idx, d.test_idx))
+            assert (d.train_idx, d.val_idx, d.test_idx) == (tuple(range(16)), (16, 17), (18, 19))
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            ds.train_idx = ()
+
     def test_save_names_an_array_the_world_does_not_shape(self, tmp_path):
         world = make_world("srms", rng=Rng(3))
         other = generate_dataset(make_world("srms", n_agents=4, rng=Rng(3)), 10, seed=5)
@@ -674,7 +727,9 @@ class TestDatasetExport:
     def test_round_trip_exact(self, tmp_path, case):
         ds = generate_dataset(make_world(case, degrade_prob=0.6, rng=Rng(29)), 40, seed=3)
         # Exact zeros and ones, and values the JSON writer had to respell.
-        ds.episodes[3].observations[0, :6] = (0.0, 1.0, 1e-05, 1e16, -0.0, 5e-324)
+        obs = ds.episodes.observations.copy()
+        obs[3, 0, :6] = (0.0, 1.0, 1e-05, 1e16, -0.0, 5e-324)
+        ds = replace(ds, episodes=replace(ds.episodes, observations=obs))
         path = str(tmp_path / "data.bin")
         save_dataset(path, ds)
         loaded = load_dataset(path)
@@ -703,7 +758,9 @@ class TestDatasetExport:
     def test_any_finite_observation_round_trips(self, observations):
         base = _PROPERTY_DATASET
         episodes = base.episodes[list(range(len(observations)))]
-        episodes.observations[...] = observations
+        obs = episodes.observations.copy()
+        obs[...] = observations
+        episodes = replace(episodes, observations=obs)
         ds = Dataset(base.world, episodes, [0], list(range(1, len(episodes))), [])
         with tempfile.TemporaryDirectory() as tmp:
             path = os.path.join(tmp, "data.bin")
@@ -749,7 +806,7 @@ class TestDatasetExport:
         assert header == {
             "case": "mrmps", "n_agents": 5, "obs_dim": 32, "n_classes": 10, "degrade_prob": 0.6, "noise_sigma": 1.0,
             "overlap_frac": 0.5, "scene_dim": 16, "n_episodes": 20,
-            "splits": {"train": ds.train_idx, "val": ds.val_idx, "test": ds.test_idx},
+            "splits": {"train": list(ds.train_idx), "val": list(ds.val_idx), "test": list(ds.test_idx)},
         }
         assert arrays["prototypes"].tobytes() == w.prototypes.tobytes()
         assert arrays["scene_codes"].tobytes() == w.scene_codes.tobytes()
@@ -763,7 +820,9 @@ class TestDatasetExport:
     def test_save_refuses_non_finite_observations(self, tmp_path, bad):
         # load_dataset would refuse the file, so nothing is written at all.
         ds = generate_dataset(make_world("srms", rng=Rng(3)), 10, seed=5)
-        ds.episodes[6].observations[3, 2] = bad
+        obs = ds.episodes.observations.copy()
+        obs[6, 3, 2] = bad
+        ds = replace(ds, episodes=replace(ds.episodes, observations=obs))
         path = tmp_path / "data.bin"
         path.write_text("an earlier save")
         with pytest.raises(ValueError, match=rf"{re.escape(str(path))}: episode 6 agent 3 has non-finite observations"):
@@ -777,22 +836,40 @@ class TestDatasetExport:
             ("clean supported", "has supporters but is not degraded"),
             ("label 12", "has label 12, not one in [0, 10)"),
             ("non-finite prototype", None),
+            ("overlapping splits", "episode 1 is listed in both splits.train and splits.val"),
+            ("index 25", "splits.test index 25 is not an integer in [0, 20)"),
+            ("index -1", "splits.val index -1 is not an integer in [0, 20)"),
         ],
     )
     def test_save_refuses_what_load_refuses(self, tmp_path, fault, message):
         # Each of these used to be saved; load_dataset then refused the file.
+        if fault.startswith(("overlapping", "index")):
+            ds = generate_dataset(make_world("srms", rng=Rng(3)), 20, seed=5)
+            splits = {
+                "overlapping splits": ([0, 1], [1], []),
+                "index 25": (ds.train_idx, ds.val_idx, ds.test_idx + (25,)),
+                "index -1": (ds.train_idx, (-1,) + ds.val_idx, ds.test_idx),
+            }[fault]
+            path = tmp_path / "data.bin"
+            with pytest.raises(ValueError, match=re.escape(f"{path}: {message}")):
+                save_dataset(str(path), replace(ds, **dict(zip(("train_idx", "val_idx", "test_idx"), splits))))
+            assert not path.exists()
+            return
         ds = generate_dataset(make_world("srms", rng=Rng(3)), 10, seed=5)
         e = next(e for e, ep in enumerate(ds.episodes) if any(ep.degraded))
         ep = ds.episodes[e]
         agent = ep.degraded.index(fault != "clean supported")
+        support, labels, prototypes = ds.episodes.support.copy(), ds.episodes.labels.copy(), ds.world.prototypes.copy()
         if fault == "self support":
-            ds.episodes.support[e, agent, agent] = True
+            support[e, agent, agent] = True
         elif fault == "clean supported":
-            ds.episodes.support[e, agent, ep.degraded.index(True)] = True
+            support[e, agent, ep.degraded.index(True)] = True
         elif fault == "label 12":
-            ds.episodes.labels[e, agent] = 12
+            labels[e, agent] = 12
         else:
-            ds.world.prototypes[2, 20] = float("nan")
+            prototypes[2, 20] = float("nan")
+        episodes = replace(ds.episodes, support=support, labels=labels)
+        ds = replace(ds, world=replace(ds.world, prototypes=prototypes), episodes=episodes)
         path = tmp_path / "data.bin"
         where = f"episode {e} agent {agent} {message}" if message else "world prototypes contain non-finite values"
         with pytest.raises(ValueError, match=re.escape(f"{path}: {where}")):
