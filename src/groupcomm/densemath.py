@@ -1,4 +1,4 @@
-"""Activations, stable softmax, the row-invariant product, a seeded RNG, and read-only arrays.
+"""Activations, stable softmax, the row-invariant product, a seeded RNG, read-only arrays and index keys.
 
 Everything downstream builds on this module.  All values are 64-bit floats;
 matrices are 2-D C-ordered ``numpy.ndarray`` (rows x cols, row-major).  All
@@ -108,6 +108,18 @@ def frozen(array: np.ndarray) -> np.ndarray:
     """``array`` itself, made read-only in place: a write into it, or into any view taken after, raises ValueError."""
     array.flags.writeable = False
     return array
+
+
+def index_array(key) -> np.ndarray:
+    """``key`` (a list, tuple, range or array of integers, or an empty one) as an intp array of row indices.
+
+    A bool or float dtype raises ValueError naming it, where a cast to intp
+    would read the mask ``[True, False]`` as rows 1 and 0, and 1.5 as row 1.
+    """
+    rows = np.asarray(key)
+    if rows.size and not np.issubdtype(rows.dtype, np.integer):  # an empty list is float64, and gathers nothing
+        raise ValueError(f"row indices must be integers, got dtype {rows.dtype}")
+    return rows.astype(np.intp, copy=False)
 
 
 def _words(starts: np.ndarray, n: int) -> np.ndarray:

@@ -60,7 +60,7 @@ from dataclasses import astuple, dataclass, field
 import numpy as np
 
 from .commgraph import build_matching_matrix, fuse_rows, prune, top1_rows
-from .densemath import Rng, relu, row_matmul, softmax
+from .densemath import Rng, index_array, relu, row_matmul, softmax
 
 CHECKPOINT_MAGIC = b"GRPCOMM1"
 CHECKPOINT_VERSION = 1
@@ -602,7 +602,7 @@ def infer_episodes(
     """The (E, N, N) pruned rows and (E, N) predicted classes of episodes at inference.
 
     ``episodes`` is an :class:`~groupcomm.scenarios.EpisodeSet`; ``index``
-    (any sequence of indices, a tuple too) picks its episodes, in its order,
+    (integers, see ``densemath.index_array``) picks its episodes, in its order,
     and by default all of them, in order.  There must be at least one,
     checked before anything runs.  The episodes go through
     :func:`pipeline_forward` in stacks of :data:`EVAL_BLOCK`, each a slice of
@@ -610,7 +610,7 @@ def infer_episodes(
     from ``rng`` episode by episode.
     """
     if index is not None:
-        index = np.asarray(index, dtype=np.intp)
+        index = index_array(index)
     count = len(episodes) if index is None else len(index)
     if not count:
         raise ValueError("need at least one episode, got none")
@@ -634,7 +634,7 @@ def evaluate_task_accuracy(
     are drawn from ``rng``, episode by episode, or from one ``Rng(0)`` for
     the whole call when it is omitted.
     """
-    labels = episodes.labels if index is None else episodes.labels[np.asarray(index, dtype=np.intp)]
+    labels = episodes.labels if index is None else episodes.labels[index_array(index)]
     if not len(labels):
         raise ValueError("evaluate_task_accuracy: episodes is empty, so there is no accuracy to report")
     _, predictions = infer_episodes(theta, episodes, delta, policy, rng if rng is not None else Rng(0), index)

@@ -47,9 +47,9 @@ blocks in place.
 Episodes are held as an ``EpisodeSet``, the dataset file's four arrays, from
 generation through saving, loading, training and the metrics; an
 ``Episode`` is a read-only view of one row.  ``World``, ``EpisodeSet`` and
-``Dataset`` are frozen, and every array of a world or a set is read-only
-once it is built, so a check made at construction keeps holding; a variant
-comes from ``dataclasses.replace``.
+``Dataset`` each check themselves when built (by generation, loading or
+``dataclasses.replace``), are frozen, and make their arrays read-only, so
+the check keeps holding and ``save_dataset`` only writes.
 
 Cases
 -----
@@ -83,7 +83,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .densemath import Rng, frozen, keyed_streams, normal_blocks
+from .densemath import Rng, frozen, index_array, keyed_streams, normal_blocks
 
 CASES = ("srms", "mrms", "mrmps", "triplet")
 
@@ -93,9 +93,15 @@ DEFAULT_AGENTS = {"srms": 5, "mrms": 5, "mrmps": 5, "triplet": 9}
 RENDER_BLOCK = 64  # episodes drawn, then rendered by one render_episodes call
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class World:
-    """A world's scalar settings and its two fixed arrays, which are made read-only here."""
+    """A world's scalar settings and its two fixed arrays, checked and made read-only here.
+
+    The scalars must be ones :func:`make_world` could build from, and the
+    arrays finite float64: ``prototypes`` (C, obs_dim) and ``scene_codes``
+    (S, S), where S is ``scene_dim``, half of ``obs_dim``.  Two worlds are
+    equal only when they are one object.
+    """
 
     n_agents: int
     obs_dim: int
@@ -105,20 +111,28 @@ class World:
     noise_sigma: float
     overlap_frac: float
     prototypes: np.ndarray  # (C, obs_dim), zero on the scene half, unit norm
-    scene_dim: int
     scene_codes: np.ndarray  # (scene_dim, scene_dim) orthonormal scene codebook
 
     def __post_init__(self):
-        frozen(self.prototypes)
-        frozen(self.scene_codes)
+        _check_world(**{key: getattr(self, key) for key in _WORLD_FIELDS})
+        for name, shape in (("prototypes", (self.n_classes, self.obs_dim)), ("scene_codes", (self.scene_dim,) * 2)):
+            array = getattr(self, name)
+            if not isinstance(array, np.ndarray) or array.dtype != np.float64:
+                kind = getattr(array, "dtype", type(array).__name__)
+                raise ValueError(f"world {name} must be a float64 array, got {kind}")
+            if array.shape != shape:
+                raise ValueError(f"the world {name} array is {array.shape}, but the world's fields give {shape}")
+            if not np.isfinite(array).all():
+                raise ValueError(f"world {name} contain non-finite values")
+            frozen(array)
+
+    @property
+    def scene_dim(self) -> int:
+        return self.obs_dim // 2
 
     @property
     def content_dim(self) -> int:
         return self.obs_dim - self.scene_dim
-
-    @property
-    def n_scenes(self) -> int:
-        return self.scene_codes.shape[0]
 
 
 @dataclass(frozen=True, eq=False)
@@ -129,8 +143,8 @@ class EpisodeSet:
     agent i, and ``degraded`` is also the need to communicate.  The
     constructor rejects shapes or dtypes that disagree, so all episodes
     share one N, and makes each array read-only.  An int index gives an
-    :class:`Episode` view, a slice a set of views, and any other key (a
-    list, tuple or array of indices) a gathered copy.
+    :class:`Episode` view, a slice a set of views, and any other key (see
+    ``densemath.index_array``) a gathered copy.
     """
 
     observations: np.ndarray  # (E, N, obs_dim) float64
@@ -171,7 +185,7 @@ class EpisodeSet:
         try:
             e = index(key)
         except TypeError:  # a slice views rows; any other key gathers them, a tuple too
-            rows = key if isinstance(key, slice) else np.asarray(key, dtype=np.intp)
+            rows = key if isinstance(key, slice) else index_array(key)
             return EpisodeSet(*(a[rows] for a in self.arrays))
         if not -len(self) <= e < len(self):
             raise IndexError(f"episode {e} is out of range for a set of {len(self)}")
@@ -215,10 +229,14 @@ class Episode(NamedTuple):
 
 @dataclass(frozen=True)
 class Dataset:
-    """A world, its episodes and three disjoint splits of episode indices, each held as a tuple.
+    """A world, its episodes and three disjoint splits of episode indices, checked here.
 
-    The constructor takes each split as any sequence (a list, a range) and
-    keeps it as a tuple.
+    Each split, any sequence of Python or NumPy integers, is kept as a tuple
+    of Python ints.  The first fault raises ValueError: a split index that
+    is a bool, not an integer or outside [0, E), or is listed twice or in
+    two splits; observations not (E, N, obs_dim) for the world; then, naming
+    the (episode, agent), a non-finite observation, a label outside [0, C),
+    an agent its own supporter, or supporters of a clean agent.
     """
 
     world: World
@@ -228,8 +246,30 @@ class Dataset:
     test_idx: tuple[int, ...]
 
     def __post_init__(self):
-        for name in ("train_idx", "val_idx", "test_idx"):
-            object.__setattr__(self, name, tuple(getattr(self, name)))
+        n = len(self.episodes)
+        members: dict[str, dict[int, None]] = {}
+        for name in _SPLITS:
+            split = members[name] = {}  # insertion-ordered, so the split keeps its order
+            for i in getattr(self, f"{name}_idx"):
+                if type(i) is not int and isinstance(i, numbers.Integral) and not isinstance(i, bool):
+                    i = int(i)  # a NumPy integer; a NumPy bool is no Integral
+                if type(i) is not int or not 0 <= i < n:
+                    raise ValueError(f"splits.{name} index {i!r} is not an integer in [0, {n})")
+                if i in split:
+                    raise ValueError(f"episode {i} is listed twice in splits.{name}")
+                split[i] = None
+            object.__setattr__(self, f"{name}_idx", tuple(split))
+        for a, b in (("train", "val"), ("train", "test"), ("val", "test")):
+            if both := members[a].keys() & members[b].keys():
+                raise ValueError(f"episode {min(both)} is listed in both splits.{a} and splits.{b}")
+        world, (obs, labels, degraded, support) = self.world, self.episodes.arrays
+        if obs.shape != (shape := (n, world.n_agents, world.obs_dim)):
+            raise ValueError(f"the observations array is {obs.shape}, but the world's fields give {shape}")
+        c = world.n_classes
+        _reject_first(~np.isfinite(obs).all(axis=2), "has non-finite observations")
+        _reject_first((labels < 0) | (labels >= c), f"has label {{}}, not one in [0, {c})", labels)
+        _reject_first(np.diagonal(support, axis1=1, axis2=2), "is listed as its own supporter")
+        _reject_first(support.any(axis=2) & ~degraded, "has supporters but is not degraded")
 
     @property
     def test_episodes(self) -> EpisodeSet:
@@ -263,43 +303,39 @@ def _orthonormal_rows(rng: Rng, n: int, dim: int) -> np.ndarray:
     return rows
 
 
-def _check_world(
-    where: str, case, n_agents, obs_dim, n_classes, degrade_prob, noise_sigma, overlap_frac, scene_dim
-) -> None:
-    """Reject world parameters ``make_world`` cannot build; each message starts with ``where``."""
+def _check_world(case, n_agents, obs_dim, n_classes, degrade_prob, noise_sigma, overlap_frac) -> None:
+    """Reject the world scalars ``make_world`` cannot build, naming the first one at fault."""
     if case not in CASES:
-        raise ValueError(f"{where}world case {case!r} is not one of {CASES}")
+        raise ValueError(f"world case {case!r} is not one of {CASES}")
     for name, value in (("n_agents", n_agents), ("obs_dim", obs_dim), ("n_classes", n_classes)):
         if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < 1:
-            raise ValueError(f"{where}world {name} must be a positive integer, got {value!r}")
+            raise ValueError(f"world {name} must be a positive integer, got {value!r}")
     if case == "triplet" and n_agents % 3 != 0:
-        raise ValueError(f"{where}world n_agents must be a multiple of 3 for case 'triplet', got {n_agents}")
+        raise ValueError(f"world n_agents must be a multiple of 3 for case 'triplet', got {n_agents}")
     if obs_dim < 4 or obs_dim % 2 != 0:
-        raise ValueError(f"{where}world obs_dim must be an even integer >= 4, got {obs_dim}")
-    if scene_dim != obs_dim // 2 or type(scene_dim) is not type(obs_dim // 2):  # 16.0 would not index
-        raise ValueError(f"{where}world scene_dim must be obs_dim // 2 = {obs_dim // 2}, got {scene_dim!r}")
-    if n_agents > scene_dim:
+        raise ValueError(f"world obs_dim must be an even integer >= 4, got {obs_dim}")
+    if n_agents > obs_dim // 2:
         raise ValueError(
-            f"{where}world n_agents {n_agents} need {n_agents} orthogonal scene signatures "
-            f"but only {scene_dim} scene dimensions are available"
+            f"world n_agents {n_agents} need {n_agents} orthogonal scene signatures "
+            f"but only {obs_dim // 2} scene dimensions are available"
         )
     reals = (("degrade_prob", degrade_prob), ("overlap_frac", overlap_frac), ("noise_sigma", noise_sigma))
     for name, value in reals:
         if isinstance(value, bool) or not isinstance(value, numbers.Real):
-            raise ValueError(f"{where}world {name} must be a real number, got {value!r}")
+            raise ValueError(f"world {name} must be a real number, got {value!r}")
         try:
             float(value)
         except OverflowError:  # a 10**400 compares as finite but never becomes a float64
             kind = type(value).__name__
-            raise ValueError(f"{where}world {name} must be a finite float64, got {kind} beyond its range") from None
+            raise ValueError(f"world {name} must be a finite float64, got {kind} beyond its range") from None
     for name, value in reals[:2]:
         if not 0.0 <= float(value) <= 1.0:
-            raise ValueError(f"{where}world {name} must lie in [0, 1], got {value!r}")
+            raise ValueError(f"world {name} must lie in [0, 1], got {value!r}")
     if not 0.0 < float(noise_sigma) < math.inf:
-        raise ValueError(f"{where}world noise_sigma must be positive and finite, got {noise_sigma!r}")
+        raise ValueError(f"world noise_sigma must be positive and finite, got {noise_sigma!r}")
     if case == "srms" and n_agents < 2 and degrade_prob > 0.0:
         raise ValueError(
-            f"{where}world n_agents must be >= 2 for case 'srms' when degrade_prob > 0 (a degraded "
+            f"world n_agents must be >= 2 for case 'srms' when degrade_prob > 0 (a degraded "
             f"agent needs a peer holding its view), got n_agents={n_agents}, degrade_prob={degrade_prob!r}"
         )
 
@@ -314,13 +350,13 @@ def make_world(
     overlap_frac: float = 0.5,
     rng: Rng | None = None,
 ) -> World:
-    """Build a world: validated parameters plus rejection-sampled prototypes."""
+    """Build a world: parameters validated before the first draw, plus rejection-sampled prototypes."""
     if n_agents is None and case in CASES:
         n_agents = DEFAULT_AGENTS[case]
-    scene_dim = obs_dim // 2
-    _check_world("", case, n_agents, obs_dim, n_classes, degrade_prob, noise_sigma, overlap_frac, scene_dim)
+    _check_world(case, n_agents, obs_dim, n_classes, degrade_prob, noise_sigma, overlap_frac)
     if rng is None:
         rng = Rng(0)
+    scene_dim = obs_dim // 2
     content_dim = obs_dim - scene_dim
     # Rejection-sample unit prototypes until pairwise separated.
     for _ in range(1000):
@@ -349,7 +385,6 @@ def make_world(
         noise_sigma=noise_sigma,
         overlap_frac=overlap_frac,
         prototypes=full,
-        scene_dim=scene_dim,
         scene_codes=scene_codes,
     )
 
@@ -382,7 +417,7 @@ def _scene_picks(world: World, rng: Rng, n_scenes: int) -> list[int]:
 
     A partial Fisher-Yates shuffle picks them: one draw per scene picked.
     """
-    total = world.n_scenes
+    total = world.scene_dim
     picks = list(range(total))
     for i in range(n_scenes):
         j = i + rng.randint(total - i)
@@ -484,11 +519,7 @@ def generate_episode(world: World, rng: Rng) -> EpisodeDraw:
     ``rng`` is left where the whole episode, noise included, ends.
     :func:`render_episodes` turns the result into a row of an :class:`EpisodeSet`.
     """
-    try:
-        draw = _DRAWS[world.case]
-    except KeyError:
-        raise ValueError(f"unknown case {world.case!r}") from None
-    return draw(world, rng)
+    return _DRAWS[world.case](world, rng)
 
 
 def render_episodes(world: World, draws: list[EpisodeDraw]) -> EpisodeSet:
@@ -604,8 +635,8 @@ def generate_dataset(world: World, n_episodes: int, seed: int) -> Dataset:
 DATASET_MAGIC = b"GRPCDATA"
 DATASET_VERSION = 1
 _PREFIX = struct.Struct("<8sII")  # magic, version, header length
-_WORLD_SCALARS = ("case", "n_agents", "obs_dim", "n_classes", "degrade_prob", "noise_sigma", "overlap_frac", "scene_dim")
-_BODY_NAMES = ("world prototypes", "world scene_codes", "observations", "labels", "degraded", "support")
+_WORLD_FIELDS = ("case", "n_agents", "obs_dim", "n_classes", "degrade_prob", "noise_sigma", "overlap_frac")
+_SPLITS = ("train", "val", "test")
 
 
 def _body_layout(header: dict) -> list[tuple[str, tuple[int, ...]]]:
@@ -614,67 +645,36 @@ def _body_layout(header: dict) -> list[tuple[str, tuple[int, ...]]]:
     return [("<f8", (c, d)), ("<f8", (s, s)), ("<f8", (e, n, d)), ("<i8", (e, n)), ("u1", (e, n)), ("u1", (e, n, n))]
 
 
-def _reject_first(path: str, bad: np.ndarray, what: str, values: np.ndarray | None = None) -> None:
-    """Raise naming ``path`` and the first (episode, agent) where the (E, N) mask ``bad`` holds.
+def _reject_first(bad: np.ndarray, what: str, values: np.ndarray | None = None) -> None:
+    """Raise naming the first (episode, agent) where the (E, N) mask ``bad`` holds.
 
     ``what`` ends the message, formatted with that entry of ``values`` when given.
     """
     if bad.any():
         e, i = np.argwhere(bad)[0].tolist()
-        raise ValueError(f"{path}: episode {e} agent {i} " + (what if values is None else what.format(values[e, i])))
-
-
-def _check_body(path: str, n_classes: int, body: list[np.ndarray]) -> None:
-    """Raise ValueError naming ``path`` and the first fault of a dataset body, arrays in :func:`_body_layout` order.
-
-    The one set of checks :func:`save_dataset` and :func:`load_dataset` both
-    run: finite arrays, labels in [0, C), flags and supports in {0, 1}, no
-    agent its own supporter, and supporters only for a degraded agent.
-    """
-    prototypes, scene_codes, obs, labels, degraded, member = body
-    for name, array in (("prototypes", prototypes), ("scene_codes", scene_codes)):
-        if not np.isfinite(array).all():
-            raise ValueError(f"{path}: world {name} contain non-finite values")
-    _reject_first(path, ~np.isfinite(obs).all(axis=2), "has non-finite observations")
-    _reject_first(path, (labels < 0) | (labels >= n_classes), f"has label {{}}, not one in [0, {n_classes})", labels)
-    _reject_first(path, degraded > 1, "has degraded flag {}, not 0 or 1", degraded)
-    _reject_first(path, (member > 1).any(axis=2), "has a gt_support entry other than 0 or 1")
-    _reject_first(path, np.diagonal(member, axis1=1, axis2=2) != 0, "is listed as its own supporter")
-    _reject_first(path, member.any(axis=2) & (degraded == 0), "has supporters but is not degraded")
+        raise ValueError(f"episode {e} agent {i} " + (what if values is None else what.format(values[e, i])))
 
 
 def save_dataset(path: str, dataset: Dataset) -> None:
     """Binary layout: magic, version and header length, a JSON header, then a raw little-endian body.
 
     The header is ``json.dumps(..., sort_keys=True)`` of the world's scalar
-    fields, ``n_episodes`` (E) and the three splits.  The body holds, each
-    row-major, the world's ``prototypes`` (C, obs_dim) and ``scene_codes``
-    (S, S) as f8, then the :class:`EpisodeSet`'s arrays: observations
-    (E, N, obs_dim) as f8, labels (E, N) as i8, degraded flags (E, N) as u1
-    and the support mask (E, N, N) as u1, whose entry [e, i, j] is 1 when
-    agent j supports agent i.  ``needs_comm`` is ``degraded`` and is not
-    stored.  An array whose shape the world's fields do not give, or splits
-    or a body :func:`load_dataset` would refuse, raises ValueError naming
-    the file and the array, the split, or the episode and the agent, before
-    the file is opened.
+    fields and ``scene_dim``, ``n_episodes`` (E) and the three splits.  The
+    body holds, each row-major, the world's ``prototypes`` (C, obs_dim) and
+    ``scene_codes`` (S, S) as f8, then the :class:`EpisodeSet`'s arrays:
+    observations (E, N, obs_dim) as f8, labels (E, N) as i8, degraded flags
+    (E, N) as u1 and the support mask (E, N, N) as u1, whose entry [e, i, j]
+    is 1 when agent j supports agent i.  ``needs_comm`` is ``degraded`` and
+    is not stored.  It checks nothing; the world and dataset checked themselves.
     """
     world, episodes = dataset.world, dataset.episodes
-    header = {key: getattr(world, key) for key in _WORLD_SCALARS}
-    splits = {"train": list(dataset.train_idx), "val": list(dataset.val_idx), "test": list(dataset.test_idx)}
-    header.update(n_episodes=len(episodes), splits=splits)
-    _load_splits(path, splits, len(episodes))
-    body = []
-    arrays = (world.prototypes, world.scene_codes, *episodes.arrays)
-    for name, array, (dtype, shape) in zip(_BODY_NAMES, arrays, _body_layout(header)):
-        if array.shape != shape:
-            raise ValueError(f"{path}: the {name} array is {array.shape}, but the world's fields give {shape}")
-        body.append(array.astype(dtype, copy=False))
-    _check_body(path, world.n_classes, body)
+    header = {key: getattr(world, key) for key in _WORLD_FIELDS + ("scene_dim",)}
+    header.update(n_episodes=len(episodes), splits={name: list(getattr(dataset, f"{name}_idx")) for name in _SPLITS})
     text = json.dumps(header, sort_keys=True).encode()
     with open(path, "wb") as fh:
         fh.write(_PREFIX.pack(DATASET_MAGIC, DATASET_VERSION, len(text)) + text)
-        for array in body:
-            fh.write(array.tobytes())
+        for array, (dtype, _) in zip((world.prototypes, world.scene_codes, *episodes.arrays), _body_layout(header)):
+            fh.write(array.astype(dtype, copy=False).tobytes())
 
 
 def _require_fields(where: str, record, fields) -> None:
@@ -689,69 +689,55 @@ def _require_fields(where: str, record, fields) -> None:
         raise ValueError(f"{where} has an unknown {key!r} field")
 
 
-def _load_splits(path: str, splits: dict, n_episodes: int) -> list[list[int]]:
-    """The train, val and test index lists: in range, duplicate-free and disjoint (checked on save too)."""
-    names = ("train", "val", "test")
-    _require_fields(f"{path}: splits", splits, names)
-    members: dict[str, set[int]] = {}
-    for name in names:
-        members[name] = set()
-        if not isinstance(splits[name], list):
-            raise ValueError(f"{path}: splits.{name} must be a JSON array, got {type(splits[name]).__name__}")
-        for i in splits[name]:
-            if type(i) is not int or not 0 <= i < n_episodes:
-                raise ValueError(f"{path}: splits.{name} index {i!r} is not an integer in [0, {n_episodes})")
-            if i in members[name]:
-                raise ValueError(f"{path}: episode {i} is listed twice in splits.{name}")
-            members[name].add(i)
-    for a, b in (("train", "val"), ("train", "test"), ("val", "test")):
-        if members[a] & members[b]:
-            i = min(members[a] & members[b])
-            raise ValueError(f"{path}: episode {i} is listed in both splits.{a} and splits.{b}")
-    return [splits[name] for name in names]
-
-
 def load_dataset(path: str) -> Dataset:
     """The dataset saved at ``path``; raises ValueError naming the file and the first problem found.
 
-    The file is read once.  Its magic and version come first.  The header
-    must hold exactly the fields :func:`save_dataset` writes, a world
-    ``make_world`` could build and valid splits, and the file's size must be
-    the one the header implies.  Whole-array checks then name the first
-    (episode, agent) at fault (:func:`_check_body`, which
-    :func:`save_dataset` runs too): finite arrays, labels in range, flags in
-    {0, 1}, and supports in {0, 1}, never the agent itself and only for a
-    degraded agent.  The episodes are read-only views of the file's bytes,
-    the world's arrays read-only copies, and the splits tuples.
+    The file is read once, and only what is about the file is checked here:
+    its magic and version; a header of exactly :func:`save_dataset`'s
+    fields, whose world scalars are checked before any size is computed
+    from them; the size the header implies; and flag and support bytes of 0
+    or 1.  The :class:`World`, :class:`EpisodeSet` and :class:`Dataset`
+    constructors check the rest.  The episodes are read-only views of the
+    file's bytes, the world's arrays read-only copies, and the splits tuples.
     """
     with open(path, "rb") as fh:
         blob = fh.read()
-    if len(blob) < _PREFIX.size or blob[:8] != DATASET_MAGIC:
-        raise ValueError(f"{path}: not a groupcomm dataset file of this version: it starts with {blob[:8]!r}")
-    _, version, header_size = _PREFIX.unpack_from(blob)
-    if version != DATASET_VERSION:
-        raise ValueError(f"{path}: unsupported dataset file version {version}, expected {DATASET_VERSION}")
-    offset = _PREFIX.size + header_size
     try:
-        header = json.loads(blob[_PREFIX.size : offset].decode())
-    except (ValueError, RecursionError) as err:  # also bad UTF-8, a cut header and a 4301-digit integer
-        raise ValueError(f"{path}: the header is not valid JSON: {err}") from None
-    _require_fields(f"{path}: the header", header, _WORLD_SCALARS + ("n_episodes", "splits"))
-    _check_world(f"{path}: ", *(header[key] for key in _WORLD_SCALARS))
-    n_episodes, n_classes = header["n_episodes"], header["n_classes"]
-    if type(n_episodes) is not int or n_episodes < 0:
-        raise ValueError(f"{path}: n_episodes must be a non-negative integer, got {n_episodes!r}")
-    splits = _load_splits(path, header["splits"], n_episodes)
-    layout = _body_layout(header)
-    expected = offset + sum(np.dtype(dtype).itemsize * math.prod(shape) for dtype, shape in layout)
-    if len(blob) != expected:
-        raise ValueError(f"{path}: the file holds {len(blob)} bytes but its header implies {expected}")
-    arrays = []
-    for dtype, shape in layout:
-        arrays.append(np.frombuffer(blob, dtype, math.prod(shape), offset).reshape(shape))
-        offset += arrays[-1].nbytes
-    _check_body(path, n_classes, arrays)
-    prototypes, scene_codes, obs, labels, degraded, member = arrays
-    scalars = {key: header[key] for key in _WORLD_SCALARS}
-    world = World(**scalars, prototypes=prototypes.copy(), scene_codes=scene_codes.copy())
-    return Dataset(world, EpisodeSet(obs, labels, degraded.view(bool), member.view(bool)), *splits)
+        if len(blob) < _PREFIX.size or blob[:8] != DATASET_MAGIC:
+            raise ValueError(f"not a groupcomm dataset file of this version: it starts with {blob[:8]!r}")
+        _, version, header_size = _PREFIX.unpack_from(blob)
+        if version != DATASET_VERSION:
+            raise ValueError(f"unsupported dataset file version {version}, expected {DATASET_VERSION}")
+        offset = _PREFIX.size + header_size
+        try:
+            header = json.loads(blob[_PREFIX.size : offset].decode())
+        except (ValueError, RecursionError) as err:  # also bad UTF-8, a cut header and a 4301-digit integer
+            raise ValueError(f"the header is not valid JSON: {err}") from None
+        _require_fields("the header", header, _WORLD_FIELDS + ("scene_dim", "n_episodes", "splits"))
+        scalars = {key: header[key] for key in _WORLD_FIELDS}
+        _check_world(**scalars)
+        scene_dim, n_episodes, splits = header["scene_dim"], header["n_episodes"], header["splits"]
+        if type(scene_dim) is not int or scene_dim != header["obs_dim"] // 2:  # 16.0 would not shape an array
+            raise ValueError(f"world scene_dim must be obs_dim // 2 = {header['obs_dim'] // 2}, got {scene_dim!r}")
+        if type(n_episodes) is not int or n_episodes < 0:
+            raise ValueError(f"n_episodes must be a non-negative integer, got {n_episodes!r}")
+        _require_fields("splits", splits, _SPLITS)
+        for name in _SPLITS:
+            if not isinstance(splits[name], list):
+                raise ValueError(f"splits.{name} must be a JSON array, got {type(splits[name]).__name__}")
+        layout = _body_layout(header)
+        expected = offset + sum(np.dtype(dtype).itemsize * math.prod(shape) for dtype, shape in layout)
+        if len(blob) != expected:
+            raise ValueError(f"the file holds {len(blob)} bytes but its header implies {expected}")
+        arrays = []
+        for dtype, shape in layout:
+            arrays.append(np.frombuffer(blob, dtype, math.prod(shape), offset).reshape(shape))
+            offset += arrays[-1].nbytes
+        prototypes, scene_codes, obs, labels, degraded, support = arrays
+        _reject_first(degraded > 1, "has degraded flag {}, not 0 or 1", degraded)
+        _reject_first((support > 1).any(axis=2), "has a gt_support entry other than 0 or 1")
+        world = World(**scalars, prototypes=prototypes.copy(), scene_codes=scene_codes.copy())
+        episodes = EpisodeSet(obs, labels, degraded.view(bool), support.view(bool))
+        return Dataset(world, episodes, *(splits[name] for name in _SPLITS))
+    except ValueError as err:
+        raise ValueError(f"{path}: {err}") from None

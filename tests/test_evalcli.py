@@ -1169,6 +1169,25 @@ class TestFrozenValues:
         with pytest.raises(ValueError, match=re.escape("PipelineConfig.q_dim must be an integer >= 1, got 0")):
             replace(config.pipeline, q_dim=0)
 
+    @pytest.mark.parametrize(
+        "build, field, value, message",
+        [
+            (TrainConfig, "steps", -3, "TrainConfig.steps must be an integer >= 0, got -3"),
+            (PipelineConfig, "q_dim", 0, "PipelineConfig.q_dim must be an integer >= 1, got 0"),
+            # Once built, and generate_dataset then ran on it without a word.
+            (lambda: world_for_run("srms", None, 1), "degrade_prob", 7.0, "world degrade_prob must lie in [0, 1], got 7.0"),
+            (
+                lambda: generate_dataset(world_for_run("srms", None, 1), 20, 3),
+                "val_idx",
+                (1, 16),
+                "episode 1 is listed in both splits.train and splits.val",
+            ),
+        ],
+    )
+    def test_replace_checks_each_frozen_value_again(self, build, field, value, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            replace(build(), **{field: value})
+
 
 class TestPinnedEvalOutputs:
     @pytest.mark.parametrize("seed", sorted(PINNED_EVAL_DIGESTS))

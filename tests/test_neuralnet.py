@@ -486,6 +486,39 @@ class TestValidation:
         with pytest.raises(ValueError, match="evaluate_task_accuracy: episodes is empty"):
             evaluate_task_accuracy(theta, episodes, 0.25, index=[])
 
+    @pytest.mark.parametrize(
+        "key, dtype", [([True, False, True], "bool"), (np.array([False, True]), "bool"), ([1.5], "float64")]
+    )
+    def test_a_mask_or_a_float_index_is_refused_naming_its_dtype(self, key, dtype):
+        # np.asarray(key, dtype=np.intp) read [True, False] as rows 1 and 0, and [1.5] as row 1.
+        rng = Rng(54)
+        theta = init_pipeline(self.CFG, rng)
+        episodes = random_episodes(rng, self.CFG, 3, 4)
+        sites = (
+            lambda: episodes[key],
+            lambda: neuralnet.infer_episodes(theta, episodes, 0.25, index=key),
+            lambda: evaluate_task_accuracy(theta, episodes, 0.25, index=key),
+        )
+        for site in sites:
+            with pytest.raises(ValueError, match=f"^row indices must be integers, got dtype {dtype}$"):
+                site()
+
+    def test_lists_tuples_ranges_and_integer_arrays_gather_the_same_rows(self):
+        rng = Rng(55)
+        theta = init_pipeline(self.CFG, rng)
+        episodes = random_episodes(rng, self.CFG, 3, 6)
+        rows = [1, 2, 3, 4]
+        expected = episodes[rows]
+        m_bar, predictions = neuralnet.infer_episodes(theta, episodes, 0.25, index=rows)
+        accuracy = evaluate_task_accuracy(theta, episodes, 0.25, index=rows)
+        keys = (tuple(rows), range(1, 5), np.array(rows), np.array(rows, np.int32), [np.int64(1), 2, np.uint8(3), 4])
+        for key in keys:
+            for a, b in zip(episodes[key].arrays, expected.arrays):
+                assert a.shape == b.shape and a.tobytes() == b.tobytes()
+            got = neuralnet.infer_episodes(theta, episodes, 0.25, index=key)
+            assert got[0].tobytes() == m_bar.tobytes() and got[1].tobytes() == predictions.tobytes()
+            assert evaluate_task_accuracy(theta, episodes, 0.25, index=key) == accuracy
+
 
 class TestInit:
     @pytest.mark.parametrize(
@@ -730,17 +763,19 @@ class TestTrain:
 
     @pytest.mark.parametrize("bad", [-1, 10])
     def test_out_of_range_label_stops_the_step_before_adam(self, monkeypatch, bad):
+        # A Dataset refuses the label, so a plain namespace carries it to the public step.
         dataset = generate_dataset(make_world("srms", rng=Rng(38)), 40, seed=38)
         labels = dataset.episodes.labels.copy()
         labels[dataset.train_idx[5], 2] = bad
-        dataset = replace(dataset, episodes=replace(dataset.episodes, labels=labels))
+        episodes = replace(dataset.episodes, labels=labels)
+        dataset = SimpleNamespace(episodes=episodes, train_idx=dataset.train_idx, val_idx=dataset.val_idx)
         calls = self.count_steps(monkeypatch)
         with pytest.raises(ValueError, match=re.escape(f"label {bad} out of range [0, 10)")):
             train(TrainConfig(steps=200, eval_every=0), dataset, Rng(12))
         assert calls[-1] == "loss" and calls.count("loss") > 1
         assert calls[:-1] == ["loss", "adam"] * (len(calls) // 2)
 
-    @pytest.mark.parametrize("val_idx", [(30,), (30, 31), (30, 31, 32)])
+    @pytest.mark.parametrize("val_idx", [(32,), (32, 33), (32, 33, 34)])
     def test_a_tuple_val_split_logs_what_a_list_does(self, val_idx):
         # A Dataset holds its splits as tuples, so the list side is a plain namespace.
         dataset = generate_dataset(make_world("srms", rng=Rng(39)), 40, seed=39)

@@ -202,7 +202,7 @@ class TestMakeWorld:
     def test_scene_codes_orthonormal(self):
         world = make_world("srms", rng=Rng(3))
         gram = world.scene_codes @ world.scene_codes.T
-        np.testing.assert_allclose(gram, np.eye(world.n_scenes), atol=1e-9)
+        np.testing.assert_allclose(gram, np.eye(world.scene_dim), atol=1e-9)
 
     @pytest.mark.parametrize(
         "kwargs, message",
@@ -538,8 +538,8 @@ class TestKeyedStreams:
         picks = np.array([scenarios._scene_picks(world, rng, 5) for _ in range(16000)])
         assert all(len(set(row)) == 5 for row in picks.tolist())
         for position in range(5):
-            counts = np.bincount(picks[:, position], minlength=world.n_scenes)
-            expected = len(picks) / world.n_scenes
+            counts = np.bincount(picks[:, position], minlength=world.scene_dim)
+            expected = len(picks) / world.scene_dim
             assert ((counts - expected) ** 2 / expected).sum() < 37.7
 
 
@@ -706,13 +706,134 @@ class TestEpisodeSet:
             ds.train_idx = ()
 
     def test_save_names_an_array_the_world_does_not_shape(self, tmp_path):
+        # The Dataset constructor refuses the mix, so there is nothing to save.
         world = make_world("srms", rng=Rng(3))
         other = generate_dataset(make_world("srms", n_agents=4, rng=Rng(3)), 10, seed=5)
         path = tmp_path / "data.bin"
-        message = f"{path}: the observations array is (10, 4, 32), but the world's fields give (10, 5, 32)"
-        with pytest.raises(ValueError, match=re.escape(message)):
+        message = "the observations array is (10, 4, 32), but the world's fields give (10, 5, 32)"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             save_dataset(str(path), replace(other, world=world))
         assert not path.exists()
+
+
+class TestValuesCheckThemselves:
+    """A World and a Dataset check themselves, so replace, generation, loading and saving share one set of checks."""
+
+    @pytest.mark.parametrize(
+        "change, message",
+        [
+            # Once built, and generate_dataset then ran on it without a word.
+            (lambda w: dict(degrade_prob=7.0), "world degrade_prob must lie in [0, 1], got 7.0"),
+            # Once a failure inside Rng.randint: "bound must be positive".
+            (lambda w: dict(n_agents=0), "world n_agents must be a positive integer, got 0"),
+            (
+                lambda w: dict(n_agents=17),
+                "world n_agents 17 need 17 orthogonal scene signatures but only 16 scene dimensions are available",
+            ),
+            (lambda w: dict(case="quad"), f"world case 'quad' is not one of {CASES}"),
+            # A scene half that disagrees with the codebook was once a numpy broadcast error.
+            (lambda w: dict(scene_codes=np.eye(3)), "the world scene_codes array is (3, 3), but the world's fields give (16, 16)"),
+            (lambda w: dict(obs_dim=30), "the world prototypes array is (10, 32), but the world's fields give (10, 30)"),
+            (
+                lambda w: dict(prototypes=w.prototypes[:, :30]),
+                "the world prototypes array is (10, 30), but the world's fields give (10, 32)",
+            ),
+            (lambda w: dict(prototypes=w.prototypes.astype(np.float32)), "world prototypes must be a float64 array, got float32"),
+            (lambda w: dict(prototypes=w.prototypes.tolist()), "world prototypes must be a float64 array, got list"),
+            (
+                lambda w: dict(prototypes=np.where(np.eye(10, 32, 20) > 0, np.nan, w.prototypes)),
+                "world prototypes contain non-finite values",
+            ),
+            (lambda w: dict(scene_codes=w.scene_codes + np.inf), "world scene_codes contain non-finite values"),
+        ],
+    )
+    def test_a_bad_world_is_refused_at_replace(self, change, message):
+        world = make_world("srms", rng=Rng(70))
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            replace(world, **change(world))
+
+    def test_scene_dim_is_derived_from_obs_dim(self):
+        world = make_world("srms", obs_dim=10, rng=Rng(71))
+        assert world.scene_dim == 5 and world.scene_codes.shape == (5, 5)
+        assert "scene_dim" not in {f.name for f in dataclasses.fields(World)} and not hasattr(world, "n_scenes")
+        with pytest.raises(TypeError, match="scene_dim"):
+            replace(world, scene_dim=3)
+
+    def test_worlds_compare_by_identity_and_hash(self):
+        # Equal worlds built apart once raised "The truth value of an array ... is ambiguous".
+        world, other = make_world("srms", rng=Rng(72)), make_world("srms", rng=Rng(72))
+        assert world.prototypes.tobytes() == other.prototypes.tobytes()
+        assert (world == other) is False and (world != other) is True and world == world
+        assert hash(world) == hash(world) and len({world, other}) == 2
+
+    @pytest.mark.parametrize(
+        "splits, message",
+        [
+            # Once built, and train then gathered rows 0, 1 and 1, 5.
+            (([0.0, 1.7], [2], []), "splits.train index 0.0 is not an integer in [0, 10)"),
+            (([0, 1], [True, 5], []), "splits.val index True is not an integer in [0, 10)"),
+            (([0, 1], [np.True_], []), f"splits.val index {np.True_!r} is not an integer in [0, 10)"),
+            (([0, 1], [np.float64(2.0)], []), f"splits.val index {np.float64(2.0)!r} is not an integer in [0, 10)"),
+            (([0, 1], [2], ["3"]), "splits.test index '3' is not an integer in [0, 10)"),
+            (([0, 1], [2], [10]), "splits.test index 10 is not an integer in [0, 10)"),
+            (([0, 1], [np.int64(-1)], []), "splits.val index -1 is not an integer in [0, 10)"),
+            (([0, 1, 0], [], []), "episode 0 is listed twice in splits.train"),
+            (([0, 1], [1, 2], []), "episode 1 is listed in both splits.train and splits.val"),
+            (([0, 1], [], [3, 0]), "episode 0 is listed in both splits.train and splits.test"),
+            (([], [4, 5], [5]), "episode 5 is listed in both splits.val and splits.test"),
+        ],
+    )
+    def test_bad_splits_are_refused_at_construction(self, splits, message):
+        ds = generate_dataset(make_world("srms", rng=Rng(73)), 10, seed=73)
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            Dataset(ds.world, ds.episodes, *splits)
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            replace(ds, **dict(zip(("train_idx", "val_idx", "test_idx"), splits)))
+
+    @pytest.mark.parametrize(
+        "fault, message",
+        [
+            ("label -1", "has label -1, not one in [0, 10)"),
+            ("label 10", "has label 10, not one in [0, 10)"),
+            ("self support", "is listed as its own supporter"),
+            ("clean supported", "has supporters but is not degraded"),
+            ("nan", "has non-finite observations"),
+            ("-inf", "has non-finite observations"),
+        ],
+    )
+    def test_bad_episodes_are_refused_at_construction(self, fault, message):
+        ds = generate_dataset(make_world("srms", degrade_prob=0.0, rng=Rng(74)), 10, seed=74)
+        obs, labels, degraded, support = (array.copy() for array in ds.episodes.arrays)
+        if fault.startswith("label"):
+            labels[6, 2] = int(fault.split()[1])
+        elif fault == "self support":
+            degraded[6, 2] = support[6, 2, 2] = True
+        elif fault == "clean supported":
+            support[6, 2, 1] = True
+        else:
+            obs[6, 2, 5] = float(fault)
+        episodes = EpisodeSet(obs, labels, degraded, support)
+        with pytest.raises(ValueError, match=f"^episode 6 agent 2 {re.escape(message)}$"):
+            replace(ds, episodes=episodes)
+
+    def test_observations_of_another_width_are_refused(self):
+        # Another agent count is test_save_names_an_array_the_world_does_not_shape.
+        world = make_world("srms", rng=Rng(75))
+        episodes = generate_episodes(make_world("srms", obs_dim=30, rng=Rng(75)), 10, seed=75)
+        message = "the observations array is (10, 5, 30), but the world's fields give (10, 5, 32)"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            Dataset(world, episodes, [0], [1], [2])
+
+    def test_numpy_integer_splits_become_python_ints_and_round_trip(self, tmp_path):
+        ds = generate_dataset(make_world("srms", rng=Rng(76)), 10, seed=76)
+        given = replace(ds, train_idx=np.arange(8), val_idx=[np.int32(8)], test_idx=(np.uint64(9),))
+        assert (given.train_idx, given.val_idx, given.test_idx) == (ds.train_idx, ds.val_idx, ds.test_idx)
+        assert all(type(i) is int for split in (given.train_idx, given.val_idx, given.test_idx) for i in split)
+        paths = [tmp_path / "python.bin", tmp_path / "numpy.bin"]
+        for path, d in zip(paths, (ds, given)):
+            save_dataset(str(path), d)
+        assert paths[0].read_bytes() == paths[1].read_bytes()
+        _assert_identical(load_dataset(str(paths[1])), ds)
 
 
 def _saved_srms(tmp_path, name="data.bin", **world):
@@ -818,15 +939,15 @@ class TestDatasetExport:
 
     @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
     def test_save_refuses_non_finite_observations(self, tmp_path, bad):
-        # load_dataset would refuse the file, so nothing is written at all.
+        # load_dataset would refuse the file, and the Dataset constructor
+        # refuses the set, so nothing is written at all.
         ds = generate_dataset(make_world("srms", rng=Rng(3)), 10, seed=5)
         obs = ds.episodes.observations.copy()
         obs[6, 3, 2] = bad
-        ds = replace(ds, episodes=replace(ds.episodes, observations=obs))
         path = tmp_path / "data.bin"
         path.write_text("an earlier save")
-        with pytest.raises(ValueError, match=rf"{re.escape(str(path))}: episode 6 agent 3 has non-finite observations"):
-            save_dataset(str(path), ds)
+        with pytest.raises(ValueError, match=r"^episode 6 agent 3 has non-finite observations$"):
+            save_dataset(str(path), replace(ds, episodes=replace(ds.episodes, observations=obs)))
         assert path.read_text() == "an earlier save"
 
     @pytest.mark.parametrize(
@@ -843,6 +964,8 @@ class TestDatasetExport:
     )
     def test_save_refuses_what_load_refuses(self, tmp_path, fault, message):
         # Each of these used to be saved; load_dataset then refused the file.
+        # Now the World or Dataset constructor refuses it, with the message
+        # load_dataset gives after the path, so there is nothing to save.
         if fault.startswith(("overlapping", "index")):
             ds = generate_dataset(make_world("srms", rng=Rng(3)), 20, seed=5)
             splits = {
@@ -851,7 +974,7 @@ class TestDatasetExport:
                 "index -1": (ds.train_idx, (-1,) + ds.val_idx, ds.test_idx),
             }[fault]
             path = tmp_path / "data.bin"
-            with pytest.raises(ValueError, match=re.escape(f"{path}: {message}")):
+            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
                 save_dataset(str(path), replace(ds, **dict(zip(("train_idx", "val_idx", "test_idx"), splits))))
             assert not path.exists()
             return
@@ -869,11 +992,10 @@ class TestDatasetExport:
         else:
             prototypes[2, 20] = float("nan")
         episodes = replace(ds.episodes, support=support, labels=labels)
-        ds = replace(ds, world=replace(ds.world, prototypes=prototypes), episodes=episodes)
         path = tmp_path / "data.bin"
         where = f"episode {e} agent {agent} {message}" if message else "world prototypes contain non-finite values"
-        with pytest.raises(ValueError, match=re.escape(f"{path}: {where}")):
-            save_dataset(str(path), ds)
+        with pytest.raises(ValueError, match=f"^{re.escape(where)}$"):
+            save_dataset(str(path), replace(ds, world=replace(ds.world, prototypes=prototypes), episodes=episodes))
         assert not path.exists()
 
     # SHA-256 of the saved 20-episode dataset of each case, frozen so that
