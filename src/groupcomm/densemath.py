@@ -1,4 +1,4 @@
-"""Activations, stable softmax, the row-invariant product, a seeded RNG, read-only arrays and index keys.
+"""Stable softmax, the row-invariant product, a seeded RNG, read-only arrays and index keys.
 
 Everything downstream builds on this module.  All values are 64-bit floats;
 matrices are 2-D C-ordered ``numpy.ndarray`` (rows x cols, row-major).  All
@@ -99,11 +99,6 @@ def row_matmul(x: np.ndarray, w: np.ndarray) -> np.ndarray:
     return np.matmul(np.ascontiguousarray(x, dtype=np.float64)[..., None, :], w.T)[..., 0, :]
 
 
-def relu(v: np.ndarray) -> np.ndarray:
-    """Elementwise max(0, x)."""
-    return np.maximum(np.asarray(v, dtype=np.float64), 0.0)
-
-
 def frozen(array: np.ndarray) -> np.ndarray:
     """``array`` itself, made read-only in place: a write into it, or into any view taken after, raises ValueError."""
     array.flags.writeable = False
@@ -113,12 +108,16 @@ def frozen(array: np.ndarray) -> np.ndarray:
 def index_array(key) -> np.ndarray:
     """``key`` (a list, tuple, range or array of integers, or an empty one) as an intp array of row indices.
 
-    A bool or float dtype raises ValueError naming it, where a cast to intp
-    would read the mask ``[True, False]`` as rows 1 and 0, and 1.5 as row 1.
+    A bool or float dtype, or a bool among a list's or tuple's integers,
+    raises ValueError naming it, where a cast to intp would read ``[True, 5]``
+    as rows 1 and 5, and 1.5 as row 1.  An array or a range is not scanned.
     """
     rows = np.asarray(key)
     if rows.size and not np.issubdtype(rows.dtype, np.integer):  # an empty list is float64, and gathers nothing
         raise ValueError(f"row indices must be integers, got dtype {rows.dtype}")
+    if isinstance(key, (list, tuple)) and not {bool, np.bool_}.isdisjoint(map(type, key)):
+        at = next(i for i, k in enumerate(key) if type(k) in (bool, np.bool_))
+        raise ValueError(f"row indices must be integers, got the bool {key[at]} at position {at}")
     return rows.astype(np.intp, copy=False)
 
 
@@ -173,6 +172,9 @@ class Rng:
     """
 
     def __init__(self, seed: int, ahead: Sequence[float] = ()):
+        # type() first: keyed_streams builds one Rng per generated episode, each from a Python int.
+        if type(seed) is not int and (isinstance(seed, bool) or not isinstance(seed, (int, np.integer))):
+            raise ValueError(f"Rng seed must be an integer, got {seed!r}")
         self.seed = int(seed) & _MASK64
         self._ahead = ahead
         self._drawn = 0  # words consumed: the state is seed + drawn * GAMMA

@@ -60,7 +60,7 @@ from dataclasses import astuple, dataclass, field
 import numpy as np
 
 from .commgraph import build_matching_matrix, fuse_rows, prune, top1_rows
-from .densemath import Rng, index_array, relu, row_matmul, softmax
+from .densemath import Rng, index_array, row_matmul, softmax
 
 CHECKPOINT_MAGIC = b"GRPCOMM1"
 CHECKPOINT_VERSION = 1
@@ -205,29 +205,23 @@ def zeros_like_params(theta: PipelineParams) -> Gradients:
     return PipelineParams(theta.config)
 
 
-@dataclass
-class MlpCache:
-    inputs: list[np.ndarray]  # input to each layer
-    pre: list[np.ndarray]  # pre-activation of each layer
-
-
-def mlp_forward(p: MlpParams, x: np.ndarray) -> tuple[np.ndarray, MlpCache]:
-    """Training's affine-rectifier chain on a (R, d) stack; the cache retains pre-activations.
+def mlp_forward(p: MlpParams, x: np.ndarray) -> tuple[np.ndarray, list[np.ndarray]]:
+    """Training's affine-rectifier chain on a (R, d) stack, and each layer's input, all :func:`mlp_backward` reads.
 
     Each layer is one ``h @ w.T + b`` product over all rows.
     """
     h = np.asarray(x, dtype=np.float64)
     if h.ndim != 2 or h.shape[1] != p.in_dim:
         raise ValueError(f"input shape {h.shape} is not a stack of rows matching the first layer ({p.in_dim})")
-    inputs, pre = [], []
+    inputs = []
     last = len(p.layers) - 1
     for idx, (w, b) in enumerate(p.layers):
         inputs.append(h)
-        z = h @ w.T
-        z += b
-        pre.append(z)
-        h = z if idx == last else relu(z)
-    return h, MlpCache(inputs, pre)
+        h = h @ w.T  # a fresh array, so the bias and rectifier go in place
+        h += b
+        if idx < last:
+            np.maximum(h, 0.0, out=h)
+    return h, inputs
 
 
 def mlp_infer(p: MlpParams, x: np.ndarray) -> np.ndarray:
@@ -249,55 +243,44 @@ def mlp_infer(p: MlpParams, x: np.ndarray) -> np.ndarray:
     return h
 
 
-def mlp_backward(p: MlpParams, cache: MlpCache, dout: np.ndarray, grads: MlpParams) -> np.ndarray:
+def mlp_backward(p: MlpParams, inputs: list[np.ndarray], dout: np.ndarray, grads: MlpParams) -> np.ndarray:
     """Write every layer's (dW, db) into ``grads``' arrays; return the derivative at the first pre-activation.
 
-    ``dout`` has the forward output's shape; for a stack of rows the layer
-    gradients sum over the rows.  ``grads`` is the head's part of a gradient
-    tree, so the products land in its views of the flat gradient vector.  The
-    derivative w.r.t. the input is the returned one times the first layer's
-    weight; only the decoder's caller needs it, so it forms that product.
+    ``inputs`` are :func:`mlp_forward`'s and ``dout`` has its output's shape;
+    for a stack of rows the layer gradients sum over the rows.  ``grads`` is
+    the head's part of a gradient tree, so the products land in its views of
+    the flat gradient vector.  The derivative w.r.t. the input is the
+    returned one times the first layer's weight; only the decoder's caller needs it, so it forms that product.
     """
     dz = np.asarray(dout, dtype=np.float64)
     for idx in range(len(p.layers) - 1, -1, -1):
         dw, db = grads.layers[idx]
-        np.matmul(dz.T, cache.inputs[idx], out=dw)
+        np.matmul(dz.T, inputs[idx], out=dw)
         np.add.reduce(dz, axis=0, out=db)
         if idx:
             dz = dz @ p.layers[idx][0]
-            dz *= cache.pre[idx - 1] > 0.0  # relu's subgradient, 0 at 0
+            dz *= inputs[idx] > 0.0  # the rectifier's subgradient: the input is positive where its pre-activation was
     return dz
 
 
 @dataclass
-class ForwardCache:
-    """Intermediates of a forward pass.
+class ForwardResult:
+    """A forward pass's values, each with the input's leading shape, (N, .) or (B, N, .); only inference sets ``m_bar``.
 
-    Training holds (B, N, .) arrays plus each head's row cache, which
-    :func:`pipeline_backward` reads; ``queries``/``keys`` are None on the
-    fixed-row path.  Inference holds the features and fused features with
-    its input's leading shape and is never differentiated.
+    Training adds what :func:`pipeline_backward` reads: the (B, N, .)
+    ``queries`` and ``keys``, and ``layer_inputs``, the query, key, encoder
+    and decoder heads' :func:`mlp_forward` layer inputs (the query and key
+    entries None, like ``queries`` and ``keys``, under a fixed-row policy).
     """
 
-    mode: str
+    logits: np.ndarray
+    m: np.ndarray
     features: np.ndarray
     fused: np.ndarray
-    m: np.ndarray
-    logits: np.ndarray | None = None
+    m_bar: np.ndarray | None = None
     queries: np.ndarray | None = None
     keys: np.ndarray | None = None
-    q_cache: MlpCache | None = None
-    k_cache: MlpCache | None = None
-    e_cache: MlpCache | None = None
-    d_cache: MlpCache | None = None
-
-
-@dataclass
-class ForwardResult:
-    logits: np.ndarray
-    cache: ForwardCache
-    m: np.ndarray
-    m_bar: np.ndarray | None
+    layer_inputs: tuple[list[np.ndarray] | None, ...] | None = None
 
 
 def decode(theta: PipelineParams, features: np.ndarray, fused: np.ndarray) -> np.ndarray:
@@ -355,8 +338,8 @@ def pipeline_forward(
     """Full forward pass under a communication policy (see :func:`policy_rows`).
 
     Both modes take one episode, (N, d_obs), or a stack of episodes with equal
-    N, (B, N, d_obs); ``logits``, ``m`` and ``m_bar`` keep the input's leading
-    shape, and the rows of ``randcom`` are drawn from ``rng`` episode by
+    N, (B, N, d_obs), and return one :class:`ForwardResult` in the input's
+    leading shape; the rows of ``randcom`` are drawn from ``rng`` episode by
     episode, in stack order.  ``training`` takes only the
     :data:`TRAIN_POLICIES` and raises ``ValueError`` on any other: it fuses
     when2com with the soft matching rows, and the fixed-row policies'
@@ -380,8 +363,7 @@ def pipeline_forward(
     m_bar = prune(m, threshold)
     fused = fuse_rows(m_bar, features)
     logits = decode(theta, features, fused)
-    logits, features, fused, m, m_bar = (a.reshape(lead + a.shape[-1:]) for a in (logits, features, fused, m, m_bar))
-    return ForwardResult(logits, ForwardCache("inference", features, fused, m), m, m_bar)
+    return ForwardResult(*(a.reshape(lead + a.shape[-1:]) for a in (logits, m, features, fused, m_bar)))
 
 
 def _episode_stack(observations) -> tuple[np.ndarray, tuple[int, ...]]:
@@ -398,12 +380,12 @@ def _training_forward(theta: PipelineParams, observations, policy: str, rng: Rng
     b, n, d = obs.shape
     x = obs.reshape(b * n, d)
 
-    e, e_cache = mlp_forward(theta.theta_e, x)
+    e, e_inputs = mlp_forward(theta.theta_e, x)
     features = e.reshape(b, n, -1)
-    queries = keys = q_cache = k_cache = None
+    queries = keys = q_inputs = k_inputs = None
     if policy in HANDSHAKE_POLICIES:
-        mu, q_cache = mlp_forward(theta.theta_q, x)
-        kappa, k_cache = mlp_forward(theta.theta_k, x)
+        mu, q_inputs = mlp_forward(theta.theta_q, x)
+        kappa, k_inputs = mlp_forward(theta.theta_k, x)
         queries, keys = mu.reshape(b, n, -1), kappa.reshape(b, n, -1)
         scores = (mu @ theta.w_g).reshape(b, n, -1) @ keys.transpose(0, 2, 1)
         m = softmax(scores / math.sqrt(theta.w_g.shape[1]))
@@ -411,10 +393,9 @@ def _training_forward(theta: PipelineParams, observations, policy: str, rng: Rng
         m = policy_rows(policy, None, n, 0.0, rng, b)[0]
 
     fused = m @ features
-    z, d_cache = mlp_forward(theta.theta_d, np.concatenate([features, fused], axis=-1).reshape(b * n, -1))
-    logits = z.reshape(b, n, -1)
-    cache = ForwardCache("training", features, fused, m, logits, queries, keys, q_cache, k_cache, e_cache, d_cache)
-    return ForwardResult(logits.reshape(lead + (-1,)), cache, m.reshape(lead + (n,)), None)
+    z, d_inputs = mlp_forward(theta.theta_d, np.concatenate([features, fused], axis=-1).reshape(b * n, -1))
+    shaped = (a.reshape(lead + a.shape[-1:]) for a in (z, m, features, fused))
+    return ForwardResult(*shaped, queries=queries, keys=keys, layer_inputs=(q_inputs, k_inputs, e_inputs, d_inputs))
 
 
 def cross_entropy_loss(logits, labels) -> float:
@@ -435,10 +416,12 @@ def _softmax_cross_entropy(z: np.ndarray, labels: np.ndarray) -> tuple[float, np
     One softmax serves both: the shifted logits, their exponentials and the
     row sums are computed once, and the probabilities are ``e / s`` as in
     :func:`~groupcomm.densemath.softmax`.  A label outside [0, C) is rejected
-    before anything is computed.
+    before anything is computed, and so is a label that is not an integer.
     """
     r, c = z.shape
     y = labels.reshape(-1)
+    if not np.issubdtype(y.dtype, np.integer):
+        raise ValueError(f"labels must be integers, got dtype {y.dtype}")
     bad = (y < 0) | (y >= c)
     if bad.any():
         raise ValueError(f"label {y[bad][0]} out of range [0, {c})")
@@ -453,7 +436,7 @@ def _softmax_cross_entropy(z: np.ndarray, labels: np.ndarray) -> tuple[float, np
     return float(loss), e
 
 
-def pipeline_backward(cache: ForwardCache, theta: PipelineParams, labels, grads: Gradients) -> float:
+def pipeline_backward(result: ForwardResult, theta: PipelineParams, labels, grads: Gradients) -> float:
     """Write the exact gradients of the mean cross-entropy w.r.t. every parameter into ``grads``; return the loss.
 
     ``labels`` has the forward logits' leading shape, (N,) or (B, N).  The
@@ -465,43 +448,46 @@ def pipeline_backward(cache: ForwardCache, theta: PipelineParams, labels, grads:
     forward: inference-time pruning is a hard gate and is never
     differentiated.  Bad labels are rejected before ``grads`` is written.
     """
-    if cache.mode != "training":
-        raise ValueError("backward requires a training-mode forward cache")
+    if result.layer_inputs is None:
+        raise ValueError("backward requires a training-mode forward result, which keeps each layer's input")
     if grads.config != theta.config:
         raise ValueError(f"gradient tree of {grads.config} does not match the parameters' {theta.config}")
-    b, n, f_dim = cache.features.shape
+    q_inputs, k_inputs, e_inputs, d_inputs = result.layer_inputs
+    features = result.features.reshape((-1,) + result.features.shape[-2:])
+    b, n, f_dim = features.shape
+    m = result.m.reshape(b, n, n)
     y = np.asarray(labels)
     if y.size != b * n:
-        raise ValueError(f"cache holds {b} x {n} agents but got labels of shape {y.shape}")
+        raise ValueError(f"result holds {b} x {n} agents but got labels of shape {y.shape}")
 
-    loss, dlogits = _softmax_cross_entropy(cache.logits.reshape(b * n, -1), y)
-    d_pre = mlp_backward(theta.theta_d, cache.d_cache, dlogits, grads.theta_d)
+    loss, dlogits = _softmax_cross_entropy(result.logits.reshape(b * n, -1), y)
+    d_pre = mlp_backward(theta.theta_d, d_inputs, dlogits, grads.theta_d)
     du = (d_pre @ theta.theta_d.layers[0][0]).reshape(b, n, 2 * f_dim)
 
     # Fusion: fused = M @ E.
     d_fused = du[..., f_dim:]
-    d_features = du[..., :f_dim] + cache.m.transpose(0, 2, 1) @ d_fused
+    d_features = du[..., :f_dim] + m.transpose(0, 2, 1) @ d_fused
 
-    if cache.queries is not None:
+    if result.queries is not None:
         # Row-softmax jacobian: dS = (dM - rowsum(dM * M)) * M, then the
         # 1/sqrt(K) scale of the scores S = (Q W_g) K^T.
-        ds = d_fused @ cache.features.transpose(0, 2, 1)
-        ds -= np.add.reduce(ds * cache.m, axis=-1, keepdims=True)
-        ds *= cache.m
+        ds = d_fused @ features.transpose(0, 2, 1)
+        ds -= np.add.reduce(ds * m, axis=-1, keepdims=True)
+        ds *= m
         ds /= math.sqrt(theta.w_g.shape[1])
-        ds_keys = (ds @ cache.keys).reshape(b * n, -1)
-        np.matmul(cache.queries.reshape(b * n, -1).T, ds_keys, out=grads.w_g)
+        ds_keys = (ds @ result.keys).reshape(b * n, -1)
+        np.matmul(result.queries.reshape(b * n, -1).T, ds_keys, out=grads.w_g)
         d_mu = ds_keys @ theta.w_g.T
-        d_kappa = (ds.transpose(0, 2, 1) @ cache.queries).reshape(b * n, -1) @ theta.w_g
-        mlp_backward(theta.theta_q, cache.q_cache, d_mu, grads.theta_q)
-        mlp_backward(theta.theta_k, cache.k_cache, d_kappa, grads.theta_k)
+        d_kappa = (ds.transpose(0, 2, 1) @ result.queries).reshape(b * n, -1) @ theta.w_g
+        mlp_backward(theta.theta_q, q_inputs, d_mu, grads.theta_q)
+        mlp_backward(theta.theta_k, k_inputs, d_kappa, grads.theta_k)
     else:
         for w, bias in grads.theta_q.layers + grads.theta_k.layers:
             w.fill(0.0)
             bias.fill(0.0)
         grads.w_g.fill(0.0)
 
-    mlp_backward(theta.theta_e, cache.e_cache, d_features.reshape(b * n, f_dim), grads.theta_e)
+    mlp_backward(theta.theta_e, e_inputs, d_features.reshape(b * n, f_dim), grads.theta_e)
     return loss
 
 
@@ -593,7 +579,7 @@ def episode_loss_and_grads(theta: PipelineParams, episodes, policy: str, rng: Rn
     run as one (B, N, .) batch.
     """
     result = pipeline_forward(theta, episodes.observations, mode="training", policy=policy, rng=rng)
-    return pipeline_backward(result.cache, theta, episodes.labels, grads)
+    return pipeline_backward(result, theta, episodes.labels, grads)
 
 
 def infer_episodes(

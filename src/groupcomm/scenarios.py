@@ -182,6 +182,8 @@ class EpisodeSet:
         return map(self.__getitem__, range(len(self)))
 
     def __getitem__(self, key) -> Episode | EpisodeSet:
+        if isinstance(key, bool):  # operator.index would read it as episode 1 or 0
+            raise ValueError(f"episode index must be an integer, got the bool {key}")
         try:
             e = index(key)
         except TypeError:  # a slice views rows; any other key gathers them, a tuple too

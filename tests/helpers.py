@@ -135,17 +135,17 @@ def monolithic_forward(theta, obs_matrix, delta=None):
     return mlp(theta.theta_d, u), m
 
 
-def fresh_backward(cache, theta, labels):
+def fresh_backward(result, theta, labels):
     """``pipeline_backward`` written into a new gradient tree, which is returned."""
     grads = zeros_like_params(theta)
-    pipeline_backward(cache, theta, labels, grads)
+    pipeline_backward(result, theta, labels, grads)
     return grads
 
 
 def fd_gradcheck(theta, obs, labels, eps=1e-5):
     """Max relative error of analytic gradients vs central finite differences."""
     result = pipeline_forward(theta, obs, mode="training")
-    analytic = fresh_backward(result.cache, theta, labels)
+    analytic = fresh_backward(result, theta, labels)
 
     def loss_now():
         r = pipeline_forward(theta, obs, mode="training")

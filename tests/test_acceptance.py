@@ -109,7 +109,7 @@ def test_criterion_2_gradient_correctness():
         err = fd_gradcheck(theta, obs, labels)
         worst = max(worst, err)
         res = pipeline_forward(theta, obs, mode="training")
-        grads = fresh_backward(res.cache, theta, labels)
+        grads = fresh_backward(res, theta, labels)
         if float(np.max(np.abs(grads.w_g))) > 0.0:
             wg_grad_seen = True
     elapsed = time.time() - start
@@ -133,7 +133,7 @@ def test_criterion_3_distributed_centralized_equivalence():
         np.testing.assert_array_equal(dist.rows, central.m)
         np.testing.assert_array_equal(dist.pruned_rows, central.m_bar)
         for i in range(n):
-            np.testing.assert_array_equal(dist.fused[i], central.cache.fused[i])
+            np.testing.assert_array_equal(dist.fused[i], central.fused[i])
             np.testing.assert_array_equal(dist.logits[i], central.logits[i])
         assert dist.predictions == [int(np.argmax(z)) for z in central.logits]
         assert ledger_from_trace(dist.trace, frames=dist.ledger.frames) == dist.ledger

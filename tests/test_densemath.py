@@ -1,6 +1,7 @@
-"""Foundation math: softmax, relu, and the seeded RNG stream."""
+"""Foundation math: softmax, the row-invariant product, and the seeded RNG stream."""
 
 import math
+import re
 import warnings
 
 import numpy as np
@@ -8,7 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from groupcomm import densemath, scenarios
-from groupcomm.densemath import Rng, normal_blocks, relu, row_matmul, softmax, softmax_row
+from groupcomm.densemath import Rng, normal_blocks, row_matmul, softmax, softmax_row
 from groupcomm.neuralnet import PipelineConfig, head_sizes
 
 # First five raw words of the seed-42 stream, frozen as the cross-platform
@@ -121,16 +122,6 @@ class TestUnitRows:
             scenarios._unit_rows(v)
 
 
-class TestRelu:
-    def test_definition(self):
-        np.testing.assert_array_equal(relu(np.array([-1.0, 0.0, 2.0])), [0.0, 0.0, 2.0])
-
-    def test_idempotent(self):
-        rng = Rng(5)
-        v = rng.normal(64)
-        np.testing.assert_array_equal(relu(relu(v)), relu(v))
-
-
 class TestRng:
     def test_same_seed_same_stream(self):
         a = Rng(123).normal(1000)
@@ -153,6 +144,17 @@ class TestRng:
         z = Rng(1).normal(100000)
         assert abs(z.mean()) < 0.02
         assert abs(z.var() - 1.0) < 0.05
+
+    @pytest.mark.parametrize("seed", [1.5, 2.0, True, np.True_, "3"])
+    def test_a_seed_that_is_not_an_integer_is_refused(self, seed):
+        # int(seed) ran 1.5 and True as seed 1.
+        with pytest.raises(ValueError, match=f"^Rng seed must be an integer, got {re.escape(repr(seed))}$"):
+            Rng(seed)
+
+    def test_numpy_integer_seeds_pass(self):
+        for seed in (np.int64(7), np.uint64(7), np.int8(7)):
+            assert Rng(seed).seed == 7
+            np.testing.assert_array_equal(Rng(seed).u64(3), Rng(7).u64(3))
 
     def test_seed_sensitivity(self):
         a = Rng(1).normal(10)

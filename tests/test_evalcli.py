@@ -298,7 +298,7 @@ class TestPolicies:
             (res,) = run_policy_episode(policy, theta, ep.observations[None], delta, Rng(s))
             np.testing.assert_array_equal(res.rows, central.m)
             np.testing.assert_array_equal(res.pruned_rows, central.m_bar)
-            np.testing.assert_array_equal(np.stack(res.fused), central.cache.fused)
+            np.testing.assert_array_equal(np.stack(res.fused), central.fused)
             np.testing.assert_array_equal(np.stack(res.logits), central.logits)
             assert res.predictions == [int(np.argmax(z)) for z in central.logits]
         # A stack of episodes draws its rows from one rng in episode order and
@@ -310,7 +310,7 @@ class TestPolicies:
             single = pipeline_forward(theta, stack[e], mode="inference", delta=delta, policy=policy, rng=single_rng)
             for field in ("logits", "m", "m_bar"):
                 np.testing.assert_array_equal(getattr(stacked, field)[e], getattr(single, field))
-            np.testing.assert_array_equal(stacked.cache.fused[e], single.cache.fused)
+            np.testing.assert_array_equal(stacked.fused[e], single.fused)
             (res,) = run_policy_episode(policy, theta, ep.observations[None], delta, sim_rng)
             np.testing.assert_array_equal(stacked.m_bar[e], res.pruned_rows)
             assert res.predictions == [int(np.argmax(z)) for z in stacked.logits[e]]
@@ -404,6 +404,16 @@ class TestPolicies:
         _, episodes = world_and_episodes
         with pytest.raises(ValueError, match="need at least one episode, got none"):
             evaluate("nocom", tiny_theta(), episodes[:0], 0.2, seed=0)
+
+    @pytest.mark.parametrize("seed", [1.7, True])
+    def test_a_seed_that_is_not_an_integer_is_refused_before_the_batched_pass(self, world_and_episodes, monkeypatch, seed):
+        # Rng(int(seed)) drew seed 1's rows and the report recorded the seed as given.
+        _, episodes = world_and_episodes
+        calls = []
+        monkeypatch.setattr(evalcli, "infer_episodes", lambda *args: calls.append(args))
+        with pytest.raises(ValueError, match=f"^Rng seed must be an integer, got {seed}$"):
+            evaluate("randcom", tiny_theta(), episodes, 0.2, seed, "srms")
+        assert calls == []
 
     @pytest.mark.parametrize("delta", [-0.1, 1.5, float("nan")])
     def test_delta_outside_unit_interval_rejected(self, world_and_episodes, delta):

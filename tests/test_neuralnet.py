@@ -17,7 +17,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from groupcomm import neuralnet
 from groupcomm.commgraph import prune
-from groupcomm.densemath import Rng, relu, softmax
+from groupcomm.densemath import Rng, softmax
 from groupcomm.neuralnet import (
     EVAL_BLOCK,
     POLICIES,
@@ -84,7 +84,7 @@ class TestMlp:
         x = rng.normal(5)
         w1, b1 = p.layers[0]
         w2, b2 = p.layers[1]
-        expected = w2 @ relu(w1 @ x + b1) + b2
+        expected = w2 @ np.maximum(w1 @ x + b1, 0.0) + b2
         # Inference equals the per-vector chain bit for bit; training's gemm to rounding.
         np.testing.assert_array_equal(mlp_infer(p, x), expected)
         np.testing.assert_allclose(mlp_forward(p, x[None])[0][0], expected, atol=1e-12)
@@ -105,9 +105,9 @@ class TestMlp:
         p = init_mlp([6, 4, 2], rng)
         x = np.zeros(6)
         x[2] = 1.0
-        _, cache = mlp_forward(p, x[None])
+        _, inputs = mlp_forward(p, x[None])
         grads = zeros_like_mlp(p)
-        mlp_backward(p, cache, np.array([[1.0, -0.5]]), grads)
+        mlp_backward(p, inputs, np.array([[1.0, -0.5]]), grads)
         dw1, db1 = grads.layers[0]
         np.testing.assert_allclose(dw1, np.outer(db1, x), atol=1e-15)
         nonzero_cols = np.nonzero(np.abs(dw1).sum(axis=0))[0]
@@ -119,10 +119,10 @@ class TestMlp:
         w0 = np.array([[1.0, 0.0], [0.0, 1.0], [1.0, -1.0]])
         p = MlpParams([(w0, np.zeros(3)), (np.ones((1, 3)), np.zeros(1))])
         x = np.array([[1.0, 1.0]])
-        _, cache = mlp_forward(p, x)
-        np.testing.assert_array_equal(cache.pre[0], [[1.0, 1.0, 0.0]])
+        _, inputs = mlp_forward(p, x)
+        np.testing.assert_array_equal(inputs[1], [[1.0, 1.0, 0.0]])
         grads = zeros_like_mlp(p)
-        d_pre = mlp_backward(p, cache, np.array([[1.0]]), grads)
+        d_pre = mlp_backward(p, inputs, np.array([[1.0]]), grads)
         np.testing.assert_array_equal(d_pre, [[1.0, 1.0, 0.0]])
         np.testing.assert_array_equal(grads.layers[0][1], [1.0, 1.0, 0.0])
         np.testing.assert_array_equal(grads.layers[0][0], [[1.0, 1.0], [1.0, 1.0], [0.0, 0.0]])
@@ -131,10 +131,10 @@ class TestMlp:
     def test_backward_of_one_layer_returns_output_derivative(self):
         p = init_mlp([4, 3], Rng(16))
         x = Rng(17).normal(2 * 4).reshape(2, 4)
-        _, cache = mlp_forward(p, x)
+        _, inputs = mlp_forward(p, x)
         dout = np.array([[1.0, -2.0, 0.5], [0.0, 3.0, -1.0]])
         grads = zeros_like_mlp(p)
-        np.testing.assert_array_equal(mlp_backward(p, cache, dout, grads), dout)
+        np.testing.assert_array_equal(mlp_backward(p, inputs, dout, grads), dout)
         np.testing.assert_array_equal(grads.layers[0][0], dout.T @ x)
         np.testing.assert_array_equal(grads.layers[0][1], dout.sum(axis=0))
 
@@ -156,7 +156,7 @@ class TestPipelineForward:
         cfg, theta, obs, labels = random_pipeline(rng, n_agents=1)
         res = pipeline_forward(theta, obs, mode="training")
         np.testing.assert_array_equal(res.m, [[1.0]])
-        np.testing.assert_array_equal(res.cache.fused[0], res.cache.features[0])
+        np.testing.assert_array_equal(res.fused[0], res.features[0])
 
     def test_inference_delta_zero_matches_training_bitwise(self):
         # Batched training products round differently from the per-vector
@@ -197,6 +197,35 @@ class TestPipelineForward:
         loss = cross_entropy_loss(res.logits, labels)
         loss_p = cross_entropy_loss(res_p.logits, [labels[p] for p in perm])
         assert abs(loss - loss_p) < 1e-12
+
+    @pytest.mark.parametrize("lead", [(4,), (3, 4)])
+    def test_both_modes_return_one_result_in_the_input_leading_shape(self, lead):
+        # One (N, d_obs) episode and one (B, N, d_obs) stack; training adds
+        # only what the backward reads, and each head keeps its layers' inputs.
+        rng = Rng(20)
+        cfg, theta, _, _ = random_pipeline(rng)
+        obs = rng.normal(math.prod(lead) * cfg.d_obs).reshape(lead + (cfg.d_obs,))
+        train = pipeline_forward(theta, obs, mode="training")
+        infer = pipeline_forward(theta, obs, mode="inference", delta=0.0)
+        for res in (train, infer):
+            assert res.logits.shape == lead + (cfg.n_classes,)
+            assert res.m.shape == lead + (lead[-1],)
+            assert res.features.shape == res.fused.shape == lead + (cfg.f_dim,)
+        np.testing.assert_allclose(train.fused, infer.fused, rtol=0.0, atol=1e-12)
+        assert train.m_bar is None and infer.m_bar.shape == infer.m.shape
+        assert infer.queries is infer.keys is infer.layer_inputs is None
+        assert train.queries.shape == (math.prod(lead[:-1]), lead[-1], cfg.q_dim)
+        assert train.keys.shape == (math.prod(lead[:-1]), lead[-1], cfg.k_dim)
+        x = obs.reshape(-1, cfg.d_obs)
+        heads = (theta.theta_q, theta.theta_k, theta.theta_e, theta.theta_d)
+        for head, inputs in zip(heads, train.layer_inputs, strict=True):
+            assert len(inputs) == len(head.layers)
+            (w0, b0), _ = head.layers
+            np.testing.assert_allclose(inputs[1], np.maximum(inputs[0] @ w0.T + b0, 0.0), rtol=0.0, atol=1e-12)
+        for inputs in train.layer_inputs[:3]:
+            np.testing.assert_array_equal(inputs[0], x)
+        decoder_input = np.concatenate([train.features, train.fused], axis=-1).reshape(len(x), -1)
+        np.testing.assert_array_equal(train.layer_inputs[3][0], decoder_input)
 
     def test_bad_mode_rejected(self):
         rng = Rng(20)
@@ -265,6 +294,11 @@ class TestCrossEntropy:
         with pytest.raises(ValueError):
             cross_entropy_loss([np.zeros(3)], [3])
 
+    @pytest.mark.parametrize("labels, dtype", [([1.0, 2.0], "float64"), ([True, False], "bool")])
+    def test_labels_that_are_not_integers_are_refused_naming_the_dtype(self, labels, dtype):
+        with pytest.raises(ValueError, match=f"^labels must be integers, got dtype {dtype}$"):
+            cross_entropy_loss(np.zeros((2, 3)), labels)
+
 
 class TestPipelineBackward:
     def test_finite_difference_agreement(self):
@@ -294,7 +328,7 @@ class TestPipelineBackward:
         theta.theta_d.layers[-1][1][0] = 60.0
         res = pipeline_forward(theta, obs, mode="training")
         assert cross_entropy_loss(res.logits, labels) < 1e-12
-        grads = fresh_backward(res.cache, theta, labels)
+        grads = fresh_backward(res, theta, labels)
         norm = max(float(np.max(np.abs(a))) for a in param_arrays(grads))
         assert norm < 1e-6
 
@@ -303,14 +337,24 @@ class TestPipelineBackward:
         cfg, theta, obs, labels = random_pipeline(rng)
         res = pipeline_forward(theta, obs, mode="inference", delta=0.2)
         with pytest.raises(ValueError):
-            pipeline_backward(res.cache, theta, labels, zeros_like_params(theta))
+            pipeline_backward(res, theta, labels, zeros_like_params(theta))
+
+    @pytest.mark.parametrize("labels, dtype", [([1.0, 2.0, 0.0], "float64"), ([True, False, True], "bool")])
+    def test_backward_refuses_labels_that_are_not_integers_before_writing(self, labels, dtype):
+        cfg, theta, obs, _ = random_pipeline(Rng(23))
+        res = pipeline_forward(theta, obs, mode="training")
+        grads = zeros_like_params(theta)
+        grads.flat[:] = 7.0
+        with pytest.raises(ValueError, match=f"^labels must be integers, got dtype {dtype}$"):
+            pipeline_backward(res, theta, labels, grads)
+        assert np.all(grads.flat == 7.0)
 
     def test_backward_rejects_tree_of_another_config(self):
         cfg, theta, obs, labels = random_pipeline(Rng(23))
         res = pipeline_forward(theta, obs, mode="training")
         other = PipelineParams(replace(cfg, hidden=cfg.hidden + 1))
         with pytest.raises(ValueError, match="gradient tree of .* does not match"):
-            pipeline_backward(res.cache, theta, labels, other)
+            pipeline_backward(res, theta, labels, other)
         assert not np.any(other.flat)
 
     def test_fixed_rows_skip_attention_gradients(self):
@@ -318,7 +362,7 @@ class TestPipelineBackward:
         cfg, theta, obs, labels = random_pipeline(rng, n_agents=3)
         res = pipeline_forward(theta, obs, mode="training", policy="nocom")
         np.testing.assert_array_equal(res.m, np.eye(3))
-        grads = fresh_backward(res.cache, theta, labels)
+        grads = fresh_backward(res, theta, labels)
         assert float(np.max(np.abs(grads.w_g))) == 0.0
         for w, b in grads.theta_q.layers + grads.theta_k.layers:
             assert float(np.max(np.abs(w))) == 0.0
@@ -331,13 +375,13 @@ class TestPipelineBackward:
         cfg, theta, obs, labels = random_pipeline(Rng(24), n_agents=4)
         tree = zeros_like_params(theta)
         first = pipeline_forward(theta, obs, mode="training")
-        pipeline_backward(first.cache, theta, labels, tree)
+        pipeline_backward(first, theta, labels, tree)
         assert np.all(tree.w_g != 0.0)
         res = pipeline_forward(theta, obs, mode="training", policy=second, rng=Rng(5))
         address = tree.flat.__array_interface__["data"][0]
-        pipeline_backward(res.cache, theta, labels, tree)
+        pipeline_backward(res, theta, labels, tree)
         assert tree.flat.__array_interface__["data"][0] == address
-        np.testing.assert_array_equal(tree.flat, fresh_backward(res.cache, theta, labels).flat)
+        np.testing.assert_array_equal(tree.flat, fresh_backward(res, theta, labels).flat)
 
 
 def log_softmax_loss(logits, labels):
@@ -411,7 +455,7 @@ class TestBatchedTraining:
         obs, labels = episodes.observations, episodes.labels
         result = pipeline_forward(theta, obs, mode="training", policy=policy, rng=Rng(seed + 1))
         assert loss == cross_entropy_loss(result.logits, labels) == log_softmax_loss(result.logits, labels)
-        standalone = fresh_backward(result.cache, theta, labels)
+        standalone = fresh_backward(result, theta, labels)
         for step_array, alone in zip(param_arrays(grads), param_arrays(standalone), strict=True):
             assert np.array_equal(step_array, alone)
         dlogits = softmax(result.logits.reshape(b * n, -1))
@@ -503,6 +547,28 @@ class TestValidation:
             with pytest.raises(ValueError, match=f"^row indices must be integers, got dtype {dtype}$"):
                 site()
 
+    @pytest.mark.parametrize("key, bad, at", [([True, 3], "True", 0), ((3, np.False_), "False", 1)])
+    def test_a_bool_among_integers_is_refused_naming_it_and_its_position(self, key, bad, at):
+        # NumPy infers int64 for the whole key, so [True, 3] gathered rows 1 and 3.
+        rng = Rng(54)
+        theta = init_pipeline(self.CFG, rng)
+        episodes = random_episodes(rng, self.CFG, 3, 4)
+        sites = (
+            lambda: episodes[key],
+            lambda: neuralnet.infer_episodes(theta, episodes, 0.25, index=key),
+            lambda: evaluate_task_accuracy(theta, episodes, 0.25, index=key),
+        )
+        for site in sites:
+            with pytest.raises(ValueError, match=f"^row indices must be integers, got the bool {bad} at position {at}$"):
+                site()
+
+    def test_a_bool_episode_index_is_refused(self):
+        # operator.index reads True as episode 1.
+        episodes = random_episodes(Rng(54), self.CFG, 3, 4)
+        for key in (True, False):
+            with pytest.raises(ValueError, match=f"^episode index must be an integer, got the bool {key}$"):
+                episodes[key]
+
     def test_lists_tuples_ranges_and_integer_arrays_gather_the_same_rows(self):
         rng = Rng(55)
         theta = init_pipeline(self.CFG, rng)
@@ -571,7 +637,7 @@ class TestFlatLayout:
         self.assert_views_of_flat(grads)
         assert not np.any(grads.flat)
         res = pipeline_forward(theta, rng.normal(3 * self.CFG.d_obs).reshape(3, -1), mode="training")
-        grads = fresh_backward(res.cache, theta, [0, 1, 2])
+        grads = fresh_backward(res, theta, [0, 1, 2])
         self.assert_views_of_flat(grads)
         state = AdamState.for_params(theta)
         adam_step(theta, grads, state)
@@ -598,7 +664,7 @@ class TestAdam:
         rng = Rng(26)
         cfg, theta, obs, labels = random_pipeline(rng)
         res = pipeline_forward(theta, obs, mode="training")
-        grads = fresh_backward(res.cache, theta, labels)
+        grads = fresh_backward(res, theta, labels)
         state = AdamState.for_params(theta)
         before = theta.flat.copy()
         adam_step(theta, grads, state, lr=0.0)

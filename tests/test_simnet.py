@@ -143,7 +143,7 @@ class TestTransmission:
         (fused,), _ = run_transmission([agents], rows, delta)
         central = pipeline_forward(theta, obs, mode="inference", delta=delta)
         for i in range(5):
-            np.testing.assert_array_equal(fused[i], central.cache.fused[i])
+            np.testing.assert_array_equal(fused[i], central.fused[i])
 
 
 class TestRunEpisode:
