@@ -246,11 +246,11 @@ def mlp_infer(p: MlpParams, x: np.ndarray) -> np.ndarray:
 def mlp_backward(p: MlpParams, inputs: list[np.ndarray], dout: np.ndarray, grads: MlpParams) -> np.ndarray:
     """Write every layer's (dW, db) into ``grads``' arrays; return the derivative at the first pre-activation.
 
-    ``inputs`` are :func:`mlp_forward`'s and ``dout`` has its output's shape;
-    for a stack of rows the layer gradients sum over the rows.  ``grads`` is
-    the head's part of a gradient tree, so the products land in its views of
-    the flat gradient vector.  The derivative w.r.t. the input is the
-    returned one times the first layer's weight; only the decoder's caller needs it, so it forms that product.
+    ``dout`` has the forward output's shape; for a stack of rows the layer
+    gradients sum over the rows.  ``grads`` is the head's part of a gradient
+    tree, so the products land in its views of the flat gradient vector.  The
+    derivative w.r.t. the input is the returned one times the first layer's
+    weight; only the decoder's caller needs it, so it forms that product.
     """
     dz = np.asarray(dout, dtype=np.float64)
     for idx in range(len(p.layers) - 1, -1, -1):
