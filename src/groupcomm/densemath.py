@@ -1,4 +1,4 @@
-"""Stable softmax, the row-invariant product, a seeded RNG, read-only arrays and index keys.
+"""Stable softmax, the row-invariant product, a seeded RNG, read-only arrays, index keys and scalar checks.
 
 Everything downstream builds on this module.  All values are 64-bit floats;
 matrices are 2-D C-ordered ``numpy.ndarray`` (rows x cols, row-major).  All
@@ -53,6 +53,7 @@ from them; past them it goes on in int arithmetic, with the same words.
 from __future__ import annotations
 
 import math
+import numbers
 from collections.abc import Sequence
 
 import numpy as np
@@ -121,6 +122,37 @@ def index_array(key) -> np.ndarray:
     return rows.astype(np.intp, copy=False)
 
 
+def integer(value, name: str, low: int | None = None, high: int | None = None) -> int:
+    """``value`` as a Python int, if it is a Python or NumPy integer in [``low``, ``high``] (each bound optional).
+
+    Anything else, a bool or a float such as 2.0 too, raises ValueError naming ``name``, the rule and ``value``.
+    """
+    number = int(value) if isinstance(value, numbers.Integral) and not isinstance(value, bool) else None
+    if number is None or (low is not None and number < low) or (high is not None and number > high):
+        if low is None:
+            rule = "" if high is None else f" <= {high}"
+        else:
+            rule = f" >= {low}" if high is None else f" in [{low}, {high}]"
+        raise ValueError(f"{name} must be an integer{rule}, got {value!r}")
+    return number
+
+
+def real(value, name: str, low: float, high: float) -> float:
+    """``value`` as a Python float, if it is a Python or NumPy real whose float64 lies in [``low``, ``high``].
+
+    Anything else (a bool, a string, a ``10**400`` no float64 holds, NaN) raises ValueError naming ``name``.
+    """
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ValueError(f"{name} must be a real number, got {value!r}")
+    try:
+        number = float(value)
+    except OverflowError:  # a 10**400 compares as finite but never becomes a float64
+        raise ValueError(f"{name} must be a finite float64, got {type(value).__name__} beyond its range") from None
+    if not low <= number <= high:
+        raise ValueError(f"{name} must lie in [{low}, {high}], got {value!r}")
+    return number
+
+
 def _words(starts: np.ndarray, n: int) -> np.ndarray:
     """The ``n`` splitmix64 words after each state of the uint64 vector ``starts``, as (len(starts), n)."""
     # Array arithmetic throughout: numpy wraps unsigned arrays silently,
@@ -161,9 +193,10 @@ def normal_blocks(starts: list[int], width: int) -> np.ndarray:
 class Rng:
     """Deterministic splitmix64 stream with uniform/normal derivations.
 
-    Identical seeds produce byte-identical integer streams on any platform;
-    the float derivations are fixed arithmetic on those integers.  One Rng
-    per thread of execution.
+    ``seed`` is any Python or NumPy integer (see :func:`integer`), read mod
+    2**64.  Identical seeds produce byte-identical integer streams on any
+    platform; the float derivations are fixed arithmetic on those integers.
+    One Rng per thread of execution.
 
     ``ahead``, when given, holds the unit doubles of the stream's first words
     (``Rng(seed).uniform(len(ahead))``, as :func:`keyed_streams` draws them);
@@ -173,9 +206,7 @@ class Rng:
 
     def __init__(self, seed: int, ahead: Sequence[float] = ()):
         # type() first: keyed_streams builds one Rng per generated episode, each from a Python int.
-        if type(seed) is not int and (isinstance(seed, bool) or not isinstance(seed, (int, np.integer))):
-            raise ValueError(f"Rng seed must be an integer, got {seed!r}")
-        self.seed = int(seed) & _MASK64
+        self.seed = (seed if type(seed) is int else integer(seed, "Rng seed")) & _MASK64
         self._ahead = ahead
         self._drawn = 0  # words consumed: the state is seed + drawn * GAMMA
 

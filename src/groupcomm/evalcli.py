@@ -34,7 +34,7 @@ from dataclasses import asdict, dataclass, fields, replace
 import numpy as np
 
 from .commgraph import link_mask
-from .densemath import Rng
+from .densemath import Rng, integer, real
 from .neuralnet import (
     EVAL_BLOCK,
     HANDSHAKE_POLICIES,
@@ -43,6 +43,7 @@ from .neuralnet import (
     PipelineConfig,
     PipelineParams,
     TrainConfig,
+    check_labels,
     infer_episodes,
     load_checkpoint,
     save_checkpoint,
@@ -102,14 +103,16 @@ def _save_table(json_path: str, csv_path: str, doc, columns, records: list[dict]
     """``doc`` as indented JSON, and ``records`` as CSV rows under a ``columns`` header.
 
     CSV cells are empty for None and ``repr`` for floats, so they round-trip.
+    Both texts are built first, so a value JSON cannot encode writes neither file.
     """
-    with open(json_path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, sort_keys=True, indent=2)
-        fh.write("\n")
-    with open(csv_path, "w", encoding="utf-8") as fh:
-        for values in [columns] + [[rec[c] for c in columns] for rec in records]:
-            cells = ("" if v is None else repr(v) if isinstance(v, float) else str(v) for v in values)
-            fh.write(",".join(cells) + "\n")
+    json_text = json.dumps(doc, sort_keys=True, indent=2) + "\n"
+    csv_text = "".join(
+        ",".join("" if v is None else repr(v) if isinstance(v, float) else str(v) for v in values) + "\n"
+        for values in [columns] + [[rec[c] for c in columns] for rec in records]
+    )
+    for path, text in ((json_path, json_text), (csv_path, csv_text)):
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
 
 
 def save_report(report: MetricsReport, json_path: str, csv_path: str) -> None:
@@ -203,12 +206,16 @@ def evaluate(
     message as the protocol sends it (``simnet.DeliveryError``), or its
     pruned rows, predictions or trace-derived ledger differ,
     ``RuntimeError`` names the policy and the first such episode, and no
-    trace is written.
+    trace is written.  ``delta``, ``seed``, ``case`` and every label
+    (``neuralnet.check_labels``) are checked before the pass; the report
+    records ``delta`` as a Python float and ``seed`` as an int.
     """
     if policy not in POLICIES:
         raise ValueError(f"unknown policy {policy!r}; expected one of {POLICIES}")
-    if not 0.0 <= delta <= 1.0:
-        raise ValueError(f"delta must lie in [0, 1], got {delta}")
+    if case not in CASES:
+        raise ValueError(f"unknown case {case!r}; expected one of {CASES}")
+    delta, seed = real(delta, "delta", 0, 1), integer(seed, "seed")
+    check_labels(episodes.labels, theta.config.n_classes)
     m_bar, predictions = infer_episodes(theta, episodes, delta, policy, Rng(seed))
     n_agents = predictions.shape[1]
     q_dim, f_dim, handshake = theta.w_g.shape[0], theta.theta_e.out_dim, policy in HANDSHAKE_POLICIES
@@ -323,14 +330,15 @@ def sweep_message_size(
 ) -> list[dict]:
     """Train one model per query (or key) size and tabulate selection metrics.
 
-    Every size's :class:`PipelineConfig` is built, and so checked, before
-    the first model trains.
+    The seed, and every size through its :class:`PipelineConfig`, are checked
+    before the first model trains, and the rows hold them as Python ints.
     """
     if param not in ("query", "key"):
         raise ValueError(f"param must be 'query' or 'key', got {param!r}")
     if not sizes:
         raise ValueError("sizes must be non-empty")
     swept = "q_dim" if param == "query" else "k_dim"
+    seed = integer(seed, "seed")
     for size in sizes:
         replace(PipelineConfig(), **{swept: size})  # raises on a bad size, naming the field
     rows = []
@@ -338,7 +346,8 @@ def sweep_message_size(
         run = train_run(case=case, n_agents=n_agents, n_episodes=n_episodes, steps=steps, seed=seed, **{swept: size})
         report, dims = run_report(run), run.config.pipeline
         metrics = (report.grouping_acc, report.acc_all, report.when2com_acc, report.links_per_agent)
-        rows.append(dict(zip(SWEEP_COLUMNS, (param, size, dims.q_dim, dims.k_dim, seed) + metrics, strict=True)))
+        row = (param, getattr(dims, swept), dims.q_dim, dims.k_dim, seed) + metrics
+        rows.append(dict(zip(SWEEP_COLUMNS, row, strict=True)))
     return rows
 
 

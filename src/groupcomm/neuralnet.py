@@ -53,14 +53,13 @@ from __future__ import annotations
 
 import itertools
 import math
-import numbers
 import struct
 from dataclasses import astuple, dataclass, field
 
 import numpy as np
 
 from .commgraph import build_matching_matrix, fuse_rows, prune, top1_rows
-from .densemath import Rng, index_array, row_matmul, softmax
+from .densemath import Rng, index_array, integer, row_matmul, softmax
 
 CHECKPOINT_MAGIC = b"GRPCOMM1"
 CHECKPOINT_VERSION = 1
@@ -97,6 +96,8 @@ class MlpParams:
 
 @dataclass(frozen=True)
 class PipelineConfig:
+    """The model's six dimensions, each held as a Python int >= 1 (``densemath.integer``)."""
+
     # Field order is the checkpoint header's dimension order.
     d_obs: int = 32
     q_dim: int = 4
@@ -107,14 +108,7 @@ class PipelineConfig:
 
     def __post_init__(self):
         for name in ("d_obs", "q_dim", "k_dim", "f_dim", "n_classes", "hidden"):
-            _check_count(self, name, 1)
-
-
-def _check_count(config, name: str, low: int) -> None:
-    """Reject ``config.name`` unless it is an integer (not a bool) of at least ``low``, naming the field."""
-    value = getattr(config, name)
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < low:
-        raise ValueError(f"{type(config).__name__}.{name} must be an integer >= {low}, got {value!r}")
+            object.__setattr__(self, name, integer(getattr(self, name), f"PipelineConfig.{name}", 1))
 
 
 def _check_train_policy(policy: str) -> None:
@@ -410,6 +404,15 @@ def cross_entropy_loss(logits, labels) -> float:
     return _softmax_cross_entropy(z.reshape(-1, z.shape[-1]), y)[0]
 
 
+def check_labels(labels: np.ndarray, n_classes: int) -> None:
+    """Refuse a non-integer dtype, or name the first label outside [0, ``n_classes``): the model has no logit for it."""
+    if not np.issubdtype(labels.dtype, np.integer):
+        raise ValueError(f"labels must be integers, got dtype {labels.dtype}")
+    bad = (labels < 0) | (labels >= n_classes)
+    if bad.any():
+        raise ValueError(f"label {labels[bad][0]} out of range [0, {n_classes}) of the model's n_classes")
+
+
 def _softmax_cross_entropy(z: np.ndarray, labels: np.ndarray) -> tuple[float, np.ndarray]:
     """The mean cross-entropy of (R, C) logits against R labels, and its (R, C) derivative w.r.t. ``z``.
 
@@ -420,11 +423,7 @@ def _softmax_cross_entropy(z: np.ndarray, labels: np.ndarray) -> tuple[float, np
     """
     r, c = z.shape
     y = labels.reshape(-1)
-    if not np.issubdtype(y.dtype, np.integer):
-        raise ValueError(f"labels must be integers, got dtype {y.dtype}")
-    bad = (y < 0) | (y >= c)
-    if bad.any():
-        raise ValueError(f"label {y[bad][0]} out of range [0, {c})")
+    check_labels(y, c)
     shifted = z - np.maximum.reduce(z, axis=-1, keepdims=True)
     e = np.exp(shifted)
     s = np.add.reduce(e, axis=-1, keepdims=True)
@@ -556,7 +555,7 @@ def adam_step(
 class TrainConfig:
     """A training run's settings, checked once here; only the :data:`TRAIN_POLICIES` train.
 
-    Frozen, as :class:`PipelineConfig` is; ``dataclasses.replace`` builds a checked variant.
+    Frozen and holding Python ints, as :class:`PipelineConfig` is; ``dataclasses.replace`` builds a checked variant.
     """
 
     pipeline: PipelineConfig = field(default_factory=PipelineConfig)
@@ -566,9 +565,8 @@ class TrainConfig:
     eval_every: int = 500
 
     def __post_init__(self):
-        _check_count(self, "steps", 0)
-        _check_count(self, "batch_size", 1)
-        _check_count(self, "eval_every", 0)  # 0 never validates
+        for name, low in (("steps", 0), ("batch_size", 1), ("eval_every", 0)):  # eval_every 0 never validates
+            object.__setattr__(self, name, integer(getattr(self, name), f"TrainConfig.{name}", low))
         _check_train_policy(self.policy)
 
 
@@ -618,11 +616,12 @@ def evaluate_task_accuracy(
 
     ``episodes`` and ``index`` are :func:`infer_episodes`'s.  ``randcom`` rows
     are drawn from ``rng``, episode by episode, or from one ``Rng(0)`` for
-    the whole call when it is omitted.
+    the whole call when it is omitted.  The labels are checked first (:func:`check_labels`).
     """
     labels = episodes.labels if index is None else episodes.labels[index_array(index)]
     if not len(labels):
         raise ValueError("evaluate_task_accuracy: episodes is empty, so there is no accuracy to report")
+    check_labels(labels, theta.config.n_classes)
     _, predictions = infer_episodes(theta, episodes, delta, policy, rng if rng is not None else Rng(0), index)
     return int(np.count_nonzero(predictions == labels)) / predictions.size
 

@@ -73,7 +73,6 @@ from __future__ import annotations
 
 import json
 import math
-import numbers
 import struct
 from collections.abc import Iterator
 from dataclasses import dataclass
@@ -83,7 +82,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .densemath import Rng, frozen, index_array, keyed_streams, normal_blocks
+from .densemath import Rng, frozen, index_array, integer, keyed_streams, normal_blocks, real
 
 CASES = ("srms", "mrms", "mrmps", "triplet")
 
@@ -97,8 +96,9 @@ RENDER_BLOCK = 64  # episodes drawn, then rendered by one render_episodes call
 class World:
     """A world's scalar settings and its two fixed arrays, checked and made read-only here.
 
-    The scalars must be ones :func:`make_world` could build from, and the
-    arrays finite float64: ``prototypes`` (C, obs_dim) and ``scene_codes``
+    The scalars, Python or NumPy numbers, must be ones :func:`make_world`
+    could build from, and are held as Python ints and floats; the arrays
+    must be finite float64: ``prototypes`` (C, obs_dim) and ``scene_codes``
     (S, S), where S is ``scene_dim``, half of ``obs_dim``.  Two worlds are
     equal only when they are one object.
     """
@@ -114,7 +114,8 @@ class World:
     scene_codes: np.ndarray  # (scene_dim, scene_dim) orthonormal scene codebook
 
     def __post_init__(self):
-        _check_world(**{key: getattr(self, key) for key in _WORLD_FIELDS})
+        for key, value in _check_world(**{key: getattr(self, key) for key in _WORLD_FIELDS}).items():
+            object.__setattr__(self, key, value)
         for name, shape in (("prototypes", (self.n_classes, self.obs_dim)), ("scene_codes", (self.scene_dim,) * 2)):
             array = getattr(self, name)
             if not isinstance(array, np.ndarray) or array.dtype != np.float64:
@@ -234,11 +235,12 @@ class Dataset:
     """A world, its episodes and three disjoint splits of episode indices, checked here.
 
     Each split, any sequence of Python or NumPy integers, is kept as a tuple
-    of Python ints.  The first fault raises ValueError: a split index that
-    is a bool, not an integer or outside [0, E), or is listed twice or in
-    two splits; observations not (E, N, obs_dim) for the world; then, naming
-    the (episode, agent), a non-finite observation, a label outside [0, C),
-    an agent its own supporter, or supporters of a clean agent.
+    of Python ints (``densemath.integer``).  The first fault raises
+    ValueError: a split index that is a bool, not an integer or outside
+    [0, E), or is listed twice or in two splits; observations not
+    (E, N, obs_dim) for the world; then, naming the (episode, agent), a
+    non-finite observation, a label outside [0, C), an agent its own
+    supporter, or supporters of a clean agent.
     """
 
     world: World
@@ -253,10 +255,8 @@ class Dataset:
         for name in _SPLITS:
             split = members[name] = {}  # insertion-ordered, so the split keeps its order
             for i in getattr(self, f"{name}_idx"):
-                if type(i) is not int and isinstance(i, numbers.Integral) and not isinstance(i, bool):
-                    i = int(i)  # a NumPy integer; a NumPy bool is no Integral
-                if type(i) is not int or not 0 <= i < n:
-                    raise ValueError(f"splits.{name} index {i!r} is not an integer in [0, {n})")
+                if type(i) is not int or not 0 <= i < n:  # type() first: the check runs once per episode
+                    i = integer(i, f"splits.{name} index", 0, n - 1)
                 if i in split:
                     raise ValueError(f"episode {i} is listed twice in splits.{name}")
                 split[i] = None
@@ -305,13 +305,14 @@ def _orthonormal_rows(rng: Rng, n: int, dim: int) -> np.ndarray:
     return rows
 
 
-def _check_world(case, n_agents, obs_dim, n_classes, degrade_prob, noise_sigma, overlap_frac) -> None:
-    """Reject the world scalars ``make_world`` cannot build, naming the first one at fault."""
+def _check_world(case, n_agents, obs_dim, n_classes, degrade_prob, noise_sigma, overlap_frac) -> dict:
+    """The world scalars ``make_world`` can build from, as Python ints and floats; raises naming the first at fault."""
     if case not in CASES:
         raise ValueError(f"world case {case!r} is not one of {CASES}")
-    for name, value in (("n_agents", n_agents), ("obs_dim", obs_dim), ("n_classes", n_classes)):
-        if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < 1:
-            raise ValueError(f"world {name} must be a positive integer, got {value!r}")
+    n_agents, obs_dim, n_classes = (
+        integer(value, f"world {name}", 1)
+        for name, value in (("n_agents", n_agents), ("obs_dim", obs_dim), ("n_classes", n_classes))
+    )
     if case == "triplet" and n_agents % 3 != 0:
         raise ValueError(f"world n_agents must be a multiple of 3 for case 'triplet', got {n_agents}")
     if obs_dim < 4 or obs_dim % 2 != 0:
@@ -321,25 +322,17 @@ def _check_world(case, n_agents, obs_dim, n_classes, degrade_prob, noise_sigma, 
             f"world n_agents {n_agents} need {n_agents} orthogonal scene signatures "
             f"but only {obs_dim // 2} scene dimensions are available"
         )
-    reals = (("degrade_prob", degrade_prob), ("overlap_frac", overlap_frac), ("noise_sigma", noise_sigma))
-    for name, value in reals:
-        if isinstance(value, bool) or not isinstance(value, numbers.Real):
-            raise ValueError(f"world {name} must be a real number, got {value!r}")
-        try:
-            float(value)
-        except OverflowError:  # a 10**400 compares as finite but never becomes a float64
-            kind = type(value).__name__
-            raise ValueError(f"world {name} must be a finite float64, got {kind} beyond its range") from None
-    for name, value in reals[:2]:
-        if not 0.0 <= float(value) <= 1.0:
-            raise ValueError(f"world {name} must lie in [0, 1], got {value!r}")
-    if not 0.0 < float(noise_sigma) < math.inf:
+    degrade_prob = real(degrade_prob, "world degrade_prob", 0, 1)
+    overlap_frac = real(overlap_frac, "world overlap_frac", 0, 1)
+    sigma = real(noise_sigma, "world noise_sigma", -math.inf, math.inf)
+    if not 0.0 < sigma < math.inf:  # after the cast: a Fraction(1, 10**400) becomes 0.0
         raise ValueError(f"world noise_sigma must be positive and finite, got {noise_sigma!r}")
     if case == "srms" and n_agents < 2 and degrade_prob > 0.0:
         raise ValueError(
             f"world n_agents must be >= 2 for case 'srms' when degrade_prob > 0 (a degraded "
             f"agent needs a peer holding its view), got n_agents={n_agents}, degrade_prob={degrade_prob!r}"
         )
+    return dict(zip(_WORLD_FIELDS, (case, n_agents, obs_dim, n_classes, degrade_prob, sigma, overlap_frac)))
 
 
 def make_world(
@@ -352,10 +345,11 @@ def make_world(
     overlap_frac: float = 0.5,
     rng: Rng | None = None,
 ) -> World:
-    """Build a world: parameters validated before the first draw, plus rejection-sampled prototypes."""
+    """Build a world from its checked Python scalars (see :class:`World`), plus rejection-sampled prototypes."""
     if n_agents is None and case in CASES:
         n_agents = DEFAULT_AGENTS[case]
-    _check_world(case, n_agents, obs_dim, n_classes, degrade_prob, noise_sigma, overlap_frac)
+    scalars = _check_world(case, n_agents, obs_dim, n_classes, degrade_prob, noise_sigma, overlap_frac)
+    obs_dim, n_classes = scalars["obs_dim"], scalars["n_classes"]
     if rng is None:
         rng = Rng(0)
     scene_dim = obs_dim // 2
@@ -378,17 +372,7 @@ def make_world(
     # The world's scenes form a fixed orthonormal codebook; each episode views
     # a subset of them.
     scene_codes = _orthonormal_rows(rng, scene_dim, scene_dim)
-    return World(
-        n_agents=n_agents,
-        obs_dim=obs_dim,
-        n_classes=n_classes,
-        case=case,
-        degrade_prob=degrade_prob,
-        noise_sigma=noise_sigma,
-        overlap_frac=overlap_frac,
-        prototypes=full,
-        scene_codes=scene_codes,
-    )
+    return World(**scalars, prototypes=full, scene_codes=scene_codes)
 
 
 @dataclass(slots=True)
@@ -578,18 +562,6 @@ def split_bounds(n_episodes: int) -> tuple[int, int]:
     return n_train, n_train + int(0.1 * n_episodes)
 
 
-def _check_generation(n_episodes, seed, start=0) -> None:
-    """Reject a count, seed or start that is not an integer (a bool is not), or a negative count, naming it.
-
-    Any integer seed is read mod 2**64, as ``Rng`` reads it.
-    """
-    for name, value in (("n_episodes", n_episodes), ("seed", seed), ("start", start)):
-        if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-            raise ValueError(f"{name} must be an integer, got {value!r}")
-    if n_episodes < 0:
-        raise ValueError(f"n_episodes must be an integer >= 0, got {n_episodes!r}")
-
-
 def generate_episodes(world: World, n_episodes: int, seed: int, start: int = 0) -> EpisodeSet:
     """Episodes ``start`` to ``n_episodes - 1`` of ``generate_dataset(world, n_episodes, seed)``, in order.
 
@@ -599,11 +571,12 @@ def generate_episodes(world: World, n_episodes: int, seed: int, start: int = 0) 
     words drawn, at once, and their draws rendered at once by
     :func:`render_episodes` into the rows of four preallocated arrays, which
     then become the set.  Nothing is drawn for the episodes before
-    ``start``, and episode e does not depend on ``n_episodes``.
+    ``start``, and episode e does not depend on ``n_episodes``.  The three
+    integers may be Python or NumPy ones; a seed is read mod 2**64, as ``Rng`` reads it.
     """
-    _check_generation(n_episodes, seed, start)
-    if not 0 <= start <= n_episodes:
-        raise ValueError(f"start must lie in [0, {n_episodes}], got {start}")
+    n_episodes = integer(n_episodes, "n_episodes", 0)
+    seed = integer(seed, "seed")
+    start = integer(start, "start", 0, n_episodes)
     e, n = n_episodes - start, world.n_agents
     arrays = (
         np.empty((e, n, world.obs_dim)), np.empty((e, n), np.int64), np.empty((e, n), bool), np.empty((e, n, n), bool)
@@ -621,17 +594,12 @@ def generate_dataset(world: World, n_episodes: int, seed: int) -> Dataset:
 
     The episodes are :func:`generate_episodes`'s: one :func:`generate_episode`
     draw per episode, each on the stream keyed by (``seed``, its index), so
-    the first k episodes of any larger set are these.
+    the first k episodes of any larger set are these, and ``n_episodes`` and
+    ``seed`` are checked there.
     """
-    _check_generation(n_episodes, seed)
-    val_start, test_start = split_bounds(n_episodes)
-    return Dataset(
-        world,
-        generate_episodes(world, n_episodes, seed),
-        range(val_start),
-        range(val_start, test_start),
-        range(test_start, n_episodes),
-    )
+    episodes = generate_episodes(world, n_episodes, seed)
+    val_start, test_start = split_bounds(len(episodes))
+    return Dataset(world, episodes, range(val_start), range(val_start, test_start), range(test_start, len(episodes)))
 
 
 DATASET_MAGIC = b"GRPCDATA"
@@ -716,13 +684,11 @@ def load_dataset(path: str) -> Dataset:
         except (ValueError, RecursionError) as err:  # also bad UTF-8, a cut header and a 4301-digit integer
             raise ValueError(f"the header is not valid JSON: {err}") from None
         _require_fields("the header", header, _WORLD_FIELDS + ("scene_dim", "n_episodes", "splits"))
-        scalars = {key: header[key] for key in _WORLD_FIELDS}
-        _check_world(**scalars)
-        scene_dim, n_episodes, splits = header["scene_dim"], header["n_episodes"], header["splits"]
+        scalars = _check_world(**{key: header[key] for key in _WORLD_FIELDS})
+        scene_dim, splits = header["scene_dim"], header["splits"]
         if type(scene_dim) is not int or scene_dim != header["obs_dim"] // 2:  # 16.0 would not shape an array
             raise ValueError(f"world scene_dim must be obs_dim // 2 = {header['obs_dim'] // 2}, got {scene_dim!r}")
-        if type(n_episodes) is not int or n_episodes < 0:
-            raise ValueError(f"n_episodes must be a non-negative integer, got {n_episodes!r}")
+        integer(header["n_episodes"], "n_episodes", 0)
         _require_fields("splits", splits, _SPLITS)
         for name in _SPLITS:
             if not isinstance(splits[name], list):

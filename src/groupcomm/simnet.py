@@ -60,7 +60,7 @@ from functools import lru_cache
 import numpy as np
 
 from .commgraph import attention_score, attention_scores, fuse, link_mask, prune
-from .densemath import Rng, frozen, softmax_row
+from .densemath import Rng, frozen, integer, softmax_row
 from .neuralnet import HANDSHAKE_POLICIES, PipelineParams, decode, mlp_infer, policy_rows
 
 KIND_BYTES, ID_BYTES, LENGTH_BYTES = 1, 2, 4  # header field widths: kind, each of from and to, payload length
@@ -622,15 +622,12 @@ def _message_from_record(rec) -> Message:
     missing = [name for name in TRACE_FIELDS if name not in rec]
     if missing:
         raise ValueError(f"record lacks field(s) {missing}")
-    for name, most in (("from", MAX_AGENT_ID), ("to", MAX_AGENT_ID), ("payload_reals", MAX_PAYLOAD_REALS)):
-        value = rec[name]
-        if type(value) is not int or value < 0:
-            raise ValueError(f"{name} must be a non-negative integer, got {value!r}")
-        if value > most:
-            raise ValueError(f"{name} must be at most {most}, got {value}")
-    reals = rec["payload_reals"]
+    src, dst, reals = (
+        integer(rec[name], name, 0, most)
+        for name, most in (("from", MAX_AGENT_ID), ("to", MAX_AGENT_ID), ("payload_reals", MAX_PAYLOAD_REALS))
+    )
     # A zero-stride view: the stub's size without allocating its reals.
-    msg = Message(rec["kind"], rec["from"], rec["to"], np.broadcast_to(0.0, (reals,)) if reals else None)
+    msg = Message(rec["kind"], src, dst, np.broadcast_to(0.0, (reals,)) if reals else None)
     for name, expected in _trace_record(msg.kind, msg.src, msg.dst, msg.payload_reals).items():
         if type(rec[name]) is not type(expected) or rec[name] != expected:
             raise ValueError(f"{name} is {rec[name]!r}, but the byte model gives {expected!r}")

@@ -1,15 +1,16 @@
-"""Foundation math: softmax, the row-invariant product, and the seeded RNG stream."""
+"""Foundation math: softmax, the row-invariant product, the seeded RNG stream, and the scalar rule."""
 
 import math
 import re
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from groupcomm import densemath, scenarios
-from groupcomm.densemath import Rng, normal_blocks, row_matmul, softmax, softmax_row
+from groupcomm.densemath import Rng, integer, normal_blocks, real, row_matmul, softmax, softmax_row
 from groupcomm.neuralnet import PipelineConfig, head_sizes
 
 # First five raw words of the seed-42 stream, frozen as the cross-platform
@@ -73,6 +74,57 @@ class TestSoftmaxRow:
         # softmaxes one row at a time.
         z = Rng(4 + n).normal(70 * n * n).reshape(70, n, n) * 3.0
         np.testing.assert_array_equal(softmax(z), [[softmax_row(row) for row in rows] for rows in z])
+
+
+class TestScalarRule:
+    """``integer`` and ``real``: Python or NumPy scalars in, plain Python values out, anything else named."""
+
+    @pytest.mark.parametrize("value", [7, np.int64(7), np.uint8(7), np.int32(7)])
+    def test_an_integer_comes_back_as_a_python_int(self, value):
+        got = integer(value, "n", 0, 9)
+        assert type(got) is int and got == 7
+
+    @pytest.mark.parametrize(
+        "value, low, high, rule",
+        [
+            (True, None, None, ""),
+            (np.True_, None, None, ""),
+            (2.0, None, None, ""),
+            (np.float64(2.0), 0, None, " >= 0"),
+            ("3", None, 9, " <= 9"),
+            (None, 0, 9, " in [0, 9]"),
+            (-1, 0, None, " >= 0"),
+            (np.int64(10), 0, 9, " in [0, 9]"),
+            (10**30, None, 9, " <= 9"),
+        ],
+    )
+    def test_anything_else_is_refused_naming_the_field_the_rule_and_the_value(self, value, low, high, rule):
+        with pytest.raises(ValueError, match=f"^n must be an integer{re.escape(rule)}, got {re.escape(repr(value))}$"):
+            integer(value, "n", low, high)
+
+    @pytest.mark.parametrize("value", [0.25, np.float32(0.25), np.float64(0.25), Fraction(1, 4)])
+    def test_a_real_comes_back_as_a_python_float(self, value):
+        got = real(value, "x", 0, 1)
+        assert type(got) is float and got == 0.25
+        assert type(real(np.int64(1), "x", 0, 1)) is float
+
+    @pytest.mark.parametrize(
+        "value, message",
+        [
+            (True, "x must be a real number, got True"),
+            ("0.5", "x must be a real number, got '0.5'"),
+            (None, "x must be a real number, got None"),
+            (complex(0.5, 0), "x must be a real number, got (0.5+0j)"),
+            (10**400, "x must be a finite float64, got int beyond its range"),
+            (1.5, "x must lie in [0, 1], got 1.5"),
+            (np.float32(-0.5), f"x must lie in [0, 1], got {np.float32(-0.5)!r}"),
+            (math.nan, "x must lie in [0, 1], got nan"),
+            (math.inf, "x must lie in [0, 1], got inf"),
+        ],
+    )
+    def test_a_non_real_or_a_real_out_of_range_is_refused(self, value, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            real(value, "x", 0, 1)
 
 
 def _kernel_shapes():

@@ -411,7 +411,7 @@ class TestPolicies:
         _, episodes = world_and_episodes
         calls = []
         monkeypatch.setattr(evalcli, "infer_episodes", lambda *args: calls.append(args))
-        with pytest.raises(ValueError, match=f"^Rng seed must be an integer, got {seed}$"):
+        with pytest.raises(ValueError, match=f"^seed must be an integer, got {seed}$"):
             evaluate("randcom", tiny_theta(), episodes, 0.2, seed, "srms")
         assert calls == []
 
@@ -570,6 +570,67 @@ class TestReports:
             paths.append((jp, cp))
         assert Path(paths[0][0]).read_bytes() == Path(paths[1][0]).read_bytes()
         assert Path(paths[0][1]).read_bytes() == Path(paths[1][1]).read_bytes()
+
+
+class TestOneScalarRule:
+    """What evaluate records and saves: checked Python values, or nothing."""
+
+    def test_numpy_scalars_in_plain_values_out(self, tmp_path, monkeypatch):
+        # At the parent a NumPy seed reached the report and save_report left a truncated JSON.
+        pipeline, config = PipelineConfig(q_dim=np.int64(4)), TrainConfig(steps=np.int64(3))
+        assert type(pipeline.q_dim) is int and type(config.steps) is int
+        world = make_world("srms", n_agents=np.int64(5), noise_sigma=np.float32(1.0), rng=Rng(1))
+        assert type(world.n_agents) is int and type(world.noise_sigma) is float
+        plain = make_world("srms", n_agents=5, noise_sigma=1.0, rng=Rng(1))
+        for built, name in ((world, "numpy.bin"), (plain, "plain.bin")):
+            save_dataset(str(tmp_path / name), generate_dataset(built, 20, seed=2))
+        assert (tmp_path / "numpy.bin").read_bytes() == (tmp_path / "plain.bin").read_bytes()
+        episodes = generate_dataset(plain, 20, seed=2).episodes
+        saved = []
+        for tag, delta, seed in (("numpy", np.float32(0.25), np.int64(3)), ("plain", 0.25, 3)):
+            paths = [tmp_path / f"{tag}.{ext}" for ext in ("json", "csv")]
+            save_report(evaluate("randcom", tiny_theta(), episodes, delta, seed), *map(str, paths))
+            saved.append([path.read_bytes() for path in paths])
+        assert saved[0] == saved[1]
+        calls = []
+        monkeypatch.setattr(evalcli, "infer_episodes", lambda *args: calls.append(args))
+        with pytest.raises(ValueError, match="^delta must be a real number, got True$"):  # once run at delta 1
+            evaluate("randcom", tiny_theta(), episodes, True, 3)
+        assert calls == []
+
+    def test_both_scorers_refuse_a_label_the_model_has_no_class_for(self, monkeypatch):
+        # A 20-class set under a 10-class model once scored 0.029 and returned normally.
+        episodes = generate_dataset(make_world("srms", n_classes=20, rng=Rng(5)), 40, seed=6).episodes
+        label = episodes.labels[episodes.labels >= 10][0]
+        calls = []
+        for module in (evalcli, neuralnet):
+            monkeypatch.setattr(module, "infer_episodes", lambda *args: calls.append(args))
+        message = "^" + re.escape(f"label {label} out of range [0, 10) of the model's n_classes") + "$"
+        with pytest.raises(ValueError, match=message):
+            evaluate("when2com", tiny_theta(), episodes, 0.2, 0)
+        with pytest.raises(ValueError, match=message):
+            evaluate_task_accuracy(tiny_theta(), episodes, 0.2)
+        assert calls == []
+
+    def test_evaluate_refuses_an_unknown_case(self, world_and_episodes):
+        # "bogus" was once written into the report.
+        _, episodes = world_and_episodes
+        with pytest.raises(ValueError, match=re.escape(f"unknown case 'bogus'; expected one of {CASES}")):
+            evaluate("nocom", tiny_theta(), episodes, 0.2, 0, case="bogus")
+
+    def test_a_report_or_a_sweep_table_is_written_whole_or_not_at_all(self, tmp_path, monkeypatch, world_and_episodes):
+        # JSON cannot encode a NumPy scalar; json.dump once left a partial file behind.
+        _, episodes = world_and_episodes
+        report = replace(evaluate("nocom", tiny_theta(), episodes, 0.2, 0), acc_all=np.float32(0.5))
+        paths = tmp_path / "r.json", tmp_path / "r.csv"
+        with pytest.raises(TypeError, match="float32 is not JSON serializable"):
+            save_report(report, *map(str, paths))
+        assert not any(path.exists() for path in paths)
+        row = dict(zip(evalcli.SWEEP_COLUMNS, ("query", np.int64(4), 4, 16, 0, 0.5, 0.5, 0.5, 1.0)))
+        monkeypatch.setattr(evalcli, "sweep_message_size", lambda *args, **kwargs: [row])
+        out = tmp_path / "sweep.csv"
+        assert cli_main(["sweep", "--param", "query", "--values", "4", "--out", str(out)]) == 1
+        assert not out.exists() and not (tmp_path / "sweep.json").exists()
 
 
 class TestCli:
@@ -826,7 +887,7 @@ class TestCli:
     @pytest.mark.parametrize(
         "edit, message",
         [
-            (lambda h, a: h["splits"].update(test=[999]), "splits.test index 999 is not an integer in [0, 40)"),
+            (lambda h, a: h["splits"].update(test=[999]), "splits.test index must be an integer in [0, 39], got 999"),
             (lambda h, a: h["splits"].update(test=[0, 0, 0, 0]), "episode 0 is listed twice in splits.test"),
             (lambda h, a: h.update(case="zzz"), "world case 'zzz' is not one of"),
             # No agent of episode 37 is degraded.
@@ -1246,6 +1307,12 @@ class TestSweep:
         assert len(rows) == 3
         assert [r["K"] for r in rows] == [2, 4, 8]
         assert all(r["Q"] == 4 for r in rows)
+
+    def test_rows_hold_python_ints_for_numpy_size_and_seed(self):
+        # NumPy ones once reached the rows, so the table could not be saved after training.
+        rows = evalcli.sweep_message_size("query", [np.int64(4)], n_episodes=60, steps=2, seed=np.int64(1))
+        assert rows == evalcli.sweep_message_size("query", [4], n_episodes=60, steps=2, seed=1)
+        assert type(rows[0]["size"]) is int and type(rows[0]["seed"]) is int
 
     def test_invalid_arguments(self):
         from groupcomm.evalcli import sweep_message_size

@@ -1,5 +1,6 @@
 """The package is self-contained: importing it loads only the standard library and numpy."""
 
+import ast
 import os
 import subprocess
 import sys
@@ -22,3 +23,15 @@ def test_package_imports_only_stdlib_and_numpy():
     proc = subprocess.run([sys.executable, "-c", PROBE], capture_output=True, text=True, env=env)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "", f"modules outside the standard library and numpy: {proc.stdout.strip()}"
+
+
+def test_only_densemath_imports_numbers():
+    # The scalar rule has one home: every other module checks its counts,
+    # seeds and thresholds through densemath.integer and densemath.real.
+    importers = set()
+    for path in sorted(Path(groupcomm.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            names = [a.name for a in node.names] if isinstance(node, ast.Import) else []
+            if "numbers" in names or isinstance(node, ast.ImportFrom) and node.module == "numbers":
+                importers.add(path.stem)
+    assert importers == {"densemath"}

@@ -209,7 +209,7 @@ class TestMakeWorld:
         [
             (dict(case="nosuch"), r"world case 'nosuch' is not one of"),
             (dict(case="triplet", n_agents=7), r"world n_agents must be a multiple of 3 for case 'triplet', got 7"),
-            (dict(case="srms", n_agents=0), r"world n_agents must be a positive integer, got 0"),
+            (dict(case="srms", n_agents=0), r"world n_agents must be an integer >= 1, got 0"),
             (dict(case="srms", obs_dim=9), r"world obs_dim must be an even integer >= 4, got 9"),
             (dict(case="srms", degrade_prob=1.5), r"world degrade_prob must lie in \[0, 1\], got 1\.5"),
             (dict(case="srms", overlap_frac=-0.1), r"world overlap_frac must lie in \[0, 1\], got -0\.1"),
@@ -475,17 +475,17 @@ class TestBlockRender:
     def test_start_outside_the_set_names_it(self):
         world = make_world("srms", rng=Rng(46))
         for start in (-1, 11):
-            with pytest.raises(ValueError, match=rf"start must lie in \[0, 10\], got {start}"):
+            with pytest.raises(ValueError, match=rf"start must be an integer in \[0, 10\], got {start}"):
                 generate_episodes(world, 10, seed=0, start=start)
 
     @pytest.mark.parametrize(
         "args, message",
         [
             ({"n_episodes": -5}, "n_episodes must be an integer >= 0, got -5"),
-            ({"n_episodes": 20.0}, "n_episodes must be an integer, got 20.0"),
-            ({"n_episodes": True}, "n_episodes must be an integer, got True"),
-            ({"start": 3.0}, "start must be an integer, got 3.0"),
-            ({"start": True}, "start must be an integer, got True"),
+            ({"n_episodes": 20.0}, "n_episodes must be an integer >= 0, got 20.0"),
+            ({"n_episodes": True}, "n_episodes must be an integer >= 0, got True"),
+            ({"start": 3.0}, "start must be an integer in [0, 20], got 3.0"),
+            ({"start": True}, "start must be an integer in [0, 20], got True"),
             ({"seed": 1.5}, "seed must be an integer, got 1.5"),
             ({"seed": None}, "seed must be an integer, got None"),
             ({"seed": True}, "seed must be an integer, got True"),
@@ -725,7 +725,7 @@ class TestValuesCheckThemselves:
             # Once built, and generate_dataset then ran on it without a word.
             (lambda w: dict(degrade_prob=7.0), "world degrade_prob must lie in [0, 1], got 7.0"),
             # Once a failure inside Rng.randint: "bound must be positive".
-            (lambda w: dict(n_agents=0), "world n_agents must be a positive integer, got 0"),
+            (lambda w: dict(n_agents=0), "world n_agents must be an integer >= 1, got 0"),
             (
                 lambda w: dict(n_agents=17),
                 "world n_agents 17 need 17 orthogonal scene signatures but only 16 scene dimensions are available",
@@ -770,13 +770,13 @@ class TestValuesCheckThemselves:
         "splits, message",
         [
             # Once built, and train then gathered rows 0, 1 and 1, 5.
-            (([0.0, 1.7], [2], []), "splits.train index 0.0 is not an integer in [0, 10)"),
-            (([0, 1], [True, 5], []), "splits.val index True is not an integer in [0, 10)"),
-            (([0, 1], [np.True_], []), f"splits.val index {np.True_!r} is not an integer in [0, 10)"),
-            (([0, 1], [np.float64(2.0)], []), f"splits.val index {np.float64(2.0)!r} is not an integer in [0, 10)"),
-            (([0, 1], [2], ["3"]), "splits.test index '3' is not an integer in [0, 10)"),
-            (([0, 1], [2], [10]), "splits.test index 10 is not an integer in [0, 10)"),
-            (([0, 1], [np.int64(-1)], []), "splits.val index -1 is not an integer in [0, 10)"),
+            (([0.0, 1.7], [2], []), "splits.train index must be an integer in [0, 9], got 0.0"),
+            (([0, 1], [True, 5], []), "splits.val index must be an integer in [0, 9], got True"),
+            (([0, 1], [np.True_], []), f"splits.val index must be an integer in [0, 9], got {np.True_!r}"),
+            (([0, 1], [np.float64(2.0)], []), f"splits.val index must be an integer in [0, 9], got {np.float64(2.0)!r}"),
+            (([0, 1], [2], ["3"]), "splits.test index must be an integer in [0, 9], got '3'"),
+            (([0, 1], [2], [10]), "splits.test index must be an integer in [0, 9], got 10"),
+            (([0, 1], [np.int64(-1)], []), f"splits.val index must be an integer in [0, 9], got {np.int64(-1)!r}"),
             (([0, 1, 0], [], []), "episode 0 is listed twice in splits.train"),
             (([0, 1], [1, 2], []), "episode 1 is listed in both splits.train and splits.val"),
             (([0, 1], [], [3, 0]), "episode 0 is listed in both splits.train and splits.test"),
@@ -958,8 +958,8 @@ class TestDatasetExport:
             ("label 12", "has label 12, not one in [0, 10)"),
             ("non-finite prototype", None),
             ("overlapping splits", "episode 1 is listed in both splits.train and splits.val"),
-            ("index 25", "splits.test index 25 is not an integer in [0, 20)"),
-            ("index -1", "splits.val index -1 is not an integer in [0, 20)"),
+            ("index 25", "splits.test index must be an integer in [0, 19], got 25"),
+            ("index -1", "splits.val index must be an integer in [0, 19], got -1"),
         ],
     )
     def test_save_refuses_what_load_refuses(self, tmp_path, fault, message):
@@ -1165,8 +1165,8 @@ class TestDatasetExport:
             (lambda h, a: h.update(case="triplet"), r"world n_agents must be a multiple of 3 for case 'triplet', got 5"),
             (lambda h, a: h.update(n_agents=10**30), rf"world n_agents {10**30} need {10**30} orthogonal scene signatures"),
             (lambda h, a: h.update(degrade_prob=None), r"world degrade_prob must be a real number, got None"),
-            (lambda h, a: h.update(n_agents=2.0), r"world n_agents must be a positive integer, got 2\.0"),
-            (lambda h, a: h.update(n_classes=0), r"world n_classes must be a positive integer, got 0"),
+            (lambda h, a: h.update(n_agents=2.0), r"world n_agents must be an integer >= 1, got 2\.0"),
+            (lambda h, a: h.update(n_classes=0), r"world n_classes must be an integer >= 1, got 0"),
             (lambda h, a: h.update(obs_dim=31), r"world obs_dim must be an even integer >= 4, got 31"),
             (lambda h, a: h.update(scene_dim=8), r"world scene_dim must be obs_dim // 2 = 16, got 8"),
             # A float scene_dim equals obs_dim // 2 but cannot shape or index an array.
@@ -1226,9 +1226,9 @@ class TestDatasetExport:
             (lambda h: h.pop("splits"), r"the header has no 'splits' field"),
             (lambda h: h.update(colour="red"), r"the header has an unknown 'colour' field"),
             (lambda h: h.update(prototypes=[]), r"the header has an unknown 'prototypes' field"),
-            (lambda h: h.update(n_episodes=-1), r"n_episodes must be a non-negative integer, got -1"),
-            (lambda h: h.update(n_episodes=10.0), r"n_episodes must be a non-negative integer, got 10\.0"),
-            (lambda h: h.update(n_episodes=True), r"n_episodes must be a non-negative integer, got True"),
+            (lambda h: h.update(n_episodes=-1), r"n_episodes must be an integer >= 0, got -1"),
+            (lambda h: h.update(n_episodes=10.0), r"n_episodes must be an integer >= 0, got 10\.0"),
+            (lambda h: h.update(n_episodes=True), r"n_episodes must be an integer >= 0, got True"),
             (lambda h: h.update(splits=[]), r"splits must be a JSON object, got list"),
             (lambda h: h["splits"].pop("val"), r"splits has no 'val' field"),
             (lambda h: h["splits"].update(extra=[]), r"splits has an unknown 'extra' field"),
@@ -1261,16 +1261,16 @@ class TestDatasetExport:
     @pytest.mark.parametrize(
         "edit, message",
         [
-            (lambda h: h.update(n_agents="5"), r"world n_agents must be a positive integer, got '5'"),
-            (lambda h: h.update(obs_dim="32"), r"world obs_dim must be a positive integer, got '32'"),
-            (lambda h: h.update(n_classes=False), r"world n_classes must be a positive integer, got False"),
+            (lambda h: h.update(n_agents="5"), r"world n_agents must be an integer >= 1, got '5'"),
+            (lambda h: h.update(obs_dim="32"), r"world obs_dim must be an integer >= 1, got '32'"),
+            (lambda h: h.update(n_classes=False), r"world n_classes must be an integer >= 1, got False"),
             (lambda h: h.update(scene_dim="16"), r"world scene_dim must be obs_dim // 2 = 16, got '16'"),
             (lambda h: h.update(scene_dim=True), r"world scene_dim must be obs_dim // 2 = 16, got True"),
             (lambda h: h.update(degrade_prob="0.5"), r"world degrade_prob must be a real number, got '0\.5'"),
             (lambda h: h.update(overlap_frac=False), r"world overlap_frac must be a real number, got False"),
-            (lambda h: h.update(n_episodes="10"), r"n_episodes must be a non-negative integer, got '10'"),
-            (lambda h: h["splits"].update(train=["0"]), r"splits\.train index '0' is not an integer in \[0, 10\)"),
-            (lambda h: h["splits"].update(val=[True]), r"splits\.val index True is not an integer in \[0, 10\)"),
+            (lambda h: h.update(n_episodes="10"), r"n_episodes must be an integer >= 0, got '10'"),
+            (lambda h: h["splits"].update(train=["0"]), r"splits\.train index must be an integer in \[0, 9\], got '0'"),
+            (lambda h: h["splits"].update(val=[True]), r"splits\.val index must be an integer in \[0, 9\], got True"),
         ],
     )
     def test_load_rejects_strings_and_booleans_as_numbers(self, tmp_path, edit, message):
@@ -1293,9 +1293,9 @@ class TestDatasetExport:
     @pytest.mark.parametrize(
         "split, value, message",
         [
-            ("test", [999], r"splits\.test index 999 is not an integer in \[0, 10\)"),
-            ("test", [-1], r"splits\.test index -1 is not an integer"),
-            ("val", [8.0], r"splits\.val index 8\.0 is not an integer"),
+            ("test", [999], r"splits\.test index must be an integer in \[0, 9\], got 999"),
+            ("test", [-1], r"splits\.test index must be an integer in \[0, 9\], got -1"),
+            ("val", [8.0], r"splits\.val index must be an integer in \[0, 9\], got 8\.0"),
             ("test", [9, 9], r"episode 9 is listed twice in splits\.test"),
             ("test", [9, 0], r"episode 0 is listed in both splits\.train and splits\.test"),
         ],

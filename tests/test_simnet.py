@@ -733,14 +733,14 @@ class TestTraceDump:
         [
             ('{"kind": "query", "from": 0, "to": 1}', "lacks field(s) ['payload_reals', 'payload_bytes'"),
             (_good_record(kind="gossip"), "unknown message kind 'gossip'"),
-            (_good_record(payload_reals=-3), "payload_reals must be a non-negative integer, got -3"),
-            (_good_record(payload_reals=2.5), "payload_reals must be a non-negative integer, got 2.5"),
+            (_good_record(payload_reals=-3), f"payload_reals must be an integer in [0, {2**30 - 1}], got -3"),
+            (_good_record(payload_reals=2.5), f"payload_reals must be an integer in [0, {2**30 - 1}], got 2.5"),
             # The header's payload length and ids are 4- and 2-byte fields.
-            (_good_record(payload_reals=2**30), f"payload_reals must be at most {2**30 - 1}, got {2**30}"),
-            (_good_record(payload_reals=10**30), f"payload_reals must be at most {2**30 - 1}, got {10**30}"),
-            (_good_record(to=-1), "to must be a non-negative integer, got -1"),
-            (_good_record(to=2**16), f"to must be at most {2**16 - 1}, got {2**16}"),
-            (_good_record(**{"from": 2**16}), f"from must be at most {2**16 - 1}, got {2**16}"),
+            (_good_record(payload_reals=2**30), f"payload_reals must be an integer in [0, {2**30 - 1}], got {2**30}"),
+            (_good_record(payload_reals=10**30), f"payload_reals must be an integer in [0, {2**30 - 1}], got {10**30}"),
+            (_good_record(to=-1), f"to must be an integer in [0, {2**16 - 1}], got -1"),
+            (_good_record(to=2**16), f"to must be an integer in [0, {2**16 - 1}], got {2**16}"),
+            (_good_record(**{"from": 2**16}), f"from must be an integer in [0, {2**16 - 1}], got {2**16}"),
             (_good_record(to=0), "inter-agent message to self: agent 0"),
             ('{"kind": "query", "from": 0,', "bad JSON: Expecting property name enclosed in double quotes at column 29"),
             ("[1, 2]", "expected a JSON object, got list"),
