@@ -1,4 +1,4 @@
-"""Stable softmax, the row-invariant product, a seeded RNG, read-only arrays, index keys and scalar checks.
+"""Stable softmax, the row-invariant product, a seeded RNG, read-only arrays, index keys, and scalar and array checks.
 
 Everything downstream builds on this module.  All values are 64-bit floats;
 matrices are 2-D C-ordered ``numpy.ndarray`` (rows x cols, row-major).  All
@@ -151,6 +151,20 @@ def real(value, name: str, low: float, high: float) -> float:
     if not low <= number <= high:
         raise ValueError(f"{name} must lie in [{low}, {high}], got {value!r}")
     return number
+
+
+def array(value, name: str, dtype, shape: tuple[int | None, ...]) -> np.ndarray:
+    """``value`` itself, unconverted, if it is an ndarray of exactly ``dtype`` and ``shape``; a None matches any length.
+
+    Anything else, a list too, raises ValueError naming ``name``, the dtype and shape needed, and what it got.
+    """
+    if isinstance(value, np.ndarray) and value.dtype == dtype:
+        got = value.shape
+        if got == shape or len(got) == len(shape) and all(s in (g, None) for g, s in zip(got, shape)):
+            return value
+    got = f"dtype {value.dtype} and shape {value.shape}" if isinstance(value, np.ndarray) else type(value).__name__
+    shape = repr(shape).replace("None", "any")
+    raise ValueError(f"{name} must be an ndarray of dtype {np.dtype(dtype)} and shape {shape}, got {got}")
 
 
 def _words(starts: np.ndarray, n: int) -> np.ndarray:

@@ -34,7 +34,7 @@ from dataclasses import asdict, dataclass, fields, replace
 import numpy as np
 
 from .commgraph import link_mask
-from .densemath import Rng, integer, real
+from .densemath import Rng, array, integer, real
 from .neuralnet import (
     EVAL_BLOCK,
     HANDSHAKE_POLICIES,
@@ -145,22 +145,24 @@ def decisions_from_rows(rows: np.ndarray) -> np.ndarray:
 def when2com_accuracy(episodes: EpisodeSet, decisions) -> float:
     """Agreement between communicate decisions and ground-truth need (``episodes.degraded``).
 
-    ``decisions`` is the (E, N) bool array of :func:`decisions_from_rows`.
+    ``decisions`` is the (E, N) bool array of :func:`decisions_from_rows`, or
+    lists that make one; any other dtype or shape raises (``densemath.array``).
     """
     if not len(episodes):
         raise ValueError("when2com_accuracy: episodes is empty, so there is no decision to score")
-    decided = _shaped("decisions", decisions, episodes.degraded.shape, bool)
+    decided = array(np.asarray(decisions), "decisions", np.bool_, episodes.degraded.shape)
     return int(np.count_nonzero(decided == episodes.degraded)) / decided.size
 
 
 def grouping_accuracy(episodes: EpisodeSet, rows) -> tuple[float | None, float | None]:
     """Supporter-selection rates over needy agents that do communicate, against ``episodes.support``.
 
-    ``rows`` is the (E, N, N) stack of pruned rows.  Returns (top-1 rate,
-    all-links-valid rate); both are None when no agent qualifies (needy and
-    communicating), never 0.  Top-1 ties go to the lowest index.
+    ``rows`` is the (E, N, N) float64 stack of pruned rows, or a sequence that
+    makes one (``densemath.array``).  Returns (top-1 rate, all-links-valid
+    rate); both are None when no agent qualifies (needy and communicating),
+    never 0.  Top-1 ties go to the lowest index.
     """
-    rows = _shaped("rows", rows, episodes.support.shape, np.float64)
+    rows = array(np.asarray(rows), "rows", np.float64, episodes.support.shape)
     linked = link_mask(rows)
     qualified = episodes.degraded & linked.any(axis=-1)
     total = int(np.count_nonzero(qualified))
@@ -170,15 +172,6 @@ def grouping_accuracy(episodes: EpisodeSet, rows) -> tuple[float | None, float |
     top_hits = np.take_along_axis(episodes.support, top[..., None], axis=-1)[..., 0] & qualified
     set_hits = ~np.any(linked & ~episodes.support, axis=-1) & qualified
     return int(np.count_nonzero(top_hits)) / total, int(np.count_nonzero(set_hits)) / total
-
-
-def _shaped(what: str, values, shape: tuple[int, ...], dtype) -> np.ndarray:
-    """``values`` as an array of ``shape``; raises ValueError naming ``what``, its shape and the one needed."""
-    array = np.asarray(values, dtype=dtype)
-    if array.shape != shape:
-        e, n = shape[:2]
-        raise ValueError(f"{what} of shape {array.shape}, but {e} episodes of N = {n} agents need {shape}")
-    return array
 
 
 def evaluate(

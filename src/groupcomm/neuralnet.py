@@ -59,7 +59,7 @@ from dataclasses import astuple, dataclass, field
 import numpy as np
 
 from .commgraph import build_matching_matrix, fuse_rows, prune, top1_rows
-from .densemath import Rng, index_array, integer, row_matmul, softmax
+from .densemath import Rng, array, index_array, integer, row_matmul, softmax
 
 CHECKPOINT_MAGIC = b"GRPCOMM1"
 CHECKPOINT_VERSION = 1
@@ -142,7 +142,8 @@ class PipelineParams:
     The four MLP heads ``theta_q``, ``theta_k``, ``theta_e``, ``theta_d`` and
     the bilinear matching form ``w_g`` are views of ``flat``, laid out in
     checkpoint order (:func:`param_shapes`).  Writing a view writes ``flat``,
-    so one vector operation on ``flat`` updates every parameter.
+    so one vector operation on ``flat`` updates every parameter.  ``flat``
+    must be a float64 ndarray of that total size (``densemath.array``).
     """
 
     config: PipelineConfig
@@ -153,9 +154,7 @@ class PipelineParams:
         sizes = [math.prod(s) for s in shapes]
         if self.flat is None:
             self.flat = np.zeros(sum(sizes))
-        if self.flat.dtype != np.float64 or self.flat.shape != (sum(sizes),):
-            got = f"{self.flat.dtype} of shape {self.flat.shape}"
-            raise ValueError(f"PipelineParams.flat must be a float64 vector of {sum(sizes)} values, got {got}")
+        array(self.flat, "PipelineParams.flat", np.float64, (sum(sizes),))
         ends = itertools.accumulate(sizes)
         views = (self.flat[end - size : end].reshape(s) for s, size, end in zip(shapes, sizes, ends))
         self.theta_q, self.theta_k, self.theta_e, self.theta_d = (
@@ -492,7 +491,10 @@ def pipeline_backward(result: ForwardResult, theta: PipelineParams, labels, grad
 
 @dataclass
 class AdamState:
-    """First and second moment vectors, laid out as ``PipelineParams.flat``, and the step's two scratch vectors."""
+    """First and second moment vectors, laid out as ``PipelineParams.flat``, and the step's two scratch vectors.
+
+    ``m`` must be a float64 ndarray vector, and ``v`` one of its length (``densemath.array``).
+    """
 
     m: np.ndarray
     v: np.ndarray
@@ -500,7 +502,9 @@ class AdamState:
     scratch: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        self.scratch = np.empty((2,) + self.m.shape)
+        m = array(self.m, "AdamState.m", np.float64, (None,))
+        array(self.v, "AdamState.v", np.float64, m.shape)
+        self.scratch = np.empty((2,) + m.shape)
 
     @classmethod
     def for_params(cls, theta: PipelineParams) -> "AdamState":
@@ -523,17 +527,17 @@ def adam_step(
     ``v = beta2 * v + (1 - beta2) * g * g`` and
     ``flat = flat - lr * (m / (1 - beta1**t)) / (sqrt(v / (1 - beta2**t)) + eps)``,
     written into ``state.m``, ``state.v`` and ``theta.flat`` through the
-    state's two scratch vectors.  ``grads`` is only read.  A gradient or
-    moment vector that is not laid out as ``theta.flat`` is rejected before
-    anything is written.
+    state's two scratch vectors.  ``grads`` is only read.  A vector that is
+    not a float64 ndarray of ``theta.flat``'s shape (``densemath.array``), or
+    a read-only parameter or moment vector, raises ValueError naming it
+    before anything is written, ``state.t`` included.
     """
-    flat = theta.flat
-    for name, vec in (("gradient", grads.flat), ("first moment", state.m), ("second moment", state.v)):
-        if vec.dtype != flat.dtype or vec.shape != flat.shape:
-            got = f"{vec.dtype} of shape {vec.shape}"
-            raise ValueError(f"adam_step: the {name} vector must be {flat.dtype} of shape {flat.shape}, got {got}")
+    flat, g, m, v = theta.flat, grads.flat, state.m, state.v
+    for name, vec in (("gradient", g), ("first moment", m), ("second moment", v), ("parameter", flat)):
+        array(vec, f"adam_step: the {name} vector", np.float64, flat.shape)
+        if name != "gradient" and not vec.flags.writeable:
+            raise ValueError(f"adam_step: the {name} vector is read-only, so the step cannot write it")
     state.t += 1
-    g, m, v = grads.flat, state.m, state.v
     num, den = state.scratch
     np.multiply(g, 1.0 - beta1, out=num)
     m *= beta1
@@ -673,10 +677,10 @@ def _first_non_finite(theta: PipelineParams) -> str | None:
         for i in range(len(sizes) - 1)
         for part in ("weight", "bias")
     ] + ["w_g"]
-    for name, array in zip(names, param_arrays(theta), strict=True):
-        bad = np.flatnonzero(~np.isfinite(array))
+    for name, values in zip(names, param_arrays(theta), strict=True):
+        bad = np.flatnonzero(~np.isfinite(values))
         if bad.size:
-            return f"{name} holds {array.flat[bad[0]]} at flat index {bad[0]}"
+            return f"{name} holds {values.flat[bad[0]]} at flat index {bad[0]}"
     return None
 
 

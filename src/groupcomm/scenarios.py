@@ -82,7 +82,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .densemath import Rng, frozen, index_array, integer, keyed_streams, normal_blocks, real
+from .densemath import Rng, array, frozen, index_array, integer, keyed_streams, normal_blocks, real
 
 CASES = ("srms", "mrms", "mrmps", "triplet")
 
@@ -98,9 +98,9 @@ class World:
 
     The scalars, Python or NumPy numbers, must be ones :func:`make_world`
     could build from, and are held as Python ints and floats; the arrays
-    must be finite float64: ``prototypes`` (C, obs_dim) and ``scene_codes``
-    (S, S), where S is ``scene_dim``, half of ``obs_dim``.  Two worlds are
-    equal only when they are one object.
+    must be finite float64 ndarrays (``densemath.array``): ``prototypes``
+    (C, obs_dim) and ``scene_codes`` (S, S), where S is ``scene_dim``, half
+    of ``obs_dim``.  Two worlds are equal only when they are one object.
     """
 
     n_agents: int
@@ -117,15 +117,10 @@ class World:
         for key, value in _check_world(**{key: getattr(self, key) for key in _WORLD_FIELDS}).items():
             object.__setattr__(self, key, value)
         for name, shape in (("prototypes", (self.n_classes, self.obs_dim)), ("scene_codes", (self.scene_dim,) * 2)):
-            array = getattr(self, name)
-            if not isinstance(array, np.ndarray) or array.dtype != np.float64:
-                kind = getattr(array, "dtype", type(array).__name__)
-                raise ValueError(f"world {name} must be a float64 array, got {kind}")
-            if array.shape != shape:
-                raise ValueError(f"the world {name} array is {array.shape}, but the world's fields give {shape}")
-            if not np.isfinite(array).all():
+            values = array(getattr(self, name), f"world {name}", np.float64, shape)
+            if not np.isfinite(values).all():
                 raise ValueError(f"world {name} contain non-finite values")
-            frozen(array)
+            frozen(values)
 
     @property
     def scene_dim(self) -> int:
@@ -142,8 +137,9 @@ class EpisodeSet:
 
     ``support[e, i, j]`` is true when agent j holds an informative view for
     agent i, and ``degraded`` is also the need to communicate.  The
-    constructor rejects shapes or dtypes that disagree, so all episodes
-    share one N, and makes each array read-only.  An int index gives an
+    constructor refuses an array that is not an ndarray of its dtype and of
+    the labels' E and N (``densemath.array``), so all episodes share one N,
+    and then makes each array read-only.  An int index gives an
     :class:`Episode` view, a slice a set of views, and any other key (see
     ``densemath.index_array``) a gathered copy.
     """
@@ -154,22 +150,12 @@ class EpisodeSet:
     support: np.ndarray  # (E, N, N) bool
 
     def __post_init__(self):
-        if self.labels.ndim != 2:
-            raise ValueError(f"EpisodeSet.labels must be (E, N), got shape {self.labels.shape}")
-        e, n = self.labels.shape
-        for name, dtype, shape, dims in (
-            ("observations", np.float64, (e, n) + self.observations.shape[-1:], "(E, N, obs_dim)"),
-            ("labels", np.int64, (e, n), "(E, N)"),
-            ("degraded", np.bool_, (e, n), "(E, N)"),
-            ("support", np.bool_, (e, n, n), "(E, N, N)"),
-        ):
-            array = getattr(self, name)
-            if array.dtype != dtype or array.shape != shape:
-                raise ValueError(
-                    f"EpisodeSet.{name} must be {np.dtype(dtype)} of shape {dims} with the labels' E = {e} and "
-                    f"N = {n}, got {array.dtype} of shape {array.shape}"
-                )
-            frozen(array)
+        e, n = array(self.labels, "EpisodeSet.labels", np.int64, (None, None)).shape
+        array(self.observations, "EpisodeSet.observations", np.float64, (e, n, None))
+        array(self.degraded, "EpisodeSet.degraded", np.bool_, (e, n))
+        array(self.support, "EpisodeSet.support", np.bool_, (e, n, n))
+        for values in self.arrays:
+            frozen(values)
 
     @property
     def arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
@@ -238,9 +224,9 @@ class Dataset:
     of Python ints (``densemath.integer``).  The first fault raises
     ValueError: a split index that is a bool, not an integer or outside
     [0, E), or is listed twice or in two splits; observations not
-    (E, N, obs_dim) for the world; then, naming the (episode, agent), a
-    non-finite observation, a label outside [0, C), an agent its own
-    supporter, or supporters of a clean agent.
+    (E, N, obs_dim) for the world (``densemath.array``); then, naming the
+    (episode, agent), a non-finite observation, a label outside [0, C), an
+    agent its own supporter, or supporters of a clean agent.
     """
 
     world: World
@@ -265,8 +251,7 @@ class Dataset:
             if both := members[a].keys() & members[b].keys():
                 raise ValueError(f"episode {min(both)} is listed in both splits.{a} and splits.{b}")
         world, (obs, labels, degraded, support) = self.world, self.episodes.arrays
-        if obs.shape != (shape := (n, world.n_agents, world.obs_dim)):
-            raise ValueError(f"the observations array is {obs.shape}, but the world's fields give {shape}")
+        array(obs, "Dataset.episodes.observations", np.float64, (n, world.n_agents, world.obs_dim))
         c = world.n_classes
         _reject_first(~np.isfinite(obs).all(axis=2), "has non-finite observations")
         _reject_first((labels < 0) | (labels >= c), f"has label {{}}, not one in [0, {c})", labels)
@@ -584,8 +569,8 @@ def generate_episodes(world: World, n_episodes: int, seed: int, start: int = 0) 
     for first in range(start, n_episodes, RENDER_BLOCK):
         rngs = keyed_streams(seed, first, min(RENDER_BLOCK, n_episodes - first))
         block = render_episodes(world, [generate_episode(world, rng) for rng in rngs])
-        for array, rows in zip(arrays, block.arrays):
-            array[first - start : first - start + len(rows)] = rows
+        for target, rows in zip(arrays, block.arrays):
+            target[first - start : first - start + len(rows)] = rows
     return EpisodeSet(*arrays)
 
 
@@ -643,8 +628,8 @@ def save_dataset(path: str, dataset: Dataset) -> None:
     text = json.dumps(header, sort_keys=True).encode()
     with open(path, "wb") as fh:
         fh.write(_PREFIX.pack(DATASET_MAGIC, DATASET_VERSION, len(text)) + text)
-        for array, (dtype, _) in zip((world.prototypes, world.scene_codes, *episodes.arrays), _body_layout(header)):
-            fh.write(array.astype(dtype, copy=False).tobytes())
+        for values, (dtype, _) in zip((world.prototypes, world.scene_codes, *episodes.arrays), _body_layout(header)):
+            fh.write(values.astype(dtype, copy=False).tobytes())
 
 
 def _require_fields(where: str, record, fields) -> None:

@@ -221,6 +221,15 @@ class TestBuildMatchingMatrix:
             build_matching_matrix(np.zeros((4, 3)), np.zeros((4, 3)), w)
         with pytest.raises(ValueError, match="at least one agent"):
             build_matching_matrix(np.zeros((0, 2)), np.zeros((0, 3)), w)
+        with pytest.raises(ValueError, match=re.escape("w_g must be 2-D, got shape (2,)")):
+            build_matching_matrix(np.zeros((4, 2)), np.zeros((4, 2)), np.ones(2))
+
+    @pytest.mark.parametrize("bad", [math.inf, math.nan])
+    def test_non_finite_scores_rejected(self, bad):
+        queries = np.ones((3, 2))
+        queries[1, 0] = bad
+        with pytest.raises(ValueError, match="^attention scores contain non-finite entries$"):
+            build_matching_matrix(queries, np.ones((3, 2)), np.ones((2, 2)))
 
 
 class TestPrune:
@@ -337,6 +346,18 @@ class TestFuse:
     def test_feature_length_mismatch(self):
         with pytest.raises(ValueError):
             fuse(np.array([0.5, 0.5]), [np.zeros(3), np.zeros(4)])
+
+    def test_weights_of_another_length_than_the_features_rejected(self):
+        with pytest.raises(ValueError, match=re.escape("weights shape (3,) does not match 2 features")):
+            fuse(np.array([0.5, 0.25, 0.25]), [np.zeros(3), np.zeros(3)])
+
+    def test_missing_payload_under_a_nonzero_weight_rejected(self):
+        with pytest.raises(ValueError, match="^feature 1 has nonzero weight but no payload$"):
+            fuse(np.array([0.0, 0.5, 0.5]), [np.zeros(3), None, np.zeros(3)])
+
+    def test_every_feature_absent_rejected(self):
+        with pytest.raises(ValueError, match="^cannot infer feature length: all features absent$"):
+            fuse(np.zeros(2), [None, None])
 
     def test_rows_match_fuse_of_each_row_bitwise(self):
         rng = Rng(13)

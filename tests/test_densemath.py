@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from groupcomm import densemath, scenarios
-from groupcomm.densemath import Rng, integer, normal_blocks, real, row_matmul, softmax, softmax_row
+from groupcomm.densemath import Rng, array, integer, normal_blocks, real, row_matmul, softmax, softmax_row
 from groupcomm.neuralnet import PipelineConfig, head_sizes
 
 # First five raw words of the seed-42 stream, frozen as the cross-platform
@@ -127,6 +127,71 @@ class TestScalarRule:
             real(value, "x", 0, 1)
 
 
+class TestArrayRule:
+    """``array``: an ndarray of exactly the dtype and shape comes back itself, anything else is named."""
+
+    @pytest.mark.parametrize(
+        "value, dtype, shape",
+        [
+            (np.zeros((2, 3)), np.float64, (2, 3)),
+            (np.zeros((2, 3)), np.float64, (None, 3)),
+            (np.zeros((2, 3), bool), bool, (None, None)),
+            (np.zeros(0, np.int64), np.int64, (None,)),
+            (np.zeros(()), np.float64, ()),
+            (np.frombuffer(bytes(16), "<f8"), np.float64, (2,)),
+        ],
+    )
+    def test_a_matching_array_comes_back_itself(self, value, dtype, shape):
+        assert array(value, "x", dtype, shape) is value
+
+    @pytest.mark.parametrize(
+        "value, dtype, shape, message",
+        [
+            ([[0.0] * 3] * 2, np.float64, (2, 3), "x must be an ndarray of dtype float64 and shape (2, 3), got list"),
+            (None, np.int64, (None,), "x must be an ndarray of dtype int64 and shape (any,), got NoneType"),
+            (
+                np.zeros((2, 3), np.float32),
+                np.float64,
+                (2, 3),
+                "x must be an ndarray of dtype float64 and shape (2, 3), got dtype float32 and shape (2, 3)",
+            ),
+            (
+                np.zeros((2, 3), np.uint8),
+                np.bool_,
+                (2, 3),
+                "x must be an ndarray of dtype bool and shape (2, 3), got dtype uint8 and shape (2, 3)",
+            ),
+            (
+                np.zeros((2, 3)),
+                np.float64,
+                (3, 2),
+                "x must be an ndarray of dtype float64 and shape (3, 2), got dtype float64 and shape (2, 3)",
+            ),
+            (
+                np.zeros((2, 3)),
+                np.float64,
+                (2, None, None),
+                "x must be an ndarray of dtype float64 and shape (2, any, any), got dtype float64 and shape (2, 3)",
+            ),
+            (
+                np.zeros((2, 3)),
+                np.float64,
+                (None, 4),
+                "x must be an ndarray of dtype float64 and shape (any, 4), got dtype float64 and shape (2, 3)",
+            ),
+            (
+                np.zeros(5),
+                np.float64,
+                (4,),
+                "x must be an ndarray of dtype float64 and shape (4,), got dtype float64 and shape (5,)",
+            ),
+        ],
+    )
+    def test_anything_else_is_refused_naming_the_field_what_it_needs_and_what_it_got(self, value, dtype, shape, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            array(value, "x", dtype, shape)
+
+
 def _kernel_shapes():
     """(out, in) of every layer of the default pipeline and of its w_g, plus one odd shape."""
     c = PipelineConfig()
@@ -222,6 +287,14 @@ class TestRng:
         r = Rng(6)
         draws = [r.randint(5) for _ in range(2000)]
         assert set(draws) == {0, 1, 2, 3, 4}
+
+    def test_a_negative_normal_count_or_a_bound_below_one_is_refused(self):
+        rng = Rng(42)
+        with pytest.raises(ValueError, match="^draw count must be >= 0$"):
+            rng.normal(-1)
+        with pytest.raises(ValueError, match="^bound must be positive$"):
+            rng.randint(0)
+        assert [int(x) for x in rng.u64(5)] == GOLDEN_U64_SEED42
 
     def test_permutation_is_permutation(self):
         r = Rng(8)

@@ -108,9 +108,18 @@ class TestWhen2comAccuracy:
 
     def test_decisions_of_another_agent_count_rejected(self):
         eps = needy_set([[True, False]] * 2, [[{1}, ()]] * 2)
-        message = "decisions of shape (2, 3), but 2 episodes of N = 2 agents need (2, 2)"
+        message = "decisions must be an ndarray of dtype bool and shape (2, 2), got dtype bool and shape (2, 3)"
         with pytest.raises(ValueError, match=re.escape(message)):
             when2com_accuracy(eps, [[False, True, True]] * 2)
+
+    def test_decisions_of_another_dtype_rejected(self):
+        # A float used to be cast to bool, so 0.3 read as a decision to communicate.
+        eps = needy_set([[True, False]] * 2, [[{1}, ()]] * 2)
+        message = "decisions must be an ndarray of dtype bool and shape (2, 2), got dtype float64 and shape (2, 2)"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            when2com_accuracy(eps, np.full((2, 2), 0.3))
+        with pytest.raises(ValueError, match="got dtype int64 and shape"):
+            when2com_accuracy(eps, [[1, 0], [0, 0]])
 
     def test_decision_lists_of_several_lengths_rejected(self):
         eps = needy_set([[True, False, False]] * 3, [[{1}, (), ()]] * 3)
@@ -157,7 +166,8 @@ class TestGroupingAccuracy:
     def test_length_mismatch(self):
         # 10 episodes against 3 row sets used to score only the first 3.
         eps = needy_set([[True, False]] * 10, [[{1}, ()]] * 10)
-        with pytest.raises(ValueError, match=re.escape("rows of shape (3, 2, 2), but 10 episodes of N = 2 agents")):
+        message = "rows must be an ndarray of dtype float64 and shape (10, 2, 2), got dtype float64 and shape (3, 2, 2)"
+        with pytest.raises(ValueError, match=re.escape(message)):
             grouping_accuracy(eps, [np.ones((2, 2))] * 3)
 
     @pytest.mark.parametrize("shape", [(2, 2), (3, 5)])
@@ -167,9 +177,17 @@ class TestGroupingAccuracy:
         eps = needy_set([[True, False, False]] * 2, [[{1}, (), ()]] * 2)
         with pytest.raises(ValueError, match="inhomogeneous shape"):
             grouping_accuracy(eps, [np.eye(3), np.ones(shape)])
-        message = f"rows of shape {(2,) + shape}, but 2 episodes of N = 3 agents need (2, 3, 3)"
+        message = f"rows must be an ndarray of dtype float64 and shape (2, 3, 3), got dtype float64 and shape {(2,) + shape}"
         with pytest.raises(ValueError, match=re.escape(message)):
             grouping_accuracy(eps, np.ones((2,) + shape))
+
+    def test_rows_of_another_dtype_rejected(self):
+        eps = needy_set([[True, False]], [[{1}, ()]])
+        message = "rows must be an ndarray of dtype float64 and shape (1, 2, 2), got dtype int64 and shape (1, 2, 2)"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            grouping_accuracy(eps, [[[1, 1], [0, 1]]])
+        with pytest.raises(ValueError, match="got dtype float32 and shape"):
+            grouping_accuracy(eps, np.ones((1, 2, 2), np.float32))
 
     def test_set_rate_stricter_than_top1(self):
         eps = needy_set([[True, False, False]], [[{1}, (), ()]])

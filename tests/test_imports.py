@@ -35,3 +35,17 @@ def test_only_densemath_imports_numbers():
             if "numbers" in names or isinstance(node, ast.ImportFrom) and node.module == "numbers":
                 importers.add(path.stem)
     assert importers == {"densemath"}
+
+
+def test_only_densemath_compares_a_dtype():
+    # The array rule has one home: every other module checks the dtype and
+    # shape of an array it holds through densemath.array, so none of them
+    # compares a `.dtype` with == or !=.
+    comparers = set()
+    for path in sorted(Path(groupcomm.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Compare) and any(isinstance(op, (ast.Eq, ast.NotEq)) for op in node.ops):
+                operands = [node.left, *node.comparators]
+                if any(isinstance(o, ast.Attribute) and o.attr == "dtype" for o in operands):
+                    comparers.add(path.stem)
+    assert comparers == {"densemath"}

@@ -299,6 +299,10 @@ class TestCrossEntropy:
         with pytest.raises(ValueError, match=f"^labels must be integers, got dtype {dtype}$"):
             cross_entropy_loss(np.zeros((2, 3)), labels)
 
+    def test_labels_of_another_shape_are_refused(self):
+        with pytest.raises(ValueError, match=re.escape("logits of shape (2, 3) vs labels of shape (3,)")):
+            cross_entropy_loss(np.zeros((2, 3)), [0, 1, 2])
+
 
 class TestPipelineBackward:
     def test_finite_difference_agreement(self):
@@ -347,6 +351,17 @@ class TestPipelineBackward:
         grads.flat[:] = 7.0
         with pytest.raises(ValueError, match=f"^labels must be integers, got dtype {dtype}$"):
             pipeline_backward(res, theta, labels, grads)
+        assert np.all(grads.flat == 7.0)
+
+    def test_backward_refuses_labels_of_another_count_before_writing(self):
+        cfg, theta, obs, labels = random_pipeline(Rng(23))
+        res = pipeline_forward(theta, obs, mode="training")
+        grads = zeros_like_params(theta)
+        grads.flat[:] = 7.0
+        n = len(labels)
+        message = f"result holds 1 x {n} agents but got labels of shape ({n + 1},)"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            pipeline_backward(res, theta, list(labels) + [0], grads)
         assert np.all(grads.flat == 7.0)
 
     def test_backward_rejects_tree_of_another_config(self):
@@ -619,15 +634,20 @@ class TestFlatLayout:
     @pytest.mark.parametrize("size", [0, 1, 500])
     def test_rejects_flat_of_wrong_length(self, size):
         total = PipelineParams(self.CFG).flat.size
-        with pytest.raises(ValueError, match=rf"vector of {total} values, got float64 of shape \({size},\)"):
+        message = f"PipelineParams.flat must be an ndarray of dtype float64 and shape ({total},), got dtype float64 and "
+        message += f"shape ({size},)"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             PipelineParams(self.CFG, np.zeros(size))
 
     def test_rejects_flat_of_wrong_dtype_or_rank(self):
         total = PipelineParams(self.CFG).flat.size
-        with pytest.raises(ValueError, match="got float32"):
+        with pytest.raises(ValueError, match="got dtype float32"):
             PipelineParams(self.CFG, np.zeros(total, dtype=np.float32))
         with pytest.raises(ValueError, match=rf"shape \(1, {total}\)"):
             PipelineParams(self.CFG, np.zeros((1, total)))
+        # A list once raised a bare AttributeError on .dtype.
+        with pytest.raises(ValueError, match=rf"^PipelineParams.flat must be an ndarray .* shape \({total},\), got list$"):
+            PipelineParams(self.CFG, [0.0] * total)
 
     def test_every_array_is_a_view_of_flat(self, tmp_path):
         rng = Rng(28)
@@ -716,7 +736,14 @@ class TestAdam:
 
     @pytest.mark.parametrize(
         "bad, name",
-        [("grads", "gradient"), ("m", "first moment"), ("v", "second moment"), ("v32", "second moment")],
+        [
+            ("grads", "gradient"),
+            ("m", "first moment"),
+            ("v", "second moment"),
+            ("v32", "second moment"),
+            ("glist", "gradient"),
+            ("mlist", "first moment"),
+        ],
     )
     def test_mismatched_vector_rejected_before_any_write(self, bad, name):
         rng = Rng(30)
@@ -732,14 +759,66 @@ class TestAdam:
             state.m = rng.normal(size + 1)
         elif bad == "v":
             state.v = np.abs(rng.normal(size + 1))
-        else:
+        elif bad == "v32":
             state.v = state.v.astype(np.float32)
+        elif bad == "glist":
+            grads.flat = grads.flat.tolist()
+        else:
+            state.m = state.m.tolist()
         before = [a.copy() for a in (theta.flat, state.m, state.v)]
-        with pytest.raises(ValueError, match=f"the {name} vector must be float64 of shape"):
+        with pytest.raises(ValueError, match=f"the {name} vector must be an ndarray of dtype float64 and shape"):
             adam_step(theta, grads, state)
         for a, b in zip((theta.flat, state.m, state.v), before):
             np.testing.assert_array_equal(a, b)
         assert state.t == 3
+
+    @pytest.mark.parametrize("name", ["parameter", "first moment", "second moment"])
+    def test_read_only_vector_rejected_before_any_write(self, name):
+        # It used to raise numpy's "output array is read-only" with t, m and v already written.
+        rng = Rng(31)
+        cfg, theta, obs, labels = random_pipeline(rng)
+        grads = zeros_like_params(theta)
+        grads.flat[:] = 1.0
+        state = AdamState.for_params(theta)
+        if name == "parameter":
+            theta = PipelineParams(cfg, np.frombuffer(theta.flat.tobytes()))
+        elif name == "first moment":
+            state.m = np.frombuffer(state.m.tobytes())
+        else:
+            state.v = np.frombuffer(state.v.tobytes())
+        before = [a.copy() for a in (theta.flat, state.m, state.v)]
+        with pytest.raises(ValueError, match=f"^adam_step: the {name} vector is read-only"):
+            adam_step(theta, grads, state)
+        for a, b in zip((theta.flat, state.m, state.v), before):
+            np.testing.assert_array_equal(a, b)
+        assert state.t == 0
+
+    @pytest.mark.parametrize(
+        "m, v, message",
+        [
+            # A list once raised a bare AttributeError on .shape.
+            ([0.0], [0.0], "AdamState.m must be an ndarray of dtype float64 and shape (any,), got list"),
+            (np.zeros(3), [0.0] * 3, "AdamState.v must be an ndarray of dtype float64 and shape (3,), got list"),
+            (
+                np.zeros(3, np.float32),
+                np.zeros(3),
+                "AdamState.m must be an ndarray of dtype float64 and shape (any,), got dtype float32 and shape (3,)",
+            ),
+            (
+                np.zeros((1, 3)),
+                np.zeros((1, 3)),
+                "AdamState.m must be an ndarray of dtype float64 and shape (any,), got dtype float64 and shape (1, 3)",
+            ),
+            (
+                np.zeros(3),
+                np.zeros(4),
+                "AdamState.v must be an ndarray of dtype float64 and shape (3,), got dtype float64 and shape (4,)",
+            ),
+        ],
+    )
+    def test_state_refuses_what_is_not_a_float64_vector(self, m, v, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            AdamState(m=m, v=v)
 
 
 class TestTrain:

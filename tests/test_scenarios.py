@@ -609,29 +609,30 @@ class TestEpisodeSet:
         return np.zeros((e, n, d)), np.zeros((e, n), np.int64), np.zeros((e, n), bool), np.zeros((e, n, n), bool)
 
     @pytest.mark.parametrize(
-        "position, array, message",
+        "position, array, needed, got",
         [
             # Episodes of another agent count, then of another episode count, than the labels'.
-            (0, np.zeros((3, 5, 6)), "observations must be float64 of shape (E, N, obs_dim) with the labels' E = 3 and "
-             "N = 4, got float64 of shape (3, 5, 6)"),
-            (2, np.zeros((3, 5), bool), "degraded must be bool of shape (E, N) with the labels' E = 3 and N = 4, "
-             "got bool of shape (3, 5)"),
-            (3, np.zeros((3, 4, 5), bool), "support must be bool of shape (E, N, N) with the labels' E = 3 and N = 4, "
-             "got bool of shape (3, 4, 5)"),
-            (3, np.zeros((2, 4, 4), bool), "support must be bool of shape (E, N, N) with the labels' E = 3 and N = 4, "
-             "got bool of shape (2, 4, 4)"),
-            (1, np.zeros((3, 4), np.int32), "labels must be int64 of shape (E, N) with the labels' E = 3 and N = 4, "
-             "got int32 of shape (3, 4)"),
-            (2, np.zeros((3, 4), np.uint8), "degraded must be bool of shape (E, N) with the labels' E = 3 and N = 4, "
-             "got uint8 of shape (3, 4)"),
-            (1, np.zeros(12, np.int64), "labels must be (E, N), got shape (12,)"),
+            (0, np.zeros((3, 5, 6)), "float64 and shape (3, 4, any)", "dtype float64 and shape (3, 5, 6)"),
+            (2, np.zeros((3, 5), bool), "bool and shape (3, 4)", "dtype bool and shape (3, 5)"),
+            (3, np.zeros((3, 4, 5), bool), "bool and shape (3, 4, 4)", "dtype bool and shape (3, 4, 5)"),
+            (3, np.zeros((2, 4, 4), bool), "bool and shape (3, 4, 4)", "dtype bool and shape (2, 4, 4)"),
+            (1, np.zeros((3, 4), np.int32), "int64 and shape (any, any)", "dtype int32 and shape (3, 4)"),
+            (2, np.zeros((3, 4), np.uint8), "bool and shape (3, 4)", "dtype uint8 and shape (3, 4)"),
+            (1, np.zeros(12, np.int64), "int64 and shape (any, any)", "dtype int64 and shape (12,)"),
+            # Nested lists once raised a bare AttributeError on .ndim or .dtype.
+            (1, [[0] * 4] * 3, "int64 and shape (any, any)", "list"),
+            (0, np.zeros((3, 4, 6)).tolist(), "float64 and shape (3, 4, any)", "list"),
+            (3, np.zeros((3, 4, 4), bool).tolist(), "bool and shape (3, 4, 4)", "list"),
         ],
     )
-    def test_constructor_rejects_arrays_that_disagree(self, position, array, message):
+    def test_constructor_rejects_arrays_that_disagree(self, position, array, needed, got):
         arrays = list(self.arrays())
         arrays[position] = array
-        with pytest.raises(ValueError, match=re.escape(f"EpisodeSet.{message}")):
+        name = ("observations", "labels", "degraded", "support")[position]
+        message = f"EpisodeSet.{name} must be an ndarray of dtype {needed}, got {got}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             EpisodeSet(*arrays)
+        assert all(a.flags.writeable for a in arrays if isinstance(a, np.ndarray))
 
     def test_ints_and_slices_view_rows_and_index_arrays_gather_them(self):
         episodes = generate_episodes(make_world("mrms", degrade_prob=0.6, rng=Rng(60)), 20, seed=61)
@@ -710,7 +711,10 @@ class TestEpisodeSet:
         world = make_world("srms", rng=Rng(3))
         other = generate_dataset(make_world("srms", n_agents=4, rng=Rng(3)), 10, seed=5)
         path = tmp_path / "data.bin"
-        message = "the observations array is (10, 4, 32), but the world's fields give (10, 5, 32)"
+        message = (
+            "Dataset.episodes.observations must be an ndarray of dtype float64 and shape (10, 5, 32), "
+            "got dtype float64 and shape (10, 4, 32)"
+        )
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             save_dataset(str(path), replace(other, world=world))
         assert not path.exists()
@@ -732,14 +736,30 @@ class TestValuesCheckThemselves:
             ),
             (lambda w: dict(case="quad"), f"world case 'quad' is not one of {CASES}"),
             # A scene half that disagrees with the codebook was once a numpy broadcast error.
-            (lambda w: dict(scene_codes=np.eye(3)), "the world scene_codes array is (3, 3), but the world's fields give (16, 16)"),
-            (lambda w: dict(obs_dim=30), "the world prototypes array is (10, 32), but the world's fields give (10, 30)"),
+            (
+                lambda w: dict(scene_codes=np.eye(3)),
+                "world scene_codes must be an ndarray of dtype float64 and shape (16, 16), got dtype float64 and shape (3, 3)",
+            ),
+            (
+                lambda w: dict(obs_dim=30),
+                "world prototypes must be an ndarray of dtype float64 and shape (10, 30), got dtype float64 and shape (10, 32)",
+            ),
             (
                 lambda w: dict(prototypes=w.prototypes[:, :30]),
-                "the world prototypes array is (10, 30), but the world's fields give (10, 32)",
+                "world prototypes must be an ndarray of dtype float64 and shape (10, 32), got dtype float64 and shape (10, 30)",
             ),
-            (lambda w: dict(prototypes=w.prototypes.astype(np.float32)), "world prototypes must be a float64 array, got float32"),
-            (lambda w: dict(prototypes=w.prototypes.tolist()), "world prototypes must be a float64 array, got list"),
+            (
+                lambda w: dict(prototypes=w.prototypes.astype(np.float32)),
+                "world prototypes must be an ndarray of dtype float64 and shape (10, 32), got dtype float32 and shape (10, 32)",
+            ),
+            (
+                lambda w: dict(prototypes=w.prototypes.tolist()),
+                "world prototypes must be an ndarray of dtype float64 and shape (10, 32), got list",
+            ),
+            (
+                lambda w: dict(scene_codes=w.scene_codes.tolist()),
+                "world scene_codes must be an ndarray of dtype float64 and shape (16, 16), got list",
+            ),
             (
                 lambda w: dict(prototypes=np.where(np.eye(10, 32, 20) > 0, np.nan, w.prototypes)),
                 "world prototypes contain non-finite values",
@@ -820,7 +840,10 @@ class TestValuesCheckThemselves:
         # Another agent count is test_save_names_an_array_the_world_does_not_shape.
         world = make_world("srms", rng=Rng(75))
         episodes = generate_episodes(make_world("srms", obs_dim=30, rng=Rng(75)), 10, seed=75)
-        message = "the observations array is (10, 5, 30), but the world's fields give (10, 5, 32)"
+        message = (
+            "Dataset.episodes.observations must be an ndarray of dtype float64 and shape (10, 5, 32), "
+            "got dtype float64 and shape (10, 5, 30)"
+        )
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             Dataset(world, episodes, [0], [1], [2])
 

@@ -598,6 +598,10 @@ class TestBandwidthMetrics:
         with pytest.raises(ValueError):
             links_per_agent(BandwidthLedger(), 5)
 
+    def test_links_per_agent_refuses_a_count_below_one(self):
+        with pytest.raises(ValueError, match="^need at least one agent$"):
+            links_per_agent(BandwidthLedger(frames=1), 0)
+
     def test_feature_map_scale_sanity(self):
         # One 512x16x16 feature map at 4 bytes per value is 0.524 MB,
         # matching the ~0.5 MB-per-link scale of single-link baselines.
