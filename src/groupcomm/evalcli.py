@@ -145,24 +145,24 @@ def decisions_from_rows(rows: np.ndarray) -> np.ndarray:
 def when2com_accuracy(episodes: EpisodeSet, decisions) -> float:
     """Agreement between communicate decisions and ground-truth need (``episodes.degraded``).
 
-    ``decisions`` is the (E, N) bool array of :func:`decisions_from_rows`, or
-    lists that make one; any other dtype or shape raises (``densemath.array``).
+    ``decisions`` is the (E, N) bool ndarray of :func:`decisions_from_rows`;
+    anything else, a list too, raises (``densemath.array``).
     """
     if not len(episodes):
         raise ValueError("when2com_accuracy: episodes is empty, so there is no decision to score")
-    decided = array(np.asarray(decisions), "decisions", np.bool_, episodes.degraded.shape)
+    decided = array(decisions, "decisions", np.bool_, episodes.degraded.shape)
     return int(np.count_nonzero(decided == episodes.degraded)) / decided.size
 
 
 def grouping_accuracy(episodes: EpisodeSet, rows) -> tuple[float | None, float | None]:
     """Supporter-selection rates over needy agents that do communicate, against ``episodes.support``.
 
-    ``rows`` is the (E, N, N) float64 stack of pruned rows, or a sequence that
-    makes one (``densemath.array``).  Returns (top-1 rate, all-links-valid
-    rate); both are None when no agent qualifies (needy and communicating),
-    never 0.  Top-1 ties go to the lowest index.
+    ``rows`` is the (E, N, N) float64 ndarray of pruned rows; anything else,
+    a list too, raises (``densemath.array``).  Returns (top-1 rate,
+    all-links-valid rate); both are None when no agent qualifies (needy and
+    communicating), never 0.  Top-1 ties go to the lowest index.
     """
-    rows = array(np.asarray(rows), "rows", np.float64, episodes.support.shape)
+    rows = array(rows, "rows", np.float64, episodes.support.shape)
     linked = link_mask(rows)
     qualified = episodes.degraded & linked.any(axis=-1)
     total = int(np.count_nonzero(qualified))

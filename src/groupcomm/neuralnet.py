@@ -31,14 +31,15 @@ logits and row sums, bit for bit the loss :func:`cross_entropy_loss` gives.
 Every parameter lives in one float64 vector, ``PipelineParams.flat``, whose
 views are the heads and the bilinear form, so an initial draw, an Adam step,
 a gradient tree and a checkpoint body (the bytes of ``flat``) are each one
-array.  :func:`init_pipeline` draws every weight from one ``Rng.normal`` call
-and writes each scaled slice into its view.  A training run allocates its
-parameters, its Adam state and one gradient tree once and updates all three
-in place at every step: the backward writes every element of the tree
-through its views (``out=`` products and reductions), and an Adam step writes
-its arithmetic into the parameter and moment vectors through the two scratch
-vectors its :class:`AdamState` holds, so neither allocates a temporary per
-operation.
+array, laid out by :func:`param_layout` alone: the views, the initial draw, a
+checkpoint's size and its error messages all read it.  :func:`init_pipeline`
+draws every weight from one ``Rng.normal`` call and writes each scaled slice
+into its view.  A training run allocates its parameters, its Adam state and
+one gradient tree once and updates all three in place at every step: the
+backward writes every element of the tree through its views (``out=``
+products and reductions), and an Adam step writes its arithmetic into the
+parameter and moment vectors through the two scratch vectors its
+:class:`AdamState` holds, so neither allocates a temporary per operation.
 
 Inference is batched too, over (N, .) or (E, N, .) stacks, but on the
 row-invariant kernel :func:`~groupcomm.densemath.row_matmul` (see
@@ -79,11 +80,11 @@ TRAIN_POLICIES = ("when2com", "nocom", "randcom", "catall")
 EVAL_BLOCK = 64
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)
 class MlpParams:
     """Ordered (weight, bias) pairs; rectifier between layers, none after the last."""
 
-    layers: list[tuple[np.ndarray, np.ndarray]]
+    layers: tuple[tuple[np.ndarray, np.ndarray], ...]
 
     @property
     def in_dim(self) -> int:
@@ -120,57 +121,53 @@ def _check_train_policy(policy: str) -> None:
         )
 
 
-def head_sizes(c: PipelineConfig) -> list[list[int]]:
-    """Layer widths of the query, key, encoder and decoder heads, in that order."""
-    return [
-        [c.d_obs, c.hidden, c.q_dim],
-        [c.d_obs, c.hidden, c.k_dim],
-        [c.d_obs, c.hidden, c.f_dim],
-        [2 * c.f_dim, c.hidden, c.n_classes],
-    ]
+def param_layout(c: PipelineConfig) -> list[tuple[str, tuple[int, ...]]]:
+    """Every parameter's name and shape in checkpoint order: each head's (weight, bias) pairs, then ``w_g``.
+
+    The heads are the query, key, encoder and decoder, in that order, each ``in -> hidden -> out`` wide.
+    """
+    heads = {"theta_q": (c.d_obs, c.q_dim), "theta_k": (c.d_obs, c.k_dim), "theta_e": (c.d_obs, c.f_dim)}
+    heads["theta_d"] = (2 * c.f_dim, c.n_classes)  # the local feature and the fused one
+    layout = []
+    for head, (d_in, d_out) in heads.items():
+        for i, (fan_in, fan_out) in enumerate(((d_in, c.hidden), (c.hidden, d_out))):
+            layout += [(f"{head} layer {i} weight", (fan_out, fan_in)), (f"{head} layer {i} bias", (fan_out,))]
+    return layout + [("w_g", (c.q_dim, c.k_dim))]
 
 
-def param_shapes(c: PipelineConfig) -> list[tuple[int, ...]]:
-    """Every parameter array's shape in checkpoint order: each head's (weight, bias) pairs, then ``w_g``."""
-    return [s for h in head_sizes(c) for i, o in zip(h, h[1:]) for s in ((o, i), (o,))] + [(c.q_dim, c.k_dim)]
-
-
-@dataclass
+@dataclass(frozen=True, eq=False)
 class PipelineParams:
     """All learnable parameters, held in one float64 vector ``flat`` (zeros by default).
 
-    The four MLP heads ``theta_q``, ``theta_k``, ``theta_e``, ``theta_d`` and
-    the bilinear matching form ``w_g`` are views of ``flat``, laid out in
-    checkpoint order (:func:`param_shapes`).  Writing a view writes ``flat``,
-    so one vector operation on ``flat`` updates every parameter.  ``flat``
-    must be a float64 ndarray of that total size (``densemath.array``).
+    ``arrays`` holds every parameter of :func:`param_layout`, in its order, as
+    a view of ``flat``; the MLP heads ``theta_q``, ``theta_k``, ``theta_e``,
+    ``theta_d`` and the bilinear form ``w_g`` are those views.  ``flat`` must
+    be a float64 ndarray of the layout's size (``densemath.array``).  Frozen,
+    so no view comes apart from ``flat``: ``replace(theta, flat=new)`` builds
+    views of ``new``.  A gradient tree is ``PipelineParams(theta.config)``.
     """
 
     config: PipelineConfig
     flat: np.ndarray | None = None
+    arrays: tuple[np.ndarray, ...] = field(init=False, repr=False)
+    theta_q: MlpParams = field(init=False, repr=False)
+    theta_k: MlpParams = field(init=False, repr=False)
+    theta_e: MlpParams = field(init=False, repr=False)
+    theta_d: MlpParams = field(init=False, repr=False)
+    w_g: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        shapes = param_shapes(self.config)
-        sizes = [math.prod(s) for s in shapes]
+        layout = param_layout(self.config)
+        ends = list(itertools.accumulate(math.prod(shape) for _, shape in layout))
         if self.flat is None:
-            self.flat = np.zeros(sum(sizes))
-        array(self.flat, "PipelineParams.flat", np.float64, (sum(sizes),))
-        ends = itertools.accumulate(sizes)
-        views = (self.flat[end - size : end].reshape(s) for s, size, end in zip(shapes, sizes, ends))
-        self.theta_q, self.theta_k, self.theta_e, self.theta_d = (
-            MlpParams([(next(views), next(views)) for _ in h[1:]]) for h in head_sizes(self.config)
-        )
-        self.w_g = next(views)
-
-
-# Gradient trees are shape-congruent with the parameters they differentiate.
-Gradients = PipelineParams
-
-
-def param_arrays(theta: PipelineParams) -> list[np.ndarray]:
-    """Every parameter array (views of ``theta.flat``), in checkpoint order."""
-    heads = (theta.theta_q, theta.theta_k, theta.theta_e, theta.theta_d)
-    return [a for head in heads for layer in head.layers for a in layer] + [theta.w_g]
+            object.__setattr__(self, "flat", np.zeros(ends[-1]))
+        array(self.flat, "PipelineParams.flat", np.float64, (ends[-1],))
+        arrays = tuple(part.reshape(shape) for part, (_, shape) in zip(np.split(self.flat, ends[:-1]), layout))
+        object.__setattr__(self, "arrays", arrays)
+        for name, group in itertools.groupby(zip(layout, arrays), lambda item: item[0][0].split()[0]):
+            views = [a for _, a in group]  # grouped by the name's first word: a head's weights and biases, or w_g
+            value = views[0] if name == "w_g" else MlpParams(tuple(zip(views[::2], views[1::2])))
+            object.__setattr__(self, name, value)
 
 
 def init_pipeline(config: PipelineConfig, rng: Rng) -> PipelineParams:
@@ -183,7 +180,7 @@ def init_pipeline(config: PipelineConfig, rng: Rng) -> PipelineParams:
     into its view of ``flat``.
     """
     theta = PipelineParams(config)
-    weights = param_arrays(theta)[0::2]  # every head's weights, then w_g
+    weights = [a for (name, _), a in zip(param_layout(config), theta.arrays) if not name.endswith("bias")]
     # The bilinear form is scaled to variance 1/sqrt(Q*K).
     scales = [math.sqrt(2.0 / w.shape[1]) for w in weights[:-1]] + [theta.w_g.size**-0.25]
     draws = rng.normal(sum(w.size + w.size % 2 for w in weights))
@@ -192,10 +189,6 @@ def init_pipeline(config: PipelineConfig, rng: Rng) -> PipelineParams:
         np.multiply(draws[start : start + w.size].reshape(w.shape), scale, out=w)
         start += w.size + w.size % 2
     return theta
-
-
-def zeros_like_params(theta: PipelineParams) -> Gradients:
-    return PipelineParams(theta.config)
 
 
 def mlp_forward(p: MlpParams, x: np.ndarray) -> tuple[np.ndarray, list[np.ndarray]]:
@@ -434,7 +427,7 @@ def _softmax_cross_entropy(z: np.ndarray, labels: np.ndarray) -> tuple[float, np
     return float(loss), e
 
 
-def pipeline_backward(result: ForwardResult, theta: PipelineParams, labels, grads: Gradients) -> float:
+def pipeline_backward(result: ForwardResult, theta: PipelineParams, labels, grads: PipelineParams) -> float:
     """Write the exact gradients of the mean cross-entropy w.r.t. every parameter into ``grads``; return the loss.
 
     ``labels`` has the forward logits' leading shape, (N,) or (B, N).  The
@@ -480,10 +473,8 @@ def pipeline_backward(result: ForwardResult, theta: PipelineParams, labels, grad
         mlp_backward(theta.theta_q, q_inputs, d_mu, grads.theta_q)
         mlp_backward(theta.theta_k, k_inputs, d_kappa, grads.theta_k)
     else:
-        for w, bias in grads.theta_q.layers + grads.theta_k.layers:
-            w.fill(0.0)
-            bias.fill(0.0)
-        grads.w_g.fill(0.0)
+        for a in itertools.chain(*grads.theta_q.layers, *grads.theta_k.layers, [grads.w_g]):
+            a.fill(0.0)
 
     mlp_backward(theta.theta_e, e_inputs, d_features.reshape(b * n, f_dim), grads.theta_e)
     return loss
@@ -513,7 +504,7 @@ class AdamState:
 
 def adam_step(
     theta: PipelineParams,
-    grads: Gradients,
+    grads: PipelineParams,
     state: AdamState,
     lr: float = 1e-3,
     beta1: float = 0.9,
@@ -527,15 +518,19 @@ def adam_step(
     ``v = beta2 * v + (1 - beta2) * g * g`` and
     ``flat = flat - lr * (m / (1 - beta1**t)) / (sqrt(v / (1 - beta2**t)) + eps)``,
     written into ``state.m``, ``state.v`` and ``theta.flat`` through the
-    state's two scratch vectors.  ``grads`` is only read.  A vector that is
-    not a float64 ndarray of ``theta.flat``'s shape (``densemath.array``), or
-    a read-only parameter or moment vector, raises ValueError naming it
-    before anything is written, ``state.t`` included.
+    state's two scratch vectors.  ``grads`` is only read.  A gradient tree
+    of another config, a moment vector that is not a float64 ndarray of
+    ``theta.flat``'s shape (``densemath.array``), or a read-only parameter or
+    moment vector raises ValueError naming it before anything is written,
+    ``state.t`` included.
     """
+    if grads.config != theta.config:
+        raise ValueError(f"adam_step: gradient tree of {grads.config} does not match the parameters' {theta.config}")
     flat, g, m, v = theta.flat, grads.flat, state.m, state.v
-    for name, vec in (("gradient", g), ("first moment", m), ("second moment", v), ("parameter", flat)):
-        array(vec, f"adam_step: the {name} vector", np.float64, flat.shape)
-        if name != "gradient" and not vec.flags.writeable:
+    for name, vec in (("first moment", m), ("second moment", v), ("parameter", flat)):
+        if name != "parameter":
+            array(vec, f"adam_step: the {name} vector", np.float64, flat.shape)
+        if not vec.flags.writeable:
             raise ValueError(f"adam_step: the {name} vector is read-only, so the step cannot write it")
     state.t += 1
     num, den = state.scratch
@@ -574,7 +569,7 @@ class TrainConfig:
         _check_train_policy(self.policy)
 
 
-def episode_loss_and_grads(theta: PipelineParams, episodes, policy: str, rng: Rng, grads: Gradients) -> float:
+def episode_loss_and_grads(theta: PipelineParams, episodes, policy: str, rng: Rng, grads: PipelineParams) -> float:
     """Training-mode mean loss over a minibatch; writes its exact gradients into ``grads``.
 
     The batch is an :class:`~groupcomm.scenarios.EpisodeSet`, whose arrays
@@ -651,7 +646,7 @@ def train(config: TrainConfig, dataset, rng: Rng) -> tuple[PipelineParams, list[
 
     theta = init_pipeline(config.pipeline, rng)
     state = AdamState.for_params(theta)
-    grads = zeros_like_params(theta)
+    grads = PipelineParams(theta.config)
     log: list[dict] = []
     n_train = len(train_idx)
 
@@ -670,14 +665,7 @@ def train(config: TrainConfig, dataset, rng: Rng) -> tuple[PipelineParams, list[
 
 def _first_non_finite(theta: PipelineParams) -> str | None:
     """Where ``theta``'s first non-finite parameter lies (head, layer, flat index), or None if all are finite."""
-    heads = ("theta_q", "theta_k", "theta_e", "theta_d")
-    names = [
-        f"{head} layer {i} {part}"
-        for head, sizes in zip(heads, head_sizes(theta.config))
-        for i in range(len(sizes) - 1)
-        for part in ("weight", "bias")
-    ] + ["w_g"]
-    for name, values in zip(names, param_arrays(theta), strict=True):
+    for (name, _), values in zip(param_layout(theta.config), theta.arrays, strict=True):
         bad = np.flatnonzero(~np.isfinite(values))
         if bad.size:
             return f"{name} holds {values.flat[bad[0]]} at flat index {bad[0]}"
@@ -716,7 +704,7 @@ def load_checkpoint(path: str) -> tuple[PipelineParams, PipelineConfig]:
         config = PipelineConfig(*dims)
     except ValueError as err:
         raise ValueError(f"checkpoint {path}: {err}") from None
-    expected = head_size + 8 * sum(math.prod(s) for s in param_shapes(config))
+    expected = head_size + 8 * sum(math.prod(shape) for _, shape in param_layout(config))
     if len(blob) != expected:
         raise ValueError(
             f"checkpoint {path} holds {len(blob)} bytes but its dimension header implies {expected}"

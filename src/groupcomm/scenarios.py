@@ -222,8 +222,9 @@ class Dataset:
 
     Each split, any sequence of Python or NumPy integers, is kept as a tuple
     of Python ints (``densemath.integer``).  The first fault raises
-    ValueError: a split index that is a bool, not an integer or outside
-    [0, E), or is listed twice or in two splits; observations not
+    ValueError: a ``world`` not a :class:`World`, or ``episodes`` not an
+    :class:`EpisodeSet`; a split index that is a bool, not an integer or
+    outside [0, E), or is listed twice or in two splits; observations not
     (E, N, obs_dim) for the world (``densemath.array``); then, naming the
     (episode, agent), a non-finite observation, a label outside [0, C), an
     agent its own supporter, or supporters of a clean agent.
@@ -236,6 +237,9 @@ class Dataset:
     test_idx: tuple[int, ...]
 
     def __post_init__(self):
+        for name, kind in (("world", World), ("episodes", EpisodeSet)):
+            if not isinstance(value := getattr(self, name), kind):
+                raise ValueError(f"Dataset.{name} must be of type {kind.__name__}, got {type(value).__name__}")
         n = len(self.episodes)
         members: dict[str, dict[int, None]] = {}
         for name in _SPLITS:

@@ -15,13 +15,10 @@ from groupcomm.neuralnet import (
     PipelineConfig,
     PipelineParams,
     cross_entropy_loss,
-    head_sizes,
     init_pipeline,
-    param_arrays,
     pipeline_backward,
     pipeline_forward,
     save_checkpoint,
-    zeros_like_params,
 )
 from groupcomm.scenarios import EpisodeSet, generate_episode, render_episodes
 from groupcomm.simnet import KIND_CODES
@@ -101,12 +98,22 @@ def init_mlp(sizes, rng):
     for fan_in, fan_out in zip(sizes[:-1], sizes[1:]):
         w = rng.normal(fan_out * fan_in).reshape(fan_out, fan_in) * math.sqrt(2.0 / fan_in)
         layers.append((w, np.zeros(fan_out)))
-    return MlpParams(layers)
+    return MlpParams(tuple(layers))
+
+
+def head_widths(c):
+    """Layer widths of the query, key, encoder and decoder heads, in that order, written out apart from neuralnet."""
+    return [
+        [c.d_obs, c.hidden, c.q_dim],
+        [c.d_obs, c.hidden, c.k_dim],
+        [c.d_obs, c.hidden, c.f_dim],
+        [2 * c.f_dim, c.hidden, c.n_classes],
+    ]
 
 
 def per_layer_init(config, rng):
     """The reference for ``init_pipeline``: each head from :func:`init_mlp` in head order, then ``w_g``."""
-    arrays = [a for sizes in head_sizes(config) for layer in init_mlp(sizes, rng).layers for a in layer]
+    arrays = [a for sizes in head_widths(config) for layer in init_mlp(sizes, rng).layers for a in layer]
     arrays.append(rng.normal(config.q_dim * config.k_dim) * (config.q_dim * config.k_dim) ** -0.25)
     return PipelineParams(config, np.concatenate([a.ravel() for a in arrays]))
 
@@ -137,7 +144,7 @@ def monolithic_forward(theta, obs_matrix, delta=None):
 
 def fresh_backward(result, theta, labels):
     """``pipeline_backward`` written into a new gradient tree, which is returned."""
-    grads = zeros_like_params(theta)
+    grads = PipelineParams(theta.config)
     pipeline_backward(result, theta, labels, grads)
     return grads
 
@@ -152,7 +159,7 @@ def fd_gradcheck(theta, obs, labels, eps=1e-5):
         return cross_entropy_loss(r.logits, labels)
 
     worst = 0.0
-    for arr, g in zip(param_arrays(theta), param_arrays(analytic)):
+    for arr, g in zip(theta.arrays, analytic.arrays):
         flat, gflat = arr.ravel(), g.ravel()
         for idx in range(flat.size):
             orig = flat[idx]

@@ -11,7 +11,7 @@ from hypothesis import given, settings, strategies as st
 
 from groupcomm import densemath, scenarios
 from groupcomm.densemath import Rng, array, integer, normal_blocks, real, row_matmul, softmax, softmax_row
-from groupcomm.neuralnet import PipelineConfig, head_sizes
+from groupcomm.neuralnet import PipelineConfig, param_layout
 
 # First five raw words of the seed-42 stream, frozen as the cross-platform
 # contract for the documented splitmix64 algorithm.
@@ -195,8 +195,8 @@ class TestArrayRule:
 def _kernel_shapes():
     """(out, in) of every layer of the default pipeline and of its w_g, plus one odd shape."""
     c = PipelineConfig()
-    layers = {(o, i) for sizes in head_sizes(c) for i, o in zip(sizes[:-1], sizes[1:])}
-    return sorted(layers | {(c.q_dim, c.k_dim), (7, 13)})
+    weights = {shape for name, shape in param_layout(c) if not name.endswith("bias")}  # every layer's and w_g's
+    return sorted(weights | {(7, 13)})
 
 
 class TestRowMatmul:

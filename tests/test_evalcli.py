@@ -86,31 +86,31 @@ def needy_set(needs, supports):
 class TestWhen2comAccuracy:
     def test_all_negative_case(self):
         eps = needy_set([[False, False]], [[(), ()]])
-        assert when2com_accuracy(eps, [[False, False]]) == 1.0
+        assert when2com_accuracy(eps, np.array([[False, False]])) == 1.0
 
     def test_complement_decisions(self):
         eps = needy_set([[True, False]], [[{1}, ()]])
-        assert when2com_accuracy(eps, [[False, True]]) == 0.0
+        assert when2com_accuracy(eps, np.array([[False, True]])) == 0.0
 
     def test_coin_flip_statistics(self):
         world = make_world("srms", degrade_prob=0.5, rng=Rng(1))
         episodes = drawn_episodes(world, Rng(2), 2000)
         coin = Rng(3)
-        decisions = [
+        decisions = np.array([
             [coin.uniform_scalar() < 0.5 for _ in range(world.n_agents)] for _ in episodes
-        ]
+        ])
         acc = when2com_accuracy(episodes, decisions)
         assert abs(acc - 0.5) < 0.02
 
     def test_length_mismatch(self):
         with pytest.raises(ValueError):
-            when2com_accuracy(needy_set([[True]], [[{0}]]), [])
+            when2com_accuracy(needy_set([[True]], [[{0}]]), np.zeros((0, 1), bool))
 
     def test_decisions_of_another_agent_count_rejected(self):
         eps = needy_set([[True, False]] * 2, [[{1}, ()]] * 2)
         message = "decisions must be an ndarray of dtype bool and shape (2, 2), got dtype bool and shape (2, 3)"
         with pytest.raises(ValueError, match=re.escape(message)):
-            when2com_accuracy(eps, [[False, True, True]] * 2)
+            when2com_accuracy(eps, np.array([[False, True, True]] * 2))
 
     def test_decisions_of_another_dtype_rejected(self):
         # A float used to be cast to bool, so 0.3 read as a decision to communicate.
@@ -119,12 +119,15 @@ class TestWhen2comAccuracy:
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             when2com_accuracy(eps, np.full((2, 2), 0.3))
         with pytest.raises(ValueError, match="got dtype int64 and shape"):
-            when2com_accuracy(eps, [[1, 0], [0, 0]])
+            when2com_accuracy(eps, np.array([[1, 0], [0, 0]]))
 
     def test_decision_lists_of_several_lengths_rejected(self):
+        # A ragged list used to raise numpy's "inhomogeneous shape" error, which names no field.
         eps = needy_set([[True, False, False]] * 3, [[{1}, (), ()]] * 3)
-        with pytest.raises(ValueError, match="inhomogeneous shape"):
-            when2com_accuracy(eps, [[False] * 3, [False] * 2, [False] * 3])
+        message = "decisions must be an ndarray of dtype bool and shape (3, 3), got list"
+        for decisions in ([[False] * 3, [False] * 2, [False] * 3], [[False] * 3] * 3):
+            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                when2com_accuracy(eps, decisions)
 
     def test_empty_episode_set_rejected(self):
         # It used to score no decisions as 0.0, a plausible but wrong number.
@@ -135,17 +138,17 @@ class TestWhen2comAccuracy:
 class TestGroupingAccuracy:
     def test_perfect_selection(self):
         eps = needy_set([[True, False, False]], [[{1}, (), ()]])
-        rows = [np.array([[0.0, 0.9, 0.0], [0, 1, 0], [0, 0, 1]])]
+        rows = np.array([[[0.0, 0.9, 0.0], [0, 1, 0], [0, 0, 1]]])
         top, full = grouping_accuracy(eps, rows)
         assert top == 1.0 and full == 1.0
 
     def test_empty_denominator_reported_absent(self):
         eps = needy_set([[False, False]], [[(), ()]])
-        rows = [np.eye(2)]
+        rows = np.eye(2)[None]
         assert grouping_accuracy(eps, rows) == (None, None)
         # Needy agents without links also stay out of the denominator.
         eps = needy_set([[True, False]], [[{1}, ()]])
-        assert grouping_accuracy(eps, [np.eye(2)]) == (None, None)
+        assert grouping_accuracy(eps, rows) == (None, None)
 
     def test_random_selection_hits_one_in_four(self):
         world = make_world("srms", degrade_prob=1.0, rng=Rng(4))
@@ -160,7 +163,7 @@ class TestGroupingAccuracy:
                     j = pick.randint(n - 1)
                     row[i, j if j < i else j + 1] = 1.0
             rows.append(row)
-        top, _ = grouping_accuracy(episodes, rows)
+        top, _ = grouping_accuracy(episodes, np.array(rows))
         assert abs(top - 0.25) < 0.02
 
     def test_length_mismatch(self):
@@ -168,14 +171,16 @@ class TestGroupingAccuracy:
         eps = needy_set([[True, False]] * 10, [[{1}, ()]] * 10)
         message = "rows must be an ndarray of dtype float64 and shape (10, 2, 2), got dtype float64 and shape (3, 2, 2)"
         with pytest.raises(ValueError, match=re.escape(message)):
-            grouping_accuracy(eps, [np.ones((2, 2))] * 3)
+            grouping_accuracy(eps, np.ones((3, 2, 2)))
 
     @pytest.mark.parametrize("shape", [(2, 2), (3, 5)])
     def test_rows_that_are_not_n_by_n_rejected(self, shape):
         # For 3-agent episodes, (2, 2) rows used to raise a bare IndexError
         # and (3, 5) rows were silently cut to (3, 3), scoring (1.0, 0.0).
+        # A list of them used to raise numpy's "inhomogeneous shape" error.
         eps = needy_set([[True, False, False]] * 2, [[{1}, (), ()]] * 2)
-        with pytest.raises(ValueError, match="inhomogeneous shape"):
+        message = "rows must be an ndarray of dtype float64 and shape (2, 3, 3), got list"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             grouping_accuracy(eps, [np.eye(3), np.ones(shape)])
         message = f"rows must be an ndarray of dtype float64 and shape (2, 3, 3), got dtype float64 and shape {(2,) + shape}"
         with pytest.raises(ValueError, match=re.escape(message)):
@@ -185,14 +190,14 @@ class TestGroupingAccuracy:
         eps = needy_set([[True, False]], [[{1}, ()]])
         message = "rows must be an ndarray of dtype float64 and shape (1, 2, 2), got dtype int64 and shape (1, 2, 2)"
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
-            grouping_accuracy(eps, [[[1, 1], [0, 1]]])
+            grouping_accuracy(eps, np.array([[[1, 1], [0, 1]]]))
         with pytest.raises(ValueError, match="got dtype float32 and shape"):
             grouping_accuracy(eps, np.ones((1, 2, 2), np.float32))
 
     def test_set_rate_stricter_than_top1(self):
         eps = needy_set([[True, False, False]], [[{1}, (), ()]])
         # Top link is correct but a second link leaves the support set.
-        rows = [np.array([[0.0, 0.6, 0.3], [0, 1, 0], [0, 0, 1]])]
+        rows = np.array([[[0.0, 0.6, 0.3], [0, 1, 0], [0, 0, 1]]])
         top, full = grouping_accuracy(eps, rows)
         assert top == 1.0 and full == 0.0
 
@@ -263,10 +268,12 @@ class TestMetricsEqualPerAgentLoops:
             m_bar = np.round(m_bar * grid) / grid
         decisions = decisions_from_rows(m_bar)
         assert when2com_accuracy(episodes, decisions) == when2com_accuracy_oracle(episodes, decisions)
-        assert when2com_accuracy(episodes, decisions.tolist()) == when2com_accuracy_oracle(episodes, decisions)
-        expected = grouping_accuracy_oracle(episodes, m_bar)
-        assert grouping_accuracy(episodes, m_bar) == expected
-        assert grouping_accuracy(episodes, list(m_bar)) == expected
+        assert grouping_accuracy(episodes, m_bar) == grouping_accuracy_oracle(episodes, m_bar)
+        # Only ndarrays are taken: their lists are refused, naming the field.
+        with pytest.raises(ValueError, match="^decisions must be an ndarray .* got list$"):
+            when2com_accuracy(episodes, decisions.tolist())
+        with pytest.raises(ValueError, match="^rows must be an ndarray .* got list$"):
+            grouping_accuracy(episodes, list(m_bar))
 
 
 @pytest.fixture(scope="module")

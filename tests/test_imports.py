@@ -1,4 +1,4 @@
-"""The package is self-contained: importing it loads only the standard library and numpy."""
+"""The package is self-contained: importing it loads only the standard library and numpy; its value types are frozen."""
 
 import ast
 import os
@@ -7,6 +7,9 @@ import sys
 from pathlib import Path
 
 import groupcomm
+from groupcomm.evalcli import TrainRun
+from groupcomm.neuralnet import MlpParams, PipelineConfig, PipelineParams, TrainConfig
+from groupcomm.scenarios import Dataset, EpisodeSet, World
 
 PROBE = """
 import sys
@@ -49,3 +52,10 @@ def test_only_densemath_compares_a_dtype():
                 if any(isinstance(o, ast.Attribute) and o.attr == "dtype" for o in operands):
                     comparers.add(path.stem)
     assert comparers == {"densemath"}
+
+
+def test_every_value_type_is_frozen():
+    # These values keep the checks made when they were built, which holds
+    # only if no field can be assigned afterwards.
+    values = (TrainConfig, PipelineConfig, PipelineParams, MlpParams, World, Dataset, EpisodeSet, TrainRun)
+    assert [v.__name__ for v in values if not v.__dataclass_params__.frozen] == []

@@ -36,14 +36,12 @@ from groupcomm.neuralnet import (
     mlp_backward,
     mlp_forward,
     mlp_infer,
-    param_arrays,
-    param_shapes,
+    param_layout,
     pipeline_backward,
     pipeline_forward,
     policy_rows,
     save_checkpoint,
     train,
-    zeros_like_params,
 )
 from groupcomm.evalcli import world_for_run
 from groupcomm.scenarios import generate_dataset, make_world
@@ -53,7 +51,7 @@ from helpers import episode_set, fd_gradcheck, fresh_backward, init_mlp, monolit
 
 
 def zeros_like_mlp(p):
-    return MlpParams([(np.zeros_like(w), np.zeros_like(b)) for w, b in p.layers])
+    return MlpParams(tuple((np.zeros_like(w), np.zeros_like(b)) for w, b in p.layers))
 
 
 def random_pipeline(rng, n_agents=3, d_obs=8, q=2, k=4, f=8, c=3, hidden=10):
@@ -67,13 +65,13 @@ def random_pipeline(rng, n_agents=3, d_obs=8, q=2, k=4, f=8, c=3, hidden=10):
 class TestMlp:
     def test_zero_weights_return_bias(self):
         b = np.array([1.0, -2.0, 3.0])
-        p = MlpParams([(np.zeros((3, 4)), b)])
+        p = MlpParams(((np.zeros((3, 4)), b),))
         x = np.array([5.0, -1.0, 2.0, 0.5])
         np.testing.assert_array_equal(mlp_infer(p, x), b)
         np.testing.assert_array_equal(mlp_forward(p, x[None])[0], [b])
 
     def test_identity_layer(self):
-        p = MlpParams([(np.eye(4), np.zeros(4))])
+        p = MlpParams(((np.eye(4), np.zeros(4)),))
         x = np.array([0.5, 1.0, 0.0, 2.0])
         np.testing.assert_array_equal(mlp_infer(p, x), x)
         np.testing.assert_array_equal(mlp_forward(p, x[None])[0], [x])
@@ -117,7 +115,7 @@ class TestMlp:
         # The middle unit's pre-activation is exactly 0, so relu's subgradient
         # stops it; the input derivative is the returned one times W0.
         w0 = np.array([[1.0, 0.0], [0.0, 1.0], [1.0, -1.0]])
-        p = MlpParams([(w0, np.zeros(3)), (np.ones((1, 3)), np.zeros(1))])
+        p = MlpParams(((w0, np.zeros(3)), (np.ones((1, 3)), np.zeros(1))))
         x = np.array([[1.0, 1.0]])
         _, inputs = mlp_forward(p, x)
         np.testing.assert_array_equal(inputs[1], [[1.0, 1.0, 0.0]])
@@ -333,7 +331,7 @@ class TestPipelineBackward:
         res = pipeline_forward(theta, obs, mode="training")
         assert cross_entropy_loss(res.logits, labels) < 1e-12
         grads = fresh_backward(res, theta, labels)
-        norm = max(float(np.max(np.abs(a))) for a in param_arrays(grads))
+        norm = max(float(np.max(np.abs(a))) for a in grads.arrays)
         assert norm < 1e-6
 
     def test_backward_rejects_inference_cache(self):
@@ -341,13 +339,13 @@ class TestPipelineBackward:
         cfg, theta, obs, labels = random_pipeline(rng)
         res = pipeline_forward(theta, obs, mode="inference", delta=0.2)
         with pytest.raises(ValueError):
-            pipeline_backward(res, theta, labels, zeros_like_params(theta))
+            pipeline_backward(res, theta, labels, PipelineParams(theta.config))
 
     @pytest.mark.parametrize("labels, dtype", [([1.0, 2.0, 0.0], "float64"), ([True, False, True], "bool")])
     def test_backward_refuses_labels_that_are_not_integers_before_writing(self, labels, dtype):
         cfg, theta, obs, _ = random_pipeline(Rng(23))
         res = pipeline_forward(theta, obs, mode="training")
-        grads = zeros_like_params(theta)
+        grads = PipelineParams(theta.config)
         grads.flat[:] = 7.0
         with pytest.raises(ValueError, match=f"^labels must be integers, got dtype {dtype}$"):
             pipeline_backward(res, theta, labels, grads)
@@ -356,7 +354,7 @@ class TestPipelineBackward:
     def test_backward_refuses_labels_of_another_count_before_writing(self):
         cfg, theta, obs, labels = random_pipeline(Rng(23))
         res = pipeline_forward(theta, obs, mode="training")
-        grads = zeros_like_params(theta)
+        grads = PipelineParams(theta.config)
         grads.flat[:] = 7.0
         n = len(labels)
         message = f"result holds 1 x {n} agents but got labels of shape ({n + 1},)"
@@ -388,7 +386,7 @@ class TestPipelineBackward:
         # A when2com step fills every gradient; a fixed-row step after it must
         # overwrite the attention heads and w_g, not leave them behind.
         cfg, theta, obs, labels = random_pipeline(Rng(24), n_agents=4)
-        tree = zeros_like_params(theta)
+        tree = PipelineParams(theta.config)
         first = pipeline_forward(theta, obs, mode="training")
         pipeline_backward(first, theta, labels, tree)
         assert np.all(tree.w_g != 0.0)
@@ -436,20 +434,20 @@ class TestBatchedTraining:
         batch_rng, single_rng = Rng(7), Rng(7)
 
         def loss_and_grads(batch, rng):
-            grads = zeros_like_params(theta)
+            grads = PipelineParams(theta.config)
             return episode_loss_and_grads(theta, batch, policy, rng, grads), grads
 
         loss, grads = loss_and_grads(episodes, batch_rng)
         parts = [loss_and_grads(episodes[e : e + 1], single_rng) for e in range(len(episodes))]
         assert loss == pytest.approx(np.mean([l for l, _ in parts]), rel=0.0, abs=1e-12)
-        for total, *singles in zip(param_arrays(grads), *(param_arrays(g) for _, g in parts)):
+        for total, *singles in zip(grads.arrays, *(g.arrays for _, g in parts)):
             np.testing.assert_allclose(total, np.mean(singles, axis=0), rtol=0.0, atol=1e-12)
         assert batch_rng.u64(1) == single_rng.u64(1)
 
     def test_rejects_an_empty_batch(self):
         rng = Rng(44)
         theta = init_pipeline(self.CFG, rng)
-        grads = zeros_like_params(theta)
+        grads = PipelineParams(theta.config)
         empty = random_episodes(rng, self.CFG, 3, 2)[:0]
         with pytest.raises(ValueError, match=re.escape("observations of N >= 1 agents, got (0, 3, 6)")):
             episode_loss_and_grads(theta, empty, "when2com", rng, grads)
@@ -465,13 +463,13 @@ class TestBatchedTraining:
         rng = Rng(seed)
         theta = init_pipeline(self.CFG, rng)
         episodes = random_episodes(rng, self.CFG, n, b)
-        grads = zeros_like_params(theta)
+        grads = PipelineParams(theta.config)
         loss = episode_loss_and_grads(theta, episodes, policy, Rng(seed + 1), grads)
         obs, labels = episodes.observations, episodes.labels
         result = pipeline_forward(theta, obs, mode="training", policy=policy, rng=Rng(seed + 1))
         assert loss == cross_entropy_loss(result.logits, labels) == log_softmax_loss(result.logits, labels)
         standalone = fresh_backward(result, theta, labels)
-        for step_array, alone in zip(param_arrays(grads), param_arrays(standalone), strict=True):
+        for step_array, alone in zip(grads.arrays, standalone.arrays, strict=True):
             assert np.array_equal(step_array, alone)
         dlogits = softmax(result.logits.reshape(b * n, -1))
         dlogits[np.arange(b * n), labels.reshape(-1)] -= 1.0
@@ -618,7 +616,7 @@ class TestInit:
         theta = init_pipeline(config, rng)
         assert np.array_equal(theta.flat, per_layer_init(config, reference).flat)
         assert rng.u64(1) == reference.u64(1)
-        assert not np.any(np.concatenate(param_arrays(theta)[1:-1:2]))  # the biases
+        assert not np.any(np.concatenate(theta.arrays[1:-1:2]))  # the biases
 
 
 class TestFlatLayout:
@@ -626,7 +624,7 @@ class TestFlatLayout:
 
     @staticmethod
     def assert_views_of_flat(theta):
-        arrays = param_arrays(theta)
+        arrays = theta.arrays
         assert all(np.shares_memory(a, theta.flat) for a in arrays)
         assert sum(a.size for a in arrays) == theta.flat.size
         np.testing.assert_array_equal(np.concatenate([a.ravel() for a in arrays]), theta.flat)
@@ -653,7 +651,7 @@ class TestFlatLayout:
         rng = Rng(28)
         theta = init_pipeline(self.CFG, rng)
         self.assert_views_of_flat(theta)
-        grads = zeros_like_params(theta)
+        grads = PipelineParams(theta.config)
         self.assert_views_of_flat(grads)
         assert not np.any(grads.flat)
         res = pipeline_forward(theta, rng.normal(3 * self.CFG.d_obs).reshape(3, -1), mode="training")
@@ -670,11 +668,39 @@ class TestFlatLayout:
         assert loaded.flat[-self.CFG.q_dim * self.CFG.k_dim] == theta.w_g[0, 0] + 1.0
 
 
+    def test_parameters_cannot_come_apart(self, tmp_path):
+        # Assigning theta.flat once left the heads and w_g views of the old
+        # vector, so a step wrote weights the forward no longer read.
+        rng = Rng(32)
+        theta = init_pipeline(self.CFG, rng)
+        for value, name in ((theta, "flat"), (theta, "w_g"), (theta, "theta_q"), (theta, "arrays"), (theta.theta_d, "layers")):
+            with pytest.raises(FrozenInstanceError, match=f"^cannot assign to field '{name}'$"):
+                setattr(value, name, getattr(value, name))
+        original = theta.flat.copy()
+        moved = replace(theta, flat=theta.flat.copy())
+        self.assert_views_of_flat(moved)
+        assert not any(np.shares_memory(a, theta.flat) for a in moved.arrays)
+        obs, labels = rng.normal(3 * self.CFG.d_obs).reshape(3, -1), [0, 1, 2]
+        grads, state = PipelineParams(self.CFG), AdamState.for_params(moved)
+        for _ in range(3):
+            pipeline_backward(pipeline_forward(moved, obs, mode="training"), moved, labels, grads)
+            adam_step(moved, grads, state)
+        assert not np.array_equal(moved.flat, original) and np.array_equal(theta.flat, original)
+        save_checkpoint(str(tmp_path / "m.ckpt"), moved, self.CFG)
+        heads = (moved.theta_q, moved.theta_k, moved.theta_e, moved.theta_d)
+        read = [a.ravel() for head in heads for layer in head.layers for a in layer] + [moved.w_g.ravel()]
+        assert (tmp_path / "m.ckpt").read_bytes()[36:] == np.concatenate(read).astype("<f8").tobytes()
+        loaded, _ = load_checkpoint(str(tmp_path / "m.ckpt"))
+        for mode in ("training", "inference"):
+            ran, reloaded = (pipeline_forward(t, obs, mode=mode).logits for t in (moved, loaded))
+            assert ran.tobytes() == reloaded.tobytes()
+
+
 class TestAdam:
     def test_zero_gradient_fixed_point(self):
         rng = Rng(25)
         cfg, theta, obs, labels = random_pipeline(rng)
-        grads = zeros_like_params(theta)
+        grads = PipelineParams(theta.config)
         state = AdamState.for_params(theta)
         before = theta.flat.copy()
         adam_step(theta, grads, state)
@@ -697,14 +723,14 @@ class TestAdam:
         # parameter by lr * 1 / (1 + eps).
         rng = Rng(27)
         cfg, theta, obs, labels = random_pipeline(rng)
-        grads = zeros_like_params(theta)
-        for a in param_arrays(grads):
+        grads = PipelineParams(theta.config)
+        for a in grads.arrays:
             a[:] = 1.0
         state = AdamState.for_params(theta)
-        before = [a.copy() for a in param_arrays(theta)]
+        before = [a.copy() for a in theta.arrays]
         adam_step(theta, grads, state, lr=0.1, eps=1e-8)
         expected_delta = 0.1 * 1.0 / (1.0 + 1e-8)
-        for old, new in zip(before, param_arrays(theta)):
+        for old, new in zip(before, theta.arrays):
             np.testing.assert_allclose(old - new, np.full_like(old, expected_delta), atol=1e-15)
         assert expected_delta == pytest.approx(0.1, abs=1e-8)
 
@@ -717,7 +743,7 @@ class TestAdam:
         flat, m, v, t = theta.flat.copy(), state.m.copy(), state.v.copy(), state.t
         vectors = (theta.flat, state.m, state.v)
         lr, beta1, beta2, eps = 0.01, 0.8, 0.99, 1e-6
-        grads = zeros_like_params(theta)
+        grads = PipelineParams(theta.config)
         for step in range(4):
             grads.flat[:] = rng.normal(theta.flat.size) * 10.0**-step
             g = grads.flat.copy()
@@ -732,7 +758,7 @@ class TestAdam:
             np.testing.assert_array_equal(grads.flat, g)
             assert state.t == t
             assert all(a is b for a, b in zip((theta.flat, state.m, state.v), vectors))
-        assert all(np.shares_memory(a, theta.flat) for a in param_arrays(theta))
+        assert all(np.shares_memory(a, theta.flat) for a in theta.arrays)
 
     @pytest.mark.parametrize(
         "bad, name",
@@ -749,12 +775,14 @@ class TestAdam:
         rng = Rng(30)
         cfg, theta, obs, labels = random_pipeline(rng)
         size = theta.flat.size
-        grads = zeros_like_params(theta)
+        grads = PipelineParams(theta.config)
         grads.flat[:] = rng.normal(size)
         state = AdamState(m=rng.normal(size), v=np.abs(rng.normal(size)), t=3)
+        message = f"the {name} vector must be an ndarray of dtype float64 and shape"
         if bad == "grads":
             grads = PipelineParams(replace(cfg, hidden=cfg.hidden + 1))
             grads.flat[:] = 1.0
+            message = "^adam_step: gradient tree of .* does not match the parameters' "
         elif bad == "m":
             state.m = rng.normal(size + 1)
         elif bad == "v":
@@ -762,11 +790,14 @@ class TestAdam:
         elif bad == "v32":
             state.v = state.v.astype(np.float32)
         elif bad == "glist":
-            grads.flat = grads.flat.tolist()
+            # A list flat once reached the step; a frozen tree cannot take one, so the step never sees it.
+            with pytest.raises(FrozenInstanceError, match="cannot assign to field 'flat'"):
+                grads.flat = grads.flat.tolist()
+            return
         else:
             state.m = state.m.tolist()
         before = [a.copy() for a in (theta.flat, state.m, state.v)]
-        with pytest.raises(ValueError, match=f"the {name} vector must be an ndarray of dtype float64 and shape"):
+        with pytest.raises(ValueError, match=message):
             adam_step(theta, grads, state)
         for a, b in zip((theta.flat, state.m, state.v), before):
             np.testing.assert_array_equal(a, b)
@@ -777,7 +808,7 @@ class TestAdam:
         # It used to raise numpy's "output array is read-only" with t, m and v already written.
         rng = Rng(31)
         cfg, theta, obs, labels = random_pipeline(rng)
-        grads = zeros_like_params(theta)
+        grads = PipelineParams(theta.config)
         grads.flat[:] = 1.0
         state = AdamState.for_params(theta)
         if name == "parameter":
@@ -936,7 +967,7 @@ class TestTrain:
         config = TrainConfig(steps=0)
         theta, log = train(config, dataset, Rng(5))
         expected = init_pipeline(config.pipeline, Rng(5))
-        for a, b in zip(param_arrays(theta), param_arrays(expected)):
+        for a, b in zip(theta.arrays, expected.arrays):
             np.testing.assert_array_equal(a, b)
         assert log == []
 
@@ -1087,7 +1118,7 @@ class TestCheckpoint:
         save_checkpoint(path, theta, cfg)
         loaded, loaded_cfg = load_checkpoint(path)
         assert loaded_cfg == cfg
-        for a, b in zip(param_arrays(theta), param_arrays(loaded)):
+        for a, b in zip(theta.arrays, loaded.arrays):
             np.testing.assert_array_equal(a, b)
 
     @settings(derandomize=True, database=None, max_examples=25, deadline=None)
@@ -1105,7 +1136,7 @@ class TestCheckpoint:
             loaded, loaded_cfg = load_checkpoint(path)
             body = Path(path).read_bytes()[36:]
         assert loaded_cfg == cfg
-        for a, b in zip(param_arrays(theta), param_arrays(loaded), strict=True):
+        for a, b in zip(theta.arrays, loaded.arrays, strict=True):
             assert a.shape == b.shape
             np.testing.assert_array_equal(a, b)
         assert body == theta.flat.astype("<f8").tobytes()
@@ -1162,7 +1193,7 @@ class TestCheckpoint:
         path = tmp_path / "big.ckpt"
         save_checkpoint(str(path), init_pipeline(PipelineConfig(), Rng(39)), PipelineConfig())
         path.write_bytes(struct.pack("<8sI6I", b"GRPCOMM1", 1, *astuple(cfg)) + path.read_bytes()[36:])
-        expected = 36 + 8 * sum(math.prod(s) for s in param_shapes(cfg))
+        expected = 36 + 8 * sum(math.prod(shape) for _, shape in param_layout(cfg))
         with pytest.raises(ValueError, match=rf"holds {path.stat().st_size} bytes but .* implies {expected}"):
             load_checkpoint(str(path))
 
@@ -1210,7 +1241,7 @@ class TestCheckpoint:
 
     @staticmethod
     def flat_index(array, index):
-        return sum(math.prod(s) for s in param_shapes(PipelineConfig())[:array]) + index
+        return sum(math.prod(shape) for _, shape in param_layout(PipelineConfig())[:array]) + index
 
     @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
     @pytest.mark.parametrize("array, index, where", NON_FINITE_SITES)

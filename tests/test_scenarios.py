@@ -847,6 +847,23 @@ class TestValuesCheckThemselves:
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             Dataset(world, episodes, [0], [1], [2])
 
+    @pytest.mark.parametrize(
+        "fields, message",
+        [
+            # Each once raised a bare AttributeError: 'list' object has no attribute 'arrays',
+            # and 'str' object has no attribute 'n_agents'.
+            (lambda ds: dict(episodes=list(ds.episodes)), "Dataset.episodes must be of type EpisodeSet, got list"),
+            (lambda ds: dict(world="srms"), "Dataset.world must be of type World, got str"),
+            (lambda ds: dict(world=ds.episodes), "Dataset.world must be of type World, got EpisodeSet"),
+        ],
+    )
+    def test_a_world_or_episodes_of_another_type_is_refused(self, fields, message):
+        ds = generate_dataset(make_world("srms", rng=Rng(75)), 10, seed=75)
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            replace(ds, **fields(ds))
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            Dataset(**{"world": ds.world, "episodes": ds.episodes, **fields(ds)}, train_idx=[0], val_idx=[1], test_idx=[2])
+
     def test_numpy_integer_splits_become_python_ints_and_round_trip(self, tmp_path):
         ds = generate_dataset(make_world("srms", rng=Rng(76)), 10, seed=76)
         given = replace(ds, train_idx=np.arange(8), val_idx=[np.int32(8)], test_idx=(np.uint64(9),))
