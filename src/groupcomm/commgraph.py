@@ -90,10 +90,14 @@ def build_matching_matrix(queries, keys, w_g: np.ndarray) -> np.ndarray:
         raise ValueError("need at least one agent")
     if (q.shape[-1], k.shape[-1]) != w_g.shape:
         raise ValueError(f"queries {q.shape} and keys {k.shape} do not match w_g shape {w_g.shape}")
-    raw = _scores(q[..., :, None, :], row_matmul(k, w_g)[..., None, :, :], w_g.shape[1])
+    return softmax(check_scores(_scores(q[..., :, None, :], row_matmul(k, w_g)[..., None, :, :], w_g.shape[1])))
+
+
+def check_scores(raw: np.ndarray) -> np.ndarray:
+    """``raw`` itself, once every score in it is finite; a non-finite one raises ValueError before any softmax."""
     if not np.all(np.isfinite(raw)):
         raise ValueError("attention scores contain non-finite entries")
-    return softmax(raw)
+    return raw
 
 
 def prune(m: np.ndarray, delta: float) -> np.ndarray:

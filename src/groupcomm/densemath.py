@@ -5,7 +5,8 @@ matrices are 2-D C-ordered ``numpy.ndarray`` (rows x cols, row-major).  All
 operations are pure; the only stateful object is :class:`Rng`, which must not
 be shared across threads of execution.
 
-:func:`row_matmul` is the product every inference runs on.  One
+:func:`row_matmul` is the product the simulator and, by default, inference
+run on (training and its validation run on gemm products).  One
 ``(R, d) @ (d, o)`` gemm rounds a row differently depending on how many rows
 share the call, so it could not reproduce a lone agent's ``W @ x``.
 ``row_matmul`` runs each row as its own stacked ``(1, d) @ (d, o)`` product

@@ -43,7 +43,9 @@ from .neuralnet import (
     PipelineConfig,
     PipelineParams,
     TrainConfig,
+    check_episodes,
     check_labels,
+    check_world,
     infer_episodes,
     load_checkpoint,
     save_checkpoint,
@@ -199,7 +201,8 @@ def evaluate(
     message as the protocol sends it (``simnet.DeliveryError``), or its
     pruned rows, predictions or trace-derived ledger differ,
     ``RuntimeError`` names the policy and the first such episode, and no
-    trace is written.  ``delta``, ``seed``, ``case`` and every label
+    trace is written.  ``delta``, ``seed``, ``case``, the episodes
+    (``neuralnet.check_episodes``) and every label
     (``neuralnet.check_labels``) are checked before the pass; the report
     records ``delta`` as a Python float and ``seed`` as an int.
     """
@@ -208,6 +211,7 @@ def evaluate(
     if case not in CASES:
         raise ValueError(f"unknown case {case!r}; expected one of {CASES}")
     delta, seed = real(delta, "delta", 0, 1), integer(seed, "seed")
+    check_episodes(episodes, theta.config)
     check_labels(episodes.labels, theta.config.n_classes)
     m_bar, predictions = infer_episodes(theta, episodes, delta, policy, Rng(seed))
     n_agents = predictions.shape[1]
@@ -522,12 +526,7 @@ def cli_main(argv: list[str]) -> int:
         elif args.command == "eval":
             theta, config = load_checkpoint(args.checkpoint)
             world, episodes = _test_split_for_eval(args)
-            for field, name in (("d_obs", "obs_dim"), ("n_classes", "n_classes")):
-                if getattr(world, name) != getattr(config, field):
-                    raise ValueError(
-                        f"{args.checkpoint}: checkpoint expects {field}={getattr(config, field)}, "
-                        f"but the dataset has {name}={getattr(world, name)}"
-                    )
+            check_world(world, config, f"{args.checkpoint}: checkpoint")
             delta = args.delta if args.delta is not None else 1.0 / world.n_agents
             report = evaluate(
                 args.policy,

@@ -41,13 +41,18 @@ products and reductions), and an Adam step writes its arithmetic into the
 parameter and moment vectors through the two scratch vectors its
 :class:`AdamState` holds, so neither allocates a temporary per operation.
 
-Inference is batched too, over (N, .) or (E, N, .) stacks, but on the
-row-invariant kernel :func:`~groupcomm.densemath.row_matmul` (see
+Inference is batched too, over (N, .) or (E, N, .) stacks, and by default
+on the row-invariant kernel :func:`~groupcomm.densemath.row_matmul` (see
 :func:`mlp_infer`): every agent's row rounds exactly as it does alone, which
 is how the decentralized simulator's agents compute it.  So centralized
 inference over any number of episodes and distributed execution agree bit for
-bit.  Training's gemm products round differently, so training agrees with
-inference at delta = 0 to rounding (1e-12), not bit for bit.
+bit, which ``evalcli.evaluate``'s simulator audit checks.  Training's gemm
+products round differently, so training agrees with that inference at
+delta = 0 to rounding (1e-12), not bit for bit.  Validation during
+:func:`train` is audited by no simulator, so it needs no row invariance: it
+runs the same inference loop with ``row_invariant=False``, on training's
+cheaper gemm products, and its rows and predictions agree with the row
+kernel's to rounding.
 """
 
 from __future__ import annotations
@@ -59,8 +64,9 @@ from dataclasses import astuple, dataclass, field
 
 import numpy as np
 
-from .commgraph import build_matching_matrix, fuse_rows, prune, top1_rows
+from .commgraph import build_matching_matrix, check_scores, fuse_rows, prune, top1_rows
 from .densemath import Rng, array, index_array, integer, row_matmul, softmax
+from .scenarios import EpisodeSet
 
 CHECKPOINT_MAGIC = b"GRPCOMM1"
 CHECKPOINT_VERSION = 1
@@ -73,11 +79,22 @@ HANDSHAKE_POLICIES = ("when2com", "forced_top1", "fully_connected")
 # fully_connected select from when2com's rows at eval time, and have none yet.
 TRAIN_POLICIES = ("when2com", "nocom", "randcom", "catall")
 
-# Episodes per inference call in validation.  The inference kernel rounds
-# every row as it does alone, so accuracy does not depend on this size; it
-# only bounds memory.  One call over 1600 validation episodes raised peak RSS
-# by 27 MB, blocks of 64 by about 1 MB, and blocks of 64 also ran faster.
+# Episodes per inference call.  The row-invariant kernel rounds every row as
+# it does alone, so evaluation does not depend on this size; validation's gemm
+# products may round a row differently in another size, so its accuracy can
+# move only by rounding.  The size bounds memory: one call over 1600
+# validation episodes raised peak RSS by 27 MB, blocks of 64 by about 1 MB,
+# and blocks of 64 also ran faster.
 EVAL_BLOCK = 64
+
+# Multiply-adds (rows x d_in x d_out) from which OpenBLAS runs a gemm on its
+# worker threads, unless OPENBLAS_NUM_THREADS=1: 127 rows of a 64 x 64 layer
+# ran on the calling thread and 128 did not, on OpenBLAS 0.3.31 with 2 cores.
+# mlp_infer's gemm path splits its rows to stay below it.  One gemm over a
+# block's 320 rows started the threads, and then two trainings in parallel on
+# 2 cores ran 2-3x slower (the model_zoo fixture of tests/test_acceptance.py
+# took 23-34 s against 10-13 s); the split costs a lone validation about 5%.
+GEMM_THREAD_WORK = 65536 * 8
 
 
 @dataclass(frozen=True, eq=False)
@@ -210,23 +227,40 @@ def mlp_forward(p: MlpParams, x: np.ndarray) -> tuple[np.ndarray, list[np.ndarra
     return h, inputs
 
 
-def mlp_infer(p: MlpParams, x: np.ndarray) -> np.ndarray:
+def mlp_infer(p: MlpParams, x: np.ndarray, row_invariant: bool = True) -> np.ndarray:
     """Inference's affine-rectifier chain on one vector or rows of any leading shape.
 
-    Every layer runs on :func:`~groupcomm.densemath.row_matmul`, so each row
-    is bit-identical to the per-vector ``w @ h + b`` chain on that row alone,
-    whatever the stack around it.
+    By default every layer runs on :func:`~groupcomm.densemath.row_matmul`,
+    so each row is bit-identical to the per-vector ``w @ h + b`` chain on
+    that row alone, whatever the stack around it.  With ``row_invariant``
+    False the rows are flattened to one (R, d) stack and every layer is
+    :func:`mlp_forward`'s ``h @ w.T`` gemm (:func:`_gemm`), whose rows round
+    as the stack makes them.
     """
     h = np.asarray(x, dtype=np.float64)
     if h.ndim == 0 or h.shape[-1] != p.in_dim:
         raise ValueError(f"input shape {h.shape} does not match first layer ({p.in_dim})")
+    lead = h.shape[:-1]
+    if not row_invariant:
+        h = h.reshape(-1, p.in_dim)  # on a 3-D stack ``h @ w.T`` would be one small product per episode
     last = len(p.layers) - 1
     for idx, (w, b) in enumerate(p.layers):
-        h = row_matmul(h, w)  # a fresh array, so the bias and rectifier go in place
+        h = row_matmul(h, w) if row_invariant else _gemm(h, w)  # a fresh array, so the bias and rectifier go in place
         h += b
         if idx < last:
             np.maximum(h, 0.0, out=h)
-    return h
+    return h.reshape(lead + h.shape[-1:])
+
+
+def _gemm(h: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """``h @ w.T`` of an (R, d) stack, as gemms of fewer than :data:`GEMM_THREAD_WORK` multiply-adds each."""
+    rows = max(1, (GEMM_THREAD_WORK - 1) // w.size)
+    if len(h) <= rows:
+        return h @ w.T
+    out = np.empty((len(h), w.shape[0]))
+    for start in range(0, len(h), rows):
+        np.matmul(h[start : start + rows], w.T, out=out[start : start + rows])
+    return out
 
 
 def mlp_backward(p: MlpParams, inputs: list[np.ndarray], dout: np.ndarray, grads: MlpParams) -> np.ndarray:
@@ -269,9 +303,22 @@ class ForwardResult:
     layer_inputs: tuple[list[np.ndarray] | None, ...] | None = None
 
 
-def decode(theta: PipelineParams, features: np.ndarray, fused: np.ndarray) -> np.ndarray:
-    """Inference class logits from local and fused features, for one agent or a stack."""
-    return mlp_infer(theta.theta_d, np.concatenate([features, fused], axis=-1))
+def decode(theta: PipelineParams, features: np.ndarray, fused: np.ndarray, row_invariant: bool = True) -> np.ndarray:
+    """Inference class logits from local and fused features, for one agent or a stack, on :func:`mlp_infer`'s kernel."""
+    return mlp_infer(theta.theta_d, np.concatenate([features, fused], axis=-1), row_invariant)
+
+
+def _gemm_scores(queries: np.ndarray, keys: np.ndarray, w_g: np.ndarray) -> np.ndarray:
+    """Training's (B, N, N) attention scores of (B, N, Q) queries and (B, N, K) keys: ``(mu W_g) kappa^T / sqrt(K)``.
+
+    ``mu @ w_g`` is one gemm over all B*N queries and the scores one stacked
+    product, so a score rounds as the stack makes it, not as
+    :func:`~groupcomm.commgraph.build_matching_matrix`'s row-invariant
+    scores do.  Their row softmax is training's matching matrix.
+    """
+    b, n, q_dim = queries.shape
+    scores = (queries.reshape(b * n, q_dim) @ w_g).reshape(b, n, -1) @ keys.transpose(0, 2, 1)
+    return scores / math.sqrt(w_g.shape[1])
 
 
 def policy_rows(
@@ -320,6 +367,7 @@ def pipeline_forward(
     delta: float = 0.0,
     policy: str = "when2com",
     rng: Rng | None = None,
+    row_invariant: bool = True,
 ) -> ForwardResult:
     """Full forward pass under a communication policy (see :func:`policy_rows`).
 
@@ -330,10 +378,15 @@ def pipeline_forward(
     :data:`TRAIN_POLICIES` and raises ``ValueError`` on any other: it fuses
     when2com with the soft matching rows, and the fixed-row policies'
     attention heads are neither evaluated nor differentiated.  ``inference``
-    builds the matching matrix only for a handshake policy, prunes the
-    policy's rows at its threshold, and runs on the row-invariant kernel, so
-    each episode's outputs are bit for bit those of the simulator, whatever
-    the stack around it.
+    builds the matching matrix only for a handshake policy and prunes the
+    policy's rows at its threshold.  By default it runs on the row-invariant
+    kernel, so each episode's outputs are bit for bit those of the
+    simulator, whatever the stack around it.  With ``row_invariant`` False it
+    runs on training's gemm products instead: one gemm per head layer over
+    the flattened stack, :func:`_gemm_scores` and ``m_bar @ features``,
+    which round as the stack makes them.  It refuses non-finite scores as
+    the row kernel does, and prunes and draws ``randcom``'s rows as it does.
+    Training ignores it.
     """
     if mode == "training":
         return _training_forward(theta, observations, policy, rng)
@@ -341,14 +394,18 @@ def pipeline_forward(
         raise ValueError(f"unknown mode {mode!r}")
     obs, lead = _episode_stack(observations)
     n = obs.shape[-2]
-    features = mlp_infer(theta.theta_e, obs)
+    features = mlp_infer(theta.theta_e, obs, row_invariant)
     soft = None
     if policy in HANDSHAKE_POLICIES:
-        soft = build_matching_matrix(mlp_infer(theta.theta_q, obs), mlp_infer(theta.theta_k, obs), theta.w_g)
+        mu, kappa = (mlp_infer(head, obs, row_invariant) for head in (theta.theta_q, theta.theta_k))
+        if row_invariant:
+            soft = build_matching_matrix(mu, kappa, theta.w_g)
+        else:
+            soft = softmax(check_scores(_gemm_scores(mu, kappa, theta.w_g)))
     m, threshold = policy_rows(policy, soft, n, delta, rng, len(obs))
     m_bar = prune(m, threshold)
-    fused = fuse_rows(m_bar, features)
-    logits = decode(theta, features, fused)
+    fused = fuse_rows(m_bar, features) if row_invariant else m_bar @ features
+    logits = decode(theta, features, fused, row_invariant)
     return ForwardResult(*(a.reshape(lead + a.shape[-1:]) for a in (logits, m, features, fused, m_bar)))
 
 
@@ -373,8 +430,7 @@ def _training_forward(theta: PipelineParams, observations, policy: str, rng: Rng
         mu, q_inputs = mlp_forward(theta.theta_q, x)
         kappa, k_inputs = mlp_forward(theta.theta_k, x)
         queries, keys = mu.reshape(b, n, -1), kappa.reshape(b, n, -1)
-        scores = (mu @ theta.w_g).reshape(b, n, -1) @ keys.transpose(0, 2, 1)
-        m = softmax(scores / math.sqrt(theta.w_g.shape[1]))
+        m = softmax(_gemm_scores(queries, keys, theta.w_g))
     else:
         m = policy_rows(policy, None, n, 0.0, rng, b)[0]
 
@@ -579,19 +635,43 @@ def episode_loss_and_grads(theta: PipelineParams, episodes, policy: str, rng: Rn
     return pipeline_backward(result, theta, episodes.labels, grads)
 
 
+def check_episodes(episodes, config: PipelineConfig) -> None:
+    """Refuse ``episodes`` unless it is an :class:`~groupcomm.scenarios.EpisodeSet` of ``config.d_obs``-wide rows."""
+    if not isinstance(episodes, EpisodeSet):
+        raise ValueError(f"episodes must be an EpisodeSet, got {type(episodes).__name__}")
+    if (width := episodes.observations.shape[-1]) != config.d_obs:
+        raise ValueError(f"episodes.observations are {width} wide, but the model's d_obs is {config.d_obs}")
+
+
+def check_world(world, config: PipelineConfig, who: str) -> None:
+    """Refuse a world whose ``obs_dim`` or ``n_classes`` is not ``config``'s, naming both; ``who`` names the model."""
+    for field, name in (("d_obs", "obs_dim"), ("n_classes", "n_classes")):
+        if getattr(world, name) != getattr(config, field):
+            raise ValueError(
+                f"{who} expects {field}={getattr(config, field)}, but the dataset has {name}={getattr(world, name)}"
+            )
+
+
 def infer_episodes(
-    theta: PipelineParams, episodes, delta: float, policy: str = "when2com", rng: Rng | None = None, index=None
+    theta: PipelineParams, episodes, delta: float, policy: str = "when2com", rng: Rng | None = None, index=None,
+    row_invariant: bool = True,
 ) -> tuple[np.ndarray, np.ndarray]:
     """The (E, N, N) pruned rows and (E, N) predicted classes of episodes at inference.
 
-    ``episodes`` is an :class:`~groupcomm.scenarios.EpisodeSet`; ``index``
+    ``episodes`` is an :class:`~groupcomm.scenarios.EpisodeSet` of the
+    model's observation width (:func:`check_episodes`); ``index``
     (integers, see ``densemath.index_array``) picks its episodes, in its order,
     and by default all of them, in order.  There must be at least one,
     checked before anything runs.  The episodes go through
     :func:`pipeline_forward` in stacks of :data:`EVAL_BLOCK`, each a slice of
     the set or a gather of ``index``'s rows, and ``randcom`` rows are drawn
-    from ``rng`` episode by episode.
+    from ``rng`` episode by episode.  By default the pass runs on the
+    row-invariant kernel, which ``evalcli.evaluate`` needs: its simulator
+    audit compares the pass bit for bit.  Validation is audited by nothing,
+    so ``train`` passes ``row_invariant=False`` and the pass runs on
+    training's gemm products (see :func:`pipeline_forward`).
     """
+    check_episodes(episodes, theta.config)
     if index is not None:
         index = index_array(index)
     count = len(episodes) if index is None else len(index)
@@ -601,7 +681,8 @@ def infer_episodes(
     for start in range(0, count, EVAL_BLOCK):
         rows = slice(start, start + EVAL_BLOCK) if index is None else index[start : start + EVAL_BLOCK]
         result = pipeline_forward(
-            theta, episodes.observations[rows], mode="inference", delta=delta, policy=policy, rng=rng
+            theta, episodes.observations[rows], mode="inference", delta=delta, policy=policy, rng=rng,
+            row_invariant=row_invariant,
         )
         m_bar.append(result.m_bar)
         predictions.append(np.argmax(result.logits, axis=-1))
@@ -609,30 +690,41 @@ def infer_episodes(
 
 
 def evaluate_task_accuracy(
-    theta: PipelineParams, episodes, delta: float, policy: str = "when2com", rng: Rng | None = None, index=None
+    theta: PipelineParams, episodes, delta: float, policy: str = "when2com", rng: Rng | None = None, index=None,
+    row_invariant: bool = True,
 ) -> float:
     """Fraction of (episode, agent) predictions of :func:`infer_episodes` matching labels.
 
-    ``episodes`` and ``index`` are :func:`infer_episodes`'s.  ``randcom`` rows
-    are drawn from ``rng``, episode by episode, or from one ``Rng(0)`` for
-    the whole call when it is omitted.  The labels are checked first (:func:`check_labels`).
+    ``episodes``, ``index`` and ``row_invariant`` are :func:`infer_episodes`'s;
+    ``train``'s validation passes ``row_invariant=False``, so it runs on the
+    gemm products, and needs no row invariance because no simulator audits
+    it.  ``randcom`` rows are drawn from ``rng``, episode by episode, or from
+    one ``Rng(0)`` for the whole call when it is omitted.  The episodes
+    (:func:`check_episodes`) and then the labels (:func:`check_labels`) are
+    checked first.
     """
+    check_episodes(episodes, theta.config)
     labels = episodes.labels if index is None else episodes.labels[index_array(index)]
     if not len(labels):
         raise ValueError("evaluate_task_accuracy: episodes is empty, so there is no accuracy to report")
     check_labels(labels, theta.config.n_classes)
-    _, predictions = infer_episodes(theta, episodes, delta, policy, rng if rng is not None else Rng(0), index)
+    _, predictions = infer_episodes(
+        theta, episodes, delta, policy, rng if rng is not None else Rng(0), index, row_invariant
+    )
     return int(np.count_nonzero(predictions == labels)) / predictions.size
 
 
 def train(config: TrainConfig, dataset, rng: Rng) -> tuple[PipelineParams, list[dict]]:
     """Minibatch Adam loop over the training split of a :class:`~groupcomm.scenarios.Dataset`.
 
-    Each step draws its batch indices into ``train_idx`` from ``rng``,
-    gathers those episodes' rows, then runs one batched forward and backward
-    over the whole batch and one Adam update at :func:`adam_step`'s default
-    rates.  Validation runs over ``val_idx`` in gathered blocks, so neither
-    split is copied whole.  The parameters, the Adam moments and one
+    The dataset's world must have the model's ``d_obs`` and ``n_classes``
+    (:func:`check_world`), checked before any draw.  Each step draws its
+    batch indices into ``train_idx`` from ``rng``, gathers those episodes'
+    rows, then runs one batched forward and backward over the whole batch
+    and one Adam update at :func:`adam_step`'s default rates.  Validation
+    runs over ``val_idx`` in gathered blocks, so neither split is copied
+    whole, on the gemm products (``row_invariant=False``): nothing audits it
+    against the simulator.  The parameters, the Adam moments and one
     gradient tree are allocated before the first step, and every step
     updates them in place.  The log records the batch loss at every step and
     validation task accuracy every ``eval_every`` steps.  The run is
@@ -643,6 +735,7 @@ def train(config: TrainConfig, dataset, rng: Rng) -> tuple[PipelineParams, list[
     episodes, train_idx, val_idx = dataset.episodes, np.asarray(dataset.train_idx, dtype=np.intp), dataset.val_idx
     if not len(train_idx):
         raise ValueError("training dataset is empty")
+    check_world(dataset.world, config.pipeline, "the model")
 
     theta = init_pipeline(config.pipeline, rng)
     state = AdamState.for_params(theta)
@@ -657,7 +750,8 @@ def train(config: TrainConfig, dataset, rng: Rng) -> tuple[PipelineParams, list[
         log.append({"step": step, "loss": loss})
         if config.eval_every and len(val_idx) and step % config.eval_every == 0:
             acc = evaluate_task_accuracy(
-                theta, episodes, 1.0 / episodes.labels.shape[1], config.policy, Rng(rng.seed ^ step), val_idx
+                theta, episodes, 1.0 / episodes.labels.shape[1], config.policy, Rng(rng.seed ^ step), val_idx,
+                row_invariant=False,
             )
             log.append({"step": step, "val_task_acc": acc})
     return theta, log

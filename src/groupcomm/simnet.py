@@ -375,9 +375,13 @@ def make_agents(observations, theta: PipelineParams) -> list[AgentState] | list[
     An (E, N, d_obs) stack gives a block: one such list of agents per
     episode.  Each head runs once over all the observations, on the
     row-invariant kernel, so every agent holds exactly what its own
-    observation alone gives it, whatever the stack around it.
+    observation alone gives it, whatever the stack around it.  Observations
+    not ``theta.config.d_obs`` wide raise ValueError naming both widths.
     """
     obs = np.asarray(observations, dtype=np.float64)
+    if obs.ndim == 0 or obs.shape[-1] != theta.config.d_obs:
+        d_obs = theta.config.d_obs
+        raise ValueError(f"make_agents: observations of shape {obs.shape} do not end in the model's d_obs ({d_obs})")
     stack = obs if obs.ndim == 3 else obs[None]
     heads = [mlp_infer(head, stack) for head in (theta.theta_q, theta.theta_k, theta.theta_e)]
     block = [

@@ -637,6 +637,24 @@ class TestOneScalarRule:
             evaluate_task_accuracy(tiny_theta(), episodes, 0.2)
         assert calls == []
 
+    def test_evaluate_refuses_a_list_of_episodes_naming_episodes(self, monkeypatch):
+        # It used to raise AttributeError: 'list' object has no attribute 'labels'.
+        episodes = generate_dataset(make_world("srms", rng=Rng(7)), 12, seed=7).episodes
+        calls = []
+        monkeypatch.setattr(evalcli, "infer_episodes", lambda *args: calls.append(args))
+        with pytest.raises(ValueError, match="^episodes must be an EpisodeSet, got list$"):
+            evaluate("randcom", tiny_theta(), [episodes[i] for i in range(12)], 0.2, 0)
+        assert calls == []
+
+    def test_evaluate_names_observations_of_another_width(self, monkeypatch):
+        # It used to raise "input shape (12, 5, 10) does not match first layer (32)" from mlp_infer.
+        episodes = generate_dataset(make_world("srms", obs_dim=10, rng=Rng(8)), 12, seed=8).episodes
+        calls = []
+        monkeypatch.setattr(evalcli, "infer_episodes", lambda *args: calls.append(args))
+        with pytest.raises(ValueError, match="^episodes.observations are 10 wide, but the model's d_obs is 32$"):
+            evaluate("when2com", tiny_theta(), episodes, 0.2, 0)
+        assert calls == []
+
     def test_evaluate_refuses_an_unknown_case(self, world_and_episodes):
         # "bogus" was once written into the report.
         _, episodes = world_and_episodes

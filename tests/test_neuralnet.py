@@ -43,7 +43,7 @@ from groupcomm.neuralnet import (
     save_checkpoint,
     train,
 )
-from groupcomm.evalcli import world_for_run
+from groupcomm.evalcli import evaluate, world_for_run
 from groupcomm.scenarios import generate_dataset, make_world
 
 
@@ -599,6 +599,130 @@ class TestValidation:
             assert evaluate_task_accuracy(theta, episodes, 0.25, index=key) == accuracy
 
 
+class TestGemmValidation:
+    # train validates on the gemm products (row_invariant=False); evaluate
+    # keeps the row-invariant kernel that its simulator audit compares.
+    CFG = TestBatchedTraining.CFG
+
+    @staticmethod
+    def theta_and_episodes(source, policy="when2com"):
+        """A seeded random model on 2 * EVAL_BLOCK + 7 random episodes, or one trained 80 steps under ``policy``."""
+        if source == "random":
+            rng, cfg = Rng(61), TestGemmValidation.CFG
+            return init_pipeline(cfg, rng), random_episodes(rng, cfg, 4, 2 * EVAL_BLOCK + 7)
+        dataset = generate_dataset(world_for_run("srms", None, 62), 400, 62)
+        theta, _ = train(TrainConfig(steps=80, eval_every=0, policy=policy), dataset, Rng(62))
+        return theta, dataset.episodes
+
+    @pytest.mark.parametrize("source", ["random", "trained"])
+    @pytest.mark.parametrize("policy", TRAIN_POLICIES)
+    def test_predictions_equal_the_row_kernel(self, policy, source):
+        # Index of three blocks, the last one short, out of order; randcom draws across blocks.
+        theta, episodes = self.theta_and_episodes(source, policy)
+        index = Rng(63).permutation(len(episodes))[: 2 * EVAL_BLOCK + 5]
+        delta = 1.0 / episodes.labels.shape[1]
+        row = neuralnet.infer_episodes(theta, episodes, delta, policy, Rng(64), index)
+        gemm = neuralnet.infer_episodes(theta, episodes, delta, policy, Rng(64), index, row_invariant=False)
+        np.testing.assert_array_equal(gemm[1], row[1])
+        np.testing.assert_allclose(gemm[0], row[0], rtol=0.0, atol=1e-12)
+        accuracy = evaluate_task_accuracy(theta, episodes, delta, policy, Rng(64), index, row_invariant=False)
+        assert accuracy == evaluate_task_accuracy(theta, episodes, delta, policy, Rng(64), index)
+
+    @pytest.mark.parametrize("policy", TRAIN_POLICIES)
+    def test_delta_zero_equals_the_training_forward_bit_for_bit(self, policy):
+        # The gemm path is training's arithmetic: on the same stack, pruning at 0 keeps every soft entry.
+        theta, episodes = self.theta_and_episodes("random")
+        obs = episodes.observations[:EVAL_BLOCK]
+        trained = pipeline_forward(theta, obs, mode="training", policy=policy, rng=Rng(65))
+        gemm = pipeline_forward(theta, obs, mode="inference", policy=policy, rng=Rng(65), row_invariant=False)
+        for a, b in ((trained.logits, gemm.logits), (trained.m, gemm.m_bar), (trained.fused, gemm.fused)):
+            assert a.tobytes() == b.tobytes()
+
+    @pytest.mark.parametrize("rows", [1, 127, 128, 254, 320])
+    def test_split_gemm_equals_one_product(self, rows):
+        # A 64 x 64 layer takes 127 rows per gemm, so 128, 254 and 320 rows split, the last chunk short.
+        rng = Rng(70)
+        w, h = rng.normal(64 * 64).reshape(64, 64), rng.normal(rows * 64).reshape(rows, 64)
+        assert (neuralnet.GEMM_THREAD_WORK - 1) // w.size == 127
+        np.testing.assert_allclose(neuralnet._gemm(h, w), h @ w.T, rtol=0.0, atol=1e-12)
+
+    @pytest.mark.parametrize("bad", [math.inf, math.nan])
+    def test_non_finite_scores_raise_what_the_row_kernel_raises(self, bad):
+        theta, episodes = self.theta_and_episodes("random")
+        obs = episodes.observations[:3].copy()
+        obs[1, 2, 0] = bad
+        message = "^attention scores contain non-finite entries$"
+        for row_invariant in (True, False):
+            with np.errstate(all="ignore"), pytest.raises(ValueError, match=message):
+                pipeline_forward(theta, obs, mode="inference", delta=0.25, row_invariant=row_invariant)
+
+    def test_train_validates_without_the_row_kernel_and_evaluate_keeps_it(self, monkeypatch):
+        # Counts the row_matmul calls made through neuralnet's binding (every
+        # mlp_infer layer); commgraph's scores bind their own.
+        calls = []
+        row_matmul = neuralnet.row_matmul
+
+        def counted(*args):
+            calls.append(args[0].shape)
+            return row_matmul(*args)
+
+        monkeypatch.setattr(neuralnet, "row_matmul", counted)
+        dataset = generate_dataset(world_for_run("srms", None, 66), 200, 66)
+        _, log = train(TrainConfig(steps=4, eval_every=2), dataset, Rng(66))
+        assert sum("val_task_acc" in rec for rec in log) == 2
+        assert calls == []
+        evaluate("when2com", init_pipeline(PipelineConfig(), Rng(66)), dataset.test_episodes, 0.2, 66)
+        assert len(calls) > 0
+
+
+class TestInferenceBoundary:
+    # The inference entry points name their episodes before any work.
+    @staticmethod
+    def record_work(monkeypatch):
+        calls = []
+        monkeypatch.setattr(neuralnet, "pipeline_forward", lambda *a, **k: calls.append(a))
+        return calls
+
+    @pytest.mark.parametrize("site", ["infer_episodes", "evaluate_task_accuracy"])
+    def test_a_list_of_episodes_is_refused_naming_episodes(self, monkeypatch, site):
+        # It used to raise AttributeError: 'list' object has no attribute 'labels'.
+        data = generate_dataset(make_world("srms", rng=Rng(67)), 12, seed=67)
+        episodes = [data.episodes[i] for i in range(12)]
+        calls, rng = self.record_work(monkeypatch), Rng(67)
+        with pytest.raises(ValueError, match="^episodes must be an EpisodeSet, got list$"):
+            getattr(neuralnet, site)(init_pipeline(PipelineConfig(), Rng(1)), episodes, 0.2, "randcom", rng)
+        assert calls == [] and rng.u64(1) == Rng(67).u64(1)
+
+    @pytest.mark.parametrize("site", ["infer_episodes", "evaluate_task_accuracy"])
+    def test_observations_of_another_width_are_named(self, monkeypatch, site):
+        # It used to raise "input shape (12, 5, 10) does not match first layer (32)" from mlp_infer.
+        episodes = generate_dataset(make_world("srms", obs_dim=10, rng=Rng(68)), 12, seed=68).episodes
+        calls = self.record_work(monkeypatch)
+        message = "^episodes.observations are 10 wide, but the model's d_obs is 32$"
+        with pytest.raises(ValueError, match=message):
+            getattr(neuralnet, site)(init_pipeline(PipelineConfig(), Rng(1)), episodes, 0.2)
+        assert calls == []
+
+    @pytest.mark.parametrize(
+        "world, message",
+        [
+            (dict(obs_dim=10), "the model expects d_obs=32, but the dataset has obs_dim=10"),
+            (dict(n_classes=12), "the model expects n_classes=10, but the dataset has n_classes=12"),
+        ],
+    )
+    def test_train_names_a_world_the_model_does_not_fit_before_drawing(self, monkeypatch, world, message):
+        # obs_dim 10 used to raise "input shape (40, 10) is not a stack of rows
+        # matching the first layer (32)" at the first step; n_classes 12 to
+        # train until a batch drew a label of 10 or 11.
+        dataset = generate_dataset(make_world("srms", rng=Rng(69), **world), 50, seed=69)
+        drawn = []
+        monkeypatch.setattr(neuralnet, "init_pipeline", lambda *args: drawn.append(args))
+        rng = Rng(69)
+        with pytest.raises(ValueError, match="^" + re.escape(message) + "$"):
+            train(TrainConfig(steps=3), dataset, rng)
+        assert drawn == [] and rng.u64(1) == Rng(69).u64(1)
+
+
 class TestInit:
     @pytest.mark.parametrize(
         "config",
@@ -944,7 +1068,9 @@ class TestTrain:
         labels = dataset.episodes.labels.copy()
         labels[dataset.train_idx[5], 2] = bad
         episodes = replace(dataset.episodes, labels=labels)
-        dataset = SimpleNamespace(episodes=episodes, train_idx=dataset.train_idx, val_idx=dataset.val_idx)
+        dataset = SimpleNamespace(
+            world=dataset.world, episodes=episodes, train_idx=dataset.train_idx, val_idx=dataset.val_idx
+        )
         calls = self.count_steps(monkeypatch)
         with pytest.raises(ValueError, match=re.escape(f"label {bad} out of range [0, 10)")):
             train(TrainConfig(steps=200, eval_every=0), dataset, Rng(12))
@@ -956,7 +1082,9 @@ class TestTrain:
         # A Dataset holds its splits as tuples, so the list side is a plain namespace.
         dataset = generate_dataset(make_world("srms", rng=Rng(39)), 40, seed=39)
         config = TrainConfig(steps=4, eval_every=2)
-        as_list = SimpleNamespace(episodes=dataset.episodes, train_idx=list(dataset.train_idx), val_idx=list(val_idx))
+        as_list = SimpleNamespace(
+            world=dataset.world, episodes=dataset.episodes, train_idx=list(dataset.train_idx), val_idx=list(val_idx)
+        )
         logs = [train(config, d, Rng(7))[1] for d in (replace(dataset, val_idx=val_idx), as_list)]
         assert sum("val_task_acc" in rec for rec in logs[0]) == 2
         assert logs[0] == logs[1]

@@ -93,6 +93,15 @@ class TestHandshake:
         assert len(log) == 0 and list(log) == []
         np.testing.assert_array_equal(rows, [[1.0]])
 
+    def test_make_agents_names_observations_of_another_width(self):
+        # It used to raise "input shape (12, 5, 10) does not match first layer (8)" from mlp_infer.
+        cfg, theta, _ = small_setup(3, n_agents=5)
+        obs = np.zeros((12, 5, 10))
+        for stack in (obs, obs[0]):
+            message = f"make_agents: observations of shape {stack.shape} do not end in the model's d_obs ({cfg.d_obs})"
+            with pytest.raises(ValueError, match="^" + re.escape(message) + "$"):
+                make_agents(stack, theta)
+
     def test_counted_query_bytes(self):
         cfg, theta, obs = small_setup(2, n_agents=5, q=4)
         agents = make_agents(obs, theta)
